@@ -16,7 +16,6 @@ from .layout import (
     bounding_box,
     clip_arrow,
     layout_diagram,
-    offset_parallel,
     resolve_label_side,
 )
 from .metrics import DEFAULT_METRICS, FontMetrics, load_metrics, text_width
@@ -58,7 +57,6 @@ __all__ = [
     "load_metrics",
     "measure_morphism_width",
     "merge_duplicate_nodes",
-    "offset_parallel",
     "parse_command",
     "parse_ir",
     "parse_payload",

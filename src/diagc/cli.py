@@ -12,7 +12,6 @@ import argparse
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -130,11 +129,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"diagc: {exc}", file=sys.stderr)
         return 2
 
-    paths = [Path(p) for p in args.inputs]
-    with ThreadPoolExecutor(max_workers=min(8, len(paths))) as pool:
-        results = list(
-            pool.map(lambda p: _compile_file(p, args.format, cfg, metrics), paths)
-        )
+    results = [_compile_file(Path(p), args.format, cfg, metrics) for p in args.inputs]
 
     status = 0
     total_outputs = sum(len(r.outputs) for r in results)

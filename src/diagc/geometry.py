@@ -13,7 +13,6 @@ from typing import NamedTuple, Union
 
 Numeric = Union[int, float, str, Fraction]
 
-DEFAULT_LEN = 500      # default edge length / displacement, centi-em
 DEFAULT_MARGIN = 150   # margin added to measured inline-arrow labels
 
 

@@ -2,17 +2,28 @@
 
 Field order and integer formatting are fixed so output is byte-stable;
 emit -> parse -> emit is a fixpoint.  Text fields sit in balanced
-braces (their content is brace-balanced by construction).
+braces (their content is brace-balanced by construction) and are read
+back by the shared lexical rule, so the brace of ``\\{`` or ``\\}``
+never counts.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List
 
 from .geometry import Point, ScaleConfig
 from .ir import Arrow, DiagramIR, LabelSide, Node
+from .lexer import tokens, top_level_end
 
 _HEADER = "diagc-ir 1"
+_SCALARS = {  # scale-line keyword -> value type
+    "scale": Fraction,
+    "em": Fraction,
+    "ex-ratio": Fraction,
+    "label-scale": Fraction,
+    "object-margin": int,
+}
 
 
 def _frac(x: Fraction) -> str:
@@ -56,6 +67,9 @@ class IRSyntaxError(ValueError):
 
 def _parse_kv(line: str) -> Dict[str, str]:
     fields: Dict[str, str] = {}
+    toks = tokens(line, comments=False)
+    # a "{" right after "=" is never part of a longer token, so it starts one
+    token_at = dict(zip(accumulate(map(len, toks), initial=0), range(len(toks))))
     i, n = 0, len(line)
     while i < n:
         if line[i] == " ":
@@ -63,24 +77,16 @@ def _parse_kv(line: str) -> Dict[str, str]:
             continue
         eq = line.find("=", i)
         if eq < 0:
-            raise IRSyntaxError(f"malformed field in {line!r}")
+            raise IRSyntaxError("malformed field")
         key = line[i:eq]
         i = eq + 1
-        if i < n and line[i] == "{":
-            depth = 0
-            j = i
-            while j < n:
-                if line[j] == "{":
-                    depth += 1
-                elif line[j] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                j += 1
-            if depth != 0:
-                raise IRSyntaxError(f"unbalanced braces in {line!r}")
-            fields[key] = line[i + 1:j]
-            i = j + 1
+        if line.startswith("{", i):
+            k = token_at[i]
+            end = top_level_end(toks, k + 1, "")
+            if end == len(toks):
+                raise IRSyntaxError("unbalanced braces")
+            fields[key] = "".join(toks[k + 1:end])
+            i += len(fields[key]) + 2
         else:
             j = line.find(" ", i)
             if j < 0:
@@ -90,11 +96,40 @@ def _parse_kv(line: str) -> Dict[str, str]:
     return fields
 
 
+def _node(kv: Dict[str, str]) -> Node:
+    return Node(
+        Point(int(kv["x"]), int(kv["y"])),
+        kv["text"],
+        int(kv["seq"]),
+        align="" if kv["align"] == "-" else kv["align"],
+        standalone=bool(int(kv["standalone"])),
+    )
+
+
+def _arrow(kv: Dict[str, str]) -> Arrow:
+    return Arrow(
+        start=Point(int(kv["x1"]), int(kv["y1"])),
+        end=Point(int(kv["x2"]), int(kv["y2"])),
+        style=kv["style"],
+        label=kv["label"],
+        side=LabelSide(kv["side"]),
+        seq=int(kv["seq"]),
+        kind=kv["kind"],
+        start_text=kv["start"],
+        end_text=kv["end"],
+        label2=kv["label2"],
+        offset_pt=Fraction(kv["offset"]),
+        local_scale=Fraction(kv["lscale"]),
+        group=int(kv["group"]),
+    )
+
+
 def parse_ir(text: str) -> DiagramIR:
+    """Read an IR dump back; any malformed line raises IRSyntaxError naming it."""
     lines = text.splitlines()
     if not lines or lines[0] != _HEADER:
         raise IRSyntaxError("missing IR header")
-    scalars: Dict[str, str] = {}
+    scalars: Dict[str, object] = {}
     nodes: List[Node] = []
     arrows: List[Arrow] = []
     ended = False
@@ -107,47 +142,32 @@ def parse_ir(text: str) -> DiagramIR:
             ended = True
             continue
         kind, _, rest = line.partition(" ")
-        if kind in ("scale", "em", "ex-ratio", "label-scale", "object-margin"):
-            scalars[kind] = rest.strip()
-        elif kind == "node":
-            kv = _parse_kv(rest)
-            nodes.append(
-                Node(
-                    Point(int(kv["x"]), int(kv["y"])),
-                    kv["text"],
-                    int(kv["seq"]),
-                    align="" if kv["align"] == "-" else kv["align"],
-                    standalone=bool(int(kv["standalone"])),
-                )
-            )
-        elif kind == "arrow":
-            kv = _parse_kv(rest)
-            arrows.append(
-                Arrow(
-                    start=Point(int(kv["x1"]), int(kv["y1"])),
-                    end=Point(int(kv["x2"]), int(kv["y2"])),
-                    style=kv["style"],
-                    label=kv["label"],
-                    side=LabelSide(kv["side"]),
-                    seq=int(kv["seq"]),
-                    kind=kv["kind"],
-                    start_text=kv["start"],
-                    end_text=kv["end"],
-                    label2=kv["label2"],
-                    offset_pt=Fraction(kv["offset"]),
-                    local_scale=Fraction(kv["lscale"]),
-                    group=int(kv["group"]),
-                )
-            )
-        else:
-            raise IRSyntaxError(f"unknown IR line {line!r}")
+        try:
+            if kind in _SCALARS:
+                scalars[kind] = _SCALARS[kind](rest.strip())
+            elif kind == "node":
+                nodes.append(_node(_parse_kv(rest)))
+            elif kind == "arrow":
+                arrows.append(_arrow(_parse_kv(rest)))
+            else:
+                raise IRSyntaxError("unknown IR line")
+        except KeyError as exc:
+            raise IRSyntaxError(f"missing field {exc} in {line!r}") from None
+        except (ValueError, ZeroDivisionError) as exc:  # IRSyntaxError included
+            raise IRSyntaxError(f"{exc} in {line!r}") from None
     if not ended:
         raise IRSyntaxError("missing end marker")
-    cfg = ScaleConfig(
-        scale=Fraction(scalars["scale"]),
-        em_size=Fraction(scalars["em"]),
-        ex_ratio=Fraction(scalars["ex-ratio"]),
-        label_scale=Fraction(scalars["label-scale"]),
-        object_margin=int(scalars["object-margin"]),
-    )
+    for kind in _SCALARS:
+        if kind not in scalars:
+            raise IRSyntaxError(f"missing {kind!r} line")
+    try:
+        cfg = ScaleConfig(
+            scale=scalars["scale"],
+            em_size=scalars["em"],
+            ex_ratio=scalars["ex-ratio"],
+            label_scale=scalars["label-scale"],
+            object_margin=scalars["object-margin"],
+        )
+    except ValueError as exc:
+        raise IRSyntaxError(f"{exc} in the scale lines") from None
     return DiagramIR(tuple(nodes), tuple(arrows), cfg)

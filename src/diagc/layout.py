@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .diagnostics import Diagnostic, LayoutError
 from .geometry import Point, ScaleConfig, pt_to_centiem, round_half_away
@@ -47,7 +47,7 @@ def resolve_label_side(placement: str, dx: int, dy: int) -> LabelSide:
     return LabelSide.NONE
 
 
-def baseline_offset(node: Optional[Node], cfg: ScaleConfig) -> Point:
+def baseline_offset(cfg: ScaleConfig) -> Point:
     """Box shift placing the anchor 0.75 ex below the text-box center."""
     return Point(0, round_half_away(75 * cfg.ex_ratio))
 
@@ -97,9 +97,7 @@ class DiagramLayout:
     bbox: Tuple[int, int, int, int]  # x0, y0, x1, y1 in centi-em
 
 
-def _node_half_extents(
-    node: Node, cfg: ScaleConfig, metrics: FontMetrics
-) -> Tuple[Fraction, Fraction]:
+def _node_half_extents(node: Node, metrics: FontMetrics) -> Tuple[Fraction, Fraction]:
     return (
         Fraction(text_width(node.text, 1, metrics), 2),
         Fraction(NODE_BOX_HEIGHT, 2),
@@ -107,7 +105,7 @@ def _node_half_extents(
 
 
 def _place_node(node: Node, cfg: ScaleConfig, metrics: FontMetrics) -> PlacedNode:
-    half_w, half_h = _node_half_extents(node, cfg, metrics)
+    half_w, half_h = _node_half_extents(node, metrics)
     cx = Fraction(node.anchor.x)
     cy = Fraction(node.anchor.y)
     if node.align == "l":
@@ -118,7 +116,7 @@ def _place_node(node: Node, cfg: ScaleConfig, metrics: FontMetrics) -> PlacedNod
         cy -= half_h
     elif node.align == "d":
         cy += half_h
-    cy += baseline_offset(node, cfg).y
+    cy += baseline_offset(cfg).y
     return PlacedNode(node, _qpoint(cx, cy), half_w, half_h)
 
 
@@ -162,10 +160,10 @@ def clip_arrow(
         start_node = by_anchor.get(arrow.start)
         end_node = by_anchor.get(arrow.end)
         if start_node is not None:
-            hw, hh = _node_half_extents(start_node, cfg, metrics)
+            hw, hh = _node_half_extents(start_node, metrics)
             t0 = _exit_param(hw + cfg.object_margin, hh + cfg.object_margin, dx, dy)
         if end_node is not None:
-            hw, hh = _node_half_extents(end_node, cfg, metrics)
+            hw, hh = _node_half_extents(end_node, metrics)
             t1 = _exit_param(hw + cfg.object_margin, hh + cfg.object_margin, dx, dy)
     if t0 + t1 >= 1:
         raise LayoutError(
@@ -180,26 +178,6 @@ def clip_arrow(
         (start[0] + end[0]) / 2, (start[1] + end[1]) / 2
     )
     return DrawablePath(start=start, end=end, arrow=arrow, label_anchor=anchor)
-
-
-def offset_parallel(path: DrawablePath, offset_pt, cfg: ScaleConfig) -> DrawablePath:
-    """Translate a path sideways; positive offsets move toward Above.
-
-    Offsets in printer's points convert through em_size; length and
-    direction are preserved, and +k then -k restores the original.
-    """
-    off = Fraction(pt_to_centiem(offset_pt, cfg.em_size))
-    dx, dy = path.direction
-    px, py = left_perp(dx, dy)
-    shift = (px * off, py * off)
-    return DrawablePath(
-        start=_qpoint(path.start[0] + shift[0], path.start[1] + shift[1]),
-        end=_qpoint(path.end[0] + shift[0], path.end[1] + shift[1]),
-        arrow=path.arrow,
-        label_anchor=_qpoint(
-            path.label_anchor[0] + shift[0], path.label_anchor[1] + shift[1]
-        ),
-    )
 
 
 def label_center(path: DrawablePath, side: LabelSide, cfg: ScaleConfig) -> FPoint:

@@ -8,9 +8,10 @@ file can overlay individual characters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator
+from typing import Dict
 
 from .geometry import Numeric, as_fraction, round_half_away
+from .lexer import tokens
 
 DEFAULT_CHAR_WIDTH = 50  # centi-em at scale 1.0
 
@@ -40,28 +41,6 @@ class FontMetrics:
 DEFAULT_METRICS = FontMetrics()
 
 
-def _tokens(text: str) -> Iterator[str]:
-    """Split math text into width-bearing tokens, TeX-style.
-
-    A backslash starts a control word (letters) or control symbol (one
-    character); either counts as a single token.
-    """
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\\":
-            j = i + 1
-            while j < n and text[j].isalpha():
-                j += 1
-            if j == i + 1 and j < n:
-                j += 1  # control symbol
-            yield text[i:j]
-            i = j
-        else:
-            yield c
-            i += 1
-
-
 def text_width(text: str, scale: Numeric, m: FontMetrics = DEFAULT_METRICS) -> int:
     """Width of math text in centi-em at the given scale.
 
@@ -70,13 +49,11 @@ def text_width(text: str, scale: Numeric, m: FontMetrics = DEFAULT_METRICS) -> i
     sequences count as one default-width character.
     """
     total = 0
-    for tok in _tokens(text):
-        if tok in ("{", "}"):
-            continue
-        if tok.startswith("\\"):
+    for tok in tokens(text, comments=False):
+        if tok[0] == "\\":
             total += m.default_width
-        else:
-            total += m.char_width(tok)
+        elif tok != "{" and tok != "}":
+            total += sum(map(m.char_width, tok))  # a whitespace run, char by char
     return round_half_away(total * as_fraction(scale))
 
 

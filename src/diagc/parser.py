@@ -1,4 +1,4 @@
-"""Tokenizer and recursive-descent parser for the diagram command language.
+"""Recursive-descent parser for the diagram command language.
 
 Commands are a fixed grammar, not programmable TeX: each command takes a
 chain of optional sections, detected by their opening character after
@@ -19,8 +19,9 @@ from typing import List, Optional, Tuple
 
 from .diagnostics import Diagnostic, ParseError
 from .geometry import Point
+from .lexer import WHITESPACE, split_top, strip_group, tokens, top_level_end
 
-_WS = " \t\r\n"
+_SKIPPED = WHITESPACE + "%"
 
 # placements default, style count, extent arity, extent default, payload arity
 _SHAPES = {
@@ -121,31 +122,33 @@ class Figure:
 
 
 class _Reader:
-    """Character reader with position tracking and TeX-ish lexing rules."""
+    """Token reader over source text; tracks the current token's position."""
 
     def __init__(self, text: str, filename: str = "<input>") -> None:
-        self.text = text
-        self.n = len(text)
-        self.i = 0
+        self.toks = tokens(text)
+        self.k = 0  # index of the current token
+        self.tok = self.toks[0] if self.toks else ""  # "" at the end
         self.line = 1
         self.col = 1
         self.filename = filename
 
-    def at_end(self) -> bool:
-        return self.i >= self.n
-
-    def peek(self) -> str:
-        return self.text[self.i] if self.i < self.n else ""
+    def _move(self, end: int) -> None:
+        """Make token ``end`` current, carrying line and column past the rest."""
+        passed = "".join(self.toks[self.k:end])
+        if "\n" in passed:
+            self.line += passed.count("\n")
+            self.col = len(passed) - passed.rfind("\n")
+        else:
+            self.col += len(passed)
+        if end == len(self.toks) and self.toks[-1:] == ["\\"]:
+            raise self.error("lone backslash at end of input")
+        self.k = end
+        self.tok = self.toks[end] if end < len(self.toks) else ""
 
     def advance(self) -> str:
-        c = self.text[self.i]
-        self.i += 1
-        if c == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return c
+        tok = self.tok
+        self._move(self.k + 1)
+        return tok
 
     def error(self, message: str, line: int = 0, col: int = 0) -> ParseError:
         return ParseError(
@@ -154,161 +157,47 @@ class _Reader:
             )
         )
 
-    def _skip_comment(self) -> None:
-        while not self.at_end() and self.peek() != "\n":
-            self.advance()
-        if not self.at_end():
-            self.advance()  # the newline is consumed, leaving no space
-
     def skip_ws(self) -> None:
-        while not self.at_end():
-            c = self.peek()
-            if c in _WS:
-                self.advance()
-            elif c == "%":
-                self.advance()
-                self._skip_comment()
-            else:
-                break
+        """Skip whitespace and comments; a comment takes its newline along."""
+        while self.tok and self.tok[0] in _SKIPPED:
+            self.advance()
 
-    def expect(self, c: str, what: str) -> None:
-        if self.at_end() or self.peek() != c:
+    def expect(self, c: str, what: str) -> str:
+        """Consume the token starting with ``c``: a delimiter or a control sequence."""
+        if self.tok[:1] != c:
             raise self.error(f"expected {c!r} {what}")
-        self.advance()
+        return self.advance()
 
-    def read_control_name(self) -> str:
-        """After a backslash: letters, or a single control symbol."""
-        if self.at_end():
-            raise self.error("lone backslash at end of input")
-        if not self.peek().isalpha():
-            return self.advance()
-        out = []
-        while not self.at_end() and self.peek().isalpha():
-            out.append(self.advance())
-        return "".join(out)
-
-    def _append_control(self, out: List[str]) -> None:
-        self.advance()  # backslash
-        out.append("\\" + self.read_control_name())
-
-    def read_raw(self, terminators: str) -> str:
+    def read_raw(
+        self, terminators: str, eof: str = "unexpected end of input inside section"
+    ) -> str:
         """Raw section content up to an unconsumed top-level terminator.
 
         Comments vanish (with their newline); other whitespace runs
         become one space; braces nest; control sequences stay whole, so
         an escaped delimiter never terminates.
         """
-        out: List[str] = []
-        depth = 0
-        while True:
-            if self.at_end():
-                raise self.error("unexpected end of input inside section")
-            c = self.peek()
-            if c == "%":
-                self.advance()
-                self._skip_comment()
-                continue
-            if c in _WS:
-                while not self.at_end() and self.peek() in _WS:
-                    self.advance()
-                out.append(" ")
-                continue
-            if c == "\\":
-                self._append_control(out)
-                continue
-            if depth == 0 and c in terminators:
-                return "".join(out)
-            if c == "{":
-                depth += 1
-            elif c == "}":
-                if depth == 0:
-                    raise self.error("unbalanced '}'")
-                depth -= 1
-            out.append(self.advance())
+        start = self.k
+        self._move(top_level_end(self.toks, start, terminators))
+        if not self.tok:
+            raise self.error(eof)
+        if self.tok == "}" and "}" not in terminators:
+            raise self.error("unbalanced '}'")
+        return "".join([
+            " " if t[0] in WHITESPACE else "" if t[0] == "%" else t
+            for t in self.toks[start:self.k]
+        ])
 
     def read_group(self) -> str:
         """A brace group; returns the content, outer braces stripped."""
         self.expect("{", "to open a group")
-        out: List[str] = []
-        depth = 1
-        while True:
-            if self.at_end():
-                raise self.error("unbalanced '{'")
-            c = self.peek()
-            if c == "%":
-                self.advance()
-                self._skip_comment()
-                continue
-            if c in _WS:
-                while not self.at_end() and self.peek() in _WS:
-                    self.advance()
-                out.append(" ")
-                continue
-            if c == "\\":
-                self._append_control(out)
-                continue
-            if c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    self.advance()
-                    return "".join(out)
-            out.append(self.advance())
-
-
-def _split_top(raw: str, sep: str) -> List[str]:
-    """Split on a separator at brace depth 0."""
-    parts: List[str] = []
-    depth = 0
-    start = 0
-    i = 0
-    n = len(raw)
-    while i < n:
-        c = raw[i]
-        if c == "\\":
-            i += 2 if i + 1 < n and not raw[i + 1].isalpha() else 1
-            while i < n and raw[i].isalpha():
-                i += 1
-            continue
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-        elif c == sep and depth == 0:
-            parts.append(raw[start:i])
-            start = i + 1
-        i += 1
-    parts.append(raw[start:])
-    return parts
-
-
-def strip_group(value: str) -> str:
-    """Remove one outer brace level when the field is a single group."""
-    if len(value) < 2 or value[0] != "{" or value[-1] != "}":
-        return value
-    depth = 0
-    i, n = 0, len(value)
-    while i < n:
-        c = value[i]
-        if c == "\\":
-            # control sequences are atomic; their braces do not count
-            i += 2 if i + 1 < n and not value[i + 1].isalpha() else 1
-            while i < n and value[i].isalpha():
-                i += 1
-            continue
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0 and i != n - 1:
-                return value
-        i += 1
-    return value[1:-1]
+        out = self.read_raw("}", "unbalanced '{'")
+        self.advance()
+        return out
 
 
 def _fields(raw: str) -> List[str]:
-    return [strip_group(p) for p in _split_top(raw, "`")]
+    return [strip_group(p) for p in split_top(raw, "`")]
 
 
 class Parser:
@@ -319,7 +208,7 @@ class Parser:
 
     def _probe(self, opener: str) -> bool:
         self.r.skip_ws()
-        return not self.r.at_end() and self.r.peek() == opener
+        return self.r.tok == opener
 
     def _paren_ints(self) -> Tuple[int, int]:
         self.r.skip_ws()
@@ -376,21 +265,19 @@ class Parser:
 
     def _payload(self, n_nodes: int, n_labels: int) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
         raw = self._bracket_raw()
+        halves = split_top(raw, ";")
         if n_nodes and n_labels:
-            halves = _split_top(raw, ";")
             if len(halves) != 2:
                 raise self.r.error(
                     "payload needs exactly one top-level ';' between nodes and labels"
                 )
             nodes = _fields(halves[0])
             labels = _fields(halves[1])
+        elif len(halves) != 1:
+            raise self.r.error("unexpected ';' in payload")
         elif n_nodes:
-            if len(_split_top(raw, ";")) != 1:
-                raise self.r.error("unexpected ';' in payload")
             nodes, labels = _fields(raw), []
         else:
-            if len(_split_top(raw, ";")) != 1:
-                raise self.r.error("unexpected ';' in payload")
             nodes, labels = [], _fields(raw)
         if len(nodes) != n_nodes:
             raise self.r.error(f"expected {n_nodes} node field(s), got {len(nodes)}")
@@ -423,13 +310,10 @@ class Parser:
 
     def _single_token(self) -> str:
         self.r.skip_ws()
-        if self.r.at_end():
+        if not self.r.tok:
             raise self.r.error("unexpected end of input")
-        if self.r.peek() == "{":
+        if self.r.tok == "{":
             return self.r.read_group()
-        if self.r.peek() == "\\":
-            self.r.advance()
-            return "\\" + self.r.read_control_name()
         return self.r.advance()
 
     def _maybe_script(self, marker: str) -> str:
@@ -443,8 +327,7 @@ class Parser:
     def parse_command(self) -> Command:
         self.r.skip_ws()
         line, col = self.r.line, self.r.col
-        self.r.expect("\\", "to start a command")
-        name = self.r.read_control_name()
+        name = self.r.expect("\\", "to start a command")[1:]
         cmd = self._parse_named(name, line, col)
         cmd.line, cmd.col = line, col
         return cmd
@@ -503,7 +386,7 @@ class Parser:
             styles = self._maybe_styles(n_styles)
             extent = self._maybe_angle(2, (500, 500))
             self.r.skip_ws()
-            if self.r.peek() == "[":
+            if self.r.tok == "[":
                 mask, stub = 0, stub_none
             else:
                 token = self._single_token()
@@ -591,27 +474,26 @@ class Parser:
         open_pos = (0, 0)
         while True:
             self.r.skip_ws()
-            if self.r.at_end():
+            tok = self.r.tok
+            if not tok:
                 break
-            if self.r.peek() != "\\":
-                raise self.r.error(f"unexpected character {self.r.peek()!r}")
+            if tok[0] != "\\":
+                raise self.r.error(f"unexpected character {tok!r}")
             line, col = self.r.line, self.r.col
-            save = self.r.i
-            self.r.advance()
-            name = self.r.read_control_name()
-            if name == "bfig":
+            if tok == "\\bfig":
                 if current is not None:
                     raise self.r.error("nested \\bfig", line, col)
+                self.r.advance()
                 current = []
                 open_pos = (line, col)
                 continue
-            if name == "efig":
+            if tok == "\\efig":
                 if current is None:
                     raise self.r.error("\\efig without \\bfig", line, col)
+                self.r.advance()
                 figures.append(Figure(current, True, open_pos[0], open_pos[1]))
                 current = None
                 continue
-            self.r.i, self.r.line, self.r.col = save, line, col
             cmd = self.parse_command()
             (top if current is None else current).append(cmd)
         if current is not None:
@@ -631,7 +513,7 @@ def parse_command(text: str, filename: str = "<input>") -> Command:
     p = Parser(text, filename)
     cmd = p.parse_command()
     p.r.skip_ws()
-    if not p.r.at_end():
+    if p.r.tok:
         raise p.r.error("trailing text after command")
     return cmd
 
@@ -643,48 +525,22 @@ def parse_payload(text: str) -> Tuple[List[str], List[str]]:
     separates nodes from labels, and one brace level protects and is
     stripped from each field.
     """
-    r = _Reader(text)
-    r.skip_ws()
-    r.expect("[", "to open a payload")
-    raw = r.read_raw("]")
-    r.expect("]", "to close a payload")
-    r.skip_ws()
-    if not r.at_end():
-        raise r.error("trailing text after payload")
-    halves = _split_top(raw, ";")
+    p = Parser(text)
+    raw = p._bracket_raw()
+    p.r.skip_ws()
+    if p.r.tok:
+        raise p.r.error("trailing text after payload")
+    halves = split_top(raw, ";")
     if len(halves) != 2:
-        raise r.error("payload needs exactly one top-level ';'")
+        raise p.r.error("payload needs exactly one top-level ';'")
     return _fields(halves[0]), _fields(halves[1])
 
 
 # -- canonical pretty-printer -------------------------------------------
 
 
-def _scan_top_level(value: str):
-    depth = 0
-    i, n = 0, len(value)
-    while i < n:
-        c = value[i]
-        if c == "\\":
-            i += 1
-            if i < n and not value[i].isalpha():
-                i += 1
-            while i < n and value[i].isalpha():
-                i += 1
-            continue
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-        elif depth == 0:
-            yield c
-        i += 1
-
-
 def _wrap(value: str, specials: str) -> str:
-    if strip_group(value) != value:
-        return "{" + value + "}"
-    if any(c in specials for c in _scan_top_level(value)):
+    if strip_group(value) != value or len(split_top(value, specials)) > 1:
         return "{" + value + "}"
     return value
 

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, golden checks."""
 import os
+from pathlib import Path
 
 from diagc.cli import main
 
@@ -144,12 +145,17 @@ def test_bad_scale_flag(tmp_path, capsys):
 
 
 def test_error_in_one_input_does_not_block_others(tmp_path, capsys):
-    good = _write(tmp_path, "good.dg", GOOD)
+    first = _write(tmp_path, "first.dg", WARNING_SOURCE)
     bad = _write(tmp_path, "bad.dg", ARITY_BAD)
+    last = _write(tmp_path, "last.dg", WARNING_SOURCE)
     out = tmp_path / "out"
-    assert main([str(bad), str(good), "-o", str(out) + os.sep]) == 2
-    assert (out / "good.svg").is_file()
+    assert main([str(first), str(bad), str(last), "-o", str(out) + os.sep]) == 2
+    assert (out / "first.svg").is_file() and (out / "last.svg").is_file()
     assert not (out / "bad.svg").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert [Path(line.split(":", 1)[0]).name for line in err] == [
+        "first.dg", "bad.dg", "last.dg"
+    ]
 
 
 def test_no_partial_file_left_behind(tmp_path):

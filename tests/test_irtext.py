@@ -1,0 +1,50 @@
+"""IR text: malformed input raises IRSyntaxError; escaped braces round-trip."""
+import pytest
+
+from diagc import compile_source, emit_ir, parse_ir
+from diagc.irtext import IRSyntaxError
+
+GOOD = emit_ir(compile_source("\\to^{f}_{g}\n\\place(0,0)[X]")[0].ir)
+NODE = next(line for line in GOOD.splitlines() if line.startswith("node "))
+ARROW = next(line for line in GOOD.splitlines() if line.startswith("arrow "))
+
+
+def _with(old, new):
+    assert old in GOOD
+    return GOOD.replace(old, new, 1)
+
+
+@pytest.mark.parametrize("text, line", [
+    (_with(NODE, NODE.replace(" x=0", "")), NODE.replace(" x=0", "")),
+    (_with(NODE, NODE.replace("y=0", "y=zero")), NODE.replace("y=0", "y=zero")),
+    (_with(ARROW, ARROW.replace("side=above", "side=left")),
+     ARROW.replace("side=above", "side=left")),
+    (_with(ARROW, ARROW.replace("offset=0", "offset=1/0")),
+     ARROW.replace("offset=0", "offset=1/0")),
+    (_with(ARROW, ARROW.replace("lscale=1", "lscale=x")),
+     ARROW.replace("lscale=1", "lscale=x")),
+    (_with("em 10\n", "em ten\n"), "em ten"),
+    (_with("scale 1\n", "scale 0\n"), "scale"),
+    (_with("em 10\n", ""), "'em'"),
+    (_with(NODE, NODE.replace("text={X}", "text={X")), NODE.replace("text={X}", "text={X")),
+    (_with(NODE, NODE + " junk"), NODE + " junk"),
+], ids=["missing field", "non-integer", "unknown side", "zero denominator",
+        "bad fraction", "bad scalar", "non-positive scale", "missing scalar line",
+        "unclosed brace", "field without value"])
+def test_malformed_ir_raises_ir_syntax_error_naming_the_line(text, line):
+    with pytest.raises(IRSyntaxError) as info:
+        parse_ir(text)
+    assert line in str(info.value) or repr(line) in str(info.value)
+
+
+@pytest.mark.parametrize("source", [
+    "\\morphism[a\\}`b;f]",
+    "\\place(0,0)[\\{x]",
+    "\\morphism[{\\{}`{x\\}};\\}]",
+])
+def test_escaped_braces_round_trip(source):
+    ir = compile_source(source)[0].ir
+    dump = emit_ir(ir)
+    back = parse_ir(dump)
+    assert back == ir
+    assert emit_ir(back) == dump

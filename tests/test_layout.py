@@ -13,7 +13,6 @@ from diagc import (
     clip_arrow,
     compile_source,
     layout_diagram,
-    offset_parallel,
     resolve_label_side,
 )
 from diagc.layout import knockout_spans, label_center
@@ -85,49 +84,47 @@ def test_clip_diagonal_exits_box():
 
 
 def test_baseline_offset_values():
-    assert baseline_offset(None, ScaleConfig()).y == 32
-    assert baseline_offset(None, ScaleConfig(ex_ratio=0)).y == 0
+    assert baseline_offset(ScaleConfig()).y == 32
+    assert baseline_offset(ScaleConfig(ex_ratio=0)).y == 0
     # render scale does not touch the intermediate representation shift
-    assert baseline_offset(None, ScaleConfig(scale=2)).y == 32
+    assert baseline_offset(ScaleConfig(scale=2)).y == 32
 
 
-def _free_path(x1, y1, x2, y2):
+def _free_path(x1, y1, x2, y2, offset_pt=0):
+    """A bare vector arrow, clipped with its parallel offset in points."""
     from diagc.ir import Arrow, KIND_VECTOR
     from diagc.geometry import Point
 
     arrow = Arrow(
         start=Point(x1, y1), end=Point(x2, y2), style=">", label="",
-        side=LabelSide.NONE, seq=0, kind=KIND_VECTOR,
+        side=LabelSide.NONE, seq=0, kind=KIND_VECTOR, offset_pt=Fraction(offset_pt),
     )
     return clip_arrow(arrow, [], ScaleConfig())
 
 
 def test_offset_parallel_conversion():
-    cfg = ScaleConfig()
     path = _free_path(0, 0, 400, 0)
-    up = offset_parallel(path, Fraction(5, 2), cfg)
+    up = _free_path(0, 0, 400, 0, Fraction(5, 2))
     assert up.start == (Fraction(0), Fraction(25))
     assert up.end == (Fraction(400), Fraction(25))
-    same = offset_parallel(path, 0, cfg)
+    same = _free_path(0, 0, 400, 0, 0)
     assert (same.start, same.end) == (path.start, path.end)
-    down = offset_parallel(path, Fraction(-9, 2), cfg)
+    down = _free_path(0, 0, 400, 0, Fraction(-9, 2))
     assert down.start == (Fraction(0), Fraction(-45))
 
 
 def test_offset_parallel_round_trip_and_length():
-    cfg = ScaleConfig()
     rng = random.Random(31)
     for _ in range(50):
         x2, y2 = rng.randint(-500, 500), rng.randint(-500, 500)
         if (x2, y2) == (0, 0):
             continue
         path = _free_path(0, 0, x2, y2)
-        out = offset_parallel(offset_parallel(path, 3, cfg), -3, cfg)
-        assert (out.start, out.end) == (path.start, path.end)
-        moved = offset_parallel(path, 7, cfg)
-        want = (path.end[0] - path.start[0], path.end[1] - path.start[1])
-        got = (moved.end[0] - moved.start[0], moved.end[1] - moved.start[1])
-        assert got == want
+        up, down = _free_path(0, 0, x2, y2, 3), _free_path(0, 0, x2, y2, -3)
+        for a, b, mid in ((up.start, down.start, path.start), (up.end, down.end, path.end)):
+            assert (a[0] + b[0], a[1] + b[1]) == (2 * mid[0], 2 * mid[1])
+        assert up.start != path.start
+        assert _free_path(0, 0, x2, y2, 7).direction == path.direction
 
 
 def test_bounding_box_examples():

@@ -67,6 +67,24 @@ def test_payload_unbalanced_braces():
         parse_payload("[{A`B;f]")
 
 
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        ("[a`b]  ", (1, 8), "payload needs exactly one top-level ';'"),
+        ("[a;b;c]\n ", (2, 2), "payload needs exactly one top-level ';'"),
+        ("[a\\;b]", (1, 7), "payload needs exactly one top-level ';'"),
+        ("[a;b] x", (1, 7), "trailing text after payload"),
+        ("[a;b", (1, 5), "unexpected end of input inside section"),
+        ("a;b]", (1, 1), "expected '[' to open a payload"),
+    ],
+)
+def test_payload_diagnostics(text, where, message):
+    with pytest.raises(ParseError) as info:
+        parse_payload(text)
+    d = info.value.diagnostic
+    assert ((d.line, d.col), d.message) == (where, message)
+
+
 def test_place_variants():
     cmd = parse_command("\\place(250,250)[X]")
     assert (cmd.origin, cmd.align, cmd.nodes) == (Point(250, 250), "", ("X",))

@@ -1,0 +1,101 @@
+"""Seeded, time-bounded property tests of the shared lexical rule.
+
+Each property runs a fixed, derandomized set of examples, so a failure
+repeats on every run and the suite's run time stays bounded.
+"""
+from dataclasses import replace
+from datetime import timedelta
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diagc import Arrow, DiagramIR, LabelSide, Node, Point, emit_ir, parse_ir, text_width
+from diagc.parser import format_command, parse_command
+
+BOUNDED = settings(
+    derandomize=True, database=None, max_examples=100, deadline=timedelta(seconds=1)
+)
+
+IR_ATOMS = ["\\{", "\\}", "\\\\", "\\alpha", "`", ";", "%", "a", "x", "²"]
+FIELD_ATOMS = [atom for atom in IR_ATOMS if atom != "%"]  # a parsed field holds no bare %
+
+
+def balanced(atoms):
+    """Text from ``atoms`` and balanced brace groups around such text."""
+    return st.recursive(
+        st.lists(st.sampled_from(atoms), max_size=4).map("".join),
+        lambda inner: st.lists(
+            st.one_of(st.sampled_from(atoms), inner.map(lambda t: "{" + t + "}")),
+            max_size=4,
+        ).map("".join),
+        max_leaves=12,
+    )
+
+
+@BOUNDED
+@given(texts=st.lists(balanced(IR_ATOMS), min_size=6, max_size=6))
+def test_ir_text_fields_are_a_fixpoint(texts):
+    node_text, style, label, label2, start, end = texts
+    ir = DiagramIR(
+        (Node(Point(0, 0), node_text, 0),),
+        (Arrow(Point(0, 0), Point(500, 0), style, label, LabelSide.ABOVE, 1,
+               start_text=start, end_text=end, label2=label2,
+               offset_pt=Fraction(3, 2)),),
+    )
+    dump = emit_ir(ir)
+    back = parse_ir(dump)
+    assert back == ir
+    assert emit_ir(back) == dump
+
+
+PAYLOAD_SOURCES = {
+    "morphism": "\\morphism[A`B;f]",
+    "place": "\\place(0,0)[X]",
+    "square": "\\square[A`B`C`D;f`g`h`k]",
+    "iiixii": "\\iiixii{5}<400>[A`B`C`D`E`F;f`g`h`i`j`k`l]",
+    "cube": "\\cube[A`B`C`D;f`g`h`k][a`b`c`d;p`q`r`s][w`x`y`z]",
+    "pullback": "\\pullback[A`B`C`D;f`g`h`k][E;p`q`r]",
+}
+
+
+@st.composite
+def payload_commands(draw):
+    cmd = parse_command(PAYLOAD_SOURCES[draw(st.sampled_from(sorted(PAYLOAD_SOURCES)))])
+    field = balanced(FIELD_ATOMS)
+
+    def fields(like):
+        return tuple(draw(field) for _ in like)
+
+    cmd = replace(cmd, nodes=fields(cmd.nodes), labels=fields(cmd.labels))
+    if cmd.inner is not None:
+        cmd.inner = replace(cmd.inner, nodes=fields(cmd.inner.nodes),
+                            labels=fields(cmd.inner.labels))
+        cmd.conn_labels = fields(cmd.conn_labels)
+    if cmd.trident is not None:
+        cmd.trident = replace(cmd.trident, node=draw(field),
+                              labels=fields(cmd.trident.labels))
+    return cmd
+
+
+@BOUNDED
+@given(cmd=payload_commands())
+def test_format_command_reparses_to_the_same_command(cmd):
+    printed = format_command(cmd)
+    again = parse_command(printed)
+    assert again == cmd
+    assert format_command(again) == printed
+
+
+control_sequences = st.one_of(
+    st.text(st.sampled_from("abzABZéαω"), min_size=1, max_size=8),
+    st.sampled_from(list("{}%;`\\ 1_²")),
+).map(lambda name: "\\" + name)
+
+
+@BOUNDED
+@given(cs=control_sequences, scale=st.sampled_from([1, Fraction(7, 10), 2]))
+def test_a_control_sequence_measures_one_default_character(cs, scale):
+    assert text_width(cs, scale) == text_width("x", scale)
+    # a numeral that is not a letter ends a control word: \x² is \x then ²
+    assert text_width(cs + "²", scale) == text_width("x²", scale)
