@@ -11,13 +11,7 @@ from .expand import expand_figure, measure_morphism_width, two_cell_endpoint
 from .geometry import Point, ScaleConfig, ratchet, tex_div, to_em
 from .ir import Arrow, DiagramIR, LabelSide, Node, merge_duplicate_nodes
 from .irtext import emit_ir, parse_ir
-from .layout import (
-    baseline_offset,
-    bounding_box,
-    clip_arrow,
-    layout_diagram,
-    resolve_label_side,
-)
+from .layout import baseline_offset, layout_diagram, resolve_label_side
 from .metrics import DEFAULT_METRICS, FontMetrics, load_metrics, text_width
 from .parser import Command, Figure, format_command, parse_command, parse_payload, parse_source
 from .styles import ArrowStyle, decode_style
@@ -46,8 +40,6 @@ __all__ = [
     "Point",
     "ScaleConfig",
     "baseline_offset",
-    "bounding_box",
-    "clip_arrow",
     "compile_source",
     "decode_style",
     "emit_ir",

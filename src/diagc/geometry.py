@@ -7,6 +7,7 @@ through ScaleConfig, so diagrams expand identically at every scale.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -57,11 +58,16 @@ def as_fraction(value: Numeric) -> Fraction:
     return Fraction(str(value).strip())
 
 
+def round_div(num: int, den: int) -> int:
+    """num / den rounded to the nearest integer, ties away from zero (den > 0)."""
+    n = (2 * abs(num) + den) // (2 * den)
+    return -n if num < 0 else n
+
+
 def round_half_away(x: Fraction) -> int:
     """Round to nearest integer, ties away from zero."""
     x = as_fraction(x)
-    n = (2 * abs(x.numerator) + x.denominator) // (2 * x.denominator)
-    return -n if x.numerator < 0 else n
+    return round_div(x.numerator, x.denominator)
 
 
 def pt_to_centiem(pt: Numeric, em_size: Fraction) -> int:
@@ -102,28 +108,26 @@ def to_em(length: int, cfg: ScaleConfig) -> Fraction:
     return Fraction(length) * cfg.scale / 100
 
 
-def format_decimal(x: Fraction) -> str:
-    """Exact, minimal decimal rendering of a Fraction.
+def format_decimal(num: int, den: int = 1) -> str:
+    """Exact, minimal decimal rendering of num / den (den > 0).
 
-    Only denominators of the form 2^a * 5^b occur in render output; any
-    other denominator falls back to six rounded places.
+    Only denominators of the form 2^a * 5^b in lowest terms occur in
+    render output; any other denominator falls back to six rounded
+    places.
     """
-    x = as_fraction(x)
-    num, den = x.numerator, x.denominator
-    shift = 0
-    d = den
-    for p in (2, 5):
-        while d % p == 0:
-            d //= p
-            shift += 1
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    twos = (den & -den).bit_length() - 1
+    d, fives = den >> twos, 0
+    while d % 5 == 0:
+        d //= 5
+        fives += 1
     if d != 1:
-        return f"{float(x):.6f}".rstrip("0").rstrip(".")
-    scaled = num * 10**shift // den if shift else num
-    # scaled / 10^shift is exact; trim trailing zeros from the fraction part
-    sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(shift + 1, "0")
-    if shift:
-        whole, frac = digits[:-shift], digits[-shift:]
-        frac = frac.rstrip("0")
-        return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
-    return f"{sign}{digits}"
+        return f"{num / den:.6f}".rstrip("0").rstrip(".")
+    # in lowest terms, max(a, b) places hold num/den exactly, the last one nonzero
+    shift = max(twos, fives)
+    if not shift:
+        return str(num)
+    digits = str(abs(num) * 10**shift // den).rjust(shift + 1, "0")
+    sign = "-" if num < 0 else ""
+    return f"{sign}{digits[:-shift]}.{digits[-shift:]}"

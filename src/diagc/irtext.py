@@ -126,7 +126,9 @@ def _arrow(kv: Dict[str, str]) -> Arrow:
 
 def parse_ir(text: str) -> DiagramIR:
     """Read an IR dump back; any malformed line raises IRSyntaxError naming it."""
-    lines = text.splitlines()
+    # only "\n" ends a line: emit_ir writes text fields verbatim, and they
+    # may hold other line separators ("\x0c", "\x85", "\u2028")
+    lines = text.split("\n")
     if not lines or lines[0] != _HEADER:
         raise IRSyntaxError("missing IR header")
     scalars: Dict[str, object] = {}

@@ -1,30 +1,35 @@
-"""Drawable geometry: label sides, clipping, offsets, boxes.
+"""Drawable geometry: label sides, clipping, offsets, labels, boxes.
 
-Everything here is exact rational arithmetic (floats are converted to
-exact binary Fractions where a unit vector is unavoidable), then
-quantized to a milli-centi-em grid, so rendering at scale s yields
-coordinates exactly s times the scale-1 coordinates.
+Layout coordinates are plain integers in milli-centi-em: QUANTUM of
+them make one centi-em.  Each point is its exact rational position
+rounded once to that grid, to the nearest integer with ties away from
+zero (``round_div`` over the whole exact sum).  The only float is the
+unit vector of a diagonal direction, which enters at its exact binary
+value.  Nothing here depends on the render scale, so rendering at scale
+s yields coordinates exactly s times the scale-1 coordinates.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .diagnostics import Diagnostic, LayoutError
-from .geometry import Point, ScaleConfig, pt_to_centiem, round_half_away
+from .geometry import Point, ScaleConfig, pt_to_centiem, round_div, round_half_away
 from .ir import KIND_POS, Arrow, DiagramIR, LabelSide, Node
 from .metrics import DEFAULT_METRICS, FontMetrics, text_width
 
-FPoint = Tuple[Fraction, Fraction]
+QUANTUM = 1000          # layout units per centi-em
 
 NODE_BOX_HEIGHT = 100   # text box height, centi-em at scale 1 (1 em)
 LABEL_GAP = 50          # line-to-label-center distance, centi-em
 CANVAS_MARGIN = 50      # default bounding-box margin, centi-em
 KNOCKOUT_PAD_PT = (Fraction(1), Fraction(4))  # on-line label padding
 
-_Q = Fraction(1, 1000)  # layout quantum
+IPoint = Tuple[int, int]           # layout units
+Span = Tuple[IPoint, IPoint]
+Ratio = Tuple[int, int]            # num, den with den > 0
 
 
 def resolve_label_side(placement: str, dx: int, dy: int) -> LabelSide:
@@ -52,41 +57,58 @@ def baseline_offset(cfg: ScaleConfig) -> Point:
     return Point(0, round_half_away(75 * cfg.ex_ratio))
 
 
-def _quant(v: Fraction) -> Fraction:
-    return round_half_away(v / _Q) * _Q
+def left_perp(dx: int, dy: int, den: int = 1) -> Tuple[int, int, int]:
+    """Unit vector (x/d, y/d) to the left of travel along (dx, dy)/den centi-em.
 
-
-def _qpoint(x: Fraction, y: Fraction) -> FPoint:
-    return (_quant(x), _quant(y))
-
-
-def left_perp(dx: Fraction, dy: Fraction) -> FPoint:
-    """Unit vector to the left of travel; exact when axis-aligned."""
+    Exact when axis-aligned.  Otherwise it is the float unit vector of
+    the centi-em direction, at its exact binary value, so d is a power
+    of two.
+    """
     if dy == 0:
-        return (Fraction(0), Fraction(1 if dx > 0 else -1))
+        return (0, 1 if dx > 0 else -1, 1)
     if dx == 0:
-        return (Fraction(-1 if dy > 0 else 1), Fraction(0))
-    length = math.hypot(float(dx), float(dy))
-    return (Fraction(float(-dy) / length), Fraction(float(dx) / length))
+        return (-1 if dy > 0 else 1, 0, 1)
+    fx, fy = dx / den, dy / den
+    length = math.hypot(fx, fy)
+    xn, xd = (-fy / length).as_integer_ratio()
+    yn, yd = (fx / length).as_integer_ratio()
+    d = max(xd, yd)
+    return xn * (d // xd), yn * (d // yd), d
+
+
+def _along(x: int, y: int, dx: int, dy: int, den: int, t: Ratio) -> IPoint:
+    """(x, y) + t (dx, dy), all over den, rounded to the layout grid."""
+    tn, td = t
+    return (round_div(x * td + dx * tn, den * td), round_div(y * td + dy * tn, den * td))
 
 
 @dataclass(frozen=True)
 class PlacedNode:
     node: Node
-    center: FPoint        # drawn box center: anchor + align + baseline shift
-    half_w: Fraction
-    half_h: Fraction
+    center: IPoint        # drawn box center: anchor + align + baseline shift
+    half_w: int
+    half_h: int
+
+
+@dataclass(frozen=True)
+class PlacedLabel:
+    text: str
+    side: LabelSide
+    center: IPoint        # the path midpoint, nudged off the line per side
+    half_w: int           # the half height is the figure's, in _Frame
 
 
 @dataclass(frozen=True)
 class DrawablePath:
-    start: FPoint
-    end: FPoint
+    start: IPoint
+    end: IPoint
     arrow: Arrow
-    label_anchor: FPoint  # parametric midpoint of the clipped segment
+    label_anchor: IPoint  # parametric midpoint of the clipped segment
+    labels: Tuple[PlacedLabel, ...]
+    shaft: Tuple[Span, ...]  # visible segments: an on-line label knocks out its box
 
     @property
-    def direction(self) -> FPoint:
+    def direction(self) -> IPoint:
         return (self.end[0] - self.start[0], self.end[1] - self.start[1])
 
 
@@ -97,17 +119,35 @@ class DiagramLayout:
     bbox: Tuple[int, int, int, int]  # x0, y0, x1, y1 in centi-em
 
 
-def _node_half_extents(node: Node, metrics: FontMetrics) -> Tuple[Fraction, Fraction]:
-    return (
-        Fraction(text_width(node.text, 1, metrics), 2),
-        Fraction(NODE_BOX_HEIGHT, 2),
-    )
+class _Frame(NamedTuple):
+    """One figure's constants in layout units, converted from its ScaleConfig once."""
+
+    cfg: ScaleConfig
+    metrics: FontMetrics
+    baseline: int      # node box shift
+    margin: int        # object margin around node boxes
+    label_h: Ratio     # label half height: 50 centi-em x label scale, exact
+    pad_w: int         # knockout padding around on-line labels
+    pad_h: int
+
+    @classmethod
+    def of(cls, cfg: ScaleConfig, metrics: FontMetrics) -> "_Frame":
+        return cls(
+            cfg,
+            metrics,
+            QUANTUM * baseline_offset(cfg).y,
+            QUANTUM * cfg.object_margin,
+            (NODE_BOX_HEIGHT * QUANTUM // 2 * cfg.label_scale).as_integer_ratio(),
+            QUANTUM * pt_to_centiem(KNOCKOUT_PAD_PT[0], cfg.em_size),
+            QUANTUM * pt_to_centiem(KNOCKOUT_PAD_PT[1], cfg.em_size),
+        )
 
 
-def _place_node(node: Node, cfg: ScaleConfig, metrics: FontMetrics) -> PlacedNode:
-    half_w, half_h = _node_half_extents(node, metrics)
-    cx = Fraction(node.anchor.x)
-    cy = Fraction(node.anchor.y)
+def _place_node(node: Node, frame: _Frame) -> PlacedNode:
+    half_w = text_width(node.text, 1, frame.metrics) * QUANTUM // 2
+    half_h = NODE_BOX_HEIGHT * QUANTUM // 2
+    cx = node.anchor.x * QUANTUM
+    cy = node.anchor.y * QUANTUM + frame.baseline
     if node.align == "l":
         cx += half_w
     elif node.align == "r":
@@ -116,126 +156,163 @@ def _place_node(node: Node, cfg: ScaleConfig, metrics: FontMetrics) -> PlacedNod
         cy -= half_h
     elif node.align == "d":
         cy += half_h
-    cy += baseline_offset(cfg).y
-    return PlacedNode(node, _qpoint(cx, cy), half_w, half_h)
+    return PlacedNode(node, (cx, cy), half_w, half_h)
 
 
-def _exit_param(half_w: Fraction, half_h: Fraction, dx: Fraction, dy: Fraction) -> Fraction:
-    """Segment parameter where a ray from a box center leaves the box."""
-    candidates = []
-    if dx != 0:
-        candidates.append(half_w / abs(dx))
-    if dy != 0:
-        candidates.append(half_h / abs(dy))
-    return min(candidates)
+def _exit_param(placed: PlacedNode, margin: int, dx: int, dy: int, den: int) -> Ratio:
+    """Where a ray (dx, dy)/den from a box center leaves the inflated box.
+
+    Capped at 1, which changes no result: an arrow is swallowed once
+    its two parameters sum to 1.
+    """
+    best: Ratio = (1, 1)
+    for delta, half in ((dx, placed.half_w), (dy, placed.half_h)):
+        if delta:
+            t = ((half + margin) * den, abs(delta))
+            if t[0] * best[1] < best[0] * t[1]:
+                best = t
+    return best
 
 
 def clip_arrow(
-    arrow: Arrow,
-    nodes: Sequence[Node],
-    cfg: ScaleConfig,
-    metrics: FontMetrics = DEFAULT_METRICS,
+    arrow: Arrow, by_anchor: Dict[Point, PlacedNode], frame: _Frame
 ) -> DrawablePath:
     """Retract attached endpoints to the node's margin-inflated text box.
 
     Free endpoints (bare arrows, stubs, inline arrows) stay put.  The
     parallel offset recorded on the arrow and its local render scale
-    are materialized here.
+    are materialized here, then the labels are placed along the result.
     """
-    by_anchor: Dict[Point, Node] = {}
-    for node in nodes:
-        by_anchor.setdefault(node.anchor, node)
-    ls = arrow.local_scale
-    ax, ay = Fraction(arrow.start.x) * ls, Fraction(arrow.start.y) * ls
-    bx, by = Fraction(arrow.end.x) * ls, Fraction(arrow.end.y) * ls
+    # endpoints in layout units over a common denominator den
+    p, den = arrow.local_scale.as_integer_ratio()
+    p *= QUANTUM
+    ax, ay = arrow.start.x * p, arrow.start.y * p
+    bx, by = arrow.end.x * p, arrow.end.y * p
     if arrow.offset_pt:
-        off = Fraction(pt_to_centiem(arrow.offset_pt, cfg.em_size))
-        px, py = left_perp(bx - ax, by - ay)
-        ax, ay = ax + px * off, ay + py * off
-        bx, by = bx + px * off, by + py * off
+        off = QUANTUM * pt_to_centiem(arrow.offset_pt, frame.cfg.em_size)
+        px, py, d = left_perp(bx - ax, by - ay, den * QUANTUM)
+        ax, ay = ax * d + px * off * den, ay * d + py * off * den
+        bx, by = bx * d + px * off * den, by * d + py * off * den
+        den *= d
     dx, dy = bx - ax, by - ay
-    t0 = Fraction(0)
-    t1 = Fraction(0)
+    t0: Ratio = (0, 1)
+    t1: Ratio = (0, 1)
     if arrow.kind == KIND_POS:
         start_node = by_anchor.get(arrow.start)
         end_node = by_anchor.get(arrow.end)
         if start_node is not None:
-            hw, hh = _node_half_extents(start_node, metrics)
-            t0 = _exit_param(hw + cfg.object_margin, hh + cfg.object_margin, dx, dy)
+            t0 = _exit_param(start_node, frame.margin, dx, dy, den)
         if end_node is not None:
-            hw, hh = _node_half_extents(end_node, metrics)
-            t1 = _exit_param(hw + cfg.object_margin, hh + cfg.object_margin, dx, dy)
-    if t0 + t1 >= 1:
+            t1 = _exit_param(end_node, frame.margin, dx, dy, den)
+    if t0[0] * t1[1] + t1[0] * t0[1] >= t0[1] * t1[1]:
         raise LayoutError(
             Diagnostic(
                 "error",
                 "overlapping objects: arrow fully swallowed by its endpoints",
             )
         )
-    start = _qpoint(ax + dx * t0, ay + dy * t0)
-    end = _qpoint(bx - dx * t1, by - dy * t1)
-    anchor = _qpoint(
-        (start[0] + end[0]) / 2, (start[1] + end[1]) / 2
-    )
-    return DrawablePath(start=start, end=end, arrow=arrow, label_anchor=anchor)
+    start = _along(ax, ay, dx, dy, den, t0)
+    end = _along(bx, by, -dx, -dy, den, t1)
+    anchor = (round_div(start[0] + end[0], 2), round_div(start[1] + end[1], 2))
+    labels = _place_labels(arrow, start, end, anchor, frame)
+    shaft: Tuple[Span, ...] = ((start, end),)
+    if labels and labels[0].side is LabelSide.ON_LINE:
+        shaft = _knockout(start, end, labels[0], frame)
+    return DrawablePath(start, end, arrow, anchor, labels, shaft)
 
 
-def label_center(path: DrawablePath, side: LabelSide, cfg: ScaleConfig) -> FPoint:
-    """Center of a label box: the midpoint, nudged off the line per side."""
-    if side in (LabelSide.ON_LINE, LabelSide.NONE):
-        return path.label_anchor
-    dx, dy = path.direction
-    px, py = left_perp(dx, dy)
-    gap = Fraction(LABEL_GAP) if side is LabelSide.ABOVE else Fraction(-LABEL_GAP)
-    return _qpoint(path.label_anchor[0] + px * gap, path.label_anchor[1] + py * gap)
-
-
-def label_half_extents(
-    label: str, cfg: ScaleConfig, metrics: FontMetrics
-) -> Tuple[Fraction, Fraction]:
-    return (
-        Fraction(text_width(label, cfg.label_scale, metrics), 2),
-        Fraction(NODE_BOX_HEIGHT, 2) * cfg.label_scale,
-    )
-
-
-def path_labels(path: DrawablePath):
-    """(text, side) pairs a path draws; inline single arrows carry two."""
-    arrow = path.arrow
+def _place_labels(
+    arrow: Arrow, start: IPoint, end: IPoint, anchor: IPoint, frame: _Frame
+) -> Tuple[PlacedLabel, ...]:
+    """The labels a path draws; inline single arrows carry two."""
+    texts = []
     if arrow.label and arrow.side is not LabelSide.NONE:
-        yield arrow.label, arrow.side
+        texts.append((arrow.label, arrow.side))
     if arrow.label2:
-        yield arrow.label2, LabelSide.BELOW
+        texts.append((arrow.label2, LabelSide.BELOW))
+    labels = []
+    for text, side in texts:
+        center = anchor
+        if side is not LabelSide.ON_LINE:
+            px, py, d = left_perp(end[0] - start[0], end[1] - start[1], QUANTUM)
+            gap = QUANTUM * (LABEL_GAP if side is LabelSide.ABOVE else -LABEL_GAP)
+            center = (
+                round_div(anchor[0] * d + px * gap, d),
+                round_div(anchor[1] * d + py * gap, d),
+            )
+        half_w = text_width(text, frame.cfg.label_scale, frame.metrics) * QUANTUM // 2
+        labels.append(PlacedLabel(text, side, center, half_w))
+    return tuple(labels)
+
+
+def _knockout(start: IPoint, end: IPoint, label: PlacedLabel, frame: _Frame) -> Tuple[Span, ...]:
+    """Split a path around an on-line label's padded box.
+
+    Returns the visible sub-segments: none, one or two.
+    """
+    (sx, sy), (cx, cy) = start, label.center
+    dx, dy = end[0] - sx, end[1] - sy
+    hn, hd = frame.label_h
+    t_in: Ratio = (0, 1)
+    t_out: Ratio = (1, 1)
+    # per axis: the half extent half/hden and the start's offset from the center
+    for delta, coord, half, hden in (
+        (dx, sx - cx, label.half_w + frame.pad_w, 1),
+        (dy, sy - cy, hn + frame.pad_h * hd, hd),
+    ):
+        if delta == 0:
+            if abs(coord) * hden > half:
+                return ((start, end),)
+            continue
+        sign = 1 if delta > 0 else -1
+        lo = (-half - sign * coord * hden, hden * abs(delta))
+        hi = (half - sign * coord * hden, hden * abs(delta))
+        if lo[0] * t_in[1] > t_in[0] * lo[1]:
+            t_in = lo
+        if hi[0] * t_out[1] < t_out[0] * hi[1]:
+            t_out = hi
+    if t_in[0] * t_out[1] >= t_out[0] * t_in[1]:
+        return ((start, end),)
+    spans = []
+    if t_in[0] > 0:
+        spans.append((start, _along(sx, sy, dx, dy, 1, t_in)))
+    if t_out[0] < t_out[1]:
+        spans.append((_along(sx, sy, dx, dy, 1, t_out), end))
+    # a label wider than the whole path knocks out the entire shaft
+    return tuple(spans)
 
 
 def bounding_box(
     nodes: Sequence[PlacedNode],
     paths: Sequence[DrawablePath],
-    cfg: ScaleConfig,
-    metrics: FontMetrics = DEFAULT_METRICS,
+    label_h: Ratio,
     margin: int = CANVAS_MARGIN,
 ) -> Tuple[int, int, int, int]:
-    """Tight integer box over node boxes, paths, and labels, plus margin."""
-    xs: List[Fraction] = []
-    ys: List[Fraction] = []
+    """Tight integer box in centi-em over node boxes, paths and labels, plus margin."""
+    xs: List[int] = []
+    ys: List[int] = []
+    label_ys: List[int] = []
     for placed in nodes:
-        xs.extend((placed.center[0] - placed.half_w, placed.center[0] + placed.half_w))
-        ys.extend((placed.center[1] - placed.half_h, placed.center[1] + placed.half_h))
+        (cx, cy), hw, hh = placed.center, placed.half_w, placed.half_h
+        xs += (cx - hw, cx + hw)
+        ys += (cy - hh, cy + hh)
     for path in paths:
-        xs.extend((path.start[0], path.end[0]))
-        ys.extend((path.start[1], path.end[1]))
-        for text, side in path_labels(path):
-            cx, cy = label_center(path, side, cfg)
-            hw, hh = label_half_extents(text, cfg, metrics)
-            xs.extend((cx - hw, cx + hw))
-            ys.extend((cy - hh, cy + hh))
+        xs += (path.start[0], path.end[0])
+        ys += (path.start[1], path.end[1])
+        for label in path.labels:
+            cx, cy = label.center
+            xs += (cx - label.half_w, cx + label.half_w)
+            label_ys.append(cy)
     if not xs:
         raise LayoutError(Diagnostic("error", "empty diagram: nothing to draw"))
-    x0 = math.floor(min(xs)) - margin
-    y0 = math.floor(min(ys)) - margin
-    x1 = math.ceil(max(xs)) + margin
-    y1 = math.ceil(max(ys)) + margin
-    return x0, y0, x1, y1
+    # floor of the least coordinate, ceiling of the greatest, in centi-em
+    x0, y0 = min(xs) // QUANTUM, min(ys) // QUANTUM
+    x1, y1 = -(-max(xs) // QUANTUM), -(-max(ys) // QUANTUM)
+    if label_ys:
+        hn, hd = label_h
+        y0 = min(y0, (min(label_ys) * hd - hn) // (QUANTUM * hd))
+        y1 = max(y1, -(-(max(label_ys) * hd + hn) // (QUANTUM * hd)))
+    return x0 - margin, y0 - margin, x1 + margin, y1 + margin
 
 
 def layout_diagram(
@@ -243,54 +320,12 @@ def layout_diagram(
     metrics: FontMetrics = DEFAULT_METRICS,
     margin: int = CANVAS_MARGIN,
 ) -> DiagramLayout:
-    """Clip every arrow against its endpoint nodes and box the result."""
-    cfg = ir.scale
-    placed = [_place_node(n, cfg, metrics) for n in ir.nodes]
-    paths = [clip_arrow(a, ir.nodes, cfg, metrics) for a in ir.arrows]
-    box = bounding_box(placed, paths, cfg, metrics, margin)
+    """Clip every arrow against its endpoint nodes, place labels, box the result."""
+    frame = _Frame.of(ir.scale, metrics)
+    placed = [_place_node(n, frame) for n in ir.nodes]
+    by_anchor: Dict[Point, PlacedNode] = {}
+    for node in placed:
+        by_anchor.setdefault(node.node.anchor, node)  # the first node drawn there
+    paths = [clip_arrow(a, by_anchor, frame) for a in ir.arrows]
+    box = bounding_box(placed, paths, frame.label_h, margin)
     return DiagramLayout(nodes=placed, paths=paths, bbox=box)
-
-
-def knockout_spans(
-    path: DrawablePath,
-    label: str,
-    cfg: ScaleConfig,
-    metrics: FontMetrics = DEFAULT_METRICS,
-) -> List[Tuple[FPoint, FPoint]]:
-    """Split a path around an on-line label's padded box.
-
-    Returns the visible sub-segments (one or two); the label box is the
-    text box padded by the knockout padding, converted from points.
-    """
-    hw, hh = label_half_extents(label, cfg, metrics)
-    hw += pt_to_centiem(KNOCKOUT_PAD_PT[0], cfg.em_size)
-    hh += pt_to_centiem(KNOCKOUT_PAD_PT[1], cfg.em_size)
-    cx, cy = path.label_anchor
-    sx, sy = path.start
-    dx, dy = path.direction
-    t_in = Fraction(0)
-    t_out = Fraction(1)
-    for delta, coord, half in ((dx, sx - cx, hw), (dy, sy - cy, hh)):
-        if delta == 0:
-            if abs(coord) > half:
-                return [(path.start, path.end)]
-            continue
-        lo = (-half - coord) / delta
-        hi = (half - coord) / delta
-        if lo > hi:
-            lo, hi = hi, lo
-        t_in = max(t_in, lo)
-        t_out = min(t_out, hi)
-    if t_in >= t_out:
-        return [(path.start, path.end)]
-    spans = []
-    if t_in > 0:
-        spans.append(
-            (path.start, _qpoint(sx + dx * t_in, sy + dy * t_in))
-        )
-    if t_out < 1:
-        spans.append(
-            (_qpoint(sx + dx * t_out, sy + dy * t_out), path.end)
-        )
-    # a label wider than the whole path knocks out the entire shaft
-    return spans

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from .geometry import Numeric, as_fraction, round_half_away
+from .geometry import Numeric, as_fraction, round_div
 from .lexer import tokens
 
 DEFAULT_CHAR_WIDTH = 50  # centi-em at scale 1.0
@@ -54,7 +54,8 @@ def text_width(text: str, scale: Numeric, m: FontMetrics = DEFAULT_METRICS) -> i
             total += m.default_width
         elif tok != "{" and tok != "}":
             total += sum(map(m.char_width, tok))  # a whitespace run, char by char
-    return round_half_away(total * as_fraction(scale))
+    num, den = (scale, 1) if isinstance(scale, int) else as_fraction(scale).as_integer_ratio()
+    return round_div(total * num, den)
 
 
 def load_metrics(path: str) -> FontMetrics:

@@ -314,6 +314,8 @@ class Parser:
             raise self.r.error("unexpected end of input")
         if self.r.tok == "{":
             return self.r.read_group()
+        if self.r.tok == "}":
+            raise self.r.error("unbalanced '}'")
         return self.r.advance()
 
     def _maybe_script(self, marker: str) -> str:

@@ -2,25 +2,18 @@
 
 Nodes become text elements, arrows become marker-terminated lines, the
 y axis is flipped for screen space, and one centi-em maps to
-0.01 x em_size x scale px.  All numbers are exact decimals derived from
-rational arithmetic, so output is byte-identical across runs and every
-coordinate scales linearly with the configured scale.
+0.01 x em_size x scale px.  All numbers are exact decimals of integer
+ratios (the one px-per-centi-em ratio times integer layout lengths), so
+output is byte-identical across runs and every coordinate scales
+linearly with the configured scale.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .ir import DiagramIR, LabelSide
+from .ir import DiagramIR
 from .geometry import format_decimal
-from .layout import (
-    DrawablePath,
-    knockout_spans,
-    label_center,
-    layout_diagram,
-    left_perp,
-    path_labels,
-)
+from .layout import QUANTUM, DrawablePath, layout_diagram, left_perp
 from .metrics import DEFAULT_METRICS, FontMetrics
 from .styles import (
     ArrowStyle,
@@ -45,13 +38,13 @@ def _xml_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _marker_defs(u: Fraction) -> Dict[str, str]:
-    h = HEAD_LEN * u
-    w = HEAD_HALF_WIDTH * u
-    sw = STROKE_WIDTH * u
-    f = format_decimal
+def _marker_defs(f: Callable[[int], str]) -> Dict[str, str]:
+    """Marker elements by id; ``f`` formats a length given in centi-em."""
+    h = HEAD_LEN
+    w = HEAD_HALF_WIDTH
+    sw = STROKE_WIDTH
 
-    def marker(name: str, width: Fraction, ref_x: Fraction, body: str) -> str:
+    def marker(name: str, width: int, ref_x: int, body: str) -> str:
         return (
             f'<marker id="{name}" markerUnits="userSpaceOnUse"'
             f' markerWidth="{f(width)}" markerHeight="{f(2 * w)}"'
@@ -75,11 +68,11 @@ def _marker_defs(u: Fraction) -> Dict[str, str]:
     return {
         "dg-head": marker("dg-head", h, h, fwd),
         "dg-head2": marker("dg-head2", 2 * h, 2 * h, fwd2),
-        "dg-rhead": marker("dg-rhead", h, Fraction(0), rev),
-        "dg-rhead2": marker("dg-rhead2", 2 * h, Fraction(0), rev2),
-        "dg-mono": marker("dg-mono", h, Fraction(0), fwd),
+        "dg-rhead": marker("dg-rhead", h, 0, rev),
+        "dg-rhead2": marker("dg-rhead2", 2 * h, 0, rev2),
+        "dg-mono": marker("dg-mono", h, 0, fwd),
         "dg-rmono": marker("dg-rmono", h, h, rev),
-        "dg-hook": marker("dg-hook", h, Fraction(0), hook),
+        "dg-hook": marker("dg-hook", h, 0, hook),
     }
 
 
@@ -115,46 +108,43 @@ def render_svg(
 ) -> str:
     lay = layout_diagram(d, metrics)
     cfg = d.scale
-    u = cfg.em_size * cfg.scale / 100  # px per centi-em
+    un, ud = (cfg.em_size * cfg.scale / 100).as_integer_ratio()  # px per centi-em
+    ln, ld = cfg.label_scale.as_integer_ratio()
     x0, y0, x1, y1 = lay.bbox
-    width = (x1 - x0) * u
-    height = (y1 - y0) * u
-    f = format_decimal
+    left, top = QUANTUM * x0, QUANTUM * y1
 
-    def px(fx: Fraction) -> Fraction:
-        return (fx - x0) * u
+    def f(length: int, den: int = 1) -> str:
+        """A length of length/den centi-em, in px."""
+        return format_decimal(length * un, den * ud)
 
-    def py(fy: Fraction) -> Fraction:
-        return (y1 - fy) * u
+    def px(x: int, den: int = 1) -> str:
+        """Screen x of x/den layout units."""
+        return f(x - left * den, QUANTUM * den)
 
-    node_font = 100 * u
-    label_font = 100 * cfg.label_scale * u
-    sw = STROKE_WIDTH * u
+    def py(y: int, den: int = 1) -> str:
+        """Screen y of y/den layout units; the y axis flips."""
+        return f(top * den - y, QUANTUM * den)
+
+    node_font = f(100)
+    label_font = f(100 * ln, ld)
+    sw = f(STROKE_WIDTH)
 
     used_markers: set = set()
     arrow_elems: List[str] = []
     label_elems: List[str] = []
 
-    def emit_line(a, b, extra: str = "") -> None:
+    def emit_line(a, b, extra: str = "", den: int = 1) -> None:
         arrow_elems.append(
-            f'<line x1="{f(px(a[0]))}" y1="{f(py(a[1]))}"'
-            f' x2="{f(px(b[0]))}" y2="{f(py(b[1]))}"'
-            f' stroke="black" stroke-width="{f(sw)}"{extra}/>'
-        )
-
-    def emit_label(text: str, center, font: Fraction) -> None:
-        baseline = py(center[1]) + BASELINE_DROP * u * cfg.label_scale
-        label_elems.append(
-            f'<text class="label" x="{f(px(center[0]))}" y="{f(baseline)}"'
-            f' font-size="{f(font)}" text-anchor="middle">'
-            f"{_xml_escape(text)}</text>"
+            f'<line x1="{px(a[0], den)}" y1="{py(a[1], den)}"'
+            f' x2="{px(b[0], den)}" y2="{py(b[1], den)}"'
+            f' stroke="black" stroke-width="{sw}"{extra}/>'
         )
 
     def shaft_attr(style: ArrowStyle) -> str:
         if style.body == BODY_DASHED:
-            return f' stroke-dasharray="{f(20 * u)} {f(12 * u)}"'
+            return f' stroke-dasharray="{f(20)} {f(12)}"'
         if style.body == BODY_DOTTED:
-            return f' stroke-dasharray="{f(2 * u)} {f(10 * u)}" stroke-linecap="round"'
+            return f' stroke-dasharray="{f(2)} {f(10)}" stroke-linecap="round"'
         return ""
 
     def draw_path(path: DrawablePath) -> None:
@@ -174,24 +164,19 @@ def render_svg(
             marker_attr += f' marker-start="url(#{mk_start})"'
         if mk_end:
             marker_attr += f' marker-end="url(#{mk_end})"'
-        spans = [(path.start, path.end)]
-        if arrow.side is LabelSide.ON_LINE and arrow.label:
-            spans = knockout_spans(path, arrow.label, cfg, metrics)
+        spans = path.shaft
         if style.body == BODY_DOUBLE:
             dx, dy = path.direction
-            pxv, pyv = left_perp(dx, dy)
-            gap = (pxv * DOUBLE_GAP, pyv * DOUBLE_GAP)
+            gx, gy, gd = left_perp(dx, dy, QUANTUM)
+            gx, gy = gx * DOUBLE_GAP * QUANTUM, gy * DOUBLE_GAP * QUANTUM
             for a, b in spans:
-                emit_line(
-                    (a[0] + gap[0], a[1] + gap[1]), (b[0] + gap[0], b[1] + gap[1])
-                )
-                emit_line(
-                    (a[0] - gap[0], a[1] - gap[1]), (b[0] - gap[0], b[1] - gap[1])
-                )
+                a, b = (a[0] * gd, a[1] * gd), (b[0] * gd, b[1] * gd)
+                emit_line((a[0] + gx, a[1] + gy), (b[0] + gx, b[1] + gy), den=gd)
+                emit_line((a[0] - gx, a[1] - gy), (b[0] - gx, b[1] - gy), den=gd)
             if marker_attr:
                 arrow_elems.append(
-                    f'<line x1="{f(px(path.start[0]))}" y1="{f(py(path.start[1]))}"'
-                    f' x2="{f(px(path.end[0]))}" y2="{f(py(path.end[1]))}"'
+                    f'<line x1="{px(path.start[0])}" y1="{py(path.start[1])}"'
+                    f' x2="{px(path.end[0])}" y2="{py(path.end[1])}"'
                     f' stroke="none"{marker_attr}/>'
                 )
         else:
@@ -206,34 +191,43 @@ def render_svg(
             if not spans and marker_attr:
                 # shaft fully knocked out: keep the arrow tips
                 arrow_elems.append(
-                    f'<line x1="{f(px(path.start[0]))}" y1="{f(py(path.start[1]))}"'
-                    f' x2="{f(px(path.end[0]))}" y2="{f(py(path.end[1]))}"'
+                    f'<line x1="{px(path.start[0])}" y1="{py(path.start[1])}"'
+                    f' x2="{px(path.end[0])}" y2="{py(path.end[1])}"'
                     f' stroke="none"{marker_attr}/>'
                 )
-        for text, side in path_labels(path):
-            emit_label(text, label_center(path, side, cfg), label_font)
+        for label in path.labels:
+            cx, cy = label.center
+            baseline = f((top - cy) * ld + BASELINE_DROP * QUANTUM * ln, QUANTUM * ld)
+            label_elems.append(
+                f'<text class="label" x="{px(cx)}" y="{baseline}"'
+                f' font-size="{label_font}" text-anchor="middle">'
+                f"{_xml_escape(label.text)}</text>"
+            )
 
     node_elems: List[str] = []
     for placed in lay.nodes:
         if not placed.node.text:
             continue
-        baseline = py(placed.center[1]) + BASELINE_DROP * u
+        cx, cy = placed.center
+        baseline = f(top - cy + BASELINE_DROP * QUANTUM, QUANTUM)
         node_elems.append(
-            f'<text class="node" x="{f(px(placed.center[0]))}" y="{f(baseline)}"'
-            f' font-size="{f(node_font)}" text-anchor="middle">'
+            f'<text class="node" x="{px(cx)}" y="{baseline}"'
+            f' font-size="{node_font}" text-anchor="middle">'
             f"{_xml_escape(placed.node.text)}</text>"
         )
 
     for path in lay.paths:
         draw_path(path)
 
-    defs = _marker_defs(u)
+    defs = _marker_defs(f)
+    width = f(x1 - x0)
+    height = f(y1 - y0)
     out: List[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1"'
-        f' width="{f(width)}" height="{f(height)}"'
-        f' viewBox="0 0 {f(width)} {f(height)}">'
+        f' width="{width}" height="{height}"'
+        f' viewBox="0 0 {width} {height}">'
     )
     if used_markers:
         out.append("<defs>")

@@ -7,12 +7,11 @@ arrow with a warning.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional
 
 from .geometry import format_decimal
 from .ir import DiagramIR, LabelSide
-from .layout import layout_diagram, path_labels
+from .layout import QUANTUM, layout_diagram
 from .metrics import DEFAULT_METRICS, FontMetrics
 
 _OPTIONS = {
@@ -43,10 +42,11 @@ def render_tikz(
     warnings: Optional[List[str]] = None,
 ) -> str:
     lay = layout_diagram(d, metrics)
-    cfg = d.scale
+    sn, sd = d.scale.scale.as_integer_ratio()
 
-    def em(v: Fraction) -> str:
-        return format_decimal(v * cfg.scale / 100) + "em"
+    def em(v: int) -> str:
+        """v layout units, in em at the render scale."""
+        return format_decimal(v * sn, 100 * QUANTUM * sd) + "em"
 
     def at(p) -> str:
         return f"({em(p[0])},{em(p[1])})"
@@ -67,8 +67,10 @@ def render_tikz(
                 )
             options = "->"
         label_nodes = ""
-        for text, side in path_labels(path):
-            label_nodes += f" node[{_SIDE_OPTION[side]}] {{$\\scriptstyle {text}$}}"
+        for label in path.labels:
+            label_nodes += (
+                f" node[{_SIDE_OPTION[label.side]}] {{$\\scriptstyle {label.text}$}}"
+            )
         lines.append(
             f"\\draw[{options}] {at(path.start)} --{label_nodes} {at(path.end)};"
         )

@@ -72,10 +72,13 @@ def test_as_fraction_decimal_float():
 
 
 def test_format_decimal_exact():
-    assert format_decimal(Fraction(708, 10)) == "70.8"
-    assert format_decimal(Fraction(5)) == "5"
-    assert format_decimal(Fraction(-1, 8)) == "-0.125"
-    assert format_decimal(Fraction(0)) == "0"
+    assert format_decimal(708, 10) == "70.8"
+    assert format_decimal(5) == "5"
+    assert format_decimal(-1, 8) == "-0.125"
+    assert format_decimal(0) == "0"
+    # reduced before the fallback test: 3/3 is exact, 1/3 is not
+    assert format_decimal(7000, 3000) == "2.333333"
+    assert format_decimal(6000, 3000) == "2"
 
 
 def test_scale_config_validation():

@@ -48,3 +48,13 @@ def test_escaped_braces_round_trip(source):
     back = parse_ir(dump)
     assert back == ir
     assert emit_ir(back) == dump
+
+
+@pytest.mark.parametrize("separator", ["\x0c", "\x85", "\u2028"])
+def test_line_separators_in_text_round_trip(separator):
+    ir = compile_source(f"\\place(0,0)[a{separator}b]\n\\to^{{f{separator}}}")[0].ir
+    assert separator in ir.nodes[0].text
+    dump = emit_ir(ir)
+    back = parse_ir(dump)
+    assert back == ir
+    assert emit_ir(back) == dump

@@ -1,21 +1,28 @@
-"""Label sides, clipping, parallel offsets, boxes."""
+"""Label sides, clipping, parallel offsets, boxes.
+
+Layout coordinates are integers in layout units, QUANTUM per centi-em.
+"""
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from diagc import (
+    Arrow,
+    DiagramIR,
     LabelSide,
     LayoutError,
+    Node,
+    Point,
     ScaleConfig,
     baseline_offset,
-    bounding_box,
-    clip_arrow,
     compile_source,
     layout_diagram,
     resolve_label_side,
 )
-from diagc.layout import knockout_spans, label_center
+from diagc.ir import KIND_VECTOR
+from diagc.layout import QUANTUM as Q
 
 # the full conditional ladder: placement x (sign dx, sign dy) -> side
 LADDER = {
@@ -58,16 +65,16 @@ def test_clip_single_char_nodes():
     # half width 25 plus margin 30: the 500-long arrow runs 55..445
     ir, lay = _layout_of("\\morphism[A`B;f]")
     path = lay.paths[0]
-    assert path.start == (Fraction(55), Fraction(0))
-    assert path.end == (Fraction(445), Fraction(0))
-    assert path.label_anchor == (Fraction(250), Fraction(0))
+    assert path.start == (55 * Q, 0)
+    assert path.end == (445 * Q, 0)
+    assert path.label_anchor == (250 * Q, 0)
 
 
 def test_clip_free_stub_untouched():
     ir, lay = _layout_of("\\vector(10,20)/>/<300,0>")
     path = lay.paths[0]
-    assert path.start == (Fraction(10), Fraction(20))
-    assert path.end == (Fraction(310), Fraction(20))
+    assert path.start == (10 * Q, 20 * Q)
+    assert path.end == (310 * Q, 20 * Q)
 
 
 def test_clip_overlapping_objects_error():
@@ -75,12 +82,19 @@ def test_clip_overlapping_objects_error():
         _layout_of("\\morphism<300,0>[wwwwwwwwww`wwwwwwwwww;f]")
 
 
+def test_clip_zero_length_arrow_at_a_node_is_swallowed():
+    # only an IR read back can hold one: expansion rejects zero displacement
+    arrow = Arrow(Point(0, 0), Point(0, 0), ">", "f", LabelSide.ABOVE, 1)
+    with pytest.raises(LayoutError, match="overlapping"):
+        layout_diagram(DiagramIR((Node(Point(0, 0), "A", 0),), (arrow,)))
+
+
 def test_clip_diagonal_exits_box():
     ir, lay = _layout_of("\\morphism|a|/>/<400,400>[A`B;f]")
     path = lay.paths[0]
     # exits the 55-high box at t = 55/400 (height limit binds first: 80/400)
     assert path.start[0] == path.start[1]
-    assert Fraction(50) < path.start[0] < Fraction(90)
+    assert 50 * Q < path.start[0] < 90 * Q
 
 
 def test_baseline_offset_values():
@@ -90,27 +104,24 @@ def test_baseline_offset_values():
     assert baseline_offset(ScaleConfig(scale=2)).y == 32
 
 
-def _free_path(x1, y1, x2, y2, offset_pt=0):
-    """A bare vector arrow, clipped with its parallel offset in points."""
-    from diagc.ir import Arrow, KIND_VECTOR
-    from diagc.geometry import Point
-
+def _free_path(x1, y1, x2, y2, offset_pt=0, label="", side=LabelSide.NONE):
+    """A bare vector arrow, laid out alone with its parallel offset in points."""
     arrow = Arrow(
-        start=Point(x1, y1), end=Point(x2, y2), style=">", label="",
-        side=LabelSide.NONE, seq=0, kind=KIND_VECTOR, offset_pt=Fraction(offset_pt),
+        start=Point(x1, y1), end=Point(x2, y2), style=">", label=label,
+        side=side, seq=0, kind=KIND_VECTOR, offset_pt=Fraction(offset_pt),
     )
-    return clip_arrow(arrow, [], ScaleConfig())
+    return layout_diagram(DiagramIR((), (arrow,))).paths[0]
 
 
 def test_offset_parallel_conversion():
     path = _free_path(0, 0, 400, 0)
     up = _free_path(0, 0, 400, 0, Fraction(5, 2))
-    assert up.start == (Fraction(0), Fraction(25))
-    assert up.end == (Fraction(400), Fraction(25))
+    assert up.start == (0, 25 * Q)
+    assert up.end == (400 * Q, 25 * Q)
     same = _free_path(0, 0, 400, 0, 0)
     assert (same.start, same.end) == (path.start, path.end)
     down = _free_path(0, 0, 400, 0, Fraction(-9, 2))
-    assert down.start == (Fraction(0), Fraction(-45))
+    assert down.start == (0, -45 * Q)
 
 
 def test_offset_parallel_round_trip_and_length():
@@ -139,7 +150,7 @@ def test_bounding_box_examples():
 
 def test_bounding_box_empty_diagram():
     with pytest.raises(LayoutError, match="empty"):
-        bounding_box([], [], ScaleConfig())
+        layout_diagram(DiagramIR((), ()))
 
 
 def test_bounding_box_monotone_under_additions():
@@ -150,33 +161,87 @@ def test_bounding_box_monotone_under_additions():
 
 
 def test_label_center_sides():
-    path = _free_path(0, 0, 400, 0)
-    cfg = ScaleConfig()
-    above = label_center(path, LabelSide.ABOVE, cfg)
-    below = label_center(path, LabelSide.BELOW, cfg)
-    online = label_center(path, LabelSide.ON_LINE, cfg)
+    def center(side):
+        path = _free_path(0, 0, 400, 0, label="f", side=side)
+        (label,) = path.labels
+        return path, label.center
+
+    _, above = center(LabelSide.ABOVE)
+    _, below = center(LabelSide.BELOW)
+    path, online = center(LabelSide.ON_LINE)
     assert above[1] > 0 > below[1]
     assert online == path.label_anchor
 
 
 def test_knockout_splits_horizontal_path():
-    path = _free_path(0, 0, 400, 0)
-    spans = knockout_spans(path, "f", ScaleConfig())
+    path = _free_path(0, 0, 400, 0, label="f", side=LabelSide.ON_LINE)
+    spans = path.shaft
     assert len(spans) == 2
     (a1, b1), (a2, b2) = spans
     assert a1 == path.start and b2 == path.end
     assert b1[0] < a2[0]  # a gap remains beneath the label
 
 
+def test_knockout_rounds_the_whole_sum():
+    # the padded box of "f" (half width 27.5 centi-em) cuts the path from
+    # (-88,-1) to (88,1) at y = -0.3125 centi-em, a tie on the layout grid:
+    # the whole sum rounds away from zero to -313, where rounding only the
+    # step from the start, -1000 + round(687.5), would give -312
+    path = _free_path(-88, -1, 88, 1, label="f", side=LabelSide.ON_LINE)
+    (a1, b1), (a2, b2) = path.shaft
+    assert (a1, b2) == (path.start, path.end)
+    assert b1 == (-27500, -313)
+    assert a2 == (27500, 313)
+
+
 def test_knockout_swallows_short_path_entirely():
     # the padded label box covers the whole path: no shaft remains
-    path = _free_path(0, 0, 20, 0)
-    assert knockout_spans(path, "wide", ScaleConfig()) == []
+    path = _free_path(0, 0, 20, 0, label="wide", side=LabelSide.ON_LINE)
+    assert path.shaft == ()
 
 
 def test_place_alignment_shifts_drawn_box():
     ir, lay = _layout_of("\\place[r](0,0)[Y]")
     placed = lay.nodes[0]
-    assert placed.center[0] == Fraction(-25) + 0  # right edge on the anchor
+    assert placed.center[0] == -25 * Q  # right edge on the anchor
     ir, lay = _layout_of("\\place[l](0,0)[Y]")
-    assert lay.nodes[0].center[0] == Fraction(25)
+    assert lay.nodes[0].center[0] == 25 * Q
+
+
+def _opcodes(step):
+    """Bytecode instructions executed while ``step()`` runs."""
+    count = 0
+
+    def on_opcode(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return on_opcode
+
+    def on_call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return on_opcode
+
+    sys.settrace(on_call)
+    try:
+        step()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def _grid(k):
+    squares = (
+        f"\\square({500 * i},{500 * j})[x`x`x`x;f`g`h`k]" for i in range(k) for j in range(k)
+    )
+    return compile_source("\n".join(squares))[0].ir
+
+
+def test_layout_cost_is_linear_in_diagram_size():
+    # doubling the side: 3.6x the nodes, 4x the arrows; a cost that grows
+    # with nodes x arrows measures about 4.8 here
+    small, large = _grid(8), _grid(16)
+    assert 4 * len(small.arrows) == len(large.arrows)
+    ratio = _opcodes(lambda: layout_diagram(large)) / _opcodes(lambda: layout_diagram(small))
+    assert ratio <= 4.3

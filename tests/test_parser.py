@@ -39,6 +39,17 @@ def test_inline_scripts():
     assert cmd.labels == ("a", "b", "c")
 
 
+@pytest.mark.parametrize(
+    "source, where",
+    [("\\to^}_{\\alpha}", (1, 5)), ("\\bfig\n  \\two^{a}_ }\n\\efig", (2, 13))],
+)
+def test_stray_close_brace_is_no_script(source, where):
+    with pytest.raises(ParseError) as info:
+        parse_source(source)
+    d = info.value.diagnostic
+    assert ((d.line, d.col), d.message) == (where, "unbalanced '}'")
+
+
 def test_inline_spaced_style_token():
     cmd = parse_command("\\to/ >->/")
     assert cmd.styles == (" >->",)

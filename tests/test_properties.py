@@ -17,7 +17,8 @@ BOUNDED = settings(
     derandomize=True, database=None, max_examples=100, deadline=timedelta(seconds=1)
 )
 
-IR_ATOMS = ["\\{", "\\}", "\\\\", "\\alpha", "`", ";", "%", "a", "x", "²"]
+IR_ATOMS = ["\\{", "\\}", "\\\\", "\\alpha", "`", ";", "%", "a", "x", "²",
+            "\x0c", "\x85", "\u2028"]
 FIELD_ATOMS = [atom for atom in IR_ATOMS if atom != "%"]  # a parsed field holds no bare %
 
 

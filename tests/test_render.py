@@ -1,10 +1,15 @@
 """Backends: SVG structure, token-stream templates, TikZ, IR round-trip."""
 import re
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import diagc.metrics
 from diagc import (
+    LabelSide,
     LayoutError,
     ScaleConfig,
     compile_source,
@@ -16,6 +21,7 @@ from diagc import (
     render_svg,
     render_tikz,
 )
+from diagc.cli import main
 
 
 def _one(source, **kw):
@@ -100,6 +106,33 @@ def test_svg_double_shaft_and_knockout():
     # knocked-out double shaft: two spans x two lines, plus the marker line
     assert svg.count("<line") == 5
     assert svg.count('stroke="none"') == 1
+
+
+def test_svg_measures_each_text_once(monkeypatch):
+    fig = _one(
+        "\\square[A`B`C`D;f`g`h`k]\n"
+        "\\morphism(0,900)|m|/=>/<600,0>[P`Q;mid]\n"
+        "\\morphism(0,1500)|x|/>/<600,0>[R`S;none]\n"
+        "\\to^{u}_{v}"
+    )
+    original = diagc.metrics.text_width
+    calls = []
+
+    def counting(text, *args):
+        calls.append(text)
+        return original(text, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("diagc") and getattr(module, "text_width", None) is original:
+            monkeypatch.setattr(module, "text_width", counting)
+    render_svg(fig.ir)
+    arrows = fig.ir.arrows
+    texts = (
+        [n.text for n in fig.ir.nodes]
+        + [a.label for a in arrows if a.label and a.side is not LabelSide.NONE]
+        + [a.label2 for a in arrows if a.label2]
+    )
+    assert calls and Counter(calls) <= Counter(texts)
 
 
 def test_xypic_default_morphism_template():
@@ -251,3 +284,25 @@ def test_svg_scaling_is_exact():
     assert skeleton1 == skeleton2
     assert len(nums1) == len(nums2)
     assert all(b == 2 * a for a, b in zip(nums1, nums2))
+
+
+_CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.dg"))
+_GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "fmt, inputs, golden, scale",
+    [
+        ("svg", _CORPUS, "svg", "1"),
+        ("tikz", _CORPUS, "tikz", "1"),
+        # 1/3 has a denominator outside 2^a 5^b: the six-place fallback
+        ("svg", [p for p in _CORPUS if p.stem == "25_kitchen_sink"], "scale_1_3", "1/3"),
+        ("tikz", [p for p in _CORPUS if p.stem == "25_kitchen_sink"], "scale_1_3", "1/3"),
+    ],
+)
+def test_svg_and_tikz_goldens(fmt, inputs, golden, scale):
+    assert inputs
+    argv = [str(p) for p in inputs] + [
+        "--format", fmt, "--scale", scale, "--check", str(_GOLDEN / golden),
+    ]
+    assert main(argv) == 0
