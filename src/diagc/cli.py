@@ -14,7 +14,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .compiler import FORMATS, compile_source, render_figure
 from .diagnostics import Diagnostic, DiagramError
@@ -146,6 +146,25 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
+
+    if args.check is None and not single_file_output:
+        real: Dict[str, str] = {}  # output directory -> its resolved path
+        writer: Dict[Tuple[str, str], Path] = {}  # (resolved directory, name) -> input
+        for result in results:
+            if result.status:
+                continue  # a failed input writes nothing
+            base = out_arg if out_arg is not None else str(result.path.parent)
+            if base not in real:
+                real[base] = os.path.realpath(base)
+            for name, _ in result.outputs:
+                first = writer.setdefault((real[base], name), result.path)
+                if first is not result.path:
+                    print(
+                        f"diagc: {first} and {result.path} both write "
+                        f"{Path(base) / name}; nothing written",
+                        file=sys.stderr,
+                    )
+                    return 2
 
     for result in results:
         for diag in result.diagnostics:

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, LayoutError
 from .expand import expand_figure
 from .geometry import ScaleConfig
 from .ir import DiagramIR, merge_duplicate_nodes
@@ -31,11 +31,15 @@ def compile_source(
     cfg: Optional[ScaleConfig] = None,
     metrics: Optional[FontMetrics] = None,
 ) -> List[CompiledFigure]:
-    """Parse and expand every figure in a source text."""
+    """Parse and expand every figure in a source text; a figure that draws
+    nothing is a LayoutError at its ``\\bfig`` (or first command)."""
     figures = parse_source(text, filename)
     out: List[CompiledFigure] = []
     for figure in figures:
         raw_ir, warnings = expand_figure(figure, cfg, metrics, filename)
+        if not raw_ir.nodes and not raw_ir.arrows:
+            raise LayoutError(Diagnostic("error", "empty diagram: nothing to draw",
+                                         filename, figure.line, figure.col))
         merge_notes: List[str] = []
         ir = merge_duplicate_nodes(raw_ir, merge_notes)
         warnings = list(warnings) + [

@@ -34,7 +34,7 @@ from .ir import (
 )
 from .layout import resolve_label_side
 from .metrics import DEFAULT_METRICS, FontMetrics, text_width
-from .parser import Command, Figure
+from .parser import COMMANDS, Command, Figure
 
 def measure_morphism_width(
     node_a: str,
@@ -677,47 +677,34 @@ def _expand_twoar(b: _Builder, cmd: Command) -> None:
     )
 
 
+# each shape program by its name in the command table: ``_expand_<name>``
+_PROGRAMS = {f.__name__[len("_expand_"):]: f for f in (
+    _expand_morphism, _expand_vector, _expand_place, _expand_square, _expand_auto_square,
+    _expand_triangle, _expand_triangle_pair, _expand_hsquares, _expand_vsquares,
+    _expand_cube, _expand_pullback, _expand_grid3x3, _expand_grid3x2, _expand_inline,
+    _expand_twoar,
+)}
 _EXPANDERS = {
-    "morphism": _expand_morphism,
-    "vector": _expand_vector,
-    "place": _expand_place,
-    "square": _expand_square,
-    "Square": _expand_auto_square,
-    "hSquares": _expand_hsquares,
-    "vSquares": _expand_vsquares,
-    "cube": _expand_cube,
-    "pullback": _expand_pullback,
-    "iiixiii": _expand_grid3x3,
-    "iiixii": _expand_grid3x2,
-    "to": _expand_inline,
-    "two": _expand_inline,
-    "three": _expand_inline,
-    "twoar": _expand_twoar,
+    kind: _PROGRAMS[chain.program] for kind, chain in COMMANDS.items() if chain.program
 }
-for _k in ("ptriangle", "qtriangle", "dtriangle", "btriangle",
-           "Atriangle", "Vtriangle", "Ctriangle", "Dtriangle"):
-    _EXPANDERS[_k] = _expand_triangle
-for _k in ("Atrianglepair", "Vtrianglepair", "Ctrianglepair", "Dtrianglepair"):
-    _EXPANDERS[_k] = _expand_triangle_pair
 
 
 def expand_figure(
-    figure,
+    figure: Figure,
     cfg: Optional[ScaleConfig] = None,
     metrics: Optional[FontMetrics] = None,
     filename: str = "<input>",
 ) -> Tuple[DiagramIR, List[Diagnostic]]:
-    """Expand a figure (or a plain list of commands) into a DiagramIR.
+    """Expand a figure into a DiagramIR.
 
     Scale-factor commands multiply the figure's render scale; expansion
     coordinates stay integer regardless.
     """
-    commands = figure.commands if isinstance(figure, Figure) else list(figure)
     cfg = cfg or ScaleConfig()
     metrics = metrics or DEFAULT_METRICS
     b = _Builder(cfg, metrics, filename)
     scale = cfg.scale
-    for index, cmd in enumerate(commands):
+    for index, cmd in enumerate(figure.commands):
         if cmd.kind == "scalefactor":
             scale = scale * cmd.factor
             continue

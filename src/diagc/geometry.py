@@ -23,9 +23,6 @@ class Point(NamedTuple):
     x: int
     y: int
 
-    def shifted(self, dx: int, dy: int) -> "Point":
-        return Point(self.x + dx, self.y + dy)
-
 
 def ratchet(a: int, b: int) -> int:
     """Return max(a, b): raise a to b when it falls short."""

@@ -67,9 +67,6 @@ class DiagramIR:
     arrows: Tuple[Arrow, ...]
     scale: ScaleConfig = ScaleConfig()
 
-    def with_scale(self, cfg: ScaleConfig) -> "DiagramIR":
-        return replace(self, scale=cfg)
-
 
 def merge_duplicate_nodes(
     d: DiagramIR, warnings: Optional[List[str]] = None

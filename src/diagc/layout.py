@@ -24,7 +24,7 @@ QUANTUM = 1000          # layout units per centi-em
 
 NODE_BOX_HEIGHT = 100   # text box height, centi-em at scale 1 (1 em)
 LABEL_GAP = 50          # line-to-label-center distance, centi-em
-CANVAS_MARGIN = 50      # default bounding-box margin, centi-em
+CANVAS_MARGIN = 50      # bounding-box margin, centi-em
 KNOCKOUT_PAD_PT = (Fraction(1), Fraction(4))  # on-line label padding
 
 IPoint = Tuple[int, int]           # layout units
@@ -286,7 +286,6 @@ def bounding_box(
     nodes: Sequence[PlacedNode],
     paths: Sequence[DrawablePath],
     label_h: Ratio,
-    margin: int = CANVAS_MARGIN,
 ) -> Tuple[int, int, int, int]:
     """Tight integer box in centi-em over node boxes, paths and labels, plus margin."""
     xs: List[int] = []
@@ -312,13 +311,12 @@ def bounding_box(
         hn, hd = label_h
         y0 = min(y0, (min(label_ys) * hd - hn) // (QUANTUM * hd))
         y1 = max(y1, -(-(max(label_ys) * hd + hn) // (QUANTUM * hd)))
-    return x0 - margin, y0 - margin, x1 + margin, y1 + margin
+    return x0 - CANVAS_MARGIN, y0 - CANVAS_MARGIN, x1 + CANVAS_MARGIN, y1 + CANVAS_MARGIN
 
 
 def layout_diagram(
     ir: DiagramIR,
     metrics: FontMetrics = DEFAULT_METRICS,
-    margin: int = CANVAS_MARGIN,
 ) -> DiagramLayout:
     """Clip every arrow against its endpoint nodes, place labels, box the result."""
     frame = _Frame.of(ir.scale, metrics)
@@ -327,5 +325,5 @@ def layout_diagram(
     for node in placed:
         by_anchor.setdefault(node.node.anchor, node)  # the first node drawn there
     paths = [clip_arrow(a, by_anchor, frame) for a in ir.arrows]
-    box = bounding_box(placed, paths, frame.label_h, margin)
+    box = bounding_box(placed, paths, frame.label_h)
     return DiagramLayout(nodes=placed, paths=paths, bbox=box)

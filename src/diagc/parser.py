@@ -2,11 +2,18 @@
 
 Commands are a fixed grammar, not programmable TeX: each command takes a
 chain of optional sections, detected by their opening character after
-whitespace, with per-command defaults.  ``%`` comments to end of line
-(and suppresses the newline, TeX-style); other whitespace runs collapse
-to a single space inside sections.  One outer brace level protects and
-is stripped from every field.  Figures are wrapped in ``\\bfig``/``\\efig``;
-commands outside any figure form one implicit figure.
+whitespace, with per-command defaults.  ``COMMANDS``, the table at the
+end of this module, gives each command's chain as one row: its sections
+in order, each with its opener, the field it fills, its arity and its
+default, plus the expand.py shape program that draws the command.  One
+loop reads every command from its row, ``format_command`` writes every
+section back from the same row, and expansion dispatches on it.
+
+``%`` comments to end of line (and suppresses the newline, TeX-style);
+other whitespace runs collapse to a single space inside sections.  One
+outer brace level protects and is stripped from every field.  Figures
+are wrapped in ``\\bfig``/``\\efig``; commands outside any figure form
+one implicit figure.
 
 The two-height section of ``\\vSquares`` is ``<bottom,top>``, in that
 order, as the arithmetic dictates.
@@ -15,52 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .diagnostics import Diagnostic, ParseError
 from .geometry import Point
 from .lexer import WHITESPACE, split_top, strip_group, tokens, top_level_end
 
 _SKIPPED = WHITESPACE + "%"
-
-# placements default, style count, extent arity, extent default, payload arity
-_SHAPES = {
-    "square": ("alrb", 4, 2, (500, 500), (4, 4)),
-    "Square": ("alrb", 4, 1, (500,), (4, 4)),
-    "ptriangle": ("alr", 3, 2, (500, 500), (3, 3)),
-    "qtriangle": ("alr", 3, 2, (500, 500), (3, 3)),
-    "dtriangle": ("lrb", 3, 2, (500, 500), (3, 3)),
-    "btriangle": ("lrb", 3, 2, (500, 500), (3, 3)),
-    "Atriangle": ("lrb", 3, 2, (500, 500), (3, 3)),
-    "Vtriangle": ("alb", 3, 2, (500, 500), (3, 3)),
-    "Ctriangle": ("arb", 3, 2, (500, 500), (3, 3)),
-    "Dtriangle": ("alb", 3, 2, (500, 500), (3, 3)),
-    "Atrianglepair": ("lmrbb", 5, 2, (500, 500), (4, 5)),
-    "Vtrianglepair": ("aalmr", 5, 2, (500, 500), (4, 5)),
-    "Ctrianglepair": ("lrmlr", 5, 2, (500, 500), (4, 5)),
-    "Dtrianglepair": ("lrmlr", 5, 2, (500, 500), (4, 5)),
-    "hSquares": ("aalmrbb", 7, 1, (500,), (6, 7)),
-    "vSquares": ("alrmlrb", 7, 2, (500, 500), (6, 7)),
-}
-
-_GRIDS = {
-    # placements default, style count, mask limit, stub arity,
-    # stub default with mask, stub default without mask, payload arity
-    "iiixiii": ("aammbblmrlmr", 12, 4096, 2, (400, 400), (0, 0), (9, 12)),
-    "iiixii": ("aabblmr", 7, 16, 1, (0,), (0,), (6, 7)),
-}
-
-_INLINE = {"to": 1, "two": 2, "three": 3}
-
-COMMAND_KINDS = (
-    ("morphism", "vector", "place", "cube", "pullback", "twoar", "scalefactor")
-    + tuple(_SHAPES)
-    + tuple(_GRIDS)
-    + tuple(_INLINE)
-)
-
-_ALIGN_CODES = "lrud"
-
 
 @dataclass
 class SquarePart:
@@ -195,328 +164,86 @@ class _Reader:
         self.advance()
         return out
 
+    def delimited(self, opener: str, closer: str, what: str) -> str:
+        """Raw content of a section from ``opener`` to ``closer``."""
+        self.skip_ws()
+        self.expect(opener, f"to open {what}")
+        raw = self.read_raw(closer)
+        self.expect(closer, f"to close {what}")
+        return raw
+
+    def single_token(self) -> str:
+        """One token or brace group (a mask, a scale factor, a script)."""
+        self.skip_ws()
+        if not self.tok:
+            raise self.error("unexpected end of input")
+        if self.tok == "{":
+            return self.read_group()
+        if self.tok == "}":
+            raise self.error("unbalanced '}'")
+        return self.advance()
+
 
 def _fields(raw: str) -> List[str]:
     return [strip_group(p) for p in split_top(raw, "`")]
 
 
-class Parser:
-    def __init__(self, text: str, filename: str = "<input>") -> None:
-        self.r = _Reader(text, filename)
-
-    # -- section helpers ------------------------------------------------
-
-    def _probe(self, opener: str) -> bool:
-        self.r.skip_ws()
-        return self.r.tok == opener
-
-    def _paren_ints(self) -> Tuple[int, int]:
-        self.r.skip_ws()
-        self.r.expect("(", "to open coordinates")
-        raw = self.r.read_raw(")")
-        self.r.expect(")", "to close coordinates")
-        return self._int_pair(raw, 2)  # type: ignore[return-value]
-
-    def _int_pair(self, raw: str, count: int) -> Tuple[int, ...]:
-        parts = raw.split(",")
-        if len(parts) != count:
-            raise self.r.error(f"expected {count} integer(s), got {len(parts)}")
-        try:
-            return tuple(int(p.strip()) for p in parts)
-        except ValueError:
-            raise self.r.error(f"malformed integer in {raw.strip()!r}")
-
-    def _angle(self, count: int) -> Tuple[int, ...]:
-        self.r.skip_ws()
-        self.r.expect("<", "to open an extent")
-        raw = self.r.read_raw(">")
-        self.r.expect(">", "to close an extent")
-        return self._int_pair(raw, count)
-
-    def _bar(self, count: int, exact: bool = True) -> str:
-        self.r.skip_ws()
-        self.r.expect("|", "to open placements")
-        raw = self.r.read_raw("|").replace(" ", "")
-        self.r.expect("|", "to close placements")
-        if exact and len(raw) != count:
-            raise self.r.error(
-                f"expected {count} placement character(s), got {len(raw)}"
-            )
-        if not exact and len(raw) > count:
-            raise self.r.error(f"expected at most {count} placement character(s)")
-        return raw
-
-    def _styles(self, count: int) -> Tuple[str, ...]:
-        self.r.skip_ws()
-        self.r.expect("/", "to open styles")
-        raw = self.r.read_raw("/")
-        self.r.expect("/", "to close styles")
-        parts = _fields(raw)
-        if len(parts) != count:
-            raise self.r.error(f"expected {count} style token(s), got {len(parts)}")
-        return tuple(parts)
-
-    def _bracket_raw(self) -> str:
-        self.r.skip_ws()
-        self.r.expect("[", "to open a payload")
-        raw = self.r.read_raw("]")
-        self.r.expect("]", "to close a payload")
-        return raw
-
-    def _payload(self, n_nodes: int, n_labels: int) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-        raw = self._bracket_raw()
-        halves = split_top(raw, ";")
-        if n_nodes and n_labels:
-            if len(halves) != 2:
-                raise self.r.error(
-                    "payload needs exactly one top-level ';' between nodes and labels"
-                )
-            nodes = _fields(halves[0])
-            labels = _fields(halves[1])
-        elif len(halves) != 1:
-            raise self.r.error("unexpected ';' in payload")
-        elif n_nodes:
-            nodes, labels = _fields(raw), []
-        else:
-            nodes, labels = [], _fields(raw)
-        if len(nodes) != n_nodes:
-            raise self.r.error(f"expected {n_nodes} node field(s), got {len(nodes)}")
-        if len(labels) != n_labels:
-            raise self.r.error(
-                f"expected {n_labels} label field(s), got {len(labels)}"
-            )
-        return tuple(nodes), tuple(labels)
-
-    def _maybe_origin(self, default: Point) -> Point:
-        if self._probe("("):
-            x, y = self._paren_ints()
-            return Point(x, y)
-        return default
-
-    def _maybe_bar(self, default: str, count: int, exact: bool = True) -> str:
-        if self._probe("|"):
-            return self._bar(count, exact)
-        return default
-
-    def _maybe_styles(self, count: int) -> Tuple[str, ...]:
-        if self._probe("/"):
-            return self._styles(count)
-        return (">",) * count
-
-    def _maybe_angle(self, count: int, default: Tuple[int, ...]) -> Tuple[int, ...]:
-        if self._probe("<"):
-            return self._angle(count)
-        return default
-
-    def _single_token(self) -> str:
-        self.r.skip_ws()
-        if not self.r.tok:
-            raise self.r.error("unexpected end of input")
-        if self.r.tok == "{":
-            return self.r.read_group()
-        if self.r.tok == "}":
-            raise self.r.error("unbalanced '}'")
-        return self.r.advance()
-
-    def _maybe_script(self, marker: str) -> str:
-        if self._probe(marker):
-            self.r.advance()
-            return self._single_token()
-        return ""
-
-    # -- commands -------------------------------------------------------
-
-    def parse_command(self) -> Command:
-        self.r.skip_ws()
-        line, col = self.r.line, self.r.col
-        name = self.r.expect("\\", "to start a command")[1:]
-        cmd = self._parse_named(name, line, col)
-        cmd.line, cmd.col = line, col
-        return cmd
-
-    def _parse_named(self, name: str, line: int, col: int) -> Command:
-        if name == "morphism":
-            origin = self._maybe_origin(Point(0, 0))
-            placements = self._maybe_bar("a", 1, exact=False)
-            styles = self._maybe_styles(1)
-            extent = self._maybe_angle(2, (500, 0))
-            nodes, labels = self._payload(2, 1)
-            return Command(
-                "morphism", origin=origin, placements=placements, styles=styles,
-                extent=extent, nodes=nodes, labels=labels,
-            )
-        if name == "vector":
-            self.r.skip_ws()
-            x, y = self._paren_ints()
-            self.r.skip_ws()
-            styles = self._styles(1)
-            self.r.skip_ws()
-            extent = self._angle(2)
-            return Command(
-                "vector", origin=Point(x, y), styles=styles, extent=extent
-            )
-        if name == "place":
-            align = ""
-            if self._probe("["):
-                raw = self._bracket_raw().replace(" ", "")
-                if len(raw) != 1 or raw not in _ALIGN_CODES:
-                    raise self.r.error(
-                        f"unsupported alignment {raw!r}; one of l, r, u, d"
-                    )
-                align = raw
-            self.r.skip_ws()
-            x, y = self._paren_ints()
-            nodes, _ = self._payload(1, 0)
-            return Command("place", origin=Point(x, y), align=align, nodes=nodes)
-        if name in _SHAPES:
-            places, n_styles, ext_arity, ext_default, payload = _SHAPES[name]
-            origin = self._maybe_origin(Point(0, 0))
-            placements = self._maybe_bar(places, len(places))
-            styles = self._maybe_styles(n_styles)
-            extent = self._maybe_angle(ext_arity, ext_default)
-            nodes, labels = self._payload(*payload)
-            return Command(
-                name, origin=origin, placements=placements, styles=styles,
-                extent=extent, nodes=nodes, labels=labels,
-            )
-        if name in _GRIDS:
-            places, n_styles, limit, stub_arity, stub_dflt, stub_none, payload = (
-                _GRIDS[name]
-            )
-            origin = self._maybe_origin(Point(0, 0))
-            placements = self._maybe_bar(places, len(places))
-            styles = self._maybe_styles(n_styles)
-            extent = self._maybe_angle(2, (500, 500))
-            self.r.skip_ws()
-            if self.r.tok == "[":
-                mask, stub = 0, stub_none
-            else:
-                token = self._single_token()
-                try:
-                    mask = int(token.strip())
-                except ValueError:
-                    raise self.r.error(f"malformed mask {token!r}")
-                if not 0 <= mask < limit:
-                    raise self.r.error(f"mask must be in 0..{limit - 1}")
-                stub = self._maybe_angle(stub_arity, stub_dflt)
-            nodes, labels = self._payload(*payload)
-            return Command(
-                name, origin=origin, placements=placements, styles=styles,
-                extent=extent, mask=mask, stub=stub, nodes=nodes, labels=labels,
-            )
-        if name == "pullback":
-            origin = self._maybe_origin(Point(0, 0))
-            placements = self._maybe_bar("alrb", 4)
-            styles = self._maybe_styles(4)
-            extent = self._maybe_angle(2, (500, 500))
-            nodes, labels = self._payload(4, 4)
-            tri = TridentPart()
-            tri.placements = self._maybe_bar("amb", 3)
-            tri.styles = self._maybe_styles(3)
-            offset = self._maybe_angle(2, (500, 500))
-            tri.offset = (offset[0], offset[1])
-            tri_nodes, tri_labels = self._payload(1, 3)
-            tri.node, tri.labels = tri_nodes[0], tri_labels
-            return Command(
-                "pullback", origin=origin, placements=placements, styles=styles,
-                extent=extent, nodes=nodes, labels=labels, trident=tri,
-            )
-        if name == "cube":
-            origin = self._maybe_origin(Point(0, 0))
-            placements = self._maybe_bar("alrb", 4)
-            styles = self._maybe_styles(4)
-            extent = self._maybe_angle(2, (1500, 1500))
-            nodes, labels = self._payload(4, 4)
-            inner = SquarePart()
-            inner.origin = self._maybe_origin(Point(500, 500))
-            inner.placements = self._maybe_bar("alrb", 4)
-            inner.styles = self._maybe_styles(4)
-            ext = self._maybe_angle(2, (500, 500))
-            inner.extent = (ext[0], ext[1])
-            inner.nodes, inner.labels = self._payload(4, 4)
-            conn_placements = self._maybe_bar("mmmm", 4)
-            conn_styles = self._maybe_styles(4)
-            _, conn_labels = self._payload(0, 4)
-            return Command(
-                "cube", origin=origin, placements=placements, styles=styles,
-                extent=extent, nodes=nodes, labels=labels, inner=inner,
-                conn_placements=conn_placements, conn_styles=conn_styles,
-                conn_labels=conn_labels,
-            )
-        if name in _INLINE:
-            n = _INLINE[name]
-            styles = self._maybe_styles(n)
-            length = self._maybe_angle(1, (0,))[0]
-            sup = self._maybe_script("^")
-            mid = self._maybe_script("|") if name == "three" else ""
-            sub = self._maybe_script("_")
-            labels = (sup, mid, sub) if name == "three" else (sup, sub)
-            return Command(name, styles=styles, length=length, labels=labels)
-        if name == "twoar":
-            self.r.skip_ws()
-            i, j = self._paren_ints()
-            return Command("twoar", direction=(i, j))
-        if name == "scalefactor":
-            token = self._single_token()
-            try:
-                factor = Fraction(token.strip())
-            except (ValueError, ZeroDivisionError):
-                raise self.r.error(f"malformed scale factor {token!r}")
-            if factor <= 0:
-                raise self.r.error("scale factor must be positive")
-            return Command("scalefactor", factor=factor)
-        raise self.r.error(f"unknown command \\{name}", line, col)
-
-    # -- figures ----------------------------------------------------------
-
-    def parse_figures(self) -> List[Figure]:
-        figures: List[Figure] = []
-        top: List[Command] = []
-        current: Optional[List[Command]] = None
-        open_pos = (0, 0)
-        while True:
-            self.r.skip_ws()
-            tok = self.r.tok
-            if not tok:
-                break
-            if tok[0] != "\\":
-                raise self.r.error(f"unexpected character {tok!r}")
-            line, col = self.r.line, self.r.col
-            if tok == "\\bfig":
-                if current is not None:
-                    raise self.r.error("nested \\bfig", line, col)
-                self.r.advance()
-                current = []
-                open_pos = (line, col)
-                continue
-            if tok == "\\efig":
-                if current is None:
-                    raise self.r.error("\\efig without \\bfig", line, col)
-                self.r.advance()
-                figures.append(Figure(current, True, open_pos[0], open_pos[1]))
-                current = None
-                continue
-            cmd = self.parse_command()
-            (top if current is None else current).append(cmd)
-        if current is not None:
-            raise self.r.error("\\bfig without matching \\efig", *open_pos)
-        if top:
-            figures.append(Figure(top, explicit=False, line=top[0].line, col=top[0].col))
-        return figures
+def _command(r: _Reader) -> Command:
+    """One command, its sections read by its row of ``COMMANDS``."""
+    r.skip_ws()
+    line, col = r.line, r.col
+    name = r.expect("\\", "to start a command")[1:]
+    chain = COMMANDS.get(name)
+    if chain is None:
+        raise r.error(f"unknown command \\{name}", line, col)
+    return Command(name, line, col, **chain.read(r))
 
 
 def parse_source(text: str, filename: str = "<input>") -> List[Figure]:
     """Parse a whole source file into figures."""
-    return Parser(text, filename).parse_figures()
+    r = _Reader(text, filename)
+    figures: List[Figure] = []
+    top: List[Command] = []
+    current: Optional[List[Command]] = None
+    open_pos = (0, 0)
+    while True:
+        r.skip_ws()
+        tok = r.tok
+        if not tok:
+            break
+        if tok[0] != "\\":
+            raise r.error(f"unexpected character {tok!r}")
+        line, col = r.line, r.col
+        if tok == "\\bfig":
+            if current is not None:
+                raise r.error("nested \\bfig", line, col)
+            r.advance()
+            current = []
+            open_pos = (line, col)
+            continue
+        if tok == "\\efig":
+            if current is None:
+                raise r.error("\\efig without \\bfig", line, col)
+            r.advance()
+            figures.append(Figure(current, True, open_pos[0], open_pos[1]))
+            current = None
+            continue
+        cmd = _command(r)
+        (top if current is None else current).append(cmd)
+    if current is not None:
+        raise r.error("\\bfig without matching \\efig", *open_pos)
+    if top:
+        figures.append(Figure(top, explicit=False, line=top[0].line, col=top[0].col))
+    return figures
 
 
 def parse_command(text: str, filename: str = "<input>") -> Command:
     """Parse exactly one command (convenience for tests and tools)."""
-    p = Parser(text, filename)
-    cmd = p.parse_command()
-    p.r.skip_ws()
-    if p.r.tok:
-        raise p.r.error("trailing text after command")
+    r = _Reader(text, filename)
+    cmd = _command(r)
+    r.skip_ws()
+    if r.tok:
+        raise r.error("trailing text after command")
     return cmd
 
 
@@ -527,18 +254,281 @@ def parse_payload(text: str) -> Tuple[List[str], List[str]]:
     separates nodes from labels, and one brace level protects and is
     stripped from each field.
     """
-    p = Parser(text)
-    raw = p._bracket_raw()
-    p.r.skip_ws()
-    if p.r.tok:
-        raise p.r.error("trailing text after payload")
+    r = _Reader(text)
+    raw = r.delimited("[", "]", "a payload")
+    r.skip_ws()
+    if r.tok:
+        raise r.error("trailing text after payload")
     halves = split_top(raw, ";")
     if len(halves) != 2:
-        raise p.r.error("payload needs exactly one top-level ';'")
+        raise r.error("payload needs exactly one top-level ';'")
     return _fields(halves[0]), _fields(halves[1])
 
 
-# -- canonical pretty-printer -------------------------------------------
+# -- the command table ----------------------------------------------------
+
+REQUIRED = object()  # the default of a section that is always read
+
+
+class _Section:
+    """One link of a command's section chain.
+
+    ``read(r, into)`` reads it into a dict of fields and ``write(obj)``
+    writes it back from a Command (or part).  ``opener`` is the token
+    that starts it.  It fills the attribute ``field`` with ``arity``
+    values, and ``default`` is
+    what it leaves there when absent; ``fields`` names every attribute it
+    fills.  A section with a default is read only when the next token is
+    its opener.  A ``REQUIRED`` one is always read: it must be present,
+    or, like the mask and the scripts, it decides itself what is absent.
+    """
+
+    opener = ""
+
+    def __init__(self, field: str, arity: int = 1, default: Any = REQUIRED) -> None:
+        self.field, self.arity, self.default = field, arity, default
+        self.fields = (field,)
+        self.optional = default is not REQUIRED
+
+
+class _Ints(_Section):
+    """``(x,y)`` coordinates or a ``<dx,dy>`` extent, made a value by ``make``."""
+
+    def __init__(self, field: str, opener: str, arity: int, default: Any = REQUIRED,
+                 make: Callable = tuple) -> None:
+        super().__init__(field, arity, default)
+        self.opener, self.make = opener, make
+        self.closer, self.what = {"(": (")", "coordinates"), "<": (">", "an extent")}[opener]
+
+    def read(self, r: _Reader, into: Dict[str, Any]) -> None:
+        raw = r.delimited(self.opener, self.closer, self.what)
+        parts = raw.split(",")
+        if len(parts) != self.arity:
+            raise r.error(f"expected {self.arity} integer(s), got {len(parts)}")
+        try:
+            into[self.field] = self.make(tuple(int(p.strip()) for p in parts))
+        except ValueError:
+            raise r.error(f"malformed integer in {raw.strip()!r}")
+
+    def write(self, obj: Any) -> str:
+        value = getattr(obj, self.field)
+        values = (value,) if isinstance(value, int) else value
+        return self.opener + ",".join(str(v) for v in values) + self.closer
+
+
+class _Bar(_Section):
+    """``|placements|``, one character per arrow, spaces dropped; ``exact=False``
+    allows fewer."""
+
+    opener = "|"
+
+    def __init__(self, field: str, default: str, exact: bool = True) -> None:
+        super().__init__(field, len(default), default)
+        self.exact = exact
+
+    def read(self, r: _Reader, into: Dict[str, Any]) -> None:
+        raw = r.delimited("|", "|", "placements").replace(" ", "")
+        if self.exact and len(raw) != self.arity:
+            raise r.error(f"expected {self.arity} placement character(s), got {len(raw)}")
+        if len(raw) > self.arity:
+            raise r.error(f"expected at most {self.arity} placement character(s)")
+        into[self.field] = raw
+
+    def write(self, obj: Any) -> str:
+        return f"|{getattr(obj, self.field)}|"
+
+
+class _Styles(_Section):
+    """``/s1`s2/``, one style token per arrow, each ``>`` when absent."""
+
+    opener = "/"
+
+    def __init__(self, arity: int, field: str = "styles", required: bool = False) -> None:
+        super().__init__(field, arity, REQUIRED if required else (">",) * arity)
+
+    def read(self, r: _Reader, into: Dict[str, Any]) -> None:
+        parts = _fields(r.delimited("/", "/", "styles"))
+        if len(parts) != self.arity:
+            raise r.error(f"expected {self.arity} style token(s), got {len(parts)}")
+        into[self.field] = tuple(parts)
+
+    def write(self, obj: Any) -> str:
+        return "/" + "`".join(_wrap(s, "`/") for s in getattr(obj, self.field)) + "/"
+
+
+class _Payload(_Section):
+    """``[nodes;labels]``, always present; a half with count zero is absent
+    along with the ``;``.  A field named ``node`` holds its one node."""
+
+    opener = "["
+
+    def __init__(self, n_nodes: int, n_labels: int,
+                 nodes: str = "nodes", labels: str = "labels") -> None:
+        super().__init__(nodes, n_nodes)
+        self.n_labels, self.labels = n_labels, labels
+        self.fields = tuple(f for f, n in ((nodes, n_nodes), (labels, n_labels)) if n)
+
+    def read(self, r: _Reader, into: Dict[str, Any]) -> None:
+        raw = r.delimited("[", "]", "a payload")
+        halves = split_top(raw, ";")
+        n_nodes, n_labels = self.arity, self.n_labels
+        if n_nodes and n_labels:
+            if len(halves) != 2:
+                raise r.error(
+                    "payload needs exactly one top-level ';' between nodes and labels"
+                )
+            nodes, labels = _fields(halves[0]), _fields(halves[1])
+        elif len(halves) != 1:
+            raise r.error("unexpected ';' in payload")
+        else:
+            nodes, labels = (_fields(raw), []) if n_nodes else ([], _fields(raw))
+        if len(nodes) != n_nodes:
+            raise r.error(f"expected {n_nodes} node field(s), got {len(nodes)}")
+        if len(labels) != n_labels:
+            raise r.error(f"expected {n_labels} label field(s), got {len(labels)}")
+        if n_nodes:
+            into[self.field] = nodes[0] if self.field == "node" else tuple(nodes)
+        if n_labels:
+            into[self.labels] = tuple(labels)
+
+    def write(self, obj: Any) -> str:
+        nodes = getattr(obj, self.field) if self.arity else ()
+        if isinstance(nodes, str):
+            nodes = (nodes,)
+        labels = getattr(obj, self.labels) if self.n_labels else ()
+        ns, ls = ("`".join(_wrap(v, "`;]") for v in half) for half in (nodes, labels))
+        if nodes and labels:
+            return f"[{ns};{ls}]"
+        return f"[{ns}]" if nodes else f"[{ls}]"
+
+
+class _Align(_Section):
+    """``[l|r|u|d]``, the alignment of ``\\place``, before its origin."""
+
+    opener = "["
+
+    def read(self, r: _Reader, into: Dict[str, Any]) -> None:
+        raw = r.delimited("[", "]", "a payload").replace(" ", "")
+        if len(raw) != 1 or raw not in "lrud":
+            raise r.error(f"unsupported alignment {raw!r}; one of l, r, u, d")
+        into[self.field] = raw
+
+    def write(self, obj: Any) -> str:
+        value = getattr(obj, self.field)
+        return f"[{value}]" if value else ""
+
+
+class _Mask(_Section):
+    """``{mask}<stub>`` of a grid: a boundary-stub bitmask below ``limit``,
+    one token or group, then the stub extent.  Absent exactly when the
+    payload's ``[`` follows; the stub defaults to ``stub`` after a mask
+    and to ``no_stub`` without one."""
+
+    opener = "{"
+
+    def __init__(self, limit: int, stub: Tuple[int, ...], no_stub: Tuple[int, ...]) -> None:
+        super().__init__("mask")
+        self.fields = ("mask", "stub")
+        self.limit, self.no_stub = limit, no_stub
+        self.stub = _Ints("stub", "<", len(stub), stub)
+
+    def read(self, r: _Reader, into: Dict[str, Any]) -> None:
+        if r.tok == "[":
+            into["mask"], into["stub"] = 0, self.no_stub
+            return
+        token = r.single_token()
+        try:
+            mask = int(token.strip())
+        except ValueError:
+            raise r.error(f"malformed mask {token!r}")
+        if not 0 <= mask < self.limit:
+            raise r.error(f"mask must be in 0..{self.limit - 1}")
+        into["mask"], into["stub"] = mask, self.stub.default
+        r.skip_ws()
+        if r.tok == "<":
+            self.stub.read(r, into)
+
+    def write(self, obj: Any) -> str:
+        return f"{{{obj.mask}}}" + self.stub.write(obj)
+
+
+class _Scripts(_Section):
+    """The ``^sup``, ``|mid`` and ``_sub`` labels of an inline arrow, one
+    per marker, in that order: each optional, one token or group."""
+
+    opener = "^"
+
+    def __init__(self, markers: str) -> None:
+        super().__init__("labels", len(markers))
+        self.markers = markers
+
+    def read(self, r: _Reader, into: Dict[str, Any]) -> None:
+        labels = []
+        for marker in self.markers:
+            r.skip_ws()
+            if r.tok == marker:
+                r.advance()
+                labels.append(r.single_token())
+            else:
+                labels.append("")
+        into[self.field] = tuple(labels)
+
+    def write(self, obj: Any) -> str:
+        return "".join(f"{m}{{{v}}}" for m, v in zip(self.markers, getattr(obj, self.field)))
+
+
+class _Factor(_Section):
+    """``{factor}`` of ``\\scalefactor``: a positive rational, one token or group."""
+
+    opener = "{"
+
+    def read(self, r: _Reader, into: Dict[str, Any]) -> None:
+        token = r.single_token()
+        try:
+            factor = Fraction(token.strip())
+        except (ValueError, ZeroDivisionError):
+            raise r.error(f"malformed scale factor {token!r}")
+        if factor <= 0:
+            raise r.error("scale factor must be positive")
+        into[self.field] = factor
+
+    def write(self, obj: Any) -> str:
+        return f"{{{getattr(obj, self.field)}}}"
+
+
+class _Part(_Section):
+    """A nested chain building one part: the inner square of ``\\cube``,
+    the trident of ``\\pullback``."""
+
+    def __init__(self, field: str, cls: type, *sections: _Section) -> None:
+        super().__init__(field)
+        self.cls, self.chain = cls, _Chain(None, *sections)
+
+    def read(self, r: _Reader, into: Dict[str, Any]) -> None:
+        into[self.field] = self.cls(**self.chain.read(r))
+
+    def write(self, obj: Any) -> str:
+        return self.chain.write(getattr(obj, self.field) or self.cls())
+
+
+class _Chain:
+    """A command's ordered sections, and ``program``, the name of the
+    expand.py shape program that draws it (None: it draws nothing)."""
+
+    def __init__(self, program: Optional[str], *sections: _Section) -> None:
+        self.program, self.sections = program, sections
+        self.defaults = {s.field: s.default for s in sections if s.optional}
+
+    def read(self, r: _Reader) -> Dict[str, Any]:
+        values = dict(self.defaults)
+        for sec in self.sections:
+            r.skip_ws()
+            if r.tok == sec.opener or not sec.optional:
+                sec.read(r, values)
+        return values
+
+    def write(self, obj: Any) -> str:
+        return "".join([sec.write(obj) for sec in self.sections])
 
 
 def _wrap(value: str, specials: str) -> str:
@@ -547,22 +537,61 @@ def _wrap(value: str, specials: str) -> str:
     return value
 
 
-def _fmt_styles(styles: Tuple[str, ...]) -> str:
-    return "/" + "`".join(_wrap(s, "`/") for s in styles) + "/"
+_ORIGIN = _Ints("origin", "(", 2, Point(0, 0), Point._make)
+_LENGTH = _Ints("length", "<", 1, 0, itemgetter(0))  # 0: measured from the labels
 
 
-def _fmt_payload(nodes: Tuple[str, ...], labels: Tuple[str, ...]) -> str:
-    ns = "`".join(_wrap(v, "`;]") for v in nodes)
-    ls = "`".join(_wrap(v, "`;]") for v in labels)
-    if nodes and labels:
-        return f"[{ns};{ls}]"
-    if nodes:
-        return f"[{ns}]"
-    return f"[{ls}]"
+def _head(placements: str, extent: Tuple[int, ...], origin: _Section = _ORIGIN) -> tuple:
+    """Origin, placements, styles and extent of a square-like shape."""
+    return (origin, _Bar("placements", placements), _Styles(len(placements)),
+            _Ints("extent", "<", len(extent), extent))
 
 
-def _fmt_extent(extent: Tuple[int, ...]) -> str:
-    return "<" + ",".join(str(v) for v in extent) + ">"
+def _shape(program: str, placements: str, extent: Tuple[int, ...], n: int, m: int) -> _Chain:
+    return _Chain(program, *_head(placements, extent), _Payload(n, m))
+
+
+COMMANDS: Dict[str, _Chain] = {
+    "morphism": _Chain("morphism", _ORIGIN, _Bar("placements", "a", exact=False),
+                       _Styles(1), _Ints("extent", "<", 2, (500, 0)), _Payload(2, 1)),
+    "vector": _Chain("vector", _Ints("origin", "(", 2, make=Point._make),
+                     _Styles(1, required=True), _Ints("extent", "<", 2)),
+    "place": _Chain("place", _Align("align", 1, ""),
+                    _Ints("origin", "(", 2, make=Point._make), _Payload(1, 0)),
+    "square": _shape("square", "alrb", (500, 500), 4, 4),
+    "Square": _shape("auto_square", "alrb", (500,), 4, 4),
+    "ptriangle": _shape("triangle", "alr", (500, 500), 3, 3),
+    "qtriangle": _shape("triangle", "alr", (500, 500), 3, 3),
+    "dtriangle": _shape("triangle", "lrb", (500, 500), 3, 3),
+    "btriangle": _shape("triangle", "lrb", (500, 500), 3, 3),
+    "Atriangle": _shape("triangle", "lrb", (500, 500), 3, 3),
+    "Vtriangle": _shape("triangle", "alb", (500, 500), 3, 3),
+    "Ctriangle": _shape("triangle", "arb", (500, 500), 3, 3),
+    "Dtriangle": _shape("triangle", "alb", (500, 500), 3, 3),
+    "Atrianglepair": _shape("triangle_pair", "lmrbb", (500, 500), 4, 5),
+    "Vtrianglepair": _shape("triangle_pair", "aalmr", (500, 500), 4, 5),
+    "Ctrianglepair": _shape("triangle_pair", "lrmlr", (500, 500), 4, 5),
+    "Dtrianglepair": _shape("triangle_pair", "lrmlr", (500, 500), 4, 5),
+    "hSquares": _shape("hsquares", "aalmrbb", (500,), 6, 7),
+    "vSquares": _shape("vsquares", "alrmlrb", (500, 500), 6, 7),  # <bottom,top>
+    "iiixiii": _Chain("grid3x3", *_head("aammbblmrlmr", (500, 500)),
+                      _Mask(4096, (400, 400), (0, 0)), _Payload(9, 12)),
+    "iiixii": _Chain("grid3x2", *_head("aabblmr", (500, 500)),
+                     _Mask(16, (0,), (0,)), _Payload(6, 7)),
+    "pullback": _Chain("pullback", *_head("alrb", (500, 500)), _Payload(4, 4),
+                       _Part("trident", TridentPart, _Bar("placements", "amb"), _Styles(3),
+                             _Ints("offset", "<", 2, (500, 500)), _Payload(1, 3, "node"))),
+    "cube": _Chain("cube", *_head("alrb", (1500, 1500)), _Payload(4, 4),
+                   _Part("inner", SquarePart, *_head("alrb", (500, 500), _Ints(
+                       "origin", "(", 2, Point(500, 500), Point._make)), _Payload(4, 4)),
+                   _Bar("conn_placements", "mmmm"), _Styles(4, "conn_styles"),
+                   _Payload(0, 4, labels="conn_labels")),
+    "to": _Chain("inline", _Styles(1), _LENGTH, _Scripts("^_")),
+    "two": _Chain("inline", _Styles(2), _LENGTH, _Scripts("^_")),
+    "three": _Chain("inline", _Styles(3), _LENGTH, _Scripts("^|_")),
+    "twoar": _Chain("twoar", _Ints("direction", "(", 2)),
+    "scalefactor": _Chain(None, _Factor("factor")),  # multiplies the figure's scale
+}
 
 
 def format_command(cmd: Command) -> str:
@@ -570,52 +599,7 @@ def format_command(cmd: Command) -> str:
 
     Reparsing the result yields a structurally identical command.
     """
-    k = cmd.kind
-    org = f"({cmd.origin.x},{cmd.origin.y})"
-    if k == "morphism" or k in _SHAPES:
-        return (
-            f"\\{k}{org}|{cmd.placements}|{_fmt_styles(cmd.styles)}"
-            f"{_fmt_extent(cmd.extent)}{_fmt_payload(cmd.nodes, cmd.labels)}"
-        )
-    if k == "vector":
-        return f"\\vector{org}{_fmt_styles(cmd.styles)}{_fmt_extent(cmd.extent)}"
-    if k == "place":
-        align = f"[{cmd.align}]" if cmd.align else ""
-        return f"\\place{align}{org}{_fmt_payload(cmd.nodes, ())}"
-    if k in _GRIDS:
-        return (
-            f"\\{k}{org}|{cmd.placements}|{_fmt_styles(cmd.styles)}"
-            f"{_fmt_extent(cmd.extent)}{{{cmd.mask}}}{_fmt_extent(cmd.stub)}"
-            f"{_fmt_payload(cmd.nodes, cmd.labels)}"
-        )
-    if k == "pullback":
-        tri = cmd.trident or TridentPart()
-        return (
-            f"\\pullback{org}|{cmd.placements}|{_fmt_styles(cmd.styles)}"
-            f"{_fmt_extent(cmd.extent)}{_fmt_payload(cmd.nodes, cmd.labels)}"
-            f"|{tri.placements}|{_fmt_styles(tri.styles)}{_fmt_extent(tri.offset)}"
-            f"{_fmt_payload((tri.node,), tri.labels)}"
-        )
-    if k == "cube":
-        inner = cmd.inner or SquarePart()
-        return (
-            f"\\cube{org}|{cmd.placements}|{_fmt_styles(cmd.styles)}"
-            f"{_fmt_extent(cmd.extent)}{_fmt_payload(cmd.nodes, cmd.labels)}"
-            f"({inner.origin.x},{inner.origin.y})|{inner.placements}|"
-            f"{_fmt_styles(inner.styles)}{_fmt_extent(inner.extent)}"
-            f"{_fmt_payload(inner.nodes, inner.labels)}"
-            f"|{cmd.conn_placements}|{_fmt_styles(cmd.conn_styles)}"
-            f"{_fmt_payload((), cmd.conn_labels)}"
-        )
-    if k in _INLINE:
-        out = f"\\{k}{_fmt_styles(cmd.styles)}<{cmd.length}>"
-        if k == "three":
-            sup, mid, sub = cmd.labels
-            return out + f"^{{{sup}}}|{{{mid}}}_{{{sub}}}"
-        sup, sub = cmd.labels
-        return out + f"^{{{sup}}}_{{{sub}}}"
-    if k == "twoar":
-        return f"\\twoar({cmd.direction[0]},{cmd.direction[1]})"
-    if k == "scalefactor":
-        return f"\\scalefactor{{{cmd.factor}}}"
-    raise ValueError(f"cannot format command kind {k!r}")
+    chain = COMMANDS.get(cmd.kind)
+    if chain is None:
+        raise ValueError(f"cannot format command kind {cmd.kind!r}")
+    return "\\" + cmd.kind + chain.write(cmd)

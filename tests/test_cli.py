@@ -2,6 +2,8 @@
 import os
 from pathlib import Path
 
+import pytest
+
 from diagc.cli import main
 
 GOOD = "\\bfig\n\\square[A`B`C`D;f`g`h`k]\n\\efig\n"
@@ -164,3 +166,41 @@ def test_no_partial_file_left_behind(tmp_path):
     assert main([str(src), "-o", str(out) + os.sep]) == 0
     leftovers = [p for p in out.iterdir() if p.suffix != ".svg"]
     assert leftovers == []
+
+
+def _same_stem_pair(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    return (_write(tmp_path / "a", "x.dg", GOOD),
+            _write(tmp_path / "b", "x.dg", "\\morphism[A`B;f]\n"))
+
+
+def test_two_inputs_writing_one_file_write_nothing(tmp_path, capsys):
+    a, b = _same_stem_pair(tmp_path)
+    out = tmp_path / "out"
+    assert main([str(a), str(b), "--format", "xypic", "-o", str(out) + os.sep]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert str(a) in err[0] and str(b) in err[0] and str(out / "x.xy") in err[0]
+    assert not (out / "x.xy").exists()
+    # beside their inputs the same stems do not collide
+    assert main([str(a), str(b), "--format", "xypic"]) == 0
+    assert (a.parent / "x.xy").is_file() and (b.parent / "x.xy").is_file()
+
+
+def test_same_stem_inputs_check_against_one_golden_dir(tmp_path):
+    a, _ = _same_stem_pair(tmp_path)
+    copy = _write(tmp_path / "b", "x.dg", GOOD)
+    golden_dir = tmp_path / "golden"
+    assert main([str(a), "--format", "xypic", "-o", str(golden_dir) + os.sep]) == 0
+    assert main([str(a), str(copy), "--format", "xypic", "--check", str(golden_dir)]) == 0
+
+
+@pytest.mark.parametrize("fmt", ["svg", "tikz", "xypic", "ir"])
+def test_empty_figure_is_an_error_in_every_format(tmp_path, capsys, fmt):
+    src = _write(tmp_path, "e.dg", "\\bfig\\efig\n")
+    out = tmp_path / "out"
+    assert main([str(src), "--format", fmt, "-o", str(out) + os.sep]) == 2
+    err = capsys.readouterr().err
+    assert "e.dg:1:1: error: empty diagram: nothing to draw" in err
+    assert not out.exists() or list(out.iterdir()) == []

@@ -171,6 +171,10 @@ def test_arity_mutations_raise():
         parse_command("\\square[A`B`C`D;f`g`h`k`x]")
     with pytest.raises(ParseError, match="label field"):
         parse_command("\\morphism[A`B;f`g]")
+    with pytest.raises(ParseError, match="at most 1 placement"):
+        parse_command("\\morphism|ab|[A`B;f]")
+    with pytest.raises(ParseError, match="expected 4 placement character"):
+        parse_command("\\square|alr|[A`B`C`D;f`g`h`k]")
 
 
 def test_errors_carry_position():

@@ -1,4 +1,5 @@
-"""Seeded, time-bounded property tests of the shared lexical rule.
+"""Seeded, time-bounded property tests of the shared lexical rule and the
+command table.
 
 Each property runs a fixed, derandomized set of examples, so a failure
 repeats on every run and the suite's run time stays bounded.
@@ -10,8 +11,20 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagc import Arrow, DiagramIR, LabelSide, Node, Point, emit_ir, parse_ir, text_width
-from diagc.parser import format_command, parse_command
+from diagc import (
+    Arrow,
+    DiagramError,
+    DiagramIR,
+    Figure,
+    LabelSide,
+    Node,
+    Point,
+    emit_ir,
+    expand_figure,
+    parse_ir,
+    text_width,
+)
+from diagc.parser import COMMANDS, format_command, parse_command
 
 BOUNDED = settings(
     derandomize=True, database=None, max_examples=100, deadline=timedelta(seconds=1)
@@ -50,42 +63,90 @@ def test_ir_text_fields_are_a_fixpoint(texts):
     assert emit_ir(back) == dump
 
 
-PAYLOAD_SOURCES = {
+N4, L4 = "A`B`C`D", "f`g`h`k"
+N6, L7 = "A`B`C`D`E`F", "f`g`h`i`j`k`l"
+SOURCES = {  # one minimal source per command kind
     "morphism": "\\morphism[A`B;f]",
+    "vector": "\\vector(0,0)/>/<500,0>",
     "place": "\\place(0,0)[X]",
-    "square": "\\square[A`B`C`D;f`g`h`k]",
-    "iiixii": "\\iiixii{5}<400>[A`B`C`D`E`F;f`g`h`i`j`k`l]",
-    "cube": "\\cube[A`B`C`D;f`g`h`k][a`b`c`d;p`q`r`s][w`x`y`z]",
-    "pullback": "\\pullback[A`B`C`D;f`g`h`k][E;p`q`r]",
+    "square": f"\\square[{N4};{L4}]",
+    "Square": f"\\Square[{N4};{L4}]",
+    **{f"{k}triangle": f"\\{k}triangle[A`B`C;f`g`h]" for k in "pqdbAVCD"},
+    **{f"{k}trianglepair": f"\\{k}trianglepair[{N4};f`g`h`i`j]" for k in "AVCD"},
+    "hSquares": f"\\hSquares[{N6};{L7}]",
+    "vSquares": f"\\vSquares[{N6};{L7}]",
+    "iiixiii": "\\iiixiii[A`B`C`D`E`F`G`H`I;a`b`c`d`e`f`g`h`i`j`k`l]",
+    "iiixii": f"\\iiixii[{N6};{L7}]",
+    "cube": f"\\cube[{N4};{L4}][a`b`c`d;p`q`r`s][w`x`y`z]",
+    "pullback": f"\\pullback[{N4};{L4}][E;p`q`r]",
+    "to": "\\to",
+    "two": "\\two",
+    "three": "\\three",
+    "twoar": "\\twoar(1,0)",
+    "scalefactor": "\\scalefactor{2}",
 }
+
+STYLE_TOKENS = [">", "->", ">->", "->>", "<-", "<-<", "<<-", "=", "=>", "-->", ".>",
+                "(->", " (->", "", "@{-->}", "@/^1ex/{>}", "@<2pt>{=>}", "{@{>}}", "a`b"]
+ints = st.integers(-3000, 3000)
+factors = st.fractions(min_value=Fraction(1, 1000), max_value=100, max_denominator=1000)
+
+
+def test_every_command_kind_has_a_source():
+    assert set(SOURCES) == set(COMMANDS)
 
 
 @st.composite
-def payload_commands(draw):
-    cmd = parse_command(PAYLOAD_SOURCES[draw(st.sampled_from(sorted(PAYLOAD_SOURCES)))])
+def commands(draw):
+    """A command of any kind with every field its sections fill drawn at random."""
+    kind = draw(st.sampled_from(sorted(SOURCES)))
     field = balanced(FIELD_ATOMS)
+    strategies = {
+        "origin": st.builds(Point, ints, ints),
+        "placements": st.sampled_from("alrbmx"),
+        "styles": st.one_of(st.sampled_from(STYLE_TOKENS), balanced(FIELD_ATOMS)),
+        "nodes": field,
+        "labels": field,
+        "node": field,
+        "align": st.sampled_from(["", "l", "r", "u", "d"]),
+        "mask": st.integers(0, 15 if kind == "iiixii" else 4095),
+        "length": ints,
+        "factor": factors,
+    }
 
-    def fields(like):
-        return tuple(draw(field) for _ in like)
+    def fresh(obj, chain):
+        changes = {}
+        for sec in chain.sections:
+            for name in sec.fields:
+                value = getattr(obj, name)
+                base = name.replace("conn_", "")
+                if hasattr(sec, "chain"):  # the inner square or the trident
+                    changes[name] = fresh(value, sec.chain)
+                elif base == "placements":
+                    n = draw(st.integers(0, 1)) if kind == "morphism" else len(value)
+                    changes[name] = "".join(draw(strategies[base]) for _ in range(n))
+                elif isinstance(value, tuple) and not isinstance(value, Point):
+                    # extents, stubs, offsets, directions, styles, nodes, labels
+                    each = strategies.get(base, ints)
+                    changes[name] = tuple(draw(each) for _ in value)
+                else:
+                    changes[name] = draw(strategies[base])
+        return replace(obj, **changes)
 
-    cmd = replace(cmd, nodes=fields(cmd.nodes), labels=fields(cmd.labels))
-    if cmd.inner is not None:
-        cmd.inner = replace(cmd.inner, nodes=fields(cmd.inner.nodes),
-                            labels=fields(cmd.inner.labels))
-        cmd.conn_labels = fields(cmd.conn_labels)
-    if cmd.trident is not None:
-        cmd.trident = replace(cmd.trident, node=draw(field),
-                              labels=fields(cmd.trident.labels))
-    return cmd
+    return fresh(parse_command(SOURCES[kind]), COMMANDS[kind])
 
 
 @BOUNDED
-@given(cmd=payload_commands())
+@given(cmd=commands())
 def test_format_command_reparses_to_the_same_command(cmd):
     printed = format_command(cmd)
     again = parse_command(printed)
     assert again == cmd
     assert format_command(again) == printed
+    try:
+        expand_figure(Figure([cmd]))
+    except DiagramError:
+        pass
 
 
 control_sequences = st.one_of(
