@@ -191,9 +191,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 dest = Path(out_arg)
             else:
                 base = Path(out_arg) if out_arg is not None else result.path.parent
-                base.mkdir(parents=True, exist_ok=True)
                 dest = base / name
             try:
+                dest.parent.mkdir(parents=True, exist_ok=True)
                 _write_atomic(dest, text)
             except OSError as exc:
                 print(f"diagc: cannot write {dest}: {exc}", file=sys.stderr)

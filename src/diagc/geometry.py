@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from functools import partial
+from typing import Callable, NamedTuple, Tuple, Union
 
 Numeric = Union[int, float, str, Fraction]
 
@@ -105,26 +106,45 @@ def to_em(length: int, cfg: ScaleConfig) -> Fraction:
     return Fraction(length) * cfg.scale / 100
 
 
+def decimal_formatter(den: int) -> Tuple[Callable[[int], str], bool]:
+    """(num -> decimal of num / den, whether every such decimal is exact).
+
+    den > 0 is factored once.  When den = 2^a * 5^b, max(a, b) places
+    hold every num / den exactly, and each number costs one multiply and
+    one divmod.  Any other den hands each number to format_decimal,
+    which reduces it first and rounds to six places only what stays
+    inexact.
+    """
+    twos = (den & -den).bit_length() - 1
+    rest, fives = den >> twos, 0
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    places = max(twos, fives)
+    if rest != 1:
+        return partial(format_decimal, den=den), False
+    if not places:
+        return str, True
+    scale = 10**places
+    mul = scale // den
+    pattern = f"%d.%0{places}d"
+
+    def fixed(num: int) -> str:
+        text = (pattern % divmod(abs(num) * mul, scale)).rstrip("0").rstrip(".")
+        return "-" + text if num < 0 else text
+
+    return fixed, True
+
+
 def format_decimal(num: int, den: int = 1) -> str:
     """Exact, minimal decimal rendering of num / den (den > 0).
 
-    Only denominators of the form 2^a * 5^b in lowest terms occur in
-    render output; any other denominator falls back to six rounded
-    places.
+    A ratio whose lowest terms have a denominator outside 2^a * 5^b is
+    rounded to six places.
     """
     g = math.gcd(num, den)
     num, den = num // g, den // g
-    twos = (den & -den).bit_length() - 1
-    d, fives = den >> twos, 0
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
-    if d != 1:
-        return f"{num / den:.6f}".rstrip("0").rstrip(".")
-    # in lowest terms, max(a, b) places hold num/den exactly, the last one nonzero
-    shift = max(twos, fives)
-    if not shift:
-        return str(num)
-    digits = str(abs(num) * 10**shift // den).rjust(shift + 1, "0")
-    sign = "-" if num < 0 else ""
-    return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
+    fmt, exact = decimal_formatter(den)
+    if exact:
+        return fmt(num)
+    return f"{num / den:.6f}".rstrip("0").rstrip(".")

@@ -2,17 +2,19 @@
 
 Nodes become text elements, arrows become marker-terminated lines, the
 y axis is flipped for screen space, and one centi-em maps to
-0.01 x em_size x scale px.  All numbers are exact decimals of integer
-ratios (the one px-per-centi-em ratio times integer layout lengths), so
-output is byte-identical across runs and every coordinate scales
-linearly with the configured scale.
+0.01 x em_size x scale px.  Every number is an integer layout length
+times the one px-per-centi-em ratio, written through one formatter per
+denominator: exact decimals when that ratio and the label scale have
+only 2 and 5 in their denominators, six rounded places (with a warning)
+otherwise.  Output is byte-identical across runs and every coordinate
+scales linearly with the configured scale.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .ir import DiagramIR
-from .geometry import format_decimal
+from .geometry import decimal_formatter, format_decimal
 from .layout import QUANTUM, DrawablePath, layout_diagram, left_perp
 from .metrics import DEFAULT_METRICS, FontMetrics
 from .styles import (
@@ -38,42 +40,45 @@ def _xml_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _marker_defs(f: Callable[[int], str]) -> Dict[str, str]:
-    """Marker elements by id; ``f`` formats a length given in centi-em."""
-    h = HEAD_LEN
-    w = HEAD_HALF_WIDTH
-    sw = STROKE_WIDTH
+_HEAD = '<path d="M 0 0 L {h} {w} L 0 {w2} Z"/>'
+_HEAD2 = _HEAD + '<path d="M {h} 0 L {h2} {w} L {h} {w2} Z"/>'
+_RHEAD = '<path d="M {h} 0 L 0 {w} L {h} {w2} Z"/>'
+_RHEAD2 = _RHEAD + '<path d="M {h2} 0 L {h} {w} L {h2} {w2} Z"/>'
+_HOOK = (
+    '<path d="M {h} 0 A {w} {w} 0 0 0 {h} {w2}"'
+    ' fill="none" stroke="black" stroke-width="{sw}"/>'
+)
+_MARKER = (
+    '<marker id="{name}" markerUnits="userSpaceOnUse" markerWidth="{width}"'
+    ' markerHeight="{w2}" refX="{ref_x}" refY="{w}" orient="auto">{body}</marker>'
+)
+# marker id -> (markerWidth, refX) in centi-em, and its body, whose fields
+# are h and h2 (one and two head lengths), w and w2 (half and full head
+# width) and sw (stroke width)
+_MARKERS = {
+    "dg-head": (HEAD_LEN, HEAD_LEN, _HEAD),
+    "dg-head2": (2 * HEAD_LEN, 2 * HEAD_LEN, _HEAD2),
+    "dg-rhead": (HEAD_LEN, 0, _RHEAD),
+    "dg-rhead2": (2 * HEAD_LEN, 0, _RHEAD2),
+    "dg-mono": (HEAD_LEN, 0, _HEAD),
+    "dg-rmono": (HEAD_LEN, HEAD_LEN, _RHEAD),
+    "dg-hook": (HEAD_LEN, 0, _HOOK),
+}
 
-    def marker(name: str, width: int, ref_x: int, body: str) -> str:
-        return (
-            f'<marker id="{name}" markerUnits="userSpaceOnUse"'
-            f' markerWidth="{f(width)}" markerHeight="{f(2 * w)}"'
-            f' refX="{f(ref_x)}" refY="{f(w)}" orient="auto">{body}</marker>'
-        )
 
-    fwd = f'<path d="M 0 0 L {f(h)} {f(w)} L 0 {f(2 * w)} Z"/>'
-    fwd2 = (
-        f'<path d="M 0 0 L {f(h)} {f(w)} L 0 {f(2 * w)} Z"/>'
-        f'<path d="M {f(h)} 0 L {f(2 * h)} {f(w)} L {f(h)} {f(2 * w)} Z"/>'
-    )
-    rev = f'<path d="M {f(h)} 0 L 0 {f(w)} L {f(h)} {f(2 * w)} Z"/>'
-    rev2 = (
-        f'<path d="M {f(h)} 0 L 0 {f(w)} L {f(h)} {f(2 * w)} Z"/>'
-        f'<path d="M {f(2 * h)} 0 L {f(h)} {f(w)} L {f(2 * h)} {f(2 * w)} Z"/>'
-    )
-    hook = (
-        f'<path d="M {f(h)} 0 A {f(w)} {f(w)} 0 0 0 {f(h)} {f(2 * w)}"'
-        f' fill="none" stroke="black" stroke-width="{f(sw)}"/>'
-    )
-    return {
-        "dg-head": marker("dg-head", h, h, fwd),
-        "dg-head2": marker("dg-head2", 2 * h, 2 * h, fwd2),
-        "dg-rhead": marker("dg-rhead", h, 0, rev),
-        "dg-rhead2": marker("dg-rhead2", 2 * h, 0, rev2),
-        "dg-mono": marker("dg-mono", h, 0, fwd),
-        "dg-rmono": marker("dg-rmono", h, h, rev),
-        "dg-hook": marker("dg-hook", h, 0, hook),
+def _marker_defs(f: Callable[[int], str], used: Iterable[str]) -> List[str]:
+    """The marker elements named in ``used``, by id; ``f`` formats a
+    length given in centi-em."""
+    lengths = {
+        "h": f(HEAD_LEN), "h2": f(2 * HEAD_LEN), "w": f(HEAD_HALF_WIDTH),
+        "w2": f(2 * HEAD_HALF_WIDTH), "sw": f(STROKE_WIDTH),
     }
+    out = []
+    for name in sorted(used):
+        width, ref_x, body = _MARKERS[name]
+        out.append(_MARKER.format(name=name, width=f(width), ref_x=f(ref_x),
+                                  body=body.format(**lengths), **lengths))
+    return out
 
 
 def _path_markers(style: ArrowStyle) -> Tuple[str, str]:
@@ -112,32 +117,40 @@ def render_svg(
     ln, ld = cfg.label_scale.as_integer_ratio()
     x0, y0, x1, y1 = lay.bbox
     left, top = QUANTUM * x0, QUANTUM * y1
+    # n -> n / (QUANTUM ud) px, so a length of v layout units is unit(v * un);
+    # label baselines sit on a grid ld times finer
+    unit, exact = decimal_formatter(QUANTUM * ud)
+    label_unit, label_exact = decimal_formatter(QUANTUM * ud * ld)
+    if warnings is not None and not label_exact:  # the finer grid fails first
+        what = (f"label scale {cfg.label_scale}" if exact
+                else f"scale {cfg.scale} at em size {cfg.em_size} pt")
+        warnings.append(f"{what} has no exact decimal px; coordinates are rounded "
+                        "to six places")
 
-    def f(length: int, den: int = 1) -> str:
-        """A length of length/den centi-em, in px."""
-        return format_decimal(length * un, den * ud)
+    def f(length: int) -> str:
+        """A length in centi-em, in px."""
+        return unit(length * QUANTUM * un)
 
-    def px(x: int, den: int = 1) -> str:
-        """Screen x of x/den layout units."""
-        return f(x - left * den, QUANTUM * den)
+    def px(x: int) -> str:
+        """Screen x of x layout units."""
+        return unit((x - left) * un)
 
-    def py(y: int, den: int = 1) -> str:
-        """Screen y of y/den layout units; the y axis flips."""
-        return f(top * den - y, QUANTUM * den)
+    def py(y: int) -> str:
+        """Screen y of y layout units; the y axis flips."""
+        return unit((top - y) * un)
 
     node_font = f(100)
-    label_font = f(100 * ln, ld)
-    sw = f(STROKE_WIDTH)
+    label_font = label_unit(100 * QUANTUM * ln * un)
+    label_drop = BASELINE_DROP * QUANTUM * ln
+    stroke = f' stroke="black" stroke-width="{f(STROKE_WIDTH)}"'
 
     used_markers: set = set()
     arrow_elems: List[str] = []
     label_elems: List[str] = []
 
-    def emit_line(a, b, extra: str = "", den: int = 1) -> None:
+    def emit_line(a, b, attr: str, x=px, y=py) -> None:
         arrow_elems.append(
-            f'<line x1="{px(a[0], den)}" y1="{py(a[1], den)}"'
-            f' x2="{px(b[0], den)}" y2="{py(b[1], den)}"'
-            f' stroke="black" stroke-width="{sw}"{extra}/>'
+            f'<line x1="{x(a[0])}" y1="{y(a[1])}" x2="{x(b[0])}" y2="{y(b[1])}"{attr}/>'
         )
 
     def shaft_attr(style: ArrowStyle) -> str:
@@ -169,18 +182,24 @@ def render_svg(
             dx, dy = path.direction
             gx, gy, gd = left_perp(dx, dy, QUANTUM)
             gx, gy = gx * DOUBLE_GAP * QUANTUM, gy * DOUBLE_GAP * QUANTUM
+            den = QUANTUM * gd * ud
+
+            def sx(x: int) -> str:
+                """Screen x of x/gd layout units."""
+                return format_decimal((x - left * gd) * un, den)
+
+            def sy(y: int) -> str:
+                """Screen y of y/gd layout units."""
+                return format_decimal((top * gd - y) * un, den)
+
             for a, b in spans:
                 a, b = (a[0] * gd, a[1] * gd), (b[0] * gd, b[1] * gd)
-                emit_line((a[0] + gx, a[1] + gy), (b[0] + gx, b[1] + gy), den=gd)
-                emit_line((a[0] - gx, a[1] - gy), (b[0] - gx, b[1] - gy), den=gd)
+                emit_line((a[0] + gx, a[1] + gy), (b[0] + gx, b[1] + gy), stroke, sx, sy)
+                emit_line((a[0] - gx, a[1] - gy), (b[0] - gx, b[1] - gy), stroke, sx, sy)
             if marker_attr:
-                arrow_elems.append(
-                    f'<line x1="{px(path.start[0])}" y1="{py(path.start[1])}"'
-                    f' x2="{px(path.end[0])}" y2="{py(path.end[1])}"'
-                    f' stroke="none"{marker_attr}/>'
-                )
+                emit_line(path.start, path.end, ' stroke="none"' + marker_attr)
         else:
-            dash = shaft_attr(style)
+            dash = stroke + shaft_attr(style)
             for i, (a, b) in enumerate(spans):
                 attr = dash
                 if mk_start and i == 0 and a == path.start:
@@ -190,14 +209,10 @@ def render_svg(
                 emit_line(a, b, attr)
             if not spans and marker_attr:
                 # shaft fully knocked out: keep the arrow tips
-                arrow_elems.append(
-                    f'<line x1="{px(path.start[0])}" y1="{py(path.start[1])}"'
-                    f' x2="{px(path.end[0])}" y2="{py(path.end[1])}"'
-                    f' stroke="none"{marker_attr}/>'
-                )
+                emit_line(path.start, path.end, ' stroke="none"' + marker_attr)
         for label in path.labels:
             cx, cy = label.center
-            baseline = f((top - cy) * ld + BASELINE_DROP * QUANTUM * ln, QUANTUM * ld)
+            baseline = label_unit(((top - cy) * ld + label_drop) * un)
             label_elems.append(
                 f'<text class="label" x="{px(cx)}" y="{baseline}"'
                 f' font-size="{label_font}" text-anchor="middle">'
@@ -209,9 +224,8 @@ def render_svg(
         if not placed.node.text:
             continue
         cx, cy = placed.center
-        baseline = f(top - cy + BASELINE_DROP * QUANTUM, QUANTUM)
         node_elems.append(
-            f'<text class="node" x="{px(cx)}" y="{baseline}"'
+            f'<text class="node" x="{px(cx)}" y="{py(cy - BASELINE_DROP * QUANTUM)}"'
             f' font-size="{node_font}" text-anchor="middle">'
             f"{_xml_escape(placed.node.text)}</text>"
         )
@@ -219,7 +233,6 @@ def render_svg(
     for path in lay.paths:
         draw_path(path)
 
-    defs = _marker_defs(f)
     width = f(x1 - x0)
     height = f(y1 - y0)
     out: List[str] = []
@@ -231,8 +244,7 @@ def render_svg(
     )
     if used_markers:
         out.append("<defs>")
-        for name in sorted(used_markers):
-            out.append(defs[name])
+        out.extend(_marker_defs(f, used_markers))
         out.append("</defs>")
     out.append('<g font-family="serif" fill="black">')
     out.extend(node_elems)

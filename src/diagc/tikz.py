@@ -3,7 +3,9 @@
 Node texts become \\node commands, arrows become \\draw commands with
 labels riding midway; arrow tips beyond plain '->' assume the standard
 arrows library.  Styles the backend cannot express fall back to a solid
-arrow with a warning.
+arrow with a warning.  Coordinates are exact decimals unless the render
+scale has a prime other than 2 and 5 in its denominator; then they are
+rounded to six places, with a warning.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from functools import lru_cache
 from typing import List, Optional
 
 from . import styles
-from .geometry import format_decimal
+from .geometry import decimal_formatter
 from .ir import DiagramIR, LabelSide
 from .layout import QUANTUM, layout_diagram
 from .metrics import DEFAULT_METRICS, FontMetrics
@@ -55,13 +57,13 @@ def render_tikz(
 ) -> str:
     lay = layout_diagram(d, metrics)
     sn, sd = d.scale.scale.as_integer_ratio()
-
-    def em(v: int) -> str:
-        """v layout units, in em at the render scale."""
-        return format_decimal(v * sn, 100 * QUANTUM * sd) + "em"
+    em, exact = decimal_formatter(100 * QUANTUM * sd)  # v * sn -> v layout units in em
+    if warnings is not None and not exact:
+        warnings.append(f"scale {d.scale.scale} has no exact decimal em; coordinates "
+                        "are rounded to six places")
 
     def at(p) -> str:
-        return f"({em(p[0])},{em(p[1])})"
+        return f"({em(p[0] * sn)}em,{em(p[1] * sn)}em)"
 
     lines: List[str] = ["\\begin{tikzpicture}[line cap=round]"]
     for placed in lay.nodes:

@@ -40,6 +40,20 @@ def test_single_file_output(tmp_path):
     assert dest.is_file()
 
 
+def test_single_file_output_creates_its_directory(tmp_path, capsys):
+    src = _write(tmp_path, "ex.dg", GOOD)
+    dest = tmp_path / "new" / "deeper" / "picture.svg"
+    assert main([str(src), "-o", str(dest)]) == 0
+    assert dest.read_text(encoding="utf-8").startswith("<?xml")
+    assert capsys.readouterr().err == ""
+    # a check writes nothing, so it makes no directory either
+    golden_dir = tmp_path / "golden"
+    assert main([str(src), "-o", str(golden_dir / "ex.svg")]) == 0
+    missing = tmp_path / "none" / "ex.svg"
+    assert main([str(src), "-o", str(missing), "--check", str(golden_dir)]) == 0
+    assert not missing.parent.exists()
+
+
 def test_arity_error_exits_2_and_writes_nothing(tmp_path, capsys):
     src = _write(tmp_path, "bad.dg", ARITY_BAD)
     out = tmp_path / "out"

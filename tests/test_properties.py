@@ -1,14 +1,15 @@
-"""Seeded, time-bounded property tests of the shared lexical rule and the
-command table.
+"""Seeded, time-bounded property tests of the shared lexical rule, the
+command table and the decimal formatter.
 
 Each property runs a fixed, derandomized set of examples, so a failure
 repeats on every run and the suite's run time stays bounded.
 """
+import math
 from dataclasses import replace
 from datetime import timedelta
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagc import (
@@ -24,6 +25,7 @@ from diagc import (
     parse_ir,
     text_width,
 )
+from diagc.geometry import decimal_formatter, format_decimal
 from diagc.parser import COMMANDS, format_command, parse_command
 
 BOUNDED = settings(
@@ -161,3 +163,40 @@ def test_a_control_sequence_measures_one_default_character(cs, scale):
     assert text_width(cs, scale) == text_width("x", scale)
     # a numeral that is not a letter ends a control word: \x² is \x then ²
     assert text_width(cs + "²", scale) == text_width("x²", scale)
+
+
+def decimal_oracle(num, den=1):
+    """format_decimal as it was before the per-denominator formatter."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    twos = (den & -den).bit_length() - 1
+    d, fives = den >> twos, 0
+    while d % 5 == 0:
+        d //= 5
+        fives += 1
+    if d != 1:
+        return f"{num / den:.6f}".rstrip("0").rstrip(".")
+    # in lowest terms, max(a, b) places hold num/den exactly, the last one nonzero
+    shift = max(twos, fives)
+    if not shift:
+        return str(num)
+    digits = str(abs(num) * 10**shift // den).rjust(shift + 1, "0")
+    sign = "-" if num < 0 else ""
+    return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
+
+
+@BOUNDED
+@given(
+    nums=st.lists(st.one_of(st.just(0), st.integers(-10**15, 10**15)), min_size=1, max_size=8),
+    twos=st.integers(0, 12),
+    fives=st.integers(0, 12),
+    odd=st.sampled_from([1, 3, 7, 9, 13]),
+)
+@example(nums=[0, 1, -1, 6000, 7000], twos=0, fives=0, odd=1)  # den = 1
+@example(nums=[6000, -6000, 7000, 0], twos=3, fives=3, odd=3)  # den = 3000
+def test_decimal_formatter_matches_format_decimal(nums, twos, fives, odd):
+    den = 2**twos * 5**fives * odd
+    fmt, exact = decimal_formatter(den)
+    assert exact == (odd == 1)
+    for num in nums:
+        assert fmt(num) == format_decimal(num, den) == decimal_oracle(num, den)

@@ -22,6 +22,8 @@ from diagc import (
     render_tikz,
 )
 from diagc.cli import main
+from diagc.geometry import format_decimal
+from test_layout import _grid
 
 
 def _one(source, **kw):
@@ -106,6 +108,92 @@ def test_svg_double_shaft_and_knockout():
     # knocked-out double shaft: two spans x two lines, plus the marker line
     assert svg.count("<line") == 5
     assert svg.count('stroke="none"') == 1
+
+
+def test_svg_builds_only_the_markers_it_uses(monkeypatch):
+    built = []
+    real = diagc.svg._marker_defs
+
+    def recording(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(diagc.svg, "_marker_defs", recording)
+    svg = render_figure(_one("\\square[A`B`C`D;f`g`h`k]"), "svg")
+    assert re.findall(r'<marker id="([\w-]+)"', str(built)) == ["dg-head"]
+    assert 'marker-end="url(#dg-head)"' in svg
+
+
+def _general_formats(step):
+    """Calls of ``format_decimal``, which factors its denominator for every
+    number, while ``step()`` runs."""
+    code = format_decimal.__code__
+    count = 0
+
+    def on_call(frame, event, arg):
+        nonlocal count
+        count += frame.f_code is code
+
+    sys.settrace(on_call)
+    try:
+        step()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+@pytest.mark.parametrize("render", [render_svg, render_tikz])
+def test_render_factors_its_denominators_once(render):
+    # 4x the numbers on the larger grid, the same general-path formats
+    small, large = _grid(8), _grid(16)
+    assert _general_formats(lambda: render(small)) == _general_formats(lambda: render(large))
+
+
+_THIRD_SOURCES = {
+    "--scale 1/3": ("\\square[A`B`C`D;f`g`h`k]", Fraction(1, 3)),
+    "\\scalefactor{1/3}": ("\\scalefactor{1/3}\n\\square[A`B`C`D;f`g`h`k]", 1),
+}
+
+
+@pytest.mark.parametrize("how", sorted(_THIRD_SOURCES))
+@pytest.mark.parametrize("render", [render_svg, render_tikz])
+def test_non_exact_scale_warns_once_per_render(render, how):
+    source, scale = _THIRD_SOURCES[how]
+    fig = _one(source, cfg=ScaleConfig(scale=scale))
+    notes = []
+    out = render(fig.ir, warnings=notes)
+    assert len(notes) == 1
+    assert "scale 1/3" in notes[0] and "rounded to six places" in notes[0]
+    assert out == render(fig.ir)  # the warning changes no output byte
+
+
+def test_non_exact_label_scale_warns_in_svg_only():
+    ir = _one("\\square[A`B`C`D;f`g`h`k]").ir
+    dump = emit_ir(ir).replace("label-scale 7/10", "label-scale 1/3")
+    assert dump != emit_ir(ir)
+    third = parse_ir(dump)
+    notes = []
+    render_svg(third, warnings=notes)
+    assert len(notes) == 1 and "label scale 1/3" in notes[0]
+    render_tikz(third, warnings=notes)
+    assert len(notes) == 1
+
+
+@pytest.mark.parametrize("render", [render_svg, render_tikz])
+def test_exact_scale_is_silent(render):
+    notes = []
+    render(_one("\\square[A`B`C`D;f`g`h`k]", cfg=ScaleConfig(scale=Fraction(1, 2))).ir,
+           warnings=notes)
+    assert notes == []
+
+
+def test_strict_fails_a_non_exact_scale(tmp_path, capsys):
+    src = tmp_path / "s.dg"
+    src.write_text("\\square[A`B`C`D;f`g`h`k]\n", encoding="utf-8")
+    assert main([str(src), "--scale", "1/3", "-o", str(tmp_path)]) == 0
+    assert "rounded to six places" in capsys.readouterr().err
+    assert main([str(src), "--scale", "1/3", "--strict", "-o", str(tmp_path)]) == 1
+    assert main([str(src), "--scale", "0.5", "--strict", "-o", str(tmp_path)]) == 0
 
 
 def test_svg_measures_each_text_once(monkeypatch):
