@@ -7,11 +7,11 @@ the whole front half per figure.
 
 from .compiler import CompiledFigure, compile_source, render_figure
 from .diagnostics import Diagnostic, DiagramError, ExpandError, LayoutError, ParseError
-from .expand import expand_figure, measure_morphism_width, two_cell_endpoint
-from .geometry import Point, ScaleConfig, ratchet, tex_div, to_em
+from .expand import expand_figure, measure_morphism_width, resolve_label_side, two_cell_endpoint
+from .geometry import Point, ScaleConfig, ratchet, tex_div
 from .ir import Arrow, DiagramIR, LabelSide, Node, merge_duplicate_nodes
 from .irtext import emit_ir, parse_ir
-from .layout import baseline_offset, layout_diagram, resolve_label_side
+from .layout import baseline_offset, layout_diagram
 from .metrics import DEFAULT_METRICS, FontMetrics, load_metrics, text_width
 from .parser import Command, Figure, format_command, parse_command, parse_payload, parse_source
 from .styles import ArrowStyle, decode_style
@@ -61,6 +61,5 @@ __all__ = [
     "resolve_label_side",
     "tex_div",
     "text_width",
-    "to_em",
     "two_cell_endpoint",
 ]

@@ -1,25 +1,21 @@
-"""Command expansion: replay each command's integer coordinate program.
+"""Command expansion: every shape is data, drawn by one loop.
 
-Every shape is a fixed sequence of positioned arrows.  Drawing order
-and cursor arithmetic are part of the language's contract: both are
-observable in the token-stream output, so each expansion performs the
-exact integer program, shared corners drawn repeatedly and deduplicated
-later by merge_duplicate_nodes.
+A shape is a node lattice and a drawing program, one row of ``_SHAPES``.
+Each payload node sits at the command's origin plus a multiple (i, j) of
+its extent, and the program lists the shape's edges, each from one node
+to another, in drawing order.  Drawing order is part of the language's
+contract: it is observable in the token-stream output.  Every edge draws
+both of its nodes, so shared corners are drawn repeatedly and
+deduplicated later by merge_duplicate_nodes.
 """
 from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .diagnostics import Diagnostic, ExpandError
-from .geometry import (
-    DEFAULT_MARGIN,
-    Point,
-    ScaleConfig,
-    ratchet,
-    tex_div,
-)
+from .geometry import DEFAULT_MARGIN, Point, ScaleConfig, ratchet, tex_div
 from .ir import (
     KIND_POS,
     KIND_THREE,
@@ -32,9 +28,29 @@ from .ir import (
     LabelSide,
     Node,
 )
-from .layout import resolve_label_side
 from .metrics import DEFAULT_METRICS, FontMetrics, text_width
-from .parser import COMMANDS, Command, Figure
+from .parser import COMMANDS, Command, Figure, SquarePart
+
+
+def resolve_label_side(placement: str, dx: int, dy: int) -> LabelSide:
+    """Which side of travel a label sits on, by placement character.
+
+    Strict comparisons: at zero the else branch applies ('l' and 'r'
+    both land Below on a horizontal arrow, 'a' and 'b' Below on a
+    vertical one).  Unknown placements carry no label.
+    """
+    if placement == "l":
+        return LabelSide.ABOVE if dy > 0 else LabelSide.BELOW
+    if placement == "m":
+        return LabelSide.ON_LINE
+    if placement == "r":
+        return LabelSide.ABOVE if dy < 0 else LabelSide.BELOW
+    if placement == "a":
+        return LabelSide.ABOVE if dx > 0 else LabelSide.BELOW
+    if placement == "b":
+        return LabelSide.ABOVE if dx < 0 else LabelSide.BELOW
+    return LabelSide.NONE
+
 
 def measure_morphism_width(
     node_a: str,
@@ -66,13 +82,11 @@ class _Builder:
         self.nodes: List[Node] = []
         self.arrows: List[Arrow] = []
         self.warnings: List[Diagnostic] = []
-        self.seq = 0
         self.group = -1
 
     def _next(self) -> int:
-        s = self.seq
-        self.seq += 1
-        return s
+        """The next seq number: nodes and arrows count in creation order."""
+        return len(self.nodes) + len(self.arrows)
 
     def error(self, cmd: Command, message: str) -> ExpandError:
         return ExpandError(
@@ -85,42 +99,26 @@ class _Builder:
         )
 
     def node(
-        self, x: int, y: int, text: str, align: str = "", standalone: bool = False
+        self, at: Point, text: str, align: str = "", standalone: bool = False
     ) -> None:
-        self.nodes.append(
-            Node(Point(x, y), text, self._next(), align=align, standalone=standalone)
-        )
+        self.nodes.append(Node(at, text, self._next(), align=align, standalone=standalone))
 
     def arrow(self, **kw) -> None:
         self.arrows.append(Arrow(seq=self._next(), **kw))
 
-    def morphism(
-        self,
-        cmd: Command,
-        x: int,
-        y: int,
-        placement: str,
-        style: str,
-        dx: int,
-        dy: int,
-        text_a: str,
-        text_b: str,
-        label: str,
-        end: Optional[Tuple[int, int]] = None,
-    ) -> None:
+    def morphism(self, cmd: Command, start: Point, end: Point, placement: str,
+                 style: str, text_a: str, text_b: str, label: str) -> None:
         """One positioned arrow drawing both of its node texts.
 
-        An empty style token suppresses the edge entirely (shared edges
-        of the double-square shapes are emitted only once).
+        An empty style token draws nothing: no arrow, no nodes.
         """
         if style == "":
             return
-        if end is None:
-            end = (x + dx, y + dy)
+        dx, dy = end.x - start.x, end.y - start.y
         if dx == 0 and dy == 0:
             raise self.error(cmd, f"\\{cmd.kind}: degenerate arrow (zero displacement)")
-        self.node(x, y, text_a)
-        self.node(end[0], end[1], text_b)
+        self.node(start, text_a)
+        self.node(end, text_b)
         side = resolve_label_side(placement, dx, dy)
         if side is LabelSide.ON_LINE and label == "":
             side = LabelSide.NONE
@@ -130,298 +128,192 @@ class _Builder:
                 cmd,
                 f"\\{cmd.kind}: unknown placement {placement!r}, label dropped",
             )
-        self.arrow(
-            start=Point(x, y),
-            end=Point(end[0], end[1]),
-            style=style,
-            label=label,
-            side=side,
-            kind=KIND_POS,
-            start_text=text_a,
-            end_text=text_b,
-        )
+        self.arrow(start=start, end=end, style=style, label=label, side=side,
+                   kind=KIND_POS, start_text=text_a, end_text=text_b)
 
-    def stub(
-        self,
-        cmd: Command,
-        x: int,
-        y: int,
-        text: str,
-        dx: int,
-        dy: int,
-        style: str = ">",
-        free_at_start: bool = False,
-    ) -> None:
-        """Boundary stub: one end on a node, the other end free."""
+    def stub(self, cmd: Command, at: Point, text: str, dx: int, dy: int, style: str,
+             to_node: bool) -> None:
+        """Boundary stub: one end on a node, the other free at (dx, dy)
+        from it; ``to_node`` draws it from the free end to the node."""
         if dx == 0 and dy == 0:
             raise self.error(cmd, f"\\{cmd.kind}: degenerate stub (zero extent)")
-        if free_at_start:
-            self.node(x + dx, y + dy, text)
-            start_text, end_text = "", text
-        else:
-            self.node(x, y, text)
-            start_text, end_text = text, ""
-        self.arrow(
-            start=Point(x, y),
-            end=Point(x + dx, y + dy),
-            style=style,
-            label="",
-            side=LabelSide.NONE,
-            kind=KIND_POS,
-            start_text=start_text,
-            end_text=end_text,
-        )
+        free = Point(at.x + dx, at.y + dy)
+        self.node(at, text)
+        start, end, ends = (free, at, ("", text)) if to_node else (at, free, (text, ""))
+        self.arrow(start=start, end=end, style=style, label="", side=LabelSide.NONE,
+                   kind=KIND_POS, start_text=ends[0], end_text=ends[1])
 
 
-# -- shape programs ------------------------------------------------------
+# -- shapes as data ------------------------------------------------------
 
 
-def _square(
-    b: _Builder,
-    cmd: Command,
-    origin: Point,
-    placements: str,
-    styles: Sequence[str],
-    extent: Tuple[int, int],
-    nodes: Sequence[str],
-    labels: Sequence[str],
-) -> Tuple[int, int]:
-    """Corners A top-left, B top-right, C bottom-left, D bottom-right;
-    drawn bottom, left, top, right.  Returns the final cursor (top-right).
-    """
-    x, y = origin
+class _Edge(NamedTuple):
+    slot: int  # which placement, style and label draw it
+    a: int     # from node a to node b, by payload index
+    b: int
+
+
+class _Stub(NamedTuple):
+    bit: int   # drawn when this mask bit is set
+    node: int
+    dx: int    # the free end, in stub lengths from the node
+    dy: int
+    style: str
+    to_node: bool
+
+
+class _Shape(NamedTuple):
+    lattice: Tuple[Tuple[int, int], ...]  # node k at origin + (i*dx, j*dy)
+    program: tuple                       # _Edge and _Stub steps in drawing order
+    degenerate: str                      # the error for a zero dx or dy
+
+
+# Grid stub directions: out of the right side and the bottom; into the
+# left side and the top, drawn from the node with a reversed tip; and
+# "i", into the left side drawn to the node.
+_STUBS = {
+    "r": (1, 0, ">", False),
+    "d": (0, -1, ">", False),
+    "l": (-1, 0, "<-", False),
+    "u": (0, 1, "<-", False),
+    "i": (-1, 0, ">", True),
+}
+
+
+def _program(text: str) -> tuple:
+    """Steps from their notation: "cBD" draws slot c (the third
+    placement, style and label) from node B (the second payload node) to
+    node D; the grid stub "11Au" draws, if mask bit 11 is set, a stub on
+    node A going by ``_STUBS["u"]``."""
+    return tuple(
+        _Stub(int(s[:-2]), ord(s[-2]) - 65, *_STUBS[s[-1]]) if s[0].isdigit()
+        else _Edge(ord(s[0]) - 97, ord(s[1]) - 65, ord(s[2]) - 65)
+        for s in text.split()
+    )
+
+
+def _shape(lattice: str, program: str, degenerate: str = "degenerate extent") -> _Shape:
+    """A row from its notation: the lattice is "i,j" per payload node."""
+    points = tuple(tuple(int(v) for v in p.split(",")) for p in lattice.split())
+    return _Shape(points, _program(program), degenerate)
+
+
+_SQUARE_LATTICE = "0,1 1,1 0,0 1,0"  # A top-left, B top-right, C bottom-left, D bottom-right
+_EDGE = "degenerate edge (zero extent)"
+
+_SHAPES = {
+    "square": _shape(_SQUARE_LATTICE, "dCD bAC aAB cBD", _EDGE),  # bottom, left, top, right
+    "ptriangle": _shape("0,1 1,1 0,0", "aAB bAC cBC"),
+    "qtriangle": _shape("0,1 1,1 1,0", "aAB bAC cBC"),
+    "dtriangle": _shape("1,1 0,0 1,0", "cBC aAB bAC"),
+    "btriangle": _shape("0,1 0,0 1,0", "cBC aAB bAC"),
+    "Atriangle": _shape("1,1 0,0 2,0", "cBC aAB bAC"),
+    "Vtriangle": _shape("0,1 2,1 1,0", "bAC aAB cBC"),
+    "Ctriangle": _shape("1,2 0,1 1,0", "cBC aAB bAC"),
+    "Dtriangle": _shape("0,2 1,1 0,0", "cBC bAB aAC"),
+    "Atrianglepair": _shape("1,1 0,0 1,0 2,0", "dBC eCD aAB bAC cAD"),
+    "Vtrianglepair": _shape("0,1 1,1 2,1 1,0", "aAB cAD bBC dBD eCD"),
+    "Ctrianglepair": _shape("0,2 -1,1 0,1 0,0", "eCD cBC dBD aAB bAC"),
+    "Dtrianglepair": _shape("0,2 0,1 1,1 0,0", "cBC dBD aAB bAC eCD"),
+    # mask bits, LSB upward: right stubs out of rows bottom/middle/top,
+    # left stubs into rows bottom/middle/top, downward stubs out of the
+    # bottom row, upward stubs into the top row
+    "iiixiii": _shape(
+        "0,2 1,2 2,2 0,1 1,1 2,1 0,0 1,0 2,0",
+        "eGH 3Gl 8Gd fHI 7Hd 6Id 0Ir 1Fr dEF cDE 4Dl aAB 5Al 11Au bBC 10Bu 9Cu 2Cr"
+        " iCF hBE gAD jDG kEH lFI",
+    ),
+    # mask bits, LSB upward: into top-left, out of top-right, into
+    # bottom-left, out of bottom-right
+    "iiixii": _shape("0,1 1,1 2,1 0,0 1,0 2,0", "2Di cDE dEF 3Fr 0Ai aAB eAD bBC fBE gCF 1Cr"),
+}
+_SQUARE = _SHAPES["square"]
+# Double squares: each half is a square over its own four corners; the
+# shared edge is in one half's program only.
+_HSQUARES = (_shape(_SQUARE_LATTICE, "fCD cAC aAB dBD", _EDGE),
+             _shape(_SQUARE_LATTICE, "gCD bAB eBD", _EDGE))
+_VSQUARES_BOTTOM = _shape(_SQUARE_LATTICE, "gCD eAC fBD", _EDGE)
+# over the outer corners A-D then the inner ones E-H, and over the
+# square's corners then the trident's node E
+_CONNECTORS = _program("bBF aAE cCG dDH")
+_TRIDENT = _program("aEB bEA cEC")
+
+
+def _draw(b: _Builder, cmd: Command, program: tuple, pts: Sequence[Point],
+          texts: Sequence[str], placements: str, styles: Sequence[str],
+          labels: Sequence[str], mask: int = 0, stub: Sequence[int] = ()) -> None:
+    """Draw each step of ``program`` over nodes at ``pts`` named ``texts``."""
+    for step in program:
+        if type(step) is _Edge:
+            slot, i, j = step
+            b.morphism(cmd, pts[i], pts[j], placements[slot], styles[slot],
+                       texts[i], texts[j], labels[slot])
+        elif mask >> step.bit & 1:
+            b.stub(cmd, pts[step.node], texts[step.node], step.dx * stub[0],
+                   step.dy * stub[1], step.style, step.to_node)
+
+
+def _run(b: _Builder, cmd: Command, shape: _Shape, origin: Point, extent: Sequence[int],
+         part: Optional[SquarePart] = None,
+         texts: Optional[Sequence[str]] = None) -> List[Point]:
+    """Place ``shape`` at origin and extent and draw its program with the
+    sections of ``part`` (default: the command); returns the node points."""
     dx, dy = extent
     if dx == 0 or dy == 0:
-        raise b.error(cmd, f"\\{cmd.kind}: degenerate edge (zero extent)")
-    pa, pb, pc, pd = placements
-    sa, sb, sc, sd = styles
-    na, nb, nc, nd = nodes
-    la, lb, lc, ld = labels
-    b.morphism(cmd, x, y, pd, sd, dx, 0, nc, nd, ld)
-    y += dy
-    b.morphism(cmd, x, y, pb, sb, 0, -dy, na, nc, lb)
-    b.morphism(cmd, x, y, pa, sa, dx, 0, na, nb, la)
-    x += dx
-    b.morphism(cmd, x, y, pc, sc, 0, -dy, nb, nd, lc)
-    return x, y
+        raise b.error(cmd, f"\\{cmd.kind}: {shape.degenerate}")
+    x, y = origin
+    pts = [Point(x + i * dx, y + j * dy) for i, j in shape.lattice]
+    part = part or cmd
+    # an \iiixii stub has no height
+    _draw(b, cmd, shape.program, pts, texts or part.nodes, part.placements,
+          part.styles, part.labels, cmd.mask, (*cmd.stub, 0))
+    return pts
 
 
-def _expand_square(b: _Builder, cmd: Command) -> None:
-    _square(
-        b, cmd, cmd.origin, cmd.placements, cmd.styles,
-        (cmd.extent[0], cmd.extent[1]), cmd.nodes, cmd.labels,
+def _width(b: _Builder, cmd: Command, *edges: Tuple[int, int, int]) -> int:
+    """Auto width: the widest of the horizontal edges (node, node, label)."""
+    n, lb = cmd.nodes, cmd.labels
+    return max(
+        measure_morphism_width(n[i], n[j], lb[k], b.metrics, b.cfg.label_scale)
+        for i, j, k in edges
     )
 
 
-def _auto_width(b: _Builder, nodes: Sequence[str], labels: Sequence[str]) -> int:
-    """Top and bottom edges measured; the wider one wins."""
-    top = measure_morphism_width(
-        nodes[0], nodes[1], labels[0], b.metrics, b.cfg.label_scale
-    )
-    bot = measure_morphism_width(
-        nodes[2], nodes[3], labels[3], b.metrics, b.cfg.label_scale
-    )
-    return ratchet(top, bot)
+def _expand_shape(b: _Builder, cmd: Command) -> None:
+    """A square, triangle, triangle pair or 3x3 grid: its row of _SHAPES."""
+    _run(b, cmd, _SHAPES[cmd.kind], cmd.origin, cmd.extent)
+
+
+def _expand_grid3x2(b: _Builder, cmd: Command) -> None:
+    """Left stubs shift the whole lattice right by the stub length, drawn
+    or not."""
+    x, y = cmd.origin
+    _run(b, cmd, _SHAPES[cmd.kind], Point(x + cmd.stub[0], y), cmd.extent)
 
 
 def _expand_auto_square(b: _Builder, cmd: Command) -> None:
-    width = _auto_width(b, cmd.nodes, cmd.labels)
-    _square(
-        b, cmd, cmd.origin, cmd.placements, cmd.styles,
-        (width, cmd.extent[0]), cmd.nodes, cmd.labels,
-    )
-
-
-def _expand_morphism(b: _Builder, cmd: Command) -> None:
-    dx, dy = cmd.extent
-    b.morphism(
-        cmd, cmd.origin.x, cmd.origin.y, cmd.placements,
-        cmd.styles[0], dx, dy, cmd.nodes[0], cmd.nodes[1], cmd.labels[0],
-    )
-
-
-def _expand_vector(b: _Builder, cmd: Command) -> None:
-    dx, dy = cmd.extent
-    if dx == 0 and dy == 0:
-        raise b.error(cmd, "\\vector: degenerate arrow (zero displacement)")
-    start = cmd.origin
-    b.arrow(
-        start=start,
-        end=Point(start.x + dx, start.y + dy),
-        style=cmd.styles[0],
-        label="",
-        side=LabelSide.NONE,
-        kind=KIND_VECTOR,
-    )
-
-
-def _expand_place(b: _Builder, cmd: Command) -> None:
-    b.node(cmd.origin.x, cmd.origin.y, cmd.nodes[0], align=cmd.align, standalone=True)
-
-
-def _expand_triangle(b: _Builder, cmd: Command) -> None:
-    x, y = cmd.origin
-    dx, dy = cmd.extent
-    if dx == 0 or dy == 0:
-        raise b.error(cmd, f"\\{cmd.kind}: degenerate extent")
-    pa, pb, pc = cmd.placements
-    sa, sb, sc = cmd.styles
-    na, nb, nc = cmd.nodes
-    la, lb, lc = cmd.labels
-    kind = cmd.kind[0]
-    if kind == "p":
-        y += dy
-        b.morphism(cmd, x, y, pa, sa, dx, 0, na, nb, la)
-        b.morphism(cmd, x, y, pb, sb, 0, -dy, na, nc, lb)
-        x += dx
-        b.morphism(cmd, x, y, pc, sc, -dx, -dy, nb, nc, lc)
-    elif kind == "q":
-        y += dy
-        b.morphism(cmd, x, y, pa, sa, dx, 0, na, nb, la)
-        b.morphism(cmd, x, y, pb, sb, dx, -dy, na, nc, lb)
-        x += dx
-        b.morphism(cmd, x, y, pc, sc, 0, -dy, nb, nc, lc)
-    elif kind == "d":
-        b.morphism(cmd, x, y, pc, sc, dx, 0, nb, nc, lc)
-        y += dy
-        x += dx
-        b.morphism(cmd, x, y, pa, sa, -dx, -dy, na, nb, la)
-        b.morphism(cmd, x, y, pb, sb, 0, -dy, na, nc, lb)
-    elif kind == "b":
-        b.morphism(cmd, x, y, pc, sc, dx, 0, nb, nc, lc)
-        y += dy
-        b.morphism(cmd, x, y, pa, sa, 0, -dy, na, nb, la)
-        b.morphism(cmd, x, y, pb, sb, dx, -dy, na, nc, lb)
-    elif kind == "A":
-        # base doubled for the bottom edge, apex halfway up
-        b.morphism(cmd, x, y, pc, sc, 2 * dx, 0, nb, nc, lc)
-        y += dy
-        x += dx
-        b.morphism(cmd, x, y, pa, sa, -dx, -dy, na, nb, la)
-        b.morphism(cmd, x, y, pb, sb, dx, -dy, na, nc, lb)
-    elif kind == "V":
-        y += dy
-        b.morphism(cmd, x, y, pb, sb, dx, -dy, na, nc, lb)
-        b.morphism(cmd, x, y, pa, sa, 2 * dx, 0, na, nb, la)
-        x += 2 * dx
-        b.morphism(cmd, x, y, pc, sc, -dx, -dy, nb, nc, lc)
-    elif kind == "C":
-        # height doubled for the long vertical edge
-        y += dy
-        b.morphism(cmd, x, y, pc, sc, dx, -dy, nb, nc, lc)
-        y += dy
-        x += dx
-        b.morphism(cmd, x, y, pa, sa, -dx, -dy, na, nb, la)
-        b.morphism(cmd, x, y, pb, sb, 0, -2 * dy, na, nc, lb)
-    else:  # "D"
-        x += dx
-        y += dy
-        b.morphism(cmd, x, y, pc, sc, -dx, -dy, nb, nc, lc)
-        x -= dx
-        y += dy
-        b.morphism(cmd, x, y, pb, sb, dx, -dy, na, nb, lb)
-        b.morphism(cmd, x, y, pa, sa, 0, -2 * dy, na, nc, la)
-
-
-def _expand_triangle_pair(b: _Builder, cmd: Command) -> None:
-    x, y = cmd.origin
-    dx, dy = cmd.extent
-    if dx == 0 or dy == 0:
-        raise b.error(cmd, f"\\{cmd.kind}: degenerate extent")
-    pa, pb, pc, pd, pe = cmd.placements
-    sa, sb, sc, sd, se = cmd.styles
-    na, nb, nc, nd = cmd.nodes
-    la, lb, lc, ld, le = cmd.labels
-    kind = cmd.kind[0]
-    if kind == "A":
-        b.morphism(cmd, x, y, pd, sd, dx, 0, nb, nc, ld)
-        x += dx
-        b.morphism(cmd, x, y, pe, se, dx, 0, nc, nd, le)
-        y += dy
-        b.morphism(cmd, x, y, pa, sa, -dx, -dy, na, nb, la)
-        b.morphism(cmd, x, y, pb, sb, 0, -dy, na, nc, lb)
-        b.morphism(cmd, x, y, pc, sc, dx, -dy, na, nd, lc)
-    elif kind == "V":
-        y += dy
-        b.morphism(cmd, x, y, pa, sa, dx, 0, na, nb, la)
-        b.morphism(cmd, x, y, pc, sc, dx, -dy, na, nd, lc)
-        x += dx
-        b.morphism(cmd, x, y, pb, sb, dx, 0, nb, nc, lb)
-        b.morphism(cmd, x, y, pd, sd, 0, -dy, nb, nd, ld)
-        x += dx
-        b.morphism(cmd, x, y, pe, se, -dx, -dy, nc, nd, le)
-    elif kind == "C":
-        y += dy
-        b.morphism(cmd, x, y, pe, se, 0, -dy, nc, nd, le)
-        x -= dx
-        b.morphism(cmd, x, y, pc, sc, dx, 0, nb, nc, lc)
-        b.morphism(cmd, x, y, pd, sd, dx, -dy, nb, nd, ld)
-        y += dy
-        x += dx
-        b.morphism(cmd, x, y, pa, sa, -dx, -dy, na, nb, la)
-        b.morphism(cmd, x, y, pb, sb, 0, -dy, na, nc, lb)
-    else:  # "D"
-        y += dy
-        b.morphism(cmd, x, y, pc, sc, dx, 0, nb, nc, lc)
-        b.morphism(cmd, x, y, pd, sd, 0, -dy, nb, nd, ld)
-        y += dy
-        b.morphism(cmd, x, y, pa, sa, 0, -dy, na, nb, la)
-        b.morphism(cmd, x, y, pb, sb, dx, -dy, na, nc, lb)
-        y -= dy
-        x += dx
-        b.morphism(cmd, x, y, pe, se, -dx, -dy, nc, nd, le)
+    """Top and bottom edges measured; the wider one wins."""
+    _run(b, cmd, _SQUARE, cmd.origin, (_width(b, cmd, (0, 1, 0), (2, 3, 3)), cmd.extent[0]))
 
 
 def _expand_hsquares(b: _Builder, cmd: Command) -> None:
-    """Two auto-width squares abreast; the shared vertical edge is the
-    first square's right edge, width measured per square."""
-    height = cmd.extent[0]
-    p = cmd.placements
-    s = cmd.styles
-    n = cmd.nodes
-    lb = cmd.labels
-    first_nodes = (n[0], n[1], n[3], n[4])
-    first_labels = (lb[0], lb[2], lb[3], lb[5])
-    w1 = _auto_width(b, first_nodes, first_labels)
-    _square(
-        b, cmd, cmd.origin, p[0] + p[2] + p[3] + p[5],
-        (s[0], s[2], s[3], s[5]), (w1, height), first_nodes, first_labels,
-    )
-    second_nodes = (n[1], n[2], n[4], n[5])
-    second_labels = (lb[1], "", lb[4], lb[6])
-    w2 = _auto_width(b, second_nodes, second_labels)
-    _square(
-        b, cmd, Point(cmd.origin.x + w1, cmd.origin.y),
-        p[1] + p[3] + p[4] + p[6], (s[1], "", s[4], s[6]), (w2, height),
-        second_nodes, second_labels,
-    )
+    """Two auto-width squares abreast, each measured on its own top and
+    bottom edges; the second leaves out the shared vertical edge."""
+    (x, y), height, n = cmd.origin, cmd.extent[0], cmd.nodes
+    w1 = _width(b, cmd, (0, 1, 0), (3, 4, 5))
+    _run(b, cmd, _HSQUARES[0], cmd.origin, (w1, height), texts=n[:2] + n[3:5])
+    w2 = _width(b, cmd, (1, 2, 1), (4, 5, 6))
+    _run(b, cmd, _HSQUARES[1], Point(x + w1, y), (w2, height), texts=n[1:3] + n[4:])
 
 
 def _expand_vsquares(b: _Builder, cmd: Command) -> None:
-    """Two stacked squares; width is the max of the three horizontal-edge
-    measurements; heights are <bottom,top>."""
-    bottom_h, top_h = cmd.extent
-    p = cmd.placements
-    s = cmd.styles
-    n = cmd.nodes
-    lb = cmd.labels
-    width = measure_morphism_width(n[0], n[1], lb[0], b.metrics, b.cfg.label_scale)
-    width = ratchet(
-        width, measure_morphism_width(n[2], n[3], lb[3], b.metrics, b.cfg.label_scale)
-    )
-    width = ratchet(
-        width, measure_morphism_width(n[4], n[5], lb[6], b.metrics, b.cfg.label_scale)
-    )
-    _square(
-        b, cmd, cmd.origin, p[3] + p[4] + p[5] + p[6],
-        ("", s[4], s[5], s[6]), (width, bottom_h),
-        (n[2], n[3], n[4], n[5]), ("", lb[4], lb[5], lb[6]),
-    )
-    _square(
-        b, cmd, Point(cmd.origin.x, cmd.origin.y + bottom_h),
-        p[0] + p[1] + p[2] + p[3], (s[0], s[1], s[2], s[3]), (width, top_h),
-        (n[0], n[1], n[2], n[3]), (lb[0], lb[1], lb[2], lb[3]),
-    )
+    """Two stacked squares <bottom,top> high, as wide as the widest of
+    their three horizontal edges; the bottom one leaves out the shared
+    edge."""
+    (x, y), (bottom, top), n = cmd.origin, cmd.extent, cmd.nodes
+    width = _width(b, cmd, (0, 1, 0), (2, 3, 3), (4, 5, 6))
+    _run(b, cmd, _VSQUARES_BOTTOM, cmd.origin, (width, bottom), texts=n[2:])
+    _run(b, cmd, _SQUARE, Point(x, y + bottom), (width, top), texts=n[:4])
 
 
 def _expand_cube(b: _Builder, cmd: Command) -> None:
@@ -429,224 +321,76 @@ def _expand_cube(b: _Builder, cmd: Command) -> None:
     B, A, C, D, each running outer corner to inner corner."""
     inner = cmd.inner
     assert inner is not None
-    odx, ody = cmd.extent
-    idx, idy = inner.extent
-    bx, by = _square(
-        b, cmd, cmd.origin, cmd.placements, cmd.styles, (odx, ody),
-        cmd.nodes, cmd.labels,
-    )
-    ex, ey = _square(
-        b, cmd, inner.origin, inner.placements, inner.styles, (idx, idy),
-        inner.nodes, inner.labels,
-    )
-    c1, c2, c3, c4 = cmd.conn_placements
-    t1, t2, t3, t4 = cmd.conn_styles
-    l1, l2, l3, l4 = cmd.conn_labels
-    outer_n, inner_n = cmd.nodes, inner.nodes
-    b.morphism(cmd, bx, by, c2, t2, ex - bx, ey - by, outer_n[1], inner_n[1], l2)
-    bx -= odx
-    ex -= idx
-    b.morphism(cmd, bx, by, c1, t1, ex - bx, ey - by, outer_n[0], inner_n[0], l1)
-    by -= ody
-    ey -= idy
-    b.morphism(cmd, bx, by, c3, t3, ex - bx, ey - by, outer_n[2], inner_n[2], l3)
-    bx += odx
-    ex += idx
-    b.morphism(cmd, bx, by, c4, t4, ex - bx, ey - by, outer_n[3], inner_n[3], l4)
-    if not (
-        cmd.origin.x <= inner.origin.x
-        and cmd.origin.y <= inner.origin.y
-        and inner.origin.x + idx <= cmd.origin.x + odx
-        and inner.origin.y + idy <= cmd.origin.y + ody
-    ):
+    pts = _run(b, cmd, _SQUARE, cmd.origin, cmd.extent)
+    pts += _run(b, cmd, _SQUARE, inner.origin, inner.extent, inner)
+    _draw(b, cmd, _CONNECTORS, pts, cmd.nodes + inner.nodes,
+          cmd.conn_placements, cmd.conn_styles, cmd.conn_labels)
+    (ox, oy), (odx, ody) = cmd.origin, cmd.extent
+    (ix, iy), (idx, idy) = inner.origin, inner.extent
+    if not (ox <= ix and oy <= iy and ix + idx <= ox + odx and iy + idy <= oy + ody):
         b.warn(cmd, "\\cube: inner square does not lie inside the outer square")
 
 
 def _expand_pullback(b: _Builder, cmd: Command) -> None:
-    """Square plus the trident node reaching its three near corners."""
+    """Square plus the trident node, <p7,p8> left of and above corner A,
+    reaching corners B, A and C."""
     tri = cmd.trident
     assert tri is not None
+    pts = _run(b, cmd, _SQUARE, cmd.origin, cmd.extent)
+    pts.append(Point(pts[0].x - tri.offset[0], pts[0].y + tri.offset[1]))
+    _draw(b, cmd, _TRIDENT, pts, cmd.nodes + (tri.node,),
+          tri.placements, tri.styles, tri.labels)
+
+
+def _expand_morphism(b: _Builder, cmd: Command) -> None:
+    (x, y), (dx, dy) = cmd.origin, cmd.extent
+    b.morphism(cmd, cmd.origin, Point(x + dx, y + dy), cmd.placements,
+               cmd.styles[0], cmd.nodes[0], cmd.nodes[1], cmd.labels[0])
+
+
+def _expand_vector(b: _Builder, cmd: Command) -> None:
     dx, dy = cmd.extent
-    x, y = _square(
-        b, cmd, cmd.origin, cmd.placements, cmd.styles, (dx, dy),
-        cmd.nodes, cmd.labels,
-    )
-    p7, p8 = tri.offset
-    x -= dx
-    x -= p7
-    y += p8
-    na, nb, nc = cmd.nodes[0], cmd.nodes[1], cmd.nodes[2]
-    b.morphism(cmd, x, y, tri.placements[0], tri.styles[0], dx + p7, -p8,
-               tri.node, nb, tri.labels[0])
-    b.morphism(cmd, x, y, tri.placements[1], tri.styles[1], p7, -p8,
-               tri.node, na, tri.labels[1])
-    b.morphism(cmd, x, y, tri.placements[2], tri.styles[2], p7, -(dy + p8),
-               tri.node, nc, tri.labels[2])
+    if dx == 0 and dy == 0:
+        raise b.error(cmd, "\\vector: degenerate arrow (zero displacement)")
+    start = cmd.origin
+    b.arrow(start=start, end=Point(start.x + dx, start.y + dy), style=cmd.styles[0],
+            label="", side=LabelSide.NONE, kind=KIND_VECTOR)
 
 
-def _expand_grid3x3(b: _Builder, cmd: Command) -> None:
-    """3x3 lattice with twelve labeled arrows plus masked boundary stubs.
-
-    Bits, LSB upward: right stubs out of rows bottom/middle/top, left
-    stubs into rows bottom/middle/top, downward stubs out of the bottom
-    row, upward stubs into the top row.
-    """
-    x, y = cmd.origin
-    dx, dy = cmd.extent
-    if dx == 0 or dy == 0:
-        raise b.error(cmd, "\\iiixiii: degenerate extent")
-    sx, sy = cmd.stub
-    p = cmd.placements
-    s = cmd.styles
-    n = cmd.nodes
-    lb = cmd.labels
-    bit = [bool(cmd.mask >> i & 1) for i in range(12)]
-    # 0=zl 1=zk 2=zj 3=zi 4=zh 5=zg 6=zf 7=ze 8=zd 9=zc 10=zb 11=za
-    b.morphism(cmd, x, y, p[4], s[4], dx, 0, n[6], n[7], lb[4])
-    if bit[3]:
-        b.stub(cmd, x, y, n[6], -sx, 0, style="<-")
-    if bit[8]:
-        b.stub(cmd, x, y, n[6], 0, -sy)
-    x += dx
-    b.morphism(cmd, x, y, p[5], s[5], dx, 0, n[7], n[8], lb[5])
-    if bit[7]:
-        b.stub(cmd, x, y, n[7], 0, -sy)
-    x += dx
-    if bit[6]:
-        b.stub(cmd, x, y, n[8], 0, -sy)
-    if bit[0]:
-        b.stub(cmd, x, y, n[8], sx, 0)
-    y += dy
-    if bit[1]:
-        b.stub(cmd, x, y, n[5], sx, 0)
-    x -= dx
-    b.morphism(cmd, x, y, p[3], s[3], dx, 0, n[4], n[5], lb[3])
-    x -= dx
-    b.morphism(cmd, x, y, p[2], s[2], dx, 0, n[3], n[4], lb[2])
-    if bit[4]:
-        b.stub(cmd, x, y, n[3], -sx, 0, style="<-")
-    y += dy
-    b.morphism(cmd, x, y, p[0], s[0], dx, 0, n[0], n[1], lb[0])
-    if bit[5]:
-        b.stub(cmd, x, y, n[0], -sx, 0, style="<-")
-    if bit[11]:
-        b.stub(cmd, x, y, n[0], 0, sy, style="<-")
-    x += dx
-    b.morphism(cmd, x, y, p[1], s[1], dx, 0, n[1], n[2], lb[1])
-    if bit[10]:
-        b.stub(cmd, x, y, n[1], 0, sy, style="<-")
-    x += dx
-    if bit[9]:
-        b.stub(cmd, x, y, n[2], 0, sy, style="<-")
-    if bit[2]:
-        b.stub(cmd, x, y, n[2], sx, 0)
-    b.morphism(cmd, x, y, p[8], s[8], 0, -dy, n[2], n[5], lb[8])
-    x -= dx
-    b.morphism(cmd, x, y, p[7], s[7], 0, -dy, n[1], n[4], lb[7])
-    x -= dx
-    b.morphism(cmd, x, y, p[6], s[6], 0, -dy, n[0], n[3], lb[6])
-    y -= dy
-    b.morphism(cmd, x, y, p[9], s[9], 0, -dy, n[3], n[6], lb[9])
-    x += dx
-    b.morphism(cmd, x, y, p[10], s[10], 0, -dy, n[4], n[7], lb[10])
-    x += dx
-    b.morphism(cmd, x, y, p[11], s[11], 0, -dy, n[5], n[8], lb[11])
+def _expand_place(b: _Builder, cmd: Command) -> None:
+    b.node(cmd.origin, cmd.nodes[0], align=cmd.align, standalone=True)
 
 
-def _expand_grid3x2(b: _Builder, cmd: Command) -> None:
-    """2x3 lattice; left stubs shift the whole lattice right by the stub
-    length (the cursor advance is unconditional).
-
-    Bits, LSB upward: into top-left, out of top-right, into bottom-left,
-    out of bottom-right.
-    """
-    x, y = cmd.origin
-    dx, dy = cmd.extent
-    if dx == 0 or dy == 0:
-        raise b.error(cmd, "\\iiixii: degenerate extent")
-    sx = cmd.stub[0]
-    p = cmd.placements
-    s = cmd.styles
-    n = cmd.nodes
-    lb = cmd.labels
-    bit = [bool(cmd.mask >> i & 1) for i in range(4)]  # za zb zc zd
-    if bit[2]:
-        b.stub(cmd, x, y, n[3], sx, 0, free_at_start=True)
-    x += sx
-    b.morphism(cmd, x, y, p[2], s[2], dx, 0, n[3], n[4], lb[2])
-    x += dx
-    b.morphism(cmd, x, y, p[3], s[3], dx, 0, n[4], n[5], lb[3])
-    x += dx
-    if bit[3]:
-        b.stub(cmd, x, y, n[5], sx, 0)
-    x -= sx + 2 * dx
-    y += dy
-    if bit[0]:
-        b.stub(cmd, x, y, n[0], sx, 0, free_at_start=True)
-    x += sx
-    b.morphism(cmd, x, y, p[0], s[0], dx, 0, n[0], n[1], lb[0])
-    b.morphism(cmd, x, y, p[4], s[4], 0, -dy, n[0], n[3], lb[4])
-    x += dx
-    b.morphism(cmd, x, y, p[1], s[1], dx, 0, n[1], n[2], lb[1])
-    b.morphism(cmd, x, y, p[5], s[5], 0, -dy, n[1], n[4], lb[5])
-    x += dx
-    b.morphism(cmd, x, y, p[6], s[6], 0, -dy, n[2], n[5], lb[6])
-    if bit[1]:
-        b.stub(cmd, x, y, n[2], sx, 0)
-
-
-def _inline_auto_length(
-    b: _Builder, labels: Iterable[str], floor: int
-) -> int:
-    width = max(text_width(l, b.cfg.label_scale, b.metrics) for l in labels)
-    return ratchet(width + DEFAULT_MARGIN, floor)
+# Inline arrows by command: kind, auto-length floor, and in drawing
+# order each arrow's style and label slot, side and parallel offset (pt).
+# \to carries its second label on its one arrow.
+_INLINE = {
+    "to": (KIND_TO, 200, ((0, LabelSide.ABOVE, Fraction(0)),)),
+    "two": (KIND_TWO, 200, ((0, LabelSide.ABOVE, Fraction(5, 2)),
+                            (1, LabelSide.BELOW, Fraction(-5, 2)))),
+    "three": (KIND_THREE, 300, ((1, LabelSide.ON_LINE, Fraction(0)),
+                                (0, LabelSide.ABOVE, Fraction(9, 2)),
+                                (2, LabelSide.BELOW, Fraction(-9, 2)))),
+}
 
 
 def _expand_inline(b: _Builder, cmd: Command) -> None:
     """Horizontal inline arrows from (0,0); auto length is the widest
-    label plus a margin, floored at 200 (single/pair) or 300 (triple)."""
+    label plus a margin, ratcheted to the command's floor.  An on-line
+    label that is empty leaves the arrow unlabeled."""
     if cmd.length < 0:
         raise b.error(cmd, f"\\{cmd.kind}: negative explicit length")
-    floor = 300 if cmd.kind == "three" else 200
-    length = cmd.length or _inline_auto_length(b, cmd.labels, floor)
-    end = Point(length, 0)
-    group = b.group
-    if cmd.kind == "to":
-        sup, sub = cmd.labels
-        b.arrow(
-            start=Point(0, 0), end=end, style=cmd.styles[0], label=sup,
-            side=LabelSide.ABOVE, kind=KIND_TO, label2=sub, group=group,
-        )
-        return
-    if cmd.kind == "two":
-        sup, sub = cmd.labels
-        b.arrow(
-            start=Point(0, 0), end=end, style=cmd.styles[0], label=sup,
-            side=LabelSide.ABOVE, kind=KIND_TWO,
-            offset_pt=Fraction(5, 2), group=group,
-        )
-        b.arrow(
-            start=Point(0, 0), end=end, style=cmd.styles[1], label=sub,
-            side=LabelSide.BELOW, kind=KIND_TWO,
-            offset_pt=Fraction(-5, 2), group=group,
-        )
-        return
-    sup, mid, sub = cmd.labels
-    b.arrow(
-        start=Point(0, 0), end=end, style=cmd.styles[1], label=mid,
-        side=LabelSide.ON_LINE if mid else LabelSide.NONE,
-        kind=KIND_THREE, group=group,
-    )
-    b.arrow(
-        start=Point(0, 0), end=end, style=cmd.styles[0], label=sup,
-        side=LabelSide.ABOVE, kind=KIND_THREE,
-        offset_pt=Fraction(9, 2), group=group,
-    )
-    b.arrow(
-        start=Point(0, 0), end=end, style=cmd.styles[2], label=sub,
-        side=LabelSide.BELOW, kind=KIND_THREE,
-        offset_pt=Fraction(-9, 2), group=group,
-    )
+    kind, floor, arrows = _INLINE[cmd.kind]
+    labels = cmd.labels
+    length = cmd.length or ratchet(DEFAULT_MARGIN + max(
+        text_width(l, b.cfg.label_scale, b.metrics) for l in labels), floor)
+    label2 = labels[1] if cmd.kind == "to" else ""
+    for slot, side, offset in arrows:
+        if side is LabelSide.ON_LINE and not labels[slot]:
+            side = LabelSide.NONE
+        b.arrow(start=Point(0, 0), end=Point(length, 0), style=cmd.styles[slot],
+                label=labels[slot], side=side, kind=kind, label2=label2,
+                offset_pt=offset, group=b.group)
 
 
 def two_cell_endpoint(i: int, j: int) -> Tuple[int, int]:
@@ -670,19 +414,15 @@ def _expand_twoar(b: _Builder, cmd: Command) -> None:
     if i == 0 and j == 0:
         raise b.error(cmd, "\\twoar: zero direction")
     x, y = two_cell_endpoint(i, j)
-    b.arrow(
-        start=Point(0, 0), end=Point(x, y), style="=>", label="",
-        side=LabelSide.NONE, kind=KIND_TWOAR,
-        local_scale=Fraction(1, 10), group=b.group,
-    )
+    b.arrow(start=Point(0, 0), end=Point(x, y), style="=>", label="", side=LabelSide.NONE,
+            kind=KIND_TWOAR, local_scale=Fraction(1, 10), group=b.group)
 
 
 # each shape program by its name in the command table: ``_expand_<name>``
 _PROGRAMS = {f.__name__[len("_expand_"):]: f for f in (
-    _expand_morphism, _expand_vector, _expand_place, _expand_square, _expand_auto_square,
-    _expand_triangle, _expand_triangle_pair, _expand_hsquares, _expand_vsquares,
-    _expand_cube, _expand_pullback, _expand_grid3x3, _expand_grid3x2, _expand_inline,
-    _expand_twoar,
+    _expand_morphism, _expand_vector, _expand_place, _expand_shape, _expand_auto_square,
+    _expand_hsquares, _expand_vsquares, _expand_cube, _expand_pullback, _expand_grid3x2,
+    _expand_inline, _expand_twoar,
 )}
 _EXPANDERS = {
     kind: _PROGRAMS[chain.program] for kind, chain in COMMANDS.items() if chain.program

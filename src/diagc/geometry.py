@@ -101,11 +101,6 @@ class ScaleConfig:
             raise ValueError("label scale must be in (0, 1]")
 
 
-def to_em(length: int, cfg: ScaleConfig) -> Fraction:
-    """Physical length in em: length x 0.01 em x cfg.scale."""
-    return Fraction(length) * cfg.scale / 100
-
-
 def decimal_formatter(den: int) -> Tuple[Callable[[int], str], bool]:
     """(num -> decimal of num / den, whether every such decimal is exact).
 

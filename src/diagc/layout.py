@@ -32,26 +32,6 @@ Span = Tuple[IPoint, IPoint]
 Ratio = Tuple[int, int]            # num, den with den > 0
 
 
-def resolve_label_side(placement: str, dx: int, dy: int) -> LabelSide:
-    """Which side of travel a label sits on, by placement character.
-
-    Strict comparisons: at zero the else branch applies ('l' and 'r'
-    both land Below on a horizontal arrow, 'a' and 'b' Below on a
-    vertical one).  Unknown placements carry no label.
-    """
-    if placement == "l":
-        return LabelSide.ABOVE if dy > 0 else LabelSide.BELOW
-    if placement == "m":
-        return LabelSide.ON_LINE
-    if placement == "r":
-        return LabelSide.ABOVE if dy < 0 else LabelSide.BELOW
-    if placement == "a":
-        return LabelSide.ABOVE if dx > 0 else LabelSide.BELOW
-    if placement == "b":
-        return LabelSide.ABOVE if dx < 0 else LabelSide.BELOW
-    return LabelSide.NONE
-
-
 def baseline_offset(cfg: ScaleConfig) -> Point:
     """Box shift placing the anchor 0.75 ex below the text-box center."""
     return Point(0, round_half_away(75 * cfg.ex_ratio))

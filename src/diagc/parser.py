@@ -558,23 +558,23 @@ COMMANDS: Dict[str, _Chain] = {
                      _Styles(1, required=True), _Ints("extent", "<", 2)),
     "place": _Chain("place", _Align("align", 1, ""),
                     _Ints("origin", "(", 2, make=Point._make), _Payload(1, 0)),
-    "square": _shape("square", "alrb", (500, 500), 4, 4),
+    "square": _shape("shape", "alrb", (500, 500), 4, 4),
     "Square": _shape("auto_square", "alrb", (500,), 4, 4),
-    "ptriangle": _shape("triangle", "alr", (500, 500), 3, 3),
-    "qtriangle": _shape("triangle", "alr", (500, 500), 3, 3),
-    "dtriangle": _shape("triangle", "lrb", (500, 500), 3, 3),
-    "btriangle": _shape("triangle", "lrb", (500, 500), 3, 3),
-    "Atriangle": _shape("triangle", "lrb", (500, 500), 3, 3),
-    "Vtriangle": _shape("triangle", "alb", (500, 500), 3, 3),
-    "Ctriangle": _shape("triangle", "arb", (500, 500), 3, 3),
-    "Dtriangle": _shape("triangle", "alb", (500, 500), 3, 3),
-    "Atrianglepair": _shape("triangle_pair", "lmrbb", (500, 500), 4, 5),
-    "Vtrianglepair": _shape("triangle_pair", "aalmr", (500, 500), 4, 5),
-    "Ctrianglepair": _shape("triangle_pair", "lrmlr", (500, 500), 4, 5),
-    "Dtrianglepair": _shape("triangle_pair", "lrmlr", (500, 500), 4, 5),
+    "ptriangle": _shape("shape", "alr", (500, 500), 3, 3),
+    "qtriangle": _shape("shape", "alr", (500, 500), 3, 3),
+    "dtriangle": _shape("shape", "lrb", (500, 500), 3, 3),
+    "btriangle": _shape("shape", "lrb", (500, 500), 3, 3),
+    "Atriangle": _shape("shape", "lrb", (500, 500), 3, 3),
+    "Vtriangle": _shape("shape", "alb", (500, 500), 3, 3),
+    "Ctriangle": _shape("shape", "arb", (500, 500), 3, 3),
+    "Dtriangle": _shape("shape", "alb", (500, 500), 3, 3),
+    "Atrianglepair": _shape("shape", "lmrbb", (500, 500), 4, 5),
+    "Vtrianglepair": _shape("shape", "aalmr", (500, 500), 4, 5),
+    "Ctrianglepair": _shape("shape", "lrmlr", (500, 500), 4, 5),
+    "Dtrianglepair": _shape("shape", "lrmlr", (500, 500), 4, 5),
     "hSquares": _shape("hsquares", "aalmrbb", (500,), 6, 7),
     "vSquares": _shape("vsquares", "alrmlrb", (500, 500), 6, 7),  # <bottom,top>
-    "iiixiii": _Chain("grid3x3", *_head("aammbblmrlmr", (500, 500)),
+    "iiixiii": _Chain("shape", *_head("aammbblmrlmr", (500, 500)),
                       _Mask(4096, (400, 400), (0, 0)), _Payload(9, 12)),
     "iiixii": _Chain("grid3x2", *_head("aabblmr", (500, 500)),
                      _Mask(16, (0,), (0,)), _Payload(6, 7)),

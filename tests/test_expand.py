@@ -1,6 +1,9 @@
 """Expansion: the traced coordinate table, widths, grids, properties."""
+import ast
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,7 @@ from shape_fixtures import FIXTURES
 from diagc import (
     ExpandError,
     LabelSide,
+    LayoutError,
     Point,
     ScaleConfig,
     compile_source,
@@ -416,9 +420,61 @@ def test_auto_width_nondecreasing_in_label_length():
     assert widths[0] == 500
 
 
-def test_empty_style_suppresses_nothing_visible_here():
-    # the shared-edge suppression only ever comes from the double-square
-    # shapes; direct empty style on a morphism is rejected by the grammar
+def test_empty_style_token_omits_its_edge():
+    # the grammar accepts an empty style token: the edge it styles is not
+    # drawn, and neither are that edge's two nodes
+    fig = _expand_one("\\square/`>`>`>/[A`B`C`D;f`g`h`k]")
+    assert [(a.start_text, a.end_text, a.label) for a in fig.raw_ir.arrows] == [
+        ("C", "D", "k"), ("A", "C", "g"), ("B", "D", "h")]
+    assert len(fig.raw_ir.nodes) == 6 and not fig.warnings
+    # a figure whose only edge is omitted draws nothing
+    with pytest.raises(LayoutError, match="empty diagram: nothing to draw") as err:
+        compile_source("\\morphism//[A`B;f]")
+    assert (err.value.diagnostic.line, err.value.diagnostic.col) == (1, 1)
+    # the double squares draw their shared edge once
     ir = _expand_one("\\hSquares[A`B`C`D`E`F;f`g`h`i`j`k`l]").ir
     assert len(ir.arrows) == 7
     assert ("B", "E") in {(a.start_text, a.end_text) for a in ir.arrows}
+
+
+SQUARE4 = "[A`B`C`D;f`g`h`k]"
+INNER = "[a`b`c`d;p`q`r`s][w`x`y`z]"
+
+
+@pytest.mark.parametrize("command, message", [
+    ("\\square<0,500>" + SQUARE4, "degenerate edge (zero extent)"),
+    ("\\Square<0>" + SQUARE4, "degenerate edge (zero extent)"),
+    ("\\hSquares<0>" + GRID32, "degenerate edge (zero extent)"),
+    ("\\vSquares<0,500>" + GRID32, "degenerate edge (zero extent)"),
+    ("\\vSquares<500,0>" + GRID32, "degenerate edge (zero extent)"),
+    ("\\pullback<500,0>" + SQUARE4 + "[E;p`q`r]", "degenerate edge (zero extent)"),
+    ("\\cube<0,1500>" + SQUARE4 + INNER, "degenerate edge (zero extent)"),
+    ("\\cube" + SQUARE4 + "(500,500)<500,0>" + INNER, "degenerate edge (zero extent)"),
+    ("\\ptriangle<500,0>[A`B`C;f`g`h]", "degenerate extent"),
+    ("\\Dtriangle<0,500>[A`B`C;f`g`h]", "degenerate extent"),
+    ("\\Ctrianglepair<0,500>[A`B`C`D;f`g`h`i`j]", "degenerate extent"),
+    ("\\iiixiii<500,0>" + GRID33, "degenerate extent"),
+    ("\\iiixii<0,500>" + GRID32, "degenerate extent"),
+    ("\\cube" + SQUARE4 + "(0,0)<1500,1500>" + INNER, "degenerate arrow (zero displacement)"),
+    ("\\pullback" + SQUARE4 + "<0,0>[E;p`q`r]", "degenerate arrow (zero displacement)"),
+    ("\\iiixiii{8}<0,400>" + GRID33, "degenerate stub (zero extent)"),
+    ("\\iiixii{1}" + GRID32, "degenerate stub (zero extent)"),
+])
+def test_degenerate_diagnostics_text_and_position(command, message):
+    # the failing command sits at line 2, column 3, after a good one
+    with pytest.raises(ExpandError) as err:
+        compile_source("\\place(0,0)[X]\n  " + command)
+    d = err.value.diagnostic
+    kind = re.match(r"\\(\w+)", command).group(1)
+    assert (d.message, d.line, d.col) == (f"\\{kind}: {message}", 2, 3)
+
+
+def test_shape_fixtures_import_nothing_from_diagc():
+    # the traced table is an oracle only while it is written by hand, so
+    # it may never be generated from the expander's own shape table
+    path = Path(__file__).with_name("shape_fixtures.py")
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "diagc" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and (node.module or "").split(".")[0] != "diagc"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from diagc import ScaleConfig, ratchet, tex_div, to_em
+from diagc import ScaleConfig, ratchet, tex_div
 from diagc.geometry import as_fraction, format_decimal, pt_to_centiem, round_half_away
 
 
@@ -43,12 +43,6 @@ def test_tex_div_matches_truncation_oracle():
 def test_tex_div_zero_divisor():
     with pytest.raises(ZeroDivisionError):
         tex_div(1, 0)
-
-
-def test_to_em_examples():
-    assert to_em(500, ScaleConfig()) == 5
-    assert to_em(0, ScaleConfig(scale=Fraction(3, 7))) == 0
-    assert to_em(1000, ScaleConfig(scale=Fraction(1, 10))) == 1
 
 
 def test_round_half_away():
