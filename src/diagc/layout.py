@@ -1,4 +1,4 @@
-"""Drawable geometry: label sides, clipping, offsets, labels, boxes.
+"""Drawable geometry: clipping, offsets, labels, knockouts, boxes.
 
 Layout coordinates are plain integers in milli-centi-em: QUANTUM of
 them make one centi-em.  Each point is its exact rational position
@@ -7,6 +7,15 @@ zero (``round_div`` over the whole exact sum).  The only float is the
 unit vector of a diagonal direction, which enters at its exact binary
 value.  Nothing here depends on the render scale, so rendering at scale
 s yields coordinates exactly s times the scale-1 coordinates.
+
+A horizontal or vertical arrow at local scale 1 with no offset (every
+edge of a square grid) needs no rational at all: each clipped end is
+its endpoint shifted by an integer along the axis, and an above or
+below label centre is the anchor shifted by the label gap across it,
+so the one rounding left is the anchor midpoint.  Every other arrow
+takes the general path, which gives the same points on these.  Node and
+label widths come from ``text_width``, a plain table sum for text with
+no ``\\``.  The records are named tuples.
 """
 from __future__ import annotations
 
@@ -62,24 +71,21 @@ def _along(x: int, y: int, dx: int, dy: int, den: int, t: Ratio) -> IPoint:
     return (round_div(x * td + dx * tn, den * td), round_div(y * td + dy * tn, den * td))
 
 
-@dataclass(frozen=True)
-class PlacedNode:
+class PlacedNode(NamedTuple):
     node: Node
     center: IPoint        # drawn box center: anchor + align + baseline shift
     half_w: int
     half_h: int
 
 
-@dataclass(frozen=True)
-class PlacedLabel:
+class PlacedLabel(NamedTuple):
     text: str
     side: LabelSide
     center: IPoint        # the path midpoint, nudged off the line per side
     half_w: int           # the half height is the figure's, in _Frame
 
 
-@dataclass(frozen=True)
-class DrawablePath:
+class DrawablePath(NamedTuple):
     start: IPoint
     end: IPoint
     arrow: Arrow
@@ -154,13 +160,80 @@ def _exit_param(placed: PlacedNode, margin: int, dx: int, dy: int, den: int) -> 
     return best
 
 
+def _swallowed() -> LayoutError:
+    return LayoutError(
+        Diagnostic("error", "overlapping objects: arrow fully swallowed by its endpoints")
+    )
+
+
 def clip_arrow(
     arrow: Arrow, by_anchor: Dict[Point, PlacedNode], frame: _Frame
 ) -> DrawablePath:
     """Retract attached endpoints to the node's margin-inflated text box.
 
-    Free endpoints (bare arrows, stubs, inline arrows) stay put.  The
-    parallel offset recorded on the arrow and its local render scale
+    Free endpoints (bare arrows, stubs, inline arrows) stay put.  A
+    nonzero horizontal or vertical arrow at local scale 1, with no
+    offset, no second label and no on-line label, is clipped in
+    integer shifts; every other arrow takes the general path.
+    """
+    (sx, sy), (ex, ey) = arrow.start, arrow.end
+    if ((sx == ex) != (sy == ey) and arrow.local_scale == 1 and not arrow.offset_pt
+            and not arrow.label2 and arrow.side is not LabelSide.ON_LINE):
+        return clip_axis_aligned(arrow, by_anchor, frame)
+    return clip_general(arrow, by_anchor, frame)
+
+
+def clip_axis_aligned(
+    arrow: Arrow, by_anchor: Dict[Point, PlacedNode], frame: _Frame
+) -> DrawablePath:
+    """clip_general for an arrow that clip_arrow sends here, in integers.
+
+    The exit parameter of an end, capped at 1, is (half + margin) / |d|,
+    so that end moves min(half + margin, |d|) along the axis, and the
+    arrow is swallowed once the two moves reach |d|.  A label sits
+    LABEL_GAP across the axis from the anchor, to the left of travel
+    when above.
+    """
+    (sx, sy), (ex, ey) = arrow.start, arrow.end
+    horizontal = sy == ey
+    d = QUANTUM * (ex - sx if horizontal else ey - sy)
+    length = abs(d)
+    c0 = c1 = 0   # how far each end moves in
+    if arrow.kind == KIND_POS:
+        node = by_anchor.get(arrow.start)
+        if node is not None:
+            c0 = min((node.half_w if horizontal else node.half_h) + frame.margin, length)
+        node = by_anchor.get(arrow.end)
+        if node is not None:
+            c1 = min((node.half_w if horizontal else node.half_h) + frame.margin, length)
+    if c0 + c1 >= length:
+        raise _swallowed()
+    gap = QUANTUM * (LABEL_GAP if arrow.side is LabelSide.ABOVE else -LABEL_GAP)
+    if d < 0:
+        c0, c1, gap = -c0, -c1, -gap
+    if horizontal:
+        y = QUANTUM * sy
+        start, end = (QUANTUM * sx + c0, y), (QUANTUM * ex - c1, y)
+        anchor = (round_div(start[0] + end[0], 2), y)
+        center = (anchor[0], y + gap)
+    else:
+        x = QUANTUM * sx
+        start, end = (x, QUANTUM * sy + c0), (x, QUANTUM * ey - c1)
+        anchor = (x, round_div(start[1] + end[1], 2))
+        center = (x - gap, anchor[1])
+    labels: Tuple[PlacedLabel, ...] = ()
+    if arrow.label and arrow.side is not LabelSide.NONE:
+        half_w = text_width(arrow.label, frame.cfg.label_scale, frame.metrics) * QUANTUM // 2
+        labels = (PlacedLabel(arrow.label, arrow.side, center, half_w),)
+    return DrawablePath(start, end, arrow, anchor, labels, ((start, end),))
+
+
+def clip_general(
+    arrow: Arrow, by_anchor: Dict[Point, PlacedNode], frame: _Frame
+) -> DrawablePath:
+    """clip_arrow for any arrow, in exact rationals rounded once per point.
+
+    The parallel offset recorded on the arrow and its local render scale
     are materialized here, then the labels are placed along the result.
     """
     # endpoints in layout units over a common denominator den
@@ -185,12 +258,7 @@ def clip_arrow(
         if end_node is not None:
             t1 = _exit_param(end_node, frame.margin, dx, dy, den)
     if t0[0] * t1[1] + t1[0] * t0[1] >= t0[1] * t1[1]:
-        raise LayoutError(
-            Diagnostic(
-                "error",
-                "overlapping objects: arrow fully swallowed by its endpoints",
-            )
-        )
+        raise _swallowed()
     start = _along(ax, ay, dx, dy, den, t0)
     end = _along(bx, by, -dx, -dy, den, t1)
     anchor = (round_div(start[0] + end[0], 2), round_div(start[1] + end[1], 2))
@@ -268,29 +336,50 @@ def bounding_box(
     label_h: Ratio,
 ) -> Tuple[int, int, int, int]:
     """Tight integer box in centi-em over node boxes, paths and labels, plus margin."""
-    xs: List[int] = []
-    ys: List[int] = []
-    label_ys: List[int] = []
-    for placed in nodes:
-        (cx, cy), hw, hh = placed.center, placed.half_w, placed.half_h
-        xs += (cx - hw, cx + hw)
-        ys += (cy - hh, cy + hh)
-    for path in paths:
-        xs += (path.start[0], path.end[0])
-        ys += (path.start[1], path.end[1])
-        for label in path.labels:
-            cx, cy = label.center
-            xs += (cx - label.half_w, cx + label.half_w)
-            label_ys.append(cy)
-    if not xs:
+    if not nodes and not paths:
         raise LayoutError(Diagnostic("error", "empty diagram: nothing to draw"))
+    # running extremes in layout units; label centres apart, as their
+    # half height is a ratio
+    x0 = y0 = ly0 = math.inf
+    x1 = y1 = ly1 = -math.inf
+    for _, (cx, cy), hw, hh in nodes:
+        if cx - hw < x0:
+            x0 = cx - hw
+        if cx + hw > x1:
+            x1 = cx + hw
+        if cy - hh < y0:
+            y0 = cy - hh
+        if cy + hh > y1:
+            y1 = cy + hh
+    for (sx, sy), (ex, ey), _, _, labels, _ in paths:
+        if sx > ex:
+            sx, ex = ex, sx
+        if sy > ey:
+            sy, ey = ey, sy
+        if sx < x0:
+            x0 = sx
+        if ex > x1:
+            x1 = ex
+        if sy < y0:
+            y0 = sy
+        if ey > y1:
+            y1 = ey
+        for _, _, (cx, cy), hw in labels:
+            if cx - hw < x0:
+                x0 = cx - hw
+            if cx + hw > x1:
+                x1 = cx + hw
+            if cy < ly0:
+                ly0 = cy
+            if cy > ly1:
+                ly1 = cy
     # floor of the least coordinate, ceiling of the greatest, in centi-em
-    x0, y0 = min(xs) // QUANTUM, min(ys) // QUANTUM
-    x1, y1 = -(-max(xs) // QUANTUM), -(-max(ys) // QUANTUM)
-    if label_ys:
+    x0, y0 = x0 // QUANTUM, y0 // QUANTUM
+    x1, y1 = -(-x1 // QUANTUM), -(-y1 // QUANTUM)
+    if ly0 <= ly1:
         hn, hd = label_h
-        y0 = min(y0, (min(label_ys) * hd - hn) // (QUANTUM * hd))
-        y1 = max(y1, -(-(max(label_ys) * hd + hn) // (QUANTUM * hd)))
+        y0 = min(y0, (ly0 * hd - hn) // (QUANTUM * hd))
+        y1 = max(y1, -(-(ly1 * hd + hn) // (QUANTUM * hd)))
     return x0 - CANVAS_MARGIN, y0 - CANVAS_MARGIN, x1 + CANVAS_MARGIN, y1 + CANVAS_MARGIN
 
 

@@ -8,12 +8,14 @@ file can overlay individual characters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict
 
 from .geometry import Numeric, as_fraction, round_div
 from .lexer import tokens
 
 DEFAULT_CHAR_WIDTH = 50  # centi-em at scale 1.0
+_NO_BRACES = str.maketrans("", "", "{}")
 
 
 def _default_table() -> Dict[str, int]:
@@ -46,15 +48,22 @@ def text_width(text: str, scale: Numeric, m: FontMetrics = DEFAULT_METRICS) -> i
 
     Sum of per-character widths, scaled once and rounded to the nearest
     integer (ties away from zero).  Braces contribute nothing; control
-    sequences count as one default-width character.
+    sequences count as one default-width character.  Text with no
+    backslash has no control sequence, so its width is a plain table
+    sum over the text with its braces deleted.
     """
-    total = 0
-    for tok in tokens(text, comments=False):
-        if tok[0] == "\\":
-            total += m.default_width
-        elif tok != "{" and tok != "}":
-            total += sum(map(m.char_width, tok))  # a whitespace run, char by char
-    num, den = (scale, 1) if isinstance(scale, int) else as_fraction(scale).as_integer_ratio()
+    if "\\" in text:
+        total = 0
+        for tok in tokens(text, comments=False):
+            if tok[0] == "\\":
+                total += m.default_width
+            elif tok != "{" and tok != "}":
+                total += sum(map(m.char_width, tok))  # a whitespace run, char by char
+    else:  # no control sequence: every token but a brace is its characters
+        total = sum(map(m.widths.get, text.translate(_NO_BRACES), repeat(m.default_width)))
+    if isinstance(scale, int):
+        return total * scale
+    num, den = as_fraction(scale).as_integer_ratio()
     return round_div(total * num, den)
 
 

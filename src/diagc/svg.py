@@ -11,7 +11,7 @@ scales linearly with the configured scale.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .ir import DiagramIR
 from .geometry import decimal_formatter, format_decimal
@@ -160,23 +160,34 @@ def render_svg(
             return f' stroke-dasharray="{f(2)} {f(10)}" stroke-linecap="round"'
         return ""
 
-    def draw_path(path: DrawablePath) -> None:
-        arrow = path.arrow
-        style = decode_style(arrow.style)
-        if style.needs_fallback:
-            if warnings is not None:
-                warnings.append(
-                    f"style {arrow.style!r} not supported by the SVG backend; "
-                    "drawn as a solid arrow"
-                )
+    # raw style token -> (whether it falls back, decoded style, the
+    # marker-start and marker-end attributes, shaft attributes), decoded
+    # once per figure
+    resolved: Dict[str, Tuple[bool, ArrowStyle, str, str, str]] = {}
+
+    def resolve(raw: str) -> Tuple[bool, ArrowStyle, str, str, str]:
+        style = decode_style(raw)
+        fallback = style.needs_fallback
+        if fallback:
             style = decode_style(">")
         mk_start, mk_end = _path_markers(style)
         used_markers.update(m for m in (mk_start, mk_end) if m)
-        marker_attr = ""
-        if mk_start:
-            marker_attr += f' marker-start="url(#{mk_start})"'
-        if mk_end:
-            marker_attr += f' marker-end="url(#{mk_end})"'
+        start_attr = f' marker-start="url(#{mk_start})"' if mk_start else ""
+        end_attr = f' marker-end="url(#{mk_end})"' if mk_end else ""
+        entry = (fallback, style, start_attr, end_attr, stroke + shaft_attr(style))
+        resolved[raw] = entry
+        return entry
+
+    def draw_path(path: DrawablePath) -> None:
+        arrow = path.arrow
+        entry = resolved.get(arrow.style) or resolve(arrow.style)
+        fallback, style, start_attr, end_attr, dash = entry
+        marker_attr = start_attr + end_attr
+        if fallback and warnings is not None:
+            warnings.append(
+                f"style {arrow.style!r} not supported by the SVG backend; "
+                "drawn as a solid arrow"
+            )
         spans = path.shaft
         if style.body == BODY_DOUBLE:
             dx, dy = path.direction
@@ -199,13 +210,12 @@ def render_svg(
             if marker_attr:
                 emit_line(path.start, path.end, ' stroke="none"' + marker_attr)
         else:
-            dash = stroke + shaft_attr(style)
             for i, (a, b) in enumerate(spans):
                 attr = dash
-                if mk_start and i == 0 and a == path.start:
-                    attr += f' marker-start="url(#{mk_start})"'
-                if mk_end and i == len(spans) - 1 and b == path.end:
-                    attr += f' marker-end="url(#{mk_end})"'
+                if start_attr and i == 0 and a == path.start:
+                    attr += start_attr
+                if end_attr and i == len(spans) - 1 and b == path.end:
+                    attr += end_attr
                 emit_line(a, b, attr)
             if not spans and marker_attr:
                 # shaft fully knocked out: keep the arrow tips

@@ -245,3 +245,10 @@ def test_layout_cost_is_linear_in_diagram_size():
     assert 4 * len(small.arrows) == len(large.arrows)
     ratio = _opcodes(lambda: layout_diagram(large)) / _opcodes(lambda: layout_diagram(small))
     assert ratio <= 4.3
+
+
+def test_layout_cost_per_arrow_is_bounded():
+    # every grid edge is axis-aligned, so it is clipped in integer shifts;
+    # the general path on every edge costs about 1030 instructions per arrow
+    large = _grid(16)
+    assert _opcodes(lambda: layout_diagram(large)) <= 700 * len(large.arrows)

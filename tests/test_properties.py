@@ -1,5 +1,6 @@
 """Seeded, time-bounded property tests of the shared lexical rule, the
-command table and the decimal formatter.
+command table, the decimal formatter, the width sum and the two clipping
+paths of layout.
 
 Each property runs a fixed, derandomized set of examples, so a failure
 repeats on every run and the suite's run time stays bounded.
@@ -13,19 +14,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagc import (
+    DEFAULT_METRICS,
     Arrow,
     DiagramError,
     DiagramIR,
     Figure,
+    FontMetrics,
     LabelSide,
+    LayoutError,
     Node,
     Point,
+    ScaleConfig,
     emit_ir,
     expand_figure,
     parse_ir,
     text_width,
 )
+from diagc import layout
 from diagc.geometry import decimal_formatter, format_decimal
+from diagc.ir import KIND_POS, KIND_VECTOR
+from diagc.lexer import tokens
 from diagc.parser import COMMANDS, format_command, parse_command
 
 BOUNDED = settings(
@@ -200,3 +208,100 @@ def test_decimal_formatter_matches_format_decimal(nums, twos, fives, odd):
     assert exact == (odd == 1)
     for num in nums:
         assert fmt(num) == format_decimal(num, den) == decimal_oracle(num, den)
+
+
+def width_by_tokens(text, scale, m):
+    """text_width as the token walk over the whole text: a control
+    sequence is one default character, a brace nothing, anything else
+    its characters, scaled exactly and rounded once, ties away from zero."""
+    total = 0
+    for tok in tokens(text, comments=False):
+        if tok[0] == "\\":
+            total += m.default_width
+        elif tok not in ("{", "}"):
+            total += sum(m.widths.get(c, m.default_width) for c in tok)
+    exact = total * Fraction(scale)
+    rounded = math.floor(abs(exact) + Fraction(1, 2))
+    return -rounded if exact < 0 else rounded
+
+
+WIDTH_ATOMS = ["{", "}", " ", "  ", "\t", "\n \t", "%", "a", "Z", "7", ";", "`",
+               "é", "²", "½", "\\", "\\alpha", "\\é²", "\\{", "\\ "]
+# braces that would be wide if they were measured, and overlays on
+# characters outside the default table
+WIDE_BRACES = FontMetrics(widths={**DEFAULT_METRICS.widths, "{": 70, "}": 90, "é": 33, "\t": 7},
+                          default_width=61)
+
+
+@BOUNDED
+@given(
+    parts=st.lists(st.sampled_from(WIDTH_ATOMS), max_size=12),
+    plain=st.booleans(),
+    scale=st.sampled_from([1, 2, Fraction(7, 10), Fraction(1, 3), Fraction(1, 2)]),
+    metrics=st.sampled_from([FontMetrics(), WIDE_BRACES]),
+)
+@example(parts=["{", "}"], plain=True, scale=1, metrics=WIDE_BRACES)
+@example(parts=["a", "\t", "é", "\n \t", "½", "%"], plain=True, scale=Fraction(1, 3),
+         metrics=WIDE_BRACES)
+def test_text_width_matches_the_token_walk(parts, plain, scale, metrics):
+    if plain:  # no backslash: the width is the table sum
+        parts = [part for part in parts if "\\" not in part]
+    text = "".join(parts)
+    assert text_width(text, scale, metrics) == width_by_tokens(text, scale, metrics)
+
+
+def _clip(clip, arrow, by_anchor, frame):
+    """A clipping path's record, or its error message."""
+    try:
+        return clip(arrow, by_anchor, frame)
+    except LayoutError as exc:
+        return str(exc)
+
+
+@BOUNDED
+@given(
+    start=st.builds(Point, st.integers(-600, 600), st.integers(-600, 600)),
+    length=st.integers(-900, 900).filter(bool),
+    horizontal=st.booleans(),
+    kind=st.sampled_from([KIND_POS, KIND_VECTOR]),
+    texts=st.tuples(*[st.one_of(st.none(), st.text("xw{}\\ ", max_size=14))] * 2),
+    aligns=st.tuples(*[st.sampled_from(["", "l", "r", "u", "d"])] * 2),
+    label=st.text("fgw\\{}", max_size=6),
+    side=st.sampled_from(list(LabelSide)),
+    margin=st.integers(-40, 400),
+    em_size=st.sampled_from([Fraction(10), Fraction(12), Fraction(7, 2), Fraction(1, 3)]),
+    label_scale=st.fractions(Fraction(1, 30), 1, max_denominator=30),
+)
+@example(start=Point(0, 0), length=500, horizontal=True, kind=KIND_POS, texts=("A", "B"),
+         aligns=("", ""), label="f", side=LabelSide.ABOVE, margin=30,
+         em_size=Fraction(10), label_scale=Fraction(7, 10))
+@example(start=Point(0, 0), length=-40, horizontal=False, kind=KIND_POS,
+         texts=("wwwwww", None), aligns=("", ""), label="f", side=LabelSide.BELOW,
+         margin=30, em_size=Fraction(10), label_scale=Fraction(1, 3))
+@example(start=Point(0, 0), length=100, horizontal=True, kind=KIND_POS, texts=("wwwwww", ""),
+         aligns=("", ""), label="f", side=LabelSide.ABOVE, margin=-20,
+         em_size=Fraction(10), label_scale=Fraction(7, 10))  # capped at 1, yet not swallowed
+@example(start=Point(0, 0), length=-100, horizontal=True, kind=KIND_POS, texts=("", "wwwwww"),
+         aligns=("", ""), label="f", side=LabelSide.BELOW, margin=-20,
+         em_size=Fraction(10), label_scale=Fraction(7, 10))
+@example(start=Point(0, 0), length=300, horizontal=True, kind=KIND_POS,
+         texts=("wwwww", "wwwww"), aligns=("", ""), label="", side=LabelSide.NONE,
+         margin=30, em_size=Fraction(10), label_scale=Fraction(7, 10))  # swallowed
+def test_axis_aligned_clipping_matches_the_general_path(
+    start, length, horizontal, kind, texts, aligns, label, side, margin, em_size,
+    label_scale,
+):
+    end = Point(start.x + length, start.y) if horizontal else Point(start.x, start.y + length)
+    cfg = ScaleConfig(em_size=em_size, label_scale=label_scale, object_margin=margin)
+    frame = layout._Frame.of(cfg, DEFAULT_METRICS)
+    nodes = [Node(at, text, seq, align)
+             for seq, (at, text, align) in enumerate(zip((start, end), texts, aligns))
+             if text is not None]
+    by_anchor = {node.anchor: layout._place_node(node, frame) for node in nodes}
+    arrow = Arrow(start, end, ">", label, side, 2, kind=kind)
+    # an on-line label is knocked out of the shaft: clip_arrow sends it to
+    # the general path
+    fast = layout.clip_arrow if side is LabelSide.ON_LINE else layout.clip_axis_aligned
+    assert _clip(fast, arrow, by_anchor, frame) == _clip(
+        layout.clip_general, arrow, by_anchor, frame
+    )

@@ -87,6 +87,11 @@ def test_svg_raw_style_falls_back_with_warning():
     notes = []
     render_svg(fig.ir, warnings=notes)
     assert notes and "solid" in notes[0]
+    # a style is decoded once per figure, yet each arrow drawn in it warns
+    fig = _one("\\square/@{>}`@{>}`>`@{>}/[A`B`C`D;f`g`h`k]")
+    notes = []
+    render_svg(fig.ir, warnings=notes)
+    assert notes == ["style '@{>}' not supported by the SVG backend; drawn as a solid arrow"] * 3
 
 
 def test_svg_marker_variants():
