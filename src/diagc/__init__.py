@@ -13,7 +13,7 @@ from .ir import Arrow, DiagramIR, LabelSide, Node, merge_duplicate_nodes
 from .irtext import emit_ir, parse_ir
 from .layout import baseline_offset, layout_diagram
 from .metrics import DEFAULT_METRICS, FontMetrics, load_metrics, text_width
-from .parser import Command, Figure, format_command, parse_command, parse_payload, parse_source
+from .parser import Command, Figure, format_command, parse_command, parse_source
 from .styles import ArrowStyle, decode_style
 from .svg import render_svg
 from .tikz import render_tikz
@@ -51,7 +51,6 @@ __all__ = [
     "merge_duplicate_nodes",
     "parse_command",
     "parse_ir",
-    "parse_payload",
     "parse_source",
     "ratchet",
     "render_figure",

@@ -9,7 +9,8 @@ are atomic, so the brace of ``\\{`` or ``\\}`` never counts.
 
 Source text has comments.  Payload fields, IR text fields and measured
 text are already past the reader, so there ``%`` is an ordinary
-character.
+character.  ``group_end`` sees only braces and control sequences, which
+the letter cut of ``tokens`` never changes, so it needs no tokens.
 """
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ from typing import List, Sequence
 _CONTROL = r"\\[^\W\d_]+|\\.|\\|"
 _SOURCE = re.compile(_CONTROL + r"%[^\n]*\n?|[ \t\r\n]+|.", re.DOTALL)
 _TEXT = re.compile(_CONTROL + r"[ \t\r\n]+|.", re.DOTALL)
+_BRACES = re.compile(_CONTROL + r"[{}]", re.DOTALL)
+_DEPTH = {"{": 1, "}": -1}  # a control sequence leaves the depth as it is
 
 WHITESPACE = " \t\r\n"
 
@@ -79,9 +82,21 @@ def split_top(text: str, seps: str) -> List[str]:
         start = scan = end + 1
 
 
+def group_end(text: str, start: int) -> int:
+    """Index just past the ``}`` that closes the ``{`` at ``start``, where a
+    token of comment-free text begins; -1 when either is missing."""
+    if not text.startswith("{", start):
+        return -1
+    depth = 0
+    for brace in _BRACES.finditer(text, start):
+        depth += _DEPTH.get(brace[0], 0)
+        if not depth:
+            return brace.end()
+    return -1
+
+
 def strip_group(text: str) -> str:
     """Remove one outer brace level when the text is a single group."""
-    if text[:1] != "{" or text[-1:] != "}":
-        return text
-    toks = tokens(text, comments=False)
-    return text[1:-1] if top_level_end(toks, 1, "") == len(toks) - 1 else text
+    if text[:1] == "{" and group_end(text, 0) == len(text):
+        return text[1:-1]
+    return text

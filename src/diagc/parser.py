@@ -247,24 +247,6 @@ def parse_command(text: str, filename: str = "<input>") -> Command:
     return cmd
 
 
-def parse_payload(text: str) -> Tuple[List[str], List[str]]:
-    """Split a bracketed payload into node and label fields.
-
-    Top-level backticks separate fields, the single top-level ';'
-    separates nodes from labels, and one brace level protects and is
-    stripped from each field.
-    """
-    r = _Reader(text)
-    raw = r.delimited("[", "]", "a payload")
-    r.skip_ws()
-    if r.tok:
-        raise r.error("trailing text after payload")
-    halves = split_top(raw, ";")
-    if len(halves) != 2:
-        raise r.error("payload needs exactly one top-level ';'")
-    return _fields(halves[0]), _fields(halves[1])
-
-
 # -- the command table ----------------------------------------------------
 
 REQUIRED = object()  # the default of a section that is always read
@@ -577,7 +559,7 @@ COMMANDS: Dict[str, _Chain] = {
     "iiixiii": _Chain("shape", *_head("aammbblmrlmr", (500, 500)),
                       _Mask(4096, (400, 400), (0, 0)), _Payload(9, 12)),
     "iiixii": _Chain("grid3x2", *_head("aabblmr", (500, 500)),
-                     _Mask(16, (0,), (0,)), _Payload(6, 7)),
+                     _Mask(16, (400,), (0,)), _Payload(6, 7)),
     "pullback": _Chain("pullback", *_head("alrb", (500, 500)), _Payload(4, 4),
                        _Part("trident", TridentPart, _Bar("placements", "amb"), _Styles(3),
                              _Ints("offset", "<", 2, (500, 500)), _Payload(1, 3, "node"))),

@@ -249,6 +249,10 @@ def test_grid3x2_left_stub_shifts_lattice():
     assert anchors["D"] == (400, 0)
 
 
+def test_grid3x2_stub_defaults_to_400_after_a_mask():
+    assert _expand_one("\\iiixii{1}" + GRID32).ir == _expand_one("\\iiixii{1}<400>" + GRID32).ir
+
+
 def test_grid3x2_zero_stub_with_mask_is_degenerate():
     with pytest.raises(ExpandError, match="stub"):
         compile_source("\\iiixii{1}<0>" + GRID32)
@@ -458,7 +462,7 @@ INNER = "[a`b`c`d;p`q`r`s][w`x`y`z]"
     ("\\cube" + SQUARE4 + "(0,0)<1500,1500>" + INNER, "degenerate arrow (zero displacement)"),
     ("\\pullback" + SQUARE4 + "<0,0>[E;p`q`r]", "degenerate arrow (zero displacement)"),
     ("\\iiixiii{8}<0,400>" + GRID33, "degenerate stub (zero extent)"),
-    ("\\iiixii{1}" + GRID32, "degenerate stub (zero extent)"),
+    ("\\iiixii{1}<0>" + GRID32, "degenerate stub (zero extent)"),
 ])
 def test_degenerate_diagnostics_text_and_position(command, message):
     # the failing command sits at line 2, column 3, after a good one

@@ -1,5 +1,9 @@
 """IR text: malformed input raises IRSyntaxError; escaped braces round-trip."""
+from pathlib import Path
+
 import pytest
+
+from opcode_count import opcodes
 
 from diagc import compile_source, emit_ir, parse_ir
 from diagc.irtext import IRSyntaxError
@@ -28,9 +32,23 @@ def _with(old, new):
     (_with("em 10\n", ""), "'em'"),
     (_with(NODE, NODE.replace("text={X}", "text={X")), NODE.replace("text={X}", "text={X")),
     (_with(NODE, NODE + " junk"), NODE + " junk"),
+    (_with(NODE, NODE.replace(" text=", " bogus=1 text=")), NODE.replace(" text=", " bogus=1 text=")),
+    (_with(NODE, NODE.replace("seq=1", "seq=0 seq=1")), NODE.replace("seq=1", "seq=0 seq=1")),
+    (_with(NODE, NODE.replace("x=0 y=0", "y=0 x=0")), NODE.replace("x=0 y=0", "y=0 x=0")),
+    (_with("em 10\nex-ratio 43/100\n", "ex-ratio 43/100\nem 10\n"), "ex-ratio 43/100"),
+    (_with(NODE, NODE + "\n"), repr("")),
+    (_with(NODE + "\n" + ARROW, ARROW + "\n" + NODE), NODE),
+    (_with(NODE, NODE.replace(" x=0", "  x=0")), NODE.replace(" x=0", "  x=0")),
+    (_with(NODE, NODE.replace("align=-", "align=}q")), NODE.replace("align=-", "align=}q")),
+    (_with(ARROW, ARROW.replace("kind=to", "kind=bogus")), ARROW.replace("kind=to", "kind=bogus")),
+    (_with(NODE, NODE.replace("x=0", "x=00")), NODE.replace("x=0", "x=00")),
+    (_with(ARROW, ARROW.replace("lscale=1", "lscale=2/2")), ARROW.replace("lscale=1", "lscale=2/2")),
 ], ids=["missing field", "non-integer", "unknown side", "zero denominator",
         "bad fraction", "bad scalar", "non-positive scale", "missing scalar line",
-        "unclosed brace", "field without value"])
+        "unclosed brace", "field without value", "unknown key", "repeated key",
+        "swapped fields", "reordered scale lines", "blank line", "node after arrow",
+        "double space", "unknown align", "unknown kind", "non-canonical integer",
+        "non-canonical fraction"])
 def test_malformed_ir_raises_ir_syntax_error_naming_the_line(text, line):
     with pytest.raises(IRSyntaxError) as info:
         parse_ir(text)
@@ -58,3 +76,12 @@ def test_line_separators_in_text_round_trip(separator):
     back = parse_ir(dump)
     assert back == ir
     assert emit_ir(back) == dump
+
+
+def test_parse_ir_cost_per_line_is_bounded():
+    # a line is read field by field against its record, with no tokens
+    corpus = sorted(Path(__file__).with_name("corpus").glob("*.dg"))
+    dumps = [emit_ir(figure.ir) for path in corpus
+             for figure in compile_source(path.read_text(encoding="utf-8"))]
+    lines = sum(dump.count("\n") for dump in dumps)
+    assert opcodes(lambda: [parse_ir(dump) for dump in dumps]) <= 900 * lines

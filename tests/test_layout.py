@@ -3,10 +3,11 @@
 Layout coordinates are integers in layout units, QUANTUM per centi-em.
 """
 import random
-import sys
 from fractions import Fraction
 
 import pytest
+
+from opcode_count import opcodes
 
 from diagc import (
     Arrow,
@@ -208,29 +209,6 @@ def test_place_alignment_shifts_drawn_box():
     assert lay.nodes[0].center[0] == 25 * Q
 
 
-def _opcodes(step):
-    """Bytecode instructions executed while ``step()`` runs."""
-    count = 0
-
-    def on_opcode(frame, event, arg):
-        nonlocal count
-        if event == "opcode":
-            count += 1
-        return on_opcode
-
-    def on_call(frame, event, arg):
-        frame.f_trace_opcodes = True
-        frame.f_trace_lines = False
-        return on_opcode
-
-    sys.settrace(on_call)
-    try:
-        step()
-    finally:
-        sys.settrace(None)
-    return count
-
-
 def _grid(k):
     squares = (
         f"\\square({500 * i},{500 * j})[x`x`x`x;f`g`h`k]" for i in range(k) for j in range(k)
@@ -243,7 +221,7 @@ def test_layout_cost_is_linear_in_diagram_size():
     # with nodes x arrows measures about 4.8 here
     small, large = _grid(8), _grid(16)
     assert 4 * len(small.arrows) == len(large.arrows)
-    ratio = _opcodes(lambda: layout_diagram(large)) / _opcodes(lambda: layout_diagram(small))
+    ratio = opcodes(lambda: layout_diagram(large)) / opcodes(lambda: layout_diagram(small))
     assert ratio <= 4.3
 
 
@@ -251,4 +229,4 @@ def test_layout_cost_per_arrow_is_bounded():
     # every grid edge is axis-aligned, so it is clipped in integer shifts;
     # the general path on every edge costs about 1030 instructions per arrow
     large = _grid(16)
-    assert _opcodes(lambda: layout_diagram(large)) <= 700 * len(large.arrows)
+    assert opcodes(lambda: layout_diagram(large)) <= 700 * len(large.arrows)

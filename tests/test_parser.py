@@ -1,7 +1,7 @@
 """Grammar: optional sections, payload splitting, round-trips, arity."""
 import pytest
 
-from diagc import ParseError, Point, format_command, parse_command, parse_payload, parse_source
+from diagc import ParseError, Point, format_command, parse_command, parse_source
 
 
 def test_square_defaults():
@@ -56,42 +56,45 @@ def test_inline_spaced_style_token():
 
 
 def test_payload_splitting():
-    assert parse_payload("[A`B;f]") == (["A", "B"], ["f"])
-    assert parse_payload("[A`B;{f`g}]") == (["A", "B"], ["f`g"])
-    assert parse_payload("[``;]") == (["", "", ""], [""])
+    cmd = parse_command("\\morphism[A`B;f]")
+    assert (cmd.nodes, cmd.labels) == (("A", "B"), ("f",))
+    assert parse_command("\\morphism[A`B;{f`g}]").labels == ("f`g",)
+    cmd = parse_command("\\square[```;```]")
+    assert (cmd.nodes, cmd.labels) == (("",) * 4, ("",) * 4)
 
 
 def test_payload_brace_stripping_one_level():
-    nodes, labels = parse_payload("[{{A}}`B;{f;g}]")
-    assert nodes == ["{A}", "B"]
-    assert labels == ["f;g"]
+    cmd = parse_command("\\morphism[{{A}}`B;{f;g}]")
+    assert cmd.nodes == ("{A}", "B")
+    assert cmd.labels == ("f;g",)
 
 
 def test_payload_control_symbols_are_atomic():
-    nodes, labels = parse_payload(r"[{\{a\}}`B;{f\`g}]")
-    assert nodes == [r"\{a\}", "B"]
-    assert labels == [r"f\`g"]
+    cmd = parse_command(r"\morphism[{\{a\}}`B;{f\`g}]")
+    assert cmd.nodes == (r"\{a\}", "B")
+    assert cmd.labels == (r"f\`g",)
 
 
 def test_payload_unbalanced_braces():
     with pytest.raises(ParseError):
-        parse_payload("[{A`B;f]")
+        parse_command("\\morphism[{A`B;f]")
 
 
 @pytest.mark.parametrize(
     "text, where, message",
     [
-        ("[a`b]  ", (1, 8), "payload needs exactly one top-level ';'"),
-        ("[a;b;c]\n ", (2, 2), "payload needs exactly one top-level ';'"),
-        ("[a\\;b]", (1, 7), "payload needs exactly one top-level ';'"),
-        ("[a;b] x", (1, 7), "trailing text after payload"),
-        ("[a;b", (1, 5), "unexpected end of input inside section"),
-        ("a;b]", (1, 1), "expected '[' to open a payload"),
+        ("[a`b]  ", (1, 16), "payload needs exactly one top-level ';' between nodes and labels"),
+        ("[a;b;c]\n ", (1, 18), "payload needs exactly one top-level ';' between nodes and labels"),
+        ("[a\\;b]", (1, 17), "payload needs exactly one top-level ';' between nodes and labels"),
+        ("[a`b;f] x", (1, 19), "trailing text after command"),
+        ("[a;b", (1, 15), "unexpected end of input inside section"),
+        ("a;b]", (1, 11), "expected '[' to open a payload"),
     ],
 )
 def test_payload_diagnostics(text, where, message):
+    # the payload of a \morphism, which takes two nodes and one label
     with pytest.raises(ParseError) as info:
-        parse_payload(text)
+        parse_command("\\morphism " + text)
     d = info.value.diagnostic
     assert ((d.line, d.col), d.message) == (where, message)
 
@@ -121,7 +124,7 @@ def test_grid_mask_and_stub_sections():
     cmd = parse_command("\\iiixii{5}<400>[A`B`C`D`E`F;f`g`h`i`j`k`l]")
     assert (cmd.mask, cmd.stub) == (5, (400,))
     cmd = parse_command("\\iiixii7[A`B`C`D`E`F;f`g`h`i`j`k`l]")
-    assert (cmd.mask, cmd.stub) == (7, (0,))
+    assert (cmd.mask, cmd.stub) == (7, (400,))
     nine = "[A`B`C`D`E`F`G`H`I;f`g`h`i`j`k`l`m`n`o`p`q]"
     cmd = parse_command("\\iiixiii{2048}" + nine)
     assert (cmd.mask, cmd.stub) == (2048, (400, 400))

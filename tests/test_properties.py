@@ -33,7 +33,7 @@ from diagc import (
 from diagc import layout
 from diagc.geometry import decimal_formatter, format_decimal
 from diagc.ir import KIND_POS, KIND_VECTOR
-from diagc.lexer import tokens
+from diagc.lexer import group_end, strip_group, tokens, top_level_end
 from diagc.parser import COMMANDS, format_command, parse_command
 
 BOUNDED = settings(
@@ -71,6 +71,31 @@ def test_ir_text_fields_are_a_fixpoint(texts):
     back = parse_ir(dump)
     assert back == ir
     assert emit_ir(back) == dump
+
+
+BRACE_ATOMS = ["\\{", "\\}", "\\\\", "{", "}", "²", "é", "\\é", "%", "a"]
+
+
+def strip_group_by_tokens(text):
+    """``strip_group`` by a walk over the tokens: the reference for ``group_end``."""
+    if text[:1] != "{" or text[-1:] != "}":
+        return text
+    toks = tokens(text, comments=False)
+    return text[1:-1] if top_level_end(toks, 1, "") == len(toks) - 1 else text
+
+
+@BOUNDED
+@given(atoms=st.lists(st.sampled_from(BRACE_ATOMS), max_size=12), lone=st.booleans())
+@example(atoms=["{", "\\{", "}"], lone=False)
+@example(atoms=["{", "a"], lone=True)
+def test_group_end_agrees_with_the_token_walk(atoms, lone):
+    text = "".join(atoms) + "\\" * lone  # a lone backslash only at the very end
+    toks = tokens(text, comments=False)
+    starts = [len("".join(toks[:k])) for k in range(len(toks) + 1)]
+    for k, tok in enumerate(toks):
+        end = top_level_end(toks, k + 1, "") if tok == "{" else len(toks)
+        assert group_end(text, starts[k]) == (starts[end + 1] if end < len(toks) else -1)
+    assert strip_group(text) == strip_group_by_tokens(text)
 
 
 N4, L4 = "A`B`C`D", "f`g`h`k"
