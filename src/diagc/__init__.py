@@ -11,10 +11,9 @@ from .expand import expand_figure, measure_morphism_width, resolve_label_side, t
 from .geometry import Point, ScaleConfig, ratchet, tex_div
 from .ir import Arrow, DiagramIR, LabelSide, Node, merge_duplicate_nodes
 from .irtext import emit_ir, parse_ir
-from .layout import baseline_offset, layout_diagram
+from .layout import layout_diagram
 from .metrics import DEFAULT_METRICS, FontMetrics, load_metrics, text_width
 from .parser import Command, Figure, format_command, parse_command, parse_source
-from .styles import ArrowStyle, decode_style
 from .svg import render_svg
 from .tikz import render_tikz
 from .xypic import render_xypic
@@ -23,7 +22,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arrow",
-    "ArrowStyle",
     "Command",
     "CompiledFigure",
     "DEFAULT_METRICS",
@@ -39,9 +37,7 @@ __all__ = [
     "ParseError",
     "Point",
     "ScaleConfig",
-    "baseline_offset",
     "compile_source",
-    "decode_style",
     "emit_ir",
     "expand_figure",
     "format_command",

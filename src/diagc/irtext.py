@@ -47,6 +47,17 @@ def _canonical(parse: Callable[[str], Any]) -> Callable[[str], Any]:
     return read
 
 
+def _unsigned(read: Callable[[str], Any], zero: bool) -> _Kind:
+    """A number kind that takes no negative value, and zero only if
+    ``zero``: in a canonical spelling, which ``read`` demands, a negative
+    value starts with '-' and zero is '0'."""
+    def checked(token: str) -> Any:
+        if token[:1] == "-" or token == "0" and not zero:
+            raise ValueError
+        return read(token)
+    return _Kind("%s", checked)
+
+
 def _word(spellings: Dict[str, Any]) -> _Kind:
     same = all(word == value for word, value in spellings.items())
     return _Kind("%s", spellings.__getitem__, None if same else
@@ -56,6 +67,9 @@ def _word(spellings: Dict[str, Any]) -> _Kind:
 _INT = _Kind("%s", _canonical(int))
 _FLAG = _Kind("%d", {"0": False, "1": True}.__getitem__)
 _FRACTION = _Kind("%s", _canonical(lambda t: Fraction(*map(int, t.split("/", 1)))))
+_NATURAL = _unsigned(_INT.read, zero=True)
+_NONNEGATIVE = _unsigned(_FRACTION.read, zero=True)
+_POSITIVE = _unsigned(_FRACTION.read, zero=False)
 _TEXT = _Kind("{%s}", None)
 _ALIGN = _word({"-": "", "l": "l", "r": "r", "u": "u", "d": "d"})
 _ARROW_KIND = _word({k: k for k in (KIND_POS, KIND_VECTOR, KIND_TO, KIND_TWO, KIND_THREE,
@@ -119,9 +133,9 @@ class _Record:
 _RECORDS = (
     _Record("scale", ("", _FRACTION, "scale")),
     _Record("em", ("", _FRACTION, "em_size")),
-    _Record("ex-ratio", ("", _FRACTION, "ex_ratio")),
+    _Record("ex-ratio", ("", _NONNEGATIVE, "ex_ratio")),
     _Record("label-scale", ("", _FRACTION, "label_scale")),
-    _Record("object-margin", ("", _INT, "object_margin")),
+    _Record("object-margin", ("", _NATURAL, "object_margin")),
     _Record("node", ("seq", _INT, "seq"), ("x", _INT, "anchor.x"), ("y", _INT, "anchor.y"),
             ("align", _ALIGN, "align"), ("standalone", _FLAG, "standalone"),
             ("text", _TEXT, "text")),
@@ -131,7 +145,7 @@ _RECORDS = (
             ("style", _TEXT, "style"), ("label", _TEXT, "label"), ("side", _SIDE, "side"),
             ("label2", _TEXT, "label2"), ("start", _TEXT, "start_text"),
             ("end", _TEXT, "end_text"), ("offset", _FRACTION, "offset_pt"),
-            ("lscale", _FRACTION, "local_scale"), ("group", _INT, "group")),
+            ("lscale", _POSITIVE, "local_scale"), ("group", _INT, "group")),
 )
 *_SCALES, _NODE, _ARROW = _RECORDS
 # no scale line has a word to spell, so the five are written as one

@@ -41,11 +41,6 @@ Span = Tuple[IPoint, IPoint]
 Ratio = Tuple[int, int]            # num, den with den > 0
 
 
-def baseline_offset(cfg: ScaleConfig) -> Point:
-    """Box shift placing the anchor 0.75 ex below the text-box center."""
-    return Point(0, round_half_away(75 * cfg.ex_ratio))
-
-
 def left_perp(dx: int, dy: int, den: int = 1) -> Tuple[int, int, int]:
     """Unit vector (x/d, y/d) to the left of travel along (dx, dy)/den centi-em.
 
@@ -110,7 +105,7 @@ class _Frame(NamedTuple):
 
     cfg: ScaleConfig
     metrics: FontMetrics
-    baseline: int      # node box shift
+    baseline: int      # node box shift: the anchor sits 0.75 ex below the box center
     margin: int        # object margin around node boxes
     label_h: Ratio     # label half height: 50 centi-em x label scale, exact
     pad_w: int         # knockout padding around on-line labels
@@ -121,7 +116,7 @@ class _Frame(NamedTuple):
         return cls(
             cfg,
             metrics,
-            QUANTUM * baseline_offset(cfg).y,
+            QUANTUM * round_half_away(75 * cfg.ex_ratio),
             QUANTUM * cfg.object_margin,
             (NODE_BOX_HEIGHT * QUANTUM // 2 * cfg.label_scale).as_integer_ratio(),
             QUANTUM * pt_to_centiem(KNOCKOUT_PAD_PT[0], cfg.em_size),

@@ -1,68 +1,48 @@
-"""Arrow style tokens and their decoded head/tail/body description.
+"""Arrow style tokens and what SVG and TikZ draw for each.
 
 A style token is carried verbatim through the IR (token-stream output
-needs the raw spelling, alignment spaces included); backends that draw
-geometry use the decoded fields.  Tokens beginning with '@' are raw
-pass-through material for the token-stream backend only.
+needs the raw spelling, alignment spaces included).  ``STYLES`` is the
+one table of the tokens SVG and TikZ can draw, keyed by the token with
+its alignment spaces stripped.  Any other token, such as the '@...'
+pass-through material of the token-stream backend, is drawn as a solid
+arrow with a warning.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-TAIL_NONE = "none"
-TAIL_HOOK = "hook"
-TAIL_HEAD = "head"          # forward head at the tail end (mono)
-
-BODY_SOLID = "solid"
-BODY_DOUBLE = "double"
-BODY_DASHED = "dashed"
-BODY_DOTTED = "dotted"
-
-HEAD_NONE = "none"
-HEAD_NORMAL = "normal"
-HEAD_DOUBLE = "double"
+from typing import List, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class ArrowStyle:
-    raw: str
-    tail: str = TAIL_NONE
-    body: str = BODY_SOLID
-    head: str = HEAD_NORMAL
-    reversed: bool = False   # visual head sits at the start point
-    is_raw: bool = False     # '@...' pass-through
-    known: bool = True
-
-    @property
-    def needs_fallback(self) -> bool:
-        return self.is_raw or not self.known
+class Style(NamedTuple):
+    body: str          # the shaft: solid, double, dashed or dotted
+    marker_start: str  # SVG marker ids, "" for none
+    marker_end: str
+    tikz: str          # TikZ \draw options
 
 
-# (tail, body, head, reversed); keys are tokens with alignment spaces
-# already stripped.
-_TABLE = {
-    ">": (TAIL_NONE, BODY_SOLID, HEAD_NORMAL, False),
-    "->": (TAIL_NONE, BODY_SOLID, HEAD_NORMAL, False),
-    ">->": (TAIL_HEAD, BODY_SOLID, HEAD_NORMAL, False),
-    "->>": (TAIL_NONE, BODY_SOLID, HEAD_DOUBLE, False),
-    "<-": (TAIL_NONE, BODY_SOLID, HEAD_NORMAL, True),
-    "<-<": (TAIL_HEAD, BODY_SOLID, HEAD_NORMAL, True),
-    "<<-": (TAIL_NONE, BODY_SOLID, HEAD_DOUBLE, True),
-    "=": (TAIL_NONE, BODY_DOUBLE, HEAD_NONE, False),
-    "=>": (TAIL_NONE, BODY_DOUBLE, HEAD_NORMAL, False),
-    "-->": (TAIL_NONE, BODY_DASHED, HEAD_NORMAL, False),
-    ".>": (TAIL_NONE, BODY_DOTTED, HEAD_NORMAL, False),
-    "(->": (TAIL_HOOK, BODY_SOLID, HEAD_NORMAL, False),
+STYLES = {
+    ">": Style("solid", "", "dg-head", "->"),
+    "->": Style("solid", "", "dg-head", "->"),
+    ">->": Style("solid", "dg-mono", "dg-head", ">->"),
+    "->>": Style("solid", "", "dg-head2", "->>"),
+    "<-": Style("solid", "dg-rhead", "", "<-"),
+    "<-<": Style("solid", "dg-rhead", "dg-rmono", "<-<"),
+    "<<-": Style("solid", "dg-rhead2", "", "<<-"),
+    "=": Style("double", "", "", "double"),
+    "=>": Style("double", "", "dg-head", "double, ->"),
+    "-->": Style("dashed", "", "dg-head", "->, dashed"),
+    ".>": Style("dotted", "", "dg-head", "->, dotted"),
+    "(->": Style("solid", "dg-hook", "dg-head", "right hook->"),
 }
+_SOLID = STYLES[">"]
 
 
-def decode_style(raw: str) -> ArrowStyle:
-    """Decode a style token; unknown tokens fall back to a solid arrow."""
-    token = raw.strip()
-    if token.startswith("@"):
-        return ArrowStyle(raw=raw, is_raw=True, known=False)
-    entry = _TABLE.get(token)
-    if entry is None:
-        return ArrowStyle(raw=raw, known=False)
-    tail, body, head, rev = entry
-    return ArrowStyle(raw=raw, tail=tail, body=body, head=head, reversed=rev)
+def style_of(raw: str, backend: str, warnings: Optional[List[str]]) -> Style:
+    """The row of ``raw`` once stripped; for a token not in the table,
+    the solid '>' row, with a warning that ``backend`` cannot draw it."""
+    style = STYLES.get(raw.strip())
+    if style is not None:
+        return style
+    if warnings is not None:
+        warnings.append(f"style {raw!r} not supported by the {backend} backend; "
+                        "drawn as a solid arrow")
+    return _SOLID

@@ -17,17 +17,7 @@ from .ir import DiagramIR
 from .geometry import decimal_formatter, format_decimal
 from .layout import QUANTUM, DrawablePath, layout_diagram, left_perp
 from .metrics import DEFAULT_METRICS, FontMetrics
-from .styles import (
-    ArrowStyle,
-    BODY_DASHED,
-    BODY_DOTTED,
-    BODY_DOUBLE,
-    HEAD_DOUBLE,
-    HEAD_NONE,
-    TAIL_HEAD,
-    TAIL_HOOK,
-    decode_style,
-)
+from .styles import Style, style_of
 
 STROKE_WIDTH = 5        # centi-em
 DOUBLE_GAP = 5          # half-gap between double shafts, centi-em
@@ -81,31 +71,6 @@ def _marker_defs(f: Callable[[int], str], used: Iterable[str]) -> List[str]:
     return out
 
 
-def _path_markers(style: ArrowStyle) -> Tuple[str, str]:
-    """(marker-start, marker-end) ids for a decoded style."""
-    start = ""
-    end = ""
-    if style.reversed:
-        if style.head == HEAD_DOUBLE:
-            start = "dg-rhead2"
-        elif style.head != HEAD_NONE:
-            start = "dg-rhead"
-        if style.tail == TAIL_HEAD:
-            end = "dg-rmono"
-        elif style.tail == TAIL_HOOK:
-            end = "dg-hook"
-        return start, end
-    if style.head == HEAD_DOUBLE:
-        end = "dg-head2"
-    elif style.head != HEAD_NONE:
-        end = "dg-head"
-    if style.tail == TAIL_HEAD:
-        start = "dg-mono"
-    elif style.tail == TAIL_HOOK:
-        start = "dg-hook"
-    return start, end
-
-
 def render_svg(
     d: DiagramIR,
     metrics: FontMetrics = DEFAULT_METRICS,
@@ -153,43 +118,30 @@ def render_svg(
             f'<line x1="{x(a[0])}" y1="{y(a[1])}" x2="{x(b[0])}" y2="{y(b[1])}"{attr}/>'
         )
 
-    def shaft_attr(style: ArrowStyle) -> str:
-        if style.body == BODY_DASHED:
-            return f' stroke-dasharray="{f(20)} {f(12)}"'
-        if style.body == BODY_DOTTED:
-            return f' stroke-dasharray="{f(2)} {f(10)}" stroke-linecap="round"'
-        return ""
+    # a single shaft's attributes by body; the dash lengths scale with the figure
+    shafts = {
+        "solid": stroke,
+        "dashed": stroke + f' stroke-dasharray="{f(20)} {f(12)}"',
+        "dotted": stroke + f' stroke-dasharray="{f(2)} {f(10)}" stroke-linecap="round"',
+    }
+    # a row of styles.STYLES -> its marker-start and marker-end attributes,
+    # made once per figure
+    marker_attrs: Dict[Style, Tuple[str, str]] = {}
 
-    # raw style token -> (whether it falls back, decoded style, the
-    # marker-start and marker-end attributes, shaft attributes), decoded
-    # once per figure
-    resolved: Dict[str, Tuple[bool, ArrowStyle, str, str, str]] = {}
-
-    def resolve(raw: str) -> Tuple[bool, ArrowStyle, str, str, str]:
-        style = decode_style(raw)
-        fallback = style.needs_fallback
-        if fallback:
-            style = decode_style(">")
-        mk_start, mk_end = _path_markers(style)
-        used_markers.update(m for m in (mk_start, mk_end) if m)
-        start_attr = f' marker-start="url(#{mk_start})"' if mk_start else ""
-        end_attr = f' marker-end="url(#{mk_end})"' if mk_end else ""
-        entry = (fallback, style, start_attr, end_attr, stroke + shaft_attr(style))
-        resolved[raw] = entry
-        return entry
+    def markers_of(style: Style) -> Tuple[str, str]:
+        start, end = style.marker_start, style.marker_end
+        used_markers.update(m for m in (start, end) if m)
+        attrs = (f' marker-start="url(#{start})"' if start else "",
+                 f' marker-end="url(#{end})"' if end else "")
+        marker_attrs[style] = attrs
+        return attrs
 
     def draw_path(path: DrawablePath) -> None:
-        arrow = path.arrow
-        entry = resolved.get(arrow.style) or resolve(arrow.style)
-        fallback, style, start_attr, end_attr, dash = entry
+        style = style_of(path.arrow.style, "SVG", warnings)
+        start_attr, end_attr = marker_attrs.get(style) or markers_of(style)
         marker_attr = start_attr + end_attr
-        if fallback and warnings is not None:
-            warnings.append(
-                f"style {arrow.style!r} not supported by the SVG backend; "
-                "drawn as a solid arrow"
-            )
         spans = path.shaft
-        if style.body == BODY_DOUBLE:
+        if style.body == "double":
             dx, dy = path.direction
             gx, gy, gd = left_perp(dx, dy, QUANTUM)
             gx, gy = gx * DOUBLE_GAP * QUANTUM, gy * DOUBLE_GAP * QUANTUM
@@ -211,7 +163,7 @@ def render_svg(
                 emit_line(path.start, path.end, ' stroke="none"' + marker_attr)
         else:
             for i, (a, b) in enumerate(spans):
-                attr = dash
+                attr = shafts[style.body]
                 if start_attr and i == 0 and a == path.start:
                     attr += start_attr
                 if end_attr and i == len(spans) - 1 and b == path.end:

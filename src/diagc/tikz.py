@@ -9,39 +9,13 @@ rounded to six places, with a warning.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import List, Optional
 
-from . import styles
 from .geometry import decimal_formatter
 from .ir import DiagramIR, LabelSide
 from .layout import QUANTUM, layout_diagram
 from .metrics import DEFAULT_METRICS, FontMetrics
-
-# arrow tips of a forward arrow, by decoded tail and head
-_TAIL_TIP = {styles.TAIL_NONE: "", styles.TAIL_HEAD: ">", styles.TAIL_HOOK: "right hook"}
-_HEAD_TIP = {styles.HEAD_NONE: "", styles.HEAD_NORMAL: ">", styles.HEAD_DOUBLE: ">>"}
-
-
-@lru_cache(maxsize=256)
-def _draw_options(raw: str) -> Optional[str]:
-    """\\draw options for a style token: the arrow tips, then the body;
-    None for a style the backend cannot express."""
-    style = styles.decode_style(raw)
-    if style.needs_fallback:
-        return None
-    if style.reversed:  # the head sits at the start and points back
-        head, tail = _HEAD_TIP[style.head], _TAIL_TIP[style.tail]
-        tips = head.replace(">", "<") + "-" + tail.replace(">", "<")
-    else:
-        tips = _TAIL_TIP[style.tail] + "-" + _HEAD_TIP[style.head]
-    options = [] if tips == "-" else [tips]
-    if style.body == styles.BODY_DOUBLE:
-        options.insert(0, "double")
-    elif style.body != styles.BODY_SOLID:
-        options.append(style.body)  # dashed, dotted
-    return ", ".join(options)
-
+from .styles import style_of
 
 _SIDE_OPTION = {
     LabelSide.ABOVE: "above",
@@ -71,14 +45,7 @@ def render_tikz(
             continue
         lines.append(f"\\node at {at(placed.center)} {{${placed.node.text}$}};")
     for path in lay.paths:
-        options = _draw_options(path.arrow.style)
-        if options is None:
-            if warnings is not None:
-                warnings.append(
-                    f"style {path.arrow.style!r} not supported by the TikZ "
-                    "backend; drawn as a solid arrow"
-                )
-            options = "->"
+        options = style_of(path.arrow.style, "TikZ", warnings).tikz
         label_nodes = ""
         for label in path.labels:
             label_nodes += (

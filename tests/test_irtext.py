@@ -43,16 +43,29 @@ def _with(old, new):
     (_with(ARROW, ARROW.replace("kind=to", "kind=bogus")), ARROW.replace("kind=to", "kind=bogus")),
     (_with(NODE, NODE.replace("x=0", "x=00")), NODE.replace("x=0", "x=00")),
     (_with(ARROW, ARROW.replace("lscale=1", "lscale=2/2")), ARROW.replace("lscale=1", "lscale=2/2")),
+    (_with("ex-ratio 43/100\n", "ex-ratio -5\n"), "ex-ratio -5"),
+    (_with("object-margin 30\n", "object-margin -400\n"), "object-margin -400"),
+    (_with(ARROW, ARROW.replace("lscale=1", "lscale=-1")), ARROW.replace("lscale=1", "lscale=-1")),
+    (_with(ARROW, ARROW.replace("lscale=1", "lscale=0")), ARROW.replace("lscale=1", "lscale=0")),
 ], ids=["missing field", "non-integer", "unknown side", "zero denominator",
         "bad fraction", "bad scalar", "non-positive scale", "missing scalar line",
         "unclosed brace", "field without value", "unknown key", "repeated key",
         "swapped fields", "reordered scale lines", "blank line", "node after arrow",
         "double space", "unknown align", "unknown kind", "non-canonical integer",
-        "non-canonical fraction"])
+        "non-canonical fraction", "negative ex-ratio", "negative object-margin",
+        "negative lscale", "zero lscale"])
 def test_malformed_ir_raises_ir_syntax_error_naming_the_line(text, line):
     with pytest.raises(IRSyntaxError) as info:
         parse_ir(text)
     assert line in str(info.value) or repr(line) in str(info.value)
+
+
+def test_zero_ex_ratio_and_object_margin_are_in_range():
+    text = _with("ex-ratio 43/100\nlabel-scale 7/10\nobject-margin 30\n",
+                 "ex-ratio 0\nlabel-scale 7/10\nobject-margin 0\n")
+    ir = parse_ir(text)
+    assert (ir.scale.ex_ratio, ir.scale.object_margin) == (0, 0)
+    assert emit_ir(ir) == text
 
 
 @pytest.mark.parametrize("source", [

@@ -17,13 +17,13 @@ from diagc import (
     Node,
     Point,
     ScaleConfig,
-    baseline_offset,
     compile_source,
     layout_diagram,
     resolve_label_side,
 )
 from diagc.ir import KIND_VECTOR
-from diagc.layout import QUANTUM as Q
+from diagc.layout import QUANTUM as Q, _Frame
+from diagc.metrics import DEFAULT_METRICS
 
 # the full conditional ladder: placement x (sign dx, sign dy) -> side
 LADDER = {
@@ -99,10 +99,13 @@ def test_clip_diagonal_exits_box():
 
 
 def test_baseline_offset_values():
-    assert baseline_offset(ScaleConfig()).y == 32
-    assert baseline_offset(ScaleConfig(ex_ratio=0)).y == 0
+    def baseline(cfg):
+        return _Frame.of(cfg, DEFAULT_METRICS).baseline
+
+    assert baseline(ScaleConfig()) == 32 * Q
+    assert baseline(ScaleConfig(ex_ratio=0)) == 0
     # render scale does not touch the intermediate representation shift
-    assert baseline_offset(ScaleConfig(scale=2)).y == 32
+    assert baseline(ScaleConfig(scale=2)) == 32 * Q
 
 
 def _free_path(x1, y1, x2, y2, offset_pt=0, label="", side=LabelSide.NONE):

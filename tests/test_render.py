@@ -13,7 +13,6 @@ from diagc import (
     LayoutError,
     ScaleConfig,
     compile_source,
-    decode_style,
     emit_ir,
     merge_duplicate_nodes,
     parse_ir,
@@ -23,6 +22,7 @@ from diagc import (
 )
 from diagc.cli import main
 from diagc.geometry import format_decimal
+from diagc.styles import STYLES, style_of
 from test_layout import _grid
 
 
@@ -87,7 +87,7 @@ def test_svg_raw_style_falls_back_with_warning():
     notes = []
     render_svg(fig.ir, warnings=notes)
     assert notes and "solid" in notes[0]
-    # a style is decoded once per figure, yet each arrow drawn in it warns
+    # each arrow drawn in an unknown style warns
     fig = _one("\\square/@{>}`@{>}`>`@{>}/[A`B`C`D;f`g`h`k]")
     notes = []
     render_svg(fig.ir, warnings=notes)
@@ -315,18 +315,79 @@ def test_tikz_style_map():
     assert notes
 
 
+_SHAFT = '<line x1="13" y1="13.5" x2="52" y2="13.5" stroke="black" stroke-width="0.5"'
+_DOUBLE = [f'<line x1="13" y1="{y}" x2="52" y2="{y}" stroke="black" stroke-width="0.5"/>'
+           for y in (13, 14)]
+_HEAD = ' marker-end="url(#dg-head)"/>'
+
+
+# source spelling -> (SVG <line> elements, TikZ \draw options, whether it
+# falls back with a warning), as drawn for a 500-long horizontal \morphism
+@pytest.mark.parametrize("spelling, lines, options, fallback", [
+    (">", [_SHAFT + _HEAD], "->", False),
+    ("->", [_SHAFT + _HEAD], "->", False),
+    (">->", [_SHAFT + ' marker-start="url(#dg-mono)"' + _HEAD], ">->", False),
+    ("->>", [_SHAFT + ' marker-end="url(#dg-head2)"/>'], "->>", False),
+    ("<-", [_SHAFT + ' marker-start="url(#dg-rhead)"/>'], "<-", False),
+    ("<-<", [_SHAFT + ' marker-start="url(#dg-rhead)" marker-end="url(#dg-rmono)"/>'],
+     "<-<", False),
+    ("<<-", [_SHAFT + ' marker-start="url(#dg-rhead2)"/>'], "<<-", False),
+    ("=", _DOUBLE, "double", False),
+    ("=>", _DOUBLE + ['<line x1="13" y1="13.5" x2="52" y2="13.5" stroke="none"' + _HEAD],
+     "double, ->", False),
+    ("-->", [_SHAFT + ' stroke-dasharray="2 1.2"' + _HEAD], "->, dashed", False),
+    (".>", [_SHAFT + ' stroke-dasharray="0.2 1" stroke-linecap="round"' + _HEAD],
+     "->, dotted", False),
+    ("(->", [_SHAFT + ' marker-start="url(#dg-hook)"' + _HEAD], "right hook->", False),
+    (" >->", [_SHAFT + ' marker-start="url(#dg-mono)"' + _HEAD], ">->", False),
+    ("<-< ", [_SHAFT + ' marker-start="url(#dg-rhead)" marker-end="url(#dg-rmono)"/>'],
+     "<-<", False),
+    ("{@{>}}", [_SHAFT + _HEAD], "->", True),
+    ("?!?", [_SHAFT + _HEAD], "->", True),
+])
+def test_every_style_draws_its_lines_and_options(spelling, lines, options, fallback):
+    ir = _one(f"\\morphism(0,0)|a|/{spelling}/<500,0>[A`B;f]").ir
+    svg_notes, tikz_notes = [], []
+    svg = render_svg(ir, warnings=svg_notes)
+    tikz = render_tikz(ir, warnings=tikz_notes)
+    assert re.findall(r"<line [^>]*/>", svg) == lines
+    assert [line for line in tikz.splitlines() if line.startswith("\\draw")] == [
+        f"\\draw[{options}] (0.55em,0em) -- node[above] {{$\\scriptstyle f$}} (4.45em,0em);"
+    ]
+    token = ir.arrows[0].style
+    assert svg_notes == ([f"style {token!r} not supported by the SVG backend; drawn as a "
+                          "solid arrow"] if fallback else [])
+    assert tikz_notes == ([f"style {token!r} not supported by the TikZ backend; drawn as a "
+                           "solid arrow"] if fallback else [])
+
+
 def test_style_decoding_table():
-    assert decode_style(">").head == "normal"
-    assert decode_style(" >->").tail == "head"
-    assert not decode_style(" >->").reversed
-    assert decode_style("<-<").reversed
-    assert decode_style("<<-").head == "double"
-    assert decode_style("=").body == "double"
-    assert decode_style("=").head == "none"
-    assert decode_style(".>").body == "dotted"
-    assert decode_style("(->").tail == "hook"
-    assert decode_style("@/^1em/").is_raw
-    assert decode_style("?!?").known is False
+    assert len(STYLES) == 12
+    assert style_of(">", "SVG", None) == ("solid", "", "dg-head", "->")
+    # alignment spaces are stripped before the lookup
+    assert style_of(" >->", "SVG", None) is STYLES[">->"]
+    assert style_of("<-< ", "SVG", None) is STYLES["<-<"]
+    assert STYLES["<-<"][1:3] == ("dg-rhead", "dg-rmono")
+    assert STYLES["<<-"].marker_start == "dg-rhead2"
+    assert STYLES["="] == ("double", "", "", "double")
+    assert STYLES[".>"].body == "dotted"
+    assert STYLES["(->"][1:] == ("dg-hook", "dg-head", "right hook->")
+    # raw '@...' material and unknown tokens fall back to the solid row
+    for raw in ("@/^1em/", "?!?", ""):
+        notes = []
+        assert style_of(raw, "TikZ", notes) is STYLES[">"]
+        assert notes == [f"style {raw!r} not supported by the TikZ backend; "
+                         "drawn as a solid arrow"]
+
+
+def test_style_markers_and_warnings_match_their_readers():
+    named = {m for style in STYLES.values() for m in style[1:3]} - {""}
+    assert named == set(diagc.svg._MARKERS)
+    # perfbench/tracing.py counts fallbacks by these phrases
+    for backend in ("SVG", "TikZ"):
+        notes = []
+        style_of("@{>}", backend, notes)
+        assert f"not supported by the {backend} backend" in notes[0]
 
 
 def test_ir_round_trip_fixpoint():
