@@ -95,7 +95,8 @@ def _compile_file(
             result.status = 2
             continue
         result.diagnostics.extend(
-            Diagnostic("warning", note, str(path)) for note in render_warnings
+            Diagnostic("warning", note, str(path), figure.line, figure.col)
+            for note in render_warnings
         )
         result.outputs.append((name, rendered))
     return result

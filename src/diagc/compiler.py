@@ -23,6 +23,8 @@ class CompiledFigure:
     ir: DiagramIR        # duplicate corner nodes merged
     raw_ir: DiagramIR    # as expanded; the token backend wants overdraws
     warnings: List[Diagnostic]
+    line: int            # of the figure's \bfig, or of its first command
+    col: int
 
 
 def compile_source(
@@ -46,7 +48,7 @@ def compile_source(
             Diagnostic("warning", note, filename, figure.line, figure.col)
             for note in merge_notes
         ]
-        out.append(CompiledFigure(ir=ir, raw_ir=raw_ir, warnings=warnings))
+        out.append(CompiledFigure(ir, raw_ir, warnings, figure.line, figure.col))
     return out
 
 

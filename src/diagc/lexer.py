@@ -9,21 +9,43 @@ are atomic, so the brace of ``\\{`` or ``\\}`` never counts.
 
 Source text has comments.  Payload fields, IR text fields and measured
 text are already past the reader, so there ``%`` is an ordinary
-character.  ``group_end`` sees only braces and control sequences, which
-the letter cut of ``tokens`` never changes, so it needs no tokens.
+character.
+
+Readers do not walk token lists.  ``token_at`` reads the one token at a
+position, and ``BLANK`` skips whitespace and comments in one match.  A
+scan for braces and stop characters (``section_end``, ``split_top``,
+``group_end``) runs a pattern, compiled once per stop set, that matches
+only ``{``, ``}``, the stops, control symbols and, in source text,
+comments.  A control symbol is the only token that can hide a brace, a
+stop or a ``%``; the letters of a control word and every other
+character never count, so ``re`` skips them.  ``tokens`` lists every
+token; it is what ``text_width`` measures.
 """
 from __future__ import annotations
 
 import re
-from typing import List, Sequence
+from functools import lru_cache
+from typing import List, Pattern
 
 _CONTROL = r"\\[^\W\d_]+|\\.|\\|"
-_SOURCE = re.compile(_CONTROL + r"%[^\n]*\n?|[ \t\r\n]+|.", re.DOTALL)
+_COMMENT = r"%[^\n]*\n?"
+_SOURCE = re.compile(_CONTROL + _COMMENT + r"|[ \t\r\n]+|.", re.DOTALL)
 _TEXT = re.compile(_CONTROL + r"[ \t\r\n]+|.", re.DOTALL)
-_BRACES = re.compile(_CONTROL + r"[{}]", re.DOTALL)
-_DEPTH = {"{": 1, "}": -1}  # a control sequence leaves the depth as it is
+_SYMBOL = r"\\[\W\d_]"  # a control symbol; \ and a letter starts a control word
+_DEPTH = {"{": 1, "}": -1}  # a control symbol leaves the depth as it is
 
-WHITESPACE = " \t\r\n"
+BLANK = re.compile(r"(?:[ \t\r\n]+|" + _COMMENT + ")*")  # whitespace and comments
+# in a section a control sequence stays, a comment goes and a whitespace
+# run becomes one space
+_TIDY = re.compile(r"(\\.)|(" + _COMMENT + r")|[ \t\r\n]+", re.DOTALL)
+
+
+def _word_end(tok: str) -> int:
+    """Length of the control sequence that begins ``tok``, a backslash and
+    a run of ``[^\\W\\d_]``.  That class also takes numerals that are not
+    letters (², ½, Ⅻ); the word ends before the first of them, and a
+    backslash and such a numeral is a control symbol."""
+    return 1 + max(1, next(i for i, c in enumerate(tok[1:]) if not c.isalpha()))
 
 
 def tokens(text: str, comments: bool = True) -> List[str]:
@@ -36,50 +58,87 @@ def tokens(text: str, comments: bool = True) -> List[str]:
     toks = (_SOURCE if comments else _TEXT).findall(text)
     if text.isascii():  # where [^\W\d_] is exactly str.isalpha
         return toks
-    # [^\W\d_] also takes numerals that are not letters (², ½, Ⅻ): cut such
-    # a control word back to its letters; each character cut off is a token
+    # cut an odd control word back to its letters; each character cut off
+    # is a token
     odd = [k for k, tok in enumerate(toks)
            if tok[0] == "\\" and not tok[1:].isalpha() and len(tok) > 2]
     for k in reversed(odd):
         tok = toks[k]
-        n = 1 + max(1, next(i for i, c in enumerate(tok[1:]) if not c.isalpha()))
+        n = _word_end(tok)
         toks[k:k + 1] = [tok[:n], *tok[n:]]
     return toks
 
 
-def top_level_end(toks: Sequence[str], start: int, stops: str) -> int:
-    """Index of the first token from ``start`` at brace depth 0 that begins
-    with a character of ``stops`` or is a ``}`` with nothing to close;
-    ``len(toks)`` when there is none."""
+def token_at(text: str, pos: int) -> str:
+    """The source token that starts at ``pos``, where a token of
+    ``tokens(text)`` begins; ``""`` at the end."""
+    tok = _SOURCE.match(text, pos)
+    if tok is None:
+        return ""
+    tok = tok[0]
+    if len(tok) > 2 and tok[0] == "\\" and not tok.isascii() and not tok[1:].isalpha():
+        return tok[:_word_end(tok)]
+    return tok
+
+
+def lone_backslash(text: str, pos: int) -> bool:
+    """Whether ``text`` ends in a lone backslash, read from ``pos``, where
+    a source token begins."""
+    return text[-1:] == "\\" and _SOURCE.findall(text, pos)[-1:] == ["\\"]
+
+
+@lru_cache(maxsize=None)
+def _scanner(stops: str, comments: bool) -> Pattern[str]:
+    """The tokens a scan to ``stops`` must see: the braces and stops, and
+    the control symbols and comments that can hide one."""
+    hiding = _SYMBOL + "|" + _COMMENT if comments else _SYMBOL
+    return re.compile(hiding + "|[{}" + re.escape(stops) + "]")
+
+
+def section_end(text: str, pos: int, stops: str) -> int:
+    """Index of the first source token from ``pos`` at brace depth 0 that
+    begins with a character of ``stops`` or is a ``}`` with nothing to
+    close; ``len(text)`` when there is none."""
     depth = 0
-    for k in range(start, len(toks)):
-        tok = toks[k]
-        if tok == "{":
+    for tok in _scanner(stops, True).finditer(text, pos):
+        c = tok[0]  # no stop is \ or %, so a symbol or comment is never in stops
+        if c == "{":
             depth += 1
-        elif tok == "}":
+        elif c == "}":
             if not depth:
-                return k
+                return tok.start()
             depth -= 1
-        elif not depth and tok[0] in stops:
-            return k
-    return len(toks)
+        elif not depth and c in stops:
+            return tok.start()
+    return len(text)
+
+
+def tidy(section: str) -> str:
+    """Source text of a section as its fields read it: comments dropped,
+    each whitespace run one space, control sequences as they are."""
+    return _TIDY.sub(_tidied, section)
+
+
+def _tidied(tok: re.Match) -> str:
+    return tok[1] or ("" if tok[2] else " ")
 
 
 def split_top(text: str, seps: str) -> List[str]:
     """Split comment-free text at depth-0 tokens that begin with a char of ``seps``."""
-    toks = tokens(text, comments=False)
     parts: List[str] = []
-    start = scan = 0
-    while True:
-        end = top_level_end(toks, scan, seps)
-        if end == len(toks):
-            parts.append("".join(toks[start:]))
-            return parts
-        if toks[end] == "}":  # nothing to close: an ordinary character here
-            scan = end + 1
-            continue
-        parts.append("".join(toks[start:end]))
-        start = scan = end + 1
+    depth = start = 0
+    for tok in _scanner(seps, False).finditer(text):
+        c = tok[0]
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            if depth:
+                depth -= 1
+        elif not depth and c in seps:
+            parts.append(text[start:tok.start()])
+            start = tok.end()
+    parts.append(text[start:])
+    return parts
 
 
 def group_end(text: str, start: int) -> int:
@@ -88,7 +147,7 @@ def group_end(text: str, start: int) -> int:
     if not text.startswith("{", start):
         return -1
     depth = 0
-    for brace in _BRACES.finditer(text, start):
+    for brace in _scanner("", False).finditer(text, start):
         depth += _DEPTH.get(brace[0], 0)
         if not depth:
             return brace.end()

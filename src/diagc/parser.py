@@ -20,6 +20,7 @@ order, as the arithmetic dictates.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -27,9 +28,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .diagnostics import Diagnostic, ParseError
 from .geometry import Point
-from .lexer import WHITESPACE, split_top, strip_group, tokens, top_level_end
+from .lexer import (BLANK, lone_backslash, section_end, split_top, strip_group, tidy,
+                    token_at)
 
-_SKIPPED = WHITESPACE + "%"
 
 @dataclass
 class SquarePart:
@@ -91,45 +92,54 @@ class Figure:
 
 
 class _Reader:
-    """Token reader over source text; tracks the current token's position."""
+    """Reader over source text at a position, ``pos``, where a token
+    begins; ``tok`` is that token, ``""`` at the end.
+
+    It holds the text, never a token list: each move reads the one token
+    at the new position, a section is one scan to its stop, and ``where``
+    counts lines only over the text passed since it last counted.
+    """
 
     def __init__(self, text: str, filename: str = "<input>") -> None:
-        self.toks = tokens(text)
-        self.k = 0  # index of the current token
-        self.tok = self.toks[0] if self.toks else ""  # "" at the end
-        self.line = 1
-        self.col = 1
+        self.text = text
         self.filename = filename
+        self.pos = 0
+        self.tok = token_at(text, 0)
+        self._counted = 0  # where() has counted lines up to here
+        self._line = 1
+        self._line_start = 0
 
-    def _move(self, end: int) -> None:
-        """Make token ``end`` current, carrying line and column past the rest."""
-        passed = "".join(self.toks[self.k:end])
-        if "\n" in passed:
-            self.line += passed.count("\n")
-            self.col = len(passed) - passed.rfind("\n")
-        else:
-            self.col += len(passed)
-        if end == len(self.toks) and self.toks[-1:] == ["\\"]:
-            raise self.error("lone backslash at end of input")
-        self.k = end
-        self.tok = self.toks[end] if end < len(self.toks) else ""
+    def where(self) -> Tuple[int, int]:
+        """Line and column of the current token, both from 1."""
+        pos, counted = self.pos, self._counted
+        newlines = self.text.count("\n", counted, pos)
+        if newlines:
+            self._line += newlines
+            self._line_start = self.text.rfind("\n", counted, pos) + 1
+        self._counted = pos
+        return self._line, pos - self._line_start + 1
+
+    def _goto(self, pos: int) -> None:
+        self.pos = pos
+        self.tok = token_at(self.text, pos)
 
     def advance(self) -> str:
         tok = self.tok
-        self._move(self.k + 1)
+        self._goto(self.pos + len(tok))
+        if tok == "\\":  # a backslash alone is the last token
+            raise self.error("lone backslash at end of input")
         return tok
 
     def error(self, message: str, line: int = 0, col: int = 0) -> ParseError:
-        return ParseError(
-            Diagnostic(
-                "error", message, self.filename, line or self.line, col or self.col
-            )
-        )
+        if not line:
+            line, col = self.where()
+        return ParseError(Diagnostic("error", message, self.filename, line, col))
 
     def skip_ws(self) -> None:
         """Skip whitespace and comments; a comment takes its newline along."""
-        while self.tok and self.tok[0] in _SKIPPED:
-            self.advance()
+        pos = BLANK.match(self.text, self.pos).end()
+        if pos != self.pos:
+            self._goto(pos)
 
     def expect(self, c: str, what: str) -> str:
         """Consume the token starting with ``c``: a delimiter or a control sequence."""
@@ -137,40 +147,29 @@ class _Reader:
             raise self.error(f"expected {c!r} {what}")
         return self.advance()
 
-    def read_raw(
-        self, terminators: str, eof: str = "unexpected end of input inside section"
-    ) -> str:
-        """Raw section content up to an unconsumed top-level terminator.
+    def delimited(self, opener: str, closer: str, what: str,
+                  eof: str = "unexpected end of input inside section") -> str:
+        """Content of a section from ``opener``, the current token, to
+        ``closer``, which it consumes; the caller skips whitespace first.
 
         Comments vanish (with their newline); other whitespace runs
         become one space; braces nest; control sequences stay whole, so
-        an escaped delimiter never terminates.
+        an escaped delimiter never closes the section.
         """
-        start = self.k
-        self._move(top_level_end(self.toks, start, terminators))
-        if not self.tok:
-            raise self.error(eof)
-        if self.tok == "}" and "}" not in terminators:
+        if self.tok != opener:  # every opener is a token of its own
+            raise self.error(f"expected {opener!r} to open {what}")
+        text, start = self.text, self.pos + 1
+        end = section_end(text, start, closer)
+        if end == len(text):
+            self._goto(end)
+            raise self.error(
+                "lone backslash at end of input" if lone_backslash(text, start) else eof
+            )
+        if text[end] != closer:
+            self._goto(end)
             raise self.error("unbalanced '}'")
-        return "".join([
-            " " if t[0] in WHITESPACE else "" if t[0] == "%" else t
-            for t in self.toks[start:self.k]
-        ])
-
-    def read_group(self) -> str:
-        """A brace group; returns the content, outer braces stripped."""
-        self.expect("{", "to open a group")
-        out = self.read_raw("}", "unbalanced '{'")
-        self.advance()
-        return out
-
-    def delimited(self, opener: str, closer: str, what: str) -> str:
-        """Raw content of a section from ``opener`` to ``closer``."""
-        self.skip_ws()
-        self.expect(opener, f"to open {what}")
-        raw = self.read_raw(closer)
-        self.expect(closer, f"to close {what}")
-        return raw
+        self._goto(end + 1)
+        return tidy(text[start:end])
 
     def single_token(self) -> str:
         """One token or brace group (a mask, a scale factor, a script)."""
@@ -178,7 +177,7 @@ class _Reader:
         if not self.tok:
             raise self.error("unexpected end of input")
         if self.tok == "{":
-            return self.read_group()
+            return self.delimited("{", "}", "a group", "unbalanced '{'")
         if self.tok == "}":
             raise self.error("unbalanced '}'")
         return self.advance()
@@ -191,7 +190,7 @@ def _fields(raw: str) -> List[str]:
 def _command(r: _Reader) -> Command:
     """One command, its sections read by its row of ``COMMANDS``."""
     r.skip_ws()
-    line, col = r.line, r.col
+    line, col = r.where()
     name = r.expect("\\", "to start a command")[1:]
     chain = COMMANDS.get(name)
     if chain is None:
@@ -213,17 +212,16 @@ def parse_source(text: str, filename: str = "<input>") -> List[Figure]:
             break
         if tok[0] != "\\":
             raise r.error(f"unexpected character {tok!r}")
-        line, col = r.line, r.col
         if tok == "\\bfig":
             if current is not None:
-                raise r.error("nested \\bfig", line, col)
+                raise r.error("nested \\bfig")
+            open_pos = r.where()
             r.advance()
             current = []
-            open_pos = (line, col)
             continue
         if tok == "\\efig":
             if current is None:
-                raise r.error("\\efig without \\bfig", line, col)
+                raise r.error("\\efig without \\bfig")
             r.advance()
             figures.append(Figure(current, True, open_pos[0], open_pos[1]))
             current = None
@@ -250,6 +248,11 @@ def parse_command(text: str, filename: str = "<input>") -> Command:
 # -- the command table ----------------------------------------------------
 
 REQUIRED = object()  # the default of a section that is always read
+
+# Numbers in source text are ASCII: int() and Fraction() alone would also
+# read 1_0, a ٣ or 1e3.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_FACTOR = re.compile(r"[+-]?(?:[0-9]+(?:/0*[1-9][0-9]*|\.[0-9]*)?|\.[0-9]+)")  # p, p/q, decimal
 
 
 class _Section:
@@ -284,13 +287,12 @@ class _Ints(_Section):
 
     def read(self, r: _Reader, into: Dict[str, Any]) -> None:
         raw = r.delimited(self.opener, self.closer, self.what)
-        parts = raw.split(",")
-        if len(parts) != self.arity:
-            raise r.error(f"expected {self.arity} integer(s), got {len(parts)}")
-        try:
-            into[self.field] = self.make(tuple(int(p.strip()) for p in parts))
-        except ValueError:
+        numbers = [p.strip() for p in raw.split(",")]
+        if len(numbers) != self.arity:
+            raise r.error(f"expected {self.arity} integer(s), got {len(numbers)}")
+        if not all(map(_INTEGER.fullmatch, numbers)):
             raise r.error(f"malformed integer in {raw.strip()!r}")
+        into[self.field] = self.make(tuple(map(int, numbers)))
 
     def write(self, obj: Any) -> str:
         value = getattr(obj, self.field)
@@ -419,10 +421,10 @@ class _Mask(_Section):
             into["mask"], into["stub"] = 0, self.no_stub
             return
         token = r.single_token()
-        try:
-            mask = int(token.strip())
-        except ValueError:
+        number = token.strip()
+        if not _INTEGER.fullmatch(number):
             raise r.error(f"malformed mask {token!r}")
+        mask = int(number)
         if not 0 <= mask < self.limit:
             raise r.error(f"mask must be in 0..{self.limit - 1}")
         into["mask"], into["stub"] = mask, self.stub.default
@@ -466,10 +468,10 @@ class _Factor(_Section):
 
     def read(self, r: _Reader, into: Dict[str, Any]) -> None:
         token = r.single_token()
-        try:
-            factor = Fraction(token.strip())
-        except (ValueError, ZeroDivisionError):
+        number = token.strip()
+        if not _FACTOR.fullmatch(number):
             raise r.error(f"malformed scale factor {token!r}")
+        factor = Fraction(number)
         if factor <= 0:
             raise r.error("scale factor must be positive")
         into[self.field] = factor

@@ -71,6 +71,18 @@ def test_strict_promotes_warnings(tmp_path, capsys):
     assert main([str(src), "--strict", "-o", str(out) + os.sep]) == 1
 
 
+@pytest.mark.parametrize("fmt", ["svg", "tikz"])
+def test_render_warnings_name_their_figure(tmp_path, capsys, fmt):
+    src = _write(tmp_path, "two.dg", "% two figures\n" + GOOD
+                 + "\n  \\bfig\n\\morphism/@{-->}/[A`B;f]\n\\efig\n")
+    out = tmp_path / "out"
+    assert main([str(src), "-f", fmt, "--scale", "1/3", "-o", str(out) + os.sep]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": warning: ")[0] for line in err] == [
+        f"{src}:2:1", f"{src}:6:3", f"{src}:6:3"]
+    assert "scale 1/3" in err[0] and "not supported" in err[2]
+
+
 def test_multiple_figures_get_suffixes(tmp_path):
     src = _write(tmp_path, "multi.dg", GOOD + GOOD)
     out = tmp_path / "out"

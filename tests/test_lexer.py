@@ -1,5 +1,7 @@
 """The shared lexical rule: token kinds, brace depth, comment-free text."""
-from diagc.lexer import split_top, strip_group, tokens, top_level_end
+from token_walk import top_level_end
+
+from diagc.lexer import split_top, strip_group, tokens
 
 
 def test_five_token_kinds():

@@ -1,5 +1,9 @@
 """Grammar: optional sections, payload splitting, round-trips, arity."""
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
+from opcode_count import opcodes
 
 from diagc import ParseError, Point, format_command, parse_command, parse_source
 
@@ -97,6 +101,45 @@ def test_payload_diagnostics(text, where, message):
         parse_command("\\morphism " + text)
     d = info.value.diagnostic
     assert ((d.line, d.col), d.message) == (where, message)
+
+
+NINE = "[A`B`C`D`E`F`G`H`I;f`g`h`i`j`k`l`m`n`o`p`q]"
+
+
+@pytest.mark.parametrize(
+    "source, where, message",
+    [
+        ("\\square(1_0,0)[A`B`C`D;f`g`h`k]", (1, 15), "malformed integer in '1_0,0'"),
+        ("\\square(\u0663,0)[A`B`C`D;f`g`h`k]", (1, 13), "malformed integer in '\u0663,0'"),
+        ("\\vector(0,0)/>/<500,\uff10>", (1, 23), "malformed integer in '500,\uff10'"),
+        ("\\iiixiii{1_5}" + NINE, (1, 14), "malformed mask '1_5'"),
+        ("\\iiixii \u0663[A`B`C`D`E`F;f`g`h`i`j`k`l]", (1, 10), "malformed mask '\u0663'"),
+        ("\\scalefactor{1_0}", (1, 18), "malformed scale factor '1_0'"),
+        ("\\scalefactor{1e3}", (1, 18), "malformed scale factor '1e3'"),
+        ("\\scalefactor{\u0663}", (1, 16), "malformed scale factor '\u0663'"),
+    ],
+)
+def test_source_numbers_are_ascii(source, where, message):
+    # int() and Fraction() alone read each of these numbers
+    with pytest.raises(ParseError) as info:
+        parse_command(source)
+    d = info.value.diagnostic
+    assert ((d.line, d.col), d.message) == (where, message)
+
+
+def test_ascii_number_spellings():
+    assert parse_command("\\twoar( +5 ,-007)").direction == (5, -7)
+    assert parse_command("\\iiixiii{ 015 }" + NINE).mask == 15
+    for text, factor in [("3/4", Fraction(3, 4)), (" -1.50", Fraction(-3, 2)),
+                         (".5", Fraction(1, 2)), ("2.", Fraction(2)), ("+2/04", Fraction(1, 2))]:
+        source = "\\scalefactor{" + text + "}"
+        if factor > 0:
+            assert parse_command(source).factor == factor
+        else:
+            with pytest.raises(ParseError, match="must be positive"):
+                parse_command(source)
+    with pytest.raises(ParseError, match="malformed scale factor"):
+        parse_command("\\scalefactor{1/00}")
 
 
 def test_place_variants():
@@ -249,3 +292,29 @@ def test_more_whitespace_between_sections():
     ]
     for airy, tight in pairs:
         assert parse_command(airy) == parse_command(tight)
+
+
+def _square_grid(k):
+    """A k x k grid of squares; each node is named by its grid point."""
+    def node(i, j):
+        return f"X_{{{i},{j}}}"
+    squares = (f"\\square({500 * j},{500 * i})"
+               f"[{node(i + 1, j)}`{node(i + 1, j + 1)}`{node(i, j)}`{node(i, j + 1)};f`g`h`k]"
+               for i in range(k) for j in range(k))
+    return "\\bfig\n" + "\n".join(squares) + "\n\\efig\n"
+
+
+def test_parse_cost_per_byte_is_bounded():
+    # a reader that walks every token costs about 91 instructions per grid
+    # byte and 96 per corpus byte
+    def per_byte(texts):
+        def parse():
+            return [parse_source(t) for t in texts]
+        parse()  # the scan patterns are compiled on first use
+        return opcodes(parse) / sum(map(len, texts))
+
+    small, large = per_byte([_square_grid(10)]), per_byte([_square_grid(20)])
+    assert large <= 50
+    assert large <= 1.1 * small
+    corpus = sorted(Path(__file__).parent.joinpath("corpus").glob("*.dg"))
+    assert per_byte([p.read_text(encoding="utf-8") for p in corpus]) <= 85

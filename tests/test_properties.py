@@ -10,8 +10,10 @@ from dataclasses import replace
 from datetime import timedelta
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from token_walk import split_top_by_tokens, tidy_by_tokens, top_level_end
 
 from diagc import (
     DEFAULT_METRICS,
@@ -23,6 +25,7 @@ from diagc import (
     LabelSide,
     LayoutError,
     Node,
+    ParseError,
     Point,
     ScaleConfig,
     emit_ir,
@@ -33,8 +36,8 @@ from diagc import (
 from diagc import layout
 from diagc.geometry import decimal_formatter, format_decimal
 from diagc.ir import KIND_POS, KIND_VECTOR
-from diagc.lexer import group_end, strip_group, tokens, top_level_end
-from diagc.parser import COMMANDS, format_command, parse_command
+from diagc.lexer import group_end, section_end, split_top, strip_group, token_at, tokens
+from diagc.parser import COMMANDS, _Reader, format_command, parse_command
 
 BOUNDED = settings(
     derandomize=True, database=None, max_examples=100, deadline=timedelta(seconds=1)
@@ -96,6 +99,65 @@ def test_group_end_agrees_with_the_token_walk(atoms, lone):
         end = top_level_end(toks, k + 1, "") if tok == "{" else len(toks)
         assert group_end(text, starts[k]) == (starts[end + 1] if end < len(toks) else -1)
     assert strip_group(text) == strip_group_by_tokens(text)
+
+
+SCAN_ATOMS = ["{", "}", "\\{", "\\}", "\\\\", "%", "\n", "\t", " ", "`", ";", "]", "|", "/",
+              ")", ">", "²", "é", "\\é", "a", "\\`", "\\;", "\\]", "\\%"]
+STOP_SETS = ["`", ";", "]", "|", "/", ")", ">", "}", "`;", "`/", "`;]"]
+
+
+def where_by_tokens(toks, k):
+    """Line and column where token ``k`` begins."""
+    passed = "".join(toks[:k])
+    return passed.count("\n") + 1, len(passed) - passed.rfind("\n")
+
+
+@BOUNDED
+@given(atoms=st.lists(st.sampled_from(SCAN_ATOMS), max_size=16), lone=st.booleans(),
+       stops=st.sampled_from(STOP_SETS))
+@example(atoms=["a", "%", "]", "\n", "]"], lone=False, stops="]")
+@example(atoms=["{", "%", "}", "\n", "}", "]"], lone=True, stops="]")
+@example(atoms=["a", "}"], lone=False, stops="}")  # a } with nothing to close
+def test_scans_agree_with_the_token_walk(atoms, lone, stops):
+    text = "".join(atoms) + "\\" * lone  # a lone backslash only at the very end
+    toks = tokens(text)
+    for k in range(len(toks) + 1):
+        start = len("".join(toks[:k]))
+        end = top_level_end(toks, k, stops)
+        assert section_end(text, start, stops) == len("".join(toks[:end]))
+        assert token_at(text, start) == "".join(toks[k:k + 1])
+    toks = tokens(text, comments=False)
+    for k in range(len(toks) + 1):
+        rest = "".join(toks[k:])
+        assert split_top(rest, stops) == split_top_by_tokens(rest, stops)
+
+
+@BOUNDED
+@given(atoms=st.lists(st.sampled_from(SCAN_ATOMS), max_size=16), lone=st.booleans(),
+       closer=st.sampled_from([s for s in STOP_SETS if len(s) == 1]))
+@example(atoms=["a", "%", "]", "\n", "\t", "b", "]", "c"], lone=False, closer="]")
+@example(atoms=["a", "\\}", "}"], lone=False, closer=")")
+@example(atoms=["a", "{"], lone=True, closer="|")
+def test_reader_sections_agree_with_the_token_walk(atoms, lone, closer):
+    opener = "{" if closer == "}" else "("
+    text = opener + "".join(atoms) + "\\" * lone
+    toks = tokens(text)
+    end = top_level_end(toks, 1, closer)
+    r = _Reader(text)
+    if end == len(toks):
+        message = ("lone backslash at end of input" if toks[-1] == "\\"
+                   else "unexpected end of input inside section")
+    elif toks[end] != closer:
+        message = "unbalanced '}'"
+    else:
+        assert r.delimited(opener, closer, "a section") == tidy_by_tokens(toks[1:end])
+        assert r.tok == "".join(toks[end + 1:end + 2])
+        assert r.where() == where_by_tokens(toks, end + 1)
+        return
+    with pytest.raises(ParseError) as info:
+        r.delimited(opener, closer, "a section")
+    d = info.value.diagnostic
+    assert (d.message, (d.line, d.col)) == (message, where_by_tokens(toks, end))
 
 
 N4, L4 = "A`B`C`D", "f`g`h`k"
