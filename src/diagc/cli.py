@@ -91,7 +91,10 @@ def _compile_file(
         try:
             rendered = render_figure(figure, fmt, metrics, render_warnings)
         except DiagramError as exc:
-            result.diagnostics.append(exc.diagnostic)
+            d = exc.diagnostic
+            if not d.line:  # layout knows no position: name the figure's
+                d = Diagnostic(d.severity, d.message, str(path), figure.line, figure.col)
+            result.diagnostics.append(d)
             result.status = 2
             continue
         result.diagnostics.extend(

@@ -10,7 +10,6 @@ deduplicated later by merge_duplicate_nodes.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -365,10 +364,10 @@ def _expand_place(b: _Builder, cmd: Command) -> None:
 # order each arrow's style and label slot, side and parallel offset (pt).
 # \to carries its second label on its one arrow.
 _INLINE = {
-    "to": (KIND_TO, 200, ((0, LabelSide.ABOVE, Fraction(0)),)),
+    "to": (KIND_TO, 200, ((0, LabelSide.ABOVE, 0),)),
     "two": (KIND_TWO, 200, ((0, LabelSide.ABOVE, Fraction(5, 2)),
                             (1, LabelSide.BELOW, Fraction(-5, 2)))),
-    "three": (KIND_THREE, 300, ((1, LabelSide.ON_LINE, Fraction(0)),
+    "three": (KIND_THREE, 300, ((1, LabelSide.ON_LINE, 0),
                                 (0, LabelSide.ABOVE, Fraction(9, 2)),
                                 (2, LabelSide.BELOW, Fraction(-9, 2)))),
 }
@@ -429,6 +428,9 @@ _EXPANDERS = {
 }
 
 
+_DEFAULT_CONFIG = ScaleConfig()
+
+
 def expand_figure(
     figure: Figure,
     cfg: Optional[ScaleConfig] = None,
@@ -440,16 +442,17 @@ def expand_figure(
     Scale-factor commands multiply the figure's render scale; expansion
     coordinates stay integer regardless.
     """
-    cfg = cfg or ScaleConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     metrics = metrics or DEFAULT_METRICS
     b = _Builder(cfg, metrics, filename)
-    scale = cfg.scale
+    scale = None  # the figure's scale once a \scalefactor has multiplied it
     for index, cmd in enumerate(figure.commands):
         if cmd.kind == "scalefactor":
-            scale = scale * cmd.factor
+            scale = (cfg.scale if scale is None else scale) * cmd.factor
             continue
         b.group = index
         _EXPANDERS[cmd.kind](b, cmd)
-    if scale != cfg.scale:
-        cfg = replace(cfg, scale=scale)
+    if scale is not None:
+        cfg = ScaleConfig(scale, cfg.em_size, cfg.ex_ratio, cfg.label_scale,
+                          cfg.object_margin)
     return DiagramIR(tuple(b.nodes), tuple(b.arrows), cfg), b.warnings

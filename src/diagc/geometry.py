@@ -68,9 +68,12 @@ def round_half_away(x: Fraction) -> int:
     return round_div(x.numerator, x.denominator)
 
 
-def pt_to_centiem(pt: Numeric, em_size: Fraction) -> int:
-    """Convert printer's points to centi-em (1 em = em_size pt)."""
-    return round_half_away(as_fraction(pt) * 100 / em_size)
+def pt_to_centiem(pt: Union[int, Fraction], em_size: Fraction) -> int:
+    """Convert printer's points to centi-em (1 em = em_size pt), rounded
+    once, ties away from zero."""
+    pn, pd = pt.as_integer_ratio()
+    en, ed = em_size.as_integer_ratio()
+    return round_div(100 * pn * ed, pd * en)
 
 
 @dataclass(frozen=True)

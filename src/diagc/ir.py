@@ -1,16 +1,18 @@
 """Flat node/arrow intermediate representation shared by all backends.
 
-Values are immutable after construction and safe to share.  Geometry is
-integer centi-em; render scale lives in the attached ScaleConfig.  Nodes
-and arrows carry a creation-order seq that doubles as a stable id and
-keeps every backend's output deterministic.
+Records are named tuples: immutable, safe to share, built by position
+and changed with ``._replace``.  Geometry is integer centi-em; render
+scale lives in the attached ScaleConfig.  An arrow's parallel offset and
+local scale are exact rationals, an int where the value is whole (the
+defaults are 0 and 1).  Nodes and arrows carry a creation-order seq
+that doubles as a stable id and keeps every backend's output
+deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .geometry import Point, ScaleConfig
 
@@ -31,8 +33,7 @@ KIND_THREE = "three"     # parallel inline triple
 KIND_TWOAR = "twoar"     # double-shafted 2-cell arrow
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     anchor: Point
     text: str
     seq: int
@@ -40,8 +41,7 @@ class Node:
     standalone: bool = False  # placed on its own, not via an arrow's ends
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     start: Point
     end: Point
     style: str               # raw style token, verbatim
@@ -52,8 +52,8 @@ class Arrow:
     start_text: str = ""     # node text drawn at each end (pos arrows)
     end_text: str = ""
     label2: str = ""         # inline 'to': the '_' label (drawn below)
-    offset_pt: Fraction = Fraction(0)   # parallel offset, printer's points
-    local_scale: Fraction = Fraction(1)  # extra render scale (2-cell arrows)
+    offset_pt: Union[int, Fraction] = 0    # parallel offset, printer's points
+    local_scale: Union[int, Fraction] = 1  # extra render scale (2-cell arrows)
     group: int = -1          # inline arrows sharing one emission group
 
     @property
@@ -61,8 +61,7 @@ class Arrow:
         return (self.end.x - self.start.x, self.end.y - self.start.y)
 
 
-@dataclass(frozen=True)
-class DiagramIR:
+class DiagramIR(NamedTuple):
     nodes: Tuple[Node, ...]
     arrows: Tuple[Arrow, ...]
     scale: ScaleConfig = ScaleConfig()
@@ -94,4 +93,4 @@ def merge_duplicate_nodes(
         seen[key] = node
         by_anchor.setdefault(node.anchor, node)
         kept.append(node)
-    return replace(d, nodes=tuple(kept))
+    return DiagramIR(tuple(kept), d.arrows, d.scale)

@@ -5,19 +5,28 @@ A dump is the header line, then one line per record in the order of
 ``arrow`` line per arrow (each by seq), then ``end``; every line ends in
 ``\\n``.  ``_RECORDS`` states the format once: each row is a record's
 keyword and its fields, and each field gives its key, its kind and the
-attribute it reads.  ``emit_ir`` writes a record through one %-template
-made from its row; ``parse_ir`` reads a line field by field against the
-same row and accepts only what ``emit_ir`` writes: every field once, in
-order, one space apart, each the canonical spelling of a valid value.
-A braced text field (balanced by construction) ends where
-``lexer.group_end`` says, so the brace of ``\\{`` or ``\\}`` never
-counts.  emit -> parse -> emit is a fixpoint.
+attribute it reads.  A kind gives the %-conversion that writes a value,
+a pattern of the value's canonical spellings and the function that
+reads such a spelling.  ``emit_ir`` writes a record through one
+%-template made from its row.  ``parse_ir`` reads a line with patterns
+compiled from the same row at import, one for each maximal run of
+fields that are not braced text, and accepts only what ``emit_ir``
+writes: every field once, in order, one space apart, each the canonical
+spelling of a valid value.  A braced text field (balanced by
+construction) ends where ``lexer.group_end`` says, so the brace of
+``\\{`` or ``\\}`` never counts.  Nodes and arrows are named tuples,
+built from the values by position.  A ratio spelled without ``/`` reads
+as an int, the type the compiler gives a whole offset or local scale,
+so a record read back equals the one written, field types included,
+and emit -> parse -> emit is a fixpoint.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from operator import attrgetter
-from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
+from math import gcd
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from .geometry import Point, ScaleConfig
 from .ir import (KIND_POS, KIND_THREE, KIND_TO, KIND_TWO, KIND_TWOAR, KIND_VECTOR,
@@ -33,43 +42,35 @@ class IRSyntaxError(ValueError):
 
 class _Kind(NamedTuple):
     spec: str                               # the value's %-conversion in the template
-    read: Optional[Callable[[str], Any]]    # spelling -> value; None for braced text
+    pattern: Optional[str]                  # its canonical spellings; None for braced text
+    read: Callable[[str], Any] = str        # canonical spelling -> value
     spell: Optional[Dict[Any, str]] = None  # value -> spelling, where the two differ
 
 
-def _canonical(parse: Callable[[str], Any]) -> Callable[[str], Any]:
-    """A reader that takes only the spelling ``str`` gives the value."""
-    def read(token: str) -> Any:
-        value = parse(token)
-        if str(value) != token:  # int() also takes "+1", " 1", "0_1", other digits
-            raise ValueError
-        return value
-    return read
-
-
-def _unsigned(read: Callable[[str], Any], zero: bool) -> _Kind:
-    """A number kind that takes no negative value, and zero only if
-    ``zero``: in a canonical spelling, which ``read`` demands, a negative
-    value starts with '-' and zero is '0'."""
-    def checked(token: str) -> Any:
-        if token[:1] == "-" or token == "0" and not zero:
-            raise ValueError
-        return read(token)
-    return _Kind("%s", checked)
+def _ratio(spelling: str) -> Union[int, Fraction]:
+    """The value of ``n`` or ``n/d``, which is canonical only in lowest
+    terms with d > 1."""
+    if "/" not in spelling:
+        return int(spelling)
+    num, den = map(int, spelling.split("/"))
+    if den == 1 or gcd(num, den) != 1:
+        raise ValueError(spelling)
+    return Fraction(num, den)
 
 
 def _word(spellings: Dict[str, Any]) -> _Kind:
     same = all(word == value for word, value in spellings.items())
-    return _Kind("%s", spellings.__getitem__, None if same else
-                 {value: word for word, value in spellings.items()})
+    return _Kind("%s", "|".join(map(re.escape, spellings)), spellings.__getitem__,
+                 None if same else {value: word for word, value in spellings.items()})
 
 
-_INT = _Kind("%s", _canonical(int))
-_FLAG = _Kind("%d", {"0": False, "1": True}.__getitem__)
-_FRACTION = _Kind("%s", _canonical(lambda t: Fraction(*map(int, t.split("/", 1)))))
-_NATURAL = _unsigned(_INT.read, zero=True)
-_NONNEGATIVE = _unsigned(_FRACTION.read, zero=True)
-_POSITIVE = _unsigned(_FRACTION.read, zero=False)
+_DIGITS = "[1-9][0-9]*"  # a positive integer: ASCII, no sign, no leading 0, no _
+_INT = _Kind("%s", f"0|-?{_DIGITS}", int)
+_NATURAL = _Kind("%s", f"0|{_DIGITS}", int)
+_FRACTION = _Kind("%s", f"(?:0|-?{_DIGITS})(?:/{_DIGITS})?", _ratio)
+_NONNEGATIVE = _Kind("%s", f"(?:0|{_DIGITS})(?:/{_DIGITS})?", _ratio)
+_POSITIVE = _Kind("%s", f"{_DIGITS}(?:/{_DIGITS})?", _ratio)
+_FLAG = _Kind("%d", "[01]", {"0": False, "1": True}.__getitem__)
 _TEXT = _Kind("{%s}", None)
 _ALIGN = _word({"-": "", "l": "l", "r": "r", "u": "u", "d": "d"})
 _ARROW_KIND = _word({k: k for k in (KIND_POS, KIND_VECTOR, KIND_TO, KIND_TWO, KIND_THREE,
@@ -77,21 +78,49 @@ _ARROW_KIND = _word({k: k for k in (KIND_POS, KIND_VECTOR, KIND_TO, KIND_TWO, KI
 _SIDE = _word({side.value: side for side in LabelSide})
 
 
-class _Record:
-    """One row of the table.  A field with no key is spelled right after
-    the keyword; a dotted attribute is a coordinate of a Point."""
+def _read(read: Callable[[str], Any], spelling: str) -> Any:
+    """``read(spelling)``: mapped over a line's readers and spellings."""
+    return read(spelling)
 
-    def __init__(self, keyword: str, *fields: Tuple[str, _Kind, str]) -> None:
+
+class _Record:
+    """One row of the table: a record's keyword, the named tuple it reads
+    into (None for a scale line, which reads to its one value) and its
+    fields.  A field with no key is spelled right after the keyword; a
+    dotted attribute is a coordinate of a Point."""
+
+    def __init__(self, keyword: str, cls: Optional[type],
+                 *fields: Tuple[str, _Kind, str]) -> None:
         self.keyword = keyword
-        keys, kinds, self.attrs = zip(*fields)
+        keys, self.kinds, self.attrs = zip(*fields)
         prefixes = [f" {key}=" if key else " " for key in keys]
         prefixes[0] = keyword + prefixes[0]
-        self.template = "".join(p + kind.spec for p, kind in zip(prefixes, kinds)) + "\n"
+        self.prefixes = tuple(prefixes)
+        self.template = "".join(p + kind.spec for p, kind in zip(prefixes, self.kinds)) + "\n"
         self.get = attrgetter(*self.attrs)
-        self.spelled = tuple((i, kind.spell) for i, kind in enumerate(kinds) if kind.spell)
-        self.steps = tuple(zip(prefixes, (kind.read for kind in kinds)))
-        points = dict.fromkeys(a.partition(".")[0] for a in self.attrs if "." in a)
-        self.points = tuple((p, p + ".x", p + ".y") for p in points)
+        self.spelled = tuple((i, kind.spell) for i, kind in enumerate(self.kinds) if kind.spell)
+        # the reader: one pattern per run of fields up to a text field's
+        # prefix, and the last run up to the end of the line
+        runs = [""]
+        for prefix, kind in zip(prefixes, self.kinds):
+            runs[-1] += re.escape(prefix)
+            if kind.pattern is None:
+                runs.append("")
+            else:
+                runs[-1] += f"({kind.pattern})"
+        runs[-1] += r"\Z"
+        self.head, *self.tail = map(re.compile, runs)
+        self.reads = tuple(kind.read for kind in self.kinds)
+        # each point's x, last first, so that merging it with its y keeps
+        # the indices of the points before it
+        self.points = tuple(i for i, a in reversed(tuple(enumerate(self.attrs)))
+                            if a.endswith(".x"))
+        if cls is None:
+            self.make = itemgetter(0)
+        else:
+            names = list(dict.fromkeys(a.partition(".")[0] for a in self.attrs))
+            order = itemgetter(*map(names.index, cls._fields))
+            self.make = lambda values: cls._make(order(values))
 
     def write(self, obj: Any) -> str:
         values = self.get(obj)
@@ -99,47 +128,42 @@ class _Record:
             values = values[:i] + (spell[values[i]],) + values[i + 1:]
         return self.template % values
 
-    def read(self, line: str) -> Dict[str, Any]:
-        """attribute -> value of a line ``write`` could have written;
-        IRSyntaxError naming the line for any other."""
-        values = []
-        pos = 0
-        for prefix, read in self.steps:
-            if not line.startswith(prefix, pos):
-                raise IRSyntaxError(f"expected {prefix.strip()!r} in {line!r}")
-            pos += len(prefix)
-            if read is None:
-                end = group_end(line, pos)
-                if end < 0:
-                    raise IRSyntaxError(f"unbalanced braces in {line!r}")
-                values.append(line[pos + 1:end - 1])
-            else:
-                end = line.find(" ", pos)
-                if end < 0:
-                    end = len(line)
-                try:
-                    values.append(read(line[pos:end]))
-                except (ValueError, KeyError, ZeroDivisionError):
-                    raise IRSyntaxError(f"bad value {line[pos:end]!r} in {line!r}") from None
-            pos = end
-        if pos != len(line):
-            raise IRSyntaxError(f"trailing text in {line!r}")
-        fields = dict(zip(self.attrs, values))
-        for name, x, y in self.points:
-            fields[name] = Point(fields.pop(x), fields.pop(y))
-        return fields
+    def parse(self, line: str) -> Any:
+        """The record of a line ``write`` could have written, or a scale
+        line's value; IRSyntaxError naming the line for any other."""
+        match = self.head.match(line)
+        if match is None:
+            raise IRSyntaxError(f"malformed {self.keyword!r} line {line!r}")
+        spellings = list(match.groups())
+        for run in self.tail:
+            pos = match.end()
+            end = group_end(line, pos)
+            if end < 0:
+                raise IRSyntaxError(f"unbalanced braces in {line!r}")
+            spellings.append(line[pos + 1:end - 1])
+            match = run.match(line, end)
+            if match is None:
+                raise IRSyntaxError(f"malformed {self.keyword!r} line {line!r}")
+            spellings += match.groups()
+        try:
+            values = list(map(_read, self.reads, spellings))
+        except ValueError:
+            raise IRSyntaxError(f"bad value in {line!r}") from None  # such as 2/4
+        for i in self.points:
+            values[i:i + 2] = [Point(values[i], values[i + 1])]
+        return self.make(values)
 
 
 _RECORDS = (
-    _Record("scale", ("", _FRACTION, "scale")),
-    _Record("em", ("", _FRACTION, "em_size")),
-    _Record("ex-ratio", ("", _NONNEGATIVE, "ex_ratio")),
-    _Record("label-scale", ("", _FRACTION, "label_scale")),
-    _Record("object-margin", ("", _NATURAL, "object_margin")),
-    _Record("node", ("seq", _INT, "seq"), ("x", _INT, "anchor.x"), ("y", _INT, "anchor.y"),
-            ("align", _ALIGN, "align"), ("standalone", _FLAG, "standalone"),
-            ("text", _TEXT, "text")),
-    _Record("arrow", ("seq", _INT, "seq"), ("kind", _ARROW_KIND, "kind"),
+    _Record("scale", None, ("", _FRACTION, "scale")),
+    _Record("em", None, ("", _FRACTION, "em_size")),
+    _Record("ex-ratio", None, ("", _NONNEGATIVE, "ex_ratio")),
+    _Record("label-scale", None, ("", _FRACTION, "label_scale")),
+    _Record("object-margin", None, ("", _NATURAL, "object_margin")),
+    _Record("node", Node, ("seq", _INT, "seq"), ("x", _INT, "anchor.x"),
+            ("y", _INT, "anchor.y"), ("align", _ALIGN, "align"),
+            ("standalone", _FLAG, "standalone"), ("text", _TEXT, "text")),
+    _Record("arrow", Arrow, ("seq", _INT, "seq"), ("kind", _ARROW_KIND, "kind"),
             ("x1", _INT, "start.x"), ("y1", _INT, "start.y"),
             ("x2", _INT, "end.x"), ("y2", _INT, "end.y"),
             ("style", _TEXT, "style"), ("label", _TEXT, "label"), ("side", _SIDE, "side"),
@@ -176,15 +200,13 @@ def parse_ir(text: str) -> DiagramIR:
     head, body = len(_SCALES), lines[1:-2]
     if len(body) < head:
         raise IRSyntaxError(f"missing {_SCALES[len(body)].keyword!r} line")
-    scale: Dict[str, Any] = {}
-    for row, line in zip(_SCALES, body):
-        scale.update(row.read(line))
+    scale = [row.parse(line) for row, line in zip(_SCALES, body)]
     try:
-        cfg = ScaleConfig(**scale)
+        cfg = ScaleConfig(*scale)  # the scale lines are in ScaleConfig's field order
     except ValueError as exc:
         raise IRSyntaxError(f"{exc} in the scale lines") from None
     split = head
     while split < len(body) and body[split].startswith(_NODE.keyword + " "):
         split += 1
-    return DiagramIR(tuple(Node(**_NODE.read(line)) for line in body[head:split]),
-                     tuple(Arrow(**_ARROW.read(line)) for line in body[split:]), cfg)
+    return DiagramIR(tuple(map(_NODE.parse, body[head:split])),
+                     tuple(map(_ARROW.parse, body[split:])), cfg)

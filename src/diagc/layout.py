@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .diagnostics import Diagnostic, LayoutError
-from .geometry import Point, ScaleConfig, pt_to_centiem, round_div, round_half_away
+from .geometry import Point, ScaleConfig, pt_to_centiem, round_div
 from .ir import KIND_POS, Arrow, DiagramIR, LabelSide, Node
 from .metrics import DEFAULT_METRICS, FontMetrics, text_width
 
@@ -34,7 +33,7 @@ QUANTUM = 1000          # layout units per centi-em
 NODE_BOX_HEIGHT = 100   # text box height, centi-em at scale 1 (1 em)
 LABEL_GAP = 50          # line-to-label-center distance, centi-em
 CANVAS_MARGIN = 50      # bounding-box margin, centi-em
-KNOCKOUT_PAD_PT = (Fraction(1), Fraction(4))  # on-line label padding
+KNOCKOUT_PAD_PT = (1, 4)   # on-line label padding, printer's points
 
 IPoint = Tuple[int, int]           # layout units
 Span = Tuple[IPoint, IPoint]
@@ -113,10 +112,11 @@ class _Frame(NamedTuple):
 
     @classmethod
     def of(cls, cfg: ScaleConfig, metrics: FontMetrics) -> "_Frame":
+        ex_num, ex_den = cfg.ex_ratio.as_integer_ratio()
         return cls(
             cfg,
             metrics,
-            QUANTUM * round_half_away(75 * cfg.ex_ratio),
+            QUANTUM * round_div(75 * ex_num, ex_den),
             QUANTUM * cfg.object_margin,
             (NODE_BOX_HEIGHT * QUANTUM // 2 * cfg.label_scale).as_integer_ratio(),
             QUANTUM * pt_to_centiem(KNOCKOUT_PAD_PT[0], cfg.em_size),

@@ -83,6 +83,19 @@ def test_render_warnings_name_their_figure(tmp_path, capsys, fmt):
     assert "scale 1/3" in err[0] and "not supported" in err[2]
 
 
+@pytest.mark.parametrize("fmt", ["svg", "tikz"])
+def test_layout_errors_name_their_file_and_figure(tmp_path, capsys, fmt):
+    # the second arrow is 1 centi-em long, inside the boxes of its nodes
+    src = _write(tmp_path, "ov.dg", GOOD + "\n\\bfig\n\\morphism(0,0)[A`B;f]\n"
+                 "  \\morphism(0,0)<1,0>[A`B;g]\n\\efig\n")
+    out = tmp_path / "out"
+    assert main([str(src), "-f", fmt, "-o", str(out) + os.sep]) == 2
+    assert capsys.readouterr().err == (
+        f"{src}:5:1: error: overlapping objects: arrow fully swallowed by its endpoints\n")
+    assert not out.exists()
+    assert main([str(src), "-f", "xypic", "-o", str(out) + os.sep]) == 0
+
+
 def test_multiple_figures_get_suffixes(tmp_path):
     src = _write(tmp_path, "multi.dg", GOOD + GOOD)
     out = tmp_path / "out"

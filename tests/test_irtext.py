@@ -1,12 +1,17 @@
-"""IR text: malformed input raises IRSyntaxError; escaped braces round-trip."""
+"""IR text: malformed input raises IRSyntaxError; escaped braces round-trip;
+the reader agrees with the field walk of ``ir_walk``."""
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from ir_walk import parse_by_fields, parse_ir_by_fields
 from opcode_count import opcodes
+from test_properties import BOUNDED, SOURCES
 
 from diagc import compile_source, emit_ir, parse_ir
-from diagc.irtext import IRSyntaxError
+from diagc.irtext import _RECORDS, IRSyntaxError
 
 GOOD = emit_ir(compile_source("\\to^{f}_{g}\n\\place(0,0)[X]")[0].ir)
 NODE = next(line for line in GOOD.splitlines() if line.startswith("node "))
@@ -18,7 +23,7 @@ def _with(old, new):
     return GOOD.replace(old, new, 1)
 
 
-@pytest.mark.parametrize("text, line", [
+MALFORMED = [
     (_with(NODE, NODE.replace(" x=0", "")), NODE.replace(" x=0", "")),
     (_with(NODE, NODE.replace("y=0", "y=zero")), NODE.replace("y=0", "y=zero")),
     (_with(ARROW, ARROW.replace("side=above", "side=left")),
@@ -47,13 +52,18 @@ def _with(old, new):
     (_with("object-margin 30\n", "object-margin -400\n"), "object-margin -400"),
     (_with(ARROW, ARROW.replace("lscale=1", "lscale=-1")), ARROW.replace("lscale=1", "lscale=-1")),
     (_with(ARROW, ARROW.replace("lscale=1", "lscale=0")), ARROW.replace("lscale=1", "lscale=0")),
-], ids=["missing field", "non-integer", "unknown side", "zero denominator",
-        "bad fraction", "bad scalar", "non-positive scale", "missing scalar line",
-        "unclosed brace", "field without value", "unknown key", "repeated key",
-        "swapped fields", "reordered scale lines", "blank line", "node after arrow",
-        "double space", "unknown align", "unknown kind", "non-canonical integer",
-        "non-canonical fraction", "negative ex-ratio", "negative object-margin",
-        "negative lscale", "zero lscale"])
+]
+MALFORMED_IDS = [
+    "missing field", "non-integer", "unknown side", "zero denominator", "bad fraction",
+    "bad scalar", "non-positive scale", "missing scalar line", "unclosed brace",
+    "field without value", "unknown key", "repeated key", "swapped fields",
+    "reordered scale lines", "blank line", "node after arrow", "double space",
+    "unknown align", "unknown kind", "non-canonical integer", "non-canonical fraction",
+    "negative ex-ratio", "negative object-margin", "negative lscale", "zero lscale",
+]
+
+
+@pytest.mark.parametrize("text, line", MALFORMED, ids=MALFORMED_IDS)
 def test_malformed_ir_raises_ir_syntax_error_naming_the_line(text, line):
     with pytest.raises(IRSyntaxError) as info:
         parse_ir(text)
@@ -92,9 +102,101 @@ def test_line_separators_in_text_round_trip(separator):
 
 
 def test_parse_ir_cost_per_line_is_bounded():
-    # a line is read field by field against its record, with no tokens
+    # a line is read by one pattern per run of fields between text fields;
+    # read field by field it cost about 800 instructions per line
     corpus = sorted(Path(__file__).with_name("corpus").glob("*.dg"))
     dumps = [emit_ir(figure.ir) for path in corpus
              for figure in compile_source(path.read_text(encoding="utf-8"))]
     lines = sum(dump.count("\n") for dump in dumps)
-    assert opcodes(lambda: [parse_ir(dump) for dump in dumps]) <= 900 * lines
+    assert opcodes(lambda: [parse_ir(dump) for dump in dumps]) <= 700 * lines
+
+
+CORPUS = sorted(Path(__file__).with_name("corpus").glob("*.dg"))
+# every corpus figure, and one figure of every command kind
+IRS = {f"{path.stem}-{i}": figure.ir for path in CORPUS
+       for i, figure in enumerate(compile_source(path.read_text(encoding="utf-8")))}
+IRS["every-kind"] = compile_source("\n".join(SOURCES.values()))[0].ir
+DUMPS = [emit_ir(ir) for ir in IRS.values()]
+GOOD_LINES = sorted({line for dump in DUMPS + [GOOD] for line in dump.split("\n")})
+
+# values the writer never writes, and some it does
+VALUES = ["0", "00", "+1", "-0", "1_0", "\u0663", "2/4", "1/0", "2/2", "0/3", "1.5", "-1",
+          "7", "1/2", "-5/2", "x", "", "-", "l", "pos", "twoar", "above", "online", "{X}"]
+ATOMS = ["\\{", "\\}", "{", "}", "\\", " ", "  ", "\t", "="]
+
+
+@st.composite
+def mutated_dumps(draw):
+    """A dump with one of its record lines changed: fields edited to other
+    spellings, swapped, repeated or dropped, spaces changed, and braces
+    or escaped braces put in."""
+    lines = draw(st.sampled_from(DUMPS)).split("\n")
+    k = draw(st.integers(1, len(lines) - 3))  # a scale, node or arrow line
+    fields = lines[k].split(" ")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(fields) - 1))
+        j = draw(st.integers(0, len(fields) - 1))
+        op = draw(st.sampled_from(["edit", "edit", "swap", "repeat", "drop", "space"]))
+        if op == "edit":
+            key, eq, _ = fields[i].partition("=")
+            fields[i] = key + eq + draw(st.sampled_from(VALUES)) if eq else draw(
+                st.sampled_from(VALUES))
+        elif op == "swap":
+            fields[i], fields[j] = fields[j], fields[i]
+        elif op == "repeat":
+            fields.insert(j, fields[i])
+        elif op == "drop" and len(fields) > 1:
+            del fields[i]
+        elif op == "space":
+            fields[i] = draw(st.sampled_from(["", " ", "\t"])).join(fields[i:i + 2])
+            del fields[i + 1:i + 2]
+    line = " ".join(fields)
+    for atom in draw(st.lists(st.sampled_from(ATOMS), max_size=2)):
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + atom + line[at:]
+    lines[k] = line
+    return "\n".join(lines)
+
+
+def _outcome(read, *args):
+    """What a reader gives: its value, or IRSyntaxError."""
+    try:
+        return read(*args)
+    except IRSyntaxError:
+        return IRSyntaxError
+
+
+def test_the_reader_agrees_with_the_field_walk_on_every_written_line():
+    for row in _RECORDS:
+        for line in GOOD_LINES:
+            assert _outcome(row.parse, line) == _outcome(parse_by_fields, row, line), line
+
+
+def _malformed_examples(test):
+    for text, _ in MALFORMED:
+        test = example(text=text)(test)
+    return test
+
+
+@BOUNDED
+@given(text=mutated_dumps())
+@_malformed_examples
+def test_the_reader_agrees_with_the_field_walk(text):
+    # every line the writer would not write, read against every record
+    for line in sorted(set(text.split("\n")).difference(GOOD_LINES)):
+        for row in _RECORDS:
+            assert _outcome(row.parse, line) == _outcome(parse_by_fields, row, line), line
+    assert _outcome(parse_ir, text) == _outcome(parse_ir_by_fields, text)
+
+
+@pytest.mark.parametrize("name", IRS)
+def test_a_record_read_back_is_the_compiled_record(name):
+    ir = IRS[name]
+    back = parse_ir(emit_ir(ir))
+    assert back == ir
+    for read, compiled in zip(back.nodes + back.arrows, ir.nodes + ir.arrows):
+        assert type(read) is type(compiled)
+        assert list(map(type, read)) == list(map(type, compiled))
+        assert [type(v) for field in read if isinstance(field, tuple) for v in field] == [
+            type(v) for field in compiled if isinstance(field, tuple) for v in field]
+

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from opcode_count import opcodes
 
-from diagc import ParseError, Point, format_command, parse_command, parse_source
+from diagc import ParseError, Point, compile_source, format_command, parse_command, parse_source
 
 
 def test_square_defaults():
@@ -318,3 +318,17 @@ def test_parse_cost_per_byte_is_bounded():
     assert large <= 1.1 * small
     corpus = sorted(Path(__file__).parent.joinpath("corpus").glob("*.dg"))
     assert per_byte([p.read_text(encoding="utf-8") for p in corpus]) <= 85
+
+
+def test_compile_cost_per_arrow_is_bounded():
+    # parse, expand and merge; frozen dataclass records cost about 997
+    # instructions per arrow on the 20x20 grid
+    def per_arrow(k):
+        text = _square_grid(k)
+        compile_source(text)  # the scan patterns are compiled on first use
+        arrows = len(compile_source(text)[0].raw_ir.arrows)
+        return opcodes(lambda: compile_source(text)) / arrows
+
+    small, large = per_arrow(10), per_arrow(20)
+    assert large <= 900
+    assert large <= 1.05 * small
