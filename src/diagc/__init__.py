@@ -1,8 +1,9 @@
 """diagc: compiler for a TeX-flavored commutative-diagram command language.
 
 Pipeline: parse_source -> expand_figure -> merge_duplicate_nodes ->
-render_svg / render_tikz / render_xypic / emit_ir.  compile_source runs
-the whole front half per figure.
+layout_diagram -> render_svg / render_tikz, or, with no layout,
+render_xypic / emit_ir.  compile_source runs the front half per figure
+and render_figure the back half.
 """
 
 from .compiler import CompiledFigure, compile_source, render_figure

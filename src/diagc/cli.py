@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .compiler import FORMATS, compile_source, render_figure
 from .diagnostics import Diagnostic, DiagramError
-from .geometry import ScaleConfig, as_fraction
+from .geometry import ScaleConfig
 from .metrics import DEFAULT_METRICS, FontMetrics, MetricsError, load_metrics
 
 _EXTENSIONS = {"svg": ".svg", "tikz": ".tex", "xypic": ".xy", "ir": ".ir"}
@@ -89,12 +89,9 @@ def _compile_file(
             name = f"{path.stem}{ext}"
         render_warnings: List[str] = []
         try:
-            rendered = render_figure(figure, fmt, metrics, render_warnings)
+            rendered = render_figure(figure, fmt, render_warnings)
         except DiagramError as exc:
-            d = exc.diagnostic
-            if not d.line:  # layout knows no position: name the figure's
-                d = Diagnostic(d.severity, d.message, str(path), figure.line, figure.col)
-            result.diagnostics.append(d)
+            result.diagnostics.append(exc.diagnostic)
             result.status = 2
             continue
         result.diagnostics.extend(
@@ -123,7 +120,7 @@ def _write_atomic(dest: Path, text: str) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        cfg = ScaleConfig(scale=as_fraction(args.scale), em_size=as_fraction(args.em))
+        cfg = ScaleConfig(scale=args.scale, em_size=args.em)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"diagc: {exc}", file=sys.stderr)
         return 2

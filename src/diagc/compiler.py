@@ -1,4 +1,10 @@
-"""Front-to-back compilation: source text to rendered figures."""
+"""Front-to-back compilation: source text to rendered figures.
+
+``compile_source`` parses, expands and merges each figure.
+``render_figure`` lays a figure out once, with the metrics it was
+expanded with, and hands the layout to the SVG or TikZ printer; the
+Xy-pic token stream and the IR text need no layout.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -9,6 +15,7 @@ from .expand import expand_figure
 from .geometry import ScaleConfig
 from .ir import DiagramIR, merge_duplicate_nodes
 from .irtext import emit_ir
+from .layout import layout_diagram
 from .metrics import DEFAULT_METRICS, FontMetrics
 from .parser import parse_source
 from .svg import render_svg
@@ -25,6 +32,8 @@ class CompiledFigure:
     warnings: List[Diagnostic]
     line: int            # of the figure's \bfig, or of its first command
     col: int
+    filename: str
+    metrics: FontMetrics  # the widths it was expanded with, and is laid out with
 
 
 def compile_source(
@@ -35,6 +44,7 @@ def compile_source(
 ) -> List[CompiledFigure]:
     """Parse and expand every figure in a source text; a figure that draws
     nothing is a LayoutError at its ``\\bfig`` (or first command)."""
+    metrics = metrics or DEFAULT_METRICS
     figures = parse_source(text, filename)
     out: List[CompiledFigure] = []
     for figure in figures:
@@ -48,24 +58,29 @@ def compile_source(
             Diagnostic("warning", note, filename, figure.line, figure.col)
             for note in merge_notes
         ]
-        out.append(CompiledFigure(ir, raw_ir, warnings, figure.line, figure.col))
+        out.append(CompiledFigure(ir, raw_ir, warnings, figure.line, figure.col,
+                                  filename, metrics))
     return out
 
 
 def render_figure(
     figure: CompiledFigure,
     fmt: str,
-    metrics: Optional[FontMetrics] = None,
     warnings: Optional[List[str]] = None,
 ) -> str:
-    """Render one compiled figure in the requested format."""
-    metrics = metrics or DEFAULT_METRICS
-    if fmt == "svg":
-        return render_svg(figure.ir, metrics, warnings)
-    if fmt == "tikz":
-        return render_tikz(figure.ir, metrics, warnings)
+    """Render one compiled figure in the requested format; a layout error
+    names the figure's file, line and column."""
     if fmt == "xypic":
         return render_xypic(figure.raw_ir)
     if fmt == "ir":
         return emit_ir(figure.ir)
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt != "svg" and fmt != "tikz":
+        raise ValueError(f"unknown format {fmt!r}")
+    try:
+        layout = layout_diagram(figure.ir, figure.metrics)
+    except LayoutError as exc:
+        raise LayoutError(Diagnostic("error", exc.diagnostic.message, figure.filename,
+                                     figure.line, figure.col)) from None
+    # the warning list goes third, by position: perfbench/tracing.py counts args[2]
+    printer = render_svg if fmt == "svg" else render_tikz
+    return printer(layout, figure.ir.scale, warnings)

@@ -62,12 +62,6 @@ def round_div(num: int, den: int) -> int:
     return -n if num < 0 else n
 
 
-def round_half_away(x: Fraction) -> int:
-    """Round to nearest integer, ties away from zero."""
-    x = as_fraction(x)
-    return round_div(x.numerator, x.denominator)
-
-
 def pt_to_centiem(pt: Union[int, Fraction], em_size: Fraction) -> int:
     """Convert printer's points to centi-em (1 em = em_size pt), rounded
     once, ties away from zero."""

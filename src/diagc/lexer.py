@@ -18,26 +18,30 @@ scan for braces and stop characters (``section_end``, ``split_top``,
 only ``{``, ``}``, the stops, control symbols and, in source text,
 comments.  A control symbol is the only token that can hide a brace, a
 stop or a ``%``; the letters of a control word and every other
-character never count, so ``re`` skips them.  ``tokens`` lists every
-token; it is what ``text_width`` measures.
+character never count, so ``re`` skips them.  ``drop_controls`` cuts
+every control sequence out of measured text in one substitution.
+
+A backslash before a line break is a control space, as plain TeX
+defines ``\\^^M``: ``tidy`` spells it ``\\ ``, so no field holds a line
+break.
 """
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import List, Pattern
+from typing import List, Pattern, Tuple
 
-_CONTROL = r"\\[^\W\d_]+|\\.|\\|"
+_CONTROL = r"\\[^\W\d_]+|\\.|\\"
 _COMMENT = r"%[^\n]*\n?"
-_SOURCE = re.compile(_CONTROL + _COMMENT + r"|[ \t\r\n]+|.", re.DOTALL)
-_TEXT = re.compile(_CONTROL + r"[ \t\r\n]+|.", re.DOTALL)
+_SOURCE = re.compile(_CONTROL + "|" + _COMMENT + r"|[ \t\r\n]+|.", re.DOTALL)
+_CONTROLS = re.compile(_CONTROL, re.DOTALL)
 _SYMBOL = r"\\[\W\d_]"  # a control symbol; \ and a letter starts a control word
 _DEPTH = {"{": 1, "}": -1}  # a control symbol leaves the depth as it is
 
 BLANK = re.compile(r"(?:[ \t\r\n]+|" + _COMMENT + ")*")  # whitespace and comments
-# in a section a control sequence stays, a comment goes and a whitespace
-# run becomes one space
-_TIDY = re.compile(r"(\\.)|(" + _COMMENT + r")|[ \t\r\n]+", re.DOTALL)
+# in a section a control sequence stays, a comment goes, a backslash and a
+# line break is a control space and a whitespace run becomes one space
+_TIDY = re.compile(r"(\\.)|(" + _COMMENT + r")|(\\\n)|[ \t\r\n]+")
 
 
 def _word_end(tok: str) -> int:
@@ -48,30 +52,25 @@ def _word_end(tok: str) -> int:
     return 1 + max(1, next(i for i, c in enumerate(tok[1:]) if not c.isalpha()))
 
 
-def tokens(text: str, comments: bool = True) -> List[str]:
-    """The tokens of ``text`` in order; joined, they give ``text`` back.
-
-    A token's first character tells its kind: ``\\`` a control
-    sequence (a lone ``\\`` only at the very end), ``%`` a comment (only
-    when ``comments`` is true), whitespace a run of it.
-    """
-    toks = (_SOURCE if comments else _TEXT).findall(text)
+def drop_controls(text: str) -> Tuple[str, int]:
+    """``text`` with its control sequences cut out, and how many there were."""
     if text.isascii():  # where [^\W\d_] is exactly str.isalpha
-        return toks
-    # cut an odd control word back to its letters; each character cut off
-    # is a token
-    odd = [k for k, tok in enumerate(toks)
-           if tok[0] == "\\" and not tok[1:].isalpha() and len(tok) > 2]
-    for k in reversed(odd):
-        tok = toks[k]
-        n = _word_end(tok)
-        toks[k:k + 1] = [tok[:n], *tok[n:]]
-    return toks
+        return _CONTROLS.subn("", text)
+    return _CONTROLS.subn(_past_word, text)
+
+
+def _past_word(tok: re.Match) -> str:
+    """What a control sequence leaves: the characters that end an odd
+    control word."""
+    tok = tok[0]
+    if len(tok) > 2 and not tok[1:].isalpha():
+        return tok[_word_end(tok):]
+    return ""
 
 
 def token_at(text: str, pos: int) -> str:
-    """The source token that starts at ``pos``, where a token of
-    ``tokens(text)`` begins; ``""`` at the end."""
+    """The source token that starts at ``pos``, where a source token
+    begins; ``""`` at the end."""
     tok = _SOURCE.match(text, pos)
     if tok is None:
         return ""
@@ -115,12 +114,13 @@ def section_end(text: str, pos: int, stops: str) -> int:
 
 def tidy(section: str) -> str:
     """Source text of a section as its fields read it: comments dropped,
-    each whitespace run one space, control sequences as they are."""
+    each whitespace run one space, a backslash and a line break ``\\ ``,
+    other control sequences as they are."""
     return _TIDY.sub(_tidied, section)
 
 
 def _tidied(tok: re.Match) -> str:
-    return tok[1] or ("" if tok[2] else " ")
+    return tok[1] or ("" if tok[2] else "\\ " if tok[3] else " ")
 
 
 def split_top(text: str, seps: str) -> List[str]:

@@ -12,7 +12,7 @@ from itertools import repeat
 from typing import Dict
 
 from .geometry import Numeric, as_fraction, round_div
-from .lexer import tokens
+from .lexer import drop_controls
 
 DEFAULT_CHAR_WIDTH = 50  # centi-em at scale 1.0
 _NO_BRACES = str.maketrans("", "", "{}")
@@ -36,9 +36,6 @@ class FontMetrics:
     widths: Dict[str, int] = field(default_factory=_default_table)
     default_width: int = DEFAULT_CHAR_WIDTH
 
-    def char_width(self, ch: str) -> int:
-        return self.widths.get(ch, self.default_width)
-
 
 DEFAULT_METRICS = FontMetrics()
 
@@ -48,18 +45,15 @@ def text_width(text: str, scale: Numeric, m: FontMetrics = DEFAULT_METRICS) -> i
 
     Sum of per-character widths, scaled once and rounded to the nearest
     integer (ties away from zero).  Braces contribute nothing; control
-    sequences count as one default-width character.  Text with no
-    backslash has no control sequence, so its width is a plain table
-    sum over the text with its braces deleted.
+    sequences count as one default-width character.  They are counted
+    and cut out first, so what is left is a plain table sum over the
+    text with its braces deleted.
     """
     if "\\" in text:
-        total = 0
-        for tok in tokens(text, comments=False):
-            if tok[0] == "\\":
-                total += m.default_width
-            elif tok != "{" and tok != "}":
-                total += sum(map(m.char_width, tok))  # a whitespace run, char by char
-    else:  # no control sequence: every token but a brace is its characters
+        text, controls = drop_controls(text)
+        total = controls * m.default_width
+        total += sum(map(m.widths.get, text.translate(_NO_BRACES), repeat(m.default_width)))
+    else:
         total = sum(map(m.widths.get, text.translate(_NO_BRACES), repeat(m.default_width)))
     if isinstance(scale, int):
         return total * scale

@@ -180,7 +180,7 @@ class _Reader:
             return self.delimited("{", "}", "a group", "unbalanced '{'")
         if self.tok == "}":
             raise self.error("unbalanced '}'")
-        return self.advance()
+        return tidy(self.advance())  # a backslash and a line break is a control space
 
 
 def _fields(raw: str) -> List[str]:

@@ -1,4 +1,4 @@
-"""Deterministic SVG 1.1 backend.
+"""Deterministic SVG 1.1 backend: the printer of a ``DiagramLayout``.
 
 Nodes become text elements, arrows become marker-terminated lines, the
 y axis is flipped for screen space, and one centi-em maps to
@@ -13,10 +13,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .ir import DiagramIR
-from .geometry import decimal_formatter, format_decimal
-from .layout import QUANTUM, DrawablePath, layout_diagram, left_perp
-from .metrics import DEFAULT_METRICS, FontMetrics
+from .geometry import ScaleConfig, decimal_formatter, format_decimal
+from .layout import QUANTUM, DiagramLayout, DrawablePath, left_perp
 from .styles import Style, style_of
 
 STROKE_WIDTH = 5        # centi-em
@@ -72,12 +70,11 @@ def _marker_defs(f: Callable[[int], str], used: Iterable[str]) -> List[str]:
 
 
 def render_svg(
-    d: DiagramIR,
-    metrics: FontMetrics = DEFAULT_METRICS,
+    lay: DiagramLayout,
+    cfg: ScaleConfig,
     warnings: Optional[List[str]] = None,
 ) -> str:
-    lay = layout_diagram(d, metrics)
-    cfg = d.scale
+    """Print a laid-out figure at the scale of ``cfg``, its IR's scale."""
     un, ud = (cfg.em_size * cfg.scale / 100).as_integer_ratio()  # px per centi-em
     ln, ld = cfg.label_scale.as_integer_ratio()
     x0, y0, x1, y1 = lay.bbox

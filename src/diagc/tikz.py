@@ -1,4 +1,5 @@
-"""TikZ backend: a semantically equivalent picture in em coordinates.
+"""TikZ backend: prints a ``DiagramLayout`` as an equivalent picture in em
+coordinates.
 
 Node texts become \\node commands, arrows become \\draw commands with
 labels riding midway; arrow tips beyond plain '->' assume the standard
@@ -11,10 +12,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .geometry import decimal_formatter
-from .ir import DiagramIR, LabelSide
-from .layout import QUANTUM, layout_diagram
-from .metrics import DEFAULT_METRICS, FontMetrics
+from .geometry import ScaleConfig, decimal_formatter
+from .ir import LabelSide
+from .layout import QUANTUM, DiagramLayout
 from .styles import style_of
 
 _SIDE_OPTION = {
@@ -25,15 +25,15 @@ _SIDE_OPTION = {
 
 
 def render_tikz(
-    d: DiagramIR,
-    metrics: FontMetrics = DEFAULT_METRICS,
+    lay: DiagramLayout,
+    cfg: ScaleConfig,
     warnings: Optional[List[str]] = None,
 ) -> str:
-    lay = layout_diagram(d, metrics)
-    sn, sd = d.scale.scale.as_integer_ratio()
+    """Print a laid-out figure at the scale of ``cfg``, its IR's scale."""
+    sn, sd = cfg.scale.as_integer_ratio()
     em, exact = decimal_formatter(100 * QUANTUM * sd)  # v * sn -> v layout units in em
     if warnings is not None and not exact:
-        warnings.append(f"scale {d.scale.scale} has no exact decimal em; coordinates "
+        warnings.append(f"scale {cfg.scale} has no exact decimal em; coordinates "
                         "are rounded to six places")
 
     def at(p) -> str:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from diagc import compile_source, load_metrics, render_figure
 from diagc.cli import main
 
 GOOD = "\\bfig\n\\square[A`B`C`D;f`g`h`k]\n\\efig\n"
@@ -155,6 +156,20 @@ def test_metrics_flag_and_env(tmp_path, monkeypatch):
     monkeypatch.setenv("DIAGC_METRICS", str(wide))
     assert main([str(src), "--format", "ir", "-o", str(out3) + os.sep]) == 0
     assert (out3 / "ex.ir").read_text(encoding="utf-8") == widened
+
+
+def test_a_figure_is_laid_out_with_the_metrics_it_was_compiled_with(tmp_path):
+    text = "\\Square[A`B`C`D;f`g`h`k]\n"
+    src = _write(tmp_path, "ex.dg", text)
+    wide = _write(tmp_path, "wide.tsv", "A\t900\nf\t2000\n")
+    out = tmp_path / "out"
+    assert main([str(src), "--metrics", str(wide), "--format", "svg",
+                 "-o", str(out) + os.sep]) == 0
+    figure, = compile_source(text, str(src), metrics=load_metrics(str(wide)))
+    default, = compile_source(text, str(src))
+    svg = render_figure(figure, "svg")
+    assert svg == (out / "ex.svg").read_text(encoding="utf-8")
+    assert svg != render_figure(default, "svg")
 
 
 def test_bad_metrics_file(tmp_path, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from diagc import ScaleConfig, ratchet, tex_div
-from diagc.geometry import as_fraction, format_decimal, pt_to_centiem, round_half_away
+from diagc.geometry import as_fraction, format_decimal, pt_to_centiem, round_div
 
 
 def test_ratchet_examples():
@@ -45,11 +45,12 @@ def test_tex_div_zero_divisor():
         tex_div(1, 0)
 
 
-def test_round_half_away():
-    assert round_half_away(Fraction(1, 2)) == 1
-    assert round_half_away(Fraction(-1, 2)) == -1
-    assert round_half_away(Fraction(129, 4)) == 32  # 32.25
-    assert round_half_away(Fraction(3)) == 3
+def test_round_div():
+    # to the nearest integer, ties away from zero
+    assert round_div(1, 2) == 1
+    assert round_div(-1, 2) == -1
+    assert round_div(129, 4) == 32  # 32.25
+    assert round_div(3, 1) == 3
 
 
 def test_pt_to_centiem():

@@ -91,6 +91,21 @@ def test_escaped_braces_round_trip(source):
     assert emit_ir(back) == dump
 
 
+# a backslash before a line break, read by each path that can take one
+@pytest.mark.parametrize("source, text", [
+    ("\\place(0,0)[a\\\nb]", "a\\ b"),  # a section, through lexer.tidy
+    ("\\to^\\\n_x", "\\ "),             # a bare script token
+    ("\\to^{a\\\nb}", "a\\ b"),         # a braced script
+], ids=["section", "token", "group"])
+def test_a_backslash_before_a_line_break_is_a_control_space(source, text):
+    ir = compile_source(source)[0].ir
+    assert [n.text for n in ir.nodes if n.text] + [a.label for a in ir.arrows] == [text]
+    dump = emit_ir(ir)
+    back = parse_ir(dump)
+    assert back == ir
+    assert emit_ir(back) == dump
+
+
 @pytest.mark.parametrize("separator", ["\x0c", "\x85", "\u2028"])
 def test_line_separators_in_text_round_trip(separator):
     ir = compile_source(f"\\place(0,0)[a{separator}b]\n\\to^{{f{separator}}}")[0].ir

@@ -1,7 +1,7 @@
 """The shared lexical rule: token kinds, brace depth, comment-free text."""
-from token_walk import top_level_end
+from token_walk import tokens, top_level_end
 
-from diagc.lexer import split_top, strip_group, tokens
+from diagc.lexer import split_top, strip_group
 
 
 def test_five_token_kinds():

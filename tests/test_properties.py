@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from token_walk import split_top_by_tokens, tidy_by_tokens, top_level_end
+from token_walk import split_top_by_tokens, tidy_by_tokens, tokens, top_level_end
 
 from diagc import (
     DEFAULT_METRICS,
@@ -36,7 +36,7 @@ from diagc import (
 from diagc import layout
 from diagc.geometry import decimal_formatter, format_decimal
 from diagc.ir import KIND_POS, KIND_VECTOR
-from diagc.lexer import group_end, section_end, split_top, strip_group, token_at, tokens
+from diagc.lexer import group_end, section_end, split_top, strip_group, token_at
 from diagc.parser import COMMANDS, _Reader, format_command, parse_command
 
 BOUNDED = settings(
@@ -313,7 +313,7 @@ def width_by_tokens(text, scale, m):
 
 
 WIDTH_ATOMS = ["{", "}", " ", "  ", "\t", "\n \t", "%", "a", "Z", "7", ";", "`",
-               "é", "²", "½", "\\", "\\alpha", "\\é²", "\\{", "\\ "]
+               "é", "²", "½", "Ⅻ", "\\", "\\alpha", "\\é²", "\\{", "\\ "]
 # braces that would be wide if they were measured, and overlays on
 # characters outside the default table
 WIDE_BRACES = FontMetrics(widths={**DEFAULT_METRICS.widths, "{": 70, "}": 90, "é": 33, "\t": 7},

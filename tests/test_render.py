@@ -14,6 +14,7 @@ from diagc import (
     ScaleConfig,
     compile_source,
     emit_ir,
+    layout_diagram,
     merge_duplicate_nodes,
     parse_ir,
     render_figure,
@@ -30,6 +31,11 @@ def _one(source, **kw):
     figures = compile_source(source, **kw)
     assert len(figures) == 1
     return figures[0]
+
+
+def _printed(printer, ir, warnings=None):
+    """``ir`` laid out, then printed by ``render_svg`` or ``render_tikz``."""
+    return printer(layout_diagram(ir), ir.scale, warnings)
 
 
 GEOMETRIC_ATTRS = {
@@ -77,6 +83,48 @@ def test_svg_empty_diagram_errors():
         render_figure(_one("\\scalefactor{2}"), "svg")
 
 
+@pytest.mark.parametrize("fmt", ["svg", "tikz"])
+def test_layout_errors_name_the_figure_in_the_library(fmt):
+    # the second arrow is 1 centi-em long, inside the boxes of its nodes
+    fig = _one("\\morphism(0,0)[A`B;f]\n\\morphism(0,0)<1,0>[A`B;g]\n", filename="ov.dg")
+    with pytest.raises(LayoutError) as caught:
+        render_figure(fig, fmt)
+    assert str(caught.value) == (
+        "ov.dg:1:1: error: overlapping objects: arrow fully swallowed by its endpoints")
+    assert render_figure(fig, "xypic")
+
+
+def test_layout_runs_once_per_render_and_printers_take_warnings_third(monkeypatch):
+    # wrap each stage wherever a diagc module refers to it, as
+    # perfbench/tracing.py does, which reads the warnings as args[2]
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for attr in ("layout_diagram", "render_svg", "render_tikz", "render_xypic", "emit_ir"):
+        original = getattr(diagc, attr)
+        wrapper = spy(attr, original)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "diagc" and getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, wrapper)
+    fig = _one("\\square[A`B`C`D;f`g`h`k]")
+    for fmt, stage in [("svg", "render_svg"), ("tikz", "render_tikz"),
+                       ("xypic", "render_xypic"), ("ir", "emit_ir")]:
+        calls.clear()
+        notes = []
+        render_figure(fig, fmt, notes)
+        if fmt in ("svg", "tikz"):
+            assert [name for name, _, _ in calls] == ["layout_diagram", stage]
+            _, args, kwargs = calls[1]
+            assert len(args) == 3 and args[2] is notes and not kwargs
+        else:
+            assert [name for name, _, _ in calls] == [stage]
+
+
 def test_svg_deterministic():
     fig = _one("\\cube[A`B`C`D;f`g`h`k][a`b`c`d;p`q`r`s][w`x`y`z]")
     assert render_figure(fig, "svg") == render_figure(fig, "svg")
@@ -85,12 +133,12 @@ def test_svg_deterministic():
 def test_svg_raw_style_falls_back_with_warning():
     fig = _one("\\morphism(0,0)|a|/{@{>}@/^1em/}/<500,0>[A`B;f]")
     notes = []
-    render_svg(fig.ir, warnings=notes)
+    render_figure(fig, "svg", notes)
     assert notes and "solid" in notes[0]
     # each arrow drawn in an unknown style warns
     fig = _one("\\square/@{>}`@{>}`>`@{>}/[A`B`C`D;f`g`h`k]")
     notes = []
-    render_svg(fig.ir, warnings=notes)
+    render_figure(fig, "svg", notes)
     assert notes == ["style '@{>}' not supported by the SVG backend; drawn as a solid arrow"] * 3
 
 
@@ -151,7 +199,8 @@ def _general_formats(step):
 def test_render_factors_its_denominators_once(render):
     # 4x the numbers on the larger grid, the same general-path formats
     small, large = _grid(8), _grid(16)
-    assert _general_formats(lambda: render(small)) == _general_formats(lambda: render(large))
+    assert (_general_formats(lambda: _printed(render, small))
+            == _general_formats(lambda: _printed(render, large)))
 
 
 _THIRD_SOURCES = {
@@ -166,10 +215,10 @@ def test_non_exact_scale_warns_once_per_render(render, how):
     source, scale = _THIRD_SOURCES[how]
     fig = _one(source, cfg=ScaleConfig(scale=scale))
     notes = []
-    out = render(fig.ir, warnings=notes)
+    out = _printed(render, fig.ir, notes)
     assert len(notes) == 1
     assert "scale 1/3" in notes[0] and "rounded to six places" in notes[0]
-    assert out == render(fig.ir)  # the warning changes no output byte
+    assert out == _printed(render, fig.ir)  # the warning changes no output byte
 
 
 def test_non_exact_label_scale_warns_in_svg_only():
@@ -178,17 +227,17 @@ def test_non_exact_label_scale_warns_in_svg_only():
     assert dump != emit_ir(ir)
     third = parse_ir(dump)
     notes = []
-    render_svg(third, warnings=notes)
+    _printed(render_svg, third, notes)
     assert len(notes) == 1 and "label scale 1/3" in notes[0]
-    render_tikz(third, warnings=notes)
+    _printed(render_tikz, third, notes)
     assert len(notes) == 1
 
 
 @pytest.mark.parametrize("render", [render_svg, render_tikz])
 def test_exact_scale_is_silent(render):
     notes = []
-    render(_one("\\square[A`B`C`D;f`g`h`k]", cfg=ScaleConfig(scale=Fraction(1, 2))).ir,
-           warnings=notes)
+    _printed(render, _one("\\square[A`B`C`D;f`g`h`k]",
+                          cfg=ScaleConfig(scale=Fraction(1, 2))).ir, notes)
     assert notes == []
 
 
@@ -218,7 +267,7 @@ def test_svg_measures_each_text_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("diagc") and getattr(module, "text_width", None) is original:
             monkeypatch.setattr(module, "text_width", counting)
-    render_svg(fig.ir)
+    render_figure(fig, "svg")
     arrows = fig.ir.arrows
     texts = (
         [n.text for n in fig.ir.nodes]
@@ -311,7 +360,7 @@ def test_tikz_style_map():
     assert "double" in render_figure(fig, "tikz")
     notes = []
     fig = _one("\\morphism(0,0)|a|/{@{>}}/<500,0>[A`B;f]")
-    render_tikz(fig.ir, warnings=notes)
+    render_figure(fig, "tikz", notes)
     assert notes
 
 
@@ -348,8 +397,8 @@ _HEAD = ' marker-end="url(#dg-head)"/>'
 def test_every_style_draws_its_lines_and_options(spelling, lines, options, fallback):
     ir = _one(f"\\morphism(0,0)|a|/{spelling}/<500,0>[A`B;f]").ir
     svg_notes, tikz_notes = [], []
-    svg = render_svg(ir, warnings=svg_notes)
-    tikz = render_tikz(ir, warnings=tikz_notes)
+    svg = _printed(render_svg, ir, svg_notes)
+    tikz = _printed(render_tikz, ir, tikz_notes)
     assert re.findall(r"<line [^>]*/>", svg) == lines
     assert [line for line in tikz.splitlines() if line.startswith("\\draw")] == [
         f"\\draw[{options}] (0.55em,0em) -- node[above] {{$\\scriptstyle f$}} (4.45em,0em);"

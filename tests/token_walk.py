@@ -1,12 +1,37 @@
 """The token walk: the reference model of every scan in ``diagc.lexer``.
 
-It reads the token list of ``lexer.tokens`` one token at a time.  The
-scans that jump through the text by pattern must agree with it on every
-input.
+It reads the token list of ``tokens`` one token at a time.  The scans
+that jump through the text by pattern, and ``text_width``, which cuts
+the control sequences out in one substitution, must agree with it on
+every input.
 """
-from typing import Sequence
+import re
+from typing import List, Sequence
 
-from diagc.lexer import tokens
+from diagc.lexer import _CONTROL, _SOURCE, _word_end
+
+_TEXT = re.compile(_CONTROL + r"|[ \t\r\n]+|.", re.DOTALL)
+
+
+def tokens(text: str, comments: bool = True) -> List[str]:
+    """The tokens of ``text`` in order; joined, they give ``text`` back.
+
+    A token's first character tells its kind: ``\\`` a control
+    sequence (a lone ``\\`` only at the very end), ``%`` a comment (only
+    when ``comments`` is true), whitespace a run of it.
+    """
+    toks = (_SOURCE if comments else _TEXT).findall(text)
+    if text.isascii():  # where [^\W\d_] is exactly str.isalpha
+        return toks
+    # cut an odd control word back to its letters; each character cut off
+    # is a token
+    odd = [k for k, tok in enumerate(toks)
+           if tok[0] == "\\" and not tok[1:].isalpha() and len(tok) > 2]
+    for k in reversed(odd):
+        tok = toks[k]
+        n = _word_end(tok)
+        toks[k:k + 1] = [tok[:n], *tok[n:]]
+    return toks
 
 
 def top_level_end(toks: Sequence[str], start: int, stops: str) -> int:
@@ -46,5 +71,7 @@ def split_top_by_tokens(text: str, seps: str) -> list:
 
 def tidy_by_tokens(toks: Sequence[str]) -> str:
     """Source tokens as a section reads them: comments dropped, each
-    whitespace run one space."""
-    return "".join(" " if t[0] in " \t\r\n" else "" if t[0] == "%" else t for t in toks)
+    whitespace run one space, a backslash and a line break a control
+    space."""
+    return "".join(" " if t[0] in " \t\r\n" else "" if t[0] == "%" else
+                   "\\ " if t == "\\\n" else t for t in toks)
