@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .diagnostics import Diagnostic, ExpandError
-from .geometry import DEFAULT_MARGIN, Point, ScaleConfig, ratchet, tex_div
+from .geometry import DEFAULT_MARGIN, LABEL_SCALE, Point, ScaleConfig, ratchet, tex_div
 from .ir import (
     KIND_POS,
     KIND_THREE,
@@ -56,7 +56,6 @@ def measure_morphism_width(
     node_b: str,
     label: str,
     m: FontMetrics = DEFAULT_METRICS,
-    label_scale: Fraction = Fraction(7, 10),
 ) -> int:
     """Width needed by one edge: half the measured text, margined.
 
@@ -65,7 +64,7 @@ def measure_morphism_width(
     """
     total = (
         text_width(node_a, 1, m)
-        + 2 * text_width(label, label_scale, m)
+        + 2 * text_width(label, LABEL_SCALE, m)
         + text_width(node_b, 1, m)
     )
     return ratchet(tex_div(total, 2) + 350, 500)
@@ -273,8 +272,7 @@ def _width(b: _Builder, cmd: Command, *edges: Tuple[int, int, int]) -> int:
     """Auto width: the widest of the horizontal edges (node, node, label)."""
     n, lb = cmd.nodes, cmd.labels
     return max(
-        measure_morphism_width(n[i], n[j], lb[k], b.metrics, b.cfg.label_scale)
-        for i, j, k in edges
+        measure_morphism_width(n[i], n[j], lb[k], b.metrics) for i, j, k in edges
     )
 
 
@@ -382,7 +380,7 @@ def _expand_inline(b: _Builder, cmd: Command) -> None:
     kind, floor, arrows = _INLINE[cmd.kind]
     labels = cmd.labels
     length = cmd.length or ratchet(DEFAULT_MARGIN + max(
-        text_width(l, b.cfg.label_scale, b.metrics) for l in labels), floor)
+        text_width(l, LABEL_SCALE, b.metrics) for l in labels), floor)
     label2 = labels[1] if cmd.kind == "to" else ""
     for slot, side, offset in arrows:
         if side is LabelSide.ON_LINE and not labels[slot]:
@@ -453,6 +451,5 @@ def expand_figure(
         b.group = index
         _EXPANDERS[cmd.kind](b, cmd)
     if scale is not None:
-        cfg = ScaleConfig(scale, cfg.em_size, cfg.ex_ratio, cfg.label_scale,
-                          cfg.object_margin)
+        cfg = ScaleConfig(scale, cfg.em_size)
     return DiagramIR(tuple(b.nodes), tuple(b.arrows), cfg), b.warnings

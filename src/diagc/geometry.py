@@ -16,6 +16,10 @@ from typing import Callable, NamedTuple, Tuple, Union
 Numeric = Union[int, float, str, Fraction]
 
 DEFAULT_MARGIN = 150   # margin added to measured inline-arrow labels
+# constants of the language, which no source can set
+EX_RATIO = Fraction(43, 100)   # ex height per em
+LABEL_SCALE = Fraction(7, 10)  # label text size per node text size
+OBJECT_MARGIN = 30             # centi-em padding node boxes before arrows are clipped
 
 
 class Point(NamedTuple):
@@ -72,30 +76,21 @@ def pt_to_centiem(pt: Union[int, Fraction], em_size: Fraction) -> int:
 
 @dataclass(frozen=True)
 class ScaleConfig:
-    """Render-time unit configuration.
+    """Render-time unit configuration: the two lengths a figure can set.
 
-    scale multiplies every physical length; em_size is points per em;
-    label text is set at label_scale of the node size; object_margin
-    (centi-em) pads node boxes before arrows are clipped against them.
+    scale multiplies every physical length; em_size is points per em.
     """
 
     scale: Fraction = Fraction(1)
     em_size: Fraction = Fraction(10)
-    ex_ratio: Fraction = Fraction(43, 100)
-    label_scale: Fraction = Fraction(7, 10)
-    object_margin: int = 30
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scale", as_fraction(self.scale))
         object.__setattr__(self, "em_size", as_fraction(self.em_size))
-        object.__setattr__(self, "ex_ratio", as_fraction(self.ex_ratio))
-        object.__setattr__(self, "label_scale", as_fraction(self.label_scale))
         if self.scale <= 0:
             raise ValueError("scale must be positive")
         if self.em_size <= 0:
             raise ValueError("em size must be positive")
-        if not 0 < self.label_scale <= 1:
-            raise ValueError("label scale must be in (0, 1]")
 
 
 def decimal_formatter(den: int) -> Tuple[Callable[[int], str], bool]:

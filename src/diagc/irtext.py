@@ -1,13 +1,15 @@
 """Canonical structured-text dump of a DiagramIR, and its strict reader.
 
-A dump is the header line, then one line per record in the order of
-``_RECORDS``: the five scale lines, a ``node`` line per node and an
+A dump is the header line, the two scale lines of ``_RECORDS``, the
+three lines of ``_CONSTANTS``, then a ``node`` line per node and an
 ``arrow`` line per arrow (each by seq), then ``end``; every line ends in
-``\\n``.  ``_RECORDS`` states the format once: each row is a record's
-keyword and its fields, and each field gives its key, its kind and the
-attribute it reads.  A kind gives the %-conversion that writes a value,
-a pattern of the value's canonical spellings and the function that
-reads such a spelling.  ``emit_ir`` writes a record through one
+``\\n``.  The constant lines state the language's ex ratio, label scale
+and object margin: they are always written the same, and the reader
+takes no other value.  ``_RECORDS`` states the format once: each row is
+a record's keyword and its fields, and each field gives its key, its
+kind and the attribute it reads.  A kind gives the %-conversion that
+writes a value, a pattern of the value's canonical spellings and the
+function that reads such a spelling.  ``emit_ir`` writes a record through one
 %-template made from its row.  ``parse_ir`` reads a line with patterns
 compiled from the same row at import, one for each maximal run of
 fields that are not braced text, and accepts only what ``emit_ir``
@@ -28,7 +30,7 @@ from math import gcd
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
 
-from .geometry import Point, ScaleConfig
+from .geometry import EX_RATIO, LABEL_SCALE, OBJECT_MARGIN, Point, ScaleConfig
 from .ir import (KIND_POS, KIND_THREE, KIND_TO, KIND_TWO, KIND_TWOAR, KIND_VECTOR,
                  Arrow, DiagramIR, LabelSide, Node)
 from .lexer import group_end
@@ -66,9 +68,7 @@ def _word(spellings: Dict[str, Any]) -> _Kind:
 
 _DIGITS = "[1-9][0-9]*"  # a positive integer: ASCII, no sign, no leading 0, no _
 _INT = _Kind("%s", f"0|-?{_DIGITS}", int)
-_NATURAL = _Kind("%s", f"0|{_DIGITS}", int)
 _FRACTION = _Kind("%s", f"(?:0|-?{_DIGITS})(?:/{_DIGITS})?", _ratio)
-_NONNEGATIVE = _Kind("%s", f"(?:0|{_DIGITS})(?:/{_DIGITS})?", _ratio)
 _POSITIVE = _Kind("%s", f"{_DIGITS}(?:/{_DIGITS})?", _ratio)
 _FLAG = _Kind("%d", "[01]", {"0": False, "1": True}.__getitem__)
 _TEXT = _Kind("{%s}", None)
@@ -157,9 +157,6 @@ class _Record:
 _RECORDS = (
     _Record("scale", None, ("", _FRACTION, "scale")),
     _Record("em", None, ("", _FRACTION, "em_size")),
-    _Record("ex-ratio", None, ("", _NONNEGATIVE, "ex_ratio")),
-    _Record("label-scale", None, ("", _FRACTION, "label_scale")),
-    _Record("object-margin", None, ("", _NATURAL, "object_margin")),
     _Record("node", Node, ("seq", _INT, "seq"), ("x", _INT, "anchor.x"),
             ("y", _INT, "anchor.y"), ("align", _ALIGN, "align"),
             ("standalone", _FLAG, "standalone"), ("text", _TEXT, "text")),
@@ -172,8 +169,11 @@ _RECORDS = (
             ("lscale", _POSITIVE, "local_scale"), ("group", _INT, "group")),
 )
 *_SCALES, _NODE, _ARROW = _RECORDS
-# no scale line has a word to spell, so the five are written as one
-_HEAD = "".join([_HEADER, "\n", *(row.template for row in _SCALES)])
+_CONSTANTS = (f"ex-ratio {EX_RATIO}", f"label-scale {LABEL_SCALE}",
+              f"object-margin {OBJECT_MARGIN}")
+# no scale line has a word to spell, so they and the constants are written as one
+_HEAD = "".join([_HEADER, "\n", *(row.template for row in _SCALES),
+                 *(line + "\n" for line in _CONSTANTS)])
 _SCALE_VALUES = attrgetter(*(a for row in _SCALES for a in row.attrs))
 _SEQ = attrgetter("seq")
 
@@ -197,10 +197,14 @@ def parse_ir(text: str) -> DiagramIR:
         raise IRSyntaxError("missing IR header")
     if lines[-2:] != [_END, ""]:
         raise IRSyntaxError(f"missing end marker: the last line must be {_END!r}")
-    head, body = len(_SCALES), lines[1:-2]
+    head, body = len(_SCALES) + len(_CONSTANTS), lines[1:-2]
     if len(body) < head:
-        raise IRSyntaxError(f"missing {_SCALES[len(body)].keyword!r} line")
+        keywords = [row.keyword for row in _SCALES] + [c.split()[0] for c in _CONSTANTS]
+        raise IRSyntaxError(f"missing {keywords[len(body)]!r} line")
     scale = [row.parse(line) for row, line in zip(_SCALES, body)]
+    for want, line in zip(_CONSTANTS, body[len(_SCALES):]):
+        if line != want:
+            raise IRSyntaxError(f"{line!r} is not the constant line {want!r}")
     try:
         cfg = ScaleConfig(*scale)  # the scale lines are in ScaleConfig's field order
     except ValueError as exc:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .diagnostics import Diagnostic, LayoutError
-from .geometry import Point, ScaleConfig, pt_to_centiem, round_div
+from .geometry import (EX_RATIO, LABEL_SCALE, OBJECT_MARGIN, Point, ScaleConfig,
+                       pt_to_centiem, round_div)
 from .ir import KIND_POS, Arrow, DiagramIR, LabelSide, Node
 from .metrics import DEFAULT_METRICS, FontMetrics, text_width
 
@@ -34,6 +35,13 @@ NODE_BOX_HEIGHT = 100   # text box height, centi-em at scale 1 (1 em)
 LABEL_GAP = 50          # line-to-label-center distance, centi-em
 CANVAS_MARGIN = 50      # bounding-box margin, centi-em
 KNOCKOUT_PAD_PT = (1, 4)   # on-line label padding, printer's points
+
+# the language's constants in layout units: the node box shift (the
+# anchor sits 0.75 ex below the box center, rounded to the centi-em), the
+# object margin around node boxes and a label's half height
+BASELINE = QUANTUM * round_div(75 * EX_RATIO.numerator, EX_RATIO.denominator)
+MARGIN = QUANTUM * OBJECT_MARGIN
+LABEL_HALF_H = int(QUANTUM * NODE_BOX_HEIGHT // 2 * LABEL_SCALE)
 
 IPoint = Tuple[int, int]           # layout units
 Span = Tuple[IPoint, IPoint]
@@ -76,7 +84,7 @@ class PlacedLabel(NamedTuple):
     text: str
     side: LabelSide
     center: IPoint        # the path midpoint, nudged off the line per side
-    half_w: int           # the half height is the figure's, in _Frame
+    half_w: int           # the half height is LABEL_HALF_H
 
 
 class DrawablePath(NamedTuple):
@@ -100,25 +108,20 @@ class DiagramLayout:
 
 
 class _Frame(NamedTuple):
-    """One figure's constants in layout units, converted from its ScaleConfig once."""
+    """What layout reads of one figure's settings: its ScaleConfig, its
+    metrics and the knockout padding in layout units, converted from the
+    em size once."""
 
     cfg: ScaleConfig
     metrics: FontMetrics
-    baseline: int      # node box shift: the anchor sits 0.75 ex below the box center
-    margin: int        # object margin around node boxes
-    label_h: Ratio     # label half height: 50 centi-em x label scale, exact
     pad_w: int         # knockout padding around on-line labels
     pad_h: int
 
     @classmethod
     def of(cls, cfg: ScaleConfig, metrics: FontMetrics) -> "_Frame":
-        ex_num, ex_den = cfg.ex_ratio.as_integer_ratio()
         return cls(
             cfg,
             metrics,
-            QUANTUM * round_div(75 * ex_num, ex_den),
-            QUANTUM * cfg.object_margin,
-            (NODE_BOX_HEIGHT * QUANTUM // 2 * cfg.label_scale).as_integer_ratio(),
             QUANTUM * pt_to_centiem(KNOCKOUT_PAD_PT[0], cfg.em_size),
             QUANTUM * pt_to_centiem(KNOCKOUT_PAD_PT[1], cfg.em_size),
         )
@@ -128,7 +131,7 @@ def _place_node(node: Node, frame: _Frame) -> PlacedNode:
     half_w = text_width(node.text, 1, frame.metrics) * QUANTUM // 2
     half_h = NODE_BOX_HEIGHT * QUANTUM // 2
     cx = node.anchor.x * QUANTUM
-    cy = node.anchor.y * QUANTUM + frame.baseline
+    cy = node.anchor.y * QUANTUM + BASELINE
     if node.align == "l":
         cx += half_w
     elif node.align == "r":
@@ -140,7 +143,7 @@ def _place_node(node: Node, frame: _Frame) -> PlacedNode:
     return PlacedNode(node, (cx, cy), half_w, half_h)
 
 
-def _exit_param(placed: PlacedNode, margin: int, dx: int, dy: int, den: int) -> Ratio:
+def _exit_param(placed: PlacedNode, dx: int, dy: int, den: int) -> Ratio:
     """Where a ray (dx, dy)/den from a box center leaves the inflated box.
 
     Capped at 1, which changes no result: an arrow is swallowed once
@@ -149,7 +152,7 @@ def _exit_param(placed: PlacedNode, margin: int, dx: int, dy: int, den: int) -> 
     best: Ratio = (1, 1)
     for delta, half in ((dx, placed.half_w), (dy, placed.half_h)):
         if delta:
-            t = ((half + margin) * den, abs(delta))
+            t = ((half + MARGIN) * den, abs(delta))
             if t[0] * best[1] < best[0] * t[1]:
                 best = t
     return best
@@ -197,10 +200,10 @@ def clip_axis_aligned(
     if arrow.kind == KIND_POS:
         node = by_anchor.get(arrow.start)
         if node is not None:
-            c0 = min((node.half_w if horizontal else node.half_h) + frame.margin, length)
+            c0 = min((node.half_w if horizontal else node.half_h) + MARGIN, length)
         node = by_anchor.get(arrow.end)
         if node is not None:
-            c1 = min((node.half_w if horizontal else node.half_h) + frame.margin, length)
+            c1 = min((node.half_w if horizontal else node.half_h) + MARGIN, length)
     if c0 + c1 >= length:
         raise _swallowed()
     gap = QUANTUM * (LABEL_GAP if arrow.side is LabelSide.ABOVE else -LABEL_GAP)
@@ -218,7 +221,7 @@ def clip_axis_aligned(
         center = (x - gap, anchor[1])
     labels: Tuple[PlacedLabel, ...] = ()
     if arrow.label and arrow.side is not LabelSide.NONE:
-        half_w = text_width(arrow.label, frame.cfg.label_scale, frame.metrics) * QUANTUM // 2
+        half_w = text_width(arrow.label, LABEL_SCALE, frame.metrics) * QUANTUM // 2
         labels = (PlacedLabel(arrow.label, arrow.side, center, half_w),)
     return DrawablePath(start, end, arrow, anchor, labels, ((start, end),))
 
@@ -249,9 +252,9 @@ def clip_general(
         start_node = by_anchor.get(arrow.start)
         end_node = by_anchor.get(arrow.end)
         if start_node is not None:
-            t0 = _exit_param(start_node, frame.margin, dx, dy, den)
+            t0 = _exit_param(start_node, dx, dy, den)
         if end_node is not None:
-            t1 = _exit_param(end_node, frame.margin, dx, dy, den)
+            t1 = _exit_param(end_node, dx, dy, den)
     if t0[0] * t1[1] + t1[0] * t0[1] >= t0[1] * t1[1]:
         raise _swallowed()
     start = _along(ax, ay, dx, dy, den, t0)
@@ -283,7 +286,7 @@ def _place_labels(
                 round_div(anchor[0] * d + px * gap, d),
                 round_div(anchor[1] * d + py * gap, d),
             )
-        half_w = text_width(text, frame.cfg.label_scale, frame.metrics) * QUANTUM // 2
+        half_w = text_width(text, LABEL_SCALE, frame.metrics) * QUANTUM // 2
         labels.append(PlacedLabel(text, side, center, half_w))
     return tuple(labels)
 
@@ -295,21 +298,20 @@ def _knockout(start: IPoint, end: IPoint, label: PlacedLabel, frame: _Frame) -> 
     """
     (sx, sy), (cx, cy) = start, label.center
     dx, dy = end[0] - sx, end[1] - sy
-    hn, hd = frame.label_h
     t_in: Ratio = (0, 1)
     t_out: Ratio = (1, 1)
-    # per axis: the half extent half/hden and the start's offset from the center
-    for delta, coord, half, hden in (
-        (dx, sx - cx, label.half_w + frame.pad_w, 1),
-        (dy, sy - cy, hn + frame.pad_h * hd, hd),
+    # per axis: the half extent and the start's offset from the center
+    for delta, coord, half in (
+        (dx, sx - cx, label.half_w + frame.pad_w),
+        (dy, sy - cy, LABEL_HALF_H + frame.pad_h),
     ):
         if delta == 0:
-            if abs(coord) * hden > half:
+            if abs(coord) > half:
                 return ((start, end),)
             continue
         sign = 1 if delta > 0 else -1
-        lo = (-half - sign * coord * hden, hden * abs(delta))
-        hi = (half - sign * coord * hden, hden * abs(delta))
+        lo = (-half - sign * coord, abs(delta))
+        hi = (half - sign * coord, abs(delta))
         if lo[0] * t_in[1] > t_in[0] * lo[1]:
             t_in = lo
         if hi[0] * t_out[1] < t_out[0] * hi[1]:
@@ -326,17 +328,14 @@ def _knockout(start: IPoint, end: IPoint, label: PlacedLabel, frame: _Frame) -> 
 
 
 def bounding_box(
-    nodes: Sequence[PlacedNode],
-    paths: Sequence[DrawablePath],
-    label_h: Ratio,
+    nodes: Sequence[PlacedNode], paths: Sequence[DrawablePath]
 ) -> Tuple[int, int, int, int]:
     """Tight integer box in centi-em over node boxes, paths and labels, plus margin."""
     if not nodes and not paths:
         raise LayoutError(Diagnostic("error", "empty diagram: nothing to draw"))
-    # running extremes in layout units; label centres apart, as their
-    # half height is a ratio
-    x0 = y0 = ly0 = math.inf
-    x1 = y1 = ly1 = -math.inf
+    # running extremes in layout units
+    x0 = y0 = math.inf
+    x1 = y1 = -math.inf
     for _, (cx, cy), hw, hh in nodes:
         if cx - hw < x0:
             x0 = cx - hw
@@ -364,17 +363,13 @@ def bounding_box(
                 x0 = cx - hw
             if cx + hw > x1:
                 x1 = cx + hw
-            if cy < ly0:
-                ly0 = cy
-            if cy > ly1:
-                ly1 = cy
+            if cy - LABEL_HALF_H < y0:
+                y0 = cy - LABEL_HALF_H
+            if cy + LABEL_HALF_H > y1:
+                y1 = cy + LABEL_HALF_H
     # floor of the least coordinate, ceiling of the greatest, in centi-em
     x0, y0 = x0 // QUANTUM, y0 // QUANTUM
     x1, y1 = -(-x1 // QUANTUM), -(-y1 // QUANTUM)
-    if ly0 <= ly1:
-        hn, hd = label_h
-        y0 = min(y0, (ly0 * hd - hn) // (QUANTUM * hd))
-        y1 = max(y1, -(-(ly1 * hd + hn) // (QUANTUM * hd)))
     return x0 - CANVAS_MARGIN, y0 - CANVAS_MARGIN, x1 + CANVAS_MARGIN, y1 + CANVAS_MARGIN
 
 
@@ -389,5 +384,5 @@ def layout_diagram(
     for node in placed:
         by_anchor.setdefault(node.node.anchor, node)  # the first node drawn there
     paths = [clip_arrow(a, by_anchor, frame) for a in ir.arrows]
-    box = bounding_box(placed, paths, frame.label_h)
+    box = bounding_box(placed, paths)
     return DiagramLayout(nodes=placed, paths=paths, bbox=box)

@@ -21,9 +21,9 @@ stop or a ``%``; the letters of a control word and every other
 character never count, so ``re`` skips them.  ``drop_controls`` cuts
 every control sequence out of measured text in one substitution.
 
-A backslash before a line break is a control space, as plain TeX
-defines ``\\^^M``: ``tidy`` spells it ``\\ ``, so no field holds a line
-break.
+A backslash before a line break (LF, CR LF or CR) is a control space,
+as plain TeX defines ``\\^^M``: ``tidy`` spells it ``\\ ``, so no field
+holds a line break.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ _DEPTH = {"{": 1, "}": -1}  # a control symbol leaves the depth as it is
 BLANK = re.compile(r"(?:[ \t\r\n]+|" + _COMMENT + ")*")  # whitespace and comments
 # in a section a control sequence stays, a comment goes, a backslash and a
 # line break is a control space and a whitespace run becomes one space
-_TIDY = re.compile(r"(\\.)|(" + _COMMENT + r")|(\\\n)|[ \t\r\n]+")
+_TIDY = re.compile(r"(\\(?:\r\n?|\n))|(\\.)|(" + _COMMENT + r")|[ \t\r\n]+")
 
 
 def _word_end(tok: str) -> int:
@@ -120,7 +120,7 @@ def tidy(section: str) -> str:
 
 
 def _tidied(tok: re.Match) -> str:
-    return tok[1] or ("" if tok[2] else "\\ " if tok[3] else " ")
+    return "\\ " if tok[1] else tok[2] or ("" if tok[3] else " ")
 
 
 def split_top(text: str, seps: str) -> List[str]:

@@ -8,10 +8,11 @@ file can overlay individual characters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import repeat
-from typing import Dict
+from typing import Dict, Union
 
-from .geometry import Numeric, as_fraction, round_div
+from .geometry import round_div
 from .lexer import drop_controls
 
 DEFAULT_CHAR_WIDTH = 50  # centi-em at scale 1.0
@@ -34,30 +35,30 @@ class FontMetrics:
     """Per-character advance widths in centi-em; immutable after load."""
 
     widths: Dict[str, int] = field(default_factory=_default_table)
-    default_width: int = DEFAULT_CHAR_WIDTH
 
 
 DEFAULT_METRICS = FontMetrics()
 
 
-def text_width(text: str, scale: Numeric, m: FontMetrics = DEFAULT_METRICS) -> int:
+def text_width(text: str, scale: Union[int, Fraction],
+               m: FontMetrics = DEFAULT_METRICS) -> int:
     """Width of math text in centi-em at the given scale.
 
     Sum of per-character widths, scaled once and rounded to the nearest
     integer (ties away from zero).  Braces contribute nothing; control
     sequences count as one default-width character.  They are counted
     and cut out first, so what is left is a plain table sum over the
-    text with its braces deleted.
+    text with its braces deleted; a character outside the table is
+    DEFAULT_CHAR_WIDTH wide.
     """
+    controls = 0
     if "\\" in text:
         text, controls = drop_controls(text)
-        total = controls * m.default_width
-        total += sum(map(m.widths.get, text.translate(_NO_BRACES), repeat(m.default_width)))
-    else:
-        total = sum(map(m.widths.get, text.translate(_NO_BRACES), repeat(m.default_width)))
+    total = sum(map(m.widths.get, text.translate(_NO_BRACES), repeat(DEFAULT_CHAR_WIDTH)),
+                controls * DEFAULT_CHAR_WIDTH)
     if isinstance(scale, int):
         return total * scale
-    num, den = as_fraction(scale).as_integer_ratio()
+    num, den = scale.as_integer_ratio()
     return round_div(total * num, den)
 
 

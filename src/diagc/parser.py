@@ -86,7 +86,6 @@ class Figure:
     """One diagram's worth of commands."""
 
     commands: List[Command]
-    explicit: bool = True  # False for the implicit top-level figure
     line: int = 0
     col: int = 0
 
@@ -223,7 +222,7 @@ def parse_source(text: str, filename: str = "<input>") -> List[Figure]:
             if current is None:
                 raise r.error("\\efig without \\bfig")
             r.advance()
-            figures.append(Figure(current, True, open_pos[0], open_pos[1]))
+            figures.append(Figure(current, open_pos[0], open_pos[1]))
             current = None
             continue
         cmd = _command(r)
@@ -231,7 +230,7 @@ def parse_source(text: str, filename: str = "<input>") -> List[Figure]:
     if current is not None:
         raise r.error("\\bfig without matching \\efig", *open_pos)
     if top:
-        figures.append(Figure(top, explicit=False, line=top[0].line, col=top[0].col))
+        figures.append(Figure(top, top[0].line, top[0].col))
     return figures
 
 

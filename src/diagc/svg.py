@@ -4,16 +4,16 @@ Nodes become text elements, arrows become marker-terminated lines, the
 y axis is flipped for screen space, and one centi-em maps to
 0.01 x em_size x scale px.  Every number is an integer layout length
 times the one px-per-centi-em ratio, written through one formatter per
-denominator: exact decimals when that ratio and the label scale have
-only 2 and 5 in their denominators, six rounded places (with a warning)
-otherwise.  Output is byte-identical across runs and every coordinate
-scales linearly with the configured scale.
+denominator: exact decimals when that ratio has only 2 and 5 in its
+denominator, six rounded places (with a warning) otherwise.  Output is
+byte-identical across runs and every coordinate scales linearly with
+the configured scale.
 """
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .geometry import ScaleConfig, decimal_formatter, format_decimal
+from .geometry import LABEL_SCALE, ScaleConfig, decimal_formatter, format_decimal
 from .layout import QUANTUM, DiagramLayout, DrawablePath, left_perp
 from .styles import Style, style_of
 
@@ -22,6 +22,10 @@ DOUBLE_GAP = 5          # half-gap between double shafts, centi-em
 HEAD_LEN = 35           # marker length, centi-em (0.35 em)
 HEAD_HALF_WIDTH = 14    # marker half-width, centi-em
 BASELINE_DROP = 35      # text baseline below box center, centi-em
+# a label is set at LABEL_SCALE: its font size in centi-em, and its
+# baseline's drop below its centre in layout units
+LABEL_FONT = int(100 * LABEL_SCALE)
+LABEL_DROP = int(QUANTUM * BASELINE_DROP * LABEL_SCALE)
 
 
 def _xml_escape(text: str) -> str:
@@ -76,18 +80,13 @@ def render_svg(
 ) -> str:
     """Print a laid-out figure at the scale of ``cfg``, its IR's scale."""
     un, ud = (cfg.em_size * cfg.scale / 100).as_integer_ratio()  # px per centi-em
-    ln, ld = cfg.label_scale.as_integer_ratio()
     x0, y0, x1, y1 = lay.bbox
     left, top = QUANTUM * x0, QUANTUM * y1
-    # n -> n / (QUANTUM ud) px, so a length of v layout units is unit(v * un);
-    # label baselines sit on a grid ld times finer
+    # n -> n / (QUANTUM ud) px, so a length of v layout units is unit(v * un)
     unit, exact = decimal_formatter(QUANTUM * ud)
-    label_unit, label_exact = decimal_formatter(QUANTUM * ud * ld)
-    if warnings is not None and not label_exact:  # the finer grid fails first
-        what = (f"label scale {cfg.label_scale}" if exact
-                else f"scale {cfg.scale} at em size {cfg.em_size} pt")
-        warnings.append(f"{what} has no exact decimal px; coordinates are rounded "
-                        "to six places")
+    if warnings is not None and not exact:
+        warnings.append(f"scale {cfg.scale} at em size {cfg.em_size} pt has no exact "
+                        "decimal px; coordinates are rounded to six places")
 
     def f(length: int) -> str:
         """A length in centi-em, in px."""
@@ -102,8 +101,7 @@ def render_svg(
         return unit((top - y) * un)
 
     node_font = f(100)
-    label_font = label_unit(100 * QUANTUM * ln * un)
-    label_drop = BASELINE_DROP * QUANTUM * ln
+    label_font = f(LABEL_FONT)
     stroke = f' stroke="black" stroke-width="{f(STROKE_WIDTH)}"'
 
     used_markers: set = set()
@@ -171,9 +169,8 @@ def render_svg(
                 emit_line(path.start, path.end, ' stroke="none"' + marker_attr)
         for label in path.labels:
             cx, cy = label.center
-            baseline = label_unit(((top - cy) * ld + label_drop) * un)
             label_elems.append(
-                f'<text class="label" x="{px(cx)}" y="{baseline}"'
+                f'<text class="label" x="{px(cx)}" y="{py(cy - LABEL_DROP)}"'
                 f' font-size="{label_font}" text-anchor="middle">'
                 f"{_xml_escape(label.text)}</text>"
             )

@@ -3,16 +3,17 @@
 It reads a line field by field against a row of ``irtext._RECORDS``:
 the field's prefix, then its value up to the next space, which a reader
 takes only if ``str`` of the value gives the spelling back, or a braced
-text field to where ``lexer.group_end`` says.  The patterns that
-``parse_ir`` compiles from the table must accept exactly the lines it
-accepts, and read the same records.
+text field to where ``lexer.group_end`` says.  Each constant line is a
+keyword and a number that must be the language's constant.  The
+patterns that ``parse_ir`` compiles from the table must accept exactly
+the lines it accepts, and read the same records.
 """
 from fractions import Fraction
 
-from diagc.geometry import Point, ScaleConfig
+from diagc.geometry import EX_RATIO, LABEL_SCALE, OBJECT_MARGIN, Point, ScaleConfig
 from diagc.ir import Arrow, DiagramIR, Node
-from diagc.irtext import (_ARROW, _END, _FRACTION, _HEADER, _INT, _NATURAL, _NODE,
-                          _NONNEGATIVE, _POSITIVE, _SCALES, IRSyntaxError)
+from diagc.irtext import (_ARROW, _END, _FRACTION, _HEADER, _INT, _NODE, _POSITIVE, _SCALES,
+                          IRSyntaxError)
 from diagc.lexer import group_end
 
 
@@ -26,12 +27,11 @@ def _canonical(parse):
     return read
 
 
-def _unsigned(read, zero):
-    """A number reader that takes no negative value, and zero only if
-    ``zero``: in a canonical spelling a negative value starts with '-'
-    and zero is '0'."""
+def _positive(read):
+    """A number reader that takes no value below 1: in a canonical
+    spelling a negative value starts with '-' and zero is '0'."""
     def checked(token):
-        if token[:1] == "-" or token == "0" and not zero:
+        if token[:1] == "-" or token == "0":
             raise ValueError
         return read(token)
     return checked
@@ -41,11 +41,12 @@ _READ_INT = _canonical(int)
 _READ_FRACTION = _canonical(lambda t: Fraction(*map(int, t.split("/", 1))))
 _NUMBERS = {  # by pattern: a kind's pattern is its own
     _INT.pattern: _READ_INT,
-    _NATURAL.pattern: _unsigned(_READ_INT, zero=True),
     _FRACTION.pattern: _READ_FRACTION,
-    _NONNEGATIVE.pattern: _unsigned(_READ_FRACTION, zero=True),
-    _POSITIVE.pattern: _unsigned(_READ_FRACTION, zero=False),
+    _POSITIVE.pattern: _positive(_READ_FRACTION),
 }
+# the lines after the scale lines: a keyword and the one value it may hold
+_CONSTANTS = (("ex-ratio", EX_RATIO), ("label-scale", LABEL_SCALE),
+              ("object-margin", OBJECT_MARGIN))
 
 
 def _reader(kind):
@@ -107,12 +108,20 @@ def parse_ir_by_fields(text):
         raise IRSyntaxError("missing IR header")
     if lines[-2:] != [_END, ""]:
         raise IRSyntaxError(f"missing end marker: the last line must be {_END!r}")
-    head, body = len(_SCALES), lines[1:-2]
+    head, body = len(_SCALES) + len(_CONSTANTS), lines[1:-2]
     if len(body) < head:
-        raise IRSyntaxError(f"missing {_SCALES[len(body)].keyword!r} line")
+        raise IRSyntaxError("missing scale or constant line")
     scale = {}
     for row, line in zip(_SCALES, body):
         scale.update(read_fields(row, line))
+    for (keyword, value), line in zip(_CONSTANTS, body[len(_SCALES):]):
+        word, space, spelling = line.partition(" ")
+        try:
+            read = _READ_FRACTION(spelling) if word == keyword and space else None
+        except (ValueError, ZeroDivisionError):
+            read = None
+        if read != value:
+            raise IRSyntaxError(f"{line!r} is not the {keyword} line")
     try:
         cfg = ScaleConfig(**scale)
     except ValueError as exc:

@@ -80,6 +80,4 @@ def test_scale_config_validation():
     with pytest.raises(ValueError):
         ScaleConfig(scale=0)
     with pytest.raises(ValueError):
-        ScaleConfig(label_scale=Fraction(3, 2))
-    with pytest.raises(ValueError):
         ScaleConfig(em_size=-1)

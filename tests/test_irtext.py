@@ -1,5 +1,6 @@
 """IR text: malformed input raises IRSyntaxError; escaped braces round-trip;
 the reader agrees with the field walk of ``ir_walk``."""
+import re
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from ir_walk import parse_by_fields, parse_ir_by_fields
 from opcode_count import opcodes
 from test_properties import BOUNDED, SOURCES
 
-from diagc import compile_source, emit_ir, parse_ir
+from diagc import compile_source, emit_ir, parse_ir, render_figure
 from diagc.irtext import _RECORDS, IRSyntaxError
 
 GOOD = emit_ir(compile_source("\\to^{f}_{g}\n\\place(0,0)[X]")[0].ir)
@@ -70,12 +71,13 @@ def test_malformed_ir_raises_ir_syntax_error_naming_the_line(text, line):
     assert line in str(info.value) or repr(line) in str(info.value)
 
 
-def test_zero_ex_ratio_and_object_margin_are_in_range():
-    text = _with("ex-ratio 43/100\nlabel-scale 7/10\nobject-margin 30\n",
-                 "ex-ratio 0\nlabel-scale 7/10\nobject-margin 0\n")
-    ir = parse_ir(text)
-    assert (ir.scale.ex_ratio, ir.scale.object_margin) == (0, 0)
-    assert emit_ir(ir) == text
+@pytest.mark.parametrize("line", ["ex-ratio 0", "label-scale 1/3", "object-margin 0"])
+def test_the_constant_lines_take_no_other_value(line):
+    keyword = line.split()[0]
+    text = re.sub(f"^{keyword} .*$", line, GOOD, count=1, flags=re.M)
+    assert text != GOOD
+    with pytest.raises(IRSyntaxError, match=re.escape(repr(line))):
+        parse_ir(text)
 
 
 @pytest.mark.parametrize("source", [
@@ -96,10 +98,17 @@ def test_escaped_braces_round_trip(source):
     ("\\place(0,0)[a\\\nb]", "a\\ b"),  # a section, through lexer.tidy
     ("\\to^\\\n_x", "\\ "),             # a bare script token
     ("\\to^{a\\\nb}", "a\\ b"),         # a braced script
-], ids=["section", "token", "group"])
+    ("\\place(0,0)[a\\\r\nb]", "a\\ b"),
+    ("\\to^\\\r\n_x", "\\ "),
+    ("\\to^{a\\\r\nb}", "a\\ b"),
+    ("\\place(0,0)[a\\\rb]", "a\\ b"),
+], ids=["section", "token", "group", "section-crlf", "token-crlf", "group-crlf",
+        "section-cr"])
 def test_a_backslash_before_a_line_break_is_a_control_space(source, text):
-    ir = compile_source(source)[0].ir
+    figure = compile_source(source)[0]
+    ir = figure.ir
     assert [n.text for n in ir.nodes if n.text] + [a.label for a in ir.arrows] == [text]
+    assert "\r" not in render_figure(figure, "svg")
     dump = emit_ir(ir)
     back = parse_ir(dump)
     assert back == ir

@@ -22,7 +22,7 @@ from diagc import (
     resolve_label_side,
 )
 from diagc.ir import KIND_VECTOR
-from diagc.layout import QUANTUM as Q, _Frame
+from diagc.layout import QUANTUM as Q, _Frame, _place_node
 from diagc.metrics import DEFAULT_METRICS
 
 # the full conditional ladder: placement x (sign dx, sign dy) -> side
@@ -100,10 +100,10 @@ def test_clip_diagonal_exits_box():
 
 def test_baseline_offset_values():
     def baseline(cfg):
-        return _Frame.of(cfg, DEFAULT_METRICS).baseline
+        node = Node(Point(0, 0), "A", 0)
+        return _place_node(node, _Frame.of(cfg, DEFAULT_METRICS)).center[1]
 
     assert baseline(ScaleConfig()) == 32 * Q
-    assert baseline(ScaleConfig(ex_ratio=0)) == 0
     # render scale does not touch the intermediate representation shift
     assert baseline(ScaleConfig(scale=2)) == 32 * Q
 

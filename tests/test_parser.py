@@ -234,10 +234,10 @@ def test_errors_carry_position():
 
 def test_figure_blocks():
     figs = parse_source("\\bfig \\to \\efig \\bfig \\two \\efig")
-    assert [f.explicit for f in figs] == [True, True]
-    figs = parse_source("\\to \\bfig \\two \\efig")
-    assert [f.explicit for f in figs] == [True, False]
-    assert figs[1].commands[0].kind == "to"
+    assert [[c.kind for c in f.commands] for f in figs] == [["to"], ["two"]]
+    # the top-level commands make one figure, after the explicit ones
+    figs = parse_source("\\to \\bfig \\two \\efig \\three")
+    assert [[c.kind for c in f.commands] for f in figs] == [["two"], ["to", "three"]]
     with pytest.raises(ParseError, match="efig"):
         parse_source("\\bfig \\to")
     with pytest.raises(ParseError, match="without"):

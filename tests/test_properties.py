@@ -1,11 +1,12 @@
 """Seeded, time-bounded property tests of the shared lexical rule, the
-command table, the decimal formatter, the width sum and the two clipping
-paths of layout.
+command table, the decimal formatter, the width sum, the two clipping
+paths of layout and exact scaling of the SVG and TikZ printers.
 
 Each property runs a fixed, derandomized set of examples, so a failure
 repeats on every run and the suite's run time stays bounded.
 """
 import math
+import re
 from dataclasses import replace
 from datetime import timedelta
 from fractions import Fraction
@@ -28,14 +29,17 @@ from diagc import (
     ParseError,
     Point,
     ScaleConfig,
+    compile_source,
     emit_ir,
     expand_figure,
     parse_ir,
+    render_figure,
     text_width,
 )
 from diagc import layout
 from diagc.geometry import decimal_formatter, format_decimal
 from diagc.ir import KIND_POS, KIND_VECTOR
+from diagc.metrics import DEFAULT_CHAR_WIDTH
 from diagc.lexer import group_end, section_end, split_top, strip_group, token_at
 from diagc.parser import COMMANDS, _Reader, format_command, parse_command
 
@@ -102,7 +106,7 @@ def test_group_end_agrees_with_the_token_walk(atoms, lone):
 
 
 SCAN_ATOMS = ["{", "}", "\\{", "\\}", "\\\\", "%", "\n", "\t", " ", "`", ";", "]", "|", "/",
-              ")", ">", "²", "é", "\\é", "a", "\\`", "\\;", "\\]", "\\%"]
+              ")", ">", "²", "é", "\\é", "a", "\\`", "\\;", "\\]", "\\%", "\r", "\\\r"]
 STOP_SETS = ["`", ";", "]", "|", "/", ")", ">", "}", "`;", "`/", "`;]"]
 
 
@@ -138,6 +142,8 @@ def test_scans_agree_with_the_token_walk(atoms, lone, stops):
 @example(atoms=["a", "%", "]", "\n", "\t", "b", "]", "c"], lone=False, closer="]")
 @example(atoms=["a", "\\}", "}"], lone=False, closer=")")
 @example(atoms=["a", "{"], lone=True, closer="|")
+@example(atoms=["a", "\\\r", "\n", " ", "b", "\\\r", "\n", "\\\r", "b", "]"], lone=False,
+         closer="]")  # a backslash before CR LF, and before CR
 def test_reader_sections_agree_with_the_token_walk(atoms, lone, closer):
     opener = "{" if closer == "}" else "("
     text = opener + "".join(atoms) + "\\" * lone
@@ -194,14 +200,14 @@ def test_every_command_kind_has_a_source():
 
 
 @st.composite
-def commands(draw):
-    """A command of any kind with every field its sections fill drawn at random."""
+def commands(draw, field=balanced(FIELD_ATOMS)):
+    """A command of any kind with every field its sections fill drawn at
+    random, each text field from ``field``."""
     kind = draw(st.sampled_from(sorted(SOURCES)))
-    field = balanced(FIELD_ATOMS)
     strategies = {
         "origin": st.builds(Point, ints, ints),
         "placements": st.sampled_from("alrbmx"),
-        "styles": st.one_of(st.sampled_from(STYLE_TOKENS), balanced(FIELD_ATOMS)),
+        "styles": st.one_of(st.sampled_from(STYLE_TOKENS), field),
         "nodes": field,
         "labels": field,
         "node": field,
@@ -304,9 +310,9 @@ def width_by_tokens(text, scale, m):
     total = 0
     for tok in tokens(text, comments=False):
         if tok[0] == "\\":
-            total += m.default_width
+            total += DEFAULT_CHAR_WIDTH
         elif tok not in ("{", "}"):
-            total += sum(m.widths.get(c, m.default_width) for c in tok)
+            total += sum(m.widths.get(c, DEFAULT_CHAR_WIDTH) for c in tok)
     exact = total * Fraction(scale)
     rounded = math.floor(abs(exact) + Fraction(1, 2))
     return -rounded if exact < 0 else rounded
@@ -314,10 +320,12 @@ def width_by_tokens(text, scale, m):
 
 WIDTH_ATOMS = ["{", "}", " ", "  ", "\t", "\n \t", "%", "a", "Z", "7", ";", "`",
                "é", "²", "½", "Ⅻ", "\\", "\\alpha", "\\é²", "\\{", "\\ "]
-# braces that would be wide if they were measured, and overlays on
-# characters outside the default table
-WIDE_BRACES = FontMetrics(widths={**DEFAULT_METRICS.widths, "{": 70, "}": 90, "é": 33, "\t": 7},
-                          default_width=61)
+# braces that would be wide if they were measured, a backslash and
+# letters whose widths are not the default, so that a control sequence
+# measured by its characters would show, and overlays on characters
+# outside the default table
+WIDE_BRACES = FontMetrics(widths={**DEFAULT_METRICS.widths, "{": 70, "}": 90, "\\": 61,
+                                  "a": 62, "l": 63, "p": 64, "h": 65, "é": 33, "\t": 7})
 
 
 @BOUNDED
@@ -355,31 +363,21 @@ def _clip(clip, arrow, by_anchor, frame):
     aligns=st.tuples(*[st.sampled_from(["", "l", "r", "u", "d"])] * 2),
     label=st.text("fgw\\{}", max_size=6),
     side=st.sampled_from(list(LabelSide)),
-    margin=st.integers(-40, 400),
     em_size=st.sampled_from([Fraction(10), Fraction(12), Fraction(7, 2), Fraction(1, 3)]),
-    label_scale=st.fractions(Fraction(1, 30), 1, max_denominator=30),
 )
 @example(start=Point(0, 0), length=500, horizontal=True, kind=KIND_POS, texts=("A", "B"),
-         aligns=("", ""), label="f", side=LabelSide.ABOVE, margin=30,
-         em_size=Fraction(10), label_scale=Fraction(7, 10))
+         aligns=("", ""), label="f", side=LabelSide.ABOVE, em_size=Fraction(10))
 @example(start=Point(0, 0), length=-40, horizontal=False, kind=KIND_POS,
          texts=("wwwwww", None), aligns=("", ""), label="f", side=LabelSide.BELOW,
-         margin=30, em_size=Fraction(10), label_scale=Fraction(1, 3))
-@example(start=Point(0, 0), length=100, horizontal=True, kind=KIND_POS, texts=("wwwwww", ""),
-         aligns=("", ""), label="f", side=LabelSide.ABOVE, margin=-20,
-         em_size=Fraction(10), label_scale=Fraction(7, 10))  # capped at 1, yet not swallowed
-@example(start=Point(0, 0), length=-100, horizontal=True, kind=KIND_POS, texts=("", "wwwwww"),
-         aligns=("", ""), label="f", side=LabelSide.BELOW, margin=-20,
-         em_size=Fraction(10), label_scale=Fraction(7, 10))
+         em_size=Fraction(10))
 @example(start=Point(0, 0), length=300, horizontal=True, kind=KIND_POS,
          texts=("wwwww", "wwwww"), aligns=("", ""), label="", side=LabelSide.NONE,
-         margin=30, em_size=Fraction(10), label_scale=Fraction(7, 10))  # swallowed
+         em_size=Fraction(10))  # swallowed
 def test_axis_aligned_clipping_matches_the_general_path(
-    start, length, horizontal, kind, texts, aligns, label, side, margin, em_size,
-    label_scale,
+    start, length, horizontal, kind, texts, aligns, label, side, em_size,
 ):
     end = Point(start.x + length, start.y) if horizontal else Point(start.x, start.y + length)
-    cfg = ScaleConfig(em_size=em_size, label_scale=label_scale, object_margin=margin)
+    cfg = ScaleConfig(em_size=em_size)
     frame = layout._Frame.of(cfg, DEFAULT_METRICS)
     nodes = [Node(at, text, seq, align)
              for seq, (at, text, align) in enumerate(zip((start, end), texts, aligns))
@@ -392,3 +390,61 @@ def test_axis_aligned_clipping_matches_the_general_path(
     assert _clip(fast, arrow, by_anchor, frame) == _clip(
         layout.clip_general, arrow, by_anchor, frame
     )
+
+
+# a \scalefactor with only 2 and 5 in its denominator keeps every px and
+# em an exact decimal
+exact_factors = st.builds(Fraction, st.integers(1, 40), st.sampled_from([1, 2, 4, 5, 8, 25, 40]))
+# text is measured, not scaled: a few widths are enough
+short_texts = st.sampled_from(["", "a", "fg", "\\alpha", "{x`y}", "wwwwww"])
+
+
+@st.composite
+def exactly_scaled_sources(draw):
+    """Source text of generated commands and such \\scalefactor's, in any order."""
+    cmds = draw(st.lists(commands(short_texts), min_size=1, max_size=2))
+    cmds += [parse_command("\\scalefactor{1}")] * draw(st.integers(0, 2))
+    lines = [format_command(replace(cmd, factor=draw(exact_factors))
+                            if cmd.kind == "scalefactor" else cmd) for cmd in cmds]
+    return "\n".join(draw(st.permutations(lines)))
+
+
+# a number the printers scale: in SVG every number but those of the
+# versions and the namespace, in TikZ every coordinate in em
+_SCALED = {"svg": re.compile(r"(?<![\w.#-])-?[0-9]+(?:\.[0-9]+)?"),
+           "tikz": re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?=em[,)])")}
+_UNSCALED = re.compile(r' (?:version|xmlns)="[^"]*"')
+
+
+def _printed_at(text, k):
+    """Each figure's SVG and TikZ at render scale k and their warnings, or
+    the error."""
+    notes = []
+    try:
+        out = [(fmt, render_figure(figure, fmt, notes))
+               for figure in compile_source(text, cfg=ScaleConfig(scale=k))
+               for fmt in ("svg", "tikz")]
+    except DiagramError as exc:
+        return str(exc), []
+    return out, notes
+
+
+@BOUNDED
+@given(text=exactly_scaled_sources(), k=st.sampled_from([2, Fraction(1, 2), 5]))
+@example(text="\\scalefactor{3/8}\n\\square[A`B`C`D;f`g`h`k]\n\\to^{x}_{y}\n\\two", k=5)
+@example(text="\\morphism[A`B;f]\n\\morphism(0,0)|m|/=>/<500,-500>[A`C;g]", k=Fraction(1, 2))
+def test_svg_and_tikz_scale_exactly(text, k):
+    one, one_notes = _printed_at(text, 1)
+    many, many_notes = _printed_at(text, k)
+    assert many_notes == one_notes
+    assert not any("rounded" in note for note in one_notes)
+    if isinstance(one, str):  # an error is the same at every scale
+        assert many == one
+        return
+    assert len(many) == len(one)
+    for (fmt, a), (_, b) in zip(one, many):
+        a, b = _UNSCALED.sub("", a), _UNSCALED.sub("", b)
+        number = _SCALED[fmt]
+        assert number.sub("#", a) == number.sub("#", b)  # the same skeleton
+        assert [k * Fraction(n) for n in number.findall(a)] == list(
+            map(Fraction, number.findall(b)))

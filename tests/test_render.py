@@ -221,18 +221,6 @@ def test_non_exact_scale_warns_once_per_render(render, how):
     assert out == _printed(render, fig.ir)  # the warning changes no output byte
 
 
-def test_non_exact_label_scale_warns_in_svg_only():
-    ir = _one("\\square[A`B`C`D;f`g`h`k]").ir
-    dump = emit_ir(ir).replace("label-scale 7/10", "label-scale 1/3")
-    assert dump != emit_ir(ir)
-    third = parse_ir(dump)
-    notes = []
-    _printed(render_svg, third, notes)
-    assert len(notes) == 1 and "label scale 1/3" in notes[0]
-    _printed(render_tikz, third, notes)
-    assert len(notes) == 1
-
-
 @pytest.mark.parametrize("render", [render_svg, render_tikz])
 def test_exact_scale_is_silent(render):
     notes = []

@@ -71,7 +71,14 @@ def split_top_by_tokens(text: str, seps: str) -> list:
 
 def tidy_by_tokens(toks: Sequence[str]) -> str:
     """Source tokens as a section reads them: comments dropped, each
-    whitespace run one space, a backslash and a line break a control
-    space."""
-    return "".join(" " if t[0] in " \t\r\n" else "" if t[0] == "%" else
-                   "\\ " if t == "\\\n" else t for t in toks)
+    whitespace run one space, a backslash and a line break (LF, CR LF or
+    CR) a control space."""
+    out = []
+    for k, t in enumerate(toks):
+        if t[0] in " \t\r\n":
+            if k and toks[k - 1] == "\\\r" and t[0] == "\n":
+                t = t[1:]  # the LF of a CR LF after a backslash
+            out.append(" " if t else "")
+        elif t[0] != "%":
+            out.append("\\ " if t in ("\\\n", "\\\r") else t)
+    return "".join(out)
