@@ -12,13 +12,12 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .compiler import FORMATS, compile_source, render_figure
 from .diagnostics import Diagnostic, DiagramError
-from .geometry import ScaleConfig
+from .geometry import ScaleConfig, read_positive
 from .metrics import DEFAULT_METRICS, FontMetrics, MetricsError, load_metrics
 
 _EXTENSIONS = {"svg": ".svg", "tikz": ".tex", "xypic": ".xy", "ir": ".ir"}
@@ -54,35 +53,31 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@dataclass
-class _FileResult:
+class _FileResult(NamedTuple):
     path: Path
-    outputs: List[Tuple[str, str]] = field(default_factory=list)  # (name, text)
-    diagnostics: List[Diagnostic] = field(default_factory=list)
-    status: int = 0
+    outputs: List[Tuple[str, str]]  # (name, text)
+    diagnostics: List[Diagnostic]
+    status: int
 
 
 def _compile_file(
     path: Path, fmt: str, cfg: ScaleConfig, metrics: FontMetrics
 ) -> _FileResult:
-    result = _FileResult(path=path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        result.diagnostics.append(
-            Diagnostic("error", f"cannot read {path}: {exc}", str(path))
-        )
-        result.status = 2
-        return result
+        return _FileResult(path, [], [Diagnostic("error", f"cannot read {path}: {exc}",
+                                                 str(path))], 2)
     try:
         figures = compile_source(text, str(path), cfg, metrics)
     except DiagramError as exc:
-        result.diagnostics.append(exc.diagnostic)
-        result.status = 2
-        return result
+        return _FileResult(path, [], [exc.diagnostic], 2)
+    outputs: List[Tuple[str, str]] = []
+    diagnostics: List[Diagnostic] = []
+    status = 0
     ext = _EXTENSIONS[fmt]
     for index, figure in enumerate(figures):
-        result.diagnostics.extend(figure.warnings)
+        diagnostics.extend(figure.warnings)
         if len(figures) > 1:
             name = f"{path.stem}-{index + 1}{ext}"
         else:
@@ -91,15 +86,15 @@ def _compile_file(
         try:
             rendered = render_figure(figure, fmt, render_warnings)
         except DiagramError as exc:
-            result.diagnostics.append(exc.diagnostic)
-            result.status = 2
+            diagnostics.append(exc.diagnostic)
+            status = 2
             continue
-        result.diagnostics.extend(
+        diagnostics.extend(
             Diagnostic("warning", note, str(path), figure.line, figure.col)
             for note in render_warnings
         )
-        result.outputs.append((name, rendered))
-    return result
+        outputs.append((name, rendered))
+    return _FileResult(path, outputs, diagnostics, status)
 
 
 def _write_atomic(dest: Path, text: str) -> None:
@@ -120,8 +115,8 @@ def _write_atomic(dest: Path, text: str) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        cfg = ScaleConfig(scale=args.scale, em_size=args.em)
-    except (ValueError, ZeroDivisionError) as exc:
+        cfg = ScaleConfig(read_positive(args.scale, "--scale"), read_positive(args.em, "--em"))
+    except ValueError as exc:
         print(f"diagc: {exc}", file=sys.stderr)
         return 2
     try:

@@ -7,8 +7,7 @@ Xy-pic token stream and the IR text need no layout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .diagnostics import Diagnostic, LayoutError
 from .expand import expand_figure
@@ -25,8 +24,7 @@ from .xypic import render_xypic
 FORMATS = ("svg", "tikz", "xypic", "ir")
 
 
-@dataclass
-class CompiledFigure:
+class CompiledFigure(NamedTuple):
     ir: DiagramIR        # duplicate corner nodes merged
     raw_ir: DiagramIR    # as expanded; the token backend wants overdraws
     warnings: List[Diagnostic]
@@ -43,7 +41,10 @@ def compile_source(
     metrics: Optional[FontMetrics] = None,
 ) -> List[CompiledFigure]:
     """Parse and expand every figure in a source text; a figure that draws
-    nothing is a LayoutError at its ``\\bfig`` (or first command)."""
+    nothing is a LayoutError at its ``\\bfig`` (or first command), and a
+    ``cfg`` that ``ScaleConfig.checked`` rejects is a ValueError."""
+    if cfg is not None:
+        cfg = cfg.checked()
     metrics = metrics or DEFAULT_METRICS
     figures = parse_source(text, filename)
     out: List[CompiledFigure] = []

@@ -1,11 +1,10 @@
 """Diagnostics with file:line:column positions, and the error hierarchy."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" or "warning"
     message: str
     filename: str = ""

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .diagnostics import Diagnostic, ExpandError
-from .geometry import DEFAULT_MARGIN, LABEL_SCALE, Point, ScaleConfig, ratchet, tex_div
+from .geometry import DEFAULT_MARGIN, LABEL_SCALE, Point, ScaleConfig, exact, ratchet, tex_div
 from .ir import (
     KIND_POS,
     KIND_THREE,
@@ -71,30 +71,28 @@ def measure_morphism_width(
 
 
 class _Builder:
-    """Accumulates nodes and arrows with creation-order seq numbers."""
+    """Accumulates nodes and arrows with creation-order seq numbers;
+    ``group`` and ``where`` are the index and the position of the command
+    being expanded."""
 
-    def __init__(self, cfg: ScaleConfig, metrics: FontMetrics, filename: str):
-        self.cfg = cfg
+    def __init__(self, metrics: FontMetrics, filename: str):
         self.metrics = metrics
         self.filename = filename
         self.nodes: List[Node] = []
         self.arrows: List[Arrow] = []
         self.warnings: List[Diagnostic] = []
         self.group = -1
+        self.where = (0, 0)
 
     def _next(self) -> int:
         """The next seq number: nodes and arrows count in creation order."""
         return len(self.nodes) + len(self.arrows)
 
-    def error(self, cmd: Command, message: str) -> ExpandError:
-        return ExpandError(
-            Diagnostic("error", message, self.filename, cmd.line, cmd.col)
-        )
+    def error(self, message: str) -> ExpandError:
+        return ExpandError(Diagnostic("error", message, self.filename, *self.where))
 
-    def warn(self, cmd: Command, message: str) -> None:
-        self.warnings.append(
-            Diagnostic("warning", message, self.filename, cmd.line, cmd.col)
-        )
+    def warn(self, message: str) -> None:
+        self.warnings.append(Diagnostic("warning", message, self.filename, *self.where))
 
     def node(
         self, at: Point, text: str, align: str = "", standalone: bool = False
@@ -114,7 +112,7 @@ class _Builder:
             return
         dx, dy = end.x - start.x, end.y - start.y
         if dx == 0 and dy == 0:
-            raise self.error(cmd, f"\\{cmd.kind}: degenerate arrow (zero displacement)")
+            raise self.error(f"\\{cmd.kind}: degenerate arrow (zero displacement)")
         self.node(start, text_a)
         self.node(end, text_b)
         side = resolve_label_side(placement, dx, dy)
@@ -122,10 +120,7 @@ class _Builder:
             side = LabelSide.NONE
         elif side is LabelSide.NONE and label:
             # only unknown (or missing) placements land here with a label
-            self.warn(
-                cmd,
-                f"\\{cmd.kind}: unknown placement {placement!r}, label dropped",
-            )
+            self.warn(f"\\{cmd.kind}: unknown placement {placement!r}, label dropped")
         self.arrow(start=start, end=end, style=style, label=label, side=side,
                    kind=KIND_POS, start_text=text_a, end_text=text_b)
 
@@ -134,7 +129,7 @@ class _Builder:
         """Boundary stub: one end on a node, the other free at (dx, dy)
         from it; ``to_node`` draws it from the free end to the node."""
         if dx == 0 and dy == 0:
-            raise self.error(cmd, f"\\{cmd.kind}: degenerate stub (zero extent)")
+            raise self.error(f"\\{cmd.kind}: degenerate stub (zero extent)")
         free = Point(at.x + dx, at.y + dy)
         self.node(at, text)
         start, end, ends = (free, at, ("", text)) if to_node else (at, free, (text, ""))
@@ -258,7 +253,7 @@ def _run(b: _Builder, cmd: Command, shape: _Shape, origin: Point, extent: Sequen
     sections of ``part`` (default: the command); returns the node points."""
     dx, dy = extent
     if dx == 0 or dy == 0:
-        raise b.error(cmd, f"\\{cmd.kind}: {shape.degenerate}")
+        raise b.error(f"\\{cmd.kind}: {shape.degenerate}")
     x, y = origin
     pts = [Point(x + i * dx, y + j * dy) for i, j in shape.lattice]
     part = part or cmd
@@ -325,7 +320,7 @@ def _expand_cube(b: _Builder, cmd: Command) -> None:
     (ox, oy), (odx, ody) = cmd.origin, cmd.extent
     (ix, iy), (idx, idy) = inner.origin, inner.extent
     if not (ox <= ix and oy <= iy and ix + idx <= ox + odx and iy + idy <= oy + ody):
-        b.warn(cmd, "\\cube: inner square does not lie inside the outer square")
+        b.warn("\\cube: inner square does not lie inside the outer square")
 
 
 def _expand_pullback(b: _Builder, cmd: Command) -> None:
@@ -348,7 +343,7 @@ def _expand_morphism(b: _Builder, cmd: Command) -> None:
 def _expand_vector(b: _Builder, cmd: Command) -> None:
     dx, dy = cmd.extent
     if dx == 0 and dy == 0:
-        raise b.error(cmd, "\\vector: degenerate arrow (zero displacement)")
+        raise b.error("\\vector: degenerate arrow (zero displacement)")
     start = cmd.origin
     b.arrow(start=start, end=Point(start.x + dx, start.y + dy), style=cmd.styles[0],
             label="", side=LabelSide.NONE, kind=KIND_VECTOR)
@@ -376,7 +371,7 @@ def _expand_inline(b: _Builder, cmd: Command) -> None:
     label plus a margin, ratcheted to the command's floor.  An on-line
     label that is empty leaves the arrow unlabeled."""
     if cmd.length < 0:
-        raise b.error(cmd, f"\\{cmd.kind}: negative explicit length")
+        raise b.error(f"\\{cmd.kind}: negative explicit length")
     kind, floor, arrows = _INLINE[cmd.kind]
     labels = cmd.labels
     length = cmd.length or ratchet(DEFAULT_MARGIN + max(
@@ -409,7 +404,7 @@ def two_cell_endpoint(i: int, j: int) -> Tuple[int, int]:
 def _expand_twoar(b: _Builder, cmd: Command) -> None:
     i, j = cmd.direction
     if i == 0 and j == 0:
-        raise b.error(cmd, "\\twoar: zero direction")
+        raise b.error("\\twoar: zero direction")
     x, y = two_cell_endpoint(i, j)
     b.arrow(start=Point(0, 0), end=Point(x, y), style="=>", label="", side=LabelSide.NONE,
             kind=KIND_TWOAR, local_scale=Fraction(1, 10), group=b.group)
@@ -441,15 +436,14 @@ def expand_figure(
     coordinates stay integer regardless.
     """
     cfg = cfg or _DEFAULT_CONFIG
-    metrics = metrics or DEFAULT_METRICS
-    b = _Builder(cfg, metrics, filename)
+    b = _Builder(metrics or DEFAULT_METRICS, filename)
     scale = None  # the figure's scale once a \scalefactor has multiplied it
     for index, cmd in enumerate(figure.commands):
         if cmd.kind == "scalefactor":
             scale = (cfg.scale if scale is None else scale) * cmd.factor
             continue
-        b.group = index
+        b.group, b.where = index, figure.positions[index]
         _EXPANDERS[cmd.kind](b, cmd)
     if scale is not None:
-        cfg = ScaleConfig(scale, cfg.em_size)
+        cfg = ScaleConfig(exact(scale), cfg.em_size)
     return DiagramIR(tuple(b.nodes), tuple(b.arrows), cfg), b.warnings

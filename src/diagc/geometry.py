@@ -8,12 +8,10 @@ through ScaleConfig, so diagrams expand identically at every scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple, Tuple, Union
-
-Numeric = Union[int, float, str, Fraction]
 
 DEFAULT_MARGIN = 150   # margin added to measured inline-arrow labels
 # constants of the language, which no source can set
@@ -45,19 +43,26 @@ def tex_div(a: int, b: int) -> int:
     return -q if (a < 0) != (b < 0) else q
 
 
-def as_fraction(value: Numeric) -> Fraction:
-    """Exact Fraction from common numeric spellings.
+def exact(value: Union[int, Fraction]) -> Union[int, Fraction]:
+    """An exact rational as the records hold it: an int when whole."""
+    return value.numerator if value.denominator == 1 else value
 
-    Floats go through their decimal representation so 0.7 means 7/10,
-    not the nearest binary double.
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    return Fraction(str(value).strip())
+
+# p, p/q or a decimal, in ASCII: Fraction() alone would also read 1_0, a ٣ or 1e3
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/0*[1-9][0-9]*|\.[0-9]*)?|\.[0-9]+)")
+
+
+def read_positive(text: str, what: str) -> Union[int, Fraction]:
+    """The value of ``text``, a positive rational spelled ``p``, ``p/q`` or
+    as a decimal, between optional spaces; ValueError naming ``what``
+    for any other text."""
+    number = text.strip()
+    if not _RATIONAL.fullmatch(number):
+        raise ValueError(f"malformed {what} {text!r}")
+    value = Fraction(number)
+    if value <= 0:
+        raise ValueError(f"{what} must be positive")
+    return exact(value)
 
 
 def round_div(num: int, den: int) -> int:
@@ -66,7 +71,7 @@ def round_div(num: int, den: int) -> int:
     return -n if num < 0 else n
 
 
-def pt_to_centiem(pt: Union[int, Fraction], em_size: Fraction) -> int:
+def pt_to_centiem(pt: Union[int, Fraction], em_size: Union[int, Fraction]) -> int:
     """Convert printer's points to centi-em (1 em = em_size pt), rounded
     once, ties away from zero."""
     pn, pd = pt.as_integer_ratio()
@@ -74,23 +79,24 @@ def pt_to_centiem(pt: Union[int, Fraction], em_size: Fraction) -> int:
     return round_div(100 * pn * ed, pd * en)
 
 
-@dataclass(frozen=True)
-class ScaleConfig:
+class ScaleConfig(NamedTuple):
     """Render-time unit configuration: the two lengths a figure can set.
 
     scale multiplies every physical length; em_size is points per em.
+    Both are exact rationals, an int when whole.  Nothing is checked on
+    construction: ``checked`` is, where a scale comes in from outside.
     """
 
-    scale: Fraction = Fraction(1)
-    em_size: Fraction = Fraction(10)
+    scale: Union[int, Fraction] = 1
+    em_size: Union[int, Fraction] = 10
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scale", as_fraction(self.scale))
-        object.__setattr__(self, "em_size", as_fraction(self.em_size))
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if self.em_size <= 0:
-            raise ValueError("em size must be positive")
+    def checked(self) -> "ScaleConfig":
+        """This configuration with each value as the record holds it;
+        ValueError unless each is a positive int or Fraction."""
+        for value, what in zip(self, ("scale", "em size")):
+            if not isinstance(value, (int, Fraction)) or value <= 0:
+                raise ValueError(f"{what} must be a positive int or Fraction, not {value!r}")
+        return ScaleConfig(exact(self.scale), exact(self.em_size))
 
 
 def decimal_formatter(den: int) -> Tuple[Callable[[int], str], bool]:

@@ -11,7 +11,7 @@ kind and the attribute it reads.  A kind gives the %-conversion that
 writes a value, a pattern of the value's canonical spellings and the
 function that reads such a spelling.  ``emit_ir`` writes a record through one
 %-template made from its row.  ``parse_ir`` reads a line with patterns
-compiled from the same row at import, one for each maximal run of
+compiled from the same row on its first call, one for each maximal run of
 fields that are not braced text, and accepts only what ``emit_ir``
 writes: every field once, in order, one space apart, each the canonical
 spelling of a valid value.  A braced text field (balanced by
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
@@ -99,17 +100,6 @@ class _Record:
         self.template = "".join(p + kind.spec for p, kind in zip(prefixes, self.kinds)) + "\n"
         self.get = attrgetter(*self.attrs)
         self.spelled = tuple((i, kind.spell) for i, kind in enumerate(self.kinds) if kind.spell)
-        # the reader: one pattern per run of fields up to a text field's
-        # prefix, and the last run up to the end of the line
-        runs = [""]
-        for prefix, kind in zip(prefixes, self.kinds):
-            runs[-1] += re.escape(prefix)
-            if kind.pattern is None:
-                runs.append("")
-            else:
-                runs[-1] += f"({kind.pattern})"
-        runs[-1] += r"\Z"
-        self.head, *self.tail = map(re.compile, runs)
         self.reads = tuple(kind.read for kind in self.kinds)
         # each point's x, last first, so that merging it with its y keeps
         # the indices of the points before it
@@ -128,14 +118,31 @@ class _Record:
             values = values[:i] + (spell[values[i]],) + values[i + 1:]
         return self.template % values
 
+    @cached_property
+    def patterns(self) -> Tuple[re.Pattern, Tuple[re.Pattern, ...]]:
+        """The reader, compiled on first use: one pattern per run of fields
+        up to a text field's prefix, and the last run up to the end of
+        the line, as the first pattern and the rest."""
+        runs = [""]
+        for prefix, kind in zip(self.prefixes, self.kinds):
+            runs[-1] += re.escape(prefix)
+            if kind.pattern is None:
+                runs.append("")
+            else:
+                runs[-1] += f"({kind.pattern})"
+        runs[-1] += r"\Z"
+        head, *tail = map(re.compile, runs)
+        return head, tuple(tail)
+
     def parse(self, line: str) -> Any:
         """The record of a line ``write`` could have written, or a scale
         line's value; IRSyntaxError naming the line for any other."""
-        match = self.head.match(line)
+        head, tail = self.patterns
+        match = head.match(line)
         if match is None:
             raise IRSyntaxError(f"malformed {self.keyword!r} line {line!r}")
         spellings = list(match.groups())
-        for run in self.tail:
+        for run in tail:
             pos = match.end()
             end = group_end(line, pos)
             if end < 0:
@@ -155,8 +162,8 @@ class _Record:
 
 
 _RECORDS = (
-    _Record("scale", None, ("", _FRACTION, "scale")),
-    _Record("em", None, ("", _FRACTION, "em_size")),
+    _Record("scale", None, ("", _POSITIVE, "scale")),
+    _Record("em", None, ("", _POSITIVE, "em_size")),
     _Record("node", Node, ("seq", _INT, "seq"), ("x", _INT, "anchor.x"),
             ("y", _INT, "anchor.y"), ("align", _ALIGN, "align"),
             ("standalone", _FLAG, "standalone"), ("text", _TEXT, "text")),
@@ -205,10 +212,7 @@ def parse_ir(text: str) -> DiagramIR:
     for want, line in zip(_CONSTANTS, body[len(_SCALES):]):
         if line != want:
             raise IRSyntaxError(f"{line!r} is not the constant line {want!r}")
-    try:
-        cfg = ScaleConfig(*scale)  # the scale lines are in ScaleConfig's field order
-    except ValueError as exc:
-        raise IRSyntaxError(f"{exc} in the scale lines") from None
+    cfg = ScaleConfig(*scale)  # the scale lines are in ScaleConfig's field order
     split = head
     while split < len(body) and body[split].startswith(_NODE.keyword + " "):
         split += 1

@@ -20,7 +20,6 @@ no ``\\``.  The records are named tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .diagnostics import Diagnostic, LayoutError
@@ -100,8 +99,7 @@ class DrawablePath(NamedTuple):
         return (self.end[0] - self.start[0], self.end[1] - self.start[1])
 
 
-@dataclass(frozen=True)
-class DiagramLayout:
+class DiagramLayout(NamedTuple):
     nodes: List[PlacedNode]
     paths: List[DrawablePath]
     bbox: Tuple[int, int, int, int]  # x0, y0, x1, y1 in centi-em

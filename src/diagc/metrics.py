@@ -7,10 +7,9 @@ file can overlay individual characters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from typing import Dict, Union
+from typing import Dict, NamedTuple, Union
 
 from .geometry import round_div
 from .lexer import drop_controls
@@ -30,11 +29,11 @@ class MetricsError(ValueError):
     """Unreadable or malformed metrics file."""
 
 
-@dataclass
-class FontMetrics:
-    """Per-character advance widths in centi-em; immutable after load."""
+class FontMetrics(NamedTuple):
+    """Per-character advance widths in centi-em; immutable after load, so
+    every default-built instance shares the one default table."""
 
-    widths: Dict[str, int] = field(default_factory=_default_table)
+    widths: Dict[str, int] = _default_table()
 
 
 DEFAULT_METRICS = FontMetrics()

@@ -21,19 +21,17 @@ order, as the arithmetic dictates.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .diagnostics import Diagnostic, ParseError
-from .geometry import Point
+from .geometry import Point, read_positive
 from .lexer import (BLANK, lone_backslash, section_end, split_top, strip_group, tidy,
                     token_at)
 
 
-@dataclass
-class SquarePart:
+class SquarePart(NamedTuple):
     """Second square of a cube: sections plus payload."""
 
     origin: Point = Point(500, 500)
@@ -44,8 +42,7 @@ class SquarePart:
     labels: Tuple[str, ...] = ()
 
 
-@dataclass
-class TridentPart:
+class TridentPart(NamedTuple):
     """Three-arrow cluster appended to a square by pullback."""
 
     placements: str = "amb"
@@ -55,13 +52,11 @@ class TridentPart:
     labels: Tuple[str, ...] = ()
 
 
-@dataclass
-class Command:
-    """One parsed command, all absent sections filled with defaults."""
+class Command(NamedTuple):
+    """One parsed command, all absent sections filled with defaults.  Its
+    line and column are in its Figure's ``positions``, not in its value."""
 
     kind: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
     origin: Point = Point(0, 0)
     placements: str = ""
     styles: Tuple[str, ...] = ()
@@ -73,7 +68,7 @@ class Command:
     stub: Tuple[int, ...] = ()           # grid stub extent
     length: int = 0                      # inline arrows; 0 means auto
     direction: Tuple[int, int] = (0, 0)  # 2-cell arrow direction
-    factor: Fraction = Fraction(1)       # scalefactor multiplier
+    factor: Union[int, Fraction] = 1     # scalefactor multiplier, an int when whole
     inner: Optional[SquarePart] = None   # cube inner square
     conn_placements: str = ""            # cube connector sections
     conn_styles: Tuple[str, ...] = ()
@@ -81,12 +76,12 @@ class Command:
     trident: Optional[TridentPart] = None
 
 
-@dataclass
-class Figure:
-    """One diagram's worth of commands."""
+class Figure(NamedTuple):
+    """One diagram's worth of commands, and the line and column of each."""
 
     commands: List[Command]
-    line: int = 0
+    positions: List[Tuple[int, int]]
+    line: int = 0  # of the figure's \bfig, or of its first command
     col: int = 0
 
 
@@ -109,12 +104,19 @@ class _Reader:
         self._line_start = 0
 
     def where(self) -> Tuple[int, int]:
-        """Line and column of the current token, both from 1."""
-        pos, counted = self.pos, self._counted
-        newlines = self.text.count("\n", counted, pos)
-        if newlines:
-            self._line += newlines
-            self._line_start = self.text.rfind("\n", counted, pos) + 1
+        """Line and column of the current token, both from 1.
+
+        CR LF, a lone CR and LF each end a line.  A CR LF ends it at the
+        CR, and its LF takes no column, so a token that begins at the LF
+        (after a ``\\<CR>``) is at the start of the next line.
+        """
+        text, pos, counted = self.text, self.pos, self._counted
+        # a CR LF whose CR was counted in the last call is not counted again
+        self._line += (text.count("\n", counted, pos) + text.count("\r", counted, pos)
+                       - text.count("\r\n", max(counted - 1, 0), pos))
+        last = max(text.rfind("\n", counted, pos), text.rfind("\r", counted, pos))
+        if last >= 0:
+            self._line_start = last + 1
         self._counted = pos
         return self._line, pos - self._line_start + 1
 
@@ -186,23 +188,22 @@ def _fields(raw: str) -> List[str]:
     return [strip_group(p) for p in split_top(raw, "`")]
 
 
-def _command(r: _Reader) -> Command:
-    """One command, its sections read by its row of ``COMMANDS``."""
-    r.skip_ws()
-    line, col = r.where()
+def _command(r: _Reader, where: Tuple[int, int]) -> Command:
+    """One command at ``where``, its sections read by its row of ``COMMANDS``."""
     name = r.expect("\\", "to start a command")[1:]
     chain = COMMANDS.get(name)
     if chain is None:
-        raise r.error(f"unknown command \\{name}", line, col)
-    return Command(name, line, col, **chain.read(r))
+        raise r.error(f"unknown command \\{name}", *where)
+    return Command(name, **chain.read(r))
 
 
 def parse_source(text: str, filename: str = "<input>") -> List[Figure]:
     """Parse a whole source file into figures."""
     r = _Reader(text, filename)
     figures: List[Figure] = []
-    top: List[Command] = []
-    current: Optional[List[Command]] = None
+    # a figure's commands and their positions: outside any figure, in the open one
+    top: Tuple[List[Command], List[Tuple[int, int]]] = ([], [])
+    current: Optional[Tuple[List[Command], List[Tuple[int, int]]]] = None
     open_pos = (0, 0)
     while True:
         r.skip_ws()
@@ -216,28 +217,31 @@ def parse_source(text: str, filename: str = "<input>") -> List[Figure]:
                 raise r.error("nested \\bfig")
             open_pos = r.where()
             r.advance()
-            current = []
+            current = ([], [])
             continue
         if tok == "\\efig":
             if current is None:
                 raise r.error("\\efig without \\bfig")
             r.advance()
-            figures.append(Figure(current, open_pos[0], open_pos[1]))
+            figures.append(Figure(*current, *open_pos))
             current = None
             continue
-        cmd = _command(r)
-        (top if current is None else current).append(cmd)
+        commands, positions = top if current is None else current
+        where = r.where()
+        commands.append(_command(r, where))
+        positions.append(where)
     if current is not None:
         raise r.error("\\bfig without matching \\efig", *open_pos)
-    if top:
-        figures.append(Figure(top, top[0].line, top[0].col))
+    if top[0]:
+        figures.append(Figure(*top, *top[1][0]))
     return figures
 
 
 def parse_command(text: str, filename: str = "<input>") -> Command:
     """Parse exactly one command (convenience for tests and tools)."""
     r = _Reader(text, filename)
-    cmd = _command(r)
+    r.skip_ws()
+    cmd = _command(r, r.where())
     r.skip_ws()
     if r.tok:
         raise r.error("trailing text after command")
@@ -248,10 +252,9 @@ def parse_command(text: str, filename: str = "<input>") -> Command:
 
 REQUIRED = object()  # the default of a section that is always read
 
-# Numbers in source text are ASCII: int() and Fraction() alone would also
-# read 1_0, a ٣ or 1e3.
+# Numbers in source text are ASCII: int() alone would also read 1_0, a ٣
+# or 1e3.  A scale factor is read by geometry.read_positive.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_FACTOR = re.compile(r"[+-]?(?:[0-9]+(?:/0*[1-9][0-9]*|\.[0-9]*)?|\.[0-9]+)")  # p, p/q, decimal
 
 
 class _Section:
@@ -467,13 +470,10 @@ class _Factor(_Section):
 
     def read(self, r: _Reader, into: Dict[str, Any]) -> None:
         token = r.single_token()
-        number = token.strip()
-        if not _FACTOR.fullmatch(number):
-            raise r.error(f"malformed scale factor {token!r}")
-        factor = Fraction(number)
-        if factor <= 0:
-            raise r.error("scale factor must be positive")
-        into[self.field] = factor
+        try:
+            into[self.field] = read_positive(token, "scale factor")
+        except ValueError as exc:
+            raise r.error(str(exc)) from None
 
     def write(self, obj: Any) -> str:
         return f"{{{getattr(obj, self.field)}}}"

@@ -11,6 +11,7 @@ the configured scale.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .geometry import LABEL_SCALE, ScaleConfig, decimal_formatter, format_decimal
@@ -79,7 +80,7 @@ def render_svg(
     warnings: Optional[List[str]] = None,
 ) -> str:
     """Print a laid-out figure at the scale of ``cfg``, its IR's scale."""
-    un, ud = (cfg.em_size * cfg.scale / 100).as_integer_ratio()  # px per centi-em
+    un, ud = Fraction(cfg.em_size * cfg.scale, 100).as_integer_ratio()  # px per centi-em
     x0, y0, x1, y1 = lay.bbox
     left, top = QUANTUM * x0, QUANTUM * y1
     # n -> n / (QUANTUM ud) px, so a length of v layout units is unit(v * un)

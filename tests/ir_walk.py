@@ -122,10 +122,7 @@ def parse_ir_by_fields(text):
             read = None
         if read != value:
             raise IRSyntaxError(f"{line!r} is not the {keyword} line")
-    try:
-        cfg = ScaleConfig(**scale)
-    except ValueError as exc:
-        raise IRSyntaxError(f"{exc} in the scale lines") from None
+    cfg = ScaleConfig(**scale)
     split = head
     while split < len(body) and body[split].startswith(_NODE.keyword + " "):
         split += 1

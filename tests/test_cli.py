@@ -1,10 +1,13 @@
 """Command-line behavior: outputs, exit codes, golden checks."""
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from diagc import compile_source, load_metrics, render_figure
+import diagc
+from diagc import ParseError, compile_source, load_metrics, render_figure
 from diagc.cli import main
 
 GOOD = "\\bfig\n\\square[A`B`C`D;f`g`h`k]\n\\efig\n"
@@ -200,6 +203,30 @@ def test_bad_scale_flag(tmp_path, capsys):
     assert "scale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--scale", "1e3"), ("--scale", "\u0663"), ("--scale", "1_0"),
+    ("--scale", "-1/2"), ("--em", "1/0"), ("--em", "0"), ("--em", "1e1"),
+])
+def test_a_bad_scale_or_em_flag_exits_2_naming_the_flag(tmp_path, capsys, flag, value):
+    src = _write(tmp_path, "ex.dg", GOOD)
+    assert main([str(src), f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("diagc: ") and flag in err and err.count("\n") == 1
+    assert not (tmp_path / "ex.svg").exists()
+
+
+@pytest.mark.parametrize("value", ["1/3", "0.5", "2", " 3/2 ", "1e3", "\u0663", "1_0", "0", "2/0"])
+def test_the_scale_flag_reads_numbers_as_scalefactor_does(tmp_path, capsys, value):
+    src = _write(tmp_path, "ex.dg", GOOD)
+    status = main([str(src), "--scale", value, "-o", str(tmp_path / "out") + os.sep])
+    try:
+        compile_source(GOOD.replace("\\bfig\n", f"\\bfig\\scalefactor{{{value}}}\n"))
+    except ParseError:
+        assert status == 2
+    else:
+        assert status == 0
+
+
 def test_error_in_one_input_does_not_block_others(tmp_path, capsys):
     first = _write(tmp_path, "first.dg", WARNING_SOURCE)
     bad = _write(tmp_path, "bad.dg", ARITY_BAD)
@@ -258,3 +285,13 @@ def test_empty_figure_is_an_error_in_every_format(tmp_path, capsys, fmt):
     err = capsys.readouterr().err
     assert "e.dg:1:1: error: empty diagram: nothing to draw" in err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_the_cli_imports_no_dataclasses_or_inspect():
+    # every record is a named tuple: a fresh process pays for neither module
+    code = ("import sys, diagc.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(diagc.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from diagc import ScaleConfig, ratchet, tex_div
-from diagc.geometry import as_fraction, format_decimal, pt_to_centiem, round_div
+from diagc import ScaleConfig, compile_source, ratchet, tex_div
+from diagc.geometry import format_decimal, pt_to_centiem, read_positive, round_div
 
 
 def test_ratchet_examples():
@@ -60,10 +60,24 @@ def test_pt_to_centiem():
     assert pt_to_centiem(1, Fraction(10)) == 10
 
 
-def test_as_fraction_decimal_float():
-    assert as_fraction(0.7) == Fraction(7, 10)
-    assert as_fraction("2") == 2
-    assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
+@pytest.mark.parametrize("text, value", [
+    ("2", 2), ("0.7", Fraction(7, 10)), ("1/3", Fraction(1, 3)), (" 4/2 ", 2), (".5", Fraction(1, 2)),
+    ("+3", 3), ("5.", 5), ("07/014", Fraction(1, 2)),
+])
+def test_read_positive_takes_ascii_rationals(text, value):
+    got = read_positive(text, "x")
+    assert got == value and type(got) is type(value)  # an int when whole
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1e3", "malformed x '1e3'"), ("\u0663", "malformed x '\u0663'"), ("1_0", "malformed x '1_0'"),
+    ("1/0", "malformed x '1/0'"), ("", "malformed x ''"), ("inf", "malformed x 'inf'"),
+    ("0", "x must be positive"), ("-1/2", "x must be positive"), ("0.0", "x must be positive"),
+])
+def test_read_positive_rejects_other_text(text, message):
+    with pytest.raises(ValueError) as info:
+        read_positive(text, "x")
+    assert str(info.value) == message
 
 
 def test_format_decimal_exact():
@@ -77,7 +91,9 @@ def test_format_decimal_exact():
 
 
 def test_scale_config_validation():
-    with pytest.raises(ValueError):
-        ScaleConfig(scale=0)
-    with pytest.raises(ValueError):
-        ScaleConfig(em_size=-1)
+    # a ScaleConfig is a plain record, checked where it enters the compiler
+    for cfg in (ScaleConfig(0), ScaleConfig(em_size=-1), ScaleConfig(0.5), ScaleConfig("2")):
+        with pytest.raises(ValueError):
+            compile_source("\\place(0,0)[A]", cfg=cfg)
+    checked = ScaleConfig(Fraction(4, 2), Fraction(7, 2)).checked()
+    assert checked == (2, Fraction(7, 2)) and type(checked.scale) is int

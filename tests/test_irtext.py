@@ -34,7 +34,7 @@ MALFORMED = [
     (_with(ARROW, ARROW.replace("lscale=1", "lscale=x")),
      ARROW.replace("lscale=1", "lscale=x")),
     (_with("em 10\n", "em ten\n"), "em ten"),
-    (_with("scale 1\n", "scale 0\n"), "scale"),
+    (_with("scale 1\n", "scale 0\n"), "scale 0"),
     (_with("em 10\n", ""), "'em'"),
     (_with(NODE, NODE.replace("text={X}", "text={X")), NODE.replace("text={X}", "text={X")),
     (_with(NODE, NODE + " junk"), NODE + " junk"),
@@ -53,6 +53,8 @@ MALFORMED = [
     (_with("object-margin 30\n", "object-margin -400\n"), "object-margin -400"),
     (_with(ARROW, ARROW.replace("lscale=1", "lscale=-1")), ARROW.replace("lscale=1", "lscale=-1")),
     (_with(ARROW, ARROW.replace("lscale=1", "lscale=0")), ARROW.replace("lscale=1", "lscale=0")),
+    (_with("em 10\n", "em 0\n"), "em 0"),
+    (_with("em 10\n", "em -1\n"), "em -1"),
 ]
 MALFORMED_IDS = [
     "missing field", "non-integer", "unknown side", "zero denominator", "bad fraction",
@@ -61,6 +63,7 @@ MALFORMED_IDS = [
     "reordered scale lines", "blank line", "node after arrow", "double space",
     "unknown align", "unknown kind", "non-canonical integer", "non-canonical fraction",
     "negative ex-ratio", "negative object-margin", "negative lscale", "zero lscale",
+    "zero em", "negative em",
 ]
 
 

@@ -232,6 +232,30 @@ def test_errors_carry_position():
         parse_command("\\square[A`B")
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_each_line_end_counts_once(end):
+    """CR LF, a lone CR and LF each end one line; a backslash before one
+    puts a token boundary inside a CR LF, and the count holds across it."""
+    for source, where in ((f"\\place(0,0)[a]{end}\\bogus", (2, 1)),
+                          (f"\\place(0,0)[a\\{end}b]{end}\\bogus", (3, 1)),
+                          (f"\\to^\\{end}_x{end} \\bogus", (3, 2)),
+                          (f"\\scalefactor\\{end}", (2, 1))):  # at the LF of a CR LF
+        with pytest.raises(ParseError) as info:
+            parse_source(source, "x.dg")
+        d = info.value.diagnostic
+        assert (d.line, d.col) == where, source
+    figure = parse_source(f"\\place(0,0)[a]{end}{end}  \\place(0,0)[a]")[0]
+    assert figure.positions == [(1, 1), (3, 3)]
+
+
+def test_positions_live_on_the_figure():
+    figure, = parse_source("\\bfig\n\\place(0,0)[A]\n  \\place(0,0)[A] \\to\n\\efig")
+    assert (figure.line, figure.col) == (1, 1)
+    assert figure.positions == [(2, 1), (3, 3), (3, 18)]
+    first, second, _ = figure.commands
+    assert first == second == parse_command(format_command(first))
+
+
 def test_figure_blocks():
     figs = parse_source("\\bfig \\to \\efig \\bfig \\two \\efig")
     assert [[c.kind for c in f.commands] for f in figs] == [["to"], ["two"]]

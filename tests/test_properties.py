@@ -7,7 +7,6 @@ repeats on every run and the suite's run time stays bounded.
 """
 import math
 import re
-from dataclasses import replace
 from datetime import timedelta
 from fractions import Fraction
 
@@ -111,9 +110,12 @@ STOP_SETS = ["`", ";", "]", "|", "/", ")", ">", "}", "`;", "`/", "`;]"]
 
 
 def where_by_tokens(toks, k):
-    """Line and column where token ``k`` begins."""
-    passed = "".join(toks[:k])
-    return passed.count("\n") + 1, len(passed) - passed.rfind("\n")
+    """Line and column where token ``k`` begins: CR LF, a lone CR and LF
+    each end a line, and a token inside a CR LF begins the next line."""
+    pos = len("".join(toks[:k]))
+    ends = [m for m in re.finditer("\r\n|\r|\n", "".join(toks)) if m.start() < pos]
+    start = min(ends[-1].end(), pos) if ends else 0
+    return len(ends) + 1, pos - start + 1
 
 
 @BOUNDED
@@ -164,6 +166,18 @@ def test_reader_sections_agree_with_the_token_walk(atoms, lone, closer):
         r.delimited(opener, closer, "a section")
     d = info.value.diagnostic
     assert (d.message, (d.line, d.col)) == (message, where_by_tokens(toks, end))
+
+
+@BOUNDED
+@given(atoms=st.lists(st.sampled_from(SCAN_ATOMS), max_size=16))
+@example(atoms=["a", "\\\r", "\n", "b", "\r", "\r\n"])  # a token at the LF of a CR LF
+def test_where_agrees_with_the_token_walk_at_every_token(atoms):
+    text = "".join(atoms)
+    toks = tokens(text)
+    r = _Reader(text)
+    for k in range(len(toks) + 1):
+        r._goto(len("".join(toks[:k])))
+        assert r.where() == where_by_tokens(toks, k)
 
 
 N4, L4 = "A`B`C`D", "f`g`h`k"
@@ -234,7 +248,7 @@ def commands(draw, field=balanced(FIELD_ATOMS)):
                     changes[name] = tuple(draw(each) for _ in value)
                 else:
                     changes[name] = draw(strategies[base])
-        return replace(obj, **changes)
+        return obj._replace(**changes)
 
     return fresh(parse_command(SOURCES[kind]), COMMANDS[kind])
 
@@ -247,7 +261,7 @@ def test_format_command_reparses_to_the_same_command(cmd):
     assert again == cmd
     assert format_command(again) == printed
     try:
-        expand_figure(Figure([cmd]))
+        expand_figure(Figure([cmd], [(1, 1)]))
     except DiagramError:
         pass
 
@@ -404,7 +418,7 @@ def exactly_scaled_sources(draw):
     """Source text of generated commands and such \\scalefactor's, in any order."""
     cmds = draw(st.lists(commands(short_texts), min_size=1, max_size=2))
     cmds += [parse_command("\\scalefactor{1}")] * draw(st.integers(0, 2))
-    lines = [format_command(replace(cmd, factor=draw(exact_factors))
+    lines = [format_command(cmd._replace(factor=draw(exact_factors))
                             if cmd.kind == "scalefactor" else cmd) for cmd in cmds]
     return "\n".join(draw(st.permutations(lines)))
 
