@@ -15,7 +15,8 @@ below label centre is the anchor shifted by the label gap across it,
 so the one rounding left is the anchor midpoint.  Every other arrow
 takes the general path, which gives the same points on these.  Node and
 label widths come from ``text_width``, a plain table sum for text with
-no ``\\``.  The records are named tuples.
+no ``\\``; one layout measures each label text once.  The records are
+named tuples.
 """
 from __future__ import annotations
 
@@ -37,9 +38,11 @@ KNOCKOUT_PAD_PT = (1, 4)   # on-line label padding, printer's points
 
 # the language's constants in layout units: the node box shift (the
 # anchor sits 0.75 ex below the box center, rounded to the centi-em), the
-# object margin around node boxes and a label's half height
+# object margin around node boxes, a label centre's distance from its
+# line and a label's half height
 BASELINE = QUANTUM * round_div(75 * EX_RATIO.numerator, EX_RATIO.denominator)
 MARGIN = QUANTUM * OBJECT_MARGIN
+GAP = QUANTUM * LABEL_GAP
 LABEL_HALF_H = int(QUANTUM * NODE_BOX_HEIGHT // 2 * LABEL_SCALE)
 
 IPoint = Tuple[int, int]           # layout units
@@ -108,12 +111,13 @@ class DiagramLayout(NamedTuple):
 class _Frame(NamedTuple):
     """What layout reads of one figure's settings: its ScaleConfig, its
     metrics and the knockout padding in layout units, converted from the
-    em size once."""
+    em size once, and the half width of each label text met so far."""
 
     cfg: ScaleConfig
     metrics: FontMetrics
     pad_w: int         # knockout padding around on-line labels
     pad_h: int
+    label_half_w: Dict[str, int]   # filled by _label_half_w, one layout long
 
     @classmethod
     def of(cls, cfg: ScaleConfig, metrics: FontMetrics) -> "_Frame":
@@ -122,7 +126,17 @@ class _Frame(NamedTuple):
             metrics,
             QUANTUM * pt_to_centiem(KNOCKOUT_PAD_PT[0], cfg.em_size),
             QUANTUM * pt_to_centiem(KNOCKOUT_PAD_PT[1], cfg.em_size),
+            {},
         )
+
+
+def _label_half_w(text: str, frame: _Frame) -> int:
+    """Half the width of a label's text, measured once per layout."""
+    half_w = frame.label_half_w.get(text)
+    if half_w is None:
+        half_w = frame.label_half_w[text] = (
+            text_width(text, LABEL_SCALE, frame.metrics) * QUANTUM // 2)
+    return half_w
 
 
 def _place_node(node: Node, frame: _Frame) -> PlacedNode:
@@ -184,27 +198,27 @@ def clip_axis_aligned(
 ) -> DrawablePath:
     """clip_general for an arrow that clip_arrow sends here, in integers.
 
-    The exit parameter of an end, capped at 1, is (half + margin) / |d|,
-    so that end moves min(half + margin, |d|) along the axis, and the
-    arrow is swallowed once the two moves reach |d|.  A label sits
+    The exit parameter of an end is (half + margin) / |d|, so that end
+    moves half + margin along the axis, and the arrow is swallowed once
+    the two moves reach |d| (clip_general caps each parameter at 1,
+    which changes neither that test nor a kept arrow).  A label sits
     LABEL_GAP across the axis from the anchor, to the left of travel
     when above.
     """
     (sx, sy), (ex, ey) = arrow.start, arrow.end
     horizontal = sy == ey
     d = QUANTUM * (ex - sx if horizontal else ey - sy)
-    length = abs(d)
     c0 = c1 = 0   # how far each end moves in
     if arrow.kind == KIND_POS:
         node = by_anchor.get(arrow.start)
         if node is not None:
-            c0 = min((node.half_w if horizontal else node.half_h) + MARGIN, length)
+            c0 = (node.half_w if horizontal else node.half_h) + MARGIN
         node = by_anchor.get(arrow.end)
         if node is not None:
-            c1 = min((node.half_w if horizontal else node.half_h) + MARGIN, length)
-    if c0 + c1 >= length:
+            c1 = (node.half_w if horizontal else node.half_h) + MARGIN
+    if c0 + c1 >= abs(d):
         raise _swallowed()
-    gap = QUANTUM * (LABEL_GAP if arrow.side is LabelSide.ABOVE else -LABEL_GAP)
+    gap = GAP if arrow.side is LabelSide.ABOVE else -GAP
     if d < 0:
         c0, c1, gap = -c0, -c1, -gap
     if horizontal:
@@ -219,8 +233,8 @@ def clip_axis_aligned(
         center = (x - gap, anchor[1])
     labels: Tuple[PlacedLabel, ...] = ()
     if arrow.label and arrow.side is not LabelSide.NONE:
-        half_w = text_width(arrow.label, LABEL_SCALE, frame.metrics) * QUANTUM // 2
-        labels = (PlacedLabel(arrow.label, arrow.side, center, half_w),)
+        labels = (PlacedLabel(arrow.label, arrow.side, center,
+                              _label_half_w(arrow.label, frame)),)
     return DrawablePath(start, end, arrow, anchor, labels, ((start, end),))
 
 
@@ -279,13 +293,12 @@ def _place_labels(
         center = anchor
         if side is not LabelSide.ON_LINE:
             px, py, d = left_perp(end[0] - start[0], end[1] - start[1], QUANTUM)
-            gap = QUANTUM * (LABEL_GAP if side is LabelSide.ABOVE else -LABEL_GAP)
+            gap = GAP if side is LabelSide.ABOVE else -GAP
             center = (
                 round_div(anchor[0] * d + px * gap, d),
                 round_div(anchor[1] * d + py * gap, d),
             )
-        half_w = text_width(text, LABEL_SCALE, frame.metrics) * QUANTUM // 2
-        labels.append(PlacedLabel(text, side, center, half_w))
+        labels.append(PlacedLabel(text, side, center, _label_half_w(text, frame)))
     return tuple(labels)
 
 

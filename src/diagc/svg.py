@@ -7,11 +7,12 @@ times the one px-per-centi-em ratio, written through one formatter per
 denominator: exact decimals when that ratio has only 2 and 5 in its
 denominator, six rounded places (with a warning) otherwise.  Output is
 byte-identical across runs and every coordinate scales linearly with
-the configured scale.
+the configured scale.  A render formats each distinct number once.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .geometry import LABEL_SCALE, ScaleConfig, decimal_formatter, format_decimal
@@ -83,8 +84,10 @@ def render_svg(
     un, ud = Fraction(cfg.em_size * cfg.scale, 100).as_integer_ratio()  # px per centi-em
     x0, y0, x1, y1 = lay.bbox
     left, top = QUANTUM * x0, QUANTUM * y1
-    # n -> n / (QUANTUM ud) px, so a length of v layout units is unit(v * un)
+    # n -> n / (QUANTUM ud) px, so a length of v layout units is unit(v * un);
+    # memoized for this render, which formats each distinct n once
     unit, exact = decimal_formatter(QUANTUM * ud)
+    unit = cache(unit)
     if warnings is not None and not exact:
         warnings.append(f"scale {cfg.scale} at em size {cfg.em_size} pt has no exact "
                         "decimal px; coordinates are rounded to six places")

@@ -21,9 +21,10 @@ from diagc import (
     layout_diagram,
     resolve_label_side,
 )
+from diagc.geometry import LABEL_SCALE
 from diagc.ir import KIND_VECTOR
 from diagc.layout import QUANTUM as Q, _Frame, _place_node
-from diagc.metrics import DEFAULT_METRICS
+from diagc.metrics import DEFAULT_METRICS, FontMetrics, text_width
 
 # the full conditional ladder: placement x (sign dx, sign dy) -> side
 LADDER = {
@@ -162,6 +163,16 @@ def test_bounding_box_monotone_under_additions():
     ir2, lay2 = _layout_of("\\morphism[A`B;f]\n\\place(900,900)[Z]")
     assert lay2.bbox[0] <= lay1.bbox[0] and lay2.bbox[1] <= lay1.bbox[1]
     assert lay2.bbox[2] >= lay1.bbox[2] and lay2.bbox[3] >= lay1.bbox[3]
+
+
+def test_label_widths_follow_the_metrics_of_each_layout():
+    # a width measured in one layout is not reused by the next
+    ir = compile_source("\\square[A`B`C`D;f`f`f`f]\n\\morphism(0,900)|m|<600,0>[P`Q;f]")[0].ir
+    wide = FontMetrics({**DEFAULT_METRICS.widths, "f": 200})
+    for metrics in (DEFAULT_METRICS, wide, DEFAULT_METRICS):
+        half_w = text_width("f", LABEL_SCALE, metrics) * Q // 2
+        labels = [label for path in layout_diagram(ir, metrics).paths for label in path.labels]
+        assert len(labels) == 5 and {label.half_w for label in labels} == {half_w}
 
 
 def test_label_center_sides():

@@ -424,9 +424,10 @@ def exactly_scaled_sources(draw):
 
 
 # a number the printers scale: in SVG every number but those of the
-# versions and the namespace, in TikZ every coordinate in em
+# versions and the namespace, in TikZ every coordinate in em and the
+# padding in pt of an on-line label
 _SCALED = {"svg": re.compile(r"(?<![\w.#-])-?[0-9]+(?:\.[0-9]+)?"),
-           "tikz": re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?=em[,)])")}
+           "tikz": re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?=em[,)]|pt\])")}
 _UNSCALED = re.compile(r' (?:version|xmlns)="[^"]*"')
 
 

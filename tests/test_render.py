@@ -1,7 +1,8 @@
 """Backends: SVG structure, token-stream templates, TikZ, IR round-trip."""
+import os
 import re
+import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,8 +23,9 @@ from diagc import (
     render_tikz,
 )
 from diagc.cli import main
-from diagc.geometry import format_decimal
+from diagc.geometry import LABEL_SCALE, format_decimal
 from diagc.styles import STYLES, style_of
+from opcode_count import opcodes
 from test_layout import _grid
 
 
@@ -239,18 +241,19 @@ def test_strict_fails_a_non_exact_scale(tmp_path, capsys):
 
 
 def test_svg_measures_each_text_once(monkeypatch):
+    # f labels five arrows, on both the axis-aligned and the general path
     fig = _one(
-        "\\square[A`B`C`D;f`g`h`k]\n"
-        "\\morphism(0,900)|m|/=>/<600,0>[P`Q;mid]\n"
+        "\\square[A`B`C`D;f`f`g`f]\n"
+        "\\morphism(0,900)|m|/=>/<600,0>[P`Q;f]\n"
         "\\morphism(0,1500)|x|/>/<600,0>[R`S;none]\n"
-        "\\to^{u}_{v}"
+        "\\to^{u}_{f}"
     )
     original = diagc.metrics.text_width
     calls = []
 
-    def counting(text, *args):
-        calls.append(text)
-        return original(text, *args)
+    def counting(text, scale, *args):
+        calls.append((text, scale))
+        return original(text, scale, *args)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("diagc") and getattr(module, "text_width", None) is original:
@@ -258,11 +261,52 @@ def test_svg_measures_each_text_once(monkeypatch):
     render_figure(fig, "svg")
     arrows = fig.ir.arrows
     texts = (
-        [n.text for n in fig.ir.nodes]
-        + [a.label for a in arrows if a.label and a.side is not LabelSide.NONE]
-        + [a.label2 for a in arrows if a.label2]
+        [(n.text, 1) for n in fig.ir.nodes]
+        + [(a.label, LABEL_SCALE) for a in arrows if a.label and a.side is not LabelSide.NONE]
+        + [(a.label2, LABEL_SCALE) for a in arrows if a.label2]
     )
-    assert calls and Counter(calls) <= Counter(texts)
+    assert len(set(texts)) < len(texts)
+    # one layout measures each (text, scale) it draws, and only once
+    assert sorted(calls) == sorted(set(texts))
+
+
+@pytest.mark.parametrize("render, bound", [(render_svg, 365), (render_tikz, 185)])
+def test_printer_cost_per_arrow_is_bounded(render, bound):
+    # the printer alone, given the layout; formatting every number anew
+    # cost about 476 (SVG) and 273 (TikZ) instructions per arrow, and
+    # formatting each distinct number once costs about 305 and 153
+    large = _grid(16)
+    lay = layout_diagram(large)
+    assert opcodes(lambda: render(lay, large.scale, [])) <= bound * len(large.arrows)
+
+
+def _fresh_render(source, fmt, scale):
+    """The one figure of ``source`` at ``scale``, compiled and printed by a
+    new interpreter, which holds nothing an earlier render left."""
+    code = ("import sys\nfrom diagc import ScaleConfig, compile_source, render_figure\n"
+            "from diagc.geometry import read_positive\n"
+            "(fig,) = compile_source(sys.argv[1], cfg=ScaleConfig(read_positive(sys.argv[3], 's')))\n"
+            "sys.stdout.write(render_figure(fig, sys.argv[2]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(diagc.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code, source, fmt, str(scale)], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+@pytest.mark.parametrize("fmt", ["svg", "tikz"])
+def test_no_memo_outlives_its_render(fmt):
+    # one figure printed at 1/3, 1 and 1/3 again in one process: each
+    # output is what a fresh process prints at that scale, and each 1/3
+    # render warns once
+    source = "\\square[A`B`C`D;f`g`h`k]\n\\morphism(0,900)|m|<600,0>[P`Q;f]"
+    third = Fraction(1, 3)
+    fresh = {k: _fresh_render(source, fmt, k) for k in (1, third)}
+    fig = _one(source)
+    for k in (third, 1, third):
+        notes = []
+        at_k = fig._replace(ir=fig.ir._replace(scale=ScaleConfig(scale=k)))
+        assert render_figure(at_k, fmt, notes) == fresh[k]
+        assert len(notes) == (k == third)
+        assert all("rounded to six places" in note for note in notes)
 
 
 def test_xypic_default_morphism_template():
