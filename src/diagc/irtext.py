@@ -10,17 +10,20 @@ a record's keyword and its fields, and each field gives its key, its
 kind and the attribute it reads.  A kind gives the %-conversion that
 writes a value, a pattern of the value's canonical spellings and the
 function that reads such a spelling.  ``emit_ir`` writes a record through one
-%-template made from its row.  ``parse_ir`` reads a line with patterns
-compiled from the same row on its first call, one for each maximal run of
-fields that are not braced text, and accepts only what ``emit_ir``
-writes: every field once, in order, one space apart, each the canonical
-spelling of a valid value.  A braced text field (balanced by
-construction) ends where ``lexer.group_end`` says, so the brace of
-``\\{`` or ``\\}`` never counts.  Nodes and arrows are named tuples,
-built from the values by position.  A ratio spelled without ``/`` reads
-as an int, the type the compiler gives a whole offset or local scale,
-so a record read back equals the one written, field types included,
-and emit -> parse -> emit is a fixpoint.
+%-template made from its row.  ``parse_ir`` reads a line in one match of a
+whole-line pattern compiled from the same row on its first call, and
+accepts only what ``emit_ir`` writes: every field once, in order, one
+space apart, each the canonical spelling of a valid value.  In that
+pattern a braced text field holds no ``{`` and ends at the first ``}``
+that no backslash escapes.  A line whose text holds a nested group falls
+back to one pattern for each maximal run of fields that are not braced
+text, with each text field (balanced by construction) ending where
+``lexer.group_end`` says.  Either way the brace of ``\\{`` or ``\\}``
+never counts, and the accepted lines are the same.  Nodes and arrows are
+named tuples, built from the values by position.  A ratio spelled
+without ``/`` reads as an int, the type the compiler gives a whole
+offset or local scale, so a record read back equals the one written,
+field types included, and emit -> parse -> emit is a fixpoint.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .geometry import EX_RATIO, LABEL_SCALE, OBJECT_MARGIN, Point, ScaleConfig
 from .ir import (KIND_POS, KIND_THREE, KIND_TO, KIND_TWO, KIND_TWOAR, KIND_VECTOR,
@@ -73,6 +76,10 @@ _FRACTION = _Kind("%s", f"(?:0|-?{_DIGITS})(?:/{_DIGITS})?", _ratio)
 _POSITIVE = _Kind("%s", f"{_DIGITS}(?:/{_DIGITS})?", _ratio)
 _FLAG = _Kind("%d", "[01]", {"0": False, "1": True}.__getitem__)
 _TEXT = _Kind("{%s}", None)
+# a text field with no nested group: any character but a brace or a
+# backslash, or a backslash and the character after it, as under the
+# lexer's rule only a control symbol can hide a brace
+_FLAT = r"\{((?:[^{}\\]|\\.)*)\}"
 _ALIGN = _word({"-": "", "l": "l", "r": "r", "u": "u", "d": "d"})
 _ARROW_KIND = _word({k: k for k in (KIND_POS, KIND_VECTOR, KIND_TO, KIND_TWO, KIND_THREE,
                                     KIND_TWOAR)})
@@ -110,7 +117,7 @@ class _Record:
         else:
             names = list(dict.fromkeys(a.partition(".")[0] for a in self.attrs))
             order = itemgetter(*map(names.index, cls._fields))
-            self.make = lambda values: cls._make(order(values))
+            self.make = lambda values: tuple.__new__(cls, order(values))
 
     def write(self, obj: Any) -> str:
         values = self.get(obj)
@@ -119,10 +126,18 @@ class _Record:
         return self.template % values
 
     @cached_property
+    def whole(self) -> re.Pattern:
+        """The reader of a line whose text fields are all ``_FLAT``: one
+        pattern, compiled on first use."""
+        return re.compile("".join(
+            re.escape(prefix) + (_FLAT if kind.pattern is None else f"({kind.pattern})")
+            for prefix, kind in zip(self.prefixes, self.kinds)) + r"\Z", re.DOTALL)
+
+    @cached_property
     def patterns(self) -> Tuple[re.Pattern, Tuple[re.Pattern, ...]]:
-        """The reader, compiled on first use: one pattern per run of fields
-        up to a text field's prefix, and the last run up to the end of
-        the line, as the first pattern and the rest."""
+        """The fallback reader, compiled on first use: one pattern per run
+        of fields up to a text field's prefix, and the last run up to the
+        end of the line, as the first pattern and the rest."""
         runs = [""]
         for prefix, kind in zip(self.prefixes, self.kinds):
             runs[-1] += re.escape(prefix)
@@ -137,6 +152,20 @@ class _Record:
     def parse(self, line: str) -> Any:
         """The record of a line ``write`` could have written, or a scale
         line's value; IRSyntaxError naming the line for any other."""
+        match = self.whole.match(line)
+        spellings = self._by_runs(line) if match is None else match.groups()
+        try:
+            values = list(map(_read, self.reads, spellings))
+        except ValueError:
+            raise IRSyntaxError(f"bad value in {line!r}") from None  # such as 2/4
+        for i in self.points:
+            values[i:i + 2] = [tuple.__new__(Point, values[i:i + 2])]
+        return self.make(values)
+
+    def _by_runs(self, line: str) -> List[str]:
+        """The spellings of a line whose text may hold a nested group: a
+        pattern per run of other fields, and each text field to where
+        ``group_end`` says."""
         head, tail = self.patterns
         match = head.match(line)
         if match is None:
@@ -152,13 +181,7 @@ class _Record:
             if match is None:
                 raise IRSyntaxError(f"malformed {self.keyword!r} line {line!r}")
             spellings += match.groups()
-        try:
-            values = list(map(_read, self.reads, spellings))
-        except ValueError:
-            raise IRSyntaxError(f"bad value in {line!r}") from None  # such as 2/4
-        for i in self.points:
-            values[i:i + 2] = [Point(values[i], values[i + 1])]
-        return self.make(values)
+        return spellings
 
 
 _RECORDS = (

@@ -1,6 +1,7 @@
 """IR text: malformed input raises IRSyntaxError; escaped braces round-trip;
 the reader agrees with the field walk of ``ir_walk``."""
 import re
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,9 @@ from ir_walk import parse_by_fields, parse_ir_by_fields
 from opcode_count import opcodes
 from test_properties import BOUNDED, SOURCES
 
-from diagc import compile_source, emit_ir, parse_ir, render_figure
-from diagc.irtext import _RECORDS, IRSyntaxError
+from diagc import compile_source, emit_ir, irtext, parse_ir, render_figure
+from diagc.irtext import _ARROW, _NODE, _RECORDS, IRSyntaxError
+from diagc.lexer import group_end
 
 GOOD = emit_ir(compile_source("\\to^{f}_{g}\n\\place(0,0)[X]")[0].ir)
 NODE = next(line for line in GOOD.splitlines() if line.startswith("node "))
@@ -129,13 +131,17 @@ def test_line_separators_in_text_round_trip(separator):
 
 
 def test_parse_ir_cost_per_line_is_bounded():
-    # a line is read by one pattern per run of fields between text fields;
-    # read field by field it cost about 800 instructions per line
+    # counted once the reader's patterns are compiled, so that the count
+    # does not depend on which test read IR first: a line is read by one
+    # whole-line match, about 134 instructions per corpus line; by one
+    # pattern per run of fields between text fields it cost about 397
     corpus = sorted(Path(__file__).with_name("corpus").glob("*.dg"))
     dumps = [emit_ir(figure.ir) for path in corpus
              for figure in compile_source(path.read_text(encoding="utf-8"))]
     lines = sum(dump.count("\n") for dump in dumps)
-    assert opcodes(lambda: [parse_ir(dump) for dump in dumps]) <= 700 * lines
+    for dump in dumps:
+        parse_ir(dump)
+    assert opcodes(lambda: [parse_ir(dump) for dump in dumps]) <= 160 * lines
 
 
 CORPUS = sorted(Path(__file__).with_name("corpus").glob("*.dg"))
@@ -227,3 +233,88 @@ def test_a_record_read_back_is_the_compiled_record(name):
         assert [type(v) for field in read if isinstance(field, tuple) for v in field] == [
             type(v) for field in compiled if isinstance(field, tuple) for v in field]
 
+
+
+@contextmanager
+def _group_end_calls():
+    """The lines ``irtext`` hands to ``group_end`` while the block runs."""
+    lines = []
+
+    def counted(text, start):
+        lines.append(text)
+        return group_end(text, start)
+
+    irtext.group_end = counted
+    try:
+        yield lines
+    finally:
+        irtext.group_end = group_end
+
+
+def _nests(text):
+    """Whether text holds a group: a ``{`` that no backslash escapes."""
+    return "{" in re.sub(r"\\.", "", text, flags=re.S)
+
+
+def test_reading_the_corpus_back_walks_groups_only_where_text_nests():
+    # the one-match reader serves every line whose text fields are flat
+    nested = set()
+    for ir in IRS.values():
+        for row, records in ((_NODE, ir.nodes), (_ARROW, ir.arrows)):
+            texts = [a for a, kind in zip(row.attrs, row.kinds) if kind.pattern is None]
+            nested.update(row.write(r)[:-1] for r in records
+                          if any(_nests(getattr(r, a)) for a in texts))
+    with _group_end_calls() as lines:
+        for dump in DUMPS:
+            parse_ir(dump)
+    assert set(lines) == nested
+
+
+# text atoms: letters, a control word, control symbols (the only tokens
+# that hide a brace), a non-ASCII letter, a numeral and line separators
+TEXT_ATOMS = ["a", "x", "\\times", "\\{", "\\}", "\\\\", "\\`", "é", "²", "\x85",
+              "\u2028"]
+FLAT_TEXT = st.lists(st.sampled_from(TEXT_ATOMS), max_size=3).map("".join)
+GROUP = FLAT_TEXT.map("{{{}}}".format)
+GROUPS = GROUP | st.tuples(FLAT_TEXT, GROUP, FLAT_TEXT).map("{%s%s%s}".__mod__)
+
+
+@st.composite
+def record_lines(draw):
+    """A node or arrow line, and whether all its text fields are flat (no
+    group, no lone backslash).  A field that is not text is a spelling
+    its pattern takes.  A text field is atoms; in a "nested" line also
+    groups one or two levels deep, and in a "lone" line at times a lone
+    backslash before the closing brace."""
+    row = draw(st.sampled_from([_NODE, _ARROW]))
+    shape = draw(st.sampled_from(["flat", "nested", "lone"]))
+    piece = st.sampled_from(TEXT_ATOMS)
+    if shape == "nested":
+        piece |= GROUPS
+    flat, fields = True, []
+    for prefix, kind in zip(row.prefixes, row.kinds):
+        if kind.pattern is None:
+            pieces = draw(st.lists(piece, max_size=4))
+            lone = "\\" if shape == "lone" and draw(st.booleans()) else ""
+            flat = flat and not lone and not any(p[0] == "{" for p in pieces)
+            fields.append(f"{prefix}{{{''.join(pieces)}{lone}}}")
+        else:
+            fields.append(prefix + draw(st.from_regex(kind.pattern, fullmatch=True)))
+    return row, "".join(fields), flat
+
+
+@BOUNDED
+@given(case=record_lines())
+@example(case=(_ARROW, "arrow seq=32 kind=pos x1=0 y1=-3000 x2=500 y2=-3000 "
+               "style={@{>}@/^1em/} label={raw} side=above label2={} start={A} end={B} "
+               "offset=0 lscale=1 group=-1", False))
+@example(case=(_NODE, "node seq=1 x=0 y=0 align=- standalone=0 text={A\\times B}", True))
+@example(case=(_NODE, "node seq=1 x=0 y=0 align=- standalone=0 text={\\{a\\}}", True))
+@example(case=(_NODE, "node seq=1 x=0 y=0 align=- standalone=0 text={a\\}", False))
+def test_the_reader_agrees_with_the_field_walk_on_text_fields(case):
+    row, line, flat = case
+    with _group_end_calls() as calls:
+        read = _outcome(row.parse, line)
+    assert read == _outcome(parse_by_fields, row, line), line
+    # a line with flat text is read in one match; any other falls back
+    assert bool(calls) != flat, line
