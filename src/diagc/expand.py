@@ -11,6 +11,7 @@ deduplicated later by merge_duplicate_nodes.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .diagnostics import Diagnostic, ExpandError
@@ -83,10 +84,7 @@ class _Builder:
         self.warnings: List[Diagnostic] = []
         self.group = -1
         self.where = (0, 0)
-
-    def _next(self) -> int:
-        """The next seq number: nodes and arrows count in creation order."""
-        return len(self.nodes) + len(self.arrows)
+        self.seq = count()  # nodes and arrows number in creation order
 
     def error(self, message: str) -> ExpandError:
         return ExpandError(Diagnostic("error", message, self.filename, *self.where))
@@ -97,10 +95,10 @@ class _Builder:
     def node(
         self, at: Point, text: str, align: str = "", standalone: bool = False
     ) -> None:
-        self.nodes.append(Node(at, text, self._next(), align=align, standalone=standalone))
+        self.nodes.append(Node(at, text, next(self.seq), align=align, standalone=standalone))
 
     def arrow(self, **kw) -> None:
-        self.arrows.append(Arrow(seq=self._next(), **kw))
+        self.arrows.append(Arrow(seq=next(self.seq), **kw))
 
     def morphism(self, cmd: Command, start: Point, end: Point, placement: str,
                  style: str, text_a: str, text_b: str, label: str) -> None:

@@ -2,150 +2,91 @@
 
 Each emission event becomes one line carrying exactly the positioned
 token text of that event: integer coordinates, the baseline-corrected
-object modifier, the style (wrapped in ``@{...}`` unless it already
-begins with ``@``), and the side-resolved label modifier.  Inline arrow
-groups emit their own ``\\xy ... \\endxy`` material.  Duplicate node
-draws are intentional; render from the unmerged IR for full fidelity.
+object modifier, and one writer's ``\\ar`` for every arrow.  The writer
+wraps the style in ``@{...}`` unless it already begins with ``@`` (a
+``\\vector`` keeps its raw token), writes a parallel offset as an exact
+``@<...pt>`` decimal, and opens the label from its family's side table:
+``^-{``, ``_-{`` or an on-line object for positioned arrows, ``^{``,
+``_{`` or ``|{`` for inline ones.  Consecutive inline arrows of one
+command make one line: the opening, text between arrows and closing of
+their kind's row, with each arrow's own end.  Duplicate node draws are
+intentional; render from the unmerged IR for full fidelity.
 """
 from __future__ import annotations
 
-from typing import List, Union
+from itertools import groupby
+from operator import attrgetter
+from typing import Dict, List, Optional, Union
 
-from .ir import (
-    KIND_THREE,
-    KIND_TO,
-    KIND_TWO,
-    KIND_TWOAR,
-    KIND_VECTOR,
-    Arrow,
-    DiagramIR,
-    LabelSide,
-    Node,
-)
+from .geometry import Point, format_decimal
+from .ir import (KIND_THREE, KIND_TO, KIND_TWO, KIND_TWOAR, KIND_VECTOR, Arrow, DiagramIR,
+                 LabelSide, Node)
 
 _OBJ = "*+!!<0ex,.75ex>"
 
+# the opening of a label by side, for positioned arrows and for inline ones
+_POS_LABEL = {LabelSide.ABOVE: "^-{", LabelSide.BELOW: "_-{",
+              LabelSide.ON_LINE: "|-*+<1pt,4pt>{\\labelstyle ", LabelSide.NONE: ""}
+_INLINE_LABEL = {LabelSide.ABOVE: "^{", LabelSide.BELOW: "_{",
+                 LabelSide.ON_LINE: "|{", LabelSide.NONE: ""}
 
-def _pos_object(x: int, y: int, text: str, align: str = "") -> str:
-    bang = f"!{align}" if align else ""
-    return f"({x},{y}){_OBJ}{bang}{{{text}}}"
-
-
-def _style_part(style: str) -> str:
-    return style if style.startswith("@") else "@{" + style + "}"
-
-
-def _label_part(arrow: Arrow) -> str:
-    if arrow.side is LabelSide.ABOVE:
-        return "^-{" + arrow.label + "}"
-    if arrow.side is LabelSide.BELOW:
-        return "_-{" + arrow.label + "}"
-    if arrow.side is LabelSide.ON_LINE:
-        return "|-*+<1pt,4pt>{\\labelstyle " + arrow.label + "}"
-    return ""
+# an inline group's line by kind: opening, text between arrows, closing
+_GROUPS = {
+    KIND_TO: ("\\xy", "", " \\endxy"),
+    KIND_TWO: ("\\xy", "", "\\endxy"),
+    KIND_THREE: ("\\xy ", " ", "\\endxy"),
+    KIND_TWOAR: ("{\\scalefactor{0.1}\\xy ", "", " \\endxy}"),
+}
 
 
-def _pos_line(arrow: Arrow) -> str:
-    return (
-        "\\POS"
-        + _pos_object(arrow.start.x, arrow.start.y, arrow.start_text)
-        + "\\ar"
-        + _style_part(arrow.style)
-        + _label_part(arrow)
-        + " "
-        + _pos_object(arrow.end.x, arrow.end.y, arrow.end_text)
-    )
+def _pos_object(p: Point, text: str, bang: str = "") -> str:
+    return f"({p.x},{p.y}){_OBJ}{bang}{{{text}}}"
 
 
-def _vector_line(arrow: Arrow) -> str:
-    return (
-        f"\\POS({arrow.start.x},{arrow.start.y})\\ar{arrow.style}"
-        f" ({arrow.end.x},{arrow.end.y})"
-    )
+def _ar(a: Arrow, labels: Dict[LabelSide, str]) -> str:
+    """``\\ar``, style, offset and label of any arrow."""
+    out = a.style
+    if not out.startswith("@") and a.kind != KIND_VECTOR:
+        out = "@{" + out + "}"
+    pt = a.offset_pt
+    if pt:
+        out += f"@<{format_decimal(pt.numerator, pt.denominator)}pt>"
+    opening = labels[a.side]
+    if opening:
+        out += opening + a.label + "}"
+    if a.kind == KIND_TO:
+        out += "_{" + a.label2 + "}"
+    return "\\ar" + out
 
 
-def _offset_part(arrow: Arrow) -> str:
-    pt = arrow.offset_pt
-    if not pt:
-        return ""
-    value = str(pt.numerator / pt.denominator)
-    if value.endswith(".0"):
-        value = value[:-2]
-    return f"@<{value}pt>"
+def _line(event: Union[Node, Arrow]) -> str:
+    """The line of a node or of an arrow drawn outside any inline group."""
+    if isinstance(event, Node):
+        return "\\POS" + _pos_object(event.anchor, event.text,
+                                     "!" + event.align if event.align else "")
+    if event.kind == KIND_VECTOR:
+        start, end = event.start, event.end
+        return f"\\POS({start.x},{start.y}){_ar(event, _POS_LABEL)} ({end.x},{end.y})"
+    return ("\\POS" + _pos_object(event.start, event.start_text) + _ar(event, _POS_LABEL)
+            + " " + _pos_object(event.end, event.end_text))
 
 
-def _inline_line(arrows: List[Arrow]) -> str:
-    kind = arrows[0].kind
-    if kind == KIND_TWOAR:
-        a = arrows[0]
-        return (
-            "{\\scalefactor{0.1}\\xy \\ar"
-            + _style_part(a.style)
-            + f"({a.end.x},{a.end.y}) \\endxy}}"
-        )
-    length = arrows[0].end.x
-    if kind == KIND_TO:
-        a = arrows[0]
-        return (
-            "\\xy\\ar"
-            + _style_part(a.style)
-            + "^{" + a.label + "}_{" + a.label2 + "}"
-            + f"({length},0) \\endxy"
-        )
-    if kind == KIND_TWO:
-        top, bottom = arrows
-        return (
-            "\\xy\\ar" + _style_part(top.style) + _offset_part(top)
-            + "^{" + top.label + "}" + f"({length},0)"
-            + "\\ar" + _style_part(bottom.style) + _offset_part(bottom)
-            + "_{" + bottom.label + "}" + f"({length},0)\\endxy"
-        )
-    # three: the unshifted middle arrow first, label knocked out on the
-    # line and omitted entirely when empty
-    middle, top, bottom = arrows
-    mid_label = ("|{" + middle.label + "}") if middle.label else ""
-    return (
-        "\\xy \\ar" + _style_part(middle.style) + mid_label + f"({length},0)"
-        + " \\ar" + _style_part(top.style) + _offset_part(top)
-        + "^{" + top.label + "}" + f"({length},0)"
-        + " \\ar" + _style_part(bottom.style) + _offset_part(bottom)
-        + "_{" + bottom.label + "}" + f"({length},0)\\endxy"
-    )
+def _inline_group(event: Union[Node, Arrow]) -> Optional[int]:
+    return event.group if isinstance(event, Arrow) and event.kind in _GROUPS else None
 
 
 def render_xypic(d: DiagramIR) -> str:
     """One emission per line; trailing newline; LF endings."""
     events: List[Union[Node, Arrow]] = [n for n in d.nodes if n.standalone]
     events.extend(d.arrows)
-    events.sort(key=lambda e: e.seq)
-    lines: List[str] = []
-    if d.scale.scale != 1:
-        lines.append(f"\\scalefactor{{{d.scale.scale}}}")
-    pending: List[Arrow] = []
-
-    def flush() -> None:
-        if pending:
-            lines.append(_inline_line(list(pending)))
-            pending.clear()
-
-    for event in events:
-        if isinstance(event, Node):
-            flush()
-            lines.append(
-                "\\POS" + _pos_object(event.anchor.x, event.anchor.y,
-                                      event.text, event.align)
-            )
+    events.sort(key=attrgetter("seq"))
+    lines = [f"\\scalefactor{{{d.scale.scale}}}"] if d.scale.scale != 1 else []
+    for group, run in groupby(events, _inline_group):
+        if group is None:
+            lines.extend(map(_line, run))
             continue
-        arrow = event
-        if arrow.kind in (KIND_TO, KIND_TWO, KIND_THREE, KIND_TWOAR):
-            if pending and pending[0].group != arrow.group:
-                flush()
-            pending.append(arrow)
-            continue
-        flush()
-        if arrow.kind == KIND_VECTOR:
-            lines.append(_vector_line(arrow))
-        else:
-            lines.append(_pos_line(arrow))
-    flush()
+        arrows = list(run)
+        opening, between, closing = _GROUPS[arrows[0].kind]
+        lines.append(opening + between.join(
+            _ar(a, _INLINE_LABEL) + f"({a.end.x},{a.end.y})" for a in arrows) + closing)
     return "\n".join(lines) + "\n" if lines else ""

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from token_walk import split_top_by_tokens, tidy_by_tokens, tokens, top_level_end
+import xypic_walk
 
 from diagc import (
     DEFAULT_METRICS,
@@ -33,6 +34,7 @@ from diagc import (
     expand_figure,
     parse_ir,
     render_figure,
+    render_xypic,
     text_width,
 )
 from diagc import layout
@@ -214,10 +216,11 @@ def test_every_command_kind_has_a_source():
 
 
 @st.composite
-def commands(draw, field=balanced(FIELD_ATOMS)):
-    """A command of any kind with every field its sections fill drawn at
-    random, each text field from ``field``."""
-    kind = draw(st.sampled_from(sorted(SOURCES)))
+def commands(draw, field=balanced(FIELD_ATOMS), kinds=tuple(sorted(SOURCES))):
+    """A command of one of ``kinds`` (any kind by default) with every
+    field its sections fill drawn at random, each text field from
+    ``field``."""
+    kind = draw(st.sampled_from(kinds))
     strategies = {
         "origin": st.builds(Point, ints, ints),
         "placements": st.sampled_from("alrbmx"),
@@ -264,6 +267,27 @@ def test_format_command_reparses_to_the_same_command(cmd):
         expand_figure(Figure([cmd], [(1, 1)]))
     except DiagramError:
         pass
+
+
+# short text fields, empty ones among them; half of the commands from the
+# kinds with a line of their own: inline groups, vectors, placed nodes
+_WRITER_COMMANDS = st.one_of(
+    commands(field=st.sampled_from(["", "f", "{a}", "\\alpha", "a`b"])),
+    commands(field=st.sampled_from(["", "f", "{a}"]),
+             kinds=("to", "two", "three", "twoar", "vector", "place", "morphism")),
+)
+
+
+@BOUNDED
+@given(cmds=st.lists(_WRITER_COMMANDS, min_size=1, max_size=5))
+def test_xypic_agrees_with_the_group_walk(cmds):
+    # the one arrow writer against the per-kind builders it replaced, on
+    # figures of every kind, with inline groups side by side
+    try:
+        raw_ir, _ = expand_figure(Figure(cmds, [(1, 1)] * len(cmds)))
+    except DiagramError:
+        return
+    assert render_xypic(raw_ir) == xypic_walk.render_xypic(raw_ir)
 
 
 control_sequences = st.one_of(

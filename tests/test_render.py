@@ -21,6 +21,7 @@ from diagc import (
     render_figure,
     render_svg,
     render_tikz,
+    render_xypic,
 )
 from diagc.cli import main
 from diagc.geometry import LABEL_SCALE, format_decimal
@@ -280,6 +281,13 @@ def test_printer_cost_per_arrow_is_bounded(render, bound):
     assert opcodes(lambda: render(lay, large.scale, [])) <= bound * len(large.arrows)
 
 
+def test_xypic_cost_per_arrow_is_bounded():
+    # the per-kind builders cost about 158 instructions per arrow here,
+    # the one arrow writer about 145
+    large = _grid(16)
+    assert opcodes(lambda: render_xypic(large)) <= 175 * len(large.arrows)
+
+
 def _fresh_render(source, fmt, scale):
     """The one figure of ``source`` at ``scale``, compiled and printed by a
     new interpreter, which holds nothing an earlier render left."""
@@ -362,6 +370,29 @@ def test_xypic_inline_templates():
     assert render_figure(_one("\\twoar(1,1)"), "xypic") == (
         "{\\scalefactor{0.1}\\xy \\ar@{=>}(708,708) \\endxy}\n"
     )
+
+
+def _two_from_ir(edit):
+    """The IR of ``\\two^a_b`` read back after ``edit`` of its dump's lines."""
+    return parse_ir("\n".join(edit(emit_ir(_one("\\two^a_b").ir).split("\n"))))
+
+
+def test_xypic_inline_group_of_any_size_from_ir():
+    # a two group read back with one arrow is one group line, not a traceback
+    one = _two_from_ir(lambda lines: [l for l in lines if "label={b}" not in l])
+    assert render_xypic(one) == "\\xy\\ar@{>}@<2.5pt>^{a}(200,0)\\endxy\n"
+
+
+@pytest.mark.parametrize("offset, printed", [
+    ("1/1073741824", "0.000000000931322574615478515625"),
+    ("1/3", "0.333333"),
+    ("-5/2", "-2.5"),
+])
+def test_xypic_offset_is_a_decimal(offset, printed):
+    # exact where the decimal ends, six places where it does not, as SVG
+    # and TikZ print; never the exponent form TeX cannot read
+    ir = _two_from_ir(lambda lines: [l.replace("offset=5/2", f"offset={offset}") for l in lines])
+    assert f"\\ar@{{>}}@<{printed}pt>^{{a}}(200,0)" in render_xypic(ir)
 
 
 def test_xypic_scale_prefix():
