@@ -20,8 +20,6 @@ from .diagnostics import Diagnostic, DiagramError
 from .geometry import ScaleConfig, read_positive
 from .metrics import DEFAULT_METRICS, FontMetrics, MetricsError, load_metrics
 
-_EXTENSIONS = {"svg": ".svg", "tikz": ".tex", "xypic": ".xy", "ir": ".ir"}
-
 
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -65,7 +63,7 @@ def _compile_file(
 ) -> _FileResult:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _FileResult(path, [], [Diagnostic("error", f"cannot read {path}: {exc}",
                                                  str(path))], 2)
     try:
@@ -75,7 +73,7 @@ def _compile_file(
     outputs: List[Tuple[str, str]] = []
     diagnostics: List[Diagnostic] = []
     status = 0
-    ext = _EXTENSIONS[fmt]
+    ext = FORMATS[fmt]
     for index, figure in enumerate(figures):
         diagnostics.extend(figure.warnings)
         if len(figures) > 1:
@@ -174,12 +172,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.check is not None:
                 golden = Path(args.check) / name
                 try:
-                    expected = golden.read_text(encoding="utf-8")
+                    expected = golden.read_bytes()
                 except OSError:
                     print(f"diagc: missing golden file {golden}", file=sys.stderr)
                     status = max(status, 1)
                     continue
-                if expected != text:
+                if expected != text.encode("utf-8"):  # the bytes a write would give
                     print(f"diagc: golden mismatch for {name}", file=sys.stderr)
                     status = max(status, 1)
                 continue

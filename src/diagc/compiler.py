@@ -21,7 +21,8 @@ from .svg import render_svg
 from .tikz import render_tikz
 from .xypic import render_xypic
 
-FORMATS = ("svg", "tikz", "xypic", "ir")
+# each output format and the extension of its files
+FORMATS = {"svg": ".svg", "tikz": ".tex", "xypic": ".xy", "ir": ".ir"}
 
 
 class CompiledFigure(NamedTuple):

@@ -29,7 +29,7 @@ from .ir import (
     Node,
 )
 from .metrics import DEFAULT_METRICS, FontMetrics, text_width
-from .parser import COMMANDS, Command, Figure, SquarePart
+from .parser import COMMANDS, Command, Figure
 
 
 def resolve_label_side(placement: str, dx: int, dy: int) -> LabelSide:
@@ -231,9 +231,11 @@ _TRIDENT = _program("aEB bEA cEC")
 
 
 def _draw(b: _Builder, cmd: Command, program: tuple, pts: Sequence[Point],
-          texts: Sequence[str], placements: str, styles: Sequence[str],
-          labels: Sequence[str], mask: int = 0, stub: Sequence[int] = ()) -> None:
-    """Draw each step of ``program`` over nodes at ``pts`` named ``texts``."""
+          texts: Sequence[str], part: Command, mask: int = 0,
+          stub: Sequence[int] = ()) -> None:
+    """Draw each step of ``program`` over nodes at ``pts`` named ``texts``
+    with the placements, styles and labels of ``part``."""
+    placements, styles, labels = part.placements, part.styles, part.labels
     for step in program:
         if type(step) is _Edge:
             slot, i, j = step
@@ -245,7 +247,7 @@ def _draw(b: _Builder, cmd: Command, program: tuple, pts: Sequence[Point],
 
 
 def _run(b: _Builder, cmd: Command, shape: _Shape, origin: Point, extent: Sequence[int],
-         part: Optional[SquarePart] = None,
+         part: Optional[Command] = None,
          texts: Optional[Sequence[str]] = None) -> List[Point]:
     """Place ``shape`` at origin and extent and draw its program with the
     sections of ``part`` (default: the command); returns the node points."""
@@ -256,8 +258,7 @@ def _run(b: _Builder, cmd: Command, shape: _Shape, origin: Point, extent: Sequen
     pts = [Point(x + i * dx, y + j * dy) for i, j in shape.lattice]
     part = part or cmd
     # an \iiixii stub has no height
-    _draw(b, cmd, shape.program, pts, texts or part.nodes, part.placements,
-          part.styles, part.labels, cmd.mask, (*cmd.stub, 0))
+    _draw(b, cmd, shape.program, pts, texts or part.nodes, part, cmd.mask, (*cmd.stub, 0))
     return pts
 
 
@@ -309,12 +310,10 @@ def _expand_vsquares(b: _Builder, cmd: Command) -> None:
 def _expand_cube(b: _Builder, cmd: Command) -> None:
     """Outer square, inner square, then connectors in corner order
     B, A, C, D, each running outer corner to inner corner."""
-    inner = cmd.inner
-    assert inner is not None
+    inner, connectors = cmd.parts
     pts = _run(b, cmd, _SQUARE, cmd.origin, cmd.extent)
     pts += _run(b, cmd, _SQUARE, inner.origin, inner.extent, inner)
-    _draw(b, cmd, _CONNECTORS, pts, cmd.nodes + inner.nodes,
-          cmd.conn_placements, cmd.conn_styles, cmd.conn_labels)
+    _draw(b, cmd, _CONNECTORS, pts, cmd.nodes + inner.nodes, connectors)
     (ox, oy), (odx, ody) = cmd.origin, cmd.extent
     (ix, iy), (idx, idy) = inner.origin, inner.extent
     if not (ox <= ix and oy <= iy and ix + idx <= ox + odx and iy + idy <= oy + ody):
@@ -324,12 +323,10 @@ def _expand_cube(b: _Builder, cmd: Command) -> None:
 def _expand_pullback(b: _Builder, cmd: Command) -> None:
     """Square plus the trident node, <p7,p8> left of and above corner A,
     reaching corners B, A and C."""
-    tri = cmd.trident
-    assert tri is not None
+    (trident,) = cmd.parts
     pts = _run(b, cmd, _SQUARE, cmd.origin, cmd.extent)
-    pts.append(Point(pts[0].x - tri.offset[0], pts[0].y + tri.offset[1]))
-    _draw(b, cmd, _TRIDENT, pts, cmd.nodes + (tri.node,),
-          tri.placements, tri.styles, tri.labels)
+    pts.append(Point(pts[0].x - trident.extent[0], pts[0].y + trident.extent[1]))
+    _draw(b, cmd, _TRIDENT, pts, cmd.nodes + trident.nodes, trident)
 
 
 def _expand_morphism(b: _Builder, cmd: Command) -> None:

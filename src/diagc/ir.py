@@ -17,11 +17,13 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 from .geometry import Point, ScaleConfig
 
 
-class LabelSide(Enum):
+class LabelSide(str, Enum):
     ABOVE = "above"      # left of the direction of travel
     BELOW = "below"      # right of the direction of travel
     ON_LINE = "online"   # knocked out of the arrow line
     NONE = "none"
+
+    __str__ = str.__str__  # with the str base: hashes, compares and prints as its spelling
 
 
 # Arrow emission kinds, used by the token-stream backend.

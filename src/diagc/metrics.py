@@ -66,7 +66,7 @@ def load_metrics(path: str) -> FontMetrics:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MetricsError(f"cannot read metrics file {path}: {exc}") from exc
     table = _default_table()
     for lineno, line in enumerate(lines, start=1):

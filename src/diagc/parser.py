@@ -7,7 +7,10 @@ end of this module, gives each command's chain as one row: its sections
 in order, each with its opener, the field it fills, its arity and its
 default, plus the expand.py shape program that draws the command.  One
 loop reads every command from its row, ``format_command`` writes every
-section back from the same row, and expansion dispatches on it.
+section back from the same row, and expansion dispatches on it.  The
+section groups that follow the payload of ``\\cube`` (its inner square
+and its connectors) and of ``\\pullback`` (its trident) are chains of
+their own, each read into a ``Command`` of the group's kind in ``parts``.
 
 ``%`` comments to end of line (and suppresses the newline, TeX-style);
 other whitespace runs collapse to a single space inside sections.  One
@@ -31,27 +34,6 @@ from .lexer import (BLANK, lone_backslash, section_end, split_top, strip_group, 
                     token_at)
 
 
-class SquarePart(NamedTuple):
-    """Second square of a cube: sections plus payload."""
-
-    origin: Point = Point(500, 500)
-    placements: str = "alrb"
-    styles: Tuple[str, ...] = (">",) * 4
-    extent: Tuple[int, ...] = (500, 500)
-    nodes: Tuple[str, ...] = ()
-    labels: Tuple[str, ...] = ()
-
-
-class TridentPart(NamedTuple):
-    """Three-arrow cluster appended to a square by pullback."""
-
-    placements: str = "amb"
-    styles: Tuple[str, ...] = (">",) * 3
-    offset: Tuple[int, int] = (500, 500)
-    node: str = ""
-    labels: Tuple[str, ...] = ()
-
-
 class Command(NamedTuple):
     """One parsed command, all absent sections filled with defaults.  Its
     line and column are in its Figure's ``positions``, not in its value."""
@@ -69,11 +51,7 @@ class Command(NamedTuple):
     length: int = 0                      # inline arrows; 0 means auto
     direction: Tuple[int, int] = (0, 0)  # 2-cell arrow direction
     factor: Union[int, Fraction] = 1     # scalefactor multiplier, an int when whole
-    inner: Optional[SquarePart] = None   # cube inner square
-    conn_placements: str = ""            # cube connector sections
-    conn_styles: Tuple[str, ...] = ()
-    conn_labels: Tuple[str, ...] = ()
-    trident: Optional[TridentPart] = None
+    parts: Tuple[Command, ...] = ()      # section groups after the payload, in order
 
 
 class Figure(NamedTuple):
@@ -87,18 +65,20 @@ class Figure(NamedTuple):
 
 class _Reader:
     """Reader over source text at a position, ``pos``, where a token
-    begins; ``tok`` is that token, ``""`` at the end.
+    begins.
 
-    It holds the text, never a token list: each move reads the one token
-    at the new position, a section is one scan to its stop, and ``where``
-    counts lines only over the text passed since it last counted.
+    It holds the text and its position, never a token: a section opens on
+    ``char()``, the one character at ``pos`` (every opener is a token of
+    one character), a section is one scan to its stop, ``token()`` reads
+    the one token of a command name or a one-token argument, and
+    ``where`` counts lines only over the text passed since it last
+    counted.
     """
 
     def __init__(self, text: str, filename: str = "<input>") -> None:
         self.text = text
         self.filename = filename
         self.pos = 0
-        self.tok = token_at(text, 0)
         self._counted = 0  # where() has counted lines up to here
         self._line = 1
         self._line_start = 0
@@ -120,13 +100,14 @@ class _Reader:
         self._counted = pos
         return self._line, pos - self._line_start + 1
 
-    def _goto(self, pos: int) -> None:
-        self.pos = pos
-        self.tok = token_at(self.text, pos)
+    def char(self) -> str:
+        """The character at ``pos``, ``""`` at the end."""
+        return self.text[self.pos:self.pos + 1]
 
-    def advance(self) -> str:
-        tok = self.tok
-        self._goto(self.pos + len(tok))
+    def token(self) -> str:
+        """Read and step past the token at ``pos``."""
+        tok = token_at(self.text, self.pos)
+        self.pos += len(tok)
         if tok == "\\":  # a backslash alone is the last token
             raise self.error("lone backslash at end of input")
         return tok
@@ -138,63 +119,56 @@ class _Reader:
 
     def skip_ws(self) -> None:
         """Skip whitespace and comments; a comment takes its newline along."""
-        pos = BLANK.match(self.text, self.pos).end()
-        if pos != self.pos:
-            self._goto(pos)
-
-    def expect(self, c: str, what: str) -> str:
-        """Consume the token starting with ``c``: a delimiter or a control sequence."""
-        if self.tok[:1] != c:
-            raise self.error(f"expected {c!r} {what}")
-        return self.advance()
+        self.pos = BLANK.match(self.text, self.pos).end()
 
     def delimited(self, opener: str, closer: str, what: str,
                   eof: str = "unexpected end of input inside section") -> str:
-        """Content of a section from ``opener``, the current token, to
+        """Content of a section from ``opener``, the current character, to
         ``closer``, which it consumes; the caller skips whitespace first.
 
         Comments vanish (with their newline); other whitespace runs
         become one space; braces nest; control sequences stay whole, so
         an escaped delimiter never closes the section.
         """
-        if self.tok != opener:  # every opener is a token of its own
+        if self.char() != opener:
             raise self.error(f"expected {opener!r} to open {what}")
         text, start = self.text, self.pos + 1
         end = section_end(text, start, closer)
+        self.pos = end
         if end == len(text):
-            self._goto(end)
             raise self.error(
                 "lone backslash at end of input" if lone_backslash(text, start) else eof
             )
         if text[end] != closer:
-            self._goto(end)
             raise self.error("unbalanced '}'")
-        self._goto(end + 1)
+        self.pos = end + 1
         return tidy(text[start:end])
 
     def single_token(self) -> str:
         """One token or brace group (a mask, a scale factor, a script)."""
         self.skip_ws()
-        if not self.tok:
+        c = self.char()
+        if not c:
             raise self.error("unexpected end of input")
-        if self.tok == "{":
+        if c == "{":
             return self.delimited("{", "}", "a group", "unbalanced '{'")
-        if self.tok == "}":
+        if c == "}":
             raise self.error("unbalanced '}'")
-        return tidy(self.advance())  # a backslash and a line break is a control space
+        return tidy(self.token())  # a backslash and a line break is a control space
 
 
 def _fields(raw: str) -> List[str]:
     return [strip_group(p) for p in split_top(raw, "`")]
 
 
-def _command(r: _Reader, where: Tuple[int, int]) -> Command:
-    """One command at ``where``, its sections read by its row of ``COMMANDS``."""
-    name = r.expect("\\", "to start a command")[1:]
-    chain = COMMANDS.get(name)
+def _command(r: _Reader, name: str, where: Tuple[int, int]) -> Command:
+    """The command ``name``, a control sequence already read, at ``where``:
+    its sections read by its row of ``COMMANDS``."""
+    kind = name[1:]
+    chain = COMMANDS.get(kind)
     if chain is None:
-        raise r.error(f"unknown command \\{name}", *where)
-    return Command(name, **chain.read(r))
+        raise r.error(f"unknown command {name}", *where)
+    return Command(kind, **chain.read(r))
 
 
 def parse_source(text: str, filename: str = "<input>") -> List[Figure]:
@@ -207,29 +181,26 @@ def parse_source(text: str, filename: str = "<input>") -> List[Figure]:
     open_pos = (0, 0)
     while True:
         r.skip_ws()
-        tok = r.tok
-        if not tok:
+        c = r.char()
+        if not c:
             break
-        if tok[0] != "\\":
-            raise r.error(f"unexpected character {tok!r}")
-        if tok == "\\bfig":
+        if c != "\\":
+            raise r.error(f"unexpected character {c!r}")
+        where = r.where()
+        name = r.token()
+        if name == "\\bfig":
             if current is not None:
-                raise r.error("nested \\bfig")
-            open_pos = r.where()
-            r.advance()
-            current = ([], [])
-            continue
-        if tok == "\\efig":
+                raise r.error("nested \\bfig", *where)
+            open_pos, current = where, ([], [])
+        elif name == "\\efig":
             if current is None:
-                raise r.error("\\efig without \\bfig")
-            r.advance()
+                raise r.error("\\efig without \\bfig", *where)
             figures.append(Figure(*current, *open_pos))
             current = None
-            continue
-        commands, positions = top if current is None else current
-        where = r.where()
-        commands.append(_command(r, where))
-        positions.append(where)
+        else:
+            commands, positions = top if current is None else current
+            commands.append(_command(r, name, where))
+            positions.append(where)
     if current is not None:
         raise r.error("\\bfig without matching \\efig", *open_pos)
     if top[0]:
@@ -241,9 +212,12 @@ def parse_command(text: str, filename: str = "<input>") -> Command:
     """Parse exactly one command (convenience for tests and tools)."""
     r = _Reader(text, filename)
     r.skip_ws()
-    cmd = _command(r, r.where())
+    where = r.where()
+    if r.char() != "\\":
+        raise r.error("expected '\\\\' to start a command")
+    cmd = _command(r, r.token(), where)
     r.skip_ws()
-    if r.tok:
+    if r.char():
         raise r.error("trailing text after command")
     return cmd
 
@@ -261,12 +235,12 @@ class _Section:
     """One link of a command's section chain.
 
     ``read(r, into)`` reads it into a dict of fields and ``write(obj)``
-    writes it back from a Command (or part).  ``opener`` is the token
+    writes it back from a Command.  ``opener`` is the one character
     that starts it.  It fills the attribute ``field`` with ``arity``
     values, and ``default`` is
     what it leaves there when absent; ``fields`` names every attribute it
-    fills.  A section with a default is read only when the next token is
-    its opener.  A ``REQUIRED`` one is always read: it must be present,
+    fills.  A section with a default is read only when the next character
+    is its opener.  A ``REQUIRED`` one is always read: it must be present,
     or, like the mask and the scripts, it decides itself what is absent.
     """
 
@@ -308,8 +282,8 @@ class _Bar(_Section):
 
     opener = "|"
 
-    def __init__(self, field: str, default: str, exact: bool = True) -> None:
-        super().__init__(field, len(default), default)
+    def __init__(self, default: str, exact: bool = True) -> None:
+        super().__init__("placements", len(default), default)
         self.exact = exact
 
     def read(self, r: _Reader, into: Dict[str, Any]) -> None:
@@ -318,10 +292,10 @@ class _Bar(_Section):
             raise r.error(f"expected {self.arity} placement character(s), got {len(raw)}")
         if len(raw) > self.arity:
             raise r.error(f"expected at most {self.arity} placement character(s)")
-        into[self.field] = raw
+        into["placements"] = raw
 
     def write(self, obj: Any) -> str:
-        return f"|{getattr(obj, self.field)}|"
+        return f"|{obj.placements}|"
 
 
 class _Styles(_Section):
@@ -329,30 +303,29 @@ class _Styles(_Section):
 
     opener = "/"
 
-    def __init__(self, arity: int, field: str = "styles", required: bool = False) -> None:
-        super().__init__(field, arity, REQUIRED if required else (">",) * arity)
+    def __init__(self, arity: int, required: bool = False) -> None:
+        super().__init__("styles", arity, REQUIRED if required else (">",) * arity)
 
     def read(self, r: _Reader, into: Dict[str, Any]) -> None:
         parts = _fields(r.delimited("/", "/", "styles"))
         if len(parts) != self.arity:
             raise r.error(f"expected {self.arity} style token(s), got {len(parts)}")
-        into[self.field] = tuple(parts)
+        into["styles"] = tuple(parts)
 
     def write(self, obj: Any) -> str:
-        return "/" + "`".join(_wrap(s, "`/") for s in getattr(obj, self.field)) + "/"
+        return "/" + "`".join(_wrap(s, "`/") for s in obj.styles) + "/"
 
 
 class _Payload(_Section):
     """``[nodes;labels]``, always present; a half with count zero is absent
-    along with the ``;``.  A field named ``node`` holds its one node."""
+    along with the ``;``."""
 
     opener = "["
 
-    def __init__(self, n_nodes: int, n_labels: int,
-                 nodes: str = "nodes", labels: str = "labels") -> None:
-        super().__init__(nodes, n_nodes)
-        self.n_labels, self.labels = n_labels, labels
-        self.fields = tuple(f for f, n in ((nodes, n_nodes), (labels, n_labels)) if n)
+    def __init__(self, n_nodes: int, n_labels: int) -> None:
+        super().__init__("nodes", n_nodes)
+        self.n_labels = n_labels
+        self.fields = tuple(f for f, n in (("nodes", n_nodes), ("labels", n_labels)) if n)
 
     def read(self, r: _Reader, into: Dict[str, Any]) -> None:
         raw = r.delimited("[", "]", "a payload")
@@ -373,15 +346,13 @@ class _Payload(_Section):
         if len(labels) != n_labels:
             raise r.error(f"expected {n_labels} label field(s), got {len(labels)}")
         if n_nodes:
-            into[self.field] = nodes[0] if self.field == "node" else tuple(nodes)
+            into["nodes"] = tuple(nodes)
         if n_labels:
-            into[self.labels] = tuple(labels)
+            into["labels"] = tuple(labels)
 
     def write(self, obj: Any) -> str:
-        nodes = getattr(obj, self.field) if self.arity else ()
-        if isinstance(nodes, str):
-            nodes = (nodes,)
-        labels = getattr(obj, self.labels) if self.n_labels else ()
+        nodes = obj.nodes if self.arity else ()
+        labels = obj.labels if self.n_labels else ()
         ns, ls = ("`".join(_wrap(v, "`;]") for v in half) for half in (nodes, labels))
         if nodes and labels:
             return f"[{ns};{ls}]"
@@ -419,7 +390,7 @@ class _Mask(_Section):
         self.stub = _Ints("stub", "<", len(stub), stub)
 
     def read(self, r: _Reader, into: Dict[str, Any]) -> None:
-        if r.tok == "[":
+        if r.char() == "[":
             into["mask"], into["stub"] = 0, self.no_stub
             return
         token = r.single_token()
@@ -431,7 +402,7 @@ class _Mask(_Section):
             raise r.error(f"mask must be in 0..{self.limit - 1}")
         into["mask"], into["stub"] = mask, self.stub.default
         r.skip_ws()
-        if r.tok == "<":
+        if r.char() == "<":
             self.stub.read(r, into)
 
     def write(self, obj: Any) -> str:
@@ -452,15 +423,15 @@ class _Scripts(_Section):
         labels = []
         for marker in self.markers:
             r.skip_ws()
-            if r.tok == marker:
-                r.advance()
+            if r.char() == marker:
+                r.pos += 1
                 labels.append(r.single_token())
             else:
                 labels.append("")
-        into[self.field] = tuple(labels)
+        into["labels"] = tuple(labels)
 
     def write(self, obj: Any) -> str:
-        return "".join(f"{m}{{{v}}}" for m, v in zip(self.markers, getattr(obj, self.field)))
+        return "".join(f"{m}{{{v}}}" for m, v in zip(self.markers, obj.labels))
 
 
 class _Factor(_Section):
@@ -480,18 +451,21 @@ class _Factor(_Section):
 
 
 class _Part(_Section):
-    """A nested chain building one part: the inner square of ``\\cube``,
-    the trident of ``\\pullback``."""
+    """A group of sections after the payload, read by its own chain into a
+    Command of its own ``kind`` and appended to ``parts``: the inner square
+    and the connectors of ``\\cube``, the trident of ``\\pullback``.  A
+    command that lacks the part writes the part's defaults."""
 
-    def __init__(self, field: str, cls: type, *sections: _Section) -> None:
-        super().__init__(field)
-        self.cls, self.chain = cls, _Chain(None, *sections)
+    def __init__(self, kind: str, *sections: _Section) -> None:
+        super().__init__("parts")
+        self.kind, self.chain = kind, _Chain(None, *sections)
 
     def read(self, r: _Reader, into: Dict[str, Any]) -> None:
-        into[self.field] = self.cls(**self.chain.read(r))
+        into["parts"] = into.get("parts", ()) + (Command(self.kind, **self.chain.read(r)),)
 
     def write(self, obj: Any) -> str:
-        return self.chain.write(getattr(obj, self.field) or self.cls())
+        part = next((p for p in obj.parts if p.kind == self.kind), None)
+        return self.chain.write(part or Command(self.kind, **self.chain.defaults))
 
 
 class _Chain:
@@ -506,7 +480,7 @@ class _Chain:
         values = dict(self.defaults)
         for sec in self.sections:
             r.skip_ws()
-            if r.tok == sec.opener or not sec.optional:
+            if r.char() == sec.opener or not sec.optional:
                 sec.read(r, values)
         return values
 
@@ -526,7 +500,7 @@ _LENGTH = _Ints("length", "<", 1, 0, itemgetter(0))  # 0: measured from the labe
 
 def _head(placements: str, extent: Tuple[int, ...], origin: _Section = _ORIGIN) -> tuple:
     """Origin, placements, styles and extent of a square-like shape."""
-    return (origin, _Bar("placements", placements), _Styles(len(placements)),
+    return (origin, _Bar(placements), _Styles(len(placements)),
             _Ints("extent", "<", len(extent), extent))
 
 
@@ -535,7 +509,7 @@ def _shape(program: str, placements: str, extent: Tuple[int, ...], n: int, m: in
 
 
 COMMANDS: Dict[str, _Chain] = {
-    "morphism": _Chain("morphism", _ORIGIN, _Bar("placements", "a", exact=False),
+    "morphism": _Chain("morphism", _ORIGIN, _Bar("a", exact=False),
                        _Styles(1), _Ints("extent", "<", 2, (500, 0)), _Payload(2, 1)),
     "vector": _Chain("vector", _Ints("origin", "(", 2, make=Point._make),
                      _Styles(1, required=True), _Ints("extent", "<", 2)),
@@ -562,13 +536,12 @@ COMMANDS: Dict[str, _Chain] = {
     "iiixii": _Chain("grid3x2", *_head("aabblmr", (500, 500)),
                      _Mask(16, (400,), (0,)), _Payload(6, 7)),
     "pullback": _Chain("pullback", *_head("alrb", (500, 500)), _Payload(4, 4),
-                       _Part("trident", TridentPart, _Bar("placements", "amb"), _Styles(3),
-                             _Ints("offset", "<", 2, (500, 500)), _Payload(1, 3, "node"))),
+                       _Part("trident", _Bar("amb"), _Styles(3),
+                             _Ints("extent", "<", 2, (500, 500)), _Payload(1, 3))),
     "cube": _Chain("cube", *_head("alrb", (1500, 1500)), _Payload(4, 4),
-                   _Part("inner", SquarePart, *_head("alrb", (500, 500), _Ints(
+                   _Part("inner", *_head("alrb", (500, 500), _Ints(
                        "origin", "(", 2, Point(500, 500), Point._make)), _Payload(4, 4)),
-                   _Bar("conn_placements", "mmmm"), _Styles(4, "conn_styles"),
-                   _Payload(0, 4, labels="conn_labels")),
+                   _Part("connectors", _Bar("mmmm"), _Styles(4), _Payload(0, 4))),
     "to": _Chain("inline", _Styles(1), _LENGTH, _Scripts("^_")),
     "two": _Chain("inline", _Styles(2), _LENGTH, _Scripts("^_")),
     "three": _Chain("inline", _Styles(3), _LENGTH, _Scripts("^|_")),

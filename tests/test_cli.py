@@ -9,6 +9,7 @@ import pytest
 import diagc
 from diagc import ParseError, compile_source, load_metrics, render_figure
 from diagc.cli import main
+from diagc.metrics import MetricsError
 
 GOOD = "\\bfig\n\\square[A`B`C`D;f`g`h`k]\n\\efig\n"
 ARITY_BAD = "\\square[A`B`C;f`g`h`k]\n"
@@ -130,6 +131,21 @@ def test_check_mode(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("golden", [
+    pytest.param(lambda text: text.replace("\n", "\r\n").encode("utf-8"), id="crlf"),
+    pytest.param(lambda text: text.encode("latin-1") + b"\xff", id="not-utf8"),
+])
+def test_check_mode_compares_bytes(tmp_path, capsys, golden):
+    src = _write(tmp_path, "ex.dg", GOOD)
+    out = tmp_path / "out"
+    assert main([str(src), "--format", "xypic", "-o", str(out) + os.sep]) == 0
+    golden_dir = tmp_path / "golden"
+    golden_dir.mkdir()
+    (golden_dir / "ex.xy").write_bytes(golden((out / "ex.xy").read_text(encoding="utf-8")))
+    assert main([str(src), "--format", "xypic", "--check", str(golden_dir)]) == 1
+    assert capsys.readouterr().err == "diagc: golden mismatch for ex.xy\n"
+
+
 def test_check_mode_missing_golden(tmp_path, capsys):
     src = _write(tmp_path, "ex.dg", GOOD)
     golden_dir = tmp_path / "golden"
@@ -141,6 +157,16 @@ def test_check_mode_missing_golden(tmp_path, capsys):
 def test_missing_input_is_an_error(tmp_path, capsys):
     assert main([str(tmp_path / "absent.dg")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_an_input_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    first = _write(tmp_path, "first.dg", GOOD)
+    bad = tmp_path / "bad.dg"
+    bad.write_bytes(GOOD.encode("utf-8").replace(b"A", b"\xc0"))
+    out = tmp_path / "out"
+    assert main([str(first), str(bad), "-o", str(out) + os.sep]) == 2
+    assert (out / "first.svg").is_file() and not (out / "bad.svg").exists()
+    assert capsys.readouterr().err.startswith(f"{bad}:0:0: error: cannot read {bad}: ")
 
 
 def test_metrics_flag_and_env(tmp_path, monkeypatch):
@@ -180,6 +206,17 @@ def test_bad_metrics_file(tmp_path, capsys):
     bad = _write(tmp_path, "bad.tsv", "f\tx\n")
     assert main([str(src), "--metrics", str(bad)]) == 2
     assert "bad.tsv" in capsys.readouterr().err
+
+
+def test_a_metrics_file_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    src = _write(tmp_path, "ex.dg", GOOD)
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"\xe9\t70\n")
+    with pytest.raises(MetricsError, match="cannot read metrics file"):
+        load_metrics(str(bad))
+    assert main([str(src), "--metrics", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"diagc: cannot read metrics file {bad}: ")
+    assert not (tmp_path / "ex.svg").exists()
 
 
 def test_scale_flag_scales_svg(tmp_path):

@@ -144,6 +144,17 @@ def test_parse_ir_cost_per_line_is_bounded():
     assert opcodes(lambda: [parse_ir(dump) for dump in dumps]) <= 160 * lines
 
 
+def test_emit_ir_cost_per_line_is_bounded():
+    # counted after one warm-up render; a side is written as the string it
+    # is, so an arrow line is one %-template over its attributes, about 21
+    # instructions per corpus line; a side spelled from a map cost about 33
+    corpus = sorted(Path(__file__).with_name("corpus").glob("*.dg"))
+    irs = [figure.ir for path in corpus
+           for figure in compile_source(path.read_text(encoding="utf-8"))]
+    lines = sum(emit_ir(ir).count("\n") for ir in irs)
+    assert opcodes(lambda: [emit_ir(ir) for ir in irs]) <= 26 * lines
+
+
 CORPUS = sorted(Path(__file__).with_name("corpus").glob("*.dg"))
 # every corpus figure, and one figure of every command kind
 IRS = {f"{path.stem}-{i}": figure.ir for path in CORPUS

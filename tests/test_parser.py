@@ -180,15 +180,26 @@ def test_grid_mask_and_stub_sections():
 def test_cube_and_pullback_sections():
     cmd = parse_command("\\cube[A`B`C`D;f`g`h`k][a`b`c`d;p`q`r`s][w`x`y`z]")
     assert cmd.extent == (1500, 1500)
-    assert cmd.inner.origin == Point(500, 500)
-    assert cmd.inner.extent == (500, 500)
-    assert cmd.conn_placements == "mmmm"
-    assert cmd.conn_labels == ("w", "x", "y", "z")
+    inner, connectors = cmd.parts
+    assert inner.origin == Point(500, 500)
+    assert inner.extent == (500, 500)
+    assert connectors.placements == "mmmm"
+    assert connectors.labels == ("w", "x", "y", "z")
     cmd = parse_command("\\pullback[A`B`C`D;f`g`h`k][E;p`q`r]")
-    assert cmd.trident.placements == "amb"
-    assert cmd.trident.styles == (">", ">", ">")
-    assert cmd.trident.offset == (500, 500)
-    assert cmd.trident.node == "E"
+    (trident,) = cmd.parts
+    assert trident.placements == "amb"
+    assert trident.styles == (">", ">", ">")
+    assert trident.extent == (500, 500)
+    assert trident.nodes == ("E",)
+
+
+def test_a_command_without_its_parts_writes_their_defaults():
+    square = parse_command("\\square[A`B`C`D;f`g`h`k]")
+    cube = square._replace(kind="cube", extent=(1500, 1500))
+    assert format_command(cube).endswith(
+        "[A`B`C`D;f`g`h`k](500,500)|alrb|/>`>`>`>/<500,500>[]|mmmm|/>`>`>`>/[]")
+    pullback = square._replace(kind="pullback")
+    assert format_command(pullback).endswith("[A`B`C`D;f`g`h`k]|amb|/>`>`>/<500,500>[]")
 
 
 def test_whitespace_between_sections_is_free():

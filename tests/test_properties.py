@@ -161,7 +161,7 @@ def test_reader_sections_agree_with_the_token_walk(atoms, lone, closer):
         message = "unbalanced '}'"
     else:
         assert r.delimited(opener, closer, "a section") == tidy_by_tokens(toks[1:end])
-        assert r.tok == "".join(toks[end + 1:end + 2])
+        assert token_at(r.text, r.pos) == "".join(toks[end + 1:end + 2])
         assert r.where() == where_by_tokens(toks, end + 1)
         return
     with pytest.raises(ParseError) as info:
@@ -178,7 +178,7 @@ def test_where_agrees_with_the_token_walk_at_every_token(atoms):
     toks = tokens(text)
     r = _Reader(text)
     for k in range(len(toks) + 1):
-        r._goto(len("".join(toks[:k])))
+        r.pos = len("".join(toks[:k]))
         assert r.where() == where_by_tokens(toks, k)
 
 
@@ -227,7 +227,6 @@ def commands(draw, field=balanced(FIELD_ATOMS), kinds=tuple(sorted(SOURCES))):
         "styles": st.one_of(st.sampled_from(STYLE_TOKENS), field),
         "nodes": field,
         "labels": field,
-        "node": field,
         "align": st.sampled_from(["", "l", "r", "u", "d"]),
         "mask": st.integers(0, 15 if kind == "iiixii" else 4095),
         "length": ints,
@@ -236,21 +235,23 @@ def commands(draw, field=balanced(FIELD_ATOMS), kinds=tuple(sorted(SOURCES))):
 
     def fresh(obj, chain):
         changes = {}
+        parts = iter(obj.parts)
         for sec in chain.sections:
+            if hasattr(sec, "chain"):  # the inner square, the connectors, the trident
+                part = fresh(next(parts), sec.chain)
+                changes["parts"] = changes.get("parts", ()) + (part,)
+                continue
             for name in sec.fields:
                 value = getattr(obj, name)
-                base = name.replace("conn_", "")
-                if hasattr(sec, "chain"):  # the inner square or the trident
-                    changes[name] = fresh(value, sec.chain)
-                elif base == "placements":
+                if name == "placements":
                     n = draw(st.integers(0, 1)) if kind == "morphism" else len(value)
-                    changes[name] = "".join(draw(strategies[base]) for _ in range(n))
+                    changes[name] = "".join(draw(strategies[name]) for _ in range(n))
                 elif isinstance(value, tuple) and not isinstance(value, Point):
-                    # extents, stubs, offsets, directions, styles, nodes, labels
-                    each = strategies.get(base, ints)
+                    # extents, stubs, directions, styles, nodes, labels
+                    each = strategies.get(name, ints)
                     changes[name] = tuple(draw(each) for _ in value)
                 else:
-                    changes[name] = draw(strategies[base])
+                    changes[name] = draw(strategies[name])
         return obj._replace(**changes)
 
     return fresh(parse_command(SOURCES[kind]), COMMANDS[kind])
