@@ -7,7 +7,8 @@ Xy-pic token stream and the IR text need no layout.
 """
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from bisect import bisect_right
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .diagnostics import Diagnostic, LayoutError
 from .expand import expand_figure
@@ -33,6 +34,10 @@ class CompiledFigure(NamedTuple):
     col: int
     filename: str
     metrics: FontMetrics  # the widths it was expanded with, and is laid out with
+    # per command, in source order: its (line, col) and the first seq it
+    # draws; empty in a figure built by hand around an IR from parse_ir
+    positions: Sequence[Tuple[int, int]] = ()
+    starts: Sequence[int] = ()
 
 
 def compile_source(
@@ -50,7 +55,8 @@ def compile_source(
     figures = parse_source(text, filename)
     out: List[CompiledFigure] = []
     for figure in figures:
-        raw_ir, warnings = expand_figure(figure, cfg, metrics, filename)
+        starts: List[int] = []
+        raw_ir, warnings = expand_figure(figure, cfg, metrics, filename, starts)
         if not raw_ir.nodes and not raw_ir.arrows:
             raise LayoutError(Diagnostic("error", "empty diagram: nothing to draw",
                                          filename, figure.line, figure.col))
@@ -61,7 +67,7 @@ def compile_source(
             for note in merge_notes
         ]
         out.append(CompiledFigure(ir, raw_ir, warnings, figure.line, figure.col,
-                                  filename, metrics))
+                                  filename, metrics, figure.positions, starts))
     return out
 
 
@@ -71,7 +77,8 @@ def render_figure(
     warnings: Optional[List[str]] = None,
 ) -> str:
     """Render one compiled figure in the requested format; a layout error
-    names the figure's file, line and column."""
+    names the file, line and column of the command that drew the arrow at
+    fault, or else of the figure."""
     if fmt == "xypic":
         return render_xypic(figure.raw_ir)
     if fmt == "ir":
@@ -81,8 +88,11 @@ def render_figure(
     try:
         layout = layout_diagram(figure.ir, figure.metrics)
     except LayoutError as exc:
+        line, col = figure.line, figure.col
+        if exc.seq is not None and figure.starts:
+            line, col = figure.positions[bisect_right(figure.starts, exc.seq) - 1]
         raise LayoutError(Diagnostic("error", exc.diagnostic.message, figure.filename,
-                                     figure.line, figure.col)) from None
+                                     line, col), exc.seq) from None
     # the warning list goes third, by position: perfbench/tracing.py counts args[2]
     printer = render_svg if fmt == "svg" else render_tikz
     return printer(layout, figure.ir.scale, warnings)

@@ -1,7 +1,7 @@
 """Diagnostics with file:line:column positions, and the error hierarchy."""
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 
 class Diagnostic(NamedTuple):
@@ -33,4 +33,9 @@ class ExpandError(DiagramError):
 
 
 class LayoutError(DiagramError):
-    """Geometry that cannot be drawn (empty diagram, overlapping objects)."""
+    """Geometry that cannot be drawn (empty diagram, overlapping objects);
+    ``seq`` is that of the arrow at fault, if there is one."""
+
+    def __init__(self, diagnostic: Diagnostic, seq: Optional[int] = None) -> None:
+        super().__init__(diagnostic)
+        self.seq = seq

@@ -73,24 +73,27 @@ def measure_morphism_width(
 
 class _Builder:
     """Accumulates nodes and arrows with creation-order seq numbers;
-    ``group`` and ``where`` are the index and the position of the command
-    being expanded."""
+    ``group`` is the index of the command being expanded, and
+    ``positions`` holds each command's position."""
 
-    def __init__(self, metrics: FontMetrics, filename: str):
+    def __init__(self, metrics: FontMetrics, filename: str,
+                 positions: Sequence[Tuple[int, int]]):
         self.metrics = metrics
         self.filename = filename
+        self.positions = positions
         self.nodes: List[Node] = []
         self.arrows: List[Arrow] = []
         self.warnings: List[Diagnostic] = []
         self.group = -1
-        self.where = (0, 0)
         self.seq = count()  # nodes and arrows number in creation order
 
     def error(self, message: str) -> ExpandError:
-        return ExpandError(Diagnostic("error", message, self.filename, *self.where))
+        return ExpandError(Diagnostic("error", message, self.filename,
+                                      *self.positions[self.group]))
 
     def warn(self, message: str) -> None:
-        self.warnings.append(Diagnostic("warning", message, self.filename, *self.where))
+        self.warnings.append(Diagnostic("warning", message, self.filename,
+                                        *self.positions[self.group]))
 
     def node(
         self, at: Point, text: str, align: str = "", standalone: bool = False
@@ -424,20 +427,24 @@ def expand_figure(
     cfg: Optional[ScaleConfig] = None,
     metrics: Optional[FontMetrics] = None,
     filename: str = "<input>",
+    starts: Optional[List[int]] = None,
 ) -> Tuple[DiagramIR, List[Diagnostic]]:
     """Expand a figure into a DiagramIR.
 
     Scale-factor commands multiply the figure's render scale; expansion
-    coordinates stay integer regardless.
+    coordinates stay integer regardless.  ``starts``, if given, gets the
+    first seq of each command, the one it draws first if it draws.
     """
     cfg = cfg or _DEFAULT_CONFIG
-    b = _Builder(metrics or DEFAULT_METRICS, filename)
+    b = _Builder(metrics or DEFAULT_METRICS, filename, figure.positions)
+    starts = [] if starts is None else starts
     scale = None  # the figure's scale once a \scalefactor has multiplied it
     for index, cmd in enumerate(figure.commands):
+        starts.append(len(b.nodes) + len(b.arrows))  # each seq numbers one node or arrow
         if cmd.kind == "scalefactor":
             scale = (cfg.scale if scale is None else scale) * cmd.factor
             continue
-        b.group, b.where = index, figure.positions[index]
+        b.group = index
         _EXPANDERS[cmd.kind](b, cmd)
     if scale is not None:
         cfg = ScaleConfig(exact(scale), cfg.em_size)

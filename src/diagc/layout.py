@@ -1,5 +1,10 @@
 """Drawable geometry: clipping, offsets, labels, knockouts, boxes.
 
+``layout_diagram`` lays a figure out in one walk: it places each node,
+clips each arrow and places its labels, and keeps the bounding box as
+four running extremes as it goes, with no second walk over what it
+built.
+
 Layout coordinates are plain integers in milli-centi-em: QUANTUM of
 them make one centi-em.  Each point is its exact rational position
 rounded once to that grid, to the nearest integer with ties away from
@@ -12,16 +17,18 @@ A horizontal or vertical arrow at local scale 1 with no offset (every
 edge of a square grid) needs no rational at all: each clipped end is
 its endpoint shifted by an integer along the axis, and an above or
 below label centre is the anchor shifted by the label gap across it,
-so the one rounding left is the anchor midpoint.  Every other arrow
-takes the general path, which gives the same points on these.  Node and
-label widths come from ``text_width``, a plain table sum for text with
-no ``\\``; one layout measures each label text once.  The records are
-named tuples.
+so the one rounding left is the anchor midpoint.  The walk clips these
+inline; every other arrow takes the general path, which gives the same
+points on these.  Node and label widths come from ``text_width``, a
+plain table sum for text with no ``\\``; one layout measures each node
+text and each distinct label text once.  The records are named tuples,
+built by ``tuple.__new__`` without the Python-level ``__new__`` of a
+named tuple.
 """
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .diagnostics import Diagnostic, LayoutError
 from .geometry import (EX_RATIO, LABEL_SCALE, OBJECT_MARGIN, Point, ScaleConfig,
@@ -44,10 +51,20 @@ BASELINE = QUANTUM * round_div(75 * EX_RATIO.numerator, EX_RATIO.denominator)
 MARGIN = QUANTUM * OBJECT_MARGIN
 GAP = QUANTUM * LABEL_GAP
 LABEL_HALF_H = int(QUANTUM * NODE_BOX_HEIGHT // 2 * LABEL_SCALE)
+NODE_HALF_H = QUANTUM * NODE_BOX_HEIGHT // 2
+
+ABOVE, NONE, ON_LINE = LabelSide.ABOVE, LabelSide.NONE, LabelSide.ON_LINE
 
 IPoint = Tuple[int, int]           # layout units
 Span = Tuple[IPoint, IPoint]
 Ratio = Tuple[int, int]            # num, den with den > 0
+# per axis, x then y: the half extent, margin included, of the first
+# node drawn at each anchor
+Reach = Tuple[Dict[Point, int], Dict[Point, int]]
+
+# builds a record from its fields without the Python-level __new__ of a
+# named tuple
+_new = tuple.__new__
 
 
 def left_perp(dx: int, dy: int, den: int = 1) -> Tuple[int, int, int]:
@@ -139,111 +156,35 @@ def _label_half_w(text: str, frame: _Frame) -> int:
     return half_w
 
 
-def _place_node(node: Node, frame: _Frame) -> PlacedNode:
-    half_w = text_width(node.text, 1, frame.metrics) * QUANTUM // 2
-    half_h = NODE_BOX_HEIGHT * QUANTUM // 2
-    cx = node.anchor.x * QUANTUM
-    cy = node.anchor.y * QUANTUM + BASELINE
-    if node.align == "l":
-        cx += half_w
-    elif node.align == "r":
-        cx -= half_w
-    elif node.align == "u":
-        cy -= half_h
-    elif node.align == "d":
-        cy += half_h
-    return PlacedNode(node, (cx, cy), half_w, half_h)
-
-
-def _exit_param(placed: PlacedNode, dx: int, dy: int, den: int) -> Ratio:
-    """Where a ray (dx, dy)/den from a box center leaves the inflated box.
+def _exit_param(half_w: int, half_h: int, dx: int, dy: int, den: int) -> Ratio:
+    """Where a ray (dx, dy)/den from a box center leaves the box of half
+    extents (half_w, half_h), the margin included.
 
     Capped at 1, which changes no result: an arrow is swallowed once
     its two parameters sum to 1.
     """
     best: Ratio = (1, 1)
-    for delta, half in ((dx, placed.half_w), (dy, placed.half_h)):
+    for delta, half in ((dx, half_w), (dy, half_h)):
         if delta:
-            t = ((half + MARGIN) * den, abs(delta))
+            t = (half * den, abs(delta))
             if t[0] * best[1] < best[0] * t[1]:
                 best = t
     return best
 
 
-def _swallowed() -> LayoutError:
+def _swallowed(seq: int) -> LayoutError:
     return LayoutError(
-        Diagnostic("error", "overlapping objects: arrow fully swallowed by its endpoints")
+        Diagnostic("error", "overlapping objects: arrow fully swallowed by its endpoints"), seq
     )
 
 
-def clip_arrow(
-    arrow: Arrow, by_anchor: Dict[Point, PlacedNode], frame: _Frame
-) -> DrawablePath:
-    """Retract attached endpoints to the node's margin-inflated text box.
+def clip_general(arrow: Arrow, reach: Reach, frame: _Frame) -> DrawablePath:
+    """Clip any arrow in exact rationals, rounded once per point.
 
-    Free endpoints (bare arrows, stubs, inline arrows) stay put.  A
-    nonzero horizontal or vertical arrow at local scale 1, with no
-    offset, no second label and no on-line label, is clipped in
-    integer shifts; every other arrow takes the general path.
-    """
-    (sx, sy), (ex, ey) = arrow.start, arrow.end
-    if ((sx == ex) != (sy == ey) and arrow.local_scale == 1 and not arrow.offset_pt
-            and not arrow.label2 and arrow.side is not LabelSide.ON_LINE):
-        return clip_axis_aligned(arrow, by_anchor, frame)
-    return clip_general(arrow, by_anchor, frame)
-
-
-def clip_axis_aligned(
-    arrow: Arrow, by_anchor: Dict[Point, PlacedNode], frame: _Frame
-) -> DrawablePath:
-    """clip_general for an arrow that clip_arrow sends here, in integers.
-
-    The exit parameter of an end is (half + margin) / |d|, so that end
-    moves half + margin along the axis, and the arrow is swallowed once
-    the two moves reach |d| (clip_general caps each parameter at 1,
-    which changes neither that test nor a kept arrow).  A label sits
-    LABEL_GAP across the axis from the anchor, to the left of travel
-    when above.
-    """
-    (sx, sy), (ex, ey) = arrow.start, arrow.end
-    horizontal = sy == ey
-    d = QUANTUM * (ex - sx if horizontal else ey - sy)
-    c0 = c1 = 0   # how far each end moves in
-    if arrow.kind == KIND_POS:
-        node = by_anchor.get(arrow.start)
-        if node is not None:
-            c0 = (node.half_w if horizontal else node.half_h) + MARGIN
-        node = by_anchor.get(arrow.end)
-        if node is not None:
-            c1 = (node.half_w if horizontal else node.half_h) + MARGIN
-    if c0 + c1 >= abs(d):
-        raise _swallowed()
-    gap = GAP if arrow.side is LabelSide.ABOVE else -GAP
-    if d < 0:
-        c0, c1, gap = -c0, -c1, -gap
-    if horizontal:
-        y = QUANTUM * sy
-        start, end = (QUANTUM * sx + c0, y), (QUANTUM * ex - c1, y)
-        anchor = (round_div(start[0] + end[0], 2), y)
-        center = (anchor[0], y + gap)
-    else:
-        x = QUANTUM * sx
-        start, end = (x, QUANTUM * sy + c0), (x, QUANTUM * ey - c1)
-        anchor = (x, round_div(start[1] + end[1], 2))
-        center = (x - gap, anchor[1])
-    labels: Tuple[PlacedLabel, ...] = ()
-    if arrow.label and arrow.side is not LabelSide.NONE:
-        labels = (PlacedLabel(arrow.label, arrow.side, center,
-                              _label_half_w(arrow.label, frame)),)
-    return DrawablePath(start, end, arrow, anchor, labels, ((start, end),))
-
-
-def clip_general(
-    arrow: Arrow, by_anchor: Dict[Point, PlacedNode], frame: _Frame
-) -> DrawablePath:
-    """clip_arrow for any arrow, in exact rationals rounded once per point.
-
-    The parallel offset recorded on the arrow and its local render scale
+    An attached end retracts to the box of the first node drawn at its
+    anchor, whose half extents with the margin are in ``reach``; free
+    endpoints (bare arrows, stubs, inline arrows) stay put.  The
+    parallel offset recorded on the arrow and its local render scale
     are materialized here, then the labels are placed along the result.
     """
     # endpoints in layout units over a common denominator den
@@ -261,14 +202,13 @@ def clip_general(
     t0: Ratio = (0, 1)
     t1: Ratio = (0, 1)
     if arrow.kind == KIND_POS:
-        start_node = by_anchor.get(arrow.start)
-        end_node = by_anchor.get(arrow.end)
-        if start_node is not None:
-            t0 = _exit_param(start_node, dx, dy, den)
-        if end_node is not None:
-            t1 = _exit_param(end_node, dx, dy, den)
+        reach_w, reach_h = reach
+        if arrow.start in reach_w:
+            t0 = _exit_param(reach_w[arrow.start], reach_h[arrow.start], dx, dy, den)
+        if arrow.end in reach_w:
+            t1 = _exit_param(reach_w[arrow.end], reach_h[arrow.end], dx, dy, den)
     if t0[0] * t1[1] + t1[0] * t0[1] >= t0[1] * t1[1]:
-        raise _swallowed()
+        raise _swallowed(arrow.seq)
     start = _along(ax, ay, dx, dy, den, t0)
     end = _along(bx, by, -dx, -dy, den, t1)
     anchor = (round_div(start[0] + end[0], 2), round_div(start[1] + end[1], 2))
@@ -276,7 +216,7 @@ def clip_general(
     shaft: Tuple[Span, ...] = ((start, end),)
     if labels and labels[0].side is LabelSide.ON_LINE:
         shaft = _knockout(start, end, labels[0], frame)
-    return DrawablePath(start, end, arrow, anchor, labels, shaft)
+    return _new(DrawablePath, (start, end, arrow, anchor, labels, shaft))
 
 
 def _place_labels(
@@ -298,7 +238,7 @@ def _place_labels(
                 round_div(anchor[0] * d + px * gap, d),
                 round_div(anchor[1] * d + py * gap, d),
             )
-        labels.append(PlacedLabel(text, side, center, _label_half_w(text, frame)))
+        labels.append(_new(PlacedLabel, (text, side, center, _label_half_w(text, frame))))
     return tuple(labels)
 
 
@@ -338,25 +278,107 @@ def _knockout(start: IPoint, end: IPoint, label: PlacedLabel, frame: _Frame) -> 
     return tuple(spans)
 
 
-def bounding_box(
-    nodes: Sequence[PlacedNode], paths: Sequence[DrawablePath]
-) -> Tuple[int, int, int, int]:
-    """Tight integer box in centi-em over node boxes, paths and labels, plus margin."""
-    if not nodes and not paths:
+def layout_diagram(
+    ir: DiagramIR,
+    metrics: FontMetrics = DEFAULT_METRICS,
+) -> DiagramLayout:
+    """Place every node, clip every arrow against its endpoint nodes and
+    place its labels, in one walk that keeps the box as running extremes.
+
+    A nonzero horizontal or vertical arrow at local scale 1, with no
+    offset, no second label and no on-line label, is clipped here in
+    integer shifts.  The exit parameter of an end is (half + margin) /
+    |d|, so that end moves half + margin along the axis, and the arrow
+    is swallowed once the two moves reach |d| (clip_general caps each
+    parameter at 1, which changes neither that test nor a kept arrow).
+    A label sits LABEL_GAP across the axis from the anchor, to the left
+    of travel when above.  Every other arrow takes clip_general.
+    """
+    if not ir.nodes and not ir.arrows:
         raise LayoutError(Diagnostic("error", "empty diagram: nothing to draw"))
+    frame = _Frame.of(ir.scale, metrics)
+    label_half_w = frame.label_half_w
     # running extremes in layout units
     x0 = y0 = math.inf
     x1 = y1 = -math.inf
-    for _, (cx, cy), hw, hh in nodes:
+    placed = []
+    reach: Reach = ({}, {})
+    reach_w, reach_h = reach
+    for node in ir.nodes:
+        anchor, text, _, align, _ = node
+        hw = text_width(text, 1, metrics) * QUANTUM // 2
+        cx, cy = anchor[0] * QUANTUM, anchor[1] * QUANTUM + BASELINE
+        if align:   # the drawn box shifts so that its named side is on the anchor
+            if align == "l":
+                cx += hw
+            elif align == "r":
+                cx -= hw
+            elif align == "u":
+                cy -= NODE_HALF_H
+            elif align == "d":
+                cy += NODE_HALF_H
+        placed.append(_new(PlacedNode, (node, (cx, cy), hw, NODE_HALF_H)))
         if cx - hw < x0:
             x0 = cx - hw
         if cx + hw > x1:
             x1 = cx + hw
-        if cy - hh < y0:
-            y0 = cy - hh
-        if cy + hh > y1:
-            y1 = cy + hh
-    for (sx, sy), (ex, ey), _, _, labels, _ in paths:
+        if cy - NODE_HALF_H < y0:
+            y0 = cy - NODE_HALF_H
+        if cy + NODE_HALF_H > y1:
+            y1 = cy + NODE_HALF_H
+        if anchor not in reach_w:
+            reach_w[anchor] = hw + MARGIN
+            reach_h[anchor] = NODE_HALF_H + MARGIN
+    paths = []
+    for arrow in ir.arrows:
+        start, end, _, label, side, _, kind, _, _, label2, offset_pt, local_scale, _ = arrow
+        (sx, sy), (ex, ey) = start, end
+        if ((sx == ex) == (sy == ey) or local_scale != 1 or offset_pt or label2
+                or side is ON_LINE):
+            path = clip_general(arrow, reach, frame)
+            (sx, sy), (ex, ey), _, _, labels, _ = path
+        else:
+            vertical = sx == ex   # the index of the arrow's axis in reach
+            d = QUANTUM * (ey - sy if vertical else ex - sx)
+            if kind == KIND_POS:   # how far each end moves in
+                c0, c1 = reach[vertical].get(start, 0), reach[vertical].get(end, 0)
+            else:
+                c0 = c1 = 0
+            if c0 + c1 >= abs(d):
+                raise _swallowed(arrow.seq)
+            gap = GAP if side is ABOVE else -GAP
+            if d < 0:
+                c0, c1, gap = -c0, -c1, -gap
+            if vertical:
+                sx = ex = QUANTUM * sx
+                sy, ey = QUANTUM * sy + c0, QUANTUM * ey - c1
+                m = sy + ey
+                anchor = (sx, (m + (m > 0)) // 2)   # round_div(m, 2)
+                center = (sx - gap, anchor[1])
+            else:
+                sy = ey = QUANTUM * sy
+                sx, ex = QUANTUM * sx + c0, QUANTUM * ex - c1
+                m = sx + ex
+                anchor = ((m + (m > 0)) // 2, sy)
+                center = (anchor[0], sy + gap)
+            start, end = (sx, sy), (ex, ey)
+            labels = ()
+            if label and side is not NONE:
+                hw = label_half_w.get(label)
+                if hw is None:
+                    hw = _label_half_w(label, frame)
+                labels = (_new(PlacedLabel, (label, side, center, hw)),)
+            path = _new(DrawablePath, (start, end, arrow, anchor, labels, ((start, end),)))
+        paths.append(path)
+        for _, _, (cx, cy), hw in labels:
+            if cx - hw < x0:
+                x0 = cx - hw
+            if cx + hw > x1:
+                x1 = cx + hw
+            if cy - LABEL_HALF_H < y0:
+                y0 = cy - LABEL_HALF_H
+            if cy + LABEL_HALF_H > y1:
+                y1 = cy + LABEL_HALF_H
         if sx > ex:
             sx, ex = ex, sx
         if sy > ey:
@@ -369,31 +391,8 @@ def bounding_box(
             y0 = sy
         if ey > y1:
             y1 = ey
-        for _, _, (cx, cy), hw in labels:
-            if cx - hw < x0:
-                x0 = cx - hw
-            if cx + hw > x1:
-                x1 = cx + hw
-            if cy - LABEL_HALF_H < y0:
-                y0 = cy - LABEL_HALF_H
-            if cy + LABEL_HALF_H > y1:
-                y1 = cy + LABEL_HALF_H
     # floor of the least coordinate, ceiling of the greatest, in centi-em
     x0, y0 = x0 // QUANTUM, y0 // QUANTUM
     x1, y1 = -(-x1 // QUANTUM), -(-y1 // QUANTUM)
-    return x0 - CANVAS_MARGIN, y0 - CANVAS_MARGIN, x1 + CANVAS_MARGIN, y1 + CANVAS_MARGIN
-
-
-def layout_diagram(
-    ir: DiagramIR,
-    metrics: FontMetrics = DEFAULT_METRICS,
-) -> DiagramLayout:
-    """Clip every arrow against its endpoint nodes, place labels, box the result."""
-    frame = _Frame.of(ir.scale, metrics)
-    placed = [_place_node(n, frame) for n in ir.nodes]
-    by_anchor: Dict[Point, PlacedNode] = {}
-    for node in placed:
-        by_anchor.setdefault(node.node.anchor, node)  # the first node drawn there
-    paths = [clip_arrow(a, by_anchor, frame) for a in ir.arrows]
-    box = bounding_box(placed, paths)
+    box = (x0 - CANVAS_MARGIN, y0 - CANVAS_MARGIN, x1 + CANVAS_MARGIN, y1 + CANVAS_MARGIN)
     return DiagramLayout(nodes=placed, paths=paths, bbox=box)

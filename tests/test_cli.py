@@ -90,13 +90,14 @@ def test_render_warnings_name_their_figure(tmp_path, capsys, fmt):
 
 @pytest.mark.parametrize("fmt", ["svg", "tikz"])
 def test_layout_errors_name_their_file_and_figure(tmp_path, capsys, fmt):
-    # the second arrow is 1 centi-em long, inside the boxes of its nodes
+    # the second arrow is 1 centi-em long, inside the boxes of its nodes:
+    # the error names the command that drew it, not the \\bfig on line 5
     src = _write(tmp_path, "ov.dg", GOOD + "\n\\bfig\n\\morphism(0,0)[A`B;f]\n"
                  "  \\morphism(0,0)<1,0>[A`B;g]\n\\efig\n")
     out = tmp_path / "out"
     assert main([str(src), "-f", fmt, "-o", str(out) + os.sep]) == 2
     assert capsys.readouterr().err == (
-        f"{src}:5:1: error: overlapping objects: arrow fully swallowed by its endpoints\n")
+        f"{src}:7:3: error: overlapping objects: arrow fully swallowed by its endpoints\n")
     assert not out.exists()
     assert main([str(src), "-f", "xypic", "-o", str(out) + os.sep]) == 0
 

@@ -1,6 +1,7 @@
 """Seeded, time-bounded property tests of the shared lexical rule, the
 command table, the decimal formatter, the width sum, the two clipping
-paths of layout and exact scaling of the SVG and TikZ printers.
+paths of layout and its bounding box, and exact scaling of the SVG and
+TikZ printers.
 
 Each property runs a fixed, derandomized set of examples, so a failure
 repeats on every run and the suite's run time stays bounded.
@@ -9,11 +10,13 @@ import math
 import re
 from datetime import timedelta
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from token_walk import split_top_by_tokens, tidy_by_tokens, tokens, top_level_end
+import box_walk
 import xypic_walk
 
 from diagc import (
@@ -32,6 +35,7 @@ from diagc import (
     compile_source,
     emit_ir,
     expand_figure,
+    merge_duplicate_nodes,
     parse_ir,
     render_figure,
     render_xypic,
@@ -51,6 +55,7 @@ BOUNDED = settings(
 IR_ATOMS = ["\\{", "\\}", "\\\\", "\\alpha", "`", ";", "%", "a", "x", "²",
             "\x0c", "\x85", "\u2028"]
 FIELD_ATOMS = [atom for atom in IR_ATOMS if atom != "%"]  # a parsed field holds no bare %
+CORPUS = Path(__file__).with_name("corpus")
 
 
 def balanced(atoms):
@@ -384,12 +389,16 @@ def test_text_width_matches_the_token_walk(parts, plain, scale, metrics):
     assert text_width(text, scale, metrics) == width_by_tokens(text, scale, metrics)
 
 
-def _clip(clip, arrow, by_anchor, frame):
-    """A clipping path's record, or its error message."""
+def _clip(clip, *args):
+    """A clipped path's record, or its error message."""
     try:
-        return clip(arrow, by_anchor, frame)
+        return clip(*args)
     except LayoutError as exc:
         return str(exc)
+
+
+def _first_path(ir):
+    return layout.layout_diagram(ir).paths[0]
 
 
 @BOUNDED
@@ -418,16 +427,18 @@ def test_axis_aligned_clipping_matches_the_general_path(
     end = Point(start.x + length, start.y) if horizontal else Point(start.x, start.y + length)
     cfg = ScaleConfig(em_size=em_size)
     frame = layout._Frame.of(cfg, DEFAULT_METRICS)
-    nodes = [Node(at, text, seq, align)
-             for seq, (at, text, align) in enumerate(zip((start, end), texts, aligns))
-             if text is not None]
-    by_anchor = {node.anchor: layout._place_node(node, frame) for node in nodes}
+    nodes = tuple(Node(at, text, seq, align)
+                  for seq, (at, text, align) in enumerate(zip((start, end), texts, aligns))
+                  if text is not None)
     arrow = Arrow(start, end, ">", label, side, 2, kind=kind)
-    # an on-line label is knocked out of the shaft: clip_arrow sends it to
-    # the general path
-    fast = layout.clip_arrow if side is LabelSide.ON_LINE else layout.clip_axis_aligned
-    assert _clip(fast, arrow, by_anchor, frame) == _clip(
-        layout.clip_general, arrow, by_anchor, frame
+    # the general path reads the reach of each node that layout placed;
+    # an on-line label is knocked out of the shaft, so layout sends it to
+    # the general path too
+    placed = layout.layout_diagram(DiagramIR(nodes, (), cfg)).nodes if nodes else []
+    reach = ({p.node.anchor: p.half_w + layout.MARGIN for p in placed},
+             {p.node.anchor: p.half_h + layout.MARGIN for p in placed})
+    assert _clip(_first_path, DiagramIR(nodes, (arrow,), cfg)) == _clip(
+        layout.clip_general, arrow, reach, frame
     )
 
 
@@ -436,6 +447,42 @@ def test_axis_aligned_clipping_matches_the_general_path(
 exact_factors = st.builds(Fraction, st.integers(1, 40), st.sampled_from([1, 2, 4, 5, 8, 25, 40]))
 # text is measured, not scaled: a few widths are enough
 short_texts = st.sampled_from(["", "a", "fg", "\\alpha", "{x`y}", "wwwwww"])
+
+
+def _box_pair(ir):
+    """The layout's box and the two-walk box of its nodes and paths, each
+    swallowed arrow left out, or None for a diagram left empty."""
+    while True:
+        try:
+            laid = layout.layout_diagram(ir)
+        except LayoutError as exc:
+            if exc.seq is None:
+                return None
+            ir = ir._replace(arrows=tuple(a for a in ir.arrows if a.seq != exc.seq))
+            continue
+        return laid.bbox, box_walk.bounding_box(laid.nodes, laid.paths)
+
+
+@BOUNDED
+@given(cmds=st.lists(commands(field=short_texts), min_size=1, max_size=4))
+def test_layout_box_agrees_with_the_two_walk_box(cmds):
+    # the running extremes of the one layout walk against a second walk
+    # over every node box, path and label it built
+    try:
+        raw_ir, _ = expand_figure(Figure(cmds, [(1, 1)] * len(cmds)))
+    except DiagramError:
+        return
+    pair = _box_pair(merge_duplicate_nodes(raw_ir))
+    if pair is not None:
+        assert pair[0] == pair[1]
+
+
+def test_layout_box_agrees_with_the_two_walk_box_on_the_corpus():
+    figures = [figure for path in sorted(CORPUS.glob("*.dg"))
+               for figure in compile_source(path.read_text(encoding="utf-8"), path.name)]
+    pairs = [_box_pair(figure.ir) for figure in figures]
+    assert len(pairs) == 29 and None not in pairs
+    assert all(box == walked for box, walked in pairs)
 
 
 @st.composite

@@ -10,6 +10,7 @@ import pytest
 
 import diagc.metrics
 from diagc import (
+    CompiledFigure,
     LabelSide,
     LayoutError,
     ScaleConfig,
@@ -88,13 +89,42 @@ def test_svg_empty_diagram_errors():
 
 @pytest.mark.parametrize("fmt", ["svg", "tikz"])
 def test_layout_errors_name_the_figure_in_the_library(fmt):
-    # the second arrow is 1 centi-em long, inside the boxes of its nodes
+    # the second arrow is 1 centi-em long, inside the boxes of its nodes:
+    # the error names the command that drew it
     fig = _one("\\morphism(0,0)[A`B;f]\n\\morphism(0,0)<1,0>[A`B;g]\n", filename="ov.dg")
     with pytest.raises(LayoutError) as caught:
         render_figure(fig, fmt)
     assert str(caught.value) == (
-        "ov.dg:1:1: error: overlapping objects: arrow fully swallowed by its endpoints")
+        "ov.dg:2:1: error: overlapping objects: arrow fully swallowed by its endpoints")
     assert render_figure(fig, "xypic")
+
+
+SWALLOWED = "\\morphism(0,0)<1,0>[A`B;g]"   # its arrow lies inside its nodes' boxes
+
+
+@pytest.mark.parametrize("source, where", [
+    # commands that draw nothing come before the one at fault
+    (f"\\scalefactor{{2}}\n\\morphism(0,0)[A`B;f]\n{SWALLOWED}\n", "3:1"),
+    (f"\\morphism(0,0)[A`B;f]\n\\scalefactor{{2}}\n  {SWALLOWED}\n", "3:3"),
+    (f"\\morphism(0,0)//[A`B;f]\n\\scalefactor{{2}}\n{SWALLOWED}\n", "3:1"),
+    # the command at fault comes first in its figure, and others follow
+    (f"%\n\\bfig\n{SWALLOWED}\n\\morphism(0,0)[A`B;f]\n\\efig\n", "3:1"),
+])
+def test_layout_errors_name_the_command_that_drew_the_arrow(source, where):
+    fig = _one(source, filename="ov.dg")
+    with pytest.raises(LayoutError) as caught:
+        render_figure(fig, "svg")
+    assert str(caught.value).startswith(f"ov.dg:{where}: error: overlapping objects")
+
+
+def test_layout_errors_of_an_ir_read_back_name_the_figure():
+    # an IR read back holds no command positions: the figure's is named
+    fig = _one(f"\\morphism(0,0)[A`B;f]\n{SWALLOWED}\n", filename="ov.dg")
+    ir = parse_ir(emit_ir(fig.ir))
+    read_back = CompiledFigure(ir, ir, [], 4, 2, "ov.ir", fig.metrics)
+    with pytest.raises(LayoutError) as caught:
+        render_figure(read_back, "svg")
+    assert str(caught.value).startswith("ov.ir:4:2: error: overlapping objects")
 
 
 def test_layout_runs_once_per_render_and_printers_take_warnings_third(monkeypatch):
