@@ -1,9 +1,10 @@
 """Command-line front end: compile files, dump IR, run golden checks.
 
 Exit status: 0 on success, 1 when --strict promotes warnings or a
---check comparison fails, 2 on parse/expansion errors.  One output file
-per figure; multiple figures in one input get a -N suffix.  Commands
-outside \\bfig blocks form one implicit figure, compiled last.
+--check comparison fails, 2 on parse, expansion, layout or SVG text
+errors.  One output file per figure; multiple figures in one input get
+a -N suffix.  Commands outside \\bfig blocks form one implicit figure,
+compiled last.
 Diagnostics go to standard error in input order.
 """
 from __future__ import annotations

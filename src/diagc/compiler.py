@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .diagnostics import Diagnostic, LayoutError
+from .diagnostics import Diagnostic, LayoutError, RenderError
 from .expand import expand_figure
 from .geometry import ScaleConfig
 from .ir import DiagramIR, merge_duplicate_nodes
@@ -76,23 +76,23 @@ def render_figure(
     fmt: str,
     warnings: Optional[List[str]] = None,
 ) -> str:
-    """Render one compiled figure in the requested format; a layout error
-    names the file, line and column of the command that drew the arrow at
-    fault, or else of the figure."""
+    """Render one compiled figure in the requested format; a layout error,
+    or SVG text that XML cannot carry, names the file, line and column of
+    the command that drew the node or arrow at fault, or else of the
+    figure."""
     if fmt == "xypic":
         return render_xypic(figure.raw_ir)
     if fmt == "ir":
         return emit_ir(figure.ir)
     if fmt != "svg" and fmt != "tikz":
         raise ValueError(f"unknown format {fmt!r}")
+    # the warning list goes third, by position: perfbench/tracing.py counts args[2]
+    printer = render_svg if fmt == "svg" else render_tikz
     try:
-        layout = layout_diagram(figure.ir, figure.metrics)
-    except LayoutError as exc:
+        return printer(layout_diagram(figure.ir, figure.metrics), figure.ir.scale, warnings)
+    except (LayoutError, RenderError) as exc:
         line, col = figure.line, figure.col
         if exc.seq is not None and figure.starts:
             line, col = figure.positions[bisect_right(figure.starts, exc.seq) - 1]
-        raise LayoutError(Diagnostic("error", exc.diagnostic.message, figure.filename,
-                                     line, col), exc.seq) from None
-    # the warning list goes third, by position: perfbench/tracing.py counts args[2]
-    printer = render_svg if fmt == "svg" else render_tikz
-    return printer(layout, figure.ir.scale, warnings)
+        raise type(exc)(Diagnostic("error", exc.diagnostic.message, figure.filename,
+                                   line, col), exc.seq) from None

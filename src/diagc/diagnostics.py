@@ -17,11 +17,13 @@ class Diagnostic(NamedTuple):
 
 
 class DiagramError(Exception):
-    """Base for compilation failures; carries a positioned diagnostic."""
+    """Base for compilation failures; carries a positioned diagnostic and
+    ``seq``, that of the node or arrow at fault, if there is one."""
 
-    def __init__(self, diagnostic: Diagnostic) -> None:
+    def __init__(self, diagnostic: Diagnostic, seq: Optional[int] = None) -> None:
         super().__init__(diagnostic.format())
         self.diagnostic = diagnostic
+        self.seq = seq
 
 
 class ParseError(DiagramError):
@@ -33,9 +35,8 @@ class ExpandError(DiagramError):
 
 
 class LayoutError(DiagramError):
-    """Geometry that cannot be drawn (empty diagram, overlapping objects);
-    ``seq`` is that of the arrow at fault, if there is one."""
+    """Geometry that cannot be drawn (empty diagram, overlapping objects)."""
 
-    def __init__(self, diagnostic: Diagnostic, seq: Optional[int] = None) -> None:
-        super().__init__(diagnostic)
-        self.seq = seq
+
+class RenderError(DiagramError):
+    """Text that an output format cannot carry."""

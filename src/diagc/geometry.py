@@ -129,6 +129,21 @@ def decimal_formatter(den: int) -> Tuple[Callable[[int], str], bool]:
     return fixed, True
 
 
+class Memo(dict):
+    """A dict that fills each missing key with ``fill(key)`` and keeps it:
+    a hit is one C-level lookup, and only a miss calls Python code."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 def format_decimal(num: int, den: int = 1) -> str:
     """Exact, minimal decimal rendering of num / den (den > 0).
 

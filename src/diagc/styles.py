@@ -5,11 +5,14 @@ needs the raw spelling, alignment spaces included).  ``STYLES`` is the
 one table of the tokens SVG and TikZ can draw, keyed by the token with
 its alignment spaces stripped.  Any other token, such as the '@...'
 pass-through material of the token-stream backend, is drawn as a solid
-arrow with a warning.
+arrow with a warning.  A printer keeps what it draws for each raw
+token in ``StyleRows``, one render long.
 """
 from __future__ import annotations
 
 from typing import List, NamedTuple, Optional
+
+from .geometry import Memo
 
 
 class Style(NamedTuple):
@@ -46,3 +49,16 @@ def style_of(raw: str, backend: str, warnings: Optional[List[str]]) -> Style:
         warnings.append(f"style {raw!r} not supported by the {backend} backend; "
                         "drawn as a solid arrow")
     return _SOLID
+
+
+class StyleRows(Memo):
+    """A printer's row for each raw token, made by ``fill`` from the
+    token's ``style_of`` once per render; a token outside ``STYLES`` is
+    never kept, so each arrow drawn in it calls ``fill`` and warns."""
+
+    __slots__ = ()
+
+    def __missing__(self, raw: str):
+        if raw.strip() in STYLES:
+            return super().__missing__(raw)
+        return self.fill(raw)

@@ -7,17 +7,25 @@ times the one px-per-centi-em ratio, written through one formatter per
 denominator: exact decimals when that ratio has only 2 and 5 in its
 denominator, six rounded places (with a warning) otherwise.  Output is
 byte-identical across runs and every coordinate scales linearly with
-the configured scale.  A render formats each distinct number once.
+the configured scale.
+
+A render formats each distinct coordinate once per axis, in a memo per
+axis (``X[x]``, ``Y[y]``), keeps one row per raw style token (the
+double-shaft flag, the shaft and the two marker attributes) and escapes
+each distinct text once, so a common arrow is f-strings over dict
+lookups, with no Python call.  Each memo lives for one render.  Text
+that XML 1.0 cannot carry (most C0 controls, lone surrogates, U+FFFE
+and U+FFFF) is a ``RenderError`` carrying the seq of its node or arrow.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
-from .geometry import LABEL_SCALE, ScaleConfig, decimal_formatter, format_decimal
-from .layout import QUANTUM, DiagramLayout, DrawablePath, left_perp
-from .styles import Style, style_of
+from .diagnostics import Diagnostic, RenderError
+from .geometry import LABEL_SCALE, Memo, ScaleConfig, decimal_formatter, format_decimal
+from .layout import QUANTUM, DiagramLayout, IPoint, Span, left_perp
+from .styles import StyleRows, style_of
 
 STROKE_WIDTH = 5        # centi-em
 DOUBLE_GAP = 5          # half-gap between double shafts, centi-em
@@ -28,9 +36,25 @@ BASELINE_DROP = 35      # text baseline below box center, centi-em
 # baseline's drop below its centre in layout units
 LABEL_FONT = int(100 * LABEL_SCALE)
 LABEL_DROP = int(QUANTUM * BASELINE_DROP * LABEL_SCALE)
+NODE_DROP = QUANTUM * BASELINE_DROP
 
 
-def _xml_escape(text: str) -> str:
+def _not_xml(char: str) -> bool:
+    """Whether XML 1.0 cannot carry ``char``, escaped or not: a C0 control
+    but tab, LF and CR, a surrogate, U+FFFE or U+FFFF."""
+    return (char < " " and char not in "\t\n\r" or "\ud800" <= char <= "\udfff"
+            or char in "\ufffe\uffff")
+
+
+def _xml_text(text: str) -> str:
+    """``text`` escaped for XML character data; a RenderError, with no
+    position yet, when it holds a character XML cannot carry."""
+    if not text.isprintable():  # each such character is a control, a surrogate or unassigned
+        bad = next((char for char in text if _not_xml(char)), None)
+        if bad is not None:
+            raise RenderError(Diagnostic(
+                "error", f"text {text!r} holds U+{ord(bad):04X}, which SVG (XML 1.0) "
+                "cannot carry"))
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
@@ -84,10 +108,8 @@ def render_svg(
     un, ud = Fraction(cfg.em_size * cfg.scale, 100).as_integer_ratio()  # px per centi-em
     x0, y0, x1, y1 = lay.bbox
     left, top = QUANTUM * x0, QUANTUM * y1
-    # n -> n / (QUANTUM ud) px, so a length of v layout units is unit(v * un);
-    # memoized for this render, which formats each distinct n once
+    # n -> n / (QUANTUM ud) px, so a length of v layout units is unit(v * un)
     unit, exact = decimal_formatter(QUANTUM * ud)
-    unit = cache(unit)
     if warnings is not None and not exact:
         warnings.append(f"scale {cfg.scale} at em size {cfg.em_size} pt has no exact "
                         "decimal px; coordinates are rounded to six places")
@@ -104,94 +126,107 @@ def render_svg(
         """Screen y of y layout units; the y axis flips."""
         return unit((top - y) * un)
 
-    node_font = f(100)
-    label_font = f(LABEL_FONT)
+    # each distinct x, y and text of this render, formatted once
+    X, Y, escaped = Memo(px), Memo(py), Memo(_xml_text)
     stroke = f' stroke="black" stroke-width="{f(STROKE_WIDTH)}"'
-
-    used_markers: set = set()
-    arrow_elems: List[str] = []
-    label_elems: List[str] = []
-
-    def emit_line(a, b, attr: str, x=px, y=py) -> None:
-        arrow_elems.append(
-            f'<line x1="{x(a[0])}" y1="{y(a[1])}" x2="{x(b[0])}" y2="{y(b[1])}"{attr}/>'
-        )
-
-    # a single shaft's attributes by body; the dash lengths scale with the figure
+    # the attributes of a shaft's line by body, each of the two lines of a
+    # double one; the dash lengths scale with the figure
     shafts = {
         "solid": stroke,
+        "double": stroke,
         "dashed": stroke + f' stroke-dasharray="{f(20)} {f(12)}"',
         "dotted": stroke + f' stroke-dasharray="{f(2)} {f(10)}" stroke-linecap="round"',
     }
-    # a row of styles.STYLES -> its marker-start and marker-end attributes,
-    # made once per figure
-    marker_attrs: Dict[Style, Tuple[str, str]] = {}
+    used_markers: set = set()
 
-    def markers_of(style: Style) -> Tuple[str, str]:
+    def row_of(raw: str) -> Tuple[bool, str, str, str, str, str]:
+        """What an arrow in style ``raw`` draws: whether its shaft is double;
+        a single shaft's attributes, its marker-start and marker-end
+        attributes, and all three at once; and the attributes of the tips
+        line of a shaft drawn as two lines or knocked out whole, "" when
+        it has no marker."""
+        style = style_of(raw, "SVG", warnings)
         start, end = style.marker_start, style.marker_end
         used_markers.update(m for m in (start, end) if m)
-        attrs = (f' marker-start="url(#{start})"' if start else "",
-                 f' marker-end="url(#{end})"' if end else "")
-        marker_attrs[style] = attrs
-        return attrs
+        start_attr = f' marker-start="url(#{start})"' if start else ""
+        end_attr = f' marker-end="url(#{end})"' if end else ""
+        tips = ' stroke="none"' + start_attr + end_attr if start or end else ""
+        shaft = shafts[style.body]
+        return (style.body == "double", shaft, start_attr, end_attr,
+                shaft + start_attr + end_attr, tips)
 
-    def draw_path(path: DrawablePath) -> None:
-        style = style_of(path.arrow.style, "SVG", warnings)
-        start_attr, end_attr = marker_attrs.get(style) or markers_of(style)
-        marker_attr = start_attr + end_attr
-        spans = path.shaft
-        if style.body == "double":
-            dx, dy = path.direction
-            gx, gy, gd = left_perp(dx, dy, QUANTUM)
-            gx, gy = gx * DOUBLE_GAP * QUANTUM, gy * DOUBLE_GAP * QUANTUM
-            den = QUANTUM * gd * ud
+    rows = StyleRows(row_of)
+    arrow_elems: List[str] = []
 
-            def sx(x: int) -> str:
-                """Screen x of x/gd layout units."""
-                return format_decimal((x - left * gd) * un, den)
+    def draw_double(start: IPoint, end: IPoint, spans: Tuple[Span, ...]) -> None:
+        """Each span as two lines, DOUBLE_GAP to either side; their ends
+        have the denominator gd of the gap's unit vector."""
+        gx, gy, gd = left_perp(end[0] - start[0], end[1] - start[1], QUANTUM)
+        gx, gy = gx * DOUBLE_GAP * QUANTUM, gy * DOUBLE_GAP * QUANTUM
+        den = QUANTUM * gd * ud
 
-            def sy(y: int) -> str:
-                """Screen y of y/gd layout units."""
-                return format_decimal((top * gd - y) * un, den)
+        def sx(x: int) -> str:
+            """Screen x of x/gd layout units."""
+            return format_decimal((x - left * gd) * un, den)
 
-            for a, b in spans:
-                a, b = (a[0] * gd, a[1] * gd), (b[0] * gd, b[1] * gd)
-                emit_line((a[0] + gx, a[1] + gy), (b[0] + gx, b[1] + gy), stroke, sx, sy)
-                emit_line((a[0] - gx, a[1] - gy), (b[0] - gx, b[1] - gy), stroke, sx, sy)
-            if marker_attr:
-                emit_line(path.start, path.end, ' stroke="none"' + marker_attr)
-        else:
-            for i, (a, b) in enumerate(spans):
-                attr = shafts[style.body]
-                if start_attr and i == 0 and a == path.start:
-                    attr += start_attr
-                if end_attr and i == len(spans) - 1 and b == path.end:
-                    attr += end_attr
-                emit_line(a, b, attr)
-            if not spans and marker_attr:
-                # shaft fully knocked out: keep the arrow tips
-                emit_line(path.start, path.end, ' stroke="none"' + marker_attr)
-        for label in path.labels:
-            cx, cy = label.center
-            label_elems.append(
-                f'<text class="label" x="{px(cx)}" y="{py(cy - LABEL_DROP)}"'
-                f' font-size="{label_font}" text-anchor="middle">'
-                f"{_xml_escape(label.text)}</text>"
+        def sy(y: int) -> str:
+            """Screen y of y/gd layout units."""
+            return format_decimal((top * gd - y) * un, den)
+
+        for (ax, ay), (bx, by) in spans:
+            ax, ay, bx, by = ax * gd, ay * gd, bx * gd, by * gd
+            for dx, dy in ((gx, gy), (-gx, -gy)):
+                arrow_elems.append(f'<line x1="{sx(ax + dx)}" y1="{sy(ay + dy)}"'
+                                   f' x2="{sx(bx + dx)}" y2="{sy(by + dy)}"{stroke}/>')
+
+    node_attrs = f' font-size="{f(100)}" text-anchor="middle">'
+    node_elems: List[str] = []
+    for node, (cx, cy), _, _ in lay.nodes:
+        if node.text:
+            try:
+                text = escaped[node.text]
+            except RenderError as exc:
+                exc.seq = node.seq
+                raise
+            node_elems.append(
+                f'<text class="node" x="{X[cx]}" y="{Y[cy - NODE_DROP]}"{node_attrs}'
+                f"{text}</text>"
             )
 
-    node_elems: List[str] = []
-    for placed in lay.nodes:
-        if not placed.node.text:
-            continue
-        cx, cy = placed.center
-        node_elems.append(
-            f'<text class="node" x="{px(cx)}" y="{py(cy - BASELINE_DROP * QUANTUM)}"'
-            f' font-size="{node_font}" text-anchor="middle">'
-            f"{_xml_escape(placed.node.text)}</text>"
-        )
-
-    for path in lay.paths:
-        draw_path(path)
+    label_attrs = f' font-size="{f(LABEL_FONT)}" text-anchor="middle">'
+    label_elems: List[str] = []
+    for start, end, arrow, _, labels, spans in lay.paths:
+        double, shaft, start_attr, end_attr, whole, tips = rows[arrow.style]
+        # the attributes of one line from start to end, if the arrow draws one
+        if double:
+            draw_double(start, end, spans)
+            attr = tips
+        elif spans == ((start, end),):  # nothing knocked out
+            attr = whole
+        else:
+            last = len(spans) - 1
+            for i, (a, b) in enumerate(spans):
+                span_attr = shaft
+                if i == 0 and a == start:
+                    span_attr += start_attr
+                if i == last and b == end:
+                    span_attr += end_attr
+                arrow_elems.append(f'<line x1="{X[a[0]]}" y1="{Y[a[1]]}"'
+                                   f' x2="{X[b[0]]}" y2="{Y[b[1]]}"{span_attr}/>')
+            attr = "" if spans else tips
+        if attr:
+            arrow_elems.append(f'<line x1="{X[start[0]]}" y1="{Y[start[1]]}"'
+                               f' x2="{X[end[0]]}" y2="{Y[end[1]]}"{attr}/>')
+        for text, _, (cx, cy), _ in labels:
+            try:
+                text = escaped[text]
+            except RenderError as exc:
+                exc.seq = arrow.seq
+                raise
+            label_elems.append(
+                f'<text class="label" x="{X[cx]}" y="{Y[cy - LABEL_DROP]}"{label_attrs}'
+                f"{text}</text>"
+            )
 
     width = f(x1 - x0)
     height = f(y1 - y0)

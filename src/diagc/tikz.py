@@ -7,17 +7,19 @@ arrows library.  Styles the backend cannot express fall back to a solid
 arrow with a warning.  Coordinates are exact decimals unless the render
 scale has a prime other than 2 and 5 in its denominator; then they are
 rounded to six places, with a warning.  A render formats each distinct
-number once.  The padding of an on-line label scales with the figure.
+coordinate once, in one memo for both axes (``E[v]``), and keeps the
+``\\draw`` options of each raw style token in one row, so a common arrow
+is one f-string over dict lookups, with no Python call.  Each memo lives
+for one render.  The padding of an on-line label scales with the figure.
 """
 from __future__ import annotations
 
-from functools import cache
 from typing import List, Optional
 
-from .geometry import ScaleConfig, decimal_formatter
+from .geometry import Memo, ScaleConfig, decimal_formatter
 from .ir import LabelSide
 from .layout import QUANTUM, DiagramLayout
-from .styles import style_of
+from .styles import StyleRows, style_of
 
 
 def render_tikz(
@@ -27,37 +29,39 @@ def render_tikz(
 ) -> str:
     """Print a laid-out figure at the scale of ``cfg``, its IR's scale."""
     sn, sd = cfg.scale.as_integer_ratio()
-    # v * sn -> v layout units in em, memoized for this render
+    # v * sn -> v layout units in em
     em, exact = decimal_formatter(100 * QUANTUM * sd)
-    em = cache(em)
-    side_option = {
-        LabelSide.ABOVE: "above",
-        LabelSide.BELOW: "below",
+    # a label's node up to its text, by side
+    label_node = {
+        LabelSide.ABOVE: " node[above] {$\\scriptstyle ",
+        LabelSide.BELOW: " node[below] {$\\scriptstyle ",
         # an on-line label's knockout padding, 1pt times the scale: the
         # scale is what one em of layout (100 QUANTUM units) prints as
-        LabelSide.ON_LINE: f"fill=white, inner sep={em(100 * QUANTUM * sn)}pt",
+        LabelSide.ON_LINE: f" node[fill=white, inner sep={em(100 * QUANTUM * sn)}pt]"
+                           " {$\\scriptstyle ",
     }
     if warnings is not None and not exact:
         warnings.append(f"scale {cfg.scale} has no exact decimal em; coordinates "
                         "are rounded to six places")
 
-    def at(p) -> str:
-        return f"({em(p[0] * sn)}em,{em(p[1] * sn)}em)"
+    def em_of(v: int) -> str:
+        """v layout units in em."""
+        return em(v * sn)
+
+    # each distinct coordinate of this render, formatted once, and the
+    # \draw of each raw style token
+    E = Memo(em_of)
+    draw = StyleRows(lambda raw: f"\\draw[{style_of(raw, 'TikZ', warnings).tikz}] (")
 
     lines: List[str] = ["\\begin{tikzpicture}[line cap=round]"]
-    for placed in lay.nodes:
-        if not placed.node.text:
-            continue
-        lines.append(f"\\node at {at(placed.center)} {{${placed.node.text}$}};")
-    for path in lay.paths:
-        options = style_of(path.arrow.style, "TikZ", warnings).tikz
+    for node, (cx, cy), _, _ in lay.nodes:
+        if node.text:
+            lines.append(f"\\node at ({E[cx]}em,{E[cy]}em) {{${node.text}$}};")
+    for (sx, sy), (ex, ey), arrow, _, labels, _ in lay.paths:
         label_nodes = ""
-        for label in path.labels:
-            label_nodes += (
-                f" node[{side_option[label.side]}] {{$\\scriptstyle {label.text}$}}"
-            )
-        lines.append(
-            f"\\draw[{options}] {at(path.start)} --{label_nodes} {at(path.end)};"
-        )
+        for text, side, _, _ in labels:
+            label_nodes += f"{label_node[side]}{text}$}}"
+        lines.append(f"{draw[arrow.style]}{E[sx]}em,{E[sy]}em) --{label_nodes}"
+                     f" ({E[ex]}em,{E[ey]}em);")
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines) + "\n"

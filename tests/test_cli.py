@@ -102,6 +102,22 @@ def test_layout_errors_name_their_file_and_figure(tmp_path, capsys, fmt):
     assert main([str(src), "-f", "xypic", "-o", str(out) + os.sep]) == 0
 
 
+def test_svg_text_that_xml_cannot_carry_exits_2_and_writes_nothing(tmp_path, capsys):
+    # a form feed in the second figure's node: no SVG of either figure is
+    # written, and the error names the command that drew the node
+    src = _write(tmp_path, "ff.dg", GOOD + "\\bfig\n\\morphism[A`B;f]\n"
+                 "  \\morphism(0,900)[A\x0cB`C;g]\n\\efig\n")
+    out = tmp_path / "out"
+    assert main([str(src), "-o", str(out) + os.sep]) == 2
+    assert capsys.readouterr().err == (
+        f"{src}:6:3: error: text 'A\\x0cB' holds U+000C, which SVG (XML 1.0) cannot carry\n")
+    assert not out.exists()
+    # TikZ, Xy-pic and IR keep the text verbatim
+    for fmt, ext in [("tikz", ".tex"), ("xypic", ".xy"), ("ir", ".ir")]:
+        assert main([str(src), "-f", fmt, "-o", str(out) + os.sep]) == 0
+        assert "A\x0cB" in (out / f"ff-2{ext}").read_text(encoding="utf-8")
+
+
 def test_multiple_figures_get_suffixes(tmp_path):
     src = _write(tmp_path, "multi.dg", GOOD + GOOD)
     out = tmp_path / "out"

@@ -1,7 +1,7 @@
 """Seeded, time-bounded property tests of the shared lexical rule, the
 command table, the decimal formatter, the width sum, the two clipping
 paths of layout and its bounding box, and exact scaling of the SVG and
-TikZ printers.
+TikZ printers, and those printers against their per-arrow reference.
 
 Each property runs a fixed, derandomized set of examples, so a failure
 repeats on every run and the suite's run time stays bounded.
@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from token_walk import split_top_by_tokens, tidy_by_tokens, tokens, top_level_end
 import box_walk
+import printer_walk
 import xypic_walk
 
 from diagc import (
@@ -38,6 +39,8 @@ from diagc import (
     merge_duplicate_nodes,
     parse_ir,
     render_figure,
+    render_svg,
+    render_tikz,
     render_xypic,
     text_width,
 )
@@ -47,6 +50,7 @@ from diagc.ir import KIND_POS, KIND_VECTOR
 from diagc.metrics import DEFAULT_CHAR_WIDTH
 from diagc.lexer import group_end, section_end, split_top, strip_group, token_at
 from diagc.parser import COMMANDS, _Reader, format_command, parse_command
+from diagc.styles import STYLES
 
 BOUNDED = settings(
     derandomize=True, database=None, max_examples=100, deadline=timedelta(seconds=1)
@@ -535,3 +539,80 @@ def test_svg_and_tikz_scale_exactly(text, k):
         assert number.sub("#", a) == number.sub("#", b)  # the same skeleton
         assert [k * Fraction(n) for n in number.findall(a)] == list(
             map(Fraction, number.findall(b)))
+
+
+# anchors 600 centi-em apart on a 3 x 3 grid: a node at some, free ends at
+# the others, and diagonals of two slopes between them
+SPOTS = [Point(600 * i, 600 * j) for i in range(3) for j in range(3)]
+# every token of the table, one with alignment spaces and one outside it
+PRINTED_STYLES = sorted(STYLES) + [" (->", "@{-->}"]
+# texts to escape, and a label wide enough to knock a shaft out whole
+PRINTED_TEXTS = ["", "f", "A&B", "<x>", "\\alpha", "wwwwwwwwwwwwwwwwwwww"]
+
+
+@st.composite
+def printed_irs(draw):
+    """An IR of nodes and arrows between grid anchors, in any style, with
+    any label side, offset and local scale, at scale 1, 1/2 or 1/3."""
+    spots = draw(st.lists(st.sampled_from(SPOTS), min_size=1, max_size=5, unique=True))
+    texts = st.sampled_from(PRINTED_TEXTS)
+    nodes = tuple(Node(spot, draw(texts), seq) for seq, spot in enumerate(spots))
+    arrows = []
+    for seq in range(len(nodes), len(nodes) + draw(st.integers(1, 6))):
+        start = draw(st.sampled_from(SPOTS))
+        end = draw(st.sampled_from(SPOTS).filter(lambda spot: spot != start))
+        arrows.append(Arrow(
+            start, end, draw(st.sampled_from(PRINTED_STYLES)), draw(texts),
+            draw(st.sampled_from(list(LabelSide))), seq,
+            kind=draw(st.sampled_from([KIND_POS, KIND_VECTOR])),
+            label2=draw(st.sampled_from(["", "g"])),
+            offset_pt=draw(st.sampled_from([0, Fraction(3, 2), -5])),
+            local_scale=draw(st.sampled_from([1, Fraction(1, 2), 2]))))
+    scale = ScaleConfig(draw(st.sampled_from([1, Fraction(1, 2), Fraction(1, 3)])))
+    return DiagramIR(nodes, tuple(arrows), scale)
+
+
+def _printed_both_ways(ir):
+    """Each printer's output and warnings and its reference's, for the
+    layout of ``ir`` with each swallowed arrow left out."""
+    while True:
+        try:
+            laid = layout.layout_diagram(ir)
+        except LayoutError as exc:
+            ir = ir._replace(arrows=tuple(a for a in ir.arrows if a.seq != exc.seq))
+            continue
+        break
+    pairs = []
+    for printer, reference in ((render_svg, printer_walk.render_svg),
+                               (render_tikz, printer_walk.render_tikz)):
+        notes, reference_notes = [], []
+        pairs.append(((printer(laid, ir.scale, notes), notes),
+                      (reference(laid, ir.scale, reference_notes), reference_notes)))
+    return pairs
+
+
+@BOUNDED
+@given(ir=printed_irs())
+@example(ir=DiagramIR(  # double shafts on a diagonal, one knocked out whole, at 1/3
+    (Node(Point(0, 0), "A", 0), Node(Point(600, 1200), "B", 1)),
+    (Arrow(Point(0, 0), Point(600, 1200), "=>", "f", LabelSide.ABOVE, 2),
+     Arrow(Point(0, 0), Point(600, 1200), " =", "wwwwwwwwwwwwwwwwwwww", LabelSide.ON_LINE, 3,
+           offset_pt=Fraction(3, 2)),
+     Arrow(Point(0, 0), Point(600, 0), "@{-->}", "A&B", LabelSide.ON_LINE, 4,
+           kind=KIND_VECTOR)),
+    ScaleConfig(Fraction(1, 3))))
+def test_printers_agree_with_the_per_arrow_reference(ir):
+    # one memo per axis and one row per style token against a call per
+    # coordinate and a style lookup per arrow: the same bytes and warnings
+    for printed, reference in _printed_both_ways(ir):
+        assert printed == reference
+
+
+def test_printers_agree_with_the_per_arrow_reference_on_the_corpus():
+    figures = [figure for path in sorted(CORPUS.glob("*.dg"))
+               for figure in compile_source(path.read_text(encoding="utf-8"), path.name)]
+    for figure in figures:
+        for scale in (1, Fraction(1, 2), Fraction(1, 3)):
+            ir = figure.ir._replace(scale=ScaleConfig(scale, figure.ir.scale.em_size))
+            for printed, reference in _printed_both_ways(ir):
+                assert printed == reference
