@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .diagnostics import Diagnostic, ExpandError
 from .geometry import DEFAULT_MARGIN, LABEL_SCALE, Point, ScaleConfig, exact, ratchet, tex_div
@@ -30,6 +30,10 @@ from .ir import (
 )
 from .metrics import DEFAULT_METRICS, FontMetrics, text_width
 from .parser import COMMANDS, Command, Figure
+
+# builds a record from its fields without the Python-level __new__ of a
+# named tuple
+_new = tuple.__new__
 
 
 def resolve_label_side(placement: str, dx: int, dy: int) -> LabelSide:
@@ -98,10 +102,15 @@ class _Builder:
     def node(
         self, at: Point, text: str, align: str = "", standalone: bool = False
     ) -> None:
-        self.nodes.append(Node(at, text, next(self.seq), align=align, standalone=standalone))
+        self.nodes.append(_new(Node, (at, text, next(self.seq), align, standalone)))
 
-    def arrow(self, **kw) -> None:
-        self.arrows.append(Arrow(seq=next(self.seq), **kw))
+    def arrow(self, start: Point, end: Point, style: str, label: str, side: LabelSide,
+              kind: str = KIND_POS, start_text: str = "", end_text: str = "",
+              label2: str = "", offset_pt: Union[int, Fraction] = 0,
+              local_scale: Union[int, Fraction] = 1, group: int = -1) -> None:
+        self.arrows.append(_new(Arrow, (
+            start, end, style, label, side, next(self.seq), kind, start_text, end_text,
+            label2, offset_pt, local_scale, group)))
 
     def morphism(self, cmd: Command, start: Point, end: Point, placement: str,
                  style: str, text_a: str, text_b: str, label: str) -> None:

@@ -24,6 +24,11 @@ every control sequence out of measured text in one substitution.
 A backslash before a line break (LF, CR LF or CR) is a control space,
 as plain TeX defines ``\\^^M``: ``tidy`` spells it ``\\ ``, so no field
 holds a line break.
+
+The common spelling of a field is text that ``tidy`` leaves as it is,
+with braces at most two deep: ``kept_field`` is its pattern, for a
+reader that takes a whole command in one match, and ``cut`` splits and
+strips such fields in C.
 """
 from __future__ import annotations
 
@@ -152,6 +157,46 @@ def group_end(text: str, start: int) -> int:
         if not depth:
             return brace.end()
     return -1
+
+
+# in a kept field: a backslash and the character after it (a control symbol,
+# or the start of a control word), or a single space
+_KEPT = r"\\[^\r\n]| (?![ \t\r\n])"
+_ORDINARY = r"[^{}\\% \t\r\n"  # a class, closed by the caller
+
+
+def kept_field(stops: str, depth: int = 2) -> str:
+    """Pattern text of a field that ``tidy`` leaves as it is, with no
+    character of ``stops`` outside braces: ordinary characters, a
+    backslash and any character but a line break, single spaces, and
+    brace groups nested at most ``depth`` deep.  Anything else (a
+    comment, a line break, a whitespace run, deeper braces) does not
+    match."""
+    inner = _ORDINARY + "]|" + _KEPT  # in the deepest group
+    for _ in range(depth - 1):
+        inner = _ORDINARY + "]|" + _KEPT + r"|\{(?:" + inner + r")*\}"
+    return ("(?:" + _ORDINARY + re.escape(stops) + "]|" + _KEPT + r"|\{(?:" + inner
+            + r")*\})*")
+
+
+@lru_cache(maxsize=None)
+def _cutter() -> Pattern[str]:
+    """A backtick and the field after it: the inside of a field that is one
+    group, else the whole field."""
+    inner = r"[^{}\\]|\\."
+    group = r"(?:" + inner + r"|\{(?:" + inner + r")*\})*"  # the inside of a group
+    return re.compile(r"`(?:\{(" + group + r")\}(?=`|\Z)|((?:[^`{}\\]|\\.|\{" + group
+                      + r"\})*))", re.DOTALL)
+
+
+def cut(text: str) -> Tuple[str, ...]:
+    """``text`` split at top-level backticks, each field stripped of one
+    outer group: ``strip_group`` over ``split_top(text, "`")`` in one
+    ``re`` call, for comment-free text whose braces nest at most two
+    deep."""
+    if "{" in text or "\\" in text:
+        return tuple(map("".join, _cutter().findall("`" + text)))
+    return tuple(text.split("`"))
 
 
 def strip_group(text: str) -> str:

@@ -12,6 +12,21 @@ section groups that follow the payload of ``\\cube`` (its inner square
 and its connectors) and of ``\\pullback`` (its trident) are chains of
 their own, each read into a ``Command`` of the group's kind in ``parts``.
 
+A command is read in one match where it can be.  One shared pattern,
+compiled on first use, takes the common spelling of every section in
+table order: no whitespace between sections, and fields that ``tidy``
+leaves as they are, with braces at most two deep.  Each section then
+takes its fields from the match, counts them and checks their values,
+and ``lexer.cut`` splits and strips them in C.  Where the pattern does
+not take a section's spelling, takes a section the command lacks, or
+stops where the section reader would read on, or where a check fails,
+the section reader reads the command again from its start, so every
+diagnostic comes from the section reader.  A chain's parts are read
+after the match by their own chains, each again by a match first.  A
+command ends after its last section, by either path.  The reader
+records the offset of each command, and a figure turns them into its
+``positions`` once, from a table of the source's line breaks.
+
 ``%`` comments to end of line (and suppresses the newline, TeX-style);
 other whitespace runs collapse to a single space inside sections.  One
 outer brace level protects and is stripped from every field.  Figures
@@ -24,14 +39,17 @@ order, as the arithmetic dictates.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Pattern, Sequence, Tuple,
+                    Union)
 
 from .diagnostics import Diagnostic, ParseError
 from .geometry import Point, read_positive
-from .lexer import (BLANK, lone_backslash, section_end, split_top, strip_group, tidy,
-                    token_at)
+from .lexer import (BLANK, cut, kept_field, lone_backslash, section_end, split_top,
+                    strip_group, tidy, token_at)
 
 
 class Command(NamedTuple):
@@ -71,38 +89,57 @@ class _Reader:
     ``char()``, the one character at ``pos`` (every opener is a token of
     one character), a section is one scan to its stop, ``token()`` reads
     the one token of a command name or a one-token argument, and
-    ``where`` counts lines only over the text passed since it last
-    counted.
+    ``positions`` turns offsets into lines and columns from a table of
+    line breaks, made on first use.
     """
 
     def __init__(self, text: str, filename: str = "<input>") -> None:
         self.text = text
         self.filename = filename
         self.pos = 0
-        self._counted = 0  # where() has counted lines up to here
-        self._line = 1
-        self._line_start = 0
+        self._breaks: Optional[List[int]] = None  # where each line break ends
 
-    def where(self) -> Tuple[int, int]:
-        """Line and column of the current token, both from 1.
+    def positions(self, offsets: Sequence[int]) -> List[Tuple[int, int]]:
+        """Line and column of each offset, both from 1.
 
         CR LF, a lone CR and LF each end a line.  A CR LF ends it at the
         CR, and its LF takes no column, so a token that begins at the LF
         (after a ``\\<CR>``) is at the start of the next line.
         """
-        text, pos, counted = self.text, self.pos, self._counted
-        # a CR LF whose CR was counted in the last call is not counted again
-        self._line += (text.count("\n", counted, pos) + text.count("\r", counted, pos)
-                       - text.count("\r\n", max(counted - 1, 0), pos))
-        last = max(text.rfind("\n", counted, pos), text.rfind("\r", counted, pos))
-        if last >= 0:
-            self._line_start = last + 1
-        self._counted = pos
-        return self._line, pos - self._line_start + 1
+        text = self.text
+        if self._breaks is None:
+            self._breaks = [m.end() for m in _line_break().finditer(text)]
+        breaks, crlf = self._breaks, "\r\n" in text
+        out = []
+        for pos in offsets:
+            k = bisect_right(breaks, pos)  # the line breaks that end at or before pos
+            if crlf and pos and text[pos - 1:pos + 1] == "\r\n":
+                out.append((k + 2, 1))
+            else:
+                out.append((k + 1, pos - breaks[k - 1] + 1) if k else (1, pos + 1))
+        return out
+
+    def where(self, pos: Optional[int] = None) -> Tuple[int, int]:
+        """Line and column of ``pos``, by default the current token's."""
+        return self.positions([self.pos if pos is None else pos])[0]
 
     def char(self) -> str:
         """The character at ``pos``, ``""`` at the end."""
         return self.text[self.pos:self.pos + 1]
+
+    def name(self) -> str:
+        """Skip whitespace and comments, then read and step past the
+        control sequence there, the name of a command; ``""`` at the
+        end."""
+        self.skip_ws()
+        name = _command_name().match(self.text, self.pos)
+        if name is not None:  # a word of ASCII letters, the common name
+            self.pos = name.end()
+            return name[0]
+        c = self.char()
+        if c and c != "\\":
+            raise self.error(f"unexpected character {c!r}")
+        return c and self.token()
 
     def token(self) -> str:
         """Read and step past the token at ``pos``."""
@@ -112,14 +149,22 @@ class _Reader:
             raise self.error("lone backslash at end of input")
         return tok
 
-    def error(self, message: str, line: int = 0, col: int = 0) -> ParseError:
-        if not line:
-            line, col = self.where()
-        return ParseError(Diagnostic("error", message, self.filename, line, col))
+    def error(self, message: str, at: Optional[int] = None) -> ParseError:
+        """A ParseError at offset ``at``, by default at the current token."""
+        return ParseError(Diagnostic("error", message, self.filename, *self.where(at)))
 
     def skip_ws(self) -> None:
         """Skip whitespace and comments; a comment takes its newline along."""
         self.pos = BLANK.match(self.text, self.pos).end()
+
+    def at(self, opener: str) -> bool:
+        """Whether ``opener`` comes next after whitespace and comments; if
+        so, ``pos`` moves to it, else it stays."""
+        pos = BLANK.match(self.text, self.pos).end()
+        if self.text.startswith(opener, pos):
+            self.pos = pos
+            return True
+        return False
 
     def delimited(self, opener: str, closer: str, what: str,
                   eof: str = "unexpected end of input inside section") -> str:
@@ -161,50 +206,52 @@ def _fields(raw: str) -> List[str]:
     return [strip_group(p) for p in split_top(raw, "`")]
 
 
-def _command(r: _Reader, name: str, where: Tuple[int, int]) -> Command:
-    """The command ``name``, a control sequence already read, at ``where``:
-    its sections read by its row of ``COMMANDS``."""
+def _command(r: _Reader, name: str, at: int) -> Command:
+    """The command ``name``, a control sequence already read, at offset
+    ``at``: its sections read by its row of ``COMMANDS``."""
     kind = name[1:]
     chain = COMMANDS.get(kind)
     if chain is None:
-        raise r.error(f"unknown command {name}", *where)
-    return Command(kind, **chain.read(r))
+        raise r.error(f"unknown command {name}", at)
+    return chain.read(r, kind)
+
+
+def _figure(r: _Reader, commands: List[Command], offsets: List[int], at: int) -> Figure:
+    """A figure at offset ``at`` of the commands at ``offsets``."""
+    (line, col), *positions = r.positions([at, *offsets])
+    return Figure(commands, positions, line, col)
 
 
 def parse_source(text: str, filename: str = "<input>") -> List[Figure]:
     """Parse a whole source file into figures."""
     r = _Reader(text, filename)
     figures: List[Figure] = []
-    # a figure's commands and their positions: outside any figure, in the open one
-    top: Tuple[List[Command], List[Tuple[int, int]]] = ([], [])
-    current: Optional[Tuple[List[Command], List[Tuple[int, int]]]] = None
-    open_pos = (0, 0)
+    # a figure's commands and their offsets: outside any figure, in the open one
+    top: Tuple[List[Command], List[int]] = ([], [])
+    current: Optional[Tuple[List[Command], List[int]]] = None
+    open_at = 0
     while True:
-        r.skip_ws()
-        c = r.char()
-        if not c:
+        name = r.name()
+        if not name:
             break
-        if c != "\\":
-            raise r.error(f"unexpected character {c!r}")
-        where = r.where()
-        name = r.token()
+        at = r.pos - len(name)
         if name == "\\bfig":
             if current is not None:
-                raise r.error("nested \\bfig", *where)
-            open_pos, current = where, ([], [])
+                raise r.error("nested \\bfig", at)
+            open_at, current = at, ([], [])
         elif name == "\\efig":
             if current is None:
-                raise r.error("\\efig without \\bfig", *where)
-            figures.append(Figure(*current, *open_pos))
+                raise r.error("\\efig without \\bfig", at)
+            figures.append(_figure(r, *current, open_at))
             current = None
         else:
-            commands, positions = top if current is None else current
-            commands.append(_command(r, name, where))
-            positions.append(where)
+            commands, offsets = top if current is None else current
+            commands.append(_command(r, name, at))
+            offsets.append(at)
     if current is not None:
-        raise r.error("\\bfig without matching \\efig", *open_pos)
+        raise r.error("\\bfig without matching \\efig", open_at)
     if top[0]:
-        figures.append(Figure(*top, *top[1][0]))
+        figures.append(_figure(r, *top, top[1][0]))
     return figures
 
 
@@ -212,10 +259,10 @@ def parse_command(text: str, filename: str = "<input>") -> Command:
     """Parse exactly one command (convenience for tests and tools)."""
     r = _Reader(text, filename)
     r.skip_ws()
-    where = r.where()
+    at = r.pos
     if r.char() != "\\":
         raise r.error("expected '\\\\' to start a command")
-    cmd = _command(r, r.token(), where)
+    cmd = _command(r, r.token(), at)
     r.skip_ws()
     if r.char():
         raise r.error("trailing text after command")
@@ -230,45 +277,108 @@ REQUIRED = object()  # the default of a section that is always read
 # or 1e3.  A scale factor is read by geometry.read_positive.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
+_SLOTS = {field: k for k, field in enumerate(Command._fields)}  # a field's index
+_NODES, _LABELS = _SLOTS["nodes"], _SLOTS["labels"]
+_GROUPS = 18  # in the shared section pattern
+_SCRIPT_GROUPS = {"^": 13, "|": 15, "_": 17}
+# what a section opens with; a command whose last section may be absent
+# is read by the match only where none of these comes after it
+_OPENERS = ("[", "(", "|", "/", "<", "{", "^", "_")
+
+
+@lru_cache(maxsize=None)
+def _sections() -> Pattern[str]:
+    """The common spelling of the sections of every chain before its parts,
+    in table order, each optional, compiled on first use.
+
+    Its groups: 1 an alignment, 2-3 coordinates, 4 placements, 5 styles,
+    6-7 an extent or a length, 8 a mask or scale factor in braces, 9-10
+    a stub, 11-12 the halves of a payload and, where no payload is, 13-18
+    the ``^``, ``|`` and ``_`` scripts, each the inside of a group or one
+    character.  Sections follow each other with nothing between them, and
+    each field is text that ``tidy`` leaves as it is.
+    """
+    number = "([+-]?[0-9]+)"
+    pair = "<" + number + "(?:," + number + ")?>"
+    token = r"[^{}\\% \t\r\n]"
+    half = "(" + kept_field(";]") + ")"
+    script = r"(?:\{(" + kept_field("", 1) + r")\}|(" + token + "))"
+    return re.compile(
+        r"(?:\[([lrud])\])?(?:\(" + number + "," + number + r"\))?"
+        r"(?:\|([^|{}\\% \t\r\n]*)\|)?(?:/(" + kept_field("/") + ")/)?"
+        "(?:" + pair + r")?(?:\{(" + token + r"*)\}(?:" + pair + ")?)?"
+        r"(?:\[" + half + "(?:;" + half + r")?\]"
+        r"|(?:\^" + script + r")?(?:\|" + script + ")?(?:_" + script + ")?)")
+
+
+@lru_cache(maxsize=None)
+def _line_break() -> Pattern[str]:
+    return re.compile(r"\r\n|\r|\n")
+
+
+@lru_cache(maxsize=None)
+def _command_name() -> Pattern[str]:
+    """A control word of ASCII letters that no other letter follows."""
+    return re.compile(r"\\[A-Za-z]+(?![^\W\d_])")
+
 
 class _Section:
     """One link of a command's section chain.
 
-    ``read(r, into)`` reads it into a dict of fields and ``write(obj)``
-    writes it back from a Command.  ``opener`` is the one character
-    that starts it.  It fills the attribute ``field`` with ``arity``
-    values, and ``default`` is
-    what it leaves there when absent; ``fields`` names every attribute it
-    fills.  A section with a default is read only when the next character
-    is its opener.  A ``REQUIRED`` one is always read: it must be present,
-    or, like the mask and the scripts, it decides itself what is absent.
+    ``read(r, into)`` reads it into ``into``, a list of field values in
+    Command order, and ``write(obj)`` writes it back from a Command.
+    ``take(m, into)`` takes it from its ``groups`` of ``m``, a match of
+    ``_sections()``, and is False where the section reader must read
+    the command instead.  ``opener`` is the one character that starts
+    it.  It fills the attribute ``field``, at index ``slot``, with
+    ``arity`` values, and ``default`` is what it leaves there when
+    absent; ``fields`` names every attribute it fills.  A section with
+    a default is read only when the next character is its opener.  A
+    ``REQUIRED`` one is always read: it must be present, or, like the
+    mask and the scripts, it decides itself what is absent.
     """
 
     opener = ""
+    groups: Tuple[int, ...] = ()
 
     def __init__(self, field: str, arity: int = 1, default: Any = REQUIRED) -> None:
         self.field, self.arity, self.default = field, arity, default
         self.fields = (field,)
+        self.slot = _SLOTS[field]
         self.optional = default is not REQUIRED
 
 
 class _Ints(_Section):
-    """``(x,y)`` coordinates or a ``<dx,dy>`` extent, made a value by ``make``."""
+    """``(x,y)`` coordinates or a ``<dx,dy>`` extent, made a value by
+    ``make``; ``group`` is the first of its two groups, by default that
+    of its opener."""
 
     def __init__(self, field: str, opener: str, arity: int, default: Any = REQUIRED,
-                 make: Callable = tuple) -> None:
+                 make: Callable = tuple, group: int = 0) -> None:
         super().__init__(field, arity, default)
         self.opener, self.make = opener, make
         self.closer, self.what = {"(": (")", "coordinates"), "<": (">", "an extent")}[opener]
+        first = group or {"(": 2, "<": 6}[opener]
+        self.groups = (first, first + 1)
 
-    def read(self, r: _Reader, into: Dict[str, Any]) -> None:
+    def read(self, r: _Reader, into: List[Any]) -> None:
         raw = r.delimited(self.opener, self.closer, self.what)
         numbers = [p.strip() for p in raw.split(",")]
         if len(numbers) != self.arity:
             raise r.error(f"expected {self.arity} integer(s), got {len(numbers)}")
         if not all(map(_INTEGER.fullmatch, numbers)):
             raise r.error(f"malformed integer in {raw.strip()!r}")
-        into[self.field] = self.make(tuple(map(int, numbers)))
+        into[self.slot] = self.make(tuple(map(int, numbers)))
+
+    def take(self, m: re.Match, into: List[Any]) -> bool:
+        first, second = m.group(*self.groups)
+        if first is None:
+            return self.optional
+        if (second is None) != (self.arity == 1):
+            return False
+        into[self.slot] = self.make((int(first),) if second is None
+                                    else (int(first), int(second)))
+        return True
 
     def write(self, obj: Any) -> str:
         value = getattr(obj, self.field)
@@ -281,18 +391,28 @@ class _Bar(_Section):
     allows fewer."""
 
     opener = "|"
+    groups = (4,)
 
     def __init__(self, default: str, exact: bool = True) -> None:
         super().__init__("placements", len(default), default)
         self.exact = exact
 
-    def read(self, r: _Reader, into: Dict[str, Any]) -> None:
+    def read(self, r: _Reader, into: List[Any]) -> None:
         raw = r.delimited("|", "|", "placements").replace(" ", "")
         if self.exact and len(raw) != self.arity:
             raise r.error(f"expected {self.arity} placement character(s), got {len(raw)}")
         if len(raw) > self.arity:
             raise r.error(f"expected at most {self.arity} placement character(s)")
-        into["placements"] = raw
+        into[self.slot] = raw
+
+    def take(self, m: re.Match, into: List[Any]) -> bool:
+        raw = m[4]
+        if raw is None:
+            return self.optional
+        if len(raw) > self.arity or self.exact and len(raw) != self.arity:
+            return False
+        into[self.slot] = raw
+        return True
 
     def write(self, obj: Any) -> str:
         return f"|{obj.placements}|"
@@ -302,15 +422,26 @@ class _Styles(_Section):
     """``/s1`s2/``, one style token per arrow, each ``>`` when absent."""
 
     opener = "/"
+    groups = (5,)
 
     def __init__(self, arity: int, required: bool = False) -> None:
         super().__init__("styles", arity, REQUIRED if required else (">",) * arity)
 
-    def read(self, r: _Reader, into: Dict[str, Any]) -> None:
+    def read(self, r: _Reader, into: List[Any]) -> None:
         parts = _fields(r.delimited("/", "/", "styles"))
         if len(parts) != self.arity:
             raise r.error(f"expected {self.arity} style token(s), got {len(parts)}")
-        into["styles"] = tuple(parts)
+        into[self.slot] = tuple(parts)
+
+    def take(self, m: re.Match, into: List[Any]) -> bool:
+        raw = m[5]
+        if raw is None:
+            return self.optional
+        styles = cut(raw)
+        if len(styles) != self.arity:
+            return False
+        into[self.slot] = styles
+        return True
 
     def write(self, obj: Any) -> str:
         return "/" + "`".join(_wrap(s, "`/") for s in obj.styles) + "/"
@@ -321,13 +452,14 @@ class _Payload(_Section):
     along with the ``;``."""
 
     opener = "["
+    groups = (11, 12)
 
     def __init__(self, n_nodes: int, n_labels: int) -> None:
         super().__init__("nodes", n_nodes)
         self.n_labels = n_labels
         self.fields = tuple(f for f, n in (("nodes", n_nodes), ("labels", n_labels)) if n)
 
-    def read(self, r: _Reader, into: Dict[str, Any]) -> None:
+    def read(self, r: _Reader, into: List[Any]) -> None:
         raw = r.delimited("[", "]", "a payload")
         halves = split_top(raw, ";")
         n_nodes, n_labels = self.arity, self.n_labels
@@ -345,10 +477,24 @@ class _Payload(_Section):
             raise r.error(f"expected {n_nodes} node field(s), got {len(nodes)}")
         if len(labels) != n_labels:
             raise r.error(f"expected {n_labels} label field(s), got {len(labels)}")
-        if n_nodes:
-            into["nodes"] = tuple(nodes)
-        if n_labels:
-            into["labels"] = tuple(labels)
+        into[_NODES], into[_LABELS] = tuple(nodes), tuple(labels)
+
+    def take(self, m: re.Match, into: List[Any]) -> bool:
+        first, second = m.group(11, 12)
+        if first is None:
+            return False
+        if self.arity and self.n_labels:
+            if second is None:
+                return False
+            nodes, labels = cut(first), cut(second)
+        elif second is not None:
+            return False
+        else:
+            nodes, labels = (cut(first), ()) if self.arity else ((), cut(first))
+        if len(nodes) != self.arity or len(labels) != self.n_labels:
+            return False
+        into[_NODES], into[_LABELS] = nodes, labels
+        return True
 
     def write(self, obj: Any) -> str:
         nodes = obj.nodes if self.arity else ()
@@ -363,12 +509,18 @@ class _Align(_Section):
     """``[l|r|u|d]``, the alignment of ``\\place``, before its origin."""
 
     opener = "["
+    groups = (1,)
 
-    def read(self, r: _Reader, into: Dict[str, Any]) -> None:
+    def read(self, r: _Reader, into: List[Any]) -> None:
         raw = r.delimited("[", "]", "a payload").replace(" ", "")
         if len(raw) != 1 or raw not in "lrud":
             raise r.error(f"unsupported alignment {raw!r}; one of l, r, u, d")
-        into[self.field] = raw
+        into[self.slot] = raw
+
+    def take(self, m: re.Match, into: List[Any]) -> bool:
+        if m[1] is not None:
+            into[self.slot] = m[1]
+        return True
 
     def write(self, obj: Any) -> str:
         value = getattr(obj, self.field)
@@ -382,16 +534,17 @@ class _Mask(_Section):
     and to ``no_stub`` without one."""
 
     opener = "{"
+    groups = (8, 9, 10)
 
     def __init__(self, limit: int, stub: Tuple[int, ...], no_stub: Tuple[int, ...]) -> None:
         super().__init__("mask")
         self.fields = ("mask", "stub")
         self.limit, self.no_stub = limit, no_stub
-        self.stub = _Ints("stub", "<", len(stub), stub)
+        self.stub = _Ints("stub", "<", len(stub), stub, group=9)
 
-    def read(self, r: _Reader, into: Dict[str, Any]) -> None:
+    def read(self, r: _Reader, into: List[Any]) -> None:
         if r.char() == "[":
-            into["mask"], into["stub"] = 0, self.no_stub
+            into[self.slot], into[self.stub.slot] = 0, self.no_stub
             return
         token = r.single_token()
         number = token.strip()
@@ -400,10 +553,19 @@ class _Mask(_Section):
         mask = int(number)
         if not 0 <= mask < self.limit:
             raise r.error(f"mask must be in 0..{self.limit - 1}")
-        into["mask"], into["stub"] = mask, self.stub.default
-        r.skip_ws()
-        if r.char() == "<":
+        into[self.slot], into[self.stub.slot] = mask, self.stub.default
+        if r.at("<"):
             self.stub.read(r, into)
+
+    def take(self, m: re.Match, into: List[Any]) -> bool:
+        token = m[8]
+        if token is None:  # the payload, which every grid has, comes next
+            into[self.slot], into[self.stub.slot] = 0, self.no_stub
+            return True
+        if not _INTEGER.fullmatch(token) or not 0 <= int(token) < self.limit:
+            return False
+        into[self.slot], into[self.stub.slot] = int(token), self.stub.default
+        return self.stub.take(m, into)
 
     def write(self, obj: Any) -> str:
         return f"{{{obj.mask}}}" + self.stub.write(obj)
@@ -418,17 +580,23 @@ class _Scripts(_Section):
     def __init__(self, markers: str) -> None:
         super().__init__("labels", len(markers))
         self.markers = markers
+        self.firsts = [_SCRIPT_GROUPS[marker] for marker in markers]
+        self.groups = tuple(g for first in self.firsts for g in (first, first + 1))
 
-    def read(self, r: _Reader, into: Dict[str, Any]) -> None:
+    def read(self, r: _Reader, into: List[Any]) -> None:
         labels = []
         for marker in self.markers:
-            r.skip_ws()
-            if r.char() == marker:
+            if r.at(marker):
                 r.pos += 1
                 labels.append(r.single_token())
             else:
                 labels.append("")
-        into["labels"] = tuple(labels)
+        into[self.slot] = tuple(labels)
+
+    def take(self, m: re.Match, into: List[Any]) -> bool:
+        # a group's inside, "" for {}, or else one character, or else absent
+        into[self.slot] = tuple([m[k] or m[k + 1] or "" for k in self.firsts])
+        return True
 
     def write(self, obj: Any) -> str:
         return "".join(f"{m}{{{v}}}" for m, v in zip(self.markers, obj.labels))
@@ -438,13 +606,23 @@ class _Factor(_Section):
     """``{factor}`` of ``\\scalefactor``: a positive rational, one token or group."""
 
     opener = "{"
+    groups = (8,)
 
-    def read(self, r: _Reader, into: Dict[str, Any]) -> None:
+    def read(self, r: _Reader, into: List[Any]) -> None:
         token = r.single_token()
         try:
-            into[self.field] = read_positive(token, "scale factor")
+            into[self.slot] = read_positive(token, "scale factor")
         except ValueError as exc:
             raise r.error(str(exc)) from None
+
+    def take(self, m: re.Match, into: List[Any]) -> bool:
+        if m[8] is None:
+            return False
+        try:
+            into[self.slot] = read_positive(m[8], "scale factor")
+        except ValueError:
+            return False
+        return True
 
     def write(self, obj: Any) -> str:
         return f"{{{getattr(obj, self.field)}}}"
@@ -460,8 +638,8 @@ class _Part(_Section):
         super().__init__("parts")
         self.kind, self.chain = kind, _Chain(None, *sections)
 
-    def read(self, r: _Reader, into: Dict[str, Any]) -> None:
-        into["parts"] = into.get("parts", ()) + (Command(self.kind, **self.chain.read(r)),)
+    def read(self, r: _Reader, into: List[Any]) -> None:
+        into[self.slot] += (self.chain.read(r, self.kind),)
 
     def write(self, obj: Any) -> str:
         part = next((p for p in obj.parts if p.kind == self.kind), None)
@@ -470,19 +648,58 @@ class _Part(_Section):
 
 class _Chain:
     """A command's ordered sections, and ``program``, the name of the
-    expand.py shape program that draws it (None: it draws nothing)."""
+    expand.py shape program that draws it (None: it draws nothing).
+
+    The one match reads ``head``, the sections before the parts, and the
+    section reader the parts in ``tail``.
+    """
 
     def __init__(self, program: Optional[str], *sections: _Section) -> None:
         self.program, self.sections = program, sections
         self.defaults = {s.field: s.default for s in sections if s.optional}
+        self.template = list(Command(None, **self.defaults))  # before any section is read
+        k = next((k for k, s in enumerate(sections) if isinstance(s, _Part)), len(sections))
+        self.head, self.tail = sections[:k], sections[k:]
+        unread = sorted(set(range(1, _GROUPS + 1)).difference(*[s.groups for s in self.head]))
+        self.unread, self.nones = itemgetter(*unread), (None,) * len(unread)
+        # a section that may be absent at the end: the reader looks past it
+        self.open_end = self.head[-1].optional or isinstance(self.head[-1], _Scripts)
 
-    def read(self, r: _Reader) -> Dict[str, Any]:
-        values = dict(self.defaults)
-        for sec in self.sections:
-            r.skip_ws()
-            if r.char() == sec.opener or not sec.optional:
-                sec.read(r, values)
+    def take(self, m: re.Match, kind: str) -> Optional[List[Any]]:
+        """The field values of the command ``kind`` with those of its head
+        taken from ``m``, a match of ``_sections()`` where its sections
+        begin; None where the section reader must read the command."""
+        if self.unread(m) != self.nones:
+            return None  # a section the command lacks
+        values = self.template.copy()
+        values[0] = kind
+        for sec in self.head:
+            if not sec.take(m, values):
+                return None
+        if self.open_end and m.string.startswith(_OPENERS, BLANK.match(m.string, m.end()).end()):
+            return None  # the reader would read on, past a spelling the pattern refused
         return values
+
+    def read(self, r: _Reader, kind: str) -> Command:
+        """The command ``kind`` from its sections at ``r.pos``: the head by
+        one match where ``take`` accepts it, and every other section by
+        the section reader; ``r.pos`` ends after the last section."""
+        m = _sections().match(r.text, r.pos)
+        values = self.take(m, kind)
+        if values is None:
+            values = self.template.copy()
+            values[0] = kind
+            sections = self.sections
+        else:
+            r.pos = m.end()
+            sections = self.tail
+        for sec in sections:
+            if not sec.optional:
+                r.skip_ws()
+            elif not r.at(sec.opener):
+                continue
+            sec.read(r, values)
+        return tuple.__new__(Command, values)  # in field order, past the Python-level __new__
 
     def write(self, obj: Any) -> str:
         return "".join([sec.write(obj) for sec in self.sections])

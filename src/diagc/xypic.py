@@ -75,13 +75,18 @@ def _inline_group(event: Union[Node, Arrow]) -> Optional[int]:
     return event.group if isinstance(event, Arrow) and event.kind in _GROUPS else None
 
 
+_KIND = attrgetter("kind")
+
+
 def render_xypic(d: DiagramIR) -> str:
     """One emission per line; trailing newline; LF endings."""
     events: List[Union[Node, Arrow]] = [n for n in d.nodes if n.standalone]
     events.extend(d.arrows)
     events.sort(key=attrgetter("seq"))
     lines = [f"\\scalefactor{{{d.scale.scale}}}"] if d.scale.scale != 1 else []
-    for group, run in groupby(events, _inline_group):
+    # a figure without inline arrows, the common one, has no group to find
+    inline = any(map(_GROUPS.__contains__, map(_KIND, d.arrows)))
+    for group, run in groupby(events, _inline_group) if inline else [(None, events)]:
         if group is None:
             lines.extend(map(_line, run))
             continue

@@ -1,4 +1,5 @@
 """Grammar: optional sections, payload splitting, round-trips, arity."""
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from opcode_count import opcodes
 
 from diagc import ParseError, Point, compile_source, format_command, parse_command, parse_source
+from diagc import lexer, parser
 
 
 def test_square_defaults():
@@ -259,6 +261,23 @@ def test_each_line_end_counts_once(end):
     assert figure.positions == [(1, 1), (3, 3)]
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_positions_by_line_end(end):
+    """Figure positions and the positions of the figure-level errors, under
+    each line ending."""
+    source = (f"\\scalefactor{{2}}{end}\\place(0,0)[a]{end}\\bfig{end}  \\place(0,0)[a]\\to{end}"
+              f"\t\\square[A`B`C`D;f`g`h`k] \\place(0,0)[a\\{end}b]{end}\\efig{end}")
+    inner, outer = parse_source(source)
+    assert (inner.positions, inner.line, inner.col) == ([(4, 3), (4, 17), (5, 2), (5, 27)], 3, 1)
+    assert (outer.positions, outer.line, outer.col) == ([(1, 1), (2, 1)], 1, 1)
+    for tail, message in ((f"\\bfig{end}  \\bfig", "9:3: error: nested \\bfig"),
+                          (f"{end} \\efig", "9:2: error: \\efig without \\bfig"),
+                          (f"{end} \\bogus", "9:2: error: unknown command \\bogus")):
+        with pytest.raises(ParseError) as info:
+            parse_source(source + tail, "x.dg")
+        assert str(info.value) == "x.dg:" + message
+
+
 def test_positions_live_on_the_figure():
     figure, = parse_source("\\bfig\n\\place(0,0)[A]\n  \\place(0,0)[A] \\to\n\\efig")
     assert (figure.line, figure.col) == (1, 1)
@@ -340,8 +359,8 @@ def _square_grid(k):
 
 
 def test_parse_cost_per_byte_is_bounded():
-    # a reader that walks every token costs about 91 instructions per grid
-    # byte and 96 per corpus byte
+    # the section reader alone costs about 29 instructions per grid byte and
+    # 41 per corpus byte; one match per command, about 6.8 and 14.0
     def per_byte(texts):
         def parse():
             return [parse_source(t) for t in texts]
@@ -349,15 +368,30 @@ def test_parse_cost_per_byte_is_bounded():
         return opcodes(parse) / sum(map(len, texts))
 
     small, large = per_byte([_square_grid(10)]), per_byte([_square_grid(20)])
-    assert large <= 50
+    assert large <= 7.5
     assert large <= 1.1 * small
     corpus = sorted(Path(__file__).parent.joinpath("corpus").glob("*.dg"))
-    assert per_byte([p.read_text(encoding="utf-8") for p in corpus]) <= 85
+    assert per_byte([p.read_text(encoding="utf-8") for p in corpus]) <= 15.5
+
+
+def test_pattern_compile_cost_is_bounded():
+    # every process that parses compiles these once, on first use: about
+    # 208000 instructions, most of them the shared section pattern
+    patterns = (parser._sections, parser._command_name, parser._line_break, lexer._cutter)
+
+    def compile_all():
+        for pattern in patterns:
+            pattern()
+
+    for pattern in patterns:
+        pattern.cache_clear()
+    re.purge()
+    assert opcodes(compile_all) <= 230_000
 
 
 def test_compile_cost_per_arrow_is_bounded():
-    # parse, expand and merge; frozen dataclass records cost about 997
-    # instructions per arrow on the 20x20 grid
+    # parse, expand and merge: about 407 instructions per arrow on the 20x20
+    # grid (797 with the section reader alone)
     def per_arrow(k):
         text = _square_grid(k)
         compile_source(text)  # the scan patterns are compiled on first use
@@ -365,5 +399,5 @@ def test_compile_cost_per_arrow_is_bounded():
         return opcodes(lambda: compile_source(text)) / arrows
 
     small, large = per_arrow(10), per_arrow(20)
-    assert large <= 900
+    assert large <= 450
     assert large <= 1.05 * small

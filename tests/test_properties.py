@@ -1,5 +1,6 @@
 """Seeded, time-bounded property tests of the shared lexical rule, the
-command table, the decimal formatter, the width sum, the two clipping
+command table, the one-match reader against the section reader on
+mutated commands, the decimal formatter, the width sum, the two clipping
 paths of layout and its bounding box, and exact scaling of the SVG and
 TikZ printers, and those printers against their per-arrow reference.
 
@@ -8,6 +9,7 @@ repeats on every run and the suite's run time stays bounded.
 """
 import math
 import re
+import sys
 from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
@@ -38,6 +40,7 @@ from diagc import (
     expand_figure,
     merge_duplicate_nodes,
     parse_ir,
+    parse_source,
     render_figure,
     render_svg,
     render_tikz,
@@ -49,7 +52,7 @@ from diagc.geometry import decimal_formatter, format_decimal
 from diagc.ir import KIND_POS, KIND_VECTOR
 from diagc.metrics import DEFAULT_CHAR_WIDTH
 from diagc.lexer import group_end, section_end, split_top, strip_group, token_at
-from diagc.parser import COMMANDS, _Reader, format_command, parse_command
+from diagc.parser import COMMANDS, _Chain, _command, _Reader, format_command, parse_command
 from diagc.styles import STYLES
 
 BOUNDED = settings(
@@ -60,6 +63,7 @@ IR_ATOMS = ["\\{", "\\}", "\\\\", "\\alpha", "`", ";", "%", "a", "x", "²",
             "\x0c", "\x85", "\u2028"]
 FIELD_ATOMS = [atom for atom in IR_ATOMS if atom != "%"]  # a parsed field holds no bare %
 CORPUS = Path(__file__).with_name("corpus")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def balanced(atoms):
@@ -183,12 +187,43 @@ def test_reader_sections_agree_with_the_token_walk(atoms, lone, closer):
 @given(atoms=st.lists(st.sampled_from(SCAN_ATOMS), max_size=16))
 @example(atoms=["a", "\\\r", "\n", "b", "\r", "\r\n"])  # a token at the LF of a CR LF
 def test_where_agrees_with_the_token_walk_at_every_token(atoms):
+    # every token's offset turned into a line and column at once, by the
+    # table of line breaks that a figure's positions come from
     text = "".join(atoms)
     toks = tokens(text)
-    r = _Reader(text)
+    starts = [len("".join(toks[:k])) for k in range(len(toks) + 1)]
+    assert _Reader(text).positions(starts) == [where_by_tokens(toks, k)
+                                               for k in range(len(toks) + 1)]
+
+
+NAME_ATOMS = ["\\to", "\\bfig", "\\é", "\\a²", "\\{", "\\", " ", "\t", "\r", "\n", "\r\n",
+              "%", "a", "²"]
+
+
+@BOUNDED
+@given(atoms=st.lists(st.sampled_from(NAME_ATOMS), max_size=12))
+@example(atoms=["%", "\r", "\\to", "\r"])  # a comment runs past a lone CR
+def test_command_names_agree_with_the_token_walk(atoms):
+    # from every token: skip whitespace and comments, then read one control
+    # sequence; fail at a token that is none, or at the end after a lone \
+    text = "".join(atoms)
+    toks = tokens(text)
     for k in range(len(toks) + 1):
+        after = next((j for j in range(k, len(toks)) if toks[j][0] not in " \t\r\n%"),
+                     len(toks))
+        tok = "".join(toks[after:after + 1])
+        r = _Reader(text)
         r.pos = len("".join(toks[:k]))
-        assert r.where() == where_by_tokens(toks, k)
+        if tok == "\\" or tok[:1] not in ("", "\\"):
+            with pytest.raises(ParseError) as info:
+                r.name()
+            d = info.value.diagnostic
+            assert (d.message, (d.line, d.col)) == (
+                ("lone backslash at end of input", where_by_tokens(toks, after + 1))
+                if tok == "\\" else (f"unexpected character {tok[0]!r}", where_by_tokens(toks, after)))
+            continue
+        assert r.name() == tok
+        assert r.pos == len("".join(toks[:after + 1]))
 
 
 N4, L4 = "A`B`C`D", "f`g`h`k"
@@ -277,6 +312,87 @@ def test_format_command_reparses_to_the_same_command(cmd):
         expand_figure(Figure([cmd], [(1, 1)]))
     except DiagramError:
         pass
+
+
+# what a mutation puts into a command's printed text: whitespace, a
+# comment, line breaks, braces, control symbols that hide a stop, and
+# sections a command may lack
+MUTATIONS = [" ", "  ", "\t", "%c\n", "\r", "\r\n", "\n", "{", "}", "\\{", "\\`", "\\%", "`",
+             ";", "a", "[l]", "(1,2)", "|a|", "/>/", "<5>", "{3}", "^a"]
+
+
+@st.composite
+def mutated_commands(draw):
+    """A command's canonical text, short fields in it, with up to three
+    insertions after its name, a span wrapped in 0-3 brace groups, and
+    maybe a trailing ``\\``."""
+    text = format_command(draw(commands(field=st.sampled_from(
+        ["", "f", "{a}", "\\alpha", "a`b", "x_{1}", "{{a}}", "\\{"]))))
+    start = len(token_at(text, 0))
+    i, j = sorted(draw(st.lists(st.integers(start, len(text)), min_size=2, max_size=2)))
+    depth = draw(st.integers(0, 3))
+    text = text[:i] + "{" * depth + text[i:j] + "}" * depth + text[j:]
+    for at in sorted(draw(st.lists(st.integers(start, len(text)), max_size=3)), reverse=True):
+        text = text[:at] + draw(st.sampled_from(MUTATIONS)) + text[at:]
+    return text + "\\" * draw(st.booleans())
+
+
+def read_command(text):
+    """The command at the start of ``text`` and where its reader ends, or
+    the error it is, with the figures of ``text`` or their error."""
+    def error(exc):
+        d = exc.diagnostic
+        return d.message, d.line, d.col
+    r = _Reader(text)
+    try:
+        cmd = _command(r, r.token(), 0)
+        command = cmd, repr(cmd), r.pos
+    except ParseError as exc:
+        command = error(exc)
+    try:
+        figures = parse_source(text)
+        return command, figures, repr(figures)
+    except ParseError as exc:
+        return command, error(exc)
+
+
+@BOUNDED
+@given(text=mutated_commands())
+@example(text="\\to/>/ <500>")  # the pattern stops before a section the reader reads
+@example(text="\\three^a|b |c")
+@example(text="\\square[{{{A}}}`B`C`D;f`g`h`k]")
+@example(text="\\cube[A`B`C`D;f`g`h`k][a`b`c`d;p`q`r`s] [w`x`y`z\\`]")
+@example(text="\\place(0,0)[a;b]")  # a ; in a payload of one half
+@example(text="\\morphism[A  B`C;f]")  # a run of spaces that the reader makes one
+@example(text="\\vector(0,0)/>/<1,1>[A]")  # a section the command lacks
+def test_the_one_match_agrees_with_the_section_reader(text):
+    matched = read_command(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Chain, "take", lambda self, m, kind: None)  # every command falls back
+        assert read_command(text) == matched
+
+
+def test_the_common_spellings_are_read_by_one_match():
+    # a minimal source of every kind, the front_end benchmark's template of
+    # every kind filled in, and the corpus: none falls back
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    taken = _Chain.take
+
+    def must_take(self, m, kind):
+        values = taken(self, m, kind)
+        assert values is not None, f"\\{kind} falls back at {m.string[m.start():]!r}"
+        return values
+
+    sources = [*SOURCES.values(), *(text for _, text in workloads.front_end_sources(1)),
+               *(path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.dg")))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Chain, "take", must_take)
+        for source in sources:
+            parse_source(source)
 
 
 # short text fields, empty ones among them; half of the commands from the
