@@ -13,13 +13,12 @@ import argparse
 import os
 import sys
 import tempfile
-from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .compiler import FORMATS, compile_source, render_figure
 from .diagnostics import Diagnostic, DiagramError
 from .geometry import ScaleConfig, read_positive
-from .metrics import DEFAULT_METRICS, FontMetrics, MetricsError, load_metrics
+from .metrics import DEFAULT_METRICS, FontMetrics, load_metrics
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -53,34 +52,32 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 class _FileResult(NamedTuple):
-    path: Path
+    path: str
     outputs: List[Tuple[str, str]]  # (name, text)
     diagnostics: List[Diagnostic]
     status: int
 
 
-def _compile_file(
-    path: Path, fmt: str, cfg: ScaleConfig, metrics: FontMetrics
-) -> _FileResult:
+def _compile_file(path: str, fmt: str, cfg: ScaleConfig, metrics: FontMetrics) -> _FileResult:
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        return _FileResult(path, [], [Diagnostic("error", f"cannot read {path}: {exc}",
-                                                 str(path))], 2)
+        return _FileResult(path, [], [Diagnostic("error", f"cannot read {path}: {exc}", path)], 2)
     try:
-        figures = compile_source(text, str(path), cfg, metrics)
+        figures = compile_source(text, path, cfg, metrics)
     except DiagramError as exc:
         return _FileResult(path, [], [exc.diagnostic], 2)
     outputs: List[Tuple[str, str]] = []
     diagnostics: List[Diagnostic] = []
     status = 0
+    stem = os.path.basename(path)
+    dot = stem.rfind(".")  # the last suffix goes, as pathlib's stem reads it
+    stem = stem[:dot] if 0 < dot < len(stem) - 1 else stem
     ext = FORMATS[fmt]
     for index, figure in enumerate(figures):
         diagnostics.extend(figure.warnings)
-        if len(figures) > 1:
-            name = f"{path.stem}-{index + 1}{ext}"
-        else:
-            name = f"{path.stem}{ext}"
+        name = f"{stem}-{index + 1}{ext}" if len(figures) > 1 else stem + ext
         render_warnings: List[str] = []
         try:
             rendered = render_figure(figure, fmt, render_warnings)
@@ -88,17 +85,16 @@ def _compile_file(
             diagnostics.append(exc.diagnostic)
             status = 2
             continue
-        diagnostics.extend(
-            Diagnostic("warning", note, str(path), figure.line, figure.col)
-            for note in render_warnings
-        )
+        diagnostics.extend(Diagnostic("warning", note, path, figure.line, figure.col)
+                           for note in render_warnings)
         outputs.append((name, rendered))
     return _FileResult(path, outputs, diagnostics, status)
 
 
-def _write_atomic(dest: Path, text: str) -> None:
+def _write_atomic(dest: str, text: str) -> None:
     # no partial files: write to a sibling temp file, then rename over
-    fd, tmp = tempfile.mkstemp(dir=str(dest.parent), prefix=dest.name + ".")
+    directory, name = os.path.split(dest)
+    fd, tmp = tempfile.mkstemp(dir=directory or ".", prefix=name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -115,80 +111,69 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         cfg = ScaleConfig(read_positive(args.scale, "--scale"), read_positive(args.em, "--em"))
-    except ValueError as exc:
-        print(f"diagc: {exc}", file=sys.stderr)
-        return 2
-    try:
         metrics = load_metrics(args.metrics) if args.metrics else DEFAULT_METRICS
-    except MetricsError as exc:
+    except ValueError as exc:  # a MetricsError is a ValueError
         print(f"diagc: {exc}", file=sys.stderr)
         return 2
 
-    results = [_compile_file(Path(p), args.format, cfg, metrics) for p in args.inputs]
+    results = [_compile_file(path, args.format, cfg, metrics) for path in args.inputs]
+
+    out, check = args.output, args.check
+    single = out is not None and not out.endswith(os.sep) and not os.path.isdir(out or ".")
+    total_outputs = sum(len(r.outputs) for r in results)
+    if single and total_outputs > 1:
+        print(f"diagc: --output names a single file but there are {total_outputs} outputs; "
+              "pass a directory", file=sys.stderr)
+        return 2
+
+    # each input's destinations, one per output and none for a failed input:
+    # the golden file, the one -o file or <directory>/<name>, where no two
+    # inputs may write one file
+    plan: List[List[str]] = []
+    real: Dict[str, str] = {}  # output directory -> its resolved path
+    writer: Dict[Tuple[str, str], _FileResult] = {}  # (resolved directory, name) -> input
+    for result in results:
+        names = [] if result.status else [name for name, _ in result.outputs]
+        if check is not None or single:
+            plan.append([os.path.join(check, name) for name in names] if check is not None
+                        else [out] * len(names))
+            continue
+        base = os.path.dirname(result.path) if out is None else out
+        if base not in real:
+            real[base] = os.path.realpath(base)
+        plan.append([os.path.join(base, name) for name in names])
+        for name, dest in zip(names, plan[-1]):
+            first = writer.setdefault((real[base], name), result)
+            if first is not result:
+                print(f"diagc: {first.path} and {result.path} both write {dest}; nothing written",
+                      file=sys.stderr)
+                return 2
 
     status = 0
-    total_outputs = sum(len(r.outputs) for r in results)
-    out_arg = args.output
-    single_file_output = (
-        out_arg is not None
-        and not out_arg.endswith(os.sep)
-        and not Path(out_arg).is_dir()
-    )
-    if single_file_output and total_outputs > 1:
-        print(
-            "diagc: --output names a single file but there are "
-            f"{total_outputs} outputs; pass a directory",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.check is None and not single_file_output:
-        real: Dict[str, str] = {}  # output directory -> its resolved path
-        writer: Dict[Tuple[str, str], Path] = {}  # (resolved directory, name) -> input
-        for result in results:
-            if result.status:
-                continue  # a failed input writes nothing
-            base = out_arg if out_arg is not None else str(result.path.parent)
-            if base not in real:
-                real[base] = os.path.realpath(base)
-            for name, _ in result.outputs:
-                first = writer.setdefault((real[base], name), result.path)
-                if first is not result.path:
-                    print(
-                        f"diagc: {first} and {result.path} both write "
-                        f"{Path(base) / name}; nothing written",
-                        file=sys.stderr,
-                    )
-                    return 2
-
-    for result in results:
+    made = {""}  # the output directories made in this run; "" is the current one
+    for result, dests in zip(results, plan):
         for diag in result.diagnostics:
             print(diag.format(), file=sys.stderr)
         status = max(status, result.status)
         if args.strict and any(d.severity == "warning" for d in result.diagnostics):
             status = max(status, 1)
-        if result.status:
-            continue
-        for name, text in result.outputs:
-            if args.check is not None:
-                golden = Path(args.check) / name
+        for (name, text), dest in zip(result.outputs, dests):
+            if check is not None:
                 try:
-                    expected = golden.read_bytes()
+                    with open(dest, "rb") as fh:
+                        same = fh.read() == text.encode("utf-8")  # the bytes a write would give
+                    note = "" if same else f"golden mismatch for {name}"
                 except OSError:
-                    print(f"diagc: missing golden file {golden}", file=sys.stderr)
-                    status = max(status, 1)
-                    continue
-                if expected != text.encode("utf-8"):  # the bytes a write would give
-                    print(f"diagc: golden mismatch for {name}", file=sys.stderr)
+                    note = f"missing golden file {dest}"
+                if note:
+                    print(f"diagc: {note}", file=sys.stderr)
                     status = max(status, 1)
                 continue
-            if single_file_output:
-                dest = Path(out_arg)
-            else:
-                base = Path(out_arg) if out_arg is not None else result.path.parent
-                dest = base / name
+            directory = os.path.dirname(dest)
             try:
-                dest.parent.mkdir(parents=True, exist_ok=True)
+                if directory not in made:
+                    os.makedirs(directory, exist_ok=True)
+                    made.add(directory)
                 _write_atomic(dest, text)
             except OSError as exc:
                 print(f"diagc: cannot write {dest}: {exc}", file=sys.stderr)

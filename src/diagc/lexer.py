@@ -3,9 +3,10 @@
 A backslash and a run of letters (``str.isalpha``) is a control word, a
 backslash and any other character is a control symbol, and a backslash
 at the very end stands alone.  ``%`` starts a comment that runs through
-its newline.  A run of spaces, tabs and line breaks is one token; any
-other character is a token of its own.  Braces nest; control sequences
-are atomic, so the brace of ``\\{`` or ``\\}`` never counts.
+its line end: LF, CR LF or CR.  A run of spaces, tabs and line breaks is
+one token; any other character is a token of its own.  Braces nest;
+control sequences are atomic, so the brace of ``\\{`` or ``\\}`` never
+counts.
 
 Source text has comments.  Payload fields, IR text fields and measured
 text are already past the reader, so there ``%`` is an ordinary
@@ -37,7 +38,8 @@ from functools import lru_cache
 from typing import List, Pattern, Tuple
 
 _CONTROL = r"\\[^\W\d_]+|\\.|\\"
-_COMMENT = r"%[^\n]*\n?"
+LINE_END = r"\r\n?|\n"  # CR LF, a lone CR or LF each end one line
+_COMMENT = r"%[^\r\n]*(?:" + LINE_END + ")?"
 _SOURCE = re.compile(_CONTROL + "|" + _COMMENT + r"|[ \t\r\n]+|.", re.DOTALL)
 _CONTROLS = re.compile(_CONTROL, re.DOTALL)
 _SYMBOL = r"\\[\W\d_]"  # a control symbol; \ and a letter starts a control word
@@ -46,7 +48,7 @@ _DEPTH = {"{": 1, "}": -1}  # a control symbol leaves the depth as it is
 BLANK = re.compile(r"(?:[ \t\r\n]+|" + _COMMENT + ")*")  # whitespace and comments
 # in a section a control sequence stays, a comment goes, a backslash and a
 # line break is a control space and a whitespace run becomes one space
-_TIDY = re.compile(r"(\\(?:\r\n?|\n))|(\\.)|(" + _COMMENT + r")|[ \t\r\n]+")
+_TIDY = re.compile(r"(\\(?:" + LINE_END + "))|(\\.)|(" + _COMMENT + r")|[ \t\r\n]+")
 
 
 def _word_end(tok: str) -> int:

@@ -48,8 +48,8 @@ from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Pattern, Se
 
 from .diagnostics import Diagnostic, ParseError
 from .geometry import Point, read_positive
-from .lexer import (BLANK, cut, kept_field, lone_backslash, section_end, split_top,
-                    strip_group, tidy, token_at)
+from .lexer import (BLANK, LINE_END, cut, kept_field, lone_backslash, section_end,
+                    split_top, strip_group, tidy, token_at)
 
 
 class Command(NamedTuple):
@@ -313,7 +313,7 @@ def _sections() -> Pattern[str]:
 
 @lru_cache(maxsize=None)
 def _line_break() -> Pattern[str]:
-    return re.compile(r"\r\n|\r|\n")
+    return re.compile(LINE_END)
 
 
 @lru_cache(maxsize=None)

@@ -1,14 +1,21 @@
-"""Command-line behavior: outputs, exit codes, golden checks."""
+"""Command-line behavior: outputs, exit codes, golden checks, and the CLI
+contract on mutated corpus sources."""
 import os
 import subprocess
 import sys
+import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_properties import BOUNDED, CORPUS
 
 import diagc
-from diagc import ParseError, compile_source, load_metrics, render_figure
+from diagc import DiagramError, ParseError, compile_source, load_metrics, render_figure
 from diagc.cli import main
+from diagc.compiler import FORMATS
 from diagc.metrics import MetricsError
 
 GOOD = "\\bfig\n\\square[A`B`C`D;f`g`h`k]\n\\efig\n"
@@ -349,3 +356,108 @@ def test_the_cli_imports_no_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_an_output_directory_is_made_once_per_run(tmp_path, monkeypatch):
+    srcs = [str(_write(tmp_path, f"{name}.dg", GOOD)) for name in "abc"]
+    calls = []
+    makedirs = os.makedirs
+    monkeypatch.setattr(os, "makedirs", lambda *a, **k: calls.append(a) or makedirs(*a, **k))
+    out = tmp_path / "out"
+    assert main([*srcs, "-o", str(out) + os.sep]) == 0
+    assert len(calls) == 1 and sorted(os.listdir(out)) == ["a.svg", "b.svg", "c.svg"]
+
+
+def test_output_names_drop_the_last_suffix_as_pathlib_stem_does(tmp_path, capsys):
+    names = {"a.b.dg": "a.b.svg", "x.": "x..svg", "..dg": "..svg", ".dg": ".dg.svg"}
+    srcs = [str(_write(tmp_path, name, GOOD)) for name in names]
+    out = tmp_path / "out"
+    assert main([*srcs, "-o", str(out) + os.sep]) == 0
+    assert sorted(os.listdir(out)) == sorted(names.values())
+    assert [Path(name).stem + ".svg" for name in names] == list(names.values())
+    assert capsys.readouterr().err == ""
+
+
+def test_inputs_are_named_as_given(tmp_path, monkeypatch, capsys):
+    _write(tmp_path, "x.dg", ARITY_BAD)
+    monkeypatch.chdir(tmp_path)
+    assert main(["./x.dg"]) == 2
+    assert capsys.readouterr().err.startswith("./x.dg:1:")
+
+
+def test_one_input_given_twice_writes_nothing(tmp_path, capsys):
+    src = str(_write(tmp_path, "x.dg", GOOD))
+    assert main([src, src]) == 2
+    assert capsys.readouterr().err == (
+        f"diagc: {src} and {src} both write {tmp_path / 'x.svg'}; nothing written\n")
+    assert os.listdir(tmp_path) == ["x.dg"]
+
+
+CORPUS_TEXTS = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.dg"))]
+# what a mutation puts into a line of a corpus source: line ends, a
+# comment, braces, separators, a lone backslash, figure bounds, a character
+# SVG cannot carry, and sections that lay out an arrow inside its nodes
+MUTATION_ATOMS = ["\r", "\n", "% note", "{", "}", "[", "]", "`", ";", "\\", " ",
+                  "\\bfig", "\\efig", "\x0c", "<1,0>", "(0,0)", "\\morphism[A`B;f]"]
+
+
+@st.composite
+def mutated_corpus_sources(draw):
+    """A corpus source with LF, CR LF or CR line ends, and in up to two of
+    its lines an atom put in or up to 4 characters cut out."""
+    lines = draw(st.sampled_from(CORPUS_TEXTS)).split("\n")
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines) - 1))
+        line = lines[k]
+        pos = draw(st.integers(0, len(line)))
+        if draw(st.booleans()):
+            lines[k] = line[:pos] + draw(st.sampled_from(MUTATION_ATOMS)) + line[pos:]
+        else:
+            lines[k] = line[:pos] + line[pos + draw(st.integers(1, 4)):]
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+
+
+def _expected_outputs(text, filename, fmt):
+    """The files a run would write for ``text`` and whether it warned, or
+    None where it fails."""
+    try:
+        figures = compile_source(text, filename)
+        notes = []
+        rendered = [render_figure(figure, fmt, notes) for figure in figures]
+    except DiagramError:
+        return None, False
+    names = ([f"in-{k}{FORMATS[fmt]}" for k in range(1, len(figures) + 1)]
+             if len(figures) > 1 else [f"in{FORMATS[fmt]}"])
+    return dict(zip(names, rendered)), bool(notes) or any(f.warnings for f in figures)
+
+
+def _tree(root):
+    return sorted(os.path.relpath(os.path.join(d, f), root)
+                  for d, _, files in os.walk(root) for f in files)
+
+
+@BOUNDED
+@given(text=mutated_corpus_sources(), fmt=st.sampled_from(sorted(FORMATS)),
+       strict=st.booleans(), into_dir=st.booleans())
+def test_the_cli_keeps_its_contract_on_mutated_sources(text, fmt, strict, into_dir):
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "in.dg")
+        with open(src, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        out = os.path.join(tmp, "out") if into_dir else tmp
+        before = _tree(tmp)
+        argv = [src, "--format", fmt] + ["--strict"] * strict + ["-o", out + os.sep] * into_dir
+        status = main(argv)
+        expected, warned = _expected_outputs(text, src, fmt)
+        assert status == (2 if expected is None else 1 if strict and warned else 0)
+        written = sorted(set(_tree(tmp)) - set(before))
+        if status == 2:
+            assert written == [] and _tree(tmp) == before
+            return
+        assert written == sorted(os.path.relpath(os.path.join(out, name), tmp)
+                                 for name in expected)
+        for name, rendered in expected.items():
+            with open(os.path.join(out, name), encoding="utf-8", newline="") as fh:
+                assert fh.read() == rendered
+            if fmt == "svg":
+                ET.fromstring(rendered.encode("utf-8"))

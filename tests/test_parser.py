@@ -212,10 +212,11 @@ def test_whitespace_between_sections_is_free():
     assert tight == airy
 
 
-def test_comment_suppresses_newline_inside_payload():
-    cmd = parse_command("\\morphism[A%x\nB`C;f]")
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_comment_suppresses_newline_inside_payload(end):
+    cmd = parse_command(f"\\morphism[A%x{end}B`C;f]")
     assert cmd.nodes == ("AB", "C")
-    cmd = parse_command("\\morphism[A %x\nB`C;f]")
+    cmd = parse_command(f"\\morphism[A %x{end}B`C;f]")
     assert cmd.nodes == ("A B", "C")
 
 
@@ -250,6 +251,7 @@ def test_each_line_end_counts_once(end):
     """CR LF, a lone CR and LF each end one line; a backslash before one
     puts a token boundary inside a CR LF, and the count holds across it."""
     for source, where in ((f"\\place(0,0)[a]{end}\\bogus", (2, 1)),
+                          (f"\\place(0,0)[a] % note{end}\\bogus", (2, 1)),
                           (f"\\place(0,0)[a\\{end}b]{end}\\bogus", (3, 1)),
                           (f"\\to^\\{end}_x{end} \\bogus", (3, 2)),
                           (f"\\scalefactor\\{end}", (2, 1))):  # at the LF of a CR LF
