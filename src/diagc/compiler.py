@@ -60,11 +60,14 @@ def compile_source(
         if not raw_ir.nodes and not raw_ir.arrows:
             raise LayoutError(Diagnostic("error", "empty diagram: nothing to draw",
                                          filename, figure.line, figure.col))
+        # each conflict warning names the command that drew its later node
         merge_notes: List[str] = []
-        ir = merge_duplicate_nodes(raw_ir, merge_notes)
+        merge_seqs: List[int] = []
+        ir = merge_duplicate_nodes(raw_ir, merge_notes, merge_seqs)
         warnings = list(warnings) + [
-            Diagnostic("warning", note, filename, figure.line, figure.col)
-            for note in merge_notes
+            Diagnostic("warning", note, filename,
+                       *figure.positions[bisect_right(starts, seq) - 1])
+            for note, seq in zip(merge_notes, merge_seqs)
         ]
         out.append(CompiledFigure(ir, raw_ir, warnings, figure.line, figure.col,
                                   filename, metrics, figure.positions, starts))

@@ -7,12 +7,21 @@ to another, in drawing order.  Drawing order is part of the language's
 contract: it is observable in the token-stream output.  Every edge draws
 both of its nodes, so shared corners are drawn repeatedly and
 deduplicated later by merge_duplicate_nodes.
+
+One writer, ``_draw``, draws every edge: two node records and an arrow
+record appended in turn, with the label side looked up in a table.  A
+placement's side depends only on the signs of the edge's displacement,
+so a shape keeps, for each sign pair of its extent, its program with one
+side table per edge, made the first time a command draws it.  A
+``\\morphism``, the ``\\cube`` connectors and the ``\\pullback`` trident
+join points that no lattice places: their edges take the table of their
+own displacement, and a zero one is an error.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .diagnostics import Diagnostic, ExpandError
 from .geometry import DEFAULT_MARGIN, LABEL_SCALE, Point, ScaleConfig, exact, ratchet, tex_div
@@ -34,6 +43,7 @@ from .parser import COMMANDS, Command, Figure
 # builds a record from its fields without the Python-level __new__ of a
 # named tuple
 _new = tuple.__new__
+_NONE, _ON_LINE = LabelSide.NONE, LabelSide.ON_LINE
 
 
 def resolve_label_side(placement: str, dx: int, dy: int) -> LabelSide:
@@ -112,38 +122,18 @@ class _Builder:
             start, end, style, label, side, next(self.seq), kind, start_text, end_text,
             label2, offset_pt, local_scale, group)))
 
-    def morphism(self, cmd: Command, start: Point, end: Point, placement: str,
-                 style: str, text_a: str, text_b: str, label: str) -> None:
-        """One positioned arrow drawing both of its node texts.
-
-        An empty style token draws nothing: no arrow, no nodes.
-        """
-        if style == "":
-            return
-        dx, dy = end.x - start.x, end.y - start.y
-        if dx == 0 and dy == 0:
-            raise self.error(f"\\{cmd.kind}: degenerate arrow (zero displacement)")
-        self.node(start, text_a)
-        self.node(end, text_b)
-        side = resolve_label_side(placement, dx, dy)
-        if side is LabelSide.ON_LINE and label == "":
-            side = LabelSide.NONE
-        elif side is LabelSide.NONE and label:
-            # only unknown (or missing) placements land here with a label
-            self.warn(f"\\{cmd.kind}: unknown placement {placement!r}, label dropped")
-        self.arrow(start=start, end=end, style=style, label=label, side=side,
-                   kind=KIND_POS, start_text=text_a, end_text=text_b)
-
-    def stub(self, cmd: Command, at: Point, text: str, dx: int, dy: int, style: str,
-             to_node: bool) -> None:
-        """Boundary stub: one end on a node, the other free at (dx, dy)
-        from it; ``to_node`` draws it from the free end to the node."""
+    def stub(self, cmd: Command, at: Point, text: str, step: _Stub) -> None:
+        """Grid stub: one end on a node, the other free at the step's
+        direction times the command's stub lengths; a ``to_node`` stub is
+        drawn from the free end to the node.  An \\iiixii stub has one
+        length, no height, and only runs sideways."""
+        dx, dy = step.dx * cmd.stub[0], step.dy * cmd.stub[-1]
         if dx == 0 and dy == 0:
             raise self.error(f"\\{cmd.kind}: degenerate stub (zero extent)")
         free = Point(at.x + dx, at.y + dy)
         self.node(at, text)
-        start, end, ends = (free, at, ("", text)) if to_node else (at, free, (text, ""))
-        self.arrow(start=start, end=end, style=style, label="", side=LabelSide.NONE,
+        start, end, ends = (free, at, ("", text)) if step.to_node else (at, free, (text, ""))
+        self.arrow(start=start, end=end, style=step.style, label="", side=LabelSide.NONE,
                    kind=KIND_POS, start_text=ends[0], end_text=ends[1])
 
 
@@ -169,6 +159,9 @@ class _Shape(NamedTuple):
     lattice: Tuple[Tuple[int, int], ...]  # node k at origin + (i*dx, j*dy)
     program: tuple                       # _Edge and _Stub steps in drawing order
     degenerate: str                      # the error for a zero dx or dy
+    # the steps to draw by the signs (dx > 0, dy > 0) of the extent, made
+    # on first use
+    drawn: Dict[Tuple[bool, bool], tuple]
 
 
 # Grid stub directions: out of the right side and the bottom; into the
@@ -198,7 +191,7 @@ def _program(text: str) -> tuple:
 def _shape(lattice: str, program: str, degenerate: str = "degenerate extent") -> _Shape:
     """A row from its notation: the lattice is "i,j" per payload node."""
     points = tuple(tuple(int(v) for v in p.split(",")) for p in lattice.split())
-    return _Shape(points, _program(program), degenerate)
+    return _Shape(points, _program(program), degenerate, {})
 
 
 _SQUARE_LATTICE = "0,1 1,1 0,0 1,0"  # A top-left, B top-right, C bottom-left, D bottom-right
@@ -240,22 +233,73 @@ _VSQUARES_BOTTOM = _shape(_SQUARE_LATTICE, "gCD eAC fBD", _EDGE)
 # square's corners then the trident's node E
 _CONNECTORS = _program("bBF aAE cCG dDH")
 _TRIDENT = _program("aEB bEA cEC")
+_MORPHISM = _program("aAB")
 
 
-def _draw(b: _Builder, cmd: Command, program: tuple, pts: Sequence[Point],
-          texts: Sequence[str], part: Command, mask: int = 0,
-          stub: Sequence[int] = ()) -> None:
-    """Draw each step of ``program`` over nodes at ``pts`` named ``texts``
-    with the placements, styles and labels of ``part``."""
-    placements, styles, labels = part.placements, part.styles, part.labels
-    for step in program:
-        if type(step) is _Edge:
-            slot, i, j = step
-            b.morphism(cmd, pts[i], pts[j], placements[slot], styles[slot],
-                       texts[i], texts[j], labels[slot])
-        elif mask >> step.bit & 1:
-            b.stub(cmd, pts[step.node], texts[step.node], step.dx * stub[0],
-                   step.dy * stub[1], step.style, step.to_node)
+# the side of each known placement for a displacement of signs (sx, sy);
+# an unknown placement has no entry
+_SIDES = {(sx, sy): {p: resolve_label_side(p, sx, sy) for p in "lmrab"}
+          for sx in (-1, 0, 1) for sy in (-1, 0, 1)}
+
+
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _sided(program: tuple, pts: Sequence[Point]) -> tuple:
+    """The steps of ``program`` over nodes at ``pts``: each edge as (slot,
+    node a, node b, the side table of its displacement), each grid stub
+    as (its _Stub, its node, its node, None)."""
+    return tuple(
+        (step, step.node, step.node, None) if type(step) is _Stub else
+        (step.slot, step.a, step.b, _SIDES[_sign(pts[step.b].x - pts[step.a].x),
+                                           _sign(pts[step.b].y - pts[step.a].y)])
+        for step in program
+    )
+
+
+def _draw(b: _Builder, cmd: Command, steps: Sequence[tuple], pts: Sequence[Point],
+          texts: Sequence[str], placements: Sequence[str], styles: Sequence[str],
+          labels: Sequence[str]) -> None:
+    """The one edge writer: each edge of ``steps`` over nodes at ``pts``
+    named ``texts``, with the placement, style and label of its slot, as
+    its two nodes and then its arrow; each grid stub whose bit is set in
+    the command's mask.  An empty style token draws nothing; an unknown
+    placement draws no label and warns if there was one."""
+    add_node, add_arrow, seq = b.nodes.append, b.arrows.append, b.seq
+    for slot, i, j, sides in steps:
+        if sides is None:  # a grid stub, ``slot`` its _Stub
+            if cmd.mask >> slot.bit & 1:
+                b.stub(cmd, pts[i], texts[i], slot)
+            continue
+        style = styles[slot]
+        if not style:
+            continue
+        start, end, text_a, text_b, label = pts[i], pts[j], texts[i], texts[j], labels[slot]
+        add_node(_new(Node, (start, text_a, next(seq), "", False)))
+        add_node(_new(Node, (end, text_b, next(seq), "", False)))
+        side = sides.get(placements[slot])
+        if side is None:
+            if label:
+                b.warn(f"\\{cmd.kind}: unknown placement {placements[slot]!r}, label dropped")
+            side = _NONE
+        elif side is _ON_LINE and not label:
+            side = _NONE
+        add_arrow(_new(Arrow, (start, end, style, label, side, next(seq), KIND_POS,
+                               text_a, text_b, "", 0, 1, -1)))
+
+
+def _draw_free(b: _Builder, cmd: Command, program: tuple, pts: Sequence[Point],
+               texts: Sequence[str], placements: Sequence[str], styles: Sequence[str],
+               labels: Sequence[str]) -> None:
+    """Draw the edges of ``program`` between points that no lattice
+    places (a \\morphism's ends, the \\cube connectors, the \\pullback
+    trident): each takes the side table of its own displacement, and an
+    edge that draws must have one."""
+    for slot, i, j in program:
+        if pts[i] == pts[j] and styles[slot]:
+            raise b.error(f"\\{cmd.kind}: degenerate arrow (zero displacement)")
+    _draw(b, cmd, _sided(program, pts), pts, texts, placements, styles, labels)
 
 
 def _run(b: _Builder, cmd: Command, shape: _Shape, origin: Point, extent: Sequence[int],
@@ -267,10 +311,13 @@ def _run(b: _Builder, cmd: Command, shape: _Shape, origin: Point, extent: Sequen
     if dx == 0 or dy == 0:
         raise b.error(f"\\{cmd.kind}: {shape.degenerate}")
     x, y = origin
-    pts = [Point(x + i * dx, y + j * dy) for i, j in shape.lattice]
+    pts = [_new(Point, (x + i * dx, y + j * dy)) for i, j in shape.lattice]
     part = part or cmd
-    # an \iiixii stub has no height
-    _draw(b, cmd, shape.program, pts, texts or part.nodes, part, cmd.mask, (*cmd.stub, 0))
+    signs = dx > 0, dy > 0
+    steps = shape.drawn.get(signs)
+    if steps is None:  # each edge's displacement has signs that only these fix
+        steps = shape.drawn[signs] = _sided(shape.program, pts)
+    _draw(b, cmd, steps, pts, texts or part.nodes, part.placements, part.styles, part.labels)
     return pts
 
 
@@ -325,7 +372,8 @@ def _expand_cube(b: _Builder, cmd: Command) -> None:
     inner, connectors = cmd.parts
     pts = _run(b, cmd, _SQUARE, cmd.origin, cmd.extent)
     pts += _run(b, cmd, _SQUARE, inner.origin, inner.extent, inner)
-    _draw(b, cmd, _CONNECTORS, pts, cmd.nodes + inner.nodes, connectors)
+    _draw_free(b, cmd, _CONNECTORS, pts, cmd.nodes + inner.nodes, connectors.placements,
+               connectors.styles, connectors.labels)
     (ox, oy), (odx, ody) = cmd.origin, cmd.extent
     (ix, iy), (idx, idy) = inner.origin, inner.extent
     if not (ox <= ix and oy <= iy and ix + idx <= ox + odx and iy + idy <= oy + ody):
@@ -338,13 +386,16 @@ def _expand_pullback(b: _Builder, cmd: Command) -> None:
     (trident,) = cmd.parts
     pts = _run(b, cmd, _SQUARE, cmd.origin, cmd.extent)
     pts.append(Point(pts[0].x - trident.extent[0], pts[0].y + trident.extent[1]))
-    _draw(b, cmd, _TRIDENT, pts, cmd.nodes + trident.nodes, trident)
+    _draw_free(b, cmd, _TRIDENT, pts, cmd.nodes + trident.nodes, trident.placements,
+               trident.styles, trident.labels)
 
 
 def _expand_morphism(b: _Builder, cmd: Command) -> None:
+    """A one-edge program whose one placement is the whole placement
+    section."""
     (x, y), (dx, dy) = cmd.origin, cmd.extent
-    b.morphism(cmd, cmd.origin, Point(x + dx, y + dy), cmd.placements,
-               cmd.styles[0], cmd.nodes[0], cmd.nodes[1], cmd.labels[0])
+    _draw_free(b, cmd, _MORPHISM, (cmd.origin, _new(Point, (x + dx, y + dy))), cmd.nodes,
+               (cmd.placements,), cmd.styles, cmd.labels)
 
 
 def _expand_vector(b: _Builder, cmd: Command) -> None:

@@ -7,6 +7,10 @@ local scale are exact rationals, an int where the value is whole (the
 defaults are 0 and 1).  Nodes and arrows carry a creation-order seq
 that doubles as a stable id and keeps every backend's output
 deterministic.
+
+``merge_duplicate_nodes`` collapses the corners that shapes draw more
+than once, and records the seq of each node whose text conflicts with
+an earlier one, so the warning can name the command that drew it.
 """
 from __future__ import annotations
 
@@ -70,13 +74,14 @@ class DiagramIR(NamedTuple):
 
 
 def merge_duplicate_nodes(
-    d: DiagramIR, warnings: Optional[List[str]] = None
+    d: DiagramIR, warnings: Optional[List[str]] = None, seqs: Optional[List[int]] = None
 ) -> DiagramIR:
     """Collapse nodes with identical (anchor, text) to their first copy.
 
     Shapes overprint shared corners, so duplicates are the normal case.
     Same anchor with different text is kept (both copies) but reported,
-    since TeX would overprint it silently.  Idempotent; arrows are
+    since TeX would overprint it silently: one message in ``warnings``
+    per later copy, and its seq in ``seqs``.  Idempotent; arrows are
     untouched.
     """
     seen: dict = {}
@@ -92,6 +97,8 @@ def merge_duplicate_nodes(
                 f"two nodes at ({node.anchor.x},{node.anchor.y}) with "
                 f"different text: {other.text!r} and {node.text!r}"
             )
+            if seqs is not None:
+                seqs.append(node.seq)
         seen[key] = node
         by_anchor.setdefault(node.anchor, node)
         kept.append(node)

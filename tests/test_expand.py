@@ -10,9 +10,11 @@ import pytest
 from shape_fixtures import FIXTURES
 
 from diagc import (
+    DiagramIR,
     ExpandError,
     LabelSide,
     LayoutError,
+    Node,
     Point,
     ScaleConfig,
     compile_source,
@@ -142,11 +144,33 @@ def test_incidence_invariant_under_extents():
 
 def test_merge_idempotent_and_warns_on_text_conflict():
     fig = _expand_one("\\square[A`B`C`D;f`g`h`k]\n\\place(0,0)[Z]")
-    notes = []
-    merged = merge_duplicate_nodes(fig.ir, notes)
+    notes, seqs = [], []
+    merged = merge_duplicate_nodes(fig.raw_ir, notes, seqs)
     assert merged == merge_duplicate_nodes(merged)
     texts_at_origin = {n.text for n in merged.nodes if n.anchor == Point(0, 0)}
     assert texts_at_origin == {"C", "Z"}
+    assert notes == ["two nodes at (0,0) with different text: 'C' and 'Z'"]
+    assert seqs == [fig.raw_ir.nodes[-1].seq]  # the placed Z, drawn last
+
+
+def test_merge_keeps_the_first_node_per_anchor_and_text_in_order():
+    a, b, c = Point(0, 0), Point(500, 0), Point(0, 500)
+    nodes = [Node(b, "B", 0), Node(a, "A", 1), Node(b, "B", 2), Node(a, "X", 3),
+             Node(c, "C", 4), Node(a, "A", 5), Node(a, "X", 6), Node(a, "Y", 7)]
+    notes, seqs = [], []
+    merged = merge_duplicate_nodes(DiagramIR(tuple(nodes), ()), notes, seqs)
+    assert [n.seq for n in merged.nodes] == [0, 1, 3, 4, 7]
+    assert notes == ["two nodes at (0,0) with different text: 'A' and 'X'",
+                     "two nodes at (0,0) with different text: 'A' and 'Y'"]
+    assert seqs == [3, 7]
+
+
+def test_text_conflict_warning_names_the_command_of_the_later_node():
+    source = ("\\bfig\n\\morphism(0,0)[A`B;f]\n\n  \\morphism(0,0)/@{~>}/<500,0>[A`B;g]\n"
+              "\\morphism(0,0)<0,500>[X`C;h]\n\\efig\n")
+    (fig,) = compile_source(source, "w.dg")
+    assert [d.format() for d in fig.warnings] == [
+        "w.dg:5:1: warning: two nodes at (0,0) with different text: 'A' and 'X'"]
 
 
 def test_measure_morphism_width_examples():

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 from opcode_count import opcodes
 
-from diagc import ParseError, Point, compile_source, format_command, parse_command, parse_source
+from diagc import (ParseError, Point, compile_source, format_command, merge_duplicate_nodes,
+                   parse_command, parse_source)
 from diagc import lexer, parser
 
 
@@ -392,8 +393,9 @@ def test_pattern_compile_cost_is_bounded():
 
 
 def test_compile_cost_per_arrow_is_bounded():
-    # parse, expand and merge: about 407 instructions per arrow on the 20x20
-    # grid (797 with the section reader alone)
+    # parse, expand and merge: about 317 instructions per arrow on the 20x20
+    # grid, 170 of them expansion (412 and 265 with five Python calls per
+    # edge, 797 with the section reader alone)
     def per_arrow(k):
         text = _square_grid(k)
         compile_source(text)  # the scan patterns are compiled on first use
@@ -401,5 +403,17 @@ def test_compile_cost_per_arrow_is_bounded():
         return opcodes(lambda: compile_source(text)) / arrows
 
     small, large = per_arrow(10), per_arrow(20)
-    assert large <= 450
+    assert large <= 349
+    assert large <= 1.05 * small
+
+
+def test_merge_cost_per_node_is_bounded():
+    # the merge looks at each node once: about 16.7 instructions per node
+    # on the 20x20 grid's 3200 drawn nodes
+    def per_node(k):
+        raw = compile_source(_square_grid(k))[0].raw_ir
+        return opcodes(lambda: merge_duplicate_nodes(raw, [])) / len(raw.nodes)
+
+    small, large = per_node(10), per_node(20)
+    assert large <= 18.4
     assert large <= 1.05 * small

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from token_walk import split_top_by_tokens, tidy_by_tokens, tokens, top_level_end
 import box_walk
+import expand_walk
 import printer_walk
 import xypic_walk
 
@@ -228,6 +229,7 @@ def test_command_names_agree_with_the_token_walk(atoms):
 
 N4, L4 = "A`B`C`D", "f`g`h`k"
 N6, L7 = "A`B`C`D`E`F", "f`g`h`i`j`k`l"
+L12 = "a`b`c`d`e`f`g`h`i`j`k`l"
 SOURCES = {  # one minimal source per command kind
     "morphism": "\\morphism[A`B;f]",
     "vector": "\\vector(0,0)/>/<500,0>",
@@ -238,7 +240,7 @@ SOURCES = {  # one minimal source per command kind
     **{f"{k}trianglepair": f"\\{k}trianglepair[{N4};f`g`h`i`j]" for k in "AVCD"},
     "hSquares": f"\\hSquares[{N6};{L7}]",
     "vSquares": f"\\vSquares[{N6};{L7}]",
-    "iiixiii": "\\iiixiii[A`B`C`D`E`F`G`H`I;a`b`c`d`e`f`g`h`i`j`k`l]",
+    "iiixiii": f"\\iiixiii[A`B`C`D`E`F`G`H`I;{L12}]",
     "iiixii": f"\\iiixii[{N6};{L7}]",
     "cube": f"\\cube[{N4};{L4}][a`b`c`d;p`q`r`s][w`x`y`z]",
     "pullback": f"\\pullback[{N4};{L4}][E;p`q`r]",
@@ -260,13 +262,13 @@ def test_every_command_kind_has_a_source():
 
 
 @st.composite
-def commands(draw, field=balanced(FIELD_ATOMS), kinds=tuple(sorted(SOURCES))):
+def commands(draw, field=balanced(FIELD_ATOMS), kinds=tuple(sorted(SOURCES)), numbers=ints):
     """A command of one of ``kinds`` (any kind by default) with every
     field its sections fill drawn at random, each text field from
-    ``field``."""
+    ``field`` and each coordinate, extent and stub from ``numbers``."""
     kind = draw(st.sampled_from(kinds))
     strategies = {
-        "origin": st.builds(Point, ints, ints),
+        "origin": st.builds(Point, numbers, numbers),
         "placements": st.sampled_from("alrbmx"),
         "styles": st.one_of(st.sampled_from(STYLE_TOKENS), field),
         "nodes": field,
@@ -292,7 +294,7 @@ def commands(draw, field=balanced(FIELD_ATOMS), kinds=tuple(sorted(SOURCES))):
                     changes[name] = "".join(draw(strategies[name]) for _ in range(n))
                 elif isinstance(value, tuple) and not isinstance(value, Point):
                     # extents, stubs, directions, styles, nodes, labels
-                    each = strategies.get(name, ints)
+                    each = strategies.get(name, numbers)
                     changes[name] = tuple(draw(each) for _ in value)
                 else:
                     changes[name] = draw(strategies[name])
@@ -414,6 +416,53 @@ def test_xypic_agrees_with_the_group_walk(cmds):
     except DiagramError:
         return
     assert render_xypic(raw_ir) == xypic_walk.render_xypic(raw_ir)
+
+
+def _typed(value):
+    """A value with the type of each field, nested records included."""
+    if isinstance(value, tuple):
+        return type(value), tuple(map(_typed, value))
+    return type(value), value
+
+
+def _expansion(expand, cmds):
+    """What ``expand`` gives on a figure of ``cmds``: typed nodes and
+    arrows, scale, warnings and command starts, or the error."""
+    starts = []
+    try:
+        ir, warnings = expand(Figure(cmds, [(k + 1, 1) for k in range(len(cmds))]),
+                              filename="e.dg", starts=starts)
+    except DiagramError as exc:
+        return type(exc), exc.diagnostic, exc.seq
+    return _typed(ir.nodes), _typed(ir.arrows), ir.scale, warnings, starts
+
+
+# every kind that draws edges, with coordinates, extents and stubs from a
+# few values: extents of either sign and zero, \cube inner corners and the
+# \pullback trident node on outer corners, are common
+_EDGE_COMMANDS = commands(
+    field=st.sampled_from(["", "f", "{a}"]),
+    kinds=tuple(sorted(k for k, chain in COMMANDS.items() if chain.program in (
+        "morphism", "shape", "auto_square", "hsquares", "vsquares", "cube", "pullback",
+        "grid3x2"))),
+    numbers=st.sampled_from([0, 500, -500, 1000]),
+)
+
+
+@BOUNDED
+@given(cmds=st.lists(_EDGE_COMMANDS, min_size=1, max_size=3))
+# a zero displacement draws nothing, and is no error, where the edge has
+# no style: the \cube connector from C, the \pullback edge from E to A
+@example(cmds=[parse_command(
+    "\\cube[A`B`C`D;f`g`h`k](0,0)<500,500>[a`b`c`d;p`q`r`s]/>`>``>/[w`x`y`z]")])
+@example(cmds=[parse_command("\\pullback[A`B`C`D;f`g`h`k]/>``>/<0,0>[E;p`q`r]")])
+# grid stubs of two lengths, and every mask bit but the first
+@example(cmds=[parse_command(f"\\iiixiii{{4095}}<400,300>[A`B`C`D`E`F`G`H`I;{L12}]")])
+@example(cmds=[parse_command(f"\\iiixii{{14}}<400>[{N6};{L7}]")])
+def test_expansion_agrees_with_the_edge_walk(cmds):
+    # the one edge writer against the per-edge calls it replaced: the
+    # same records, field types included, warnings, starts and errors
+    assert _expansion(expand_figure, cmds) == _expansion(expand_walk.expand_figure, cmds)
 
 
 control_sequences = st.one_of(

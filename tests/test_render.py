@@ -383,9 +383,10 @@ def test_printer_cost_per_arrow_is_bounded(render, bound):
 
 def test_xypic_cost_per_arrow_is_bounded():
     # the per-kind builders cost about 158 instructions per arrow here,
-    # the one arrow writer about 145
+    # one arrow writer called per line about 126, one f-string per
+    # positioned line about 85
     large = _grid(16)
-    assert opcodes(lambda: render_xypic(large)) <= 175 * len(large.arrows)
+    assert opcodes(lambda: render_xypic(large)) <= 98 * len(large.arrows)
 
 
 def _fresh_render(source, fmt, scale):
@@ -493,6 +494,12 @@ def test_xypic_offset_is_a_decimal(offset, printed):
     # and TikZ print; never the exponent form TeX cannot read
     ir = _two_from_ir(lambda lines: [l.replace("offset=5/2", f"offset={offset}") for l in lines])
     assert f"\\ar@{{>}}@<{printed}pt>^{{a}}(200,0)" in render_xypic(ir)
+    # only an IR read back gives a positioned arrow an offset
+    ir = _two_from_ir(lambda lines: [l.replace("offset=5/2", f"offset={offset}")
+                                     .replace("kind=two", "kind=pos").replace("start={}", "start={A}")
+                                     for l in lines if "label={b}" not in l])
+    assert render_xypic(ir) == (f"\\POS(0,0)*+!!<0ex,.75ex>{{A}}\\ar@{{>}}@<{printed}pt>^-{{a}}"
+                                " (200,0)*+!!<0ex,.75ex>{}\n")
 
 
 def test_xypic_scale_prefix():
