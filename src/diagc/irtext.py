@@ -9,18 +9,28 @@ takes no other value.  ``_RECORDS`` states the format once: each row is
 a record's keyword and its fields, and each field gives its key, its
 kind and the attribute it reads.  A kind gives the %-conversion that
 writes a value, a pattern of the value's canonical spellings and the
-function that reads such a spelling.  ``emit_ir`` writes a record through one
-%-template made from its row.  ``parse_ir`` reads a line in one match of a
-whole-line pattern compiled from the same row on its first call, and
-accepts only what ``emit_ir`` writes: every field once, in order, one
-space apart, each the canonical spelling of a valid value.  In that
-pattern a braced text field holds no ``{`` and ends at the first ``}``
-that no backslash escapes.  A line whose text holds a nested group falls
-back to one pattern for each maximal run of fields that are not braced
-text, with each text field (balanced by construction) ending where
-``lexer.group_end`` says.  Either way the brace of ``\\{`` or ``\\}``
-never counts, and the accepted lines are the same.  Nodes and arrows are
-named tuples, built from the values by position.  A ratio spelled
+function that reads such a spelling.
+
+Both sides work a record kind at a time, all node lines and then all
+arrow lines, in C-level passes with no Python code per line or field.
+``emit_ir`` maps the %-template made from a row over the records'
+attributes; the one word spelled apart from its value (a node's empty
+``align`` as ``-``) is looked up over its column.  ``parse_ir`` matches
+each line of a block against a whole-line pattern compiled from the
+same row on its first call, transposes the matches' groups into
+columns and maps each column through its kind's reader; a ratio read
+twice in a block is one dict hit.  It accepts only what ``emit_ir``
+writes: every field once, in order, one space apart, each the canonical
+spelling of a valid value.  In that pattern a braced text field holds
+groups at most one level deep (``W_{0,0}``, ``@{>}``) and ends at the
+first ``}`` outside them that no backslash escapes.  A line whose text
+nests deeper falls back to one pattern for each maximal run of fields
+that are not braced text, with each text field (balanced by
+construction) ending where ``lexer.group_end`` says.  Either way the
+brace of ``\\{`` or ``\\}`` never counts, and the accepted lines are the
+same.  A block with a line at fault is read again a line at a time, so
+the IRSyntaxError names the first such line.  Nodes and arrows are
+named tuples, built from the columns by position.  A ratio spelled
 without ``/`` reads as an int, the type the compiler gives a whole
 offset or local scale, so a record read back equals the one written,
 field types included, and emit -> parse -> emit is a fixpoint.
@@ -30,11 +40,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat, takewhile
 from math import gcd
-from operator import attrgetter, itemgetter
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from operator import attrgetter, itemgetter, methodcaller
+from typing import (Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
-from .geometry import EX_RATIO, LABEL_SCALE, OBJECT_MARGIN, Point, ScaleConfig
+from .geometry import EX_RATIO, LABEL_SCALE, OBJECT_MARGIN, Memo, Point, ScaleConfig
 from .ir import (KIND_POS, KIND_THREE, KIND_TO, KIND_TWO, KIND_TWOAR, KIND_VECTOR,
                  Arrow, DiagramIR, LabelSide, Node)
 from .lexer import group_end
@@ -76,19 +88,14 @@ _FRACTION = _Kind("%s", f"(?:0|-?{_DIGITS})(?:/{_DIGITS})?", _ratio)
 _POSITIVE = _Kind("%s", f"{_DIGITS}(?:/{_DIGITS})?", _ratio)
 _FLAG = _Kind("%d", "[01]", {"0": False, "1": True}.__getitem__)
 _TEXT = _Kind("{%s}", None)
-# a text field with no nested group: any character but a brace or a
-# backslash, or a backslash and the character after it, as under the
-# lexer's rule only a control symbol can hide a brace
-_FLAT = r"\{((?:[^{}\\]|\\.)*)\}"
+# a text field whose groups nest at most one level: any character but a
+# brace or a backslash, a backslash and the character after it (under the
+# lexer's rule only a control symbol can hide a brace), or a group of such
+_FLAT = r"\{((?:[^{}\\]|\\.|\{(?:[^{}\\]|\\.)*\})*)\}"
 _ALIGN = _word({"-": "", "l": "l", "r": "r", "u": "u", "d": "d"})
 _ARROW_KIND = _word({k: k for k in (KIND_POS, KIND_VECTOR, KIND_TO, KIND_TWO, KIND_THREE,
                                     KIND_TWOAR)})
 _SIDE = _word({side.value: side for side in LabelSide})
-
-
-def _read(read: Callable[[str], Any], spelling: str) -> Any:
-    """``read(spelling)``: mapped over a line's readers and spellings."""
-    return read(spelling)
 
 
 class _Record:
@@ -99,7 +106,7 @@ class _Record:
 
     def __init__(self, keyword: str, cls: Optional[type],
                  *fields: Tuple[str, _Kind, str]) -> None:
-        self.keyword = keyword
+        self.keyword, self.cls = keyword, cls
         keys, self.kinds, self.attrs = zip(*fields)
         prefixes = [f" {key}=" if key else " " for key in keys]
         prefixes[0] = keyword + prefixes[0]
@@ -107,28 +114,31 @@ class _Record:
         self.template = "".join(p + kind.spec for p, kind in zip(prefixes, self.kinds)) + "\n"
         self.get = attrgetter(*self.attrs)
         self.spelled = tuple((i, kind.spell) for i, kind in enumerate(self.kinds) if kind.spell)
-        self.reads = tuple(kind.read for kind in self.kinds)
-        # each point's x, last first, so that merging it with its y keeps
-        # the indices of the points before it
+        self.reads = [kind.read for kind in self.kinds]
+        self.ratios = tuple(i for i, read in enumerate(self.reads) if read is _ratio)
+        # each point's x, last first, so that merging its column with its
+        # y's keeps the indices of the columns before it
         self.points = tuple(i for i, a in reversed(tuple(enumerate(self.attrs)))
                             if a.endswith(".x"))
-        if cls is None:
-            self.make = itemgetter(0)
-        else:
+        if cls is not None:
             names = list(dict.fromkeys(a.partition(".")[0] for a in self.attrs))
-            order = itemgetter(*map(names.index, cls._fields))
-            self.make = lambda values: tuple.__new__(cls, order(values))
+            self.order = itemgetter(*map(names.index, cls._fields))
 
-    def write(self, obj: Any) -> str:
-        values = self.get(obj)
-        for i, spell in self.spelled:
-            values = values[:i] + (spell[values[i]],) + values[i + 1:]
-        return self.template % values
+    def lines(self, records: Sequence[Any]) -> Iterable[str]:
+        """The lines of the records, in their order: the template over
+        each record's attributes, a spelled word looked up per column."""
+        rows = map(self.get, records)
+        if self.spelled and records:
+            columns = list(zip(*rows))
+            for i, spell in self.spelled:
+                columns[i] = map(spell.__getitem__, columns[i])
+            rows = zip(*columns)
+        return map(self.template.__mod__, rows)
 
     @cached_property
     def whole(self) -> re.Pattern:
-        """The reader of a line whose text fields are all ``_FLAT``: one
-        pattern, compiled on first use."""
+        """The reader of a line whose text fields are all ``_FLAT``, at
+        most one group deep: one pattern, compiled on first use."""
         return re.compile("".join(
             re.escape(prefix) + (_FLAT if kind.pattern is None else f"({kind.pattern})")
             for prefix, kind in zip(self.prefixes, self.kinds)) + r"\Z", re.DOTALL)
@@ -149,22 +159,45 @@ class _Record:
         head, *tail = map(re.compile, runs)
         return head, tuple(tail)
 
-    def parse(self, line: str) -> Any:
-        """The record of a line ``write`` could have written, or a scale
-        line's value; IRSyntaxError naming the line for any other."""
-        match = self.whole.match(line)
-        spellings = self._by_runs(line) if match is None else match.groups()
+    def read(self, lines: List[str]) -> Tuple[Any, ...]:
+        """The records of a block of lines that ``lines`` could have
+        written, or a scale line's values; IRSyntaxError naming the first
+        other line."""
+        if not lines:
+            return ()
         try:
-            values = list(map(_read, self.reads, spellings))
-        except ValueError:
-            raise IRSyntaxError(f"bad value in {line!r}") from None  # such as 2/4
+            matches = list(map(self.whole.match, lines))
+            if None in matches:
+                rows = [match.groups() if match else self._by_runs(line)
+                        for match, line in zip(matches, lines)]
+            else:
+                rows = map(re.Match.groups, matches)
+            reads = self.reads[:]
+            if len(lines) > 1:  # a spelling read twice is one dict hit
+                ratio = Memo(_ratio).__getitem__
+                for i in self.ratios:
+                    reads[i] = ratio
+            columns = list(map(list, map(map, reads, zip(*rows))))
+        except ValueError as error:  # IRSyntaxError, or a value such as 2/4
+            if len(lines) > 1:
+                for line in lines:
+                    self.read([line])  # raises for the first line at fault
+            if isinstance(error, IRSyntaxError):
+                raise
+            raise IRSyntaxError(f"bad value in {lines[0]!r}") from None
+        if self.cls is None:
+            return tuple(columns[0])
         for i in self.points:
-            values[i:i + 2] = [tuple.__new__(Point, values[i:i + 2])]
-        return self.make(values)
+            columns[i:i + 2] = [map(tuple.__new__, repeat(Point), zip(*columns[i:i + 2]))]
+        return tuple(map(tuple.__new__, repeat(self.cls), zip(*self.order(columns))))
+
+    def parse(self, line: str) -> Any:
+        """The record of one line, or a scale line's value."""
+        return self.read([line])[0]
 
     def _by_runs(self, line: str) -> List[str]:
-        """The spellings of a line whose text may hold a nested group: a
-        pattern per run of other fields, and each text field to where
+        """The spellings of a line whose text may nest deeper: a pattern
+        per run of other fields, and each text field to where
         ``group_end`` says."""
         head, tail = self.patterns
         match = head.match(line)
@@ -206,13 +239,14 @@ _HEAD = "".join([_HEADER, "\n", *(row.template for row in _SCALES),
                  *(line + "\n" for line in _CONSTANTS)])
 _SCALE_VALUES = attrgetter(*(a for row in _SCALES for a in row.attrs))
 _SEQ = attrgetter("seq")
+_IS_NODE = methodcaller("startswith", _NODE.keyword + " ")
 
 
 def emit_ir(d: DiagramIR) -> str:
     return "".join([
         _HEAD % _SCALE_VALUES(d.scale),
-        *map(_NODE.write, sorted(d.nodes, key=_SEQ)),
-        *map(_ARROW.write, sorted(d.arrows, key=_SEQ)),
+        *_NODE.lines(sorted(d.nodes, key=_SEQ)),
+        *_ARROW.lines(sorted(d.arrows, key=_SEQ)),
         _END + "\n",
     ])
 
@@ -231,13 +265,12 @@ def parse_ir(text: str) -> DiagramIR:
     if len(body) < head:
         keywords = [row.keyword for row in _SCALES] + [c.split()[0] for c in _CONSTANTS]
         raise IRSyntaxError(f"missing {keywords[len(body)]!r} line")
-    scale = [row.parse(line) for row, line in zip(_SCALES, body)]
-    for want, line in zip(_CONSTANTS, body[len(_SCALES):]):
-        if line != want:
-            raise IRSyntaxError(f"{line!r} is not the constant line {want!r}")
-    cfg = ScaleConfig(*scale)  # the scale lines are in ScaleConfig's field order
-    split = head
-    while split < len(body) and body[split].startswith(_NODE.keyword + " "):
-        split += 1
-    return DiagramIR(tuple(map(_NODE.parse, body[head:split])),
-                     tuple(map(_ARROW.parse, body[split:])), cfg)
+    # the scale lines are in ScaleConfig's field order
+    cfg = ScaleConfig(*map(_Record.parse, _SCALES, body))
+    if tuple(body[len(_SCALES):head]) != _CONSTANTS:
+        for want, line in zip(_CONSTANTS, body[len(_SCALES):]):
+            if line != want:
+                raise IRSyntaxError(f"{line!r} is not the constant line {want!r}")
+    records = body[head:]
+    nodes = list(takewhile(_IS_NODE, records))
+    return DiagramIR(_NODE.read(nodes), _ARROW.read(records[len(nodes):]), cfg)

@@ -6,7 +6,9 @@ takes only if ``str`` of the value gives the spelling back, or a braced
 text field to where ``lexer.group_end`` says.  Each constant line is a
 keyword and a number that must be the language's constant.  The
 patterns that ``parse_ir`` compiles from the table must accept exactly
-the lines it accepts, and read the same records.
+the lines it accepts, and read the same records.  The walk reads one
+line at a time, in order, and its IRSyntaxError keeps the line it
+rejects as ``line``: the line ``parse_ir``'s error must name.
 """
 from fractions import Fraction
 
@@ -49,6 +51,13 @@ _CONSTANTS = (("ex-ratio", EX_RATIO), ("label-scale", LABEL_SCALE),
               ("object-margin", OBJECT_MARGIN))
 
 
+def _rejected(message, line):
+    """IRSyntaxError for a line the walk rejects, which it keeps."""
+    error = IRSyntaxError(message)
+    error.line = line
+    return error
+
+
 def _reader(kind):
     """spelling -> value, raising on any spelling but the canonical one;
     None for braced text.  A word or a flag is a lookup in its table."""
@@ -58,18 +67,18 @@ def _reader(kind):
 
 
 def read_fields(row, line):
-    """attribute -> value of a line ``row.write`` could have written;
+    """attribute -> value of a line ``row.lines`` could have written;
     IRSyntaxError naming the line for any other."""
     values = []
     pos = 0
     for prefix, read in zip(row.prefixes, map(_reader, row.kinds)):
         if not line.startswith(prefix, pos):
-            raise IRSyntaxError(f"expected {prefix.strip()!r} in {line!r}")
+            raise _rejected(f"expected {prefix.strip()!r} in {line!r}", line)
         pos += len(prefix)
         if read is None:
             end = group_end(line, pos)
             if end < 0:
-                raise IRSyntaxError(f"unbalanced braces in {line!r}")
+                raise _rejected(f"unbalanced braces in {line!r}", line)
             values.append(line[pos + 1:end - 1])
         else:
             end = line.find(" ", pos)
@@ -78,10 +87,10 @@ def read_fields(row, line):
             try:
                 values.append(read(line[pos:end]))
             except (ValueError, KeyError, ZeroDivisionError):
-                raise IRSyntaxError(f"bad value {line[pos:end]!r} in {line!r}") from None
+                raise _rejected(f"bad value {line[pos:end]!r} in {line!r}", line) from None
         pos = end
     if pos != len(line):
-        raise IRSyntaxError(f"trailing text in {line!r}")
+        raise _rejected(f"trailing text in {line!r}", line)
     fields = dict(zip(row.attrs, values))
     points = dict.fromkeys(a.partition(".")[0] for a in row.attrs if "." in a)
     for name in points:
@@ -121,7 +130,7 @@ def parse_ir_by_fields(text):
         except (ValueError, ZeroDivisionError):
             read = None
         if read != value:
-            raise IRSyntaxError(f"{line!r} is not the {keyword} line")
+            raise _rejected(f"{line!r} is not the {keyword} line", line)
     cfg = ScaleConfig(**scale)
     split = head
     while split < len(body) and body[split].startswith(_NODE.keyword + " "):

@@ -130,29 +130,66 @@ def test_line_separators_in_text_round_trip(separator):
     assert emit_ir(back) == dump
 
 
+def _read_cost_per_line(dumps):
+    """Instructions ``parse_ir`` runs per line of the dumps, counted once
+    the reader's patterns are compiled, so that the count does not depend
+    on which test read IR first."""
+    for dump in dumps:
+        parse_ir(dump)
+    return opcodes(lambda: [parse_ir(dump) for dump in dumps]) / sum(
+        dump.count("\n") for dump in dumps)
+
+
 def test_parse_ir_cost_per_line_is_bounded():
-    # counted once the reader's patterns are compiled, so that the count
-    # does not depend on which test read IR first: a line is read by one
-    # whole-line match, about 134 instructions per corpus line; by one
-    # pattern per run of fields between text fields it cost about 397
+    # the lines of a record kind are read as one block, with no Python
+    # code per line or field: about 28.6 instructions per corpus line, the
+    # cost of a block spread over the figure's lines; with one match and a
+    # Python call per line and per field it cost about 134
     corpus = sorted(Path(__file__).with_name("corpus").glob("*.dg"))
     dumps = [emit_ir(figure.ir) for path in corpus
              for figure in compile_source(path.read_text(encoding="utf-8"))]
-    lines = sum(dump.count("\n") for dump in dumps)
-    for dump in dumps:
-        parse_ir(dump)
-    assert opcodes(lambda: [parse_ir(dump) for dump in dumps]) <= 160 * lines
+    assert _read_cost_per_line(dumps) <= 33
+
+
+def _subscripted_grid(k):
+    """A k x k grid of squares whose node texts are ``W_{i,j}``."""
+    w = "W_{{{},{}}}".format
+    return compile_source("\n".join(
+        f"\\square({500 * i},{500 * j})[{w(i, j + 1)}`{w(i + 1, j + 1)}`{w(i, j)}`"
+        f"{w(i + 1, j)};f`g`h`k]" for i in range(k) for j in range(k)))[0].ir
+
+
+def test_reading_back_subscripted_text_costs_no_more_per_line_than_the_corpus():
+    # a text field nesting one group (W_{0,0}) is read in the one match,
+    # so the 1320 lines of this grid cost about 0.5 instructions a line:
+    # the blocks' cost, with no Python code per line; when every arrow
+    # line fell back to group_end it cost about 704
+    assert _read_cost_per_line([emit_ir(_subscripted_grid(16))]) <= 1
 
 
 def test_emit_ir_cost_per_line_is_bounded():
-    # counted after one warm-up render; a side is written as the string it
-    # is, so an arrow line is one %-template over its attributes, about 21
-    # instructions per corpus line; a side spelled from a map cost about 33
+    # counted after one warm-up render; the lines of a record kind are one
+    # map of its %-template over the records' attributes, with the node's
+    # align spelled per column: about 5.4 instructions per corpus line;
+    # with a Python call per record line it cost about 21
     corpus = sorted(Path(__file__).with_name("corpus").glob("*.dg"))
     irs = [figure.ir for path in corpus
            for figure in compile_source(path.read_text(encoding="utf-8"))]
     lines = sum(emit_ir(ir).count("\n") for ir in irs)
-    assert opcodes(lambda: [emit_ir(ir) for ir in irs]) <= 26 * lines
+    assert opcodes(lambda: [emit_ir(ir) for ir in irs]) <= 6.2 * lines
+
+
+GOLDEN_IR = sorted(Path(__file__).parent.joinpath("golden", "ir").glob("*.ir"))
+
+
+@pytest.mark.parametrize("golden", GOLDEN_IR, ids=[p.stem for p in GOLDEN_IR])
+def test_a_golden_dump_reads_back_and_writes_the_same_bytes(golden):
+    dump = golden.read_bytes().decode("utf-8")
+    assert emit_ir(parse_ir(dump)) == dump
+
+
+def test_every_corpus_figure_has_a_golden_dump():
+    assert len(GOLDEN_IR) == 29
 
 
 CORPUS = sorted(Path(__file__).with_name("corpus").glob("*.dg"))
@@ -171,12 +208,19 @@ ATOMS = ["\\{", "\\}", "{", "}", "\\", " ", "  ", "\t", "="]
 
 @st.composite
 def mutated_dumps(draw):
-    """A dump with one of its record lines changed: fields edited to other
-    spellings, swapped, repeated or dropped, spaces changed, and braces
-    or escaped braces put in."""
+    """A dump with one or two of its record lines changed (a scale,
+    constant, node or arrow line): fields edited to other spellings,
+    swapped, repeated or dropped, spaces changed, and braces or escaped
+    braces put in."""
     lines = draw(st.sampled_from(DUMPS)).split("\n")
-    k = draw(st.integers(1, len(lines) - 3))  # a scale, node or arrow line
-    fields = lines[k].split(" ")
+    for k in sorted(draw(st.sets(st.integers(1, len(lines) - 3), min_size=1, max_size=2))):
+        lines[k] = _mutated(draw, lines[k])
+    return "\n".join(lines)
+
+
+def _mutated(draw, line):
+    """The line, changed as ``mutated_dumps`` says."""
+    fields = line.split(" ")
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(fields) - 1))
         j = draw(st.integers(0, len(fields) - 1))
@@ -198,8 +242,7 @@ def mutated_dumps(draw):
     for atom in draw(st.lists(st.sampled_from(ATOMS), max_size=2)):
         at = draw(st.integers(0, len(line)))
         line = line[:at] + atom + line[at:]
-    lines[k] = line
-    return "\n".join(lines)
+    return line
 
 
 def _outcome(read, *args):
@@ -231,6 +274,82 @@ def test_the_reader_agrees_with_the_field_walk(text):
         for row in _RECORDS:
             assert _outcome(row.parse, line) == _outcome(parse_by_fields, row, line), line
     assert _outcome(parse_ir, text) == _outcome(parse_ir_by_fields, text)
+    _names_the_line_the_walk_rejects(text)
+
+
+def _names_the_line_the_walk_rejects(text):
+    """Where the field walk rejects a line of the dump, reading it line by
+    line, parse_ir's IRSyntaxError names that line; the line, or None."""
+    try:
+        parse_ir_by_fields(text)
+    except IRSyntaxError as walk:
+        line = getattr(walk, "line", None)  # None: a missing header or line
+    else:
+        return None
+    with pytest.raises(IRSyntaxError) as info:
+        parse_ir(text)
+    if line is not None:
+        assert repr(line) in str(info.value)
+    return line
+
+
+def _dump(source):
+    return emit_ir(compile_source(source)[0].ir)
+
+
+# nodes 0, 1, 3, 4; arrow 2 plain, arrow 5 with text nested two deep
+TWO = _dump("\\morphism(0,0)[A`B;f]\n\\morphism(0,500)[{a{b{c}}}`D;g]")
+# the same, arrow 2 nested two deep and arrow 5 plain
+DEEP_FIRST = _dump("\\morphism(0,500)[{a{b{c}}}`D;g]\n\\morphism(0,0)[A`B;f]")
+NO_NODES = _dump("\\to^{f}\n\\to^{g}")
+NO_ARROWS = _dump("\\place(0,0)[X]\n\\place(0,500)[Y]")
+
+
+def _line(dump, prefix):
+    return next(line for line in dump.split("\n") if line.startswith(prefix))
+
+
+def _edited(dump, *edits):
+    """The dump with each (line prefix, old, new) edit made in its line,
+    and the first line edited."""
+    lines = []
+    for prefix, old, new in edits:
+        line = _line(dump, prefix)
+        assert old in line
+        dump = dump.replace(line, line.replace(old, new, 1), 1)
+        lines.append(line.replace(old, new, 1))
+    return dump, lines[0]
+
+
+BAD_BLOCKS = {
+    "bad node and bad arrow": _edited(TWO, ("node seq=1 ", "x=500", "x=0500"),
+                                      ("arrow seq=5 ", "kind=pos", "kind=bogus")),
+    "two bad arrows": _edited(TWO, ("arrow seq=2 ", "offset=0", "offset=2/4"),
+                              ("arrow seq=5 ", "lscale=1", "lscale=0")),
+    "malformed arrow before a bad value": _edited(
+        TWO, ("arrow seq=2 ", "lscale=1", "lscale=0"), ("arrow seq=5 ", "offset=0", "offset=2/4")),
+    "bad value after text nested two deep": _edited(
+        DEEP_FIRST, ("arrow seq=5 ", "offset=0", "offset=2/4")),
+    "bad value in text nested two deep": _edited(
+        DEEP_FIRST, ("arrow seq=2 ", "offset=0", "offset=2/4")),
+    "no node lines": _edited(NO_NODES, ("arrow seq=1 ", "group=1", "group=01")),
+    "no arrow lines": _edited(NO_ARROWS, ("node seq=1 ", "text={Y}", "text={Y")),
+}
+
+
+@pytest.mark.parametrize("text, line", BAD_BLOCKS.values(), ids=BAD_BLOCKS)
+def test_a_block_read_names_its_first_bad_line(text, line):
+    assert _names_the_line_the_walk_rejects(text) == line
+    with pytest.raises(IRSyntaxError, match=re.escape(repr(line))):
+        parse_ir(text)
+
+
+@pytest.mark.parametrize("dump", [TWO, DEEP_FIRST, NO_NODES, NO_ARROWS],
+                         ids=["two", "deep first", "no nodes", "no arrows"])
+def test_a_dump_with_an_empty_or_deep_block_reads_back(dump):
+    back = parse_ir(dump)
+    assert back == parse_ir_by_fields(dump)
+    assert emit_ir(back) == dump
 
 
 @pytest.mark.parametrize("name", IRS)
@@ -262,23 +381,30 @@ def _group_end_calls():
         irtext.group_end = group_end
 
 
-def _nests(text):
-    """Whether text holds a group: a ``{`` that no backslash escapes."""
-    return "{" in re.sub(r"\\.", "", text, flags=re.S)
+def _depth(text):
+    """How deep the groups of text nest, by the ``{`` and ``}`` that no
+    backslash escapes: 0 for text with no group."""
+    depth = deepest = 0
+    for brace in re.sub(r"[^{}]", "", re.sub(r"\\.", "", text, flags=re.S)):
+        depth += 1 if brace == "{" else -1
+        deepest = max(deepest, depth)
+    return deepest
 
 
 def test_reading_the_corpus_back_walks_groups_only_where_text_nests():
-    # the one-match reader serves every line whose text fields are flat
-    nested = set()
+    # the one match serves every line whose text nests at most one group
+    # deep, such as the style {@{>}@/^1em/}; group_end reads only deeper text
+    depths = {}
     for ir in IRS.values():
         for row, records in ((_NODE, ir.nodes), (_ARROW, ir.arrows)):
             texts = [a for a, kind in zip(row.attrs, row.kinds) if kind.pattern is None]
-            nested.update(row.write(r)[:-1] for r in records
-                          if any(_nests(getattr(r, a)) for a in texts))
+            for line, record in zip(row.lines(records), records):
+                depths[line[:-1]] = max(_depth(getattr(record, a)) for a in texts)
+    assert 1 in depths.values()
     with _group_end_calls() as lines:
         for dump in DUMPS:
             parse_ir(dump)
-    assert set(lines) == nested
+    assert set(lines) == {line for line, depth in depths.items() if depth > 1}
 
 
 # text atoms: letters, a control word, control symbols (the only tokens
@@ -292,8 +418,9 @@ GROUPS = GROUP | st.tuples(FLAT_TEXT, GROUP, FLAT_TEXT).map("{%s%s%s}".__mod__)
 
 @st.composite
 def record_lines(draw):
-    """A node or arrow line, and whether all its text fields are flat (no
-    group, no lone backslash).  A field that is not text is a spelling
+    """A node or arrow line, and whether it is read in the one match: its
+    text fields nest at most one group deep and hold no lone backslash.
+    A field that is not text is a spelling
     its pattern takes.  A text field is atoms; in a "nested" line also
     groups one or two levels deep, and in a "lone" line at times a lone
     backslash before the closing brace."""
@@ -302,30 +429,33 @@ def record_lines(draw):
     piece = st.sampled_from(TEXT_ATOMS)
     if shape == "nested":
         piece |= GROUPS
-    flat, fields = True, []
+    shallow, fields = True, []
     for prefix, kind in zip(row.prefixes, row.kinds):
         if kind.pattern is None:
             pieces = draw(st.lists(piece, max_size=4))
             lone = "\\" if shape == "lone" and draw(st.booleans()) else ""
-            flat = flat and not lone and not any(p[0] == "{" for p in pieces)
+            shallow = shallow and not lone and all(_depth(p) <= 1 for p in pieces)
             fields.append(f"{prefix}{{{''.join(pieces)}{lone}}}")
         else:
             fields.append(prefix + draw(st.from_regex(kind.pattern, fullmatch=True)))
-    return row, "".join(fields), flat
+    return row, "".join(fields), shallow
 
 
 @BOUNDED
 @given(case=record_lines())
 @example(case=(_ARROW, "arrow seq=32 kind=pos x1=0 y1=-3000 x2=500 y2=-3000 "
                "style={@{>}@/^1em/} label={raw} side=above label2={} start={A} end={B} "
-               "offset=0 lscale=1 group=-1", False))
+               "offset=0 lscale=1 group=-1", True))
+@example(case=(_NODE, "node seq=1 x=0 y=0 align=- standalone=0 text={W_{0,0}}", True))
+@example(case=(_NODE, "node seq=1 x=0 y=0 align=- standalone=0 text={a{b{c}}}", False))
 @example(case=(_NODE, "node seq=1 x=0 y=0 align=- standalone=0 text={A\\times B}", True))
 @example(case=(_NODE, "node seq=1 x=0 y=0 align=- standalone=0 text={\\{a\\}}", True))
 @example(case=(_NODE, "node seq=1 x=0 y=0 align=- standalone=0 text={a\\}", False))
 def test_the_reader_agrees_with_the_field_walk_on_text_fields(case):
-    row, line, flat = case
+    row, line, shallow = case
     with _group_end_calls() as calls:
         read = _outcome(row.parse, line)
     assert read == _outcome(parse_by_fields, row, line), line
-    # a line with flat text is read in one match; any other falls back
-    assert bool(calls) != flat, line
+    # a line whose text nests at most one group deep is read in one match;
+    # any other falls back
+    assert bool(calls) != shallow, line
