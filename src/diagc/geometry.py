@@ -4,13 +4,17 @@ All diagram coordinates are signed integers measured in centi-em
 (0.01 em), the native unit of the command language.  Arithmetic here is
 exact; conversion to physical lengths happens only at render time,
 through ScaleConfig, so diagrams expand identically at every scale.
+
+Numbers are written by one exact-decimal rule: ``decimal_base`` factors
+a denominator once, and ``format_decimal`` (one number) and the
+``Decimals`` memo (every number of a render over one denominator) write
+each quotient from it.
 """
 from __future__ import annotations
 
 import math
 import re
 from fractions import Fraction
-from functools import partial
 from typing import Callable, NamedTuple, Tuple, Union
 
 DEFAULT_MARGIN = 150   # margin added to measured inline-arrow labels
@@ -99,34 +103,30 @@ class ScaleConfig(NamedTuple):
         return ScaleConfig(exact(self.scale), exact(self.em_size))
 
 
-def decimal_formatter(den: int) -> Tuple[Callable[[int], str], bool]:
-    """(num -> decimal of num / den, whether every such decimal is exact).
+# how num / den is written, for one den > 0: (den, 10^p, 10^p / den, a
+# %-pattern of p places) for the fewest places p >= 1 that hold every
+# num / den exactly; (den, 0, 0, "") when den has a prime other than 2 and 5
+DecimalBase = Tuple[int, int, int, str]
 
-    den > 0 is factored once.  When den = 2^a * 5^b, max(a, b) places
-    hold every num / den exactly, and each number costs one multiply and
-    one divmod.  Any other den hands each number to format_decimal,
-    which reduces it first and rounds to six places only what stays
-    inexact.
+
+def decimal_base(den: int) -> DecimalBase:
+    """Factor den > 0 once, for every number written over it.
+
+    When den = 2^a * 5^b, max(a, b) places (at least one) hold every
+    num / den exactly, and each number costs one multiply and one
+    divmod.  Any other den leaves each number to format_decimal, which
+    reduces it first and rounds to six places only what stays inexact.
     """
     twos = (den & -den).bit_length() - 1
     rest, fives = den >> twos, 0
     while rest % 5 == 0:
         rest //= 5
         fives += 1
-    places = max(twos, fives)
     if rest != 1:
-        return partial(format_decimal, den=den), False
-    if not places:
-        return str, True
+        return den, 0, 0, ""
+    places = max(twos, fives, 1)
     scale = 10**places
-    mul = scale // den
-    pattern = f"%d.%0{places}d"
-
-    def fixed(num: int) -> str:
-        text = (pattern % divmod(abs(num) * mul, scale)).rstrip("0").rstrip(".")
-        return "-" + text if num < 0 else text
-
-    return fixed, True
+    return den, scale, scale // den, f"%d.%0{places}d"
 
 
 class Memo(dict):
@@ -144,6 +144,35 @@ class Memo(dict):
         return value
 
 
+class Decimals(dict):
+    """v -> the decimal of (v * mul + shift) / den, written on first use
+    and kept: a hit is one C-level lookup, a miss one Python call.
+
+    ``base`` is ``decimal_base(den)``, so memos over one den share its
+    factoring.  The decimal is exact and minimal when den has only 2 and
+    5 in it, and is format_decimal's otherwise.
+    """
+
+    __slots__ = ("mul", "shift", "scale", "pattern", "den")
+
+    def __init__(self, base: DecimalBase, mul: int, shift: int = 0) -> None:
+        self.den, self.scale, per, self.pattern = base
+        if self.scale:   # count in units of the last place
+            mul, shift = mul * per, shift * per
+        self.mul, self.shift = mul, shift
+
+    def __missing__(self, v: int) -> str:
+        num = v * self.mul + self.shift
+        if not self.scale:
+            text = format_decimal(num, self.den)
+        elif num < 0:
+            text = "-" + (self.pattern % divmod(-num, self.scale)).rstrip("0").rstrip(".")
+        else:
+            text = (self.pattern % divmod(num, self.scale)).rstrip("0").rstrip(".")
+        self[v] = text
+        return text
+
+
 def format_decimal(num: int, den: int = 1) -> str:
     """Exact, minimal decimal rendering of num / den (den > 0).
 
@@ -152,7 +181,8 @@ def format_decimal(num: int, den: int = 1) -> str:
     """
     g = math.gcd(num, den)
     num, den = num // g, den // g
-    fmt, exact = decimal_formatter(den)
-    if exact:
-        return fmt(num)
-    return f"{num / den:.6f}".rstrip("0").rstrip(".")
+    _, scale, per, pattern = decimal_base(den)
+    if not scale:
+        return f"{num / den:.6f}".rstrip("0").rstrip(".")
+    text = (pattern % divmod(abs(num) * per, scale)).rstrip("0").rstrip(".")
+    return "-" + text if num < 0 else text

@@ -8,29 +8,36 @@ built.
 Layout coordinates are plain integers in milli-centi-em: QUANTUM of
 them make one centi-em.  Each point is its exact rational position
 rounded once to that grid, to the nearest integer with ties away from
-zero (``round_div`` over the whole exact sum).  The only float is the
-unit vector of a diagonal direction, which enters at its exact binary
-value.  Nothing here depends on the render scale, so rendering at scale
-s yields coordinates exactly s times the scale-1 coordinates.
+zero (``round_div``'s rule over the whole exact sum).  The only float is
+the unit vector of a diagonal direction, which enters at its exact
+binary value; an arrow too long for a float direction is a
+``LayoutError`` naming its command.  Nothing here depends on the render
+scale, so rendering at scale s yields coordinates exactly s times the
+scale-1 coordinates.
 
 A horizontal or vertical arrow at local scale 1 with no offset (every
 edge of a square grid) needs no rational at all: each clipped end is
 its endpoint shifted by an integer along the axis, and an above or
 below label centre is the anchor shifted by the label gap across it,
 so the one rounding left is the anchor midpoint.  The walk clips these
-inline; every other arrow takes the general path, which gives the same
-points on these.  Node and label widths come from ``text_width``, a
-plain table sum for text with no ``\\``; one layout measures each node
-text and each distinct label text once.  The records are named tuples,
-built by ``tuple.__new__`` without the Python-level ``__new__`` of a
-named tuple.
+inline; every other arrow takes ``clip_general``, which gives the same
+points on these.  It too is straight-line code: each end's exit
+parameter is a pair of integer locals, each point is rounded by one
+floor division written out, the unit vector across the path is made
+once per arrow, and only the knockout of an on-line label is a call of
+its own.  Node and label widths come from ``text_width``, a plain table
+sum for text with no ``\\``; one layout measures each node text and
+each distinct label text once, a label at scale 1 and then scaled by
+LABEL_SCALE, whose ratio is read at import.  The records are named
+tuples, built by ``tuple.__new__`` without the Python-level ``__new__``
+of a named tuple.
 """
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Tuple, Type
 
-from .diagnostics import Diagnostic, LayoutError
+from .diagnostics import Diagnostic, DiagramError, LayoutError
 from .geometry import (EX_RATIO, LABEL_SCALE, OBJECT_MARGIN, Point, ScaleConfig,
                        pt_to_centiem, round_div)
 from .ir import KIND_POS, Arrow, DiagramIR, LabelSide, Node
@@ -53,11 +60,13 @@ GAP = QUANTUM * LABEL_GAP
 LABEL_HALF_H = int(QUANTUM * NODE_BOX_HEIGHT // 2 * LABEL_SCALE)
 NODE_HALF_H = QUANTUM * NODE_BOX_HEIGHT // 2
 
-ABOVE, NONE, ON_LINE = LabelSide.ABOVE, LabelSide.NONE, LabelSide.ON_LINE
+ABOVE, BELOW = LabelSide.ABOVE, LabelSide.BELOW
+NONE, ON_LINE = LabelSide.NONE, LabelSide.ON_LINE
+# a label's size per node text size, read once
+LABEL_NUM, LABEL_DEN = LABEL_SCALE.as_integer_ratio()
 
 IPoint = Tuple[int, int]           # layout units
 Span = Tuple[IPoint, IPoint]
-Ratio = Tuple[int, int]            # num, den with den > 0
 # per axis, x then y: the half extent, margin included, of the first
 # node drawn at each anchor
 Reach = Tuple[Dict[Point, int], Dict[Point, int]]
@@ -84,12 +93,6 @@ def left_perp(dx: int, dy: int, den: int = 1) -> Tuple[int, int, int]:
     yn, yd = (fx / length).as_integer_ratio()
     d = max(xd, yd)
     return xn * (d // xd), yn * (d // yd), d
-
-
-def _along(x: int, y: int, dx: int, dy: int, den: int, t: Ratio) -> IPoint:
-    """(x, y) + t (dx, dy), all over den, rounded to the layout grid."""
-    tn, td = t
-    return (round_div(x * td + dx * tn, den * td), round_div(y * td + dy * tn, den * td))
 
 
 class PlacedNode(NamedTuple):
@@ -148,34 +151,26 @@ class _Frame(NamedTuple):
 
 
 def _label_half_w(text: str, frame: _Frame) -> int:
-    """Half the width of a label's text, measured once per layout."""
+    """Half the width of a label's text, measured once per layout: its
+    width at scale 1 times LABEL_SCALE, rounded once, ties away from
+    zero, as ``text_width`` rounds a scaled width."""
     half_w = frame.label_half_w.get(text)
     if half_w is None:
+        w = text_width(text, 1, frame.metrics) * LABEL_NUM
         half_w = frame.label_half_w[text] = (
-            text_width(text, LABEL_SCALE, frame.metrics) * QUANTUM // 2)
+            (2 * w + LABEL_DEN - (w < 0)) // (2 * LABEL_DEN) * QUANTUM // 2)
     return half_w
-
-
-def _exit_param(half_w: int, half_h: int, dx: int, dy: int, den: int) -> Ratio:
-    """Where a ray (dx, dy)/den from a box center leaves the box of half
-    extents (half_w, half_h), the margin included.
-
-    Capped at 1, which changes no result: an arrow is swallowed once
-    its two parameters sum to 1.
-    """
-    best: Ratio = (1, 1)
-    for delta, half in ((dx, half_w), (dy, half_h)):
-        if delta:
-            t = (half * den, abs(delta))
-            if t[0] * best[1] < best[0] * t[1]:
-                best = t
-    return best
 
 
 def _swallowed(seq: int) -> LayoutError:
     return LayoutError(
         Diagnostic("error", "overlapping objects: arrow fully swallowed by its endpoints"), seq
     )
+
+
+def too_long(error: Type[DiagramError], seq: int) -> DiagramError:
+    """The error of an arrow whose direction has no float unit vector."""
+    return error(Diagnostic("error", "arrow too long: its direction overflows a float"), seq)
 
 
 def clip_general(arrow: Arrow, reach: Reach, frame: _Frame) -> DrawablePath:
@@ -186,96 +181,117 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame) -> DrawablePath:
     endpoints (bare arrows, stubs, inline arrows) stay put.  The
     parallel offset recorded on the arrow and its local render scale
     are materialized here, then the labels are placed along the result.
+    A diagonal too long for a float unit vector is an OverflowError,
+    which layout_diagram names.  Each point is written out inline: v / q
+    rounded, ties away from zero, is (2 v + q - (v < 0)) // 2 q.
     """
+    start, end, _, label, side, seq, kind, _, _, label2, offset_pt, local_scale, _ = arrow
     # endpoints in layout units over a common denominator den
-    p, den = arrow.local_scale.as_integer_ratio()
+    p, den = local_scale.as_integer_ratio()
     p *= QUANTUM
-    ax, ay = arrow.start.x * p, arrow.start.y * p
-    bx, by = arrow.end.x * p, arrow.end.y * p
-    if arrow.offset_pt:
-        off = QUANTUM * pt_to_centiem(arrow.offset_pt, frame.cfg.em_size)
+    ax, ay, bx, by = start[0] * p, start[1] * p, end[0] * p, end[1] * p
+    if offset_pt:
+        off = QUANTUM * pt_to_centiem(offset_pt, frame.cfg.em_size) * den
         px, py, d = left_perp(bx - ax, by - ay, den * QUANTUM)
-        ax, ay = ax * d + px * off * den, ay * d + py * off * den
-        bx, by = bx * d + px * off * den, by * d + py * off * den
+        ax, ay, bx, by = ax * d + px * off, ay * d + py * off, bx * d + px * off, by * d + py * off
         den *= d
     dx, dy = bx - ax, by - ay
-    t0: Ratio = (0, 1)
-    t1: Ratio = (0, 1)
-    if arrow.kind == KIND_POS:
+    # each end moves n/d of the way in: where the ray from its anchor
+    # leaves the box of its node, the margin included, capped at 1; a
+    # free end stays
+    n0 = n1 = 0
+    d0 = d1 = 1
+    if kind == KIND_POS:
         reach_w, reach_h = reach
-        if arrow.start in reach_w:
-            t0 = _exit_param(reach_w[arrow.start], reach_h[arrow.start], dx, dy, den)
-        if arrow.end in reach_w:
-            t1 = _exit_param(reach_w[arrow.end], reach_h[arrow.end], dx, dy, den)
-    if t0[0] * t1[1] + t1[0] * t0[1] >= t0[1] * t1[1]:
-        raise _swallowed(arrow.seq)
-    start = _along(ax, ay, dx, dy, den, t0)
-    end = _along(bx, by, -dx, -dy, den, t1)
-    anchor = (round_div(start[0] + end[0], 2), round_div(start[1] + end[1], 2))
-    labels = _place_labels(arrow, start, end, anchor, frame)
+        adx, ady = abs(dx), abs(dy)
+        if start in reach_w:
+            n0, half = 1, reach_w[start] * den
+            if dx and half < adx:
+                n0, d0 = half, adx
+            half = reach_h[start] * den
+            if dy and half * d0 < n0 * ady:
+                n0, d0 = half, ady
+        if end in reach_w:
+            n1, half = 1, reach_w[end] * den
+            if dx and half < adx:
+                n1, d1 = half, adx
+            half = reach_h[end] * den
+            if dy and half * d1 < n1 * ady:
+                n1, d1 = half, ady
+    if n0 * d1 + n1 * d0 >= d0 * d1:
+        raise _swallowed(seq)
+    q = den * d0
+    x, y = ax * d0 + dx * n0, ay * d0 + dy * n0
+    sx, sy = (2 * x + q - (x < 0)) // (2 * q), (2 * y + q - (y < 0)) // (2 * q)
+    q = den * d1
+    x, y = bx * d1 - dx * n1, by * d1 - dy * n1
+    ex, ey = (2 * x + q - (x < 0)) // (2 * q), (2 * y + q - (y < 0)) // (2 * q)
+    start, end = (sx, sy), (ex, ey)
+    x, y = sx + ex, sy + ey
+    anchor = mx, my = (x + (x > 0)) // 2, (y + (y > 0)) // 2
+    labels: Tuple[PlacedLabel, ...] = ()
     shaft: Tuple[Span, ...] = ((start, end),)
-    if labels and labels[0].side is LabelSide.ON_LINE:
-        shaft = _knockout(start, end, labels[0], frame)
+    d = 0   # the denominator of the unit vector across the path, once made
+    if label and side is not NONE:
+        hw = frame.label_half_w.get(label)
+        if hw is None:
+            hw = _label_half_w(label, frame)
+        if side is ON_LINE:
+            labels = (_new(PlacedLabel, (label, side, anchor, hw)),)
+            shaft = _knockout(start, end, anchor, hw, frame)
+        else:
+            px, py, d = left_perp(ex - sx, ey - sy, QUANTUM)
+            gap = GAP if side is ABOVE else -GAP
+            x, y = mx * d + px * gap, my * d + py * gap
+            center = (2 * x + d - (x < 0)) // (2 * d), (2 * y + d - (y < 0)) // (2 * d)
+            labels = (_new(PlacedLabel, (label, side, center, hw)),)
+    if label2:   # an inline arrow's second label, below
+        if not d:
+            px, py, d = left_perp(ex - sx, ey - sy, QUANTUM)
+        x, y = mx * d - px * GAP, my * d - py * GAP
+        center = (2 * x + d - (x < 0)) // (2 * d), (2 * y + d - (y < 0)) // (2 * d)
+        labels += (_new(PlacedLabel, (label2, BELOW, center, _label_half_w(label2, frame))),)
     return _new(DrawablePath, (start, end, arrow, anchor, labels, shaft))
 
 
-def _place_labels(
-    arrow: Arrow, start: IPoint, end: IPoint, anchor: IPoint, frame: _Frame
-) -> Tuple[PlacedLabel, ...]:
-    """The labels a path draws; inline single arrows carry two."""
-    texts = []
-    if arrow.label and arrow.side is not LabelSide.NONE:
-        texts.append((arrow.label, arrow.side))
-    if arrow.label2:
-        texts.append((arrow.label2, LabelSide.BELOW))
-    labels = []
-    for text, side in texts:
-        center = anchor
-        if side is not LabelSide.ON_LINE:
-            px, py, d = left_perp(end[0] - start[0], end[1] - start[1], QUANTUM)
-            gap = GAP if side is LabelSide.ABOVE else -GAP
-            center = (
-                round_div(anchor[0] * d + px * gap, d),
-                round_div(anchor[1] * d + py * gap, d),
-            )
-        labels.append(_new(PlacedLabel, (text, side, center, _label_half_w(text, frame))))
-    return tuple(labels)
+def _knockout(start: IPoint, end: IPoint, center: IPoint, half_w: int,
+              frame: _Frame) -> Tuple[Span, ...]:
+    """Split a path around the padded box of an on-line label at
+    ``center``, ``half_w`` wide.
 
-
-def _knockout(start: IPoint, end: IPoint, label: PlacedLabel, frame: _Frame) -> Tuple[Span, ...]:
-    """Split a path around an on-line label's padded box.
-
-    Returns the visible sub-segments: none, one or two.
+    Returns the visible sub-segments: none, one or two.  The path
+    enters the box at n_in/d_in of the way along and leaves it at
+    n_out/d_out; each cut point is rounded once.
     """
-    (sx, sy), (cx, cy) = start, label.center
+    (sx, sy), (cx, cy) = start, center
     dx, dy = end[0] - sx, end[1] - sy
-    t_in: Ratio = (0, 1)
-    t_out: Ratio = (1, 1)
+    n_in, d_in, n_out, d_out = 0, 1, 1, 1
     # per axis: the half extent and the start's offset from the center
     for delta, coord, half in (
-        (dx, sx - cx, label.half_w + frame.pad_w),
+        (dx, sx - cx, half_w + frame.pad_w),
         (dy, sy - cy, LABEL_HALF_H + frame.pad_h),
     ):
         if delta == 0:
             if abs(coord) > half:
                 return ((start, end),)
             continue
-        sign = 1 if delta > 0 else -1
-        lo = (-half - sign * coord, abs(delta))
-        hi = (half - sign * coord, abs(delta))
-        if lo[0] * t_in[1] > t_in[0] * lo[1]:
-            t_in = lo
-        if hi[0] * t_out[1] < t_out[0] * hi[1]:
-            t_out = hi
-    if t_in[0] * t_out[1] >= t_out[0] * t_in[1]:
+        if delta < 0:
+            delta, coord = -delta, -coord
+        if (-half - coord) * d_in > n_in * delta:
+            n_in, d_in = -half - coord, delta
+        if (half - coord) * d_out < n_out * delta:
+            n_out, d_out = half - coord, delta
+    if n_in * d_out >= n_out * d_in:
         return ((start, end),)
-    spans = []
-    if t_in[0] > 0:
-        spans.append((start, _along(sx, sy, dx, dy, 1, t_in)))
-    if t_out[0] < t_out[1]:
-        spans.append((_along(sx, sy, dx, dy, 1, t_out), end))
+    spans: Tuple[Span, ...] = ()
+    if n_in > 0:
+        x, y, q = sx * d_in + dx * n_in, sy * d_in + dy * n_in, 2 * d_in
+        spans = ((start, ((2 * x + d_in - (x < 0)) // q, (2 * y + d_in - (y < 0)) // q)),)
+    if n_out < d_out:
+        x, y, q = sx * d_out + dx * n_out, sy * d_out + dy * n_out, 2 * d_out
+        spans += ((((2 * x + d_out - (x < 0)) // q, (2 * y + d_out - (y < 0)) // q), end),)
     # a label wider than the whole path knocks out the entire shaft
-    return tuple(spans)
+    return spans
 
 
 def layout_diagram(
@@ -335,7 +351,10 @@ def layout_diagram(
         (sx, sy), (ex, ey) = start, end
         if ((sx == ex) == (sy == ey) or local_scale != 1 or offset_pt or label2
                 or side is ON_LINE):
-            path = clip_general(arrow, reach, frame)
+            try:
+                path = clip_general(arrow, reach, frame)
+            except OverflowError:   # from left_perp: no float unit vector
+                raise too_long(LayoutError, arrow.seq) from None
             (sx, sy), (ex, ey), _, _, labels, _ = path
         else:
             vertical = sx == ex   # the index of the arrow's axis in reach

@@ -274,8 +274,17 @@ def parse_command(text: str, filename: str = "<input>") -> Command:
 REQUIRED = object()  # the default of a section that is always read
 
 # Numbers in source text are ASCII: int() alone would also read 1_0, a ٣
-# or 1e3.  A scale factor is read by geometry.read_positive.
+# or 1e3.  A scale factor is read by geometry.read_positive.  An integer
+# has at most MAX_DIGITS digits, the most that int() reads and str()
+# writes (sys.int_info.default_max_str_digits, Python 3.11 on).
+MAX_DIGITS = 4300
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _too_long(number: str) -> bool:
+    """Whether the integer ``number`` has more than MAX_DIGITS digits."""
+    return len(number) - (number[0] in "+-") > MAX_DIGITS
+
 
 _SLOTS = {field: k for k, field in enumerate(Command._fields)}  # a field's index
 _NODES, _LABELS = _SLOTS["nodes"], _SLOTS["labels"]
@@ -298,7 +307,7 @@ def _sections() -> Pattern[str]:
     character.  Sections follow each other with nothing between them, and
     each field is text that ``tidy`` leaves as it is.
     """
-    number = "([+-]?[0-9]+)"
+    number = "([+-]?[0-9]{1,%d})" % MAX_DIGITS
     pair = "<" + number + "(?:," + number + ")?>"
     token = r"[^{}\\% \t\r\n]"
     half = "(" + kept_field(";]") + ")"
@@ -368,6 +377,8 @@ class _Ints(_Section):
             raise r.error(f"expected {self.arity} integer(s), got {len(numbers)}")
         if not all(map(_INTEGER.fullmatch, numbers)):
             raise r.error(f"malformed integer in {raw.strip()!r}")
+        if any(map(_too_long, numbers)):
+            raise r.error(f"integer of more than {MAX_DIGITS} digits")
         into[self.slot] = self.make(tuple(map(int, numbers)))
 
     def take(self, m: re.Match, into: List[Any]) -> bool:
@@ -550,10 +561,9 @@ class _Mask(_Section):
         number = token.strip()
         if not _INTEGER.fullmatch(number):
             raise r.error(f"malformed mask {token!r}")
-        mask = int(number)
-        if not 0 <= mask < self.limit:
+        if _too_long(number) or not 0 <= int(number) < self.limit:
             raise r.error(f"mask must be in 0..{self.limit - 1}")
-        into[self.slot], into[self.stub.slot] = mask, self.stub.default
+        into[self.slot], into[self.stub.slot] = int(number), self.stub.default
         if r.at("<"):
             self.stub.read(r, into)
 
@@ -562,7 +572,8 @@ class _Mask(_Section):
         if token is None:  # the payload, which every grid has, comes next
             into[self.slot], into[self.stub.slot] = 0, self.no_stub
             return True
-        if not _INTEGER.fullmatch(token) or not 0 <= int(token) < self.limit:
+        if (not _INTEGER.fullmatch(token) or _too_long(token)
+                or not 0 <= int(token) < self.limit):
             return False
         into[self.slot], into[self.stub.slot] = int(token), self.stub.default
         return self.stub.take(m, into)

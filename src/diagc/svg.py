@@ -2,29 +2,36 @@
 
 Nodes become text elements, arrows become marker-terminated lines, the
 y axis is flipped for screen space, and one centi-em maps to
-0.01 x em_size x scale px.  Every number is an integer layout length
-times the one px-per-centi-em ratio, written through one formatter per
-denominator: exact decimals when that ratio has only 2 and 5 in its
-denominator, six rounded places (with a warning) otherwise.  Output is
-byte-identical across runs and every coordinate scales linearly with
+0.01 x em_size x scale px, a ratio of integers in lowest terms.  Every
+number is an integer layout length times that ratio, written over one
+denominator that a render factors once: exact decimals when it has only
+2 and 5 in it, six rounded places (with a warning) otherwise.  Output
+is byte-identical across runs and every coordinate scales linearly with
 the configured scale.
 
-A render formats each distinct coordinate once per axis, in a memo per
-axis (``X[x]``, ``Y[y]``), keeps one row per raw style token (the
-double-shaft flag, the shaft and the two marker attributes) and escapes
-each distinct text once, so a common arrow is f-strings over dict
-lookups, with no Python call.  Each memo lives for one render.  Text
-that XML 1.0 cannot carry (most C0 controls, lone surrogates, U+FFFE
-and U+FFFF) is a ``RenderError`` carrying the seq of its node or arrow.
+A render formats each distinct value once, in a ``Decimals`` memo per
+kind: screen x (``X[x]``) and y (``Y[y]``) of layout coordinates, and
+lengths in centi-em (``L[c]``: the stroke width, font sizes, dash and
+marker lengths, width and height).  The lines of a double shaft, whose
+ends have the denominator of the gap's unit vector, get an x and y memo
+per such denominator.  A miss is one Python call, a hit a dict lookup.
+A render keeps one row per raw style token (the double-shaft flag, the
+shaft, with the dashes of the bodies it draws, and the two marker
+attributes) and escapes each distinct text once, so a common arrow is
+f-strings over dict lookups, with no Python call.  Each memo lives for
+one render.  Text that XML 1.0 cannot carry (most C0 controls, lone
+surrogates, U+FFFE and U+FFFF) is a ``RenderError`` carrying the seq of
+its node or arrow, and so is a double shaft too long for a float unit
+vector.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .diagnostics import Diagnostic, RenderError
-from .geometry import LABEL_SCALE, Memo, ScaleConfig, decimal_formatter, format_decimal
-from .layout import QUANTUM, DiagramLayout, IPoint, Span, left_perp
+from .geometry import LABEL_SCALE, Decimals, Memo, ScaleConfig, decimal_base
+from .layout import QUANTUM, DiagramLayout, IPoint, Span, left_perp, too_long
 from .styles import StyleRows, style_of
 
 STROKE_WIDTH = 5        # centi-em
@@ -37,6 +44,9 @@ BASELINE_DROP = 35      # text baseline below box center, centi-em
 LABEL_FONT = int(100 * LABEL_SCALE)
 LABEL_DROP = int(QUANTUM * BASELINE_DROP * LABEL_SCALE)
 NODE_DROP = QUANTUM * BASELINE_DROP
+# the dash and gap lengths of a dashed or dotted shaft, centi-em, and
+# what else its line carries
+_DASHES = {"dashed": (20, 12, ""), "dotted": (2, 10, ' stroke-linecap="round"')}
 
 
 def _not_xml(char: str) -> bool:
@@ -105,38 +115,25 @@ def render_svg(
     warnings: Optional[List[str]] = None,
 ) -> str:
     """Print a laid-out figure at the scale of ``cfg``, its IR's scale."""
-    un, ud = Fraction(cfg.em_size * cfg.scale, 100).as_integer_ratio()  # px per centi-em
+    # px per centi-em, em_size x scale / 100, in lowest terms
+    en, ed = cfg.em_size.as_integer_ratio()
+    sn, sd = cfg.scale.as_integer_ratio()
+    un, ud = en * sn, 100 * ed * sd
+    g = gcd(un, ud)
+    un, ud = un // g, ud // g
     x0, y0, x1, y1 = lay.bbox
     left, top = QUANTUM * x0, QUANTUM * y1
-    # n -> n / (QUANTUM ud) px, so a length of v layout units is unit(v * un)
-    unit, exact = decimal_formatter(QUANTUM * ud)
-    if warnings is not None and not exact:
+    # a length of v layout units is v un / (QUANTUM ud) px
+    base = decimal_base(QUANTUM * ud)
+    if warnings is not None and not base[1]:
         warnings.append(f"scale {cfg.scale} at em size {cfg.em_size} pt has no exact "
                         "decimal px; coordinates are rounded to six places")
-
-    def f(length: int) -> str:
-        """A length in centi-em, in px."""
-        return unit(length * QUANTUM * un)
-
-    def px(x: int) -> str:
-        """Screen x of x layout units."""
-        return unit((x - left) * un)
-
-    def py(y: int) -> str:
-        """Screen y of y layout units; the y axis flips."""
-        return unit((top - y) * un)
-
-    # each distinct x, y and text of this render, formatted once
-    X, Y, escaped = Memo(px), Memo(py), Memo(_xml_text)
-    stroke = f' stroke="black" stroke-width="{f(STROKE_WIDTH)}"'
-    # the attributes of a shaft's line by body, each of the two lines of a
-    # double one; the dash lengths scale with the figure
-    shafts = {
-        "solid": stroke,
-        "double": stroke,
-        "dashed": stroke + f' stroke-dasharray="{f(20)} {f(12)}"',
-        "dotted": stroke + f' stroke-dasharray="{f(2)} {f(10)}" stroke-linecap="round"',
-    }
+    # each distinct screen x and y of a point in layout units (the y axis
+    # flips), length in centi-em and text of this render, formatted once
+    X, Y = Decimals(base, un, -left * un), Decimals(base, -un, top * un)
+    L = Decimals(base, QUANTUM * un)
+    escaped = Memo(_xml_text)
+    stroke = f' stroke="black" stroke-width="{L[STROKE_WIDTH]}"'
     used_markers: set = set()
 
     def row_of(raw: str) -> Tuple[bool, str, str, str, str, str]:
@@ -144,42 +141,47 @@ def render_svg(
         a single shaft's attributes, its marker-start and marker-end
         attributes, and all three at once; and the attributes of the tips
         line of a shaft drawn as two lines or knocked out whole, "" when
-        it has no marker."""
+        it has no marker.  The dash lengths scale with the figure."""
         style = style_of(raw, "SVG", warnings)
         start, end = style.marker_start, style.marker_end
         used_markers.update(m for m in (start, end) if m)
         start_attr = f' marker-start="url(#{start})"' if start else ""
         end_attr = f' marker-end="url(#{end})"' if end else ""
         tips = ' stroke="none"' + start_attr + end_attr if start or end else ""
-        shaft = shafts[style.body]
+        shaft = stroke   # each of the two lines of a double shaft too
+        if style.body in _DASHES:
+            on, off, cap = _DASHES[style.body]
+            shaft += f' stroke-dasharray="{L[on]} {L[off]}"{cap}'
         return (style.body == "double", shaft, start_attr, end_attr,
                 shaft + start_attr + end_attr, tips)
 
     rows = StyleRows(row_of)
     arrow_elems: List[str] = []
+    # the screen x and y memos of the points of double shafts, by the
+    # denominator gd of their gap's unit vector: at gd = 1, X and Y
+    gapped = {1: (X, Y)}
 
-    def draw_double(start: IPoint, end: IPoint, spans: Tuple[Span, ...]) -> None:
+    def draw_double(start: IPoint, end: IPoint, spans: Tuple[Span, ...], seq: int) -> None:
         """Each span as two lines, DOUBLE_GAP to either side; their ends
         have the denominator gd of the gap's unit vector."""
-        gx, gy, gd = left_perp(end[0] - start[0], end[1] - start[1], QUANTUM)
+        try:
+            gx, gy, gd = left_perp(end[0] - start[0], end[1] - start[1], QUANTUM)
+        except OverflowError:
+            raise too_long(RenderError, seq) from None
         gx, gy = gx * DOUBLE_GAP * QUANTUM, gy * DOUBLE_GAP * QUANTUM
-        den = QUANTUM * gd * ud
-
-        def sx(x: int) -> str:
-            """Screen x of x/gd layout units."""
-            return format_decimal((x - left * gd) * un, den)
-
-        def sy(y: int) -> str:
-            """Screen y of y/gd layout units."""
-            return format_decimal((top * gd - y) * un, den)
-
+        memos = gapped.get(gd)
+        if memos is None:   # x/gd and y/gd layout units on screen
+            over = decimal_base(QUANTUM * gd * ud)
+            memos = gapped[gd] = (Decimals(over, un, -left * gd * un),
+                                  Decimals(over, -un, top * gd * un))
+        sx, sy = memos
         for (ax, ay), (bx, by) in spans:
             ax, ay, bx, by = ax * gd, ay * gd, bx * gd, by * gd
             for dx, dy in ((gx, gy), (-gx, -gy)):
-                arrow_elems.append(f'<line x1="{sx(ax + dx)}" y1="{sy(ay + dy)}"'
-                                   f' x2="{sx(bx + dx)}" y2="{sy(by + dy)}"{stroke}/>')
+                arrow_elems.append(f'<line x1="{sx[ax + dx]}" y1="{sy[ay + dy]}"'
+                                   f' x2="{sx[bx + dx]}" y2="{sy[by + dy]}"{stroke}/>')
 
-    node_attrs = f' font-size="{f(100)}" text-anchor="middle">'
+    node_attrs = f' font-size="{L[100]}" text-anchor="middle">'
     node_elems: List[str] = []
     for node, (cx, cy), _, _ in lay.nodes:
         if node.text:
@@ -193,13 +195,13 @@ def render_svg(
                 f"{text}</text>"
             )
 
-    label_attrs = f' font-size="{f(LABEL_FONT)}" text-anchor="middle">'
+    label_attrs = f' font-size="{L[LABEL_FONT]}" text-anchor="middle">'
     label_elems: List[str] = []
     for start, end, arrow, _, labels, spans in lay.paths:
         double, shaft, start_attr, end_attr, whole, tips = rows[arrow.style]
         # the attributes of one line from start to end, if the arrow draws one
         if double:
-            draw_double(start, end, spans)
+            draw_double(start, end, spans, arrow.seq)
             attr = tips
         elif spans == ((start, end),):  # nothing knocked out
             attr = whole
@@ -228,8 +230,7 @@ def render_svg(
                 f"{text}</text>"
             )
 
-    width = f(x1 - x0)
-    height = f(y1 - y0)
+    width, height = L[x1 - x0], L[y1 - y0]
     out: List[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
@@ -239,7 +240,7 @@ def render_svg(
     )
     if used_markers:
         out.append("<defs>")
-        out.extend(_marker_defs(f, used_markers))
+        out.extend(_marker_defs(L.__getitem__, used_markers))
         out.append("</defs>")
     out.append('<g font-family="serif" fill="black">')
     out.extend(node_elems)

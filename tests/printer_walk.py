@@ -9,19 +9,52 @@ a ``draw_path`` per arrow, an ``emit_line`` per line, a ``px``/``py`` or
 definitions of ``diagc.svg``, which that change left as they were.  On
 every layout whose texts XML can carry, each printer of ``diagc`` must
 write the same bytes and the same warnings as its namesake here.
+``decimal_formatter`` is the per-denominator formatter they used, kept
+here as it stood before the printers' memos formatted each number
+themselves.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from typing import Dict, List, Optional, Tuple
+from functools import cache, partial
+from typing import Callable, Dict, List, Optional, Tuple
 
-from diagc.geometry import ScaleConfig, decimal_formatter, format_decimal
+from diagc.geometry import ScaleConfig, format_decimal
 from diagc.ir import LabelSide
 from diagc.layout import QUANTUM, DiagramLayout, DrawablePath, left_perp
 from diagc.styles import Style, style_of
 from diagc.svg import (BASELINE_DROP, DOUBLE_GAP, LABEL_DROP, LABEL_FONT, STROKE_WIDTH,
                        _marker_defs)
+
+
+def decimal_formatter(den: int) -> Tuple[Callable[[int], str], bool]:
+    """(num -> decimal of num / den, whether every such decimal is exact).
+
+    den > 0 is factored once.  When den = 2^a * 5^b, max(a, b) places
+    hold every num / den exactly, and each number costs one multiply and
+    one divmod.  Any other den hands each number to format_decimal,
+    which reduces it first and rounds to six places only what stays
+    inexact.
+    """
+    twos = (den & -den).bit_length() - 1
+    rest, fives = den >> twos, 0
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    places = max(twos, fives)
+    if rest != 1:
+        return partial(format_decimal, den=den), False
+    if not places:
+        return str, True
+    scale = 10**places
+    mul = scale // den
+    pattern = f"%d.%0{places}d"
+
+    def fixed(num: int) -> str:
+        text = (pattern % divmod(abs(num) * mul, scale)).rstrip("0").rstrip(".")
+        return "-" + text if num < 0 else text
+
+    return fixed, True
 
 
 def _xml_escape(text: str) -> str:

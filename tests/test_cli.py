@@ -109,6 +109,35 @@ def test_layout_errors_name_their_file_and_figure(tmp_path, capsys, fmt):
     assert main([str(src), "-f", "xypic", "-o", str(out) + os.sep]) == 0
 
 
+NINES = "9" * 400   # an extent past the largest float
+
+
+@pytest.mark.parametrize("command, fmts, where, message", [
+    # a diagonal arrow whose label or double shaft needs a float unit vector
+    (f"\\morphism(0,0)/>/<{NINES},1>[A`B;f]", ["svg", "tikz"], "2:3",
+     "arrow too long: its direction overflows a float"),
+    (f"\\morphism(0,0)/=>/<{NINES},1>[A`B;]", ["svg"], "2:3",
+     "arrow too long: its direction overflows a float"),
+    # an integer that int() does not read
+    (f"\\morphism(0,0)<{'9' * 4301},0>[A`B;f]", ["svg", "tikz", "xypic", "ir"], "2:4322",
+     "integer of more than 4300 digits"),
+], ids=["label", "double", "digits"])
+def test_a_number_too_large_to_draw_exits_2_and_writes_nothing(tmp_path, capsys, command,
+                                                              fmts, where, message):
+    src = _write(tmp_path, "big.dg", f"\\bfig\n  {command}\n\\efig\n")
+    out = tmp_path / "out"
+    for fmt in FORMATS:
+        status = main([str(src), "-f", fmt, "-o", str(out) + os.sep])
+        err = capsys.readouterr().err
+        if fmt in fmts:
+            assert (status, err) == (2, f"{src}:{where}: error: {message}\n")
+            assert not out.exists()
+        else:   # Xy-pic and IR draw no unit vector
+            assert status == 0 and err == ""
+            for written in out.iterdir():
+                written.unlink()
+
+
 def test_svg_text_that_xml_cannot_carry_exits_2_and_writes_nothing(tmp_path, capsys):
     # a form feed in the second figure's node: no SVG of either figure is
     # written, and the error names the command that drew the node

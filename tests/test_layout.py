@@ -246,3 +246,26 @@ def test_layout_cost_per_arrow_is_bounded():
     # general path on every edge about 1030
     large = _grid(16)
     assert opcodes(lambda: layout_diagram(large)) <= 340 * len(large.arrows)
+
+
+def _triangles(k):
+    """k x k triangles beside |m|-labelled diagonal morphisms: half of
+    the arrows leave the axis-aligned path."""
+    cmds = []
+    for i in range(k):
+        for j in range(k):
+            x, y = 1500 * i, 1500 * j
+            cmds.append(f"\\ptriangle({x},{y})[A`B`C;f`g`h]")
+            cmds.append(f"\\morphism({x + 700},{y})|m|<400,600>[P`Q;m]")
+    return compile_source("\n".join(cmds))[0].ir
+
+
+def test_general_clipping_cost_per_arrow_is_bounded():
+    # the general path written out inline, about 642 instructions per
+    # arrow of this layout; a call per exit parameter, clipped point and
+    # label, with a label measured through a Fraction scale, about 816
+    ir = _triangles(8)
+    general = [a for a in ir.arrows if a.start.x != a.end.x and a.start.y != a.end.y
+               or a.side is LabelSide.ON_LINE]
+    assert 2 * len(general) == len(ir.arrows)
+    assert opcodes(lambda: layout_diagram(ir)) <= 740 * len(ir.arrows)

@@ -7,7 +7,7 @@ import pytest
 from opcode_count import opcodes
 
 from diagc import (ParseError, Point, compile_source, format_command, merge_duplicate_nodes,
-                   parse_command, parse_source)
+                   parse_command, parse_source, render_figure)
 from diagc import lexer, parser
 
 
@@ -128,6 +128,42 @@ def test_source_numbers_are_ascii(source, where, message):
         parse_command(source)
     d = info.value.diagnostic
     assert ((d.line, d.col), d.message) == (where, message)
+
+
+LONG = "9" * 4301   # one digit more than int() reads and str() writes
+
+
+@pytest.mark.parametrize(
+    "source, where, message",
+    [
+        # one match: _Ints.take and _Mask.take refuse, and the section
+        # reader names the section
+        (f"\\morphism(0,0)<{LONG},0>[A`B;f]", (1, 4320), "integer of more than 4300 digits"),
+        (f"\\morphism(-{LONG},0)[A`B;f]", (1, 4316), "integer of more than 4300 digits"),
+        (f"\\iiixiii{{{LONG}}}" + NINE, (1, 4312), "mask must be in 0..4095"),
+        (f"\\iiixiii{{1}}<{LONG},400>" + NINE, (1, 4319), "integer of more than 4300 digits"),
+        # the section reader alone: _Ints.read and _Mask.read
+        (f"\\morphism(0,0) <+{LONG},0>[A`B;f]", (1, 4322), "integer of more than 4300 digits"),
+        (f"\\iiixiii {{{LONG}}}" + NINE, (1, 4313), "mask must be in 0..4095"),
+        (f"\\iiixiii{{1}} <{LONG},400>" + NINE, (1, 4320), "integer of more than 4300 digits"),
+    ],
+    ids=["extent", "origin", "mask", "stub", "extent-read", "mask-read", "stub-read"],
+)
+def test_an_integer_of_more_than_4300_digits_is_a_parse_error(source, where, message):
+    with pytest.raises(ParseError) as info:
+        parse_command(source)
+    d = info.value.diagnostic
+    assert ((d.line, d.col), d.message) == (where, message)
+
+
+@pytest.mark.parametrize("fmt", ["svg", "tikz", "xypic", "ir"])
+@pytest.mark.parametrize("spacing", ["", " "])
+def test_an_integer_of_4300_digits_compiles(fmt, spacing):
+    (fig,) = compile_source(f"\\morphism(0,0){spacing}<{'9' * 4300},0>[A`B;f]")
+    assert fig.ir.arrows[0].end == Point(int("9" * 4300), 0)
+    assert render_figure(fig, fmt)
+    with pytest.raises(ParseError):
+        compile_source(f"\\morphism(0,0){spacing}<{LONG},0>[A`B;f]")
 
 
 def test_ascii_number_spellings():

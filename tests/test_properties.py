@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from token_walk import split_top_by_tokens, tidy_by_tokens, tokens, top_level_end
 import box_walk
+import clip_walk
 import expand_walk
 import printer_walk
 import xypic_walk
@@ -49,7 +50,7 @@ from diagc import (
     text_width,
 )
 from diagc import layout
-from diagc.geometry import decimal_formatter, format_decimal
+from diagc.geometry import Decimals, decimal_base, format_decimal
 from diagc.ir import KIND_POS, KIND_VECTOR
 from diagc.metrics import DEFAULT_CHAR_WIDTH
 from diagc.lexer import group_end, section_end, split_top, strip_group, token_at
@@ -505,15 +506,22 @@ def decimal_oracle(num, den=1):
     twos=st.integers(0, 12),
     fives=st.integers(0, 12),
     odd=st.sampled_from([1, 3, 7, 9, 13]),
+    mul=st.integers(-10**6, 10**6),
+    shift=st.integers(-10**12, 10**12),
 )
-@example(nums=[0, 1, -1, 6000, 7000], twos=0, fives=0, odd=1)  # den = 1
-@example(nums=[6000, -6000, 7000, 0], twos=3, fives=3, odd=3)  # den = 3000
-def test_decimal_formatter_matches_format_decimal(nums, twos, fives, odd):
+@example(nums=[0, 1, -1, 6000, 7000], twos=0, fives=0, odd=1, mul=1, shift=0)  # den = 1
+@example(nums=[6000, -6000, 7000, 0], twos=3, fives=3, odd=3, mul=1, shift=0)  # den = 3000
+@example(nums=[0, 5, -5], twos=4, fives=1, odd=1, mul=-7, shift=35)  # a sign that flips
+def test_decimal_memo_matches_format_decimal(nums, twos, fives, odd, mul, shift):
     den = 2**twos * 5**fives * odd
-    fmt, exact = decimal_formatter(den)
-    assert exact == (odd == 1)
+    base = decimal_base(den)
+    assert bool(base[1]) == (odd == 1)   # exact exactly when den is 2^a 5^b
+    plain, scaled = Decimals(base, 1), Decimals(base, mul, shift)
     for num in nums:
-        assert fmt(num) == format_decimal(num, den) == decimal_oracle(num, den)
+        assert plain[num] == format_decimal(num, den) == decimal_oracle(num, den)
+        assert scaled[num] == decimal_oracle(num * mul + shift, den)
+    # each value is written once and read back from the memo
+    assert len(plain) == len(set(nums)) and plain[nums[0]] == format_decimal(nums[0], den)
 
 
 def width_by_tokens(text, scale, m):
@@ -609,6 +617,66 @@ def test_axis_aligned_clipping_matches_the_general_path(
     assert _clip(_first_path, DiagramIR(nodes, (arrow,), cfg)) == _clip(
         layout.clip_general, arrow, reach, frame
     )
+
+
+def _clipped(clip, *args):
+    """A clipped path's record, or the kind, message and seq of its error."""
+    try:
+        return clip(*args)
+    except LayoutError as exc:
+        return type(exc), str(exc), exc.seq
+
+
+coordinates = st.integers(-900, 900)
+# half extents of a node box, margin included, in layout units: most
+# from real text, some far wider than a short arrow
+reach_extents = st.one_of(st.integers(layout.MARGIN, layout.MARGIN + 200 * layout.QUANTUM),
+                          st.integers(0, 2000 * layout.QUANTUM))
+
+
+@BOUNDED
+@given(
+    start=st.builds(Point, coordinates, coordinates),
+    delta=st.one_of(st.tuples(coordinates, coordinates),
+                    st.tuples(coordinates, st.just(0)), st.tuples(st.just(0), coordinates)),
+    kind=st.sampled_from([KIND_POS, KIND_VECTOR]),
+    reach_at=st.tuples(*[st.one_of(st.none(), st.tuples(reach_extents, reach_extents))] * 2),
+    label=st.text("fgw\\{}", max_size=6),
+    side=st.sampled_from(list(LabelSide)),
+    label2=st.sampled_from(["", "u", "ww"]),
+    offset_pt=st.sampled_from([0, 3, -3, Fraction(5, 2), Fraction(-1, 3)]),
+    local_scale=st.sampled_from([1, Fraction(1, 10), Fraction(3, 7), 2]),
+    em_size=st.sampled_from([10, 12, Fraction(7, 2), Fraction(1, 3)]),
+)
+@example(start=Point(0, 0), delta=(500, 0), kind=KIND_POS,
+         reach_at=((55000, 80000), (55000, 80000)), label="f", side=LabelSide.ON_LINE,
+         label2="", offset_pt=0, local_scale=1, em_size=10)
+@example(start=Point(0, 0), delta=(300, 300), kind=KIND_POS,
+         reach_at=((200000, 200000), (200000, 200000)), label="", side=LabelSide.NONE,
+         label2="", offset_pt=0, local_scale=1, em_size=10)  # swallowed
+@example(start=Point(-88, -1), delta=(176, 2), kind=KIND_POS, reach_at=(None, None),
+         label="f", side=LabelSide.ON_LINE, label2="u", offset_pt=0, local_scale=1,
+         em_size=10)  # a cut on a tie of the layout grid
+@example(start=Point(0, 0), delta=(700, 700), kind=KIND_POS,
+         reach_at=((55000, 80000), None), label="f", side=LabelSide.ABOVE, label2="ww",
+         offset_pt=Fraction(5, 2), local_scale=Fraction(3, 7), em_size=Fraction(7, 2))
+def test_general_clipping_matches_the_per_call_walk(
+    start, delta, kind, reach_at, label, side, label2, offset_pt, local_scale, em_size,
+):
+    # the inline general path against the per-call clipping it replaced:
+    # the same record, or the same swallow error for the same arrow
+    end = Point(start.x + delta[0], start.y + delta[1])
+    arrow = Arrow(start, end, ">", label, side, 7, kind=kind, label2=label2,
+                  offset_pt=offset_pt, local_scale=local_scale)
+    reach = ({}, {})
+    for at, extents in zip((start, end), reach_at):
+        if extents is not None and at not in reach[0]:
+            reach[0][at], reach[1][at] = extents
+    cfg = ScaleConfig(em_size=em_size)
+    frame = layout._Frame.of(cfg, DEFAULT_METRICS)
+    walk_frame = layout._Frame.of(cfg, DEFAULT_METRICS)
+    assert _clipped(layout.clip_general, arrow, reach, frame) == _clipped(
+        clip_walk.clip_general, arrow, reach, walk_frame, {})
 
 
 # a \scalefactor with only 2 and 5 in its denominator keeps every px and

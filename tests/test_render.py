@@ -27,10 +27,11 @@ from diagc import (
 )
 from diagc.cli import main
 from diagc.diagnostics import RenderError
-from diagc.geometry import LABEL_SCALE, format_decimal
+from diagc.geometry import decimal_base
 from diagc.styles import STYLES, style_of
 from opcode_count import opcodes
 from test_layout import _grid
+from test_properties import CORPUS
 
 
 def _one(source, **kw):
@@ -117,6 +118,21 @@ def test_layout_errors_name_the_command_that_drew_the_arrow(source, where):
     with pytest.raises(LayoutError) as caught:
         render_figure(fig, "svg")
     assert str(caught.value).startswith(f"ov.dg:{where}: error: overlapping objects")
+
+
+@pytest.mark.parametrize("style, label, fmt, error", [
+    (">", "f", "svg", LayoutError),      # the label's offset from the line
+    (">", "f", "tikz", LayoutError),
+    ("=>", "", "svg", RenderError),      # the gap between the two lines
+])
+def test_an_arrow_too_long_for_a_float_direction_names_its_command(style, label, fmt, error):
+    source = f"\\morphism(0,0)[A`B;f]\n  \\morphism(0,0)/{style}/<{'9' * 400},1>[C`D;{label}]\n"
+    fig = _one(source, filename="big.dg")
+    with pytest.raises(error) as caught:
+        render_figure(fig, fmt)
+    assert str(caught.value) == (
+        "big.dg:2:3: error: arrow too long: its direction overflows a float")
+    assert caught.value.seq == fig.ir.arrows[1].seq
 
 
 def test_layout_errors_of_an_ir_read_back_name_the_figure():
@@ -277,10 +293,9 @@ def test_svg_builds_only_the_markers_it_uses(monkeypatch):
     assert 'marker-end="url(#dg-head)"' in svg
 
 
-def _general_formats(step):
-    """Calls of ``format_decimal``, which factors its denominator for every
-    number, while ``step()`` runs."""
-    code = format_decimal.__code__
+def _factorings(step):
+    """Denominators factored, calls of ``decimal_base``, while ``step()`` runs."""
+    code = decimal_base.__code__
     count = 0
 
     def on_call(frame, event, arg):
@@ -297,10 +312,20 @@ def _general_formats(step):
 
 @pytest.mark.parametrize("render", [render_svg, render_tikz])
 def test_render_factors_its_denominators_once(render):
-    # 4x the numbers on the larger grid, the same general-path formats
+    # 4x the numbers on the larger grid, the same factorings: one per
+    # render, shared by every memo over its denominator
     small, large = _grid(8), _grid(16)
-    assert (_general_formats(lambda: _printed(render, small))
-            == _general_formats(lambda: _printed(render, large)))
+    count = _factorings(lambda: _printed(render, small))
+    assert count == _factorings(lambda: _printed(render, large)) == 1
+
+
+def test_a_double_shaft_factors_once_per_gap_denominator():
+    # two diagonal double shafts of one direction share the denominator
+    # of their gap's unit vector; an axis-aligned one uses the render's
+    fig = _one("\\morphism(0,0)/=>/<600,300>[A`B;]\n\\morphism(0,900)/=>/<600,300>[C`D;]\n"
+               "\\morphism(0,1800)/=>/<600,0>[E`F;]")
+    lay = layout_diagram(fig.ir)
+    assert _factorings(lambda: render_svg(lay, fig.ir.scale)) == 2
 
 
 _THIRD_SOURCES = {
@@ -358,14 +383,13 @@ def test_svg_measures_each_text_once(monkeypatch):
             monkeypatch.setattr(module, "text_width", counting)
     render_figure(fig, "svg")
     arrows = fig.ir.arrows
-    texts = (
-        [(n.text, 1) for n in fig.ir.nodes]
-        + [(a.label, LABEL_SCALE) for a in arrows if a.label and a.side is not LabelSide.NONE]
-        + [(a.label2, LABEL_SCALE) for a in arrows if a.label2]
-    )
-    assert len(set(texts)) < len(texts)
-    # one layout measures each (text, scale) it draws, and only once
-    assert sorted(calls) == sorted(set(texts))
+    labels = ([a.label for a in arrows if a.label and a.side is not LabelSide.NONE]
+              + [a.label2 for a in arrows if a.label2])
+    assert len(set(labels)) < len(labels)
+    # one layout measures each node text and each distinct label text
+    # once, at scale 1; LABEL_SCALE is applied to the measured width
+    assert sorted(calls) == sorted([(n.text, 1) for n in fig.ir.nodes]
+                                   + [(text, 1) for text in set(labels)])
 
 
 @pytest.mark.parametrize("render, bound", [(render_svg, 170), (render_tikz, 105)])
@@ -379,6 +403,19 @@ def test_printer_cost_per_arrow_is_bounded(render, bound):
     large = _grid(16)
     lay = layout_diagram(large)
     assert opcodes(lambda: render(lay, large.scale, [])) <= bound * len(large.arrows)
+
+
+def test_svg_costs_at_most_5x_the_token_stream_on_the_corpus():
+    # the SVG printer over the corpus layouts against the Xy-pic token
+    # stream of the same figures: about 5.35x with a formatter call per
+    # constant length and a factoring per memo, about 4.37x with one
+    # Decimals memo per kind over one factoring per render
+    figures = [figure for path in sorted(CORPUS.glob("*.dg"))
+               for figure in compile_source(path.read_text(encoding="utf-8"), path.name)]
+    laid = [(layout_diagram(figure.ir), figure.ir.scale) for figure in figures]
+    svg = opcodes(lambda: [render_svg(lay, scale, []) for lay, scale in laid])
+    xypic = opcodes(lambda: [render_xypic(figure.raw_ir) for figure in figures])
+    assert len(figures) == 29 and svg <= 5.03 * xypic
 
 
 def test_xypic_cost_per_arrow_is_bounded():
