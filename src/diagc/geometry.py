@@ -54,6 +54,10 @@ def exact(value: Union[int, Fraction]) -> Union[int, Fraction]:
 
 # p, p/q or a decimal, in ASCII: Fraction() alone would also read 1_0, a ٣ or 1e3
 _RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/0*[1-9][0-9]*|\.[0-9]*)?|\.[0-9]+)")
+# A number in source text or a flag has runs of at most MAX_DIGITS digits,
+# leading zeros included: the most that int() reads and str() writes
+# (sys.int_info.default_max_str_digits, Python 3.11 on), held on every Python.
+MAX_DIGITS = 4300
 
 
 def read_positive(text: str, what: str) -> Union[int, Fraction]:
@@ -63,6 +67,8 @@ def read_positive(text: str, what: str) -> Union[int, Fraction]:
     number = text.strip()
     if not _RATIONAL.fullmatch(number):
         raise ValueError(f"malformed {what} {text!r}")
+    if max(map(len, number.lstrip("+-").replace("/", ".").split("."))) > MAX_DIGITS:
+        raise ValueError(f"{what} has more than {MAX_DIGITS} digits in a row")
     value = Fraction(number)
     if value <= 0:
         raise ValueError(f"{what} must be positive")

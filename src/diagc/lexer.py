@@ -48,7 +48,7 @@ _DEPTH = {"{": 1, "}": -1}  # a control symbol leaves the depth as it is
 BLANK = re.compile(r"(?:[ \t\r\n]+|" + _COMMENT + ")*")  # whitespace and comments
 # in a section a control sequence stays, a comment goes, a backslash and a
 # line break is a control space and a whitespace run becomes one space
-_TIDY = re.compile(r"(\\(?:" + LINE_END + "))|(\\.)|(" + _COMMENT + r")|[ \t\r\n]+")
+_TIDY = re.compile(r"(\\(?:" + LINE_END + r"))|(\\.)|(" + _COMMENT + r")|[ \t\r\n]+")
 
 
 def _word_end(tok: str) -> int:

@@ -15,13 +15,15 @@ their own, each read into a ``Command`` of the group's kind in ``parts``.
 A command is read in one match where it can be.  One shared pattern,
 compiled on first use, takes the common spelling of every section in
 table order: no whitespace between sections, and fields that ``tidy``
-leaves as they are, with braces at most two deep.  Each section then
-takes its fields from the match, counts them and checks their values,
-and ``lexer.cut`` splits and strips them in C.  Where the pattern does
-not take a section's spelling, takes a section the command lacks, or
-stops where the section reader would read on, or where a check fails,
-the section reader reads the command again from its start, so every
-diagnostic comes from the section reader.  A chain's parts are read
+leaves as they are, with braces at most two deep.  Each section's rules
+live in one ``fill``, which both readers call: the match hands it the
+section's groups and ``lexer.cut``, which splits and strips fields in
+C, and the section reader hands it the section's text and the token
+scan.  Where the pattern does not take a section's spelling, takes a
+section the command lacks, or stops where the section reader would read
+on, or where a ``fill`` refuses, the section reader reads the command
+again from its start, so every diagnostic comes from the section
+reader.  A chain's parts are read
 after the match by their own chains, each again by a match first.  A
 command ends after its last section, by either path.  The reader
 records the offset of each command, and a figure turns them into its
@@ -41,13 +43,13 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Pattern, Sequence, Tuple,
                     Union)
 
 from .diagnostics import Diagnostic, ParseError
-from .geometry import Point, read_positive
+from .geometry import MAX_DIGITS, Point, read_positive
 from .lexer import (BLANK, LINE_END, cut, kept_field, lone_backslash, section_end,
                     split_top, strip_group, tidy, token_at)
 
@@ -108,7 +110,7 @@ class _Reader:
         """
         text = self.text
         if self._breaks is None:
-            self._breaks = [m.end() for m in _line_break().finditer(text)]
+            self._breaks = list(map(re.Match.end, _line_break().finditer(text)))
         breaks, crlf = self._breaks, "\r\n" in text
         out = []
         for pos in offsets:
@@ -157,9 +159,10 @@ class _Reader:
         """Skip whitespace and comments; a comment takes its newline along."""
         self.pos = BLANK.match(self.text, self.pos).end()
 
-    def at(self, opener: str) -> bool:
-        """Whether ``opener`` comes next after whitespace and comments; if
-        so, ``pos`` moves to it, else it stays."""
+    def at(self, opener: Union[str, Tuple[str, ...]]) -> bool:
+        """Whether ``opener``, or one of several, comes next after
+        whitespace and comments; if so, ``pos`` moves to it, else it
+        stays."""
         pos = BLANK.match(self.text, self.pos).end()
         if self.text.startswith(opener, pos):
             self.pos = pos
@@ -202,8 +205,8 @@ class _Reader:
         return tidy(self.token())  # a backslash and a line break is a control space
 
 
-def _fields(raw: str) -> List[str]:
-    return [strip_group(p) for p in split_top(raw, "`")]
+def _fields(raw: str) -> Tuple[str, ...]:
+    return tuple([strip_group(p) for p in split_top(raw, "`")])
 
 
 def _command(r: _Reader, name: str, at: int) -> Command:
@@ -271,25 +274,17 @@ def parse_command(text: str, filename: str = "<input>") -> Command:
 
 # -- the command table ----------------------------------------------------
 
-REQUIRED = object()  # the default of a section that is always read
+REQUIRED = object()  # the default of a section that must be present
 
 # Numbers in source text are ASCII: int() alone would also read 1_0, a ٣
-# or 1e3.  A scale factor is read by geometry.read_positive.  An integer
-# has at most MAX_DIGITS digits, the most that int() reads and str()
-# writes (sys.int_info.default_max_str_digits, Python 3.11 on).
-MAX_DIGITS = 4300
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
-def _too_long(number: str) -> bool:
-    """Whether the integer ``number`` has more than MAX_DIGITS digits."""
-    return len(number) - (number[0] in "+-") > MAX_DIGITS
-
+# or 1e3.  An integer has at most MAX_DIGITS digits.  A scale factor is
+# read by geometry.read_positive.
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 _SLOTS = {field: k for k, field in enumerate(Command._fields)}  # a field's index
-_NODES, _LABELS = _SLOTS["nodes"], _SLOTS["labels"]
-_GROUPS = 18  # in the shared section pattern
-_SCRIPT_GROUPS = {"^": 13, "|": 15, "_": 17}
+_NODES, _LABELS, _STUB = _SLOTS["nodes"], _SLOTS["labels"], _SLOTS["stub"]
+_GROUPS = 15  # in the shared section pattern
+_SCRIPT_GROUPS = {"^": 10, "|": 12, "_": 14}
 # what a section opens with; a command whose last section may be absent
 # is read by the match only where none of these comes after it
 _OPENERS = ("[", "(", "|", "/", "<", "{", "^", "_")
@@ -300,24 +295,30 @@ def _sections() -> Pattern[str]:
     """The common spelling of the sections of every chain before its parts,
     in table order, each optional, compiled on first use.
 
-    Its groups: 1 an alignment, 2-3 coordinates, 4 placements, 5 styles,
-    6-7 an extent or a length, 8 a mask or scale factor in braces, 9-10
-    a stub, 11-12 the halves of a payload and, where no payload is, 13-18
+    Its groups: 1 an alignment, 2 coordinates, 3 placements, 4 styles,
+    5 an extent or a length, 6 a mask or scale factor in braces, 7 a
+    stub, 8-9 the halves of a payload and, where no payload is, 10-15
     the ``^``, ``|`` and ``_`` scripts, each the inside of a group or one
     character.  Sections follow each other with nothing between them, and
     each field is text that ``tidy`` leaves as it is.
     """
-    number = "([+-]?[0-9]{1,%d})" % MAX_DIGITS
-    pair = "<" + number + "(?:," + number + ")?>"
+    numbers = "([0-9+,-]*)"
     token = r"[^{}\\% \t\r\n]"
     half = "(" + kept_field(";]") + ")"
     script = r"(?:\{(" + kept_field("", 1) + r")\}|(" + token + "))"
     return re.compile(
-        r"(?:\[([lrud])\])?(?:\(" + number + "," + number + r"\))?"
+        r"(?:\[([lrud])\])?(?:\(" + numbers + r"\))?"
         r"(?:\|([^|{}\\% \t\r\n]*)\|)?(?:/(" + kept_field("/") + ")/)?"
-        "(?:" + pair + r")?(?:\{(" + token + r"*)\}(?:" + pair + ")?)?"
+        "(?:<" + numbers + r">)?(?:\{(" + token + r"*)\}(?:<" + numbers + ">)?)?"
         r"(?:\[" + half + "(?:;" + half + r")?\]"
         r"|(?:\^" + script + r")?(?:\|" + script + ")?(?:_" + script + ")?)")
+
+
+@lru_cache(maxsize=None)
+def _integers(arity: int) -> Pattern[str]:
+    """``arity`` integers of at most MAX_DIGITS digits, between commas,
+    compiled on first use."""
+    return re.compile(",".join([r"\s*[+-]?[0-9]{1,%d}\s*" % MAX_DIGITS] * arity))
 
 
 @lru_cache(maxsize=None)
@@ -334,20 +335,26 @@ def _command_name() -> Pattern[str]:
 class _Section:
     """One link of a command's section chain.
 
-    ``read(r, into)`` reads it into ``into``, a list of field values in
-    Command order, and ``write(obj)`` writes it back from a Command.
-    ``take(m, into)`` takes it from its ``groups`` of ``m``, a match of
-    ``_sections()``, and is False where the section reader must read
-    the command instead.  ``opener`` is the one character that starts
-    it.  It fills the attribute ``field``, at index ``slot``, with
+    ``fill(raw, split, into)`` holds every rule of the section, written
+    once: it checks ``raw``, the section's text, and puts its values into
+    ``into``, a list of field values in Command order, splitting fields
+    with ``split``; a ValueError says what is wrong.  Both readers call
+    it.  ``read(r, into)``, the section reader, cuts the text from
+    ``opener`` to ``closer``, or one token or group where there is no
+    closer, and fills with ``_fields``.  ``_Chain.take`` cuts the text
+    from ``groups`` of a match of ``_sections()``, a tuple of them for
+    the payload and the scripts, and fills with ``lexer.cut``.
+    ``write(obj)`` writes the section back from a Command.
+
+    A section fills the attribute ``field``, at index ``slot``, with
     ``arity`` values, and ``default`` is what it leaves there when
-    absent; ``fields`` names every attribute it fills.  A section with
-    a default is read only when the next character is its opener.  A
-    ``REQUIRED`` one is always read: it must be present, or, like the
-    mask and the scripts, it decides itself what is absent.
+    absent; ``fields`` names every attribute it fills.  A section with a
+    default is read only when its opener comes next, or always where the
+    opener is ``""``, as for the mask, which decides itself whether it
+    is there.  A ``REQUIRED`` one is always read and must be present.
     """
 
-    opener = ""
+    opener = closer = what = ""
     groups: Tuple[int, ...] = ()
 
     def __init__(self, field: str, arity: int = 1, default: Any = REQUIRED) -> None:
@@ -356,40 +363,34 @@ class _Section:
         self.slot = _SLOTS[field]
         self.optional = default is not REQUIRED
 
+    def read(self, r: _Reader, into: List[Any]) -> None:
+        raw = r.delimited(self.opener, self.closer, self.what) if self.closer else r.single_token()
+        try:
+            self.fill(raw, _fields, into)
+        except ValueError as exc:
+            raise r.error(str(exc)) from None
+
 
 class _Ints(_Section):
     """``(x,y)`` coordinates or a ``<dx,dy>`` extent, made a value by
-    ``make``; ``group`` is the first of its two groups, by default that
-    of its opener."""
+    ``make``; ``group`` is its group, by default that of its opener."""
 
     def __init__(self, field: str, opener: str, arity: int, default: Any = REQUIRED,
                  make: Callable = tuple, group: int = 0) -> None:
         super().__init__(field, arity, default)
         self.opener, self.make = opener, make
         self.closer, self.what = {"(": (")", "coordinates"), "<": (">", "an extent")}[opener]
-        first = group or {"(": 2, "<": 6}[opener]
-        self.groups = (first, first + 1)
+        self.groups = (group or {"(": 2, "<": 5}[opener],)
 
-    def read(self, r: _Reader, into: List[Any]) -> None:
-        raw = r.delimited(self.opener, self.closer, self.what)
-        numbers = [p.strip() for p in raw.split(",")]
-        if len(numbers) != self.arity:
-            raise r.error(f"expected {self.arity} integer(s), got {len(numbers)}")
-        if not all(map(_INTEGER.fullmatch, numbers)):
-            raise r.error(f"malformed integer in {raw.strip()!r}")
-        if any(map(_too_long, numbers)):
-            raise r.error(f"integer of more than {MAX_DIGITS} digits")
+    def fill(self, raw: str, split: Callable, into: List[Any]) -> None:
+        numbers = raw.split(",")
+        if not _integers(self.arity).fullmatch(raw):
+            if len(numbers) != self.arity:
+                raise ValueError(f"expected {self.arity} integer(s), got {len(numbers)}")
+            if not all(map(_INTEGER.fullmatch, numbers)):
+                raise ValueError(f"malformed integer in {raw.strip()!r}")
+            raise ValueError(f"integer of more than {MAX_DIGITS} digits")
         into[self.slot] = self.make(tuple(map(int, numbers)))
-
-    def take(self, m: re.Match, into: List[Any]) -> bool:
-        first, second = m.group(*self.groups)
-        if first is None:
-            return self.optional
-        if (second is None) != (self.arity == 1):
-            return False
-        into[self.slot] = self.make((int(first),) if second is None
-                                    else (int(first), int(second)))
-        return True
 
     def write(self, obj: Any) -> str:
         value = getattr(obj, self.field)
@@ -401,29 +402,21 @@ class _Bar(_Section):
     """``|placements|``, one character per arrow, spaces dropped; ``exact=False``
     allows fewer."""
 
-    opener = "|"
-    groups = (4,)
+    opener = closer = "|"
+    what = "placements"
+    groups = (3,)
 
     def __init__(self, default: str, exact: bool = True) -> None:
         super().__init__("placements", len(default), default)
         self.exact = exact
 
-    def read(self, r: _Reader, into: List[Any]) -> None:
-        raw = r.delimited("|", "|", "placements").replace(" ", "")
+    def fill(self, raw: str, split: Callable, into: List[Any]) -> None:
+        raw = raw.replace(" ", "")
         if self.exact and len(raw) != self.arity:
-            raise r.error(f"expected {self.arity} placement character(s), got {len(raw)}")
+            raise ValueError(f"expected {self.arity} placement character(s), got {len(raw)}")
         if len(raw) > self.arity:
-            raise r.error(f"expected at most {self.arity} placement character(s)")
+            raise ValueError(f"expected at most {self.arity} placement character(s)")
         into[self.slot] = raw
-
-    def take(self, m: re.Match, into: List[Any]) -> bool:
-        raw = m[4]
-        if raw is None:
-            return self.optional
-        if len(raw) > self.arity or self.exact and len(raw) != self.arity:
-            return False
-        into[self.slot] = raw
-        return True
 
     def write(self, obj: Any) -> str:
         return f"|{obj.placements}|"
@@ -432,27 +425,18 @@ class _Bar(_Section):
 class _Styles(_Section):
     """``/s1`s2/``, one style token per arrow, each ``>`` when absent."""
 
-    opener = "/"
-    groups = (5,)
+    opener = closer = "/"
+    what = "styles"
+    groups = (4,)
 
     def __init__(self, arity: int, required: bool = False) -> None:
         super().__init__("styles", arity, REQUIRED if required else (">",) * arity)
 
-    def read(self, r: _Reader, into: List[Any]) -> None:
-        parts = _fields(r.delimited("/", "/", "styles"))
-        if len(parts) != self.arity:
-            raise r.error(f"expected {self.arity} style token(s), got {len(parts)}")
-        into[self.slot] = tuple(parts)
-
-    def take(self, m: re.Match, into: List[Any]) -> bool:
-        raw = m[5]
-        if raw is None:
-            return self.optional
-        styles = cut(raw)
+    def fill(self, raw: str, split: Callable, into: List[Any]) -> None:
+        styles = split(raw)
         if len(styles) != self.arity:
-            return False
+            raise ValueError(f"expected {self.arity} style token(s), got {len(styles)}")
         into[self.slot] = styles
-        return True
 
     def write(self, obj: Any) -> str:
         return "/" + "`".join(_wrap(s, "`/") for s in obj.styles) + "/"
@@ -462,50 +446,29 @@ class _Payload(_Section):
     """``[nodes;labels]``, always present; a half with count zero is absent
     along with the ``;``."""
 
-    opener = "["
-    groups = (11, 12)
+    opener, closer, what = "[", "]", "a payload"
+    groups = (8, 9)
 
     def __init__(self, n_nodes: int, n_labels: int) -> None:
         super().__init__("nodes", n_nodes)
-        self.n_labels = n_labels
+        self.n_labels, self.counts = n_labels, (n_nodes, n_labels)
+        self.halves = 2 if n_nodes and n_labels else 1
         self.fields = tuple(f for f, n in (("nodes", n_nodes), ("labels", n_labels)) if n)
 
-    def read(self, r: _Reader, into: List[Any]) -> None:
-        raw = r.delimited("[", "]", "a payload")
-        halves = split_top(raw, ";")
-        n_nodes, n_labels = self.arity, self.n_labels
-        if n_nodes and n_labels:
-            if len(halves) != 2:
-                raise r.error(
-                    "payload needs exactly one top-level ';' between nodes and labels"
-                )
-            nodes, labels = _fields(halves[0]), _fields(halves[1])
-        elif len(halves) != 1:
-            raise r.error("unexpected ';' in payload")
-        else:
-            nodes, labels = (_fields(raw), []) if n_nodes else ([], _fields(raw))
-        if len(nodes) != n_nodes:
-            raise r.error(f"expected {n_nodes} node field(s), got {len(nodes)}")
-        if len(labels) != n_labels:
-            raise r.error(f"expected {n_labels} label field(s), got {len(labels)}")
-        into[_NODES], into[_LABELS] = tuple(nodes), tuple(labels)
-
-    def take(self, m: re.Match, into: List[Any]) -> bool:
-        first, second = m.group(11, 12)
-        if first is None:
-            return False
-        if self.arity and self.n_labels:
-            if second is None:
-                return False
-            nodes, labels = cut(first), cut(second)
-        elif second is not None:
-            return False
-        else:
-            nodes, labels = (cut(first), ()) if self.arity else ((), cut(first))
-        if len(nodes) != self.arity or len(labels) != self.n_labels:
-            return False
+    def fill(self, raw: Any, split: Callable, into: List[Any]) -> None:
+        # the section's text, or the match's two halves, the second None without a ';'
+        halves = (split_top(raw, ";") if isinstance(raw, str)
+                  else raw[:1] if raw[1] is None else raw)
+        if len(halves) != self.halves:
+            raise ValueError("unexpected ';' in payload" if self.halves == 1 else
+                             "payload needs exactly one top-level ';' between nodes and labels")
+        nodes = split(halves[0]) if self.arity else ()
+        labels = split(halves[-1]) if self.n_labels else ()
+        if (len(nodes), len(labels)) != self.counts:
+            if len(nodes) != self.arity:
+                raise ValueError(f"expected {self.arity} node field(s), got {len(nodes)}")
+            raise ValueError(f"expected {self.n_labels} label field(s), got {len(labels)}")
         into[_NODES], into[_LABELS] = nodes, labels
-        return True
 
     def write(self, obj: Any) -> str:
         nodes = obj.nodes if self.arity else ()
@@ -519,19 +482,14 @@ class _Payload(_Section):
 class _Align(_Section):
     """``[l|r|u|d]``, the alignment of ``\\place``, before its origin."""
 
-    opener = "["
+    opener, closer, what = "[", "]", "a payload"
     groups = (1,)
 
-    def read(self, r: _Reader, into: List[Any]) -> None:
-        raw = r.delimited("[", "]", "a payload").replace(" ", "")
+    def fill(self, raw: str, split: Callable, into: List[Any]) -> None:
+        raw = raw.replace(" ", "")
         if len(raw) != 1 or raw not in "lrud":
-            raise r.error(f"unsupported alignment {raw!r}; one of l, r, u, d")
+            raise ValueError(f"unsupported alignment {raw!r}; one of l, r, u, d")
         into[self.slot] = raw
-
-    def take(self, m: re.Match, into: List[Any]) -> bool:
-        if m[1] is not None:
-            into[self.slot] = m[1]
-        return True
 
     def write(self, obj: Any) -> str:
         value = getattr(obj, self.field)
@@ -539,60 +497,41 @@ class _Align(_Section):
 
 
 class _Mask(_Section):
-    """``{mask}<stub>`` of a grid: a boundary-stub bitmask below ``limit``,
-    one token or group, then the stub extent.  Absent exactly when the
-    payload's ``[`` follows; the stub defaults to ``stub`` after a mask
-    and to ``no_stub`` without one."""
+    """``{mask}`` of a grid: a boundary-stub bitmask below ``limit``, one
+    token or group.  Absent exactly when the payload's ``[`` follows; a
+    mask sets the stub, the section after it, to ``stub`` until it is
+    read."""
 
-    opener = "{"
-    groups = (8, 9, 10)
+    groups = (6,)
 
-    def __init__(self, limit: int, stub: Tuple[int, ...], no_stub: Tuple[int, ...]) -> None:
-        super().__init__("mask")
-        self.fields = ("mask", "stub")
-        self.limit, self.no_stub = limit, no_stub
-        self.stub = _Ints("stub", "<", len(stub), stub, group=9)
+    def __init__(self, limit: int, stub: Tuple[int, ...]) -> None:
+        super().__init__("mask", 1, 0)
+        self.limit, self.stub = limit, stub
 
     def read(self, r: _Reader, into: List[Any]) -> None:
-        if r.char() == "[":
-            into[self.slot], into[self.stub.slot] = 0, self.no_stub
-            return
-        token = r.single_token()
-        number = token.strip()
-        if not _INTEGER.fullmatch(number):
-            raise r.error(f"malformed mask {token!r}")
-        if _too_long(number) or not 0 <= int(number) < self.limit:
-            raise r.error(f"mask must be in 0..{self.limit - 1}")
-        into[self.slot], into[self.stub.slot] = int(number), self.stub.default
-        if r.at("<"):
-            self.stub.read(r, into)
+        if r.char() != "[":
+            super().read(r, into)
 
-    def take(self, m: re.Match, into: List[Any]) -> bool:
-        token = m[8]
-        if token is None:  # the payload, which every grid has, comes next
-            into[self.slot], into[self.stub.slot] = 0, self.no_stub
-            return True
-        if (not _INTEGER.fullmatch(token) or _too_long(token)
-                or not 0 <= int(token) < self.limit):
-            return False
-        into[self.slot], into[self.stub.slot] = int(token), self.stub.default
-        return self.stub.take(m, into)
+    def fill(self, raw: str, split: Callable, into: List[Any]) -> None:
+        if not _INTEGER.fullmatch(raw):
+            raise ValueError(f"malformed mask {raw!r}")
+        if len(raw.strip().lstrip("+-")) > MAX_DIGITS or not 0 <= int(raw) < self.limit:
+            raise ValueError(f"mask must be in 0..{self.limit - 1}")
+        into[self.slot], into[_STUB] = int(raw), self.stub
 
     def write(self, obj: Any) -> str:
-        return f"{{{obj.mask}}}" + self.stub.write(obj)
+        return f"{{{obj.mask}}}"
 
 
 class _Scripts(_Section):
     """The ``^sup``, ``|mid`` and ``_sub`` labels of an inline arrow, one
-    per marker, in that order: each optional, one token or group."""
-
-    opener = "^"
+    per marker, in that order: each optional, one token or group.  Any
+    marker opens the section."""
 
     def __init__(self, markers: str) -> None:
-        super().__init__("labels", len(markers))
-        self.markers = markers
-        self.firsts = [_SCRIPT_GROUPS[marker] for marker in markers]
-        self.groups = tuple(g for first in self.firsts for g in (first, first + 1))
+        super().__init__("labels", len(markers), ("",) * len(markers))
+        self.markers, self.opener = markers, tuple(markers)
+        self.groups = tuple(g for m in markers for g in (_SCRIPT_GROUPS[m], _SCRIPT_GROUPS[m] + 1))
 
     def read(self, r: _Reader, into: List[Any]) -> None:
         labels = []
@@ -604,10 +543,9 @@ class _Scripts(_Section):
                 labels.append("")
         into[self.slot] = tuple(labels)
 
-    def take(self, m: re.Match, into: List[Any]) -> bool:
-        # a group's inside, "" for {}, or else one character, or else absent
-        into[self.slot] = tuple([m[k] or m[k + 1] or "" for k in self.firsts])
-        return True
+    def fill(self, raw: Tuple[Optional[str], ...], split: Callable, into: List[Any]) -> None:
+        # each script a group's inside, "" for {}, or else one character, or else absent
+        into[self.slot] = tuple([g or c or "" for g, c in zip(raw[::2], raw[1::2])])
 
     def write(self, obj: Any) -> str:
         return "".join(f"{m}{{{v}}}" for m, v in zip(self.markers, obj.labels))
@@ -616,24 +554,10 @@ class _Scripts(_Section):
 class _Factor(_Section):
     """``{factor}`` of ``\\scalefactor``: a positive rational, one token or group."""
 
-    opener = "{"
-    groups = (8,)
+    groups = (6,)
 
-    def read(self, r: _Reader, into: List[Any]) -> None:
-        token = r.single_token()
-        try:
-            into[self.slot] = read_positive(token, "scale factor")
-        except ValueError as exc:
-            raise r.error(str(exc)) from None
-
-    def take(self, m: re.Match, into: List[Any]) -> bool:
-        if m[8] is None:
-            return False
-        try:
-            into[self.slot] = read_positive(m[8], "scale factor")
-        except ValueError:
-            return False
-        return True
+    def fill(self, raw: str, split: Callable, into: List[Any]) -> None:
+        into[self.slot] = read_positive(raw, "scale factor")
 
     def write(self, obj: Any) -> str:
         return f"{{{getattr(obj, self.field)}}}"
@@ -671,22 +595,30 @@ class _Chain:
         self.template = list(Command(None, **self.defaults))  # before any section is read
         k = next((k for k, s in enumerate(sections) if isinstance(s, _Part)), len(sections))
         self.head, self.tail = sections[:k], sections[k:]
+        self.cuts = [(s, itemgetter(*s.groups)) for s in self.head]  # its text in a match
         unread = sorted(set(range(1, _GROUPS + 1)).difference(*[s.groups for s in self.head]))
         self.unread, self.nones = itemgetter(*unread), (None,) * len(unread)
+        # the first group of each required section, after group 0 twice, which
+        # is never None and keeps the result a tuple
+        self.needed = itemgetter(0, 0, *[s.groups[0] for s in self.head if not s.optional])
         # a section that may be absent at the end: the reader looks past it
-        self.open_end = self.head[-1].optional or isinstance(self.head[-1], _Scripts)
+        self.open_end = self.head[-1].optional
 
     def take(self, m: re.Match, kind: str) -> Optional[List[Any]]:
         """The field values of the command ``kind`` with those of its head
-        taken from ``m``, a match of ``_sections()`` where its sections
+        filled from ``m``, a match of ``_sections()`` where its sections
         begin; None where the section reader must read the command."""
-        if self.unread(m) != self.nones:
-            return None  # a section the command lacks
+        if self.unread(m) != self.nones or None in self.needed(m):
+            return None  # a section the command lacks, or a required one not taken
         values = self.template.copy()
         values[0] = kind
-        for sec in self.head:
-            if not sec.take(m, values):
-                return None
+        try:
+            for sec, groups in self.cuts:
+                raw = groups(m)
+                if raw is not None:
+                    sec.fill(raw, cut, values)
+        except ValueError:
+            return None
         if self.open_end and m.string.startswith(_OPENERS, BLANK.match(m.string, m.end()).end()):
             return None  # the reader would read on, past a spelling the pattern refused
         return values
@@ -722,7 +654,8 @@ def _wrap(value: str, specials: str) -> str:
     return value
 
 
-_ORIGIN = _Ints("origin", "(", 2, Point(0, 0), Point._make)
+_POINT = partial(tuple.__new__, Point)  # Point._make in C; fill has counted the values
+_ORIGIN = _Ints("origin", "(", 2, Point(0, 0), _POINT)
 _LENGTH = _Ints("length", "<", 1, 0, itemgetter(0))  # 0: measured from the labels
 
 
@@ -736,13 +669,21 @@ def _shape(program: str, placements: str, extent: Tuple[int, ...], n: int, m: in
     return _Chain(program, *_head(placements, extent), _Payload(n, m))
 
 
+def _grid(program: str, placements: str, limit: int, stub: Tuple[int, ...], n: int,
+          m: int) -> _Chain:
+    """A grid: a mask below ``limit`` and a stub, ``stub`` after a mask and
+    zero without one, between the head and the payload."""
+    return _Chain(program, *_head(placements, (500, 500)), _Mask(limit, stub),
+                  _Ints("stub", "<", len(stub), (0,) * len(stub), group=7), _Payload(n, m))
+
+
 COMMANDS: Dict[str, _Chain] = {
     "morphism": _Chain("morphism", _ORIGIN, _Bar("a", exact=False),
                        _Styles(1), _Ints("extent", "<", 2, (500, 0)), _Payload(2, 1)),
-    "vector": _Chain("vector", _Ints("origin", "(", 2, make=Point._make),
+    "vector": _Chain("vector", _Ints("origin", "(", 2, make=_POINT),
                      _Styles(1, required=True), _Ints("extent", "<", 2)),
     "place": _Chain("place", _Align("align", 1, ""),
-                    _Ints("origin", "(", 2, make=Point._make), _Payload(1, 0)),
+                    _Ints("origin", "(", 2, make=_POINT), _Payload(1, 0)),
     "square": _shape("shape", "alrb", (500, 500), 4, 4),
     "Square": _shape("auto_square", "alrb", (500,), 4, 4),
     "ptriangle": _shape("shape", "alr", (500, 500), 3, 3),
@@ -759,16 +700,14 @@ COMMANDS: Dict[str, _Chain] = {
     "Dtrianglepair": _shape("shape", "lrmlr", (500, 500), 4, 5),
     "hSquares": _shape("hsquares", "aalmrbb", (500,), 6, 7),
     "vSquares": _shape("vsquares", "alrmlrb", (500, 500), 6, 7),  # <bottom,top>
-    "iiixiii": _Chain("shape", *_head("aammbblmrlmr", (500, 500)),
-                      _Mask(4096, (400, 400), (0, 0)), _Payload(9, 12)),
-    "iiixii": _Chain("grid3x2", *_head("aabblmr", (500, 500)),
-                     _Mask(16, (400,), (0,)), _Payload(6, 7)),
+    "iiixiii": _grid("shape", "aammbblmrlmr", 4096, (400, 400), 9, 12),
+    "iiixii": _grid("grid3x2", "aabblmr", 16, (400,), 6, 7),
     "pullback": _Chain("pullback", *_head("alrb", (500, 500)), _Payload(4, 4),
                        _Part("trident", _Bar("amb"), _Styles(3),
                              _Ints("extent", "<", 2, (500, 500)), _Payload(1, 3))),
     "cube": _Chain("cube", *_head("alrb", (1500, 1500)), _Payload(4, 4),
                    _Part("inner", *_head("alrb", (500, 500), _Ints(
-                       "origin", "(", 2, Point(500, 500), Point._make)), _Payload(4, 4)),
+                       "origin", "(", 2, Point(500, 500), _POINT)), _Payload(4, 4)),
                    _Part("connectors", _Bar("mmmm"), _Styles(4), _Payload(0, 4))),
     "to": _Chain("inline", _Styles(1), _LENGTH, _Scripts("^_")),
     "two": _Chain("inline", _Styles(2), _LENGTH, _Scripts("^_")),

@@ -296,6 +296,7 @@ def test_bad_scale_flag(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--scale", "1e3"), ("--scale", "\u0663"), ("--scale", "1_0"),
     ("--scale", "-1/2"), ("--em", "1/0"), ("--em", "0"), ("--em", "1e1"),
+    ("--scale", "9" * 4301), ("--em", "1/0" + "9" * 4300),
 ])
 def test_a_bad_scale_or_em_flag_exits_2_naming_the_flag(tmp_path, capsys, flag, value):
     src = _write(tmp_path, "ex.dg", GOOD)
@@ -303,6 +304,15 @@ def test_a_bad_scale_or_em_flag_exits_2_naming_the_flag(tmp_path, capsys, flag, 
     err = capsys.readouterr().err
     assert err.startswith("diagc: ") and flag in err and err.count("\n") == 1
     assert not (tmp_path / "ex.svg").exists()
+
+
+@pytest.mark.parametrize("flag", ["--scale", "--em"])
+def test_a_scale_or_em_flag_of_4300_digits_is_read(tmp_path, capsys, flag):
+    # the Xy-pic token stream, which prints no number of the scale
+    src = _write(tmp_path, "ex.dg", GOOD)
+    out = str(tmp_path / "out") + os.sep
+    assert main([str(src), f"{flag}={'9' * 4300}", "-f", "xypic", "-o", out]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("value", ["1/3", "0.5", "2", " 3/2 ", "1e3", "\u0663", "1_0", "0", "2/0"])

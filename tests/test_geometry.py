@@ -62,7 +62,8 @@ def test_pt_to_centiem():
 
 @pytest.mark.parametrize("text, value", [
     ("2", 2), ("0.7", Fraction(7, 10)), ("1/3", Fraction(1, 3)), (" 4/2 ", 2), (".5", Fraction(1, 2)),
-    ("+3", 3), ("5.", 5), ("07/014", Fraction(1, 2)),
+    ("+3", 3), ("5.", 5), ("07/014", Fraction(1, 2)), ("9" * 4300, int("9" * 4300)),
+    ("1/" + "0" * 4299 + "2", Fraction(1, 2)), ("1." + "0" * 4300, 1),
 ])
 def test_read_positive_takes_ascii_rationals(text, value):
     got = read_positive(text, "x")
@@ -73,6 +74,9 @@ def test_read_positive_takes_ascii_rationals(text, value):
     ("1e3", "malformed x '1e3'"), ("\u0663", "malformed x '\u0663'"), ("1_0", "malformed x '1_0'"),
     ("1/0", "malformed x '1/0'"), ("", "malformed x ''"), ("inf", "malformed x 'inf'"),
     ("0", "x must be positive"), ("-1/2", "x must be positive"), ("0.0", "x must be positive"),
+    ("9" * 4301, "x has more than 4300 digits in a row"),
+    ("1/0" + "9" * 4300, "x has more than 4300 digits in a row"),
+    ("1." + "0" * 4301, "x has more than 4300 digits in a row"),
 ])
 def test_read_positive_rejects_other_text(text, message):
     with pytest.raises(ValueError) as info:

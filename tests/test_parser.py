@@ -146,8 +146,13 @@ LONG = "9" * 4301   # one digit more than int() reads and str() writes
         (f"\\morphism(0,0) <+{LONG},0>[A`B;f]", (1, 4322), "integer of more than 4300 digits"),
         (f"\\iiixiii {{{LONG}}}" + NINE, (1, 4313), "mask must be in 0..4095"),
         (f"\\iiixiii{{1}} <{LONG},400>" + NINE, (1, 4320), "integer of more than 4300 digits"),
+        # geometry.read_positive, by either path: a run of digits, leading zeros too
+        (f"\\scalefactor{{{LONG}}}", (1, 4316), "scale factor has more than 4300 digits in a row"),
+        (f"\\scalefactor {{1/0{LONG}}}", (1, 4320),
+         "scale factor has more than 4300 digits in a row"),
     ],
-    ids=["extent", "origin", "mask", "stub", "extent-read", "mask-read", "stub-read"],
+    ids=["extent", "origin", "mask", "stub", "extent-read", "mask-read", "stub-read", "factor",
+         "factor-read"],
 )
 def test_an_integer_of_more_than_4300_digits_is_a_parse_error(source, where, message):
     with pytest.raises(ParseError) as info:
@@ -170,7 +175,8 @@ def test_ascii_number_spellings():
     assert parse_command("\\twoar( +5 ,-007)").direction == (5, -7)
     assert parse_command("\\iiixiii{ 015 }" + NINE).mask == 15
     for text, factor in [("3/4", Fraction(3, 4)), (" -1.50", Fraction(-3, 2)),
-                         (".5", Fraction(1, 2)), ("2.", Fraction(2)), ("+2/04", Fraction(1, 2))]:
+                         (".5", Fraction(1, 2)), ("2.", Fraction(2)), ("+2/04", Fraction(1, 2)),
+                         ("9" * 4300, int("9" * 4300)), ("1/" + "0" * 4299 + "2", Fraction(1, 2))]:
         source = "\\scalefactor{" + text + "}"
         if factor > 0:
             assert parse_command(source).factor == factor
@@ -398,8 +404,8 @@ def _square_grid(k):
 
 
 def test_parse_cost_per_byte_is_bounded():
-    # the section reader alone costs about 29 instructions per grid byte and
-    # 41 per corpus byte; one match per command, about 6.8 and 14.0
+    # the section reader alone costs about 27 instructions per grid byte and
+    # 37 per corpus byte; one match per command, about 6.9 and 15.0
     def per_byte(texts):
         def parse():
             return [parse_source(t) for t in texts]
@@ -415,7 +421,7 @@ def test_parse_cost_per_byte_is_bounded():
 
 def test_pattern_compile_cost_is_bounded():
     # every process that parses compiles these once, on first use: about
-    # 208000 instructions, most of them the shared section pattern
+    # 188000 instructions, most of them the shared section pattern
     patterns = (parser._sections, parser._command_name, parser._line_break, lexer._cutter)
 
     def compile_all():
@@ -429,9 +435,9 @@ def test_pattern_compile_cost_is_bounded():
 
 
 def test_compile_cost_per_arrow_is_bounded():
-    # parse, expand and merge: about 317 instructions per arrow on the 20x20
+    # parse, expand and merge: about 314 instructions per arrow on the 20x20
     # grid, 170 of them expansion (412 and 265 with five Python calls per
-    # edge, 797 with the section reader alone)
+    # edge, 634 with the section reader alone)
     def per_arrow(k):
         text = _square_grid(k)
         compile_source(text)  # the scan patterns are compiled on first use

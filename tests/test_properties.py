@@ -163,6 +163,7 @@ def test_scans_agree_with_the_token_walk(atoms, lone, stops):
 @example(atoms=["a", "{"], lone=True, closer="|")
 @example(atoms=["a", "\\\r", "\n", " ", "b", "\\\r", "\n", "\\\r", "b", "]"], lone=False,
          closer="]")  # a backslash before CR LF, and before CR
+@example(atoms=["\\%", "a", ")"], lone=False, closer=")")  # an escaped % starts no comment
 def test_reader_sections_agree_with_the_token_walk(atoms, lone, closer):
     opener = "{" if closer == "}" else "("
     text = opener + "".join(atoms) + "\\" * lone
@@ -368,6 +369,8 @@ def read_command(text):
 @example(text="\\place(0,0)[a;b]")  # a ; in a payload of one half
 @example(text="\\morphism[A  B`C;f]")  # a run of spaces that the reader makes one
 @example(text="\\vector(0,0)/>/<1,1>[A]")  # a section the command lacks
+@example(text="\\three/\\%>`>`>/<0>^{}|{}_{}")  # an escaped % in a section the reader reads
+@example(text="\\to x")  # no script: the reader, like the match, ends before the space
 def test_the_one_match_agrees_with_the_section_reader(text):
     matched = read_command(text)
     with pytest.MonkeyPatch.context() as mp:
