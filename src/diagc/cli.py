@@ -91,12 +91,14 @@ def _compile_file(path: str, fmt: str, cfg: ScaleConfig, metrics: FontMetrics) -
     return _FileResult(path, outputs, diagnostics, status)
 
 
-def _write_atomic(dest: str, text: str) -> None:
-    # no partial files: write to a sibling temp file, then rename over
+def _write_atomic(dest: str, text: str, mode: int) -> None:
+    # no partial files: write to a sibling temp file, then rename over;
+    # mkstemp makes it 0600, so it gets the mode a plain write would give
     directory, name = os.path.split(dest)
     fd, tmp = tempfile.mkstemp(dir=directory or ".", prefix=name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            os.chmod(tmp, mode)
             fh.write(text)
         os.replace(tmp, dest)
     except BaseException:
@@ -151,6 +153,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     status = 0
     made = {""}  # the output directories made in this run; "" is the current one
+    umask = os.umask(0)  # no call reads the umask without setting it
+    os.umask(umask)
+    mode = 0o666 & ~umask  # what a plain write gives a new file
     for result, dests in zip(results, plan):
         for diag in result.diagnostics:
             print(diag.format(), file=sys.stderr)
@@ -174,7 +179,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 if directory not in made:
                     os.makedirs(directory, exist_ok=True)
                     made.add(directory)
-                _write_atomic(dest, text)
+                _write_atomic(dest, text, mode)
             except OSError as exc:
                 print(f"diagc: cannot write {dest}: {exc}", file=sys.stderr)
                 status = max(status, 2)

@@ -23,13 +23,13 @@ twice in a block is one dict hit.  It accepts only what ``emit_ir``
 writes: every field once, in order, one space apart, each the canonical
 spelling of a valid value.  In that pattern a braced text field holds
 groups at most one level deep (``W_{0,0}``, ``@{>}``) and ends at the
-first ``}`` outside them that no backslash escapes.  A line whose text
-nests deeper falls back to one pattern for each maximal run of fields
-that are not braced text, with each text field (balanced by
-construction) ending where ``lexer.group_end`` says.  Either way the
-brace of ``\\{`` or ``\\}`` never counts, and the accepted lines are the
-same.  A block with a line at fault is read again a line at a time, so
-the IRSyntaxError names the first such line.  Nodes and arrows are
+first ``}`` outside them that no backslash escapes.  A line it refuses
+is split at the spaces outside braces (``lexer.split_top``): each text
+field must be one group (``lexer.group_end``), and the line with every
+text emptied to ``{}`` must pass the same pattern.  Either way the brace
+of ``\\{`` or ``\\}`` never counts, and the accepted lines are the same.
+A block with a line at fault is read again a line at a time, so the
+IRSyntaxError names the first such line.  Nodes and arrows are
 named tuples, built from the columns by position.  A ratio spelled
 without ``/`` reads as an int, the type the compiler gives a whole
 offset or local scale, so a record read back equals the one written,
@@ -49,7 +49,7 @@ from typing import (Any, Callable, Dict, Iterable, List, NamedTuple, Optional, S
 from .geometry import EX_RATIO, LABEL_SCALE, OBJECT_MARGIN, Memo, Point, ScaleConfig
 from .ir import (KIND_POS, KIND_THREE, KIND_TO, KIND_TWO, KIND_TWOAR, KIND_VECTOR,
                  Arrow, DiagramIR, LabelSide, Node)
-from .lexer import group_end
+from .lexer import GROUP_INSIDE, group_end, split_top
 
 _HEADER, _END = "diagc-ir 1", "end"
 
@@ -88,10 +88,7 @@ _FRACTION = _Kind("%s", f"(?:0|-?{_DIGITS})(?:/{_DIGITS})?", _ratio)
 _POSITIVE = _Kind("%s", f"{_DIGITS}(?:/{_DIGITS})?", _ratio)
 _FLAG = _Kind("%d", "[01]", {"0": False, "1": True}.__getitem__)
 _TEXT = _Kind("{%s}", None)
-# a text field whose groups nest at most one level: any character but a
-# brace or a backslash, a backslash and the character after it (under the
-# lexer's rule only a control symbol can hide a brace), or a group of such
-_FLAT = r"\{((?:[^{}\\]|\\.|\{(?:[^{}\\]|\\.)*\})*)\}"
+_FLAT = r"\{(" + GROUP_INSIDE + r")\}"  # a text field whose groups nest at most one level
 _ALIGN = _word({"-": "", "l": "l", "r": "r", "u": "u", "d": "d"})
 _ARROW_KIND = _word({k: k for k in (KIND_POS, KIND_VECTOR, KIND_TO, KIND_TWO, KIND_THREE,
                                     KIND_TWOAR)})
@@ -116,6 +113,7 @@ class _Record:
         self.spelled = tuple((i, kind.spell) for i, kind in enumerate(self.kinds) if kind.spell)
         self.reads = [kind.read for kind in self.kinds]
         self.ratios = tuple(i for i, read in enumerate(self.reads) if read is _ratio)
+        self.texts = tuple(i for i, kind in enumerate(self.kinds) if kind.pattern is None)
         # each point's x, last first, so that merging its column with its
         # y's keeps the indices of the columns before it
         self.points = tuple(i for i, a in reversed(tuple(enumerate(self.attrs)))
@@ -143,22 +141,6 @@ class _Record:
             re.escape(prefix) + (_FLAT if kind.pattern is None else f"({kind.pattern})")
             for prefix, kind in zip(self.prefixes, self.kinds)) + r"\Z", re.DOTALL)
 
-    @cached_property
-    def patterns(self) -> Tuple[re.Pattern, Tuple[re.Pattern, ...]]:
-        """The fallback reader, compiled on first use: one pattern per run
-        of fields up to a text field's prefix, and the last run up to the
-        end of the line, as the first pattern and the rest."""
-        runs = [""]
-        for prefix, kind in zip(self.prefixes, self.kinds):
-            runs[-1] += re.escape(prefix)
-            if kind.pattern is None:
-                runs.append("")
-            else:
-                runs[-1] += f"({kind.pattern})"
-        runs[-1] += r"\Z"
-        head, *tail = map(re.compile, runs)
-        return head, tuple(tail)
-
     def read(self, lines: List[str]) -> Tuple[Any, ...]:
         """The records of a block of lines that ``lines`` could have
         written, or a scale line's values; IRSyntaxError naming the first
@@ -168,7 +150,7 @@ class _Record:
         try:
             matches = list(map(self.whole.match, lines))
             if None in matches:
-                rows = [match.groups() if match else self._by_runs(line)
+                rows = [match.groups() if match else self._fallback(line)
                         for match, line in zip(matches, lines)]
             else:
                 rows = map(re.Match.groups, matches)
@@ -195,26 +177,21 @@ class _Record:
         """The record of one line, or a scale line's value."""
         return self.read([line])[0]
 
-    def _by_runs(self, line: str) -> List[str]:
-        """The spellings of a line whose text may nest deeper: a pattern
-        per run of other fields, and each text field to where
-        ``group_end`` says."""
-        head, tail = self.patterns
-        match = head.match(line)
-        if match is None:
+    def _fallback(self, line: str) -> List[str]:
+        """The spellings of a line that ``whole`` refuses: split at spaces
+        outside braces, each text field one group (``group_end``), and the
+        line with its texts emptied to ``{}`` read by ``whole``."""
+        fields = split_top(line, " ")
+        texts = {}
+        if len(fields) == len(self.kinds) + 1:  # the keyword, then each field
+            for i in self.texts:
+                field, start = fields[i + 1], len(self.prefixes[i]) - 1
+                if group_end(field, start) == len(field):
+                    texts[i], fields[i + 1] = field[start + 1:-1], field[:start] + "{}"
+        match = self.whole.match(" ".join(fields))
+        if match is None or len(texts) < len(self.texts):
             raise IRSyntaxError(f"malformed {self.keyword!r} line {line!r}")
-        spellings = list(match.groups())
-        for run in tail:
-            pos = match.end()
-            end = group_end(line, pos)
-            if end < 0:
-                raise IRSyntaxError(f"unbalanced braces in {line!r}")
-            spellings.append(line[pos + 1:end - 1])
-            match = run.match(line, end)
-            if match is None:
-                raise IRSyntaxError(f"malformed {self.keyword!r} line {line!r}")
-            spellings += match.groups()
-        return spellings
+        return [texts.get(i, spelling) for i, spelling in enumerate(match.groups())]
 
 
 _RECORDS = (

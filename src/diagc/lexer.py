@@ -13,14 +13,15 @@ text are already past the reader, so there ``%`` is an ordinary
 character.
 
 Readers do not walk token lists.  ``token_at`` reads the one token at a
-position, and ``BLANK`` skips whitespace and comments in one match.  A
-scan for braces and stop characters (``section_end``, ``split_top``,
-``group_end``) runs a pattern, compiled once per stop set, that matches
-only ``{``, ``}``, the stops, control symbols and, in source text,
-comments.  A control symbol is the only token that can hide a brace, a
-stop or a ``%``; the letters of a control word and every other
-character never count, so ``re`` skips them.  ``drop_controls`` cuts
-every control sequence out of measured text in one substitution.
+position, and ``BLANK`` skips whitespace and comments in one match.
+``section_end`` is the one scan for braces and stop characters, which
+``split_top`` and ``group_end`` call.  It runs a pattern, compiled once
+per stop set, that matches only ``{``, ``}``, the stops, control symbols
+and, in source text, comments.  A control symbol is the only token that
+can hide a brace, a stop or a ``%``; the letters of a control word and
+every other character never count, so ``re`` skips them.
+``drop_controls`` cuts every control sequence out of measured text in
+one substitution.
 
 A backslash before a line break (LF, CR LF or CR) is a control space,
 as plain TeX defines ``\\^^M``: ``tidy`` spells it ``\\ ``, so no field
@@ -29,7 +30,8 @@ holds a line break.
 The common spelling of a field is text that ``tidy`` leaves as it is,
 with braces at most two deep: ``kept_field`` is its pattern, for a
 reader that takes a whole command in one match, and ``cut`` splits and
-strips such fields in C.
+strips such fields in C; ``cut`` and the IR reader share the pattern of
+a group's inside, ``GROUP_INSIDE``.
 """
 from __future__ import annotations
 
@@ -43,7 +45,6 @@ _COMMENT = r"%[^\r\n]*(?:" + LINE_END + ")?"
 _SOURCE = re.compile(_CONTROL + "|" + _COMMENT + r"|[ \t\r\n]+|.", re.DOTALL)
 _CONTROLS = re.compile(_CONTROL, re.DOTALL)
 _SYMBOL = r"\\[\W\d_]"  # a control symbol; \ and a letter starts a control word
-_DEPTH = {"{": 1, "}": -1}  # a control symbol leaves the depth as it is
 
 BLANK = re.compile(r"(?:[ \t\r\n]+|" + _COMMENT + ")*")  # whitespace and comments
 # in a section a control sequence stays, a comment goes, a backslash and a
@@ -101,12 +102,13 @@ def _scanner(stops: str, comments: bool) -> Pattern[str]:
     return re.compile(hiding + "|[{}" + re.escape(stops) + "]")
 
 
-def section_end(text: str, pos: int, stops: str) -> int:
-    """Index of the first source token from ``pos`` at brace depth 0 that
-    begins with a character of ``stops`` or is a ``}`` with nothing to
-    close; ``len(text)`` when there is none."""
+def section_end(text: str, pos: int, stops: str, comments: bool = True) -> int:
+    """Index of the first token from ``pos`` at brace depth 0 that begins
+    with a character of ``stops`` or is a ``}`` with nothing to close;
+    ``len(text)`` when there is none.  ``comments`` says whether ``%``
+    starts a comment, as in source text."""
     depth = 0
-    for tok in _scanner(stops, True).finditer(text, pos):
+    for tok in _scanner(stops, comments).finditer(text, pos):
         c = tok[0]  # no stop is \ or %, so a symbol or comment is never in stops
         if c == "{":
             depth += 1
@@ -131,21 +133,17 @@ def _tidied(tok: re.Match) -> str:
 
 
 def split_top(text: str, seps: str) -> List[str]:
-    """Split comment-free text at depth-0 tokens that begin with a char of ``seps``."""
+    """Split comment-free text at depth-0 tokens that begin with a char of
+    ``seps``; a ``}`` with nothing to close is an ordinary character."""
     parts: List[str] = []
-    depth = start = 0
-    for tok in _scanner(seps, False).finditer(text):
-        c = tok[0]
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            if depth:
-                depth -= 1
-        elif not depth and c in seps:
-            parts.append(text[start:tok.start()])
-            start = tok.end()
-    parts.append(text[start:])
-    return parts
+    start, end = 0, -1
+    while True:
+        end = section_end(text, end + 1, seps, False)
+        if end == len(text):
+            return parts + [text[start:]]
+        if text[end] != "}":
+            parts.append(text[start:end])
+            start = end + 1
 
 
 def group_end(text: str, start: int) -> int:
@@ -153,12 +151,8 @@ def group_end(text: str, start: int) -> int:
     token of comment-free text begins; -1 when either is missing."""
     if not text.startswith("{", start):
         return -1
-    depth = 0
-    for brace in _scanner("", False).finditer(text, start):
-        depth += _DEPTH.get(brace[0], 0)
-        if not depth:
-            return brace.end()
-    return -1
+    end = section_end(text, start + 1, "", False)
+    return end + 1 if end < len(text) else -1
 
 
 # in a kept field: a backslash and the character after it (a control symbol,
@@ -181,14 +175,17 @@ def kept_field(stops: str, depth: int = 2) -> str:
             + r")*\})*")
 
 
+# the inside of a group whose own groups nest at most one level: a character
+# but a brace or a backslash, a backslash and the next character, or a group of those
+GROUP_INSIDE = r"(?:[^{}\\]|\\.|\{(?:[^{}\\]|\\.)*\})*"
+
+
 @lru_cache(maxsize=None)
 def _cutter() -> Pattern[str]:
     """A backtick and the field after it: the inside of a field that is one
     group, else the whole field."""
-    inner = r"[^{}\\]|\\."
-    group = r"(?:" + inner + r"|\{(?:" + inner + r")*\})*"  # the inside of a group
-    return re.compile(r"`(?:\{(" + group + r")\}(?=`|\Z)|((?:[^`{}\\]|\\.|\{" + group
-                      + r"\})*))", re.DOTALL)
+    return re.compile(r"`(?:\{(" + GROUP_INSIDE + r")\}(?=`|\Z)|((?:[^`{}\\]|\\.|\{"
+                      + GROUP_INSIDE + r"\})*))", re.DOTALL)
 
 
 def cut(text: str) -> Tuple[str, ...]:

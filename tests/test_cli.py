@@ -349,6 +349,22 @@ def test_no_partial_file_left_behind(tmp_path):
     assert leftovers == []
 
 
+@pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_a_written_file_has_the_mode_a_plain_write_gives(tmp_path, umask):
+    src = _write(tmp_path, "ex.dg", GOOD)
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert main([str(src), "-o", str(out) + os.sep]) == 0
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(old)
+    mode = (out / "ex.svg").stat().st_mode & 0o777
+    assert mode == (tmp_path / "plain").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def _same_stem_pair(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()

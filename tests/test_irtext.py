@@ -12,9 +12,8 @@ from ir_walk import parse_by_fields, parse_ir_by_fields
 from opcode_count import opcodes
 from test_properties import BOUNDED, SOURCES
 
-from diagc import compile_source, emit_ir, irtext, parse_ir, render_figure
-from diagc.irtext import _ARROW, _NODE, _RECORDS, IRSyntaxError
-from diagc.lexer import group_end
+from diagc import compile_source, emit_ir, parse_ir, render_figure
+from diagc.irtext import _ARROW, _NODE, _RECORDS, IRSyntaxError, _Record
 
 GOOD = emit_ir(compile_source("\\to^{f}_{g}\n\\place(0,0)[X]")[0].ir)
 NODE = next(line for line in GOOD.splitlines() if line.startswith("node "))
@@ -57,6 +56,11 @@ MALFORMED = [
     (_with(ARROW, ARROW.replace("lscale=1", "lscale=0")), ARROW.replace("lscale=1", "lscale=0")),
     (_with("em 10\n", "em 0\n"), "em 0"),
     (_with("em 10\n", "em -1\n"), "em -1"),
+    # a dump without its frame: the error says what is missing
+    ("x\n", "missing IR header"),
+    (GOOD[:-len("end\n")], "missing end marker: the last line must be 'end'"),
+    ("diagc-ir 1\nend\n", "missing 'scale' line"),
+    ("diagc-ir 1\nscale 1\nend\n", "missing 'em' line"),
 ]
 MALFORMED_IDS = [
     "missing field", "non-integer", "unknown side", "zero denominator", "bad fraction",
@@ -65,7 +69,7 @@ MALFORMED_IDS = [
     "reordered scale lines", "blank line", "node after arrow", "double space",
     "unknown align", "unknown kind", "non-canonical integer", "non-canonical fraction",
     "negative ex-ratio", "negative object-margin", "negative lscale", "zero lscale",
-    "zero em", "negative em",
+    "zero em", "negative em", "no header", "no end marker", "no scale line", "no em line",
 ]
 
 
@@ -163,7 +167,7 @@ def test_reading_back_subscripted_text_costs_no_more_per_line_than_the_corpus():
     # a text field nesting one group (W_{0,0}) is read in the one match,
     # so the 1320 lines of this grid cost about 0.5 instructions a line:
     # the blocks' cost, with no Python code per line; when every arrow
-    # line fell back to group_end it cost about 704
+    # line fell back from the one match it cost about 704
     assert _read_cost_per_line([emit_ir(_subscripted_grid(16))]) <= 1
 
 
@@ -366,19 +370,20 @@ def test_a_record_read_back_is_the_compiled_record(name):
 
 
 @contextmanager
-def _group_end_calls():
-    """The lines ``irtext`` hands to ``group_end`` while the block runs."""
+def _fallback_lines():
+    """The lines that fall back from the one match while the block runs."""
     lines = []
+    fallback = _Record._fallback
 
-    def counted(text, start):
-        lines.append(text)
-        return group_end(text, start)
+    def counted(row, line):
+        lines.append(line)
+        return fallback(row, line)
 
-    irtext.group_end = counted
+    _Record._fallback = counted
     try:
         yield lines
     finally:
-        irtext.group_end = group_end
+        _Record._fallback = fallback
 
 
 def _depth(text):
@@ -393,7 +398,7 @@ def _depth(text):
 
 def test_reading_the_corpus_back_walks_groups_only_where_text_nests():
     # the one match serves every line whose text nests at most one group
-    # deep, such as the style {@{>}@/^1em/}; group_end reads only deeper text
+    # deep, such as the style {@{>}@/^1em/}; only deeper text falls back
     depths = {}
     for ir in IRS.values():
         for row, records in ((_NODE, ir.nodes), (_ARROW, ir.arrows)):
@@ -401,7 +406,7 @@ def test_reading_the_corpus_back_walks_groups_only_where_text_nests():
             for line, record in zip(row.lines(records), records):
                 depths[line[:-1]] = max(_depth(getattr(record, a)) for a in texts)
     assert 1 in depths.values()
-    with _group_end_calls() as lines:
+    with _fallback_lines() as lines:
         for dump in DUMPS:
             parse_ir(dump)
     assert set(lines) == {line for line, depth in depths.items() if depth > 1}
@@ -453,7 +458,7 @@ def record_lines(draw):
 @example(case=(_NODE, "node seq=1 x=0 y=0 align=- standalone=0 text={a\\}", False))
 def test_the_reader_agrees_with_the_field_walk_on_text_fields(case):
     row, line, shallow = case
-    with _group_end_calls() as calls:
+    with _fallback_lines() as calls:
         read = _outcome(row.parse, line)
     assert read == _outcome(parse_by_fields, row, line), line
     # a line whose text nests at most one group deep is read in one match;

@@ -49,6 +49,19 @@ def test_load_metrics_malformed_line_names_lineno(tmp_path):
         load_metrics(str(path))
 
 
+@pytest.mark.parametrize("text, message", [
+    # a blank line is skipped, and counted
+    ("f\t42\n \t\nbb\t3\n", ":3: expected one character, a tab, and a width"),
+    ("a\t-1\n", ":1: width must be non-negative"),
+])
+def test_load_metrics_says_what_is_wrong_on_which_line(tmp_path, text, message):
+    path = tmp_path / "bad.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MetricsError) as info:
+        load_metrics(str(path))
+    assert str(info.value) == str(path) + message
+
+
 def test_load_metrics_missing_file():
     with pytest.raises(MetricsError):
         load_metrics("/nonexistent/widths.tsv")

@@ -106,6 +106,21 @@ def test_payload_diagnostics(text, where, message):
     assert ((d.line, d.col), d.message) == (where, message)
 
 
+@pytest.mark.parametrize(
+    "source, where, message",
+    [
+        ("\\square/>`>/[A`B`C`D;f`g`h`k]", (1, 13), "expected 4 style token(s), got 2"),
+        ("\\scalefactor", (1, 13), "unexpected end of input"),
+        ("\\to^", (1, 5), "unexpected end of input"),
+    ],
+)
+def test_section_diagnostics(source, where, message):
+    with pytest.raises(ParseError) as info:
+        parse_source(source)
+    d = info.value.diagnostic
+    assert ((d.line, d.col), d.message) == (where, message)
+
+
 NINE = "[A`B`C`D`E`F`G`H`I;f`g`h`i`j`k`l`m`n`o`p`q]"
 
 
