@@ -17,7 +17,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .compiler import FORMATS, compile_source, render_figure
 from .diagnostics import Diagnostic, DiagramError
-from .geometry import ScaleConfig, read_positive
+from .geometry import Memo, ScaleConfig, read_positive
 from .metrics import DEFAULT_METRICS, FontMetrics, load_metrics
 
 
@@ -132,7 +132,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # the golden file, the one -o file or <directory>/<name>, where no two
     # inputs may write one file
     plan: List[List[str]] = []
-    real: Dict[str, str] = {}  # output directory -> its resolved path
+    real = Memo(os.path.realpath)  # output directory -> its resolved path
     writer: Dict[Tuple[str, str], _FileResult] = {}  # (resolved directory, name) -> input
     for result in results:
         names = [] if result.status else [name for name, _ in result.outputs]
@@ -141,8 +141,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         else [out] * len(names))
             continue
         base = os.path.dirname(result.path) if out is None else out
-        if base not in real:
-            real[base] = os.path.realpath(base)
         plan.append([os.path.join(base, name) for name in names])
         for name, dest in zip(names, plan[-1]):
             first = writer.setdefault((real[base], name), result)

@@ -8,7 +8,8 @@ through ScaleConfig, so diagrams expand identically at every scale.
 Numbers are written by one exact-decimal rule: ``decimal_base`` factors
 a denominator once, and ``format_decimal`` (one number) and the
 ``Decimals`` memo (every number of a render over one denominator) write
-each quotient from it.
+each quotient from it; one with no finite decimal is rounded to six
+places in integers, so its digits are right at any magnitude.
 """
 from __future__ import annotations
 
@@ -183,12 +184,15 @@ def format_decimal(num: int, den: int = 1) -> str:
     """Exact, minimal decimal rendering of num / den (den > 0).
 
     A ratio whose lowest terms have a denominator outside 2^a * 5^b is
-    rounded to six places.
+    rounded to six places in integers (a tie would need den to divide
+    2 * 10^6); a negative value that rounds to zero is written "-0".
     """
     g = math.gcd(num, den)
     num, den = num // g, den // g
     _, scale, per, pattern = decimal_base(den)
-    if not scale:
-        return f"{num / den:.6f}".rstrip("0").rstrip(".")
-    text = (pattern % divmod(abs(num) * per, scale)).rstrip("0").rstrip(".")
+    if scale:
+        q = abs(num) * per   # in units of the last place
+    else:   # in millionths, rounded
+        scale, pattern, q = 10**6, "%d.%06d", round_div(abs(num) * 10**6, den)
+    text = (pattern % divmod(q, scale)).rstrip("0").rstrip(".")
     return "-" + text if num < 0 else text

@@ -84,22 +84,20 @@ def merge_duplicate_nodes(
     per later copy, and its seq in ``seqs``.  Idempotent; arrows are
     untouched.
     """
-    seen: dict = {}
-    by_anchor: dict = {}
-    kept: List[Node] = []
+    seen: dict = {}    # (anchor, text) -> the node kept for it, in order
+    first: dict = {}   # anchor -> the first node kept there
     for node in d.nodes:
         key = (node.anchor, node.text)
         if key in seen:
             continue
-        other = by_anchor.get(node.anchor)
-        if other is not None and other.text != node.text and warnings is not None:
+        seen[key] = node
+        # a first node at this anchor that is not this one has other text
+        other = first.setdefault(node.anchor, node)
+        if other is not node and warnings is not None:
             warnings.append(
                 f"two nodes at ({node.anchor.x},{node.anchor.y}) with "
                 f"different text: {other.text!r} and {node.text!r}"
             )
             if seqs is not None:
                 seqs.append(node.seq)
-        seen[key] = node
-        by_anchor.setdefault(node.anchor, node)
-        kept.append(node)
-    return DiagramIR(tuple(kept), d.arrows, d.scale)
+    return DiagramIR(tuple(seen.values()), d.arrows, d.scale)

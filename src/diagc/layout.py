@@ -35,10 +35,11 @@ of a named tuple.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Dict, List, NamedTuple, Tuple, Type
 
 from .diagnostics import Diagnostic, DiagramError, LayoutError
-from .geometry import (EX_RATIO, LABEL_SCALE, OBJECT_MARGIN, Point, ScaleConfig,
+from .geometry import (EX_RATIO, LABEL_SCALE, OBJECT_MARGIN, Memo, Point, ScaleConfig,
                        pt_to_centiem, round_div)
 from .ir import KIND_POS, Arrow, DiagramIR, LabelSide, Node
 from .metrics import DEFAULT_METRICS, FontMetrics, text_width
@@ -137,7 +138,7 @@ class _Frame(NamedTuple):
     metrics: FontMetrics
     pad_w: int         # knockout padding around on-line labels
     pad_h: int
-    label_half_w: Dict[str, int]   # filled by _label_half_w, one layout long
+    label_half_w: Memo   # text -> _label_half_w of it, one layout long
 
     @classmethod
     def of(cls, cfg: ScaleConfig, metrics: FontMetrics) -> "_Frame":
@@ -146,20 +147,16 @@ class _Frame(NamedTuple):
             metrics,
             QUANTUM * pt_to_centiem(KNOCKOUT_PAD_PT[0], cfg.em_size),
             QUANTUM * pt_to_centiem(KNOCKOUT_PAD_PT[1], cfg.em_size),
-            {},
+            Memo(partial(_label_half_w, metrics)),
         )
 
 
-def _label_half_w(text: str, frame: _Frame) -> int:
-    """Half the width of a label's text, measured once per layout: its
-    width at scale 1 times LABEL_SCALE, rounded once, ties away from
-    zero, as ``text_width`` rounds a scaled width."""
-    half_w = frame.label_half_w.get(text)
-    if half_w is None:
-        w = text_width(text, 1, frame.metrics) * LABEL_NUM
-        half_w = frame.label_half_w[text] = (
-            (2 * w + LABEL_DEN - (w < 0)) // (2 * LABEL_DEN) * QUANTUM // 2)
-    return half_w
+def _label_half_w(metrics: FontMetrics, text: str) -> int:
+    """Half the width of a label's text: its width at scale 1 times
+    LABEL_SCALE, rounded once, ties away from zero, as ``text_width``
+    rounds a scaled width."""
+    w = text_width(text, 1, metrics) * LABEL_NUM
+    return (2 * w + LABEL_DEN - (w < 0)) // (2 * LABEL_DEN) * QUANTUM // 2
 
 
 def _swallowed(seq: int) -> LayoutError:
@@ -233,9 +230,7 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame) -> DrawablePath:
     shaft: Tuple[Span, ...] = ((start, end),)
     d = 0   # the denominator of the unit vector across the path, once made
     if label and side is not NONE:
-        hw = frame.label_half_w.get(label)
-        if hw is None:
-            hw = _label_half_w(label, frame)
+        hw = frame.label_half_w[label]
         if side is ON_LINE:
             labels = (_new(PlacedLabel, (label, side, anchor, hw)),)
             shaft = _knockout(start, end, anchor, hw, frame)
@@ -250,7 +245,7 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame) -> DrawablePath:
             px, py, d = left_perp(ex - sx, ey - sy, QUANTUM)
         x, y = mx * d - px * GAP, my * d - py * GAP
         center = (2 * x + d - (x < 0)) // (2 * d), (2 * y + d - (y < 0)) // (2 * d)
-        labels += (_new(PlacedLabel, (label2, BELOW, center, _label_half_w(label2, frame))),)
+        labels += (_new(PlacedLabel, (label2, BELOW, center, frame.label_half_w[label2])),)
     return _new(DrawablePath, (start, end, arrow, anchor, labels, shaft))
 
 
@@ -383,10 +378,7 @@ def layout_diagram(
             start, end = (sx, sy), (ex, ey)
             labels = ()
             if label and side is not NONE:
-                hw = label_half_w.get(label)
-                if hw is None:
-                    hw = _label_half_w(label, frame)
-                labels = (_new(PlacedLabel, (label, side, center, hw)),)
+                labels = (_new(PlacedLabel, (label, side, center, label_half_w[label])),)
             path = _new(DrawablePath, (start, end, arrow, anchor, labels, ((start, end),)))
         paths.append(path)
         for _, _, (cx, cy), hw in labels:

@@ -157,9 +157,12 @@ def render_svg(
 
     rows = StyleRows(row_of)
     arrow_elems: List[str] = []
-    # the screen x and y memos of the points of double shafts, by the
-    # denominator gd of their gap's unit vector: at gd = 1, X and Y
-    gapped = {1: (X, Y)}
+    # by the denominator gd of the unit vector of a double shaft's gap, the
+    # screen x and y memos of x/gd and y/gd layout units: at gd = 1, X and Y
+    gapped = Memo(lambda gd: (
+        Decimals(over := decimal_base(QUANTUM * gd * ud), un, -left * gd * un),
+        Decimals(over, -un, top * gd * un)))
+    gapped[1] = X, Y
 
     def draw_double(start: IPoint, end: IPoint, spans: Tuple[Span, ...], seq: int) -> None:
         """Each span as two lines, DOUBLE_GAP to either side; their ends
@@ -169,12 +172,7 @@ def render_svg(
         except OverflowError:
             raise too_long(RenderError, seq) from None
         gx, gy = gx * DOUBLE_GAP * QUANTUM, gy * DOUBLE_GAP * QUANTUM
-        memos = gapped.get(gd)
-        if memos is None:   # x/gd and y/gd layout units on screen
-            over = decimal_base(QUANTUM * gd * ud)
-            memos = gapped[gd] = (Decimals(over, un, -left * gd * un),
-                                  Decimals(over, -un, top * gd * un))
-        sx, sy = memos
+        sx, sy = gapped[gd]
         for (ax, ay), (bx, by) in spans:
             ax, ay, bx, by = ax * gd, ay * gd, bx * gd, by * gd
             for dx, dy in ((gx, gy), (-gx, -gy)):

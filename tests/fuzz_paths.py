@@ -11,14 +11,16 @@ examples:
 - ``group_end`` and ``strip_group`` against the token walk;
 - the IR reader against the field walk, on mutated dumps;
 - the IR reader against the field walk, on lines whose text fields
-  nest groups, or end in a lone backslash.
+  nest groups, or end in a lone backslash;
+- the ``Decimals`` memo and ``format_decimal`` against the exact
+  decimal oracle, on values past a float's 53 bits.
 
 Run it from the repository root:
 
     PYTHONPATH=src python tests/fuzz_paths.py [SCALE]
 
 Each property runs its own count of examples, chosen so that the whole
-search takes about 95 s on one core of an Intel Xeon; ``SCALE``
+search takes about 65 s on one core of an Intel Xeon; ``SCALE``
 multiplies every count (default 1).  It exits non-zero at the first
 disagreement, which Hypothesis prints shrunk.  Its name keeps it out of
 pytest's collection.
@@ -48,6 +50,8 @@ PROPERTIES = [  # each property, and its examples at scale 1
     (given(case=ir.record_lines())(
         ir.test_the_reader_agrees_with_the_field_walk_on_text_fields.hypothesis.inner_test),
      1500),
+    (given(**props.DECIMAL_CASES)(
+        props.test_decimal_memo_matches_format_decimal.hypothesis.inner_test), 3000),
 ]
 
 

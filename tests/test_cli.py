@@ -138,6 +138,23 @@ def test_a_number_too_large_to_draw_exits_2_and_writes_nothing(tmp_path, capsys,
                 written.unlink()
 
 
+@pytest.mark.parametrize("fmt, ext, drawn", [
+    # node B, (10^400 - 1) / 300 em from A, and 75 centi-em past the
+    # left edge at 1/30 px per centi-em
+    ("tikz", ".tex", f"\\node at ({'3' * 398}.33em,0.106667em) {{$B$}};"),
+    ("svg", ".svg", f'<text class="node" x="{"3" * 398}5.8" y="4.6"'),
+], ids=["tikz", "svg"])
+def test_an_extent_past_the_largest_float_is_written_at_an_inexact_scale(tmp_path, capsys, fmt,
+                                                                         ext, drawn):
+    # an axis-aligned arrow needs no unit vector, and each number that
+    # does not end is rounded to six places in integers, every digit right
+    src = _write(tmp_path, "big.dg", f"\\bfig\n  \\morphism(0,0)<{NINES},0>[A`B;f]\n\\efig\n")
+    out = tmp_path / "out"
+    assert main([str(src), "-f", fmt, "--scale", "1/3", "-o", str(out) + os.sep]) == 0
+    assert "coordinates are rounded to six places" in capsys.readouterr().err
+    assert drawn in (out / f"big{ext}").read_text(encoding="utf-8")
+
+
 def test_svg_text_that_xml_cannot_carry_exits_2_and_writes_nothing(tmp_path, capsys):
     # a form feed in the second figure's node: no SVG of either figure is
     # written, and the error names the command that drew the node
@@ -347,6 +364,21 @@ def test_no_partial_file_left_behind(tmp_path):
     assert main([str(src), "-o", str(out) + os.sep]) == 0
     leftovers = [p for p in out.iterdir() if p.suffix != ".svg"]
     assert leftovers == []
+
+
+def test_a_failed_write_leaves_no_partial_file_and_the_others_are_written(tmp_path, capsys):
+    # a.svg names a directory: its temp file is written, the rename over
+    # fails, and the temp file is removed
+    a, b = _write(tmp_path, "a.dg", GOOD), _write(tmp_path, "b.dg", GOOD)
+    out = tmp_path / "out"
+    (out / "a.svg").mkdir(parents=True)
+    assert main([str(a), str(b), "-o", str(out) + os.sep]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"diagc: cannot write {out / 'a.svg'}: [Errno 21] Is a directory: ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == ["a.svg", "b.svg"]
+    assert (out / "a.svg").is_dir() and not any((out / "a.svg").iterdir())
+    assert (out / "b.svg").read_text(encoding="utf-8").startswith("<?xml")
 
 
 @pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")

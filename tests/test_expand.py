@@ -367,6 +367,8 @@ def test_two_cell_examples_and_oracle():
             assert two_cell_endpoint(i, j) == _two_cell_oracle(i, j), (i, j)
     with pytest.raises(ExpandError, match="zero direction"):
         compile_source("\\twoar(0,0)")
+    with pytest.raises(ValueError, match="^zero direction$"):
+        two_cell_endpoint(0, 0)
 
 
 def test_scalefactor_multiplies_figure_scale():

@@ -92,6 +92,13 @@ def test_format_decimal_exact():
     # reduced before the fallback test: 3/3 is exact, 1/3 is not
     assert format_decimal(7000, 3000) == "2.333333"
     assert format_decimal(6000, 3000) == "2"
+    # six places rounded in integers: right past a float's 53 bits, and
+    # past a float's range; a negative that rounds to zero keeps its sign
+    assert format_decimal(10**15 + 1, 3) == "333333333333333.666667"
+    assert format_decimal(-(10**15 + 1), 3) == "-333333333333333.666667"
+    assert format_decimal(10**400 + 1, 3) == "3" * 400 + ".666667"
+    assert format_decimal(-1, 3 * 10**7) == "-0"
+    assert format_decimal(1, 3 * 10**7) == "0"
 
 
 def test_scale_config_validation():

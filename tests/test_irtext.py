@@ -13,7 +13,8 @@ from opcode_count import opcodes
 from test_properties import BOUNDED, SOURCES
 
 from diagc import compile_source, emit_ir, parse_ir, render_figure
-from diagc.irtext import _ARROW, _NODE, _RECORDS, IRSyntaxError, _Record
+from diagc.irtext import (_ARROW, _FRACTION, _INT, _NODE, _POSITIVE, _RECORDS, IRSyntaxError,
+                          _Record)
 
 GOOD = emit_ir(compile_source("\\to^{f}_{g}\n\\place(0,0)[X]")[0].ir)
 NODE = next(line for line in GOOD.splitlines() if line.startswith("node "))
@@ -421,13 +422,32 @@ GROUP = FLAT_TEXT.map("{{{}}}".format)
 GROUPS = GROUP | st.tuples(FLAT_TEXT, GROUP, FLAT_TEXT).map("{%s%s%s}".__mod__)
 
 
+def _spellings(kind):
+    """A strategy whose language is exactly the pattern of a field that
+    is not text.  A ratio is drawn in any terms, so that the reader's
+    refusals of 2/4 and 3/1 are drawn too; a flag or a word is one of
+    the keys of the dict its ``read`` looks up."""
+    ints, positives = st.integers().map(str), st.integers(min_value=1).map(str)
+    if kind is _INT:
+        return ints
+    if kind is _FRACTION or kind is _POSITIVE:
+        head = ints if kind is _FRACTION else positives
+        return st.tuples(head, st.just("") | positives.map("/".__add__)).map("".join)
+    return st.sampled_from(sorted(kind.read.__self__))
+
+
+# each field pattern that is not text, and the strategy of its spellings
+SPELLINGS = {kind.pattern: _spellings(kind) for row in (_NODE, _ARROW) for kind in row.kinds
+             if kind.pattern is not None}
+
+
 @st.composite
 def record_lines(draw):
     """A node or arrow line, and whether it is read in the one match: its
     text fields nest at most one group deep and hold no lone backslash.
-    A field that is not text is a spelling
-    its pattern takes.  A text field is atoms; in a "nested" line also
-    groups one or two levels deep, and in a "lone" line at times a lone
+    A field that is not text is a spelling its pattern takes, drawn from
+    ``SPELLINGS``.  A text field is atoms; in a "nested" line also groups
+    one or two levels deep, and in a "lone" line at times a lone
     backslash before the closing brace."""
     row = draw(st.sampled_from([_NODE, _ARROW]))
     shape = draw(st.sampled_from(["flat", "nested", "lone"]))
@@ -442,7 +462,7 @@ def record_lines(draw):
             shallow = shallow and not lone and all(_depth(p) <= 1 for p in pieces)
             fields.append(f"{prefix}{{{''.join(pieces)}{lone}}}")
         else:
-            fields.append(prefix + draw(st.from_regex(kind.pattern, fullmatch=True)))
+            fields.append(prefix + draw(SPELLINGS[kind.pattern]))
     return row, "".join(fields), shallow
 
 

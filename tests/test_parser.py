@@ -260,6 +260,8 @@ def test_a_command_without_its_parts_writes_their_defaults():
         "[A`B`C`D;f`g`h`k](500,500)|alrb|/>`>`>`>/<500,500>[]|mmmm|/>`>`>`>/[]")
     pullback = square._replace(kind="pullback")
     assert format_command(pullback).endswith("[A`B`C`D;f`g`h`k]|amb|/>`>`>/<500,500>[]")
+    with pytest.raises(ValueError, match="^cannot format command kind 'nosuch'$"):
+        format_command(square._replace(kind="nosuch"))
 
 
 def test_whitespace_between_sections_is_free():
@@ -302,6 +304,10 @@ def test_errors_carry_position():
     assert (diag.filename, diag.line, diag.col) == ("ex.dg", 2, 1)
     with pytest.raises(ParseError, match="end of input"):
         parse_command("\\square[A`B")
+    with pytest.raises(ParseError) as info:
+        parse_command("x")
+    diag = info.value.diagnostic
+    assert (diag.line, diag.col, diag.message) == (1, 1, "expected '\\\\' to start a command")
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])

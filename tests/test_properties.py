@@ -484,7 +484,8 @@ def test_a_control_sequence_measures_one_default_character(cs, scale):
 
 
 def decimal_oracle(num, den=1):
-    """format_decimal as it was before the per-denominator formatter."""
+    """format_decimal as it was before the per-denominator formatter,
+    with an inexact value rounded from its exact Fraction."""
     g = math.gcd(num, den)
     num, den = num // g, den // g
     twos = (den & -den).bit_length() - 1
@@ -492,8 +493,10 @@ def decimal_oracle(num, den=1):
     while d % 5 == 0:
         d //= 5
         fives += 1
-    if d != 1:
-        return f"{num / den:.6f}".rstrip("0").rstrip(".")
+    if d != 1:   # six places, ties away from zero; a negative that rounds to 0 is -0
+        millionths = math.floor(Fraction(abs(num), den) * 10**6 + Fraction(1, 2))
+        text = f"{millionths // 10**6}.{millionths % 10**6:06d}".rstrip("0").rstrip(".")
+        return "-" + text if num < 0 else text
     # in lowest terms, max(a, b) places hold num/den exactly, the last one nonzero
     shift = max(twos, fives)
     if not shift:
@@ -503,8 +506,8 @@ def decimal_oracle(num, den=1):
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
 
 
-@BOUNDED
-@given(
+# numbers over den = 2^twos 5^fives odd, written plain and as mul num + shift
+DECIMAL_CASES = dict(
     nums=st.lists(st.one_of(st.just(0), st.integers(-10**15, 10**15)), min_size=1, max_size=8),
     twos=st.integers(0, 12),
     fives=st.integers(0, 12),
@@ -512,6 +515,10 @@ def decimal_oracle(num, den=1):
     mul=st.integers(-10**6, 10**6),
     shift=st.integers(-10**12, 10**12),
 )
+
+
+@BOUNDED
+@given(**DECIMAL_CASES)
 @example(nums=[0, 1, -1, 6000, 7000], twos=0, fives=0, odd=1, mul=1, shift=0)  # den = 1
 @example(nums=[6000, -6000, 7000, 0], twos=3, fives=3, odd=3, mul=1, shift=0)  # den = 3000
 @example(nums=[0, 5, -5], twos=4, fives=1, odd=1, mul=-7, shift=35)  # a sign that flips

@@ -90,6 +90,11 @@ def test_svg_empty_diagram_errors():
         render_figure(_one("\\scalefactor{2}"), "svg")
 
 
+def test_an_unknown_format_is_a_value_error():
+    with pytest.raises(ValueError, match="^unknown format 'png'$"):
+        render_figure(_one("\\square[A`B`C`D;f`g`h`k]"), "png")
+
+
 @pytest.mark.parametrize("fmt", ["svg", "tikz"])
 def test_layout_errors_name_the_figure_in_the_library(fmt):
     # the second arrow is 1 centi-em long, inside the boxes of its nodes:
