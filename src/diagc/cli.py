@@ -1,7 +1,7 @@
 """Command-line front end: compile files, dump IR, run golden checks.
 
 Exit status: 0 on success, 1 when --strict promotes warnings or a
---check comparison fails, 2 on parse, expansion, layout or SVG text
+--check comparison fails, 2 on parse, expansion, layout or rendering
 errors.  One output file per figure; multiple figures in one input get
 a -N suffix.  Commands outside \\bfig blocks form one implicit figure,
 compiled last.

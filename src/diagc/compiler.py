@@ -12,7 +12,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .diagnostics import Diagnostic, LayoutError, RenderError
 from .expand import expand_figure
-from .geometry import ScaleConfig
+from .geometry import MAX_DIGITS, ScaleConfig
 from .ir import DiagramIR, merge_duplicate_nodes
 from .irtext import emit_ir
 from .layout import layout_diagram
@@ -74,28 +74,44 @@ def compile_source(
     return out
 
 
+def _first_too_long(ir: DiagramIR) -> Optional[int]:
+    """The seq of the first node or arrow with a coordinate of more than
+    MAX_DIGITS digits; None where only the scale makes a number that long."""
+    big = 10 ** MAX_DIGITS
+    ends = [(node.seq, node.anchor) for node in ir.nodes]
+    ends += [(arrow.seq, end) for arrow in ir.arrows for end in (arrow.start, arrow.end)]
+    return min((seq for seq, (x, y) in ends if max(abs(x), abs(y)) >= big), default=None)
+
+
 def render_figure(
     figure: CompiledFigure,
     fmt: str,
     warnings: Optional[List[str]] = None,
 ) -> str:
     """Render one compiled figure in the requested format; a layout error,
-    or SVG text that XML cannot carry, names the file, line and column of
-    the command that drew the node or arrow at fault, or else of the
-    figure."""
-    if fmt == "xypic":
-        return render_xypic(figure.raw_ir)
-    if fmt == "ir":
-        return emit_ir(figure.ir)
-    if fmt != "svg" and fmt != "tikz":
-        raise ValueError(f"unknown format {fmt!r}")
-    # the warning list goes third, by position: perfbench/tracing.py counts args[2]
-    printer = render_svg if fmt == "svg" else render_tikz
+    SVG text that XML cannot carry, or a number of more digits than
+    ``str`` writes names the file, line and column of the command that
+    drew the node or arrow at fault, or else of the figure."""
     try:
+        if fmt == "xypic":
+            return render_xypic(figure.raw_ir)
+        if fmt == "ir":
+            return emit_ir(figure.ir)
+        if fmt != "svg" and fmt != "tikz":
+            raise ValueError(f"unknown format {fmt!r}")
+        # the warning list goes third, by position: perfbench/tracing.py counts args[2]
+        printer = render_svg if fmt == "svg" else render_tikz
         return printer(layout_diagram(figure.ir, figure.metrics), figure.ir.scale, warnings)
     except (LayoutError, RenderError) as exc:
-        line, col = figure.line, figure.col
-        if exc.seq is not None and figure.starts:
-            line, col = figure.positions[bisect_right(figure.starts, exc.seq) - 1]
-        raise type(exc)(Diagnostic("error", exc.diagnostic.message, figure.filename,
-                                   line, col), exc.seq) from None
+        error = exc
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        error = RenderError(Diagnostic(
+            "error", f"number too long to write: more than {MAX_DIGITS} digits"),
+            _first_too_long(figure.raw_ir))
+    line, col = figure.line, figure.col
+    if error.seq is not None and figure.starts:
+        line, col = figure.positions[bisect_right(figure.starts, error.seq) - 1]
+    raise type(error)(Diagnostic("error", error.diagnostic.message, figure.filename,
+                                 line, col), error.seq) from None

@@ -39,4 +39,4 @@ class LayoutError(DiagramError):
 
 
 class RenderError(DiagramError):
-    """Text that an output format cannot carry."""
+    """Text or a number that an output format cannot write."""

@@ -8,20 +8,22 @@ contract: it is observable in the token-stream output.  Every edge draws
 both of its nodes, so shared corners are drawn repeatedly and
 deduplicated later by merge_duplicate_nodes.
 
-One writer, ``_draw``, draws every edge: two node records and an arrow
-record appended in turn, with the label side looked up in a table.  A
-placement's side depends only on the signs of the edge's displacement,
-so a shape keeps, for each sign pair of its extent, its program with one
-side table per edge, made the first time a command draws it.  A
-``\\morphism``, the ``\\cube`` connectors and the ``\\pullback`` trident
-join points that no lattice places: their edges take the table of their
-own displacement, and a zero one is an error.
+One writer, ``_draw``, writes every step of a program: an edge as its
+two nodes and its arrow, with the label side looked up in a table, and a
+grid stub as its node and its arrow.  A placement's side depends only on
+the signs of the edge's displacement, so a shape keeps, for each sign
+pair of its extent, its program with one side table per edge, made the
+first time a command draws it.  A ``\\morphism``, the ``\\cube``
+connectors and the ``\\pullback`` trident join points that no lattice
+places: their edges take the table of their own displacement, and a zero
+one is an error.  ``\\vector``, ``\\place``, the inline arrows and
+``\\twoar`` each build their one record with its own constructor.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .diagnostics import Diagnostic, ExpandError
 from .geometry import DEFAULT_MARGIN, LABEL_SCALE, Point, ScaleConfig, exact, ratchet, tex_div
@@ -86,9 +88,9 @@ def measure_morphism_width(
 
 
 class _Builder:
-    """Accumulates nodes and arrows with creation-order seq numbers;
-    ``group`` is the index of the command being expanded, and
-    ``positions`` holds each command's position."""
+    """The figure's state while it expands: the nodes and arrows drawn,
+    numbered by ``seq`` in creation order; ``group``, the index of the
+    command being expanded; and ``positions``, where each command is."""
 
     def __init__(self, metrics: FontMetrics, filename: str,
                  positions: Sequence[Tuple[int, int]]):
@@ -108,33 +110,6 @@ class _Builder:
     def warn(self, message: str) -> None:
         self.warnings.append(Diagnostic("warning", message, self.filename,
                                         *self.positions[self.group]))
-
-    def node(
-        self, at: Point, text: str, align: str = "", standalone: bool = False
-    ) -> None:
-        self.nodes.append(_new(Node, (at, text, next(self.seq), align, standalone)))
-
-    def arrow(self, start: Point, end: Point, style: str, label: str, side: LabelSide,
-              kind: str = KIND_POS, start_text: str = "", end_text: str = "",
-              label2: str = "", offset_pt: Union[int, Fraction] = 0,
-              local_scale: Union[int, Fraction] = 1, group: int = -1) -> None:
-        self.arrows.append(_new(Arrow, (
-            start, end, style, label, side, next(self.seq), kind, start_text, end_text,
-            label2, offset_pt, local_scale, group)))
-
-    def stub(self, cmd: Command, at: Point, text: str, step: _Stub) -> None:
-        """Grid stub: one end on a node, the other free at the step's
-        direction times the command's stub lengths; a ``to_node`` stub is
-        drawn from the free end to the node.  An \\iiixii stub has one
-        length, no height, and only runs sideways."""
-        dx, dy = step.dx * cmd.stub[0], step.dy * cmd.stub[-1]
-        if dx == 0 and dy == 0:
-            raise self.error(f"\\{cmd.kind}: degenerate stub (zero extent)")
-        free = Point(at.x + dx, at.y + dy)
-        self.node(at, text)
-        start, end, ends = (free, at, ("", text)) if step.to_node else (at, free, (text, ""))
-        self.arrow(start=start, end=end, style=step.style, label="", side=LabelSide.NONE,
-                   kind=KIND_POS, start_text=ends[0], end_text=ends[1])
 
 
 # -- shapes as data ------------------------------------------------------
@@ -261,16 +236,26 @@ def _sided(program: tuple, pts: Sequence[Point]) -> tuple:
 def _draw(b: _Builder, cmd: Command, steps: Sequence[tuple], pts: Sequence[Point],
           texts: Sequence[str], placements: Sequence[str], styles: Sequence[str],
           labels: Sequence[str]) -> None:
-    """The one edge writer: each edge of ``steps`` over nodes at ``pts``
-    named ``texts``, with the placement, style and label of its slot, as
-    its two nodes and then its arrow; each grid stub whose bit is set in
-    the command's mask.  An empty style token draws nothing; an unknown
-    placement draws no label and warns if there was one."""
+    """The one writer of a program's steps over nodes at ``pts`` named
+    ``texts``.  An edge with a style draws its two nodes, then its arrow
+    with the placement and label of its slot; an unknown placement drops
+    a label, with a warning.  A grid stub whose mask bit is set draws its
+    node, then its arrow to or from a free end at the step's direction
+    times the command's stub lengths (an \\iiixii stub has one)."""
     add_node, add_arrow, seq = b.nodes.append, b.arrows.append, b.seq
     for slot, i, j, sides in steps:
         if sides is None:  # a grid stub, ``slot`` its _Stub
-            if cmd.mask >> slot.bit & 1:
-                b.stub(cmd, pts[i], texts[i], slot)
+            if not cmd.mask >> slot.bit & 1:
+                continue
+            dx, dy = slot.dx * cmd.stub[0], slot.dy * cmd.stub[-1]
+            if dx == 0 and dy == 0:
+                raise b.error(f"\\{cmd.kind}: degenerate stub (zero extent)")
+            at, text = pts[i], texts[i]
+            free = _new(Point, (at.x + dx, at.y + dy))
+            add_node(_new(Node, (at, text, next(seq), "", False)))
+            start, end, ends = (free, at, ("", text)) if slot.to_node else (at, free, (text, ""))
+            add_arrow(_new(Arrow, (start, end, slot.style, "", _NONE, next(seq), KIND_POS, *ends,
+                                   "", 0, 1, -1)))
             continue
         style = styles[slot]
         if not style:
@@ -399,16 +384,15 @@ def _expand_morphism(b: _Builder, cmd: Command) -> None:
 
 
 def _expand_vector(b: _Builder, cmd: Command) -> None:
-    dx, dy = cmd.extent
+    (x, y), (dx, dy) = cmd.origin, cmd.extent
     if dx == 0 and dy == 0:
         raise b.error("\\vector: degenerate arrow (zero displacement)")
-    start = cmd.origin
-    b.arrow(start=start, end=Point(start.x + dx, start.y + dy), style=cmd.styles[0],
-            label="", side=LabelSide.NONE, kind=KIND_VECTOR)
+    b.arrows.append(Arrow(cmd.origin, Point(x + dx, y + dy), cmd.styles[0], "", _NONE,
+                          next(b.seq), kind=KIND_VECTOR))
 
 
 def _expand_place(b: _Builder, cmd: Command) -> None:
-    b.node(cmd.origin, cmd.nodes[0], align=cmd.align, standalone=True)
+    b.nodes.append(Node(cmd.origin, cmd.nodes[0], next(b.seq), align=cmd.align, standalone=True))
 
 
 # Inline arrows by command: kind, auto-length floor, and in drawing
@@ -438,9 +422,9 @@ def _expand_inline(b: _Builder, cmd: Command) -> None:
     for slot, side, offset in arrows:
         if side is LabelSide.ON_LINE and not labels[slot]:
             side = LabelSide.NONE
-        b.arrow(start=Point(0, 0), end=Point(length, 0), style=cmd.styles[slot],
-                label=labels[slot], side=side, kind=kind, label2=label2,
-                offset_pt=offset, group=b.group)
+        b.arrows.append(Arrow(Point(0, 0), Point(length, 0), cmd.styles[slot], labels[slot],
+                              side, next(b.seq), kind=kind, label2=label2,
+                              offset_pt=offset, group=b.group))
 
 
 def two_cell_endpoint(i: int, j: int) -> Tuple[int, int]:
@@ -463,9 +447,9 @@ def _expand_twoar(b: _Builder, cmd: Command) -> None:
     i, j = cmd.direction
     if i == 0 and j == 0:
         raise b.error("\\twoar: zero direction")
-    x, y = two_cell_endpoint(i, j)
-    b.arrow(start=Point(0, 0), end=Point(x, y), style="=>", label="", side=LabelSide.NONE,
-            kind=KIND_TWOAR, local_scale=Fraction(1, 10), group=b.group)
+    b.arrows.append(Arrow(Point(0, 0), Point(*two_cell_endpoint(i, j)), "=>", "", _NONE,
+                          next(b.seq), kind=KIND_TWOAR, local_scale=Fraction(1, 10),
+                          group=b.group))
 
 
 # each shape program by its name in the command table: ``_expand_<name>``

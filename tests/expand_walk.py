@@ -1,12 +1,16 @@
-"""The edge walk: the reference model of shape drawing in ``diagc.expand``.
+"""The edge walk: the reference model of expansion in ``diagc.expand``.
 
-This is expansion as it stood before one edge writer replaced the
-per-edge calls: ``_Builder.morphism`` works out each edge's label side
-from its displacement and draws its two nodes and its arrow by keyword,
-``_draw`` walks a shape's program step by step, and ``_run`` places the
-shape.  The shape table, the inline arrows, vectors and placed nodes
-come from ``diagc.expand``.  On every figure, ``expand_figure`` must give
-the same nodes, arrows, warnings and errors as ``expand_figure`` here.
+This is expansion as it stood before one writer replaced the per-edge
+and per-record calls: ``_Builder.morphism`` works out each edge's label
+side from its displacement and draws its two nodes and its arrow by
+keyword, ``_Builder.stub`` draws a grid stub, ``_draw`` walks a shape's
+program step by step, and ``_run`` places the shape.  Vectors, placed
+nodes, the inline arrows and ``\\twoar`` build their records through the
+keyword builders ``_Builder.node`` and ``_Builder.arrow``.  The shape
+table, ``resolve_label_side``, ``measure_morphism_width`` and
+``two_cell_endpoint`` come from ``diagc.expand``.  On every figure,
+``expand_figure`` must give the same nodes, arrows, scale, warnings and
+errors as ``expand_figure`` here.
 """
 from __future__ import annotations
 
@@ -24,16 +28,24 @@ from diagc.expand import (
     _VSQUARES_BOTTOM,
     _Edge,
     _Shape,
-    _expand_inline,
-    _expand_place,
-    _expand_twoar,
-    _expand_vector,
     measure_morphism_width,
     resolve_label_side,
+    two_cell_endpoint,
 )
-from diagc.geometry import Point, ScaleConfig, exact
-from diagc.ir import KIND_POS, Arrow, DiagramIR, LabelSide, Node
-from diagc.metrics import DEFAULT_METRICS, FontMetrics
+from diagc.geometry import DEFAULT_MARGIN, LABEL_SCALE, Point, ScaleConfig, exact, ratchet
+from diagc.ir import (
+    KIND_POS,
+    KIND_THREE,
+    KIND_TO,
+    KIND_TWO,
+    KIND_TWOAR,
+    KIND_VECTOR,
+    Arrow,
+    DiagramIR,
+    LabelSide,
+    Node,
+)
+from diagc.metrics import DEFAULT_METRICS, FontMetrics, text_width
 from diagc.parser import COMMANDS, Command, Figure
 
 _new = tuple.__new__
@@ -214,6 +226,60 @@ def _expand_morphism(b: _Builder, cmd: Command) -> None:
     (x, y), (dx, dy) = cmd.origin, cmd.extent
     b.morphism(cmd, cmd.origin, Point(x + dx, y + dy), cmd.placements,
                cmd.styles[0], cmd.nodes[0], cmd.nodes[1], cmd.labels[0])
+
+
+def _expand_vector(b: _Builder, cmd: Command) -> None:
+    dx, dy = cmd.extent
+    if dx == 0 and dy == 0:
+        raise b.error("\\vector: degenerate arrow (zero displacement)")
+    start = cmd.origin
+    b.arrow(start=start, end=Point(start.x + dx, start.y + dy), style=cmd.styles[0],
+            label="", side=LabelSide.NONE, kind=KIND_VECTOR)
+
+
+def _expand_place(b: _Builder, cmd: Command) -> None:
+    b.node(cmd.origin, cmd.nodes[0], align=cmd.align, standalone=True)
+
+
+# Inline arrows by command: kind, auto-length floor, and in drawing
+# order each arrow's style and label slot, side and parallel offset (pt).
+# \to carries its second label on its one arrow.
+_INLINE = {
+    "to": (KIND_TO, 200, ((0, LabelSide.ABOVE, 0),)),
+    "two": (KIND_TWO, 200, ((0, LabelSide.ABOVE, Fraction(5, 2)),
+                            (1, LabelSide.BELOW, Fraction(-5, 2)))),
+    "three": (KIND_THREE, 300, ((1, LabelSide.ON_LINE, 0),
+                                (0, LabelSide.ABOVE, Fraction(9, 2)),
+                                (2, LabelSide.BELOW, Fraction(-9, 2)))),
+}
+
+
+def _expand_inline(b: _Builder, cmd: Command) -> None:
+    """Horizontal inline arrows from (0,0); auto length is the widest
+    label plus a margin, ratcheted to the command's floor.  An on-line
+    label that is empty leaves the arrow unlabeled."""
+    if cmd.length < 0:
+        raise b.error(f"\\{cmd.kind}: negative explicit length")
+    kind, floor, arrows = _INLINE[cmd.kind]
+    labels = cmd.labels
+    length = cmd.length or ratchet(DEFAULT_MARGIN + max(
+        text_width(l, LABEL_SCALE, b.metrics) for l in labels), floor)
+    label2 = labels[1] if cmd.kind == "to" else ""
+    for slot, side, offset in arrows:
+        if side is LabelSide.ON_LINE and not labels[slot]:
+            side = LabelSide.NONE
+        b.arrow(start=Point(0, 0), end=Point(length, 0), style=cmd.styles[slot],
+                label=labels[slot], side=side, kind=kind, label2=label2,
+                offset_pt=offset, group=b.group)
+
+
+def _expand_twoar(b: _Builder, cmd: Command) -> None:
+    i, j = cmd.direction
+    if i == 0 and j == 0:
+        raise b.error("\\twoar: zero direction")
+    x, y = two_cell_endpoint(i, j)
+    b.arrow(start=Point(0, 0), end=Point(x, y), style="=>", label="", side=LabelSide.NONE,
+            kind=KIND_TWOAR, local_scale=Fraction(1, 10), group=b.group)
 
 
 _PROGRAMS = {f.__name__[len("_expand_"):]: f for f in (

@@ -1,5 +1,6 @@
 """Random search of the path-agreement properties of the parser, the
-lexer's scans, the IR reader, the decimal printer and the layout.
+lexer's scans, the IR reader, the decimal printer, the layout and
+expansion.
 
 The suite runs each property on a fixed, derandomized set of 100
 examples.  This script runs the same test bodies on fresh random
@@ -17,14 +18,15 @@ examples:
 - the inline clipping of a horizontal or vertical arrow against
   ``clip_general``, and its box against the two-walk box;
 - the layout's running box against the two-walk box, on generated
-  commands.
+  commands;
+- expansion against the edge walk, on figures of every command kind.
 
 Run it from the repository root:
 
     PYTHONPATH=src python tests/fuzz_paths.py [SCALE]
 
 Each property runs its own count of examples, chosen so that the whole
-search takes about 80 s on one core of an Intel Xeon; ``SCALE``
+search takes about 85 s on one core of an Intel Xeon; ``SCALE``
 multiplies every count (default 1).  It exits non-zero at the first
 disagreement, which Hypothesis prints shrunk.  Its name keeps it out of
 pytest's collection.
@@ -60,6 +62,8 @@ PROPERTIES = [  # each property, and its examples at scale 1
         props.test_axis_aligned_clipping_matches_the_general_path.hypothesis.inner_test), 3000),
     (given(cmds=props.LAYOUT_COMMANDS)(
         props.test_layout_box_agrees_with_the_two_walk_box.hypothesis.inner_test), 1000),
+    (given(cmds=st.lists(props.EXPAND_COMMANDS, min_size=1, max_size=3))(
+        props.test_expansion_agrees_with_the_edge_walk.hypothesis.inner_test), 3000),
 ]
 
 

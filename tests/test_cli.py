@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, golden checks, and the CLI
 contract on mutated corpus sources."""
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -121,7 +122,14 @@ NINES = "9" * 400   # an extent past the largest float
     # an integer that int() does not read
     (f"\\morphism(0,0)<{'9' * 4301},0>[A`B;f]", ["svg", "tikz", "xypic", "ir"], "2:4322",
      "integer of more than 4300 digits"),
-], ids=["label", "double", "digits"])
+    # integers that int() reads, summing to an end that str() does not
+    # write; SVG and TikZ print it from the corner of the figure's box
+    (f"\\morphism({'9' * 4300},0)<500,0>[A`B;f]", ["xypic", "ir"], "2:3",
+     "number too long to write: more than 4300 digits"),
+    # a scale that makes every printed number too long: the figure's
+    (f"\\scalefactor{{{'9' * 4300}}}\\morphism[A`B;f]", ["svg", "tikz"], "1:1",
+     "number too long to write: more than 4300 digits"),
+], ids=["label", "double", "digits", "sum", "scalefactor"])
 def test_a_number_too_large_to_draw_exits_2_and_writes_nothing(tmp_path, capsys, command,
                                                               fmts, where, message):
     src = _write(tmp_path, "big.dg", f"\\bfig\n  {command}\n\\efig\n")
@@ -132,10 +140,9 @@ def test_a_number_too_large_to_draw_exits_2_and_writes_nothing(tmp_path, capsys,
         if fmt in fmts:
             assert (status, err) == (2, f"{src}:{where}: error: {message}\n")
             assert not out.exists()
-        else:   # Xy-pic and IR draw no unit vector
+        else:   # the formats that print no such number
             assert status == 0 and err == ""
-            for written in out.iterdir():
-                written.unlink()
+            shutil.rmtree(out)
 
 
 @pytest.mark.parametrize("fmt, ext, drawn", [
@@ -323,13 +330,24 @@ def test_a_bad_scale_or_em_flag_exits_2_naming_the_flag(tmp_path, capsys, flag, 
     assert not (tmp_path / "ex.svg").exists()
 
 
-@pytest.mark.parametrize("flag", ["--scale", "--em"])
-def test_a_scale_or_em_flag_of_4300_digits_is_read(tmp_path, capsys, flag):
-    # the Xy-pic token stream, which prints no number of the scale
+@pytest.mark.parametrize("flag, too_long_in", [("--scale", ["svg", "tikz"]), ("--em", ["svg"])],
+                         ids=["--scale", "--em"])
+def test_a_scale_or_em_flag_of_4300_digits_is_read(tmp_path, capsys, flag, too_long_in):
+    # a format whose numbers it multiplies finds them too long to write,
+    # at the figure; the Xy-pic token stream and the IR multiply none, and
+    # TikZ writes in em, so the em size multiplies none of its numbers
     src = _write(tmp_path, "ex.dg", GOOD)
-    out = str(tmp_path / "out") + os.sep
-    assert main([str(src), f"{flag}={'9' * 4300}", "-f", "xypic", "-o", out]) == 0
-    assert capsys.readouterr().err == ""
+    out = tmp_path / "out"
+    for fmt in FORMATS:
+        status = main([str(src), f"{flag}={'9' * 4300}", "-f", fmt, "-o", str(out) + os.sep])
+        err = capsys.readouterr().err
+        if fmt in too_long_in:
+            assert (status, err) == (
+                2, f"{src}:1:1: error: number too long to write: more than 4300 digits\n")
+            assert not out.exists()
+        else:
+            assert (status, err) == (0, "")
+            shutil.rmtree(out)
 
 
 @pytest.mark.parametrize("value", ["1/3", "0.5", "2", " 3/2 ", "1e3", "\u0663", "1_0", "0", "2/0"])

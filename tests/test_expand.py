@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from opcode_count import opcodes
 from shape_fixtures import FIXTURES
 
 from diagc import (
@@ -18,8 +19,10 @@ from diagc import (
     Point,
     ScaleConfig,
     compile_source,
+    expand_figure,
     measure_morphism_width,
     merge_duplicate_nodes,
+    parse_source,
     two_cell_endpoint,
 )
 
@@ -508,3 +511,28 @@ def test_shape_fixtures_import_nothing_from_diagc():
             assert not any(a.name.split(".")[0] == "diagc" for a in node.names)
         elif isinstance(node, ast.ImportFrom):
             assert node.level == 0 and (node.module or "").split(".")[0] != "diagc"
+
+
+# a round of the kinds drawn apart from the edges of a shape: grid stubs
+# on every side, a vector, a placed node and each inline group; 98 records
+_STUB_AND_RECORD_ROUND = (
+    "\\iiixiii{4095}[A`B`C`D`E`F`G`H`I;a`b`c`d`e`f`g`h`i`j`k`l]\n"
+    "\\iiixii{15}[A`B`C`D`E`F;f`g`h`i`j`k`l]\n"
+    "\\vector(0,0)/>/<500,0>\n\\place(0,0)[X]\n\\to\n\\two\n\\three\n\\twoar(1,0)\n"
+)
+
+
+def test_stub_and_record_cost_per_record_is_bounded():
+    # expansion alone, per node or arrow record, over ten rounds (980
+    # records): 68.6 instructions with stubs written in the edge writer
+    # and records built by their constructors, 75.7 through the builder's
+    # stub, node and arrow methods (Python 3.11.7; 64.3 and 69.7 on
+    # 3.12.1, 60.6 and 64.0 on 3.13.0)
+    def per_record(rounds):
+        (figure,) = parse_source("\\bfig\n" + _STUB_AND_RECORD_ROUND * rounds + "\\efig\n")
+        ir, _ = expand_figure(figure)  # each shape's side tables are made on first use
+        return opcodes(lambda: expand_figure(figure)) / (len(ir.nodes) + len(ir.arrows))
+
+    small, large = per_record(5), per_record(10)
+    assert large <= 72
+    assert large <= 1.05 * small

@@ -441,20 +441,18 @@ def _expansion(expand, cmds):
     return _typed(ir.nodes), _typed(ir.arrows), ir.scale, warnings, starts
 
 
-# every kind that draws edges, with coordinates, extents and stubs from a
-# few values: extents of either sign and zero, \cube inner corners and the
-# \pullback trident node on outer corners, are common
-_EDGE_COMMANDS = commands(
+# every command kind, \scalefactor included, with coordinates, extents,
+# stubs and \twoar directions from a few values: extents of either sign
+# and zero, \cube inner corners and the \pullback trident node on outer
+# corners, are common
+EXPAND_COMMANDS = commands(
     field=st.sampled_from(["", "f", "{a}"]),
-    kinds=tuple(sorted(k for k, chain in COMMANDS.items() if chain.program in (
-        "morphism", "shape", "auto_square", "hsquares", "vsquares", "cube", "pullback",
-        "grid3x2"))),
     numbers=st.sampled_from([0, 500, -500, 1000]),
 )
 
 
 @BOUNDED
-@given(cmds=st.lists(_EDGE_COMMANDS, min_size=1, max_size=3))
+@given(cmds=st.lists(EXPAND_COMMANDS, min_size=1, max_size=3))
 # a zero displacement draws nothing, and is no error, where the edge has
 # no style: the \cube connector from C, the \pullback edge from E to A
 @example(cmds=[parse_command(
@@ -463,9 +461,13 @@ _EDGE_COMMANDS = commands(
 # grid stubs of two lengths, and every mask bit but the first
 @example(cmds=[parse_command(f"\\iiixiii{{4095}}<400,300>[A`B`C`D`E`F`G`H`I;{L12}]")])
 @example(cmds=[parse_command(f"\\iiixii{{14}}<400>[{N6};{L7}]")])
+# one record apiece: an inline group with an on-line label left empty
+@example(cmds=[parse_command("\\three<0>^a|{}_b"), parse_command("\\twoar(-1,2)"),
+               parse_command("\\vector(5,5)/>/<-500,0>"), parse_command("\\place(1,2)[X]")])
 def test_expansion_agrees_with_the_edge_walk(cmds):
-    # the one edge writer against the per-edge calls it replaced: the
-    # same records, field types included, warnings, starts and errors
+    # the one writer and the record constructors against the per-edge and
+    # keyword-builder calls they replaced: the same records, field types
+    # included, scale, warnings, starts and errors
     assert _expansion(expand_figure, cmds) == _expansion(expand_walk.expand_figure, cmds)
 
 
