@@ -59,6 +59,7 @@ _RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/0*[1-9][0-9]*|\.[0-9]*)?|\.[0-9]+)")
 # leading zeros included: the most that int() reads and str() writes
 # (sys.int_info.default_max_str_digits, Python 3.11 on), held on every Python.
 MAX_DIGITS = 4300
+INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")   # ASCII: int() alone also reads 1_0, ٣ or 1e3
 
 
 def read_positive(text: str, what: str) -> Union[int, Fraction]:

@@ -35,8 +35,9 @@ ratio is read at import.  The records are named tuples, built by
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import partial
-from typing import Dict, List, NamedTuple, Tuple, Type
+from typing import Dict, List, NamedTuple, Tuple, Type, Union
 
 from .diagnostics import Diagnostic, DiagramError, LayoutError
 from .geometry import (EX_RATIO, LABEL_SCALE, OBJECT_MARGIN, Memo, Point, ScaleConfig,
@@ -54,12 +55,14 @@ KNOCKOUT_PAD_PT = (1, 4)   # on-line label padding, printer's points
 # the language's constants in layout units: the node box shift (the
 # anchor sits 0.75 ex below the box center, rounded to the centi-em), the
 # object margin around node boxes, a label centre's distance from its
-# line and a label's half height
+# line, the half heights of a label and of a node box (one em tall for
+# every text), and the latter with the margin
 BASELINE = QUANTUM * round_div(75 * EX_RATIO.numerator, EX_RATIO.denominator)
 MARGIN = QUANTUM * OBJECT_MARGIN
 GAP = QUANTUM * LABEL_GAP
 LABEL_HALF_H = int(QUANTUM * NODE_BOX_HEIGHT // 2 * LABEL_SCALE)
 NODE_HALF_H = QUANTUM * NODE_BOX_HEIGHT // 2
+NODE_REACH_H = NODE_HALF_H + MARGIN
 
 ABOVE, BELOW = LabelSide.ABOVE, LabelSide.BELOW
 NONE, ON_LINE = LabelSide.NONE, LabelSide.ON_LINE
@@ -68,9 +71,9 @@ LABEL_NUM, LABEL_DEN = LABEL_SCALE.as_integer_ratio()
 
 IPoint = Tuple[int, int]           # layout units
 Span = Tuple[IPoint, IPoint]
-# per axis, x then y: the half extent, margin included, of the first
-# node drawn at each anchor
-Reach = Tuple[Dict[Point, int], Dict[Point, int]]
+# the half width, margin included, of the first node drawn at each
+# anchor; its half height with the margin is NODE_REACH_H
+Reach = Dict[Point, int]
 
 # builds a record from its fields without the Python-level __new__ of a
 # named tuple
@@ -99,8 +102,7 @@ def left_perp(dx: int, dy: int, den: int = 1) -> Tuple[int, int, int]:
 class PlacedNode(NamedTuple):
     node: Node
     center: IPoint        # drawn box center: anchor + align + baseline shift
-    half_w: int
-    half_h: int
+    half_w: int           # the half height is NODE_HALF_H
 
 
 class PlacedLabel(NamedTuple):
@@ -130,12 +132,11 @@ class DiagramLayout(NamedTuple):
 
 
 class _Frame(NamedTuple):
-    """What layout reads of one figure's settings: its ScaleConfig, its
-    metrics and the knockout padding in layout units, converted from the
-    em size once, and the half width of each label text met so far."""
+    """What clipping reads of one figure's settings: its em size, the
+    knockout padding converted from it once, and the half width of each
+    label text met so far, measured with the figure's metrics."""
 
-    cfg: ScaleConfig
-    metrics: FontMetrics
+    em_size: Union[int, Fraction]   # points per em
     pad_w: int         # knockout padding around on-line labels
     pad_h: int
     label_half_w: Memo   # text -> _label_half_w of it, one layout long
@@ -143,8 +144,7 @@ class _Frame(NamedTuple):
     @classmethod
     def of(cls, cfg: ScaleConfig, metrics: FontMetrics) -> "_Frame":
         return cls(
-            cfg,
-            metrics,
+            cfg.em_size,
             QUANTUM * pt_to_centiem(KNOCKOUT_PAD_PT[0], cfg.em_size),
             QUANTUM * pt_to_centiem(KNOCKOUT_PAD_PT[1], cfg.em_size),
             Memo(partial(_label_half_w, metrics)),
@@ -174,7 +174,8 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame) -> DrawablePath:
     """Clip any arrow in exact rationals, rounded once per point.
 
     An attached end retracts to the box of the first node drawn at its
-    anchor, whose half extents with the margin are in ``reach``; free
+    anchor, whose half width with the margin is in ``reach`` and whose
+    half height with the margin is NODE_REACH_H; free
     endpoints (bare arrows, stubs, inline arrows) stay put.  The
     parallel offset recorded on the arrow and its local render scale
     are materialized here, then the labels are placed along the result.
@@ -188,7 +189,7 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame) -> DrawablePath:
     p *= QUANTUM
     ax, ay, bx, by = start[0] * p, start[1] * p, end[0] * p, end[1] * p
     if offset_pt:
-        off = QUANTUM * pt_to_centiem(offset_pt, frame.cfg.em_size) * den
+        off = QUANTUM * pt_to_centiem(offset_pt, frame.em_size) * den
         px, py, d = left_perp(bx - ax, by - ay, den * QUANTUM)
         ax, ay, bx, by = ax * d + px * off, ay * d + py * off, bx * d + px * off, by * d + py * off
         den *= d
@@ -199,22 +200,19 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame) -> DrawablePath:
     n0 = n1 = 0
     d0 = d1 = 1
     if kind == KIND_POS:
-        reach_w, reach_h = reach
-        adx, ady = abs(dx), abs(dy)
-        if start in reach_w:
-            n0, half = 1, reach_w[start] * den
+        adx, ady, half_h = abs(dx), abs(dy), NODE_REACH_H * den
+        if start in reach:
+            n0, half = 1, reach[start] * den
             if dx and half < adx:
                 n0, d0 = half, adx
-            half = reach_h[start] * den
-            if dy and half * d0 < n0 * ady:
-                n0, d0 = half, ady
-        if end in reach_w:
-            n1, half = 1, reach_w[end] * den
+            if dy and half_h * d0 < n0 * ady:
+                n0, d0 = half_h, ady
+        if end in reach:
+            n1, half = 1, reach[end] * den
             if dx and half < adx:
                 n1, d1 = half, adx
-            half = reach_h[end] * den
-            if dy and half * d1 < n1 * ady:
-                n1, d1 = half, ady
+            if dy and half_h * d1 < n1 * ady:
+                n1, d1 = half_h, ady
     if n0 * d1 + n1 * d0 >= d0 * d1:
         raise _swallowed(seq)
     q = den * d0
@@ -318,8 +316,7 @@ def layout_diagram(
     x0 = y0 = math.inf
     x1 = y1 = -math.inf
     placed = []
-    reach: Reach = ({}, {})
-    reach_w, reach_h = reach
+    reach: Reach = {}
     for node in ir.nodes:
         anchor, text, _, align, _ = node
         hw = text_width(text, 1, metrics) * QUANTUM // 2
@@ -333,7 +330,7 @@ def layout_diagram(
                 cy -= NODE_HALF_H
             elif align == "d":
                 cy += NODE_HALF_H
-        placed.append(_new(PlacedNode, (node, (cx, cy), hw, NODE_HALF_H)))
+        placed.append(_new(PlacedNode, (node, (cx, cy), hw)))
         if cx - hw < x0:
             x0 = cx - hw
         if cx + hw > x1:
@@ -342,12 +339,11 @@ def layout_diagram(
             y0 = cy - NODE_HALF_H
         if cy + NODE_HALF_H > y1:
             y1 = cy + NODE_HALF_H
-        if anchor not in reach_w:
-            reach_w[anchor] = hw + MARGIN
-            reach_h[anchor] = NODE_HALF_H + MARGIN
+        if anchor not in reach:
+            reach[anchor] = hw + MARGIN
     paths = []
     append = paths.append
-    reach_w_get, reach_h_get = reach_w.get, reach_h.get
+    reach_get = reach.get
     for arrow in ir.arrows:
         start, end, _, label, side, _, kind, _, _, label2, offset_pt, local_scale, _ = arrow
         (sx, sy), (ex, ey) = start, end
@@ -384,7 +380,7 @@ def layout_diagram(
         c0 = c1 = 0   # how far each end moves in along the axis
         if sx == ex:   # vertical: x is fixed
             if kind == KIND_POS:
-                c0, c1 = reach_h_get(start, 0), reach_h_get(end, 0)
+                c0, c1 = NODE_REACH_H * (start in reach), NODE_REACH_H * (end in reach)
             sx = QUANTUM * sx
             if sx < x0:
                 x0 = sx
@@ -413,7 +409,7 @@ def layout_diagram(
             start, end, anchor = (sx, sy), (sx, ey), (sx, cy)
         else:   # horizontal: y is fixed
             if kind == KIND_POS:
-                c0, c1 = reach_w_get(start, 0), reach_w_get(end, 0)
+                c0, c1 = reach_get(start, 0), reach_get(end, 0)
             sy = QUANTUM * sy
             if sy < y0:
                 y0 = sy

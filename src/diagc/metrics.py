@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Dict, NamedTuple, Union
 
-from .geometry import round_div
+from .geometry import INTEGER, MAX_DIGITS, round_div
 from .lexer import drop_controls
 
 DEFAULT_CHAR_WIDTH = 50  # centi-em at scale 1.0
@@ -62,7 +62,7 @@ def text_width(text: str, scale: Union[int, Fraction],
 
 
 def load_metrics(path: str) -> FontMetrics:
-    """Read tab-separated ``char<TAB>centi-em`` lines over the defaults."""
+    """Read ``char<TAB>centi-em`` lines over the defaults; a width is an ASCII integer."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -78,10 +78,9 @@ def load_metrics(path: str) -> FontMetrics:
                 f"{path}:{lineno}: expected one character, a tab, and a width"
             )
         ch, raw = parts
-        try:
-            width = int(raw)
-        except ValueError:
+        if not INTEGER.fullmatch(raw) or len(raw.strip().lstrip("+-")) > MAX_DIGITS:
             raise MetricsError(f"{path}:{lineno}: width {raw!r} is not an integer")
+        width = int(raw)
         if width < 0:
             raise MetricsError(f"{path}:{lineno}: width must be non-negative")
         table[ch] = width

@@ -49,7 +49,7 @@ from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Pattern, Se
                     Union)
 
 from .diagnostics import Diagnostic, ParseError
-from .geometry import MAX_DIGITS, Point, read_positive
+from .geometry import INTEGER, MAX_DIGITS, Point, read_positive
 from .lexer import (BLANK, LINE_END, cut, kept_field, lone_backslash, section_end,
                     split_top, strip_group, tidy, token_at)
 
@@ -276,10 +276,8 @@ def parse_command(text: str, filename: str = "<input>") -> Command:
 
 REQUIRED = object()  # the default of a section that must be present
 
-# Numbers in source text are ASCII: int() alone would also read 1_0, a ٣
-# or 1e3.  An integer has at most MAX_DIGITS digits.  A scale factor is
-# read by geometry.read_positive.
-_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+# An integer in source text is spelled as INTEGER reads it, with at most
+# MAX_DIGITS digits; a scale factor is read by geometry.read_positive.
 
 _SLOTS = {field: k for k, field in enumerate(Command._fields)}  # a field's index
 _NODES, _LABELS, _STUB = _SLOTS["nodes"], _SLOTS["labels"], _SLOTS["stub"]
@@ -387,7 +385,7 @@ class _Ints(_Section):
         if not _integers(self.arity).fullmatch(raw):
             if len(numbers) != self.arity:
                 raise ValueError(f"expected {self.arity} integer(s), got {len(numbers)}")
-            if not all(map(_INTEGER.fullmatch, numbers)):
+            if not all(map(INTEGER.fullmatch, numbers)):
                 raise ValueError(f"malformed integer in {raw.strip()!r}")
             raise ValueError(f"integer of more than {MAX_DIGITS} digits")
         into[self.slot] = self.make(tuple(map(int, numbers)))
@@ -513,7 +511,7 @@ class _Mask(_Section):
             super().read(r, into)
 
     def fill(self, raw: str, split: Callable, into: List[Any]) -> None:
-        if not _INTEGER.fullmatch(raw):
+        if not INTEGER.fullmatch(raw):
             raise ValueError(f"malformed mask {raw!r}")
         if len(raw.strip().lstrip("+-")) > MAX_DIGITS or not 0 <= int(raw) < self.limit:
             raise ValueError(f"mask must be in 0..{self.limit - 1}")

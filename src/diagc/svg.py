@@ -181,7 +181,7 @@ def render_svg(
 
     node_attrs = f' font-size="{L[100]}" text-anchor="middle">'
     node_elems: List[str] = []
-    for node, (cx, cy), _, _ in lay.nodes:
+    for node, (cx, cy), _ in lay.nodes:
         if node.text:
             try:
                 text = escaped[node.text]

@@ -52,7 +52,7 @@ def render_tikz(
     draw = StyleRows(lambda raw: f"\\draw[{style_of(raw, 'TikZ', warnings).tikz}] (")
 
     lines: List[str] = ["\\begin{tikzpicture}[line cap=round]"]
-    for node, (cx, cy), _, _ in lay.nodes:
+    for node, (cx, cy), _ in lay.nodes:
         if node.text:
             lines.append(f"\\node at ({E[cx]}em,{E[cy]}em) {{${node.text}$}};")
     for (sx, sy), (ex, ey), arrow, _, labels, _ in lay.paths:

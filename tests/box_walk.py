@@ -12,7 +12,8 @@ import math
 from typing import Sequence, Tuple
 
 from diagc.diagnostics import Diagnostic, LayoutError
-from diagc.layout import CANVAS_MARGIN, LABEL_HALF_H, QUANTUM, DrawablePath, PlacedNode
+from diagc.layout import (CANVAS_MARGIN, LABEL_HALF_H, NODE_HALF_H, QUANTUM, DrawablePath,
+                          PlacedNode)
 
 
 def bounding_box(
@@ -24,15 +25,15 @@ def bounding_box(
     # running extremes in layout units
     x0 = y0 = math.inf
     x1 = y1 = -math.inf
-    for _, (cx, cy), hw, hh in nodes:
+    for _, (cx, cy), hw in nodes:
         if cx - hw < x0:
             x0 = cx - hw
         if cx + hw > x1:
             x1 = cx + hw
-        if cy - hh < y0:
-            y0 = cy - hh
-        if cy + hh > y1:
-            y1 = cy + hh
+        if cy - NODE_HALF_H < y0:
+            y0 = cy - NODE_HALF_H
+        if cy + NODE_HALF_H > y1:
+            y1 = cy + NODE_HALF_H
     for (sx, sy), (ex, ey), _, _, labels, _ in paths:
         if sx > ex:
             sx, ex = ex, sx

@@ -14,9 +14,9 @@ from typing import Dict, Tuple
 
 from diagc.geometry import LABEL_SCALE, pt_to_centiem, round_div
 from diagc.ir import KIND_POS, Arrow, LabelSide
-from diagc.layout import (GAP, LABEL_HALF_H, QUANTUM, DrawablePath, IPoint, PlacedLabel,
-                          Reach, Span, _Frame, _swallowed, left_perp)
-from diagc.metrics import text_width
+from diagc.layout import (GAP, LABEL_HALF_H, MARGIN, NODE_HALF_H, QUANTUM, DrawablePath, IPoint,
+                          PlacedLabel, Reach, Span, _Frame, _swallowed, left_perp)
+from diagc.metrics import DEFAULT_METRICS, text_width
 
 Ratio = Tuple[int, int]            # num, den with den > 0
 
@@ -29,11 +29,12 @@ def _along(x: int, y: int, dx: int, dy: int, den: int, t: Ratio) -> IPoint:
     return (round_div(x * td + dx * tn, den * td), round_div(y * td + dy * tn, den * td))
 
 
-def _label_half_w(text: str, frame: _Frame, widths: Dict[str, int]) -> int:
-    """Half the width of a label's text, measured once per layout."""
+def _label_half_w(text: str, widths: Dict[str, int]) -> int:
+    """Half the width of a label's text in the default metrics, measured
+    once per layout."""
     half_w = widths.get(text)
     if half_w is None:
-        half_w = widths[text] = text_width(text, LABEL_SCALE, frame.metrics) * QUANTUM // 2
+        half_w = widths[text] = text_width(text, LABEL_SCALE, DEFAULT_METRICS) * QUANTUM // 2
     return half_w
 
 
@@ -56,14 +57,16 @@ def _exit_param(half_w: int, half_h: int, dx: int, dy: int, den: int) -> Ratio:
 def clip_general(arrow: Arrow, reach: Reach, frame: _Frame,
                  widths: Dict[str, int]) -> DrawablePath:
     """Clip any arrow in exact rationals, rounded once per point; ``widths``
-    holds the half width of each label text measured so far."""
+    holds the half width of each label text measured so far.  A node box
+    is one em tall, so every box in ``reach`` is NODE_HALF_H and the
+    margin high on each side of its centre."""
     # endpoints in layout units over a common denominator den
     p, den = arrow.local_scale.as_integer_ratio()
     p *= QUANTUM
     ax, ay = arrow.start.x * p, arrow.start.y * p
     bx, by = arrow.end.x * p, arrow.end.y * p
     if arrow.offset_pt:
-        off = QUANTUM * pt_to_centiem(arrow.offset_pt, frame.cfg.em_size)
+        off = QUANTUM * pt_to_centiem(arrow.offset_pt, frame.em_size)
         px, py, d = left_perp(bx - ax, by - ay, den * QUANTUM)
         ax, ay = ax * d + px * off * den, ay * d + py * off * den
         bx, by = bx * d + px * off * den, by * d + py * off * den
@@ -72,17 +75,16 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame,
     t0: Ratio = (0, 1)
     t1: Ratio = (0, 1)
     if arrow.kind == KIND_POS:
-        reach_w, reach_h = reach
-        if arrow.start in reach_w:
-            t0 = _exit_param(reach_w[arrow.start], reach_h[arrow.start], dx, dy, den)
-        if arrow.end in reach_w:
-            t1 = _exit_param(reach_w[arrow.end], reach_h[arrow.end], dx, dy, den)
+        if arrow.start in reach:
+            t0 = _exit_param(reach[arrow.start], NODE_HALF_H + MARGIN, dx, dy, den)
+        if arrow.end in reach:
+            t1 = _exit_param(reach[arrow.end], NODE_HALF_H + MARGIN, dx, dy, den)
     if t0[0] * t1[1] + t1[0] * t0[1] >= t0[1] * t1[1]:
         raise _swallowed(arrow.seq)
     start = _along(ax, ay, dx, dy, den, t0)
     end = _along(bx, by, -dx, -dy, den, t1)
     anchor = (round_div(start[0] + end[0], 2), round_div(start[1] + end[1], 2))
-    labels = _place_labels(arrow, start, end, anchor, frame, widths)
+    labels = _place_labels(arrow, start, end, anchor, widths)
     shaft: Tuple[Span, ...] = ((start, end),)
     if labels and labels[0].side is LabelSide.ON_LINE:
         shaft = _knockout(start, end, labels[0], frame)
@@ -90,8 +92,7 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame,
 
 
 def _place_labels(
-    arrow: Arrow, start: IPoint, end: IPoint, anchor: IPoint, frame: _Frame,
-    widths: Dict[str, int],
+    arrow: Arrow, start: IPoint, end: IPoint, anchor: IPoint, widths: Dict[str, int],
 ) -> Tuple[PlacedLabel, ...]:
     """The labels a path draws; inline single arrows carry two."""
     texts = []
@@ -109,7 +110,7 @@ def _place_labels(
                 round_div(anchor[0] * d + px * gap, d),
                 round_div(anchor[1] * d + py * gap, d),
             )
-        labels.append(_new(PlacedLabel, (text, side, center, _label_half_w(text, frame, widths))))
+        labels.append(_new(PlacedLabel, (text, side, center, _label_half_w(text, widths))))
     return tuple(labels)
 
 

@@ -17,6 +17,7 @@ examples:
   decimal oracle, on values past a float's 53 bits;
 - the inline clipping of a horizontal or vertical arrow against
   ``clip_general``, and its box against the two-walk box;
+- ``clip_general`` against the per-call clipping walk, on any arrow;
 - the layout's running box against the two-walk box, on generated
   commands;
 - expansion against the edge walk, on figures of every command kind.
@@ -26,7 +27,7 @@ Run it from the repository root:
     PYTHONPATH=src python tests/fuzz_paths.py [SCALE]
 
 Each property runs its own count of examples, chosen so that the whole
-search takes about 85 s on one core of an Intel Xeon; ``SCALE``
+search takes about 90 s on one core of an Intel Xeon; ``SCALE``
 multiplies every count (default 1).  It exits non-zero at the first
 disagreement, which Hypothesis prints shrunk.  Its name keeps it out of
 pytest's collection.
@@ -60,6 +61,8 @@ PROPERTIES = [  # each property, and its examples at scale 1
         props.test_decimal_memo_matches_format_decimal.hypothesis.inner_test), 3000),
     (given(**props.AXIS_CASES)(
         props.test_axis_aligned_clipping_matches_the_general_path.hypothesis.inner_test), 3000),
+    (given(**props.GENERAL_CLIP_CASES)(
+        props.test_general_clipping_matches_the_per_call_walk.hypothesis.inner_test), 2000),
     (given(cmds=props.LAYOUT_COMMANDS)(
         props.test_layout_box_agrees_with_the_two_walk_box.hypothesis.inner_test), 1000),
     (given(cmds=st.lists(props.EXPAND_COMMANDS, min_size=1, max_size=3))(

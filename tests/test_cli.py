@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from test_properties import BOUNDED, CORPUS
 
@@ -17,6 +17,7 @@ import diagc
 from diagc import DiagramError, ParseError, compile_source, load_metrics, render_figure
 from diagc.cli import main
 from diagc.compiler import FORMATS
+from diagc.geometry import MAX_DIGITS
 from diagc.metrics import MetricsError
 
 GOOD = "\\bfig\n\\square[A`B`C`D;f`g`h`k]\n\\efig\n"
@@ -501,9 +502,14 @@ def test_one_input_given_twice_writes_nothing(tmp_path, capsys):
 CORPUS_TEXTS = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.dg"))]
 # what a mutation puts into a line of a corpus source: line ends, a
 # comment, braces, separators, a lone backslash, figure bounds, a character
-# SVG cannot carry, and sections that lay out an arrow inside its nodes
+# SVG cannot carry, sections that lay out an arrow inside its nodes, and
+# numbers at the digit bound and past it: a run of MAX_DIGITS nines and
+# one more, a scale factor, and an extent that sums past 10^MAX_DIGITS
+# after an origin
+LONGEST = "9" * MAX_DIGITS
 MUTATION_ATOMS = ["\r", "\n", "% note", "{", "}", "[", "]", "`", ";", "\\", " ",
-                  "\\bfig", "\\efig", "\x0c", "<1,0>", "(0,0)", "\\morphism[A`B;f]"]
+                  "\\bfig", "\\efig", "\x0c", "<1,0>", "(0,0)", "\\morphism[A`B;f]",
+                  LONGEST, LONGEST + "9", "\\scalefactor{" + LONGEST + "}", "<" + LONGEST + ",0>"]
 
 
 @st.composite
@@ -544,6 +550,13 @@ def _tree(root):
 @BOUNDED
 @given(text=mutated_corpus_sources(), fmt=st.sampled_from(sorted(FORMATS)),
        strict=st.booleans(), into_dir=st.booleans())
+# each number atom where it reaches its bound: as an integer, a scale
+# factor and an extent after an origin
+@example(text=f"\\morphism({LONGEST}9,0)[A`B;f]", fmt="svg", strict=False, into_dir=False)
+@example(text=f"\\morphism({LONGEST},0)[A`B;f]", fmt="xypic", strict=False, into_dir=False)
+@example(text=f"\\scalefactor{{{LONGEST}}}\n\\morphism[A`B;f]", fmt="tikz", strict=False,
+         into_dir=False)
+@example(text=f"\\morphism(1,0)<{LONGEST},0>[A`B;f]", fmt="ir", strict=False, into_dir=True)
 def test_the_cli_keeps_its_contract_on_mutated_sources(text, fmt, strict, into_dir):
     with tempfile.TemporaryDirectory() as tmp:
         src = os.path.join(tmp, "in.dg")

@@ -19,6 +19,7 @@ from diagc import (
     ScaleConfig,
     compile_source,
     layout_diagram,
+    render_figure,
     resolve_label_side,
 )
 from diagc.geometry import LABEL_SCALE
@@ -195,6 +196,22 @@ def test_knockout_splits_horizontal_path():
     (a1, b1), (a2, b2) = spans
     assert a1 == path.start and b2 == path.end
     assert b1[0] < a2[0]  # a gap remains beneath the label
+
+
+def test_knockout_keeps_the_whole_shaft_where_the_padded_box_has_no_width():
+    # {} measures 0, and at 1000 pt per em the 1 pt padding rounds to 0
+    # centi-em: the box has no width, so one shaft line is drawn, with its
+    # head; at 10 pt per em the padding alone cuts a gap
+    def shaft(em):
+        (figure,) = compile_source("\\morphism(0,0)|m|<1000,0>[A`B;{{}}]",
+                                   cfg=ScaleConfig(em_size=em))
+        return [line for line in render_figure(figure, "svg").splitlines()
+                if line.startswith("<line")]
+
+    (whole,) = shaft(1000)
+    assert whole.startswith('<line x1="1300" y1="1320" x2="10200" y2="1320" ')
+    assert whole.endswith('marker-end="url(#dg-head)"/>')
+    assert len(shaft(10)) == 2
 
 
 def test_knockout_rounds_the_whole_sum():

@@ -53,6 +53,10 @@ def test_load_metrics_malformed_line_names_lineno(tmp_path):
     # a blank line is skipped, and counted
     ("f\t42\n \t\nbb\t3\n", ":3: expected one character, a tab, and a width"),
     ("a\t-1\n", ":1: width must be non-negative"),
+    # a width is an ASCII integer, as every number in source is
+    ("a\t1_0\n", ":1: width '1_0' is not an integer"),
+    ("b\t\u0663\n", ":1: width '\u0663' is not an integer"),
+    ("c\t" + "9" * 4301 + "\n", ":1: width '" + "9" * 4301 + "' is not an integer"),
 ])
 def test_load_metrics_says_what_is_wrong_on_which_line(tmp_path, text, message):
     path = tmp_path / "bad.tsv"

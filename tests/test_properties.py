@@ -633,8 +633,7 @@ def test_axis_aligned_clipping_matches_the_general_path(
     # an on-line label is knocked out of the shaft, so layout sends it to
     # the general path too
     placed = layout.layout_diagram(DiagramIR(nodes, (), cfg)).nodes if nodes else []
-    reach = ({p.node.anchor: p.half_w + layout.MARGIN for p in placed},
-             {p.node.anchor: p.half_h + layout.MARGIN for p in placed})
+    reach = {p.node.anchor: p.half_w + layout.MARGIN for p in placed}
     laid = _clip(layout.layout_diagram, DiagramIR(nodes, (arrow,), cfg))
     general = _clip(layout.clip_general, arrow, reach, frame)
     if isinstance(laid, str):   # swallowed
@@ -654,38 +653,45 @@ def _clipped(clip, *args):
 
 
 coordinates = st.integers(-900, 900)
-# half extents of a node box, margin included, in layout units: most
-# from real text, some far wider than a short arrow
-reach_extents = st.one_of(st.integers(layout.MARGIN, layout.MARGIN + 200 * layout.QUANTUM),
-                          st.integers(0, 2000 * layout.QUANTUM))
-
-
-@BOUNDED
-@given(
+# the half width of a node box, margin included, in layout units: most
+# from real text, some far wider than a short arrow; its half height is
+# always layout.NODE_HALF_H and the margin
+reach_widths = st.one_of(st.integers(layout.MARGIN, layout.MARGIN + 200 * layout.QUANTUM),
+                         st.integers(0, 2000 * layout.QUANTUM))
+# any arrow, between two optional nodes; an em size of 1000 pt rounds the
+# 1 pt knockout padding to 0, so a label that measures 0 has a box of no
+# width
+GENERAL_CLIP_CASES = dict(
     start=st.builds(Point, coordinates, coordinates),
     delta=st.one_of(st.tuples(coordinates, coordinates),
                     st.tuples(coordinates, st.just(0)), st.tuples(st.just(0), coordinates)),
     kind=st.sampled_from([KIND_POS, KIND_VECTOR]),
-    reach_at=st.tuples(*[st.one_of(st.none(), st.tuples(reach_extents, reach_extents))] * 2),
+    reach_at=st.tuples(*[st.one_of(st.none(), reach_widths)] * 2),
     label=st.text("fgw\\{}", max_size=6),
     side=st.sampled_from(list(LabelSide)),
     label2=st.sampled_from(["", "u", "ww"]),
     offset_pt=st.sampled_from([0, 3, -3, Fraction(5, 2), Fraction(-1, 3)]),
     local_scale=st.sampled_from([1, Fraction(1, 10), Fraction(3, 7), 2]),
-    em_size=st.sampled_from([10, 12, Fraction(7, 2), Fraction(1, 3)]),
+    em_size=st.sampled_from([10, 12, Fraction(7, 2), Fraction(1, 3), 1000]),
 )
-@example(start=Point(0, 0), delta=(500, 0), kind=KIND_POS,
-         reach_at=((55000, 80000), (55000, 80000)), label="f", side=LabelSide.ON_LINE,
-         label2="", offset_pt=0, local_scale=1, em_size=10)
-@example(start=Point(0, 0), delta=(300, 300), kind=KIND_POS,
-         reach_at=((200000, 200000), (200000, 200000)), label="", side=LabelSide.NONE,
-         label2="", offset_pt=0, local_scale=1, em_size=10)  # swallowed
+
+
+@BOUNDED
+@given(**GENERAL_CLIP_CASES)
+@example(start=Point(0, 0), delta=(500, 0), kind=KIND_POS, reach_at=(55000, 55000),
+         label="f", side=LabelSide.ON_LINE, label2="", offset_pt=0, local_scale=1, em_size=10)
+@example(start=Point(0, 0), delta=(100, 100), kind=KIND_POS, reach_at=(200000, 200000),
+         label="", side=LabelSide.NONE, label2="", offset_pt=0, local_scale=1,
+         em_size=10)  # swallowed
 @example(start=Point(-88, -1), delta=(176, 2), kind=KIND_POS, reach_at=(None, None),
          label="f", side=LabelSide.ON_LINE, label2="u", offset_pt=0, local_scale=1,
          em_size=10)  # a cut on a tie of the layout grid
-@example(start=Point(0, 0), delta=(700, 700), kind=KIND_POS,
-         reach_at=((55000, 80000), None), label="f", side=LabelSide.ABOVE, label2="ww",
-         offset_pt=Fraction(5, 2), local_scale=Fraction(3, 7), em_size=Fraction(7, 2))
+@example(start=Point(0, 0), delta=(700, 700), kind=KIND_POS, reach_at=(55000, None),
+         label="f", side=LabelSide.ABOVE, label2="ww", offset_pt=Fraction(5, 2),
+         local_scale=Fraction(3, 7), em_size=Fraction(7, 2))
+@example(start=Point(0, 0), delta=(1000, 0), kind=KIND_POS, reach_at=(None, None),
+         label="{}", side=LabelSide.ON_LINE, label2="", offset_pt=0, local_scale=1,
+         em_size=1000)  # a knockout box of no width
 def test_general_clipping_matches_the_per_call_walk(
     start, delta, kind, reach_at, label, side, label2, offset_pt, local_scale, em_size,
 ):
@@ -694,10 +700,10 @@ def test_general_clipping_matches_the_per_call_walk(
     end = Point(start.x + delta[0], start.y + delta[1])
     arrow = Arrow(start, end, ">", label, side, 7, kind=kind, label2=label2,
                   offset_pt=offset_pt, local_scale=local_scale)
-    reach = ({}, {})
-    for at, extents in zip((start, end), reach_at):
-        if extents is not None and at not in reach[0]:
-            reach[0][at], reach[1][at] = extents
+    reach = {}
+    for at, half_w in zip((start, end), reach_at):
+        if half_w is not None:
+            reach.setdefault(at, half_w)
     cfg = ScaleConfig(em_size=em_size)
     frame = layout._Frame.of(cfg, DEFAULT_METRICS)
     walk_frame = layout._Frame.of(cfg, DEFAULT_METRICS)
