@@ -130,20 +130,33 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # each input's destinations, one per output and none for a failed input:
     # the golden file, the one -o file or <directory>/<name>, where no two
-    # inputs may write one file
+    # inputs may write one file and no file written may be an input
     plan: List[List[str]] = []
-    real = Memo(os.path.realpath)  # output directory -> its resolved path
+    real = Memo(os.path.realpath)  # directory -> its resolved path
     writer: Dict[Tuple[str, str], _FileResult] = {}  # (resolved directory, name) -> input
+    sources = {} if check is not None else {  # (resolved directory, name) -> input
+        (real[head], name): path
+        for path, (head, name) in zip(args.inputs, map(os.path.split, args.inputs))}
     for result in results:
         names = [] if result.status else [name for name, _ in result.outputs]
-        if check is not None or single:
-            plan.append([os.path.join(check, name) for name in names] if check is not None
-                        else [out] * len(names))
+        if check is not None:
+            plan.append([os.path.join(check, name) for name in names])
             continue
-        base = os.path.dirname(result.path) if out is None else out
-        plan.append([os.path.join(base, name) for name in names])
-        for name, dest in zip(names, plan[-1]):
-            first = writer.setdefault((real[base], name), result)
+        if single:
+            base, dests = os.path.dirname(out), [out] * len(names)
+            names = [os.path.basename(out)] * len(names)
+        else:
+            base = os.path.dirname(result.path) if out is None else out
+            dests = [os.path.join(base, name) for name in names]
+        plan.append(dests)
+        for name, dest in zip(names, dests):
+            key = real[base], name
+            source = sources.get(key)
+            if source is not None:
+                print(f"diagc: {result.path} writes {dest} over the input {source}; "
+                      "nothing written", file=sys.stderr)
+                return 2
+            first = writer.setdefault(key, result)
             if first is not result:
                 print(f"diagc: {first.path} and {result.path} both write {dest}; nothing written",
                       file=sys.stderr)

@@ -20,16 +20,18 @@ each line of a block against a whole-line pattern compiled from the
 same row on its first call, transposes the matches' groups into
 columns and maps each column through its kind's reader; a ratio read
 twice in a block is one dict hit.  It accepts only what ``emit_ir``
-writes: every field once, in order, one space apart, each the canonical
-spelling of a valid value.  In that pattern a braced text field holds
-groups at most one level deep (``W_{0,0}``, ``@{>}``) and ends at the
-first ``}`` outside them that no backslash escapes.  A line it refuses
-is split at the spaces outside braces (``lexer.split_top``): each text
-field must be one group (``lexer.group_end``), and the line with every
-text emptied to ``{}`` must pass the same pattern.  Either way the brace
+writes: each block in seq order, every field once, in order, one space
+apart, each the canonical spelling of a valid value.  In that pattern a
+braced text field holds groups at most one level deep (``W_{0,0}``,
+``@{>}``) and ends at the first ``}`` outside them that no backslash
+escapes.  A line it refuses is split at the spaces outside braces
+(``lexer.split_top``): each text field must be one group
+(``lexer.group_end``), and the line with every text emptied to ``{}``
+must pass the same pattern.  Either way the brace
 of ``\\{`` or ``\\}`` never counts, and the accepted lines are the same.
 A block with a line at fault is read again a line at a time, so the
-IRSyntaxError names the first such line.  Nodes and arrows are
+IRSyntaxError names the first such line; a block whose seqs go down
+names the first line below the one before it.  Nodes and arrows are
 named tuples, built from the columns by position.  A ratio spelled
 without ``/`` reads as an int, the type the compiler gives a whole
 offset or local scale, so a record read back equals the one written,
@@ -121,6 +123,7 @@ class _Record:
         if cls is not None:
             names = list(dict.fromkeys(a.partition(".")[0] for a in self.attrs))
             self.order = itemgetter(*map(names.index, cls._fields))
+            self.seq = self.attrs.index("seq")
 
     def lines(self, records: Sequence[Any]) -> Iterable[str]:
         """The lines of the records, in their order: the template over
@@ -144,7 +147,8 @@ class _Record:
     def read(self, lines: List[str]) -> Tuple[Any, ...]:
         """The records of a block of lines that ``lines`` could have
         written, or a scale line's values; IRSyntaxError naming the first
-        other line."""
+        other line, or else the first record whose seq is below the one
+        before it."""
         if not lines:
             return ()
         try:
@@ -169,6 +173,10 @@ class _Record:
             raise IRSyntaxError(f"bad value in {lines[0]!r}") from None
         if self.cls is None:
             return tuple(columns[0])
+        seqs = columns[self.seq]
+        if seqs != sorted(seqs):  # emit_ir writes each block by seq, ties in input order
+            i = next(i for i in range(1, len(seqs)) if seqs[i] < seqs[i - 1])
+            raise IRSyntaxError(f"{self.keyword!r} line out of seq order: {lines[i]!r}")
         for i in self.points:
             columns[i:i + 2] = [map(tuple.__new__, repeat(Point), zip(*columns[i:i + 2]))]
         return tuple(map(tuple.__new__, repeat(self.cls), zip(*self.order(columns))))

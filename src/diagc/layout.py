@@ -80,7 +80,7 @@ Reach = Dict[Point, int]
 _new = tuple.__new__
 
 
-def left_perp(dx: int, dy: int, den: int = 1) -> Tuple[int, int, int]:
+def left_perp(dx: int, dy: int, den: int) -> Tuple[int, int, int]:
     """Unit vector (x/d, y/d) to the left of travel along (dx, dy)/den centi-em.
 
     Exact when axis-aligned.  Otherwise it is the float unit vector of
@@ -102,27 +102,20 @@ def left_perp(dx: int, dy: int, den: int = 1) -> Tuple[int, int, int]:
 class PlacedNode(NamedTuple):
     node: Node
     center: IPoint        # drawn box center: anchor + align + baseline shift
-    half_w: int           # the half height is NODE_HALF_H
 
 
 class PlacedLabel(NamedTuple):
     text: str
     side: LabelSide
     center: IPoint        # the path midpoint, nudged off the line per side
-    half_w: int           # the half height is LABEL_HALF_H
 
 
 class DrawablePath(NamedTuple):
     start: IPoint
     end: IPoint
     arrow: Arrow
-    label_anchor: IPoint  # parametric midpoint of the clipped segment
     labels: Tuple[PlacedLabel, ...]
     shaft: Tuple[Span, ...]  # visible segments: an on-line label knocks out its box
-
-    @property
-    def direction(self) -> IPoint:
-        return (self.end[0] - self.start[0], self.end[1] - self.start[1])
 
 
 class DiagramLayout(NamedTuple):
@@ -228,23 +221,22 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame) -> DrawablePath:
     shaft: Tuple[Span, ...] = ((start, end),)
     d = 0   # the denominator of the unit vector across the path, once made
     if label and side is not NONE:
-        hw = frame.label_half_w[label]
         if side is ON_LINE:
-            labels = (_new(PlacedLabel, (label, side, anchor, hw)),)
-            shaft = _knockout(start, end, anchor, hw, frame)
+            labels = (_new(PlacedLabel, (label, side, anchor)),)
+            shaft = _knockout(start, end, anchor, frame.label_half_w[label], frame)
         else:
             px, py, d = left_perp(ex - sx, ey - sy, QUANTUM)
             gap = GAP if side is ABOVE else -GAP
             x, y = mx * d + px * gap, my * d + py * gap
             center = (2 * x + d - (x < 0)) // (2 * d), (2 * y + d - (y < 0)) // (2 * d)
-            labels = (_new(PlacedLabel, (label, side, center, hw)),)
+            labels = (_new(PlacedLabel, (label, side, center)),)
     if label2:   # an inline arrow's second label, below
         if not d:
             px, py, d = left_perp(ex - sx, ey - sy, QUANTUM)
         x, y = mx * d - px * GAP, my * d - py * GAP
         center = (2 * x + d - (x < 0)) // (2 * d), (2 * y + d - (y < 0)) // (2 * d)
-        labels += (_new(PlacedLabel, (label2, BELOW, center, frame.label_half_w[label2])),)
-    return _new(DrawablePath, (start, end, arrow, anchor, labels, shaft))
+        labels += (_new(PlacedLabel, (label2, BELOW, center)),)
+    return _new(DrawablePath, (start, end, arrow, labels, shaft))
 
 
 def _knockout(start: IPoint, end: IPoint, center: IPoint, half_w: int,
@@ -330,7 +322,7 @@ def layout_diagram(
                 cy -= NODE_HALF_H
             elif align == "d":
                 cy += NODE_HALF_H
-        placed.append(_new(PlacedNode, (node, (cx, cy), hw)))
+        placed.append(_new(PlacedNode, (node, (cx, cy))))
         if cx - hw < x0:
             x0 = cx - hw
         if cx + hw > x1:
@@ -354,8 +346,9 @@ def layout_diagram(
             except OverflowError:   # from left_perp: no float unit vector
                 raise too_long(LayoutError, arrow.seq) from None
             append(path)
-            (sx, sy), (ex, ey), _, _, labels, _ = path
-            for _, _, (cx, cy), hw in labels:
+            (sx, sy), (ex, ey), _, labels, _ = path
+            for text, _, (cx, cy) in labels:
+                hw = label_half_w[text]
                 if cx - hw < x0:
                     x0 = cx - hw
                 if cx + hw > x1:
@@ -406,7 +399,7 @@ def layout_diagram(
                 cx = sx + GAP if side is ABOVE else sx - GAP
             cy = sy + ey
             cy = (cy + (cy > 0)) // 2   # round_div(cy, 2)
-            start, end, anchor = (sx, sy), (sx, ey), (sx, cy)
+            start, end = (sx, sy), (sx, ey)
         else:   # horizontal: y is fixed
             if kind == KIND_POS:
                 c0, c1 = reach_get(start, 0), reach_get(end, 0)
@@ -435,11 +428,11 @@ def layout_diagram(
                 cy = sy - GAP if side is ABOVE else sy + GAP
             cx = sx + ex
             cx = (cx + (cx > 0)) // 2
-            start, end, anchor = (sx, sy), (ex, sy), (cx, sy)
+            start, end = (sx, sy), (ex, sy)
         labels = ()
         if label and side is not NONE:
             hw = label_half_w[label]
-            labels = (_new(PlacedLabel, (label, side, (cx, cy), hw)),)
+            labels = (_new(PlacedLabel, (label, side, (cx, cy))),)
             if cx - hw < x0:
                 x0 = cx - hw
             if cx + hw > x1:
@@ -448,7 +441,7 @@ def layout_diagram(
                 y0 = cy - LABEL_HALF_H
             if cy + LABEL_HALF_H > y1:
                 y1 = cy + LABEL_HALF_H
-        append(_new(DrawablePath, (start, end, arrow, anchor, labels, ((start, end),))))
+        append(_new(DrawablePath, (start, end, arrow, labels, ((start, end),))))
     # floor of the least coordinate, ceiling of the greatest, in centi-em
     x0, y0 = x0 // QUANTUM, y0 // QUANTUM
     x1, y1 = -(-x1 // QUANTUM), -(-y1 // QUANTUM)

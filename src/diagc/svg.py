@@ -181,7 +181,7 @@ def render_svg(
 
     node_attrs = f' font-size="{L[100]}" text-anchor="middle">'
     node_elems: List[str] = []
-    for node, (cx, cy), _ in lay.nodes:
+    for node, (cx, cy) in lay.nodes:
         if node.text:
             try:
                 text = escaped[node.text]
@@ -195,7 +195,7 @@ def render_svg(
 
     label_attrs = f' font-size="{L[LABEL_FONT]}" text-anchor="middle">'
     label_elems: List[str] = []
-    for start, end, arrow, _, labels, spans in lay.paths:
+    for start, end, arrow, labels, spans in lay.paths:
         double, shaft, start_attr, end_attr, whole, tips = rows[arrow.style]
         # the attributes of one line from start to end, if the arrow draws one
         if double:
@@ -217,7 +217,7 @@ def render_svg(
         if attr:
             arrow_elems.append(f'<line x1="{X[start[0]]}" y1="{Y[start[1]]}"'
                                f' x2="{X[end[0]]}" y2="{Y[end[1]]}"{attr}/>')
-        for text, _, (cx, cy), _ in labels:
+        for text, _, (cx, cy) in labels:
             try:
                 text = escaped[text]
             except RenderError as exc:

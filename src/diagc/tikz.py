@@ -52,12 +52,12 @@ def render_tikz(
     draw = StyleRows(lambda raw: f"\\draw[{style_of(raw, 'TikZ', warnings).tikz}] (")
 
     lines: List[str] = ["\\begin{tikzpicture}[line cap=round]"]
-    for node, (cx, cy), _ in lay.nodes:
+    for node, (cx, cy) in lay.nodes:
         if node.text:
             lines.append(f"\\node at ({E[cx]}em,{E[cy]}em) {{${node.text}$}};")
-    for (sx, sy), (ex, ey), arrow, _, labels, _ in lay.paths:
+    for (sx, sy), (ex, ey), arrow, labels, _ in lay.paths:
         label_nodes = ""
-        for text, side, _, _ in labels:
+        for text, side, _ in labels:
             label_nodes += f"{label_node[side]}{text}$}}"
         lines.append(f"{draw[arrow.style]}{E[sx]}em,{E[sy]}em) --{label_nodes}"
                      f" ({E[ex]}em,{E[ey]}em);")

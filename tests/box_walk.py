@@ -3,8 +3,11 @@
 
 This is ``bounding_box`` as it stood before layout folded it into the
 walk that places nodes and clips arrows: a second walk over the laid-out
-node boxes, paths and labels.  On every layout, ``layout_diagram(ir).bbox``
-must equal ``bounding_box`` here of the same nodes and paths.
+node boxes, paths and labels.  The records hold no widths, so it
+measures each node and label text itself with the layout's metrics, as
+``clip_walk`` measures a label.  On every layout,
+``layout_diagram(ir, metrics).bbox`` must equal ``bounding_box`` here of
+the same nodes, paths and metrics.
 """
 from __future__ import annotations
 
@@ -12,12 +15,14 @@ import math
 from typing import Sequence, Tuple
 
 from diagc.diagnostics import Diagnostic, LayoutError
+from diagc.geometry import LABEL_SCALE
 from diagc.layout import (CANVAS_MARGIN, LABEL_HALF_H, NODE_HALF_H, QUANTUM, DrawablePath,
                           PlacedNode)
+from diagc.metrics import FontMetrics, text_width
 
 
 def bounding_box(
-    nodes: Sequence[PlacedNode], paths: Sequence[DrawablePath]
+    nodes: Sequence[PlacedNode], paths: Sequence[DrawablePath], metrics: FontMetrics
 ) -> Tuple[int, int, int, int]:
     """Tight integer box in centi-em over node boxes, paths and labels, plus margin."""
     if not nodes and not paths:
@@ -25,7 +30,8 @@ def bounding_box(
     # running extremes in layout units
     x0 = y0 = math.inf
     x1 = y1 = -math.inf
-    for _, (cx, cy), hw in nodes:
+    for node, (cx, cy) in nodes:
+        hw = text_width(node.text, 1, metrics) * QUANTUM // 2
         if cx - hw < x0:
             x0 = cx - hw
         if cx + hw > x1:
@@ -34,7 +40,7 @@ def bounding_box(
             y0 = cy - NODE_HALF_H
         if cy + NODE_HALF_H > y1:
             y1 = cy + NODE_HALF_H
-    for (sx, sy), (ex, ey), _, _, labels, _ in paths:
+    for (sx, sy), (ex, ey), _, labels, _ in paths:
         if sx > ex:
             sx, ex = ex, sx
         if sy > ey:
@@ -47,7 +53,8 @@ def bounding_box(
             y0 = sy
         if ey > y1:
             y1 = ey
-        for _, _, (cx, cy), hw in labels:
+        for text, _, (cx, cy) in labels:
+            hw = text_width(text, LABEL_SCALE, metrics) * QUANTUM // 2
             if cx - hw < x0:
                 x0 = cx - hw
             if cx + hw > x1:

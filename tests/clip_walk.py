@@ -87,8 +87,8 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame,
     labels = _place_labels(arrow, start, end, anchor, widths)
     shaft: Tuple[Span, ...] = ((start, end),)
     if labels and labels[0].side is LabelSide.ON_LINE:
-        shaft = _knockout(start, end, labels[0], frame)
-    return _new(DrawablePath, (start, end, arrow, anchor, labels, shaft))
+        shaft = _knockout(start, end, labels[0], _label_half_w(labels[0].text, widths), frame)
+    return _new(DrawablePath, (start, end, arrow, labels, shaft))
 
 
 def _place_labels(
@@ -110,12 +110,13 @@ def _place_labels(
                 round_div(anchor[0] * d + px * gap, d),
                 round_div(anchor[1] * d + py * gap, d),
             )
-        labels.append(_new(PlacedLabel, (text, side, center, _label_half_w(text, widths))))
+        labels.append(_new(PlacedLabel, (text, side, center)))
     return tuple(labels)
 
 
-def _knockout(start: IPoint, end: IPoint, label: PlacedLabel, frame: _Frame) -> Tuple[Span, ...]:
-    """Split a path around an on-line label's padded box.
+def _knockout(start: IPoint, end: IPoint, label: PlacedLabel, half_w: int,
+              frame: _Frame) -> Tuple[Span, ...]:
+    """Split a path around the padded box of an on-line label ``half_w`` wide.
 
     Returns the visible sub-segments: none, one or two.
     """
@@ -125,7 +126,7 @@ def _knockout(start: IPoint, end: IPoint, label: PlacedLabel, frame: _Frame) -> 
     t_out: Ratio = (1, 1)
     # per axis: the half extent and the start's offset from the center
     for delta, coord, half in (
-        (dx, sx - cx, label.half_w + frame.pad_w),
+        (dx, sx - cx, half_w + frame.pad_w),
         (dy, sy - cy, LABEL_HALF_H + frame.pad_h),
     ):
         if delta == 0:

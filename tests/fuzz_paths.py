@@ -13,6 +13,8 @@ examples:
 - the IR reader against the field walk, on mutated dumps;
 - the IR reader against the field walk, on lines whose text fields
   nest groups, or end in a lone backslash;
+- the IR reader and writer, and the four printers, on mutated golden
+  dumps;
 - the ``Decimals`` memo and ``format_decimal`` against the exact
   decimal oracle, on values past a float's 53 bits;
 - the inline clipping of a horizontal or vertical arrow against
@@ -27,7 +29,8 @@ Run it from the repository root:
     PYTHONPATH=src python tests/fuzz_paths.py [SCALE]
 
 Each property runs its own count of examples, chosen so that the whole
-search takes about 90 s on one core of an Intel Xeon; ``SCALE``
+search takes at most about 90 s on one core of an Intel Xeon (72 s with
+Python 3.11.7, of which the mutated golden dumps take 3 s); ``SCALE``
 multiplies every count (default 1).  It exits non-zero at the first
 disagreement, which Hypothesis prints shrunk.  Its name keeps it out of
 pytest's collection.
@@ -57,6 +60,9 @@ PROPERTIES = [  # each property, and its examples at scale 1
     (given(case=ir.record_lines())(
         ir.test_the_reader_agrees_with_the_field_walk_on_text_fields.hypothesis.inner_test),
      1500),
+    (given(text=ir.mutated_golden_dumps())(
+        ir.test_a_mutated_golden_dump_is_refused_or_reads_back_and_renders.hypothesis.inner_test),
+     2000),
     (given(**props.DECIMAL_CASES)(
         props.test_decimal_memo_matches_format_decimal.hypothesis.inner_test), 3000),
     (given(**props.AXIS_CASES)(

@@ -7,8 +7,9 @@ text field to where ``lexer.group_end`` says.  Each constant line is a
 keyword and a number that must be the language's constant.  The
 patterns that ``parse_ir`` compiles from the table must accept exactly
 the lines it accepts, and read the same records.  The walk reads one
-line at a time, in order, and its IRSyntaxError keeps the line it
-rejects as ``line``: the line ``parse_ir``'s error must name.
+line at a time, in order, then checks that the seqs of the block it
+read never go down, as ``emit_ir`` writes them; its IRSyntaxError keeps
+the line it rejects as ``line``: the line ``parse_ir``'s error must name.
 """
 from fractions import Fraction
 
@@ -135,5 +136,16 @@ def parse_ir_by_fields(text):
     split = head
     while split < len(body) and body[split].startswith(_NODE.keyword + " "):
         split += 1
-    return DiagramIR(tuple(Node(**read_fields(_NODE, line)) for line in body[head:split]),
-                     tuple(Arrow(**read_fields(_ARROW, line)) for line in body[split:]), cfg)
+    return DiagramIR(_block(_NODE, Node, body[head:split]), _block(_ARROW, Arrow, body[split:]),
+                     cfg)
+
+
+def _block(row, cls, lines):
+    """The records of a block of lines, read one at a time; a block whose
+    seqs go down is rejected at the first line whose seq is below the
+    seq of the line before it."""
+    records = tuple(cls(**read_fields(row, line)) for line in lines)
+    for before, record, line in zip(records, records[1:], lines[1:]):
+        if record.seq < before.seq:
+            raise _rejected(f"{line!r} is out of seq order", line)
+    return records

@@ -127,8 +127,8 @@ def render_svg(
         marker_attr = start_attr + end_attr
         spans = path.shaft
         if style.body == "double":
-            dx, dy = path.direction
-            gx, gy, gd = left_perp(dx, dy, QUANTUM)
+            start, end = path.start, path.end
+            gx, gy, gd = left_perp(end[0] - start[0], end[1] - start[1], QUANTUM)
             gx, gy = gx * DOUBLE_GAP * QUANTUM, gy * DOUBLE_GAP * QUANTUM
             den = QUANTUM * gd * ud
 

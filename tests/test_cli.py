@@ -499,6 +499,38 @@ def test_one_input_given_twice_writes_nothing(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["x.dg"]
 
 
+def _refused_over_an_input(capsys, argv, writer, dest, source):
+    """Run the CLI on ``argv`` and check that it refuses to write ``dest``
+    over the input ``source``, and that the input keeps its text."""
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"diagc: {writer} writes {dest} over the input {source}; nothing written\n")
+    assert Path(source).read_text(encoding="utf-8") == GOOD
+
+
+def test_the_one_output_file_may_not_be_the_input(tmp_path, capsys):
+    src = str(_write(tmp_path, "a.dg", GOOD))
+    _refused_over_an_input(capsys, [src, "-o", src, "--format", "svg"], src, src, src)
+    assert os.listdir(tmp_path) == ["a.dg"]
+
+
+def test_the_default_output_may_not_be_the_input(tmp_path, capsys):
+    # the output of c.tex in TikZ is c.tex beside it
+    src = str(_write(tmp_path, "c.tex", GOOD))
+    _refused_over_an_input(capsys, [src, "--format", "tikz"], src, src, src)
+    assert os.listdir(tmp_path) == ["c.tex"]
+
+
+def test_an_output_in_the_directory_may_not_be_another_input(tmp_path, capsys):
+    a = str(_write(tmp_path, "a.dg", GOOD))
+    out = tmp_path / "out"
+    out.mkdir()
+    other = str(_write(out, "a.svg", GOOD))
+    _refused_over_an_input(capsys, [a, other, "-o", str(out) + os.sep], a, str(out / "a.svg"),
+                           other)
+    assert os.listdir(out) == ["a.svg"]
+
+
 CORPUS_TEXTS = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.dg"))]
 # what a mutation puts into a line of a corpus source: line ends, a
 # comment, braces, separators, a lone backslash, figure bounds, a character

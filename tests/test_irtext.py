@@ -12,7 +12,9 @@ from ir_walk import parse_by_fields, parse_ir_by_fields
 from opcode_count import opcodes
 from test_properties import BOUNDED, SOURCES
 
-from diagc import compile_source, emit_ir, parse_ir, render_figure
+from diagc import (DEFAULT_METRICS, CompiledFigure, DiagramError, compile_source, emit_ir,
+                   parse_ir, render_figure)
+from diagc.compiler import FORMATS
 from diagc.irtext import (_ARROW, _FRACTION, _INT, _NODE, _POSITIVE, _RECORDS, IRSyntaxError,
                           _Record)
 
@@ -185,6 +187,7 @@ def test_emit_ir_cost_per_line_is_bounded():
 
 
 GOLDEN_IR = sorted(Path(__file__).parent.joinpath("golden", "ir").glob("*.ir"))
+GOLDEN_DUMPS = {golden.stem: golden.read_bytes().decode("utf-8") for golden in GOLDEN_IR}
 
 
 @pytest.mark.parametrize("golden", GOLDEN_IR, ids=[p.stem for p in GOLDEN_IR])
@@ -326,6 +329,15 @@ def _edited(dump, *edits):
     return dump, lines[0]
 
 
+def _swapped(dump, first, second):
+    """The dump with two adjacent lines swapped, and the first of them,
+    which then comes after a line of higher seq."""
+    a, b = _line(dump, first), _line(dump, second)
+    assert a + "\n" + b in dump
+    return dump.replace(a + "\n" + b, b + "\n" + a, 1), a
+
+
+SQUARE = GOLDEN_DUMPS["05_square"]
 BAD_BLOCKS = {
     "bad node and bad arrow": _edited(TWO, ("node seq=1 ", "x=500", "x=0500"),
                                       ("arrow seq=5 ", "kind=pos", "kind=bogus")),
@@ -339,6 +351,8 @@ BAD_BLOCKS = {
         DEEP_FIRST, ("arrow seq=2 ", "offset=0", "offset=2/4")),
     "no node lines": _edited(NO_NODES, ("arrow seq=1 ", "group=1", "group=01")),
     "no arrow lines": _edited(NO_ARROWS, ("node seq=1 ", "text={Y}", "text={Y")),
+    "two node lines out of seq order": _swapped(SQUARE, "node seq=0 ", "node seq=1 "),
+    "two arrow lines out of seq order": _swapped(SQUARE, "arrow seq=2 ", "arrow seq=5 "),
 }
 
 
@@ -484,3 +498,68 @@ def test_the_reader_agrees_with_the_field_walk_on_text_fields(case):
     # a line whose text nests at most one group deep is read in one match;
     # any other falls back
     assert bool(calls) != shallow, line
+
+
+# what a mutation of a golden dump puts into a line: numbers at and past
+# the digit bound of int(), ratios that are not canonical, braces and
+# escaped braces, a space, nothing, and spellings int() takes that the
+# writer never writes
+DUMP_ATOMS = ["0", "-1", "9" * 4300, "9" * 4301, "1/3", "0/1", "{", "}", "\\{", " ", "",
+              "1_0", "\u0663"]
+
+
+@st.composite
+def mutated_golden_dumps(draw):
+    """A golden dump with one to three mutations: two of its lines
+    swapped, a field's value replaced by an atom, or an atom put into a
+    line or up to 4 characters cut out of it."""
+    lines = draw(st.sampled_from(sorted(GOLDEN_DUMPS.values()))).split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["swap", "replace", "insert", "delete"]))
+        if op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[j] = lines[j], lines[k]
+            continue
+        line = lines[k]
+        if op == "replace":
+            fields = line.split(" ")
+            i = draw(st.integers(0, len(fields) - 1))
+            key, eq, _ = fields[i].partition("=")
+            atom = draw(st.sampled_from(DUMP_ATOMS))
+            fields[i] = key + eq + atom if eq else atom
+            lines[k] = " ".join(fields)
+            continue
+        at = draw(st.integers(0, len(line)))
+        if op == "insert":
+            lines[k] = line[:at] + draw(st.sampled_from(DUMP_ATOMS)) + line[at:]
+        else:
+            lines[k] = line[:at] + line[at + draw(st.integers(1, 4)):]
+    return "\n".join(lines)
+
+
+def _swap_examples(test):
+    for name, (text, _) in BAD_BLOCKS.items():
+        if "seq order" in name:
+            test = example(text=text)(test)
+    return test
+
+
+@BOUNDED
+@given(text=mutated_golden_dumps())
+@_swap_examples
+def test_a_mutated_golden_dump_is_refused_or_reads_back_and_renders(text):
+    # the reader refuses a dump only with IRSyntaxError; a dump it takes
+    # is one the writer writes, and its IR renders in every format or
+    # fails with a DiagramError
+    try:
+        ir = parse_ir(text)
+    except IRSyntaxError:
+        return
+    assert emit_ir(ir) == text
+    figure = CompiledFigure(ir, ir, [], 1, 1, "x.ir", DEFAULT_METRICS)
+    for fmt in FORMATS:
+        try:
+            render_figure(figure, fmt, [])
+        except DiagramError:
+            pass

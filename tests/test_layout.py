@@ -22,8 +22,10 @@ from diagc import (
     render_figure,
     resolve_label_side,
 )
-from diagc.geometry import LABEL_SCALE
+from box_walk import bounding_box
+from diagc.geometry import LABEL_SCALE, round_div
 from diagc.ir import KIND_VECTOR
+from diagc.layout import LABEL_GAP, DrawablePath, PlacedLabel, PlacedNode, _Frame, left_perp
 from diagc.layout import QUANTUM as Q
 from diagc.metrics import DEFAULT_METRICS, FontMetrics, text_width
 
@@ -65,12 +67,13 @@ def _layout_of(source, **kw):
 
 
 def test_clip_single_char_nodes():
-    # half width 25 plus margin 30: the 500-long arrow runs 55..445
+    # half width 25 plus margin 30: the 500-long arrow runs 55..445, and
+    # its label sits LABEL_GAP above the midpoint of the clipped segment
     ir, lay = _layout_of("\\morphism[A`B;f]")
     path = lay.paths[0]
     assert path.start == (55 * Q, 0)
     assert path.end == (445 * Q, 0)
-    assert path.label_anchor == (250 * Q, 0)
+    assert [label.center for label in path.labels] == [(250 * Q, LABEL_GAP * Q)]
 
 
 def test_clip_free_stub_untouched():
@@ -130,6 +133,10 @@ def test_offset_parallel_conversion():
     assert down.start == (0, -45 * Q)
 
 
+def _direction(path):
+    return path.end[0] - path.start[0], path.end[1] - path.start[1]
+
+
 def test_offset_parallel_round_trip_and_length():
     rng = random.Random(31)
     for _ in range(50):
@@ -141,7 +148,7 @@ def test_offset_parallel_round_trip_and_length():
         for a, b, mid in ((up.start, down.start, path.start), (up.end, down.end, path.end)):
             assert (a[0] + b[0], a[1] + b[1]) == (2 * mid[0], 2 * mid[1])
         assert up.start != path.start
-        assert _free_path(0, 0, x2, y2, 7).direction == path.direction
+        assert _direction(_free_path(0, 0, x2, y2, 7)) == _direction(path)
 
 
 def test_bounding_box_examples():
@@ -167,13 +174,23 @@ def test_bounding_box_monotone_under_additions():
 
 
 def test_label_widths_follow_the_metrics_of_each_layout():
-    # a width measured in one layout is not reused by the next
+    # a width measured in one layout is not reused by the next: the box
+    # oracle measures each label with the metrics it is given, and the
+    # on-line label's knockout gap is its padded width
     ir = compile_source("\\square[A`B`C`D;f`f`f`f]\n\\morphism(0,900)|m|<600,0>[P`Q;f]")[0].ir
     wide = FontMetrics({**DEFAULT_METRICS.widths, "f": 200})
+    pad_w = _Frame.of(ir.scale, DEFAULT_METRICS).pad_w
+    boxes = []
     for metrics in (DEFAULT_METRICS, wide, DEFAULT_METRICS):
         half_w = text_width("f", LABEL_SCALE, metrics) * Q // 2
-        labels = [label for path in layout_diagram(ir, metrics).paths for label in path.labels]
-        assert len(labels) == 5 and {label.half_w for label in labels} == {half_w}
+        lay = layout_diagram(ir, metrics)
+        assert sum(len(path.labels) for path in lay.paths) == 5
+        assert lay.bbox == bounding_box(lay.nodes, lay.paths, metrics)
+        (online,) = [path for path in lay.paths if path.labels[0].side is LabelSide.ON_LINE]
+        (_, cut_in), (cut_out, _) = online.shaft
+        assert cut_out[0] - cut_in[0] == 2 * (half_w + pad_w)
+        boxes.append(lay.bbox)
+    assert boxes[0] == boxes[2] != boxes[1]
 
 
 def test_label_center_sides():
@@ -182,11 +199,23 @@ def test_label_center_sides():
         (label,) = path.labels
         return path, label.center
 
-    _, above = center(LabelSide.ABOVE)
+    # an on-line label sits on the rounded midpoint of the clipped
+    # segment; the others LABEL_GAP across it, above to the left of travel
+    path, above = center(LabelSide.ABOVE)
     _, below = center(LabelSide.BELOW)
-    path, online = center(LabelSide.ON_LINE)
-    assert above[1] > 0 > below[1]
-    assert online == path.label_anchor
+    _, online = center(LabelSide.ON_LINE)
+    mid = tuple(round_div(a + b, 2) for a, b in zip(path.start, path.end))
+    assert online == mid == (200 * Q, 0)
+    assert above == (mid[0], mid[1] + LABEL_GAP * Q)
+    assert below == (mid[0], mid[1] - LABEL_GAP * Q)
+
+
+def test_the_layout_records_hold_only_what_the_printers_draw():
+    assert PlacedNode._fields == ("node", "center")
+    assert PlacedLabel._fields == ("text", "side", "center")
+    assert DrawablePath._fields == ("start", "end", "arrow", "labels", "shaft")
+    assert not hasattr(DrawablePath, "direction")
+    assert left_perp.__defaults__ is None
 
 
 def test_knockout_splits_horizontal_path():

@@ -52,7 +52,7 @@ from diagc import (
 from diagc import layout
 from diagc.geometry import Decimals, decimal_base, format_decimal
 from diagc.ir import KIND_POS, KIND_VECTOR
-from diagc.metrics import DEFAULT_CHAR_WIDTH
+from diagc.metrics import DEFAULT_CHAR_WIDTH, text_width
 from diagc.lexer import group_end, section_end, split_top, strip_group, token_at
 from diagc.parser import COMMANDS, _Chain, _command, _Reader, format_command, parse_command
 from diagc.styles import STYLES
@@ -629,11 +629,12 @@ def test_axis_aligned_clipping_matches_the_general_path(
                   for seq, (at, text, align) in enumerate(zip((start, end), texts, aligns))
                   if text is not None)
     arrow = Arrow(start, end, ">", label, side, 2, kind=kind)
-    # the general path reads the reach of each node that layout placed;
-    # an on-line label is knocked out of the shaft, so layout sends it to
-    # the general path too
-    placed = layout.layout_diagram(DiagramIR(nodes, (), cfg)).nodes if nodes else []
-    reach = {p.node.anchor: p.half_w + layout.MARGIN for p in placed}
+    # the general path reads the reach of each node, its half width and
+    # the margin, as layout_diagram measures it; the two anchors differ,
+    # so each node is the first at its anchor; an on-line label is knocked
+    # out of the shaft, so layout sends it to the general path too
+    reach = {node.anchor: text_width(node.text, 1, DEFAULT_METRICS) * layout.QUANTUM // 2
+             + layout.MARGIN for node in nodes}
     laid = _clip(layout.layout_diagram, DiagramIR(nodes, (arrow,), cfg))
     general = _clip(layout.clip_general, arrow, reach, frame)
     if isinstance(laid, str):   # swallowed
@@ -641,7 +642,7 @@ def test_axis_aligned_clipping_matches_the_general_path(
         return
     assert laid.paths[0] == general
     # the running extremes of each branch against a second walk
-    assert laid.bbox == box_walk.bounding_box(laid.nodes, laid.paths)
+    assert laid.bbox == box_walk.bounding_box(laid.nodes, laid.paths, DEFAULT_METRICS)
 
 
 def _clipped(clip, *args):
@@ -729,7 +730,7 @@ def _box_pair(ir):
                 return None
             ir = ir._replace(arrows=tuple(a for a in ir.arrows if a.seq != exc.seq))
             continue
-        return laid.bbox, box_walk.bounding_box(laid.nodes, laid.paths)
+        return laid.bbox, box_walk.bounding_box(laid.nodes, laid.paths, DEFAULT_METRICS)
 
 
 LAYOUT_COMMANDS = st.lists(commands(field=short_texts), min_size=1, max_size=4)
