@@ -134,9 +134,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     plan: List[List[str]] = []
     real = Memo(os.path.realpath)  # directory -> its resolved path
     writer: Dict[Tuple[str, str], _FileResult] = {}  # (resolved directory, name) -> input
-    sources = {} if check is not None else {  # (resolved directory, name) -> input
-        (real[head], name): path
-        for path, (head, name) in zip(args.inputs, map(os.path.split, args.inputs))}
+    sources: Dict[Tuple[str, str], str] = {}  # (resolved directory, name) -> input
+    for path in [] if check is not None else args.inputs:
+        head, name = os.path.split(path)
+        sources[real[head], name] = path
+        if os.path.islink(path):  # the file it links to, by that file's own name, too
+            sources[os.path.split(os.path.realpath(path))] = path
     for result in results:
         names = [] if result.status else [name for name, _ in result.outputs]
         if check is not None:

@@ -40,7 +40,7 @@ from .ir import (
     Node,
 )
 from .metrics import DEFAULT_METRICS, FontMetrics, text_width
-from .parser import COMMANDS, Command, Figure
+from .parser import Command, Figure
 
 # builds a record from its fields without the Python-level __new__ of a
 # named tuple
@@ -452,14 +452,14 @@ def _expand_twoar(b: _Builder, cmd: Command) -> None:
                           group=b.group))
 
 
-# each shape program by its name in the command table: ``_expand_<name>``
-_PROGRAMS = {f.__name__[len("_expand_"):]: f for f in (
-    _expand_morphism, _expand_vector, _expand_place, _expand_shape, _expand_auto_square,
-    _expand_hsquares, _expand_vsquares, _expand_cube, _expand_pullback, _expand_grid3x2,
-    _expand_inline, _expand_twoar,
-)}
+# what draws each kind; \iiixii, a row of _SHAPES, is drawn shifted, and
+# \scalefactor draws nothing
 _EXPANDERS = {
-    kind: _PROGRAMS[chain.program] for kind, chain in COMMANDS.items() if chain.program
+    **dict.fromkeys(_SHAPES, _expand_shape), **dict.fromkeys(_INLINE, _expand_inline),
+    "iiixii": _expand_grid3x2, "Square": _expand_auto_square, "hSquares": _expand_hsquares,
+    "vSquares": _expand_vsquares, "cube": _expand_cube, "pullback": _expand_pullback,
+    "morphism": _expand_morphism, "vector": _expand_vector, "place": _expand_place,
+    "twoar": _expand_twoar,
 }
 
 

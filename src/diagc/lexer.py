@@ -191,11 +191,9 @@ def _cutter() -> Pattern[str]:
 def cut(text: str) -> Tuple[str, ...]:
     """``text`` split at top-level backticks, each field stripped of one
     outer group: ``strip_group`` over ``split_top(text, "`")`` in one
-    ``re`` call, for comment-free text whose braces nest at most two
-    deep."""
-    if "{" in text or "\\" in text:
-        return tuple(map("".join, _cutter().findall("`" + text)))
-    return tuple(text.split("`"))
+    ``re`` call, for text that ``kept_field("")`` matches whole, which
+    is comment-free and nests braces at most two deep."""
+    return tuple(map("".join, _cutter().findall("`" + text)))
 
 
 def strip_group(text: str) -> str:

@@ -5,9 +5,8 @@ chain of optional sections, detected by their opening character after
 whitespace, with per-command defaults.  ``COMMANDS``, the table at the
 end of this module, gives each command's chain as one row: its sections
 in order, each with its opener, the field it fills, its arity and its
-default, plus the expand.py shape program that draws the command.  One
-loop reads every command from its row, ``format_command`` writes every
-section back from the same row, and expansion dispatches on it.  The
+default.  One loop reads every command from its row, and
+``format_command`` writes every section back from the same row.  The
 section groups that follow the payload of ``\\cube`` (its inner square
 and its connectors) and of ``\\pullback`` (its trident) are chains of
 their own, each read into a ``Command`` of the group's kind in ``parts``.
@@ -569,7 +568,7 @@ class _Part(_Section):
 
     def __init__(self, kind: str, *sections: _Section) -> None:
         super().__init__("parts")
-        self.kind, self.chain = kind, _Chain(None, *sections)
+        self.kind, self.chain = kind, _Chain(*sections)
 
     def read(self, r: _Reader, into: List[Any]) -> None:
         into[self.slot] += (self.chain.read(r, self.kind),)
@@ -580,15 +579,12 @@ class _Part(_Section):
 
 
 class _Chain:
-    """A command's ordered sections, and ``program``, the name of the
-    expand.py shape program that draws it (None: it draws nothing).
+    """A command's ordered sections.  The one match reads ``head``, the
+    sections before the parts, and the section reader the parts in
+    ``tail``."""
 
-    The one match reads ``head``, the sections before the parts, and the
-    section reader the parts in ``tail``.
-    """
-
-    def __init__(self, program: Optional[str], *sections: _Section) -> None:
-        self.program, self.sections = program, sections
+    def __init__(self, *sections: _Section) -> None:
+        self.sections = sections
         self.defaults = {s.field: s.default for s in sections if s.optional}
         self.template = list(Command(None, **self.defaults))  # before any section is read
         k = next((k for k, s in enumerate(sections) if isinstance(s, _Part)), len(sections))
@@ -663,55 +659,55 @@ def _head(placements: str, extent: Tuple[int, ...], origin: _Section = _ORIGIN) 
             _Ints("extent", "<", len(extent), extent))
 
 
-def _shape(program: str, placements: str, extent: Tuple[int, ...], n: int, m: int) -> _Chain:
-    return _Chain(program, *_head(placements, extent), _Payload(n, m))
+def _shape(placements: str, extent: Tuple[int, ...], n: int) -> _Chain:
+    """A shape of ``n`` nodes and one label per placement."""
+    return _Chain(*_head(placements, extent), _Payload(n, len(placements)))
 
 
-def _grid(program: str, placements: str, limit: int, stub: Tuple[int, ...], n: int,
-          m: int) -> _Chain:
+def _grid(placements: str, limit: int, stub: Tuple[int, ...], n: int) -> _Chain:
     """A grid: a mask below ``limit`` and a stub, ``stub`` after a mask and
     zero without one, between the head and the payload."""
-    return _Chain(program, *_head(placements, (500, 500)), _Mask(limit, stub),
-                  _Ints("stub", "<", len(stub), (0,) * len(stub), group=7), _Payload(n, m))
+    return _Chain(*_head(placements, (500, 500)), _Mask(limit, stub),
+                  _Ints("stub", "<", len(stub), (0,) * len(stub), group=7),
+                  _Payload(n, len(placements)))
 
 
 COMMANDS: Dict[str, _Chain] = {
-    "morphism": _Chain("morphism", _ORIGIN, _Bar("a", exact=False),
-                       _Styles(1), _Ints("extent", "<", 2, (500, 0)), _Payload(2, 1)),
-    "vector": _Chain("vector", _Ints("origin", "(", 2, make=_POINT),
-                     _Styles(1, required=True), _Ints("extent", "<", 2)),
-    "place": _Chain("place", _Align("align", 1, ""),
-                    _Ints("origin", "(", 2, make=_POINT), _Payload(1, 0)),
-    "square": _shape("shape", "alrb", (500, 500), 4, 4),
-    "Square": _shape("auto_square", "alrb", (500,), 4, 4),
-    "ptriangle": _shape("shape", "alr", (500, 500), 3, 3),
-    "qtriangle": _shape("shape", "alr", (500, 500), 3, 3),
-    "dtriangle": _shape("shape", "lrb", (500, 500), 3, 3),
-    "btriangle": _shape("shape", "lrb", (500, 500), 3, 3),
-    "Atriangle": _shape("shape", "lrb", (500, 500), 3, 3),
-    "Vtriangle": _shape("shape", "alb", (500, 500), 3, 3),
-    "Ctriangle": _shape("shape", "arb", (500, 500), 3, 3),
-    "Dtriangle": _shape("shape", "alb", (500, 500), 3, 3),
-    "Atrianglepair": _shape("shape", "lmrbb", (500, 500), 4, 5),
-    "Vtrianglepair": _shape("shape", "aalmr", (500, 500), 4, 5),
-    "Ctrianglepair": _shape("shape", "lrmlr", (500, 500), 4, 5),
-    "Dtrianglepair": _shape("shape", "lrmlr", (500, 500), 4, 5),
-    "hSquares": _shape("hsquares", "aalmrbb", (500,), 6, 7),
-    "vSquares": _shape("vsquares", "alrmlrb", (500, 500), 6, 7),  # <bottom,top>
-    "iiixiii": _grid("shape", "aammbblmrlmr", 4096, (400, 400), 9, 12),
-    "iiixii": _grid("grid3x2", "aabblmr", 16, (400,), 6, 7),
-    "pullback": _Chain("pullback", *_head("alrb", (500, 500)), _Payload(4, 4),
+    "morphism": _Chain(_ORIGIN, _Bar("a", exact=False), _Styles(1),
+                       _Ints("extent", "<", 2, (500, 0)), _Payload(2, 1)),
+    "vector": _Chain(_Ints("origin", "(", 2, make=_POINT), _Styles(1, required=True),
+                     _Ints("extent", "<", 2)),
+    "place": _Chain(_Align("align", 1, ""), _Ints("origin", "(", 2, make=_POINT), _Payload(1, 0)),
+    "square": _shape("alrb", (500, 500), 4),
+    "Square": _shape("alrb", (500,), 4),
+    "ptriangle": _shape("alr", (500, 500), 3),
+    "qtriangle": _shape("alr", (500, 500), 3),
+    "dtriangle": _shape("lrb", (500, 500), 3),
+    "btriangle": _shape("lrb", (500, 500), 3),
+    "Atriangle": _shape("lrb", (500, 500), 3),
+    "Vtriangle": _shape("alb", (500, 500), 3),
+    "Ctriangle": _shape("arb", (500, 500), 3),
+    "Dtriangle": _shape("alb", (500, 500), 3),
+    "Atrianglepair": _shape("lmrbb", (500, 500), 4),
+    "Vtrianglepair": _shape("aalmr", (500, 500), 4),
+    "Ctrianglepair": _shape("lrmlr", (500, 500), 4),
+    "Dtrianglepair": _shape("lrmlr", (500, 500), 4),
+    "hSquares": _shape("aalmrbb", (500,), 6),
+    "vSquares": _shape("alrmlrb", (500, 500), 6),  # <bottom,top>
+    "iiixiii": _grid("aammbblmrlmr", 4096, (400, 400), 9),
+    "iiixii": _grid("aabblmr", 16, (400,), 6),
+    "pullback": _Chain(*_head("alrb", (500, 500)), _Payload(4, 4),
                        _Part("trident", _Bar("amb"), _Styles(3),
                              _Ints("extent", "<", 2, (500, 500)), _Payload(1, 3))),
-    "cube": _Chain("cube", *_head("alrb", (1500, 1500)), _Payload(4, 4),
+    "cube": _Chain(*_head("alrb", (1500, 1500)), _Payload(4, 4),
                    _Part("inner", *_head("alrb", (500, 500), _Ints(
                        "origin", "(", 2, Point(500, 500), _POINT)), _Payload(4, 4)),
                    _Part("connectors", _Bar("mmmm"), _Styles(4), _Payload(0, 4))),
-    "to": _Chain("inline", _Styles(1), _LENGTH, _Scripts("^_")),
-    "two": _Chain("inline", _Styles(2), _LENGTH, _Scripts("^_")),
-    "three": _Chain("inline", _Styles(3), _LENGTH, _Scripts("^|_")),
-    "twoar": _Chain("twoar", _Ints("direction", "(", 2)),
-    "scalefactor": _Chain(None, _Factor("factor")),  # multiplies the figure's scale
+    "to": _Chain(_Styles(1), _LENGTH, _Scripts("^_")),
+    "two": _Chain(_Styles(2), _LENGTH, _Scripts("^_")),
+    "three": _Chain(_Styles(3), _LENGTH, _Scripts("^|_")),
+    "twoar": _Chain(_Ints("direction", "(", 2)),
+    "scalefactor": _Chain(_Factor("factor")),  # multiplies the figure's scale
 }
 
 

@@ -8,9 +8,11 @@ program step by step, and ``_run`` places the shape.  Vectors, placed
 nodes, the inline arrows and ``\\twoar`` build their records through the
 keyword builders ``_Builder.node`` and ``_Builder.arrow``.  The shape
 table, ``resolve_label_side``, ``measure_morphism_width`` and
-``two_cell_endpoint`` come from ``diagc.expand``.  On every figure,
-``expand_figure`` must give the same nodes, arrows, scale, warnings and
-errors as ``expand_figure`` here.
+``two_cell_endpoint`` come from ``diagc.expand``.  Which routine draws
+each command kind does not: the reference keeps its own dispatch, so a
+wrong entry in ``diagc.expand._EXPANDERS`` shows as a difference.  On
+every figure, ``expand_figure`` must give the same nodes, arrows, scale,
+warnings and errors as ``expand_figure`` here.
 """
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ from diagc.ir import (
     Node,
 )
 from diagc.metrics import DEFAULT_METRICS, FontMetrics, text_width
-from diagc.parser import COMMANDS, Command, Figure
+from diagc.parser import Command, Figure
 
 _new = tuple.__new__
 
@@ -282,13 +284,24 @@ def _expand_twoar(b: _Builder, cmd: Command) -> None:
             kind=KIND_TWOAR, local_scale=Fraction(1, 10), group=b.group)
 
 
-_PROGRAMS = {f.__name__[len("_expand_"):]: f for f in (
-    _expand_morphism, _expand_vector, _expand_place, _expand_shape, _expand_auto_square,
-    _expand_hsquares, _expand_vsquares, _expand_cube, _expand_pullback, _expand_grid3x2,
-    _expand_inline, _expand_twoar,
-)}
+# what draws each kind, written out here rather than read from diagc.expand;
+# \scalefactor draws nothing
 _EXPANDERS = {
-    kind: _PROGRAMS[chain.program] for kind, chain in COMMANDS.items() if chain.program
+    **dict.fromkeys(("square", "ptriangle", "qtriangle", "dtriangle", "btriangle",
+                     "Atriangle", "Vtriangle", "Ctriangle", "Dtriangle", "Atrianglepair",
+                     "Vtrianglepair", "Ctrianglepair", "Dtrianglepair", "iiixiii"),
+                    _expand_shape),
+    **dict.fromkeys(("to", "two", "three"), _expand_inline),
+    "iiixii": _expand_grid3x2,
+    "Square": _expand_auto_square,
+    "hSquares": _expand_hsquares,
+    "vSquares": _expand_vsquares,
+    "cube": _expand_cube,
+    "pullback": _expand_pullback,
+    "morphism": _expand_morphism,
+    "vector": _expand_vector,
+    "place": _expand_place,
+    "twoar": _expand_twoar,
 }
 _DEFAULT_CONFIG = ScaleConfig()
 

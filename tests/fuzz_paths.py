@@ -10,6 +10,8 @@ examples:
 - the section reader against the token walk, on scanned sections;
 - ``section_end``, ``token_at`` and ``split_top`` against the token walk;
 - ``group_end`` and ``strip_group`` against the token walk;
+- ``cut`` against ``split_top`` and ``strip_group``, on the fields that
+  ``kept_field`` matches;
 - the IR reader against the field walk, on mutated dumps;
 - the IR reader against the field walk, on lines whose text fields
   nest groups, or end in a lone backslash;
@@ -29,11 +31,11 @@ Run it from the repository root:
     PYTHONPATH=src python tests/fuzz_paths.py [SCALE]
 
 Each property runs its own count of examples, chosen so that the whole
-search takes at most about 90 s on one core of an Intel Xeon (72 s with
-Python 3.11.7, of which the mutated golden dumps take 3 s); ``SCALE``
-multiplies every count (default 1).  It exits non-zero at the first
-disagreement, which Hypothesis prints shrunk.  Its name keeps it out of
-pytest's collection.
+search takes at most about 110 s on one core of an Intel Xeon (103 s with
+Python 3.11.7, of which the mutated golden dumps take 3.5 s and ``cut``
+6 s); ``SCALE`` multiplies every count (default 1).  It exits non-zero
+at the first disagreement, which Hypothesis prints shrunk.  Its name
+keeps it out of pytest's collection.
 """
 import sys
 import time
@@ -55,6 +57,8 @@ PROPERTIES = [  # each property, and its examples at scale 1
         props.test_scans_agree_with_the_token_walk.hypothesis.inner_test), 3000),
     (given(atoms=st.lists(st.sampled_from(props.BRACE_ATOMS), max_size=12), lone=st.booleans())(
         props.test_group_end_agrees_with_the_token_walk.hypothesis.inner_test), 3000),
+    (given(text=props.CUT_TEXTS)(
+        props.test_cut_agrees_with_split_top_and_strip_group.hypothesis.inner_test), 2000),
     (given(text=ir.mutated_dumps())(
         ir.test_the_reader_agrees_with_the_field_walk.hypothesis.inner_test), 3000),
     (given(case=ir.record_lines())(

@@ -531,6 +531,35 @@ def test_an_output_in_the_directory_may_not_be_another_input(tmp_path, capsys):
     assert os.listdir(out) == ["a.svg"]
 
 
+def test_the_output_file_may_not_be_what_a_linked_input_names(tmp_path, capsys):
+    real = str(_write(tmp_path, "real.svg", GOOD))
+    link = tmp_path / "b.dg"
+    link.symlink_to("real.svg")
+    _refused_over_an_input(capsys, [str(link), "-o", real], str(link), real, str(link))
+    assert sorted(os.listdir(tmp_path)) == ["b.dg", "real.svg"] and link.is_symlink()
+
+
+def test_an_output_in_the_directory_may_not_be_what_a_linked_input_names(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    _write(out, "c.svg", GOOD)
+    link = tmp_path / "c.dg"
+    link.symlink_to(out / "c.svg")
+    _refused_over_an_input(capsys, [str(link), "-o", str(out) + os.sep], str(link),
+                           str(out / "c.svg"), str(link))
+    assert os.listdir(out) == ["c.svg"] and link.is_symlink()
+
+
+def test_the_default_output_may_not_be_a_linked_input_by_its_own_name(tmp_path, capsys):
+    # c.tex links to real.dg; its output in TikZ is c.tex, the link itself
+    _write(tmp_path, "real.dg", GOOD)
+    link = tmp_path / "c.tex"
+    link.symlink_to("real.dg")
+    _refused_over_an_input(capsys, [str(link), "--format", "tikz"], str(link), str(link),
+                           str(link))
+    assert sorted(os.listdir(tmp_path)) == ["c.tex", "real.dg"] and link.is_symlink()
+
+
 CORPUS_TEXTS = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.dg"))]
 # what a mutation puts into a line of a corpus source: line ends, a
 # comment, braces, separators, a lone backslash, figure bounds, a character

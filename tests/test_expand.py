@@ -25,6 +25,8 @@ from diagc import (
     parse_source,
     two_cell_endpoint,
 )
+from diagc.expand import _EXPANDERS, _SHAPES, _Edge
+from diagc.parser import COMMANDS, _Bar, _Payload
 
 
 def _expand_one(source, cfg=None):
@@ -511,6 +513,29 @@ def test_shape_fixtures_import_nothing_from_diagc():
             assert not any(a.name.split(".")[0] == "diagc" for a in node.names)
         elif isinstance(node, ast.ImportFrom):
             assert node.level == 0 and (node.module or "").split(".")[0] != "diagc"
+
+
+# The parser's table spells each command and expansion's tables draw it;
+# the facts that both state must agree.
+
+def _section(kind, section_type):
+    return next(s for s in COMMANDS[kind].sections if isinstance(s, section_type))
+
+
+def test_every_spelled_kind_has_a_drawer_but_scalefactor():
+    assert set(_EXPANDERS) | {"scalefactor"} == set(COMMANDS)
+    assert "scalefactor" not in _EXPANDERS
+
+
+@pytest.mark.parametrize("kind", sorted(_SHAPES))
+def test_a_shape_lattice_places_each_payload_node(kind):
+    assert len(_SHAPES[kind].lattice) == _section(kind, _Payload).arity
+
+
+@pytest.mark.parametrize("kind", sorted(_SHAPES))
+def test_a_shape_program_draws_each_placement_once(kind):
+    slots = sorted(step.slot for step in _SHAPES[kind].program if isinstance(step, _Edge))
+    assert slots == list(range(len(_section(kind, _Bar).default)))
 
 
 # a round of the kinds drawn apart from the edges of a shape: grid stubs

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from token_walk import split_top_by_tokens, tidy_by_tokens, tokens, top_level_end
 import box_walk
@@ -53,7 +53,8 @@ from diagc import layout
 from diagc.geometry import Decimals, decimal_base, format_decimal
 from diagc.ir import KIND_POS, KIND_VECTOR
 from diagc.metrics import DEFAULT_CHAR_WIDTH, text_width
-from diagc.lexer import group_end, section_end, split_top, strip_group, token_at
+from diagc.lexer import (cut, group_end, kept_field, section_end, split_top, strip_group,
+                         token_at)
 from diagc.parser import COMMANDS, _Chain, _command, _Reader, format_command, parse_command
 from diagc.styles import STYLES
 
@@ -184,6 +185,25 @@ def test_reader_sections_agree_with_the_token_walk(atoms, lone, closer):
         r.delimited(opener, closer, "a section")
     d = info.value.diagnostic
     assert (d.message, (d.line, d.col)) == (message, where_by_tokens(toks, end))
+
+
+# fields of a section: backticks, groups one and two deep, control symbols
+# (an escaped backtick or brace among them) and single spaces
+CUT_ATOMS = ["`", "a", "é", " ", "{", "}", "{}", "{a}", "{`}", "{{`}}", "\\{", "\\}", "\\\\",
+             "\\`", "\\é", "\\ "]
+CUT_TEXTS = st.lists(st.sampled_from(CUT_ATOMS), max_size=12).map("".join)
+
+
+@BOUNDED
+@given(text=CUT_TEXTS)
+@example(text="")
+@example(text="a`b c``")  # no group and no backslash
+@example(text="{a}`{b`c}d`{{`}}")
+@example(text="\\{`{\\}}`\\`")
+def test_cut_agrees_with_split_top_and_strip_group(text):
+    # the one match that cuts a section's fields, on the texts it is used on
+    assume(re.fullmatch(kept_field(""), text))
+    assert cut(text) == tuple(strip_group(p) for p in split_top(text, "`"))
 
 
 @BOUNDED
