@@ -34,8 +34,9 @@ class CompiledFigure(NamedTuple):
     col: int
     filename: str
     metrics: FontMetrics  # the widths it was expanded with, and is laid out with
-    # per command, in source order: its (line, col) and the first seq it
-    # draws; empty in a figure built by hand around an IR from parse_ir
+    # per command, in source order: its (line, col), made when read from
+    # a parsed figure's Positions, and the first seq it draws; empty in a
+    # figure built by hand around an IR from parse_ir
     positions: Sequence[Tuple[int, int]] = ()
     starts: Sequence[int] = ()
 

@@ -12,7 +12,11 @@ class Diagnostic(NamedTuple):
     col: int = 0
 
     def format(self) -> str:
-        where = f"{self.filename or '<input>'}:{self.line}:{self.col}"
+        """``file:line:col: severity: message``; line 0 is no line, as for a
+        file that cannot be read, and writes ``file: severity: message``."""
+        where = self.filename or "<input>"
+        if self.line:
+            where = f"{where}:{self.line}:{self.col}"
         return f"{where}: {self.severity}: {self.message}"
 
 

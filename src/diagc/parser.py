@@ -24,9 +24,13 @@ on, or where a ``fill`` refuses, the section reader reads the command
 again from its start, so every diagnostic comes from the section
 reader.  A chain's parts are read
 after the match by their own chains, each again by a match first.  A
-command ends after its last section, by either path.  The reader
-records the offset of each command, and a figure turns them into its
-``positions`` once, from a table of the source's line breaks.
+command ends after its last section, by either path.
+
+A command's name is one match too, of whitespace, comments and a word of
+ASCII letters; the reader reads any other name, or makes the error.  A
+figure keeps each command's offset, and its ``positions`` make a line
+and column only when a diagnostic reads one, from a table of the
+source's line breaks.  A figure's own line is counted on from the last.
 
 ``%`` comments to end of line (and suppresses the newline, TeX-style);
 other whitespace runs collapse to a single space inside sections.  One
@@ -41,11 +45,11 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache, partial
 from operator import itemgetter
-from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Pattern, Sequence, Tuple,
-                    Union)
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Pattern, Tuple, Union
 
 from .diagnostics import Diagnostic, ParseError
 from .geometry import INTEGER, MAX_DIGITS, Point, read_positive
@@ -77,9 +81,52 @@ class Figure(NamedTuple):
     """One diagram's worth of commands, and the line and column of each."""
 
     commands: List[Command]
-    positions: List[Tuple[int, int]]
+    positions: Sequence[Tuple[int, int]]  # a Positions, or any list of pairs
     line: int = 0  # of the figure's \bfig, or of its first command
     col: int = 0
+
+
+class Positions(Sequence):
+    """The line and column of each of a figure's command offsets, made when
+    an item is read: a read-only sequence, equal to the list of its pairs."""
+
+    __slots__ = ("_text", "_offsets")
+
+    def __init__(self, text: str, offsets: List[int]) -> None:
+        self._text, self._offsets = text, offsets
+
+    def __getitem__(self, k: int) -> Tuple[int, int]:  # type: ignore[override]
+        return _where(self._text, self._offsets[k])
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == (list(other) if isinstance(other, Positions) else other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+@lru_cache(maxsize=1)
+def _line_breaks(text: str) -> Tuple[List[int], bool]:
+    """Where each line break of ``text`` ends, and whether it has a CR LF;
+    made on the first read of a position, for every figure of the source."""
+    return list(map(re.Match.end, _line_break().finditer(text))), "\r\n" in text
+
+
+def _where(text: str, pos: int) -> Tuple[int, int]:
+    """Line and column of offset ``pos`` in ``text``, both from 1.
+
+    CR LF, a lone CR and LF each end a line.  A CR LF ends it at the CR,
+    and its LF takes no column, so a token that begins at the LF (after a
+    ``\\<CR>``) is at the start of the next line.
+    """
+    breaks, crlf = _line_breaks(text)
+    k = bisect_right(breaks, pos)  # the line breaks that end at or before pos
+    if crlf and pos and text[pos - 1:pos + 1] == "\r\n":
+        return k + 2, 1
+    return (k + 1, pos - breaks[k - 1] + 1) if k else (1, pos + 1)
 
 
 class _Reader:
@@ -88,41 +135,39 @@ class _Reader:
 
     It holds the text and its position, never a token: a section opens on
     ``char()``, the one character at ``pos`` (every opener is a token of
-    one character), a section is one scan to its stop, ``token()`` reads
-    the one token of a command name or a one-token argument, and
-    ``positions`` turns offsets into lines and columns from a table of
-    line breaks, made on first use.
+    one character), a section is one scan to its stop, and ``token()``
+    reads the one token of a command name or a one-token argument.
+    ``where`` and ``positions`` turn offsets into lines and columns from
+    a table of line breaks, made on first use; ``line_col`` counts on to
+    the start of each figure without it.
     """
+
+    _counted = (0, 1, 0)  # an offset counted to, its line and that line's start
 
     def __init__(self, text: str, filename: str = "<input>") -> None:
         self.text = text
         self.filename = filename
         self.pos = 0
-        self._breaks: Optional[List[int]] = None  # where each line break ends
 
-    def positions(self, offsets: Sequence[int]) -> List[Tuple[int, int]]:
-        """Line and column of each offset, both from 1.
-
-        CR LF, a lone CR and LF each end a line.  A CR LF ends it at the
-        CR, and its LF takes no column, so a token that begins at the LF
-        (after a ``\\<CR>``) is at the start of the next line.
-        """
-        text = self.text
-        if self._breaks is None:
-            self._breaks = list(map(re.Match.end, _line_break().finditer(text)))
-        breaks, crlf = self._breaks, "\r\n" in text
-        out = []
-        for pos in offsets:
-            k = bisect_right(breaks, pos)  # the line breaks that end at or before pos
-            if crlf and pos and text[pos - 1:pos + 1] == "\r\n":
-                out.append((k + 2, 1))
-            else:
-                out.append((k + 1, pos - breaks[k - 1] + 1) if k else (1, pos + 1))
-        return out
+    def positions(self, offsets: List[int]) -> Positions:
+        """Line and column of each offset, made when read."""
+        return Positions(self.text, offsets)
 
     def where(self, pos: Optional[int] = None) -> Tuple[int, int]:
         """Line and column of ``pos``, by default the current token's."""
-        return self.positions([self.pos if pos is None else pos])[0]
+        return _where(self.text, self.pos if pos is None else pos)
+
+    def line_col(self, at: int) -> Tuple[int, int]:
+        """Line and column of ``at``, where a command begins, counted on
+        from the offset of the last call: calls in source order read each
+        line break once."""
+        text, (seen, line, start) = self.text, self._counted
+        breaks = text.count("\n", seen, at) + text.count("\r", seen, at)
+        if breaks:  # a CR LF counts as one
+            line += breaks - text.count("\r\n", seen, at)
+            start = max(text.rfind("\n", seen, at), text.rfind("\r", seen, at)) + 1
+        self._counted = at, line, start
+        return line, at - start + 1
 
     def char(self) -> str:
         """The character at ``pos``, ``""`` at the end."""
@@ -133,10 +178,6 @@ class _Reader:
         control sequence there, the name of a command; ``""`` at the
         end."""
         self.skip_ws()
-        name = _command_name().match(self.text, self.pos)
-        if name is not None:  # a word of ASCII letters, the common name
-            self.pos = name.end()
-            return name[0]
         c = self.char()
         if c and c != "\\":
             raise self.error(f"unexpected character {c!r}")
@@ -218,42 +259,47 @@ def _command(r: _Reader, name: str, at: int) -> Command:
     return chain.read(r, kind)
 
 
-def _figure(r: _Reader, commands: List[Command], offsets: List[int], at: int) -> Figure:
-    """A figure at offset ``at`` of the commands at ``offsets``."""
-    (line, col), *positions = r.positions([at, *offsets])
-    return Figure(commands, positions, line, col)
-
-
 def parse_source(text: str, filename: str = "<input>") -> List[Figure]:
     """Parse a whole source file into figures."""
     r = _Reader(text, filename)
+    head = _command_head().match
     figures: List[Figure] = []
-    # a figure's commands and their offsets: outside any figure, in the open one
-    top: Tuple[List[Command], List[int]] = ([], [])
-    current: Optional[Tuple[List[Command], List[int]]] = None
+    # a figure's commands, their offsets and its line and column: those
+    # outside any figure, from the first of them, and those of the open one
+    top: Optional[Tuple[List[Command], List[int], Tuple[int, int]]] = None
+    current: Optional[Tuple[List[Command], List[int], Tuple[int, int]]] = None
     open_at = 0
     while True:
-        name = r.name()
-        if not name:
+        m = head(text, r.pos)
+        if m is not None:
+            name, at = m[2], m.start(2)
+            r.pos = m.end()
+        elif BLANK.match(text, r.pos).end() == len(text):
             break
-        at = r.pos - len(name)
+        else:  # a name or an error that the reader makes
+            name = r.name()
+            at = r.pos - len(name)
         if name == "\\bfig":
             if current is not None:
                 raise r.error("nested \\bfig", at)
-            open_at, current = at, ([], [])
+            open_at, current = at, ([], [], r.line_col(at))
         elif name == "\\efig":
             if current is None:
                 raise r.error("\\efig without \\bfig", at)
-            figures.append(_figure(r, *current, open_at))
+            commands, offsets, (line, col) = current
+            figures.append(Figure(commands, Positions(text, offsets), line, col))
             current = None
         else:
-            commands, offsets = top if current is None else current
-            commands.append(_command(r, name, at))
-            offsets.append(at)
+            group = current or top
+            if group is None:
+                group = top = ([], [], r.line_col(at))
+            group[0].append(_command(r, name, at))
+            group[1].append(at)
     if current is not None:
         raise r.error("\\bfig without matching \\efig", open_at)
-    if top[0]:
-        figures.append(_figure(r, *top, top[1][0]))
+    if top is not None:
+        commands, offsets, (line, col) = top
+        figures.append(Figure(commands, Positions(text, offsets), line, col))
     return figures
 
 
@@ -324,9 +370,12 @@ def _line_break() -> Pattern[str]:
 
 
 @lru_cache(maxsize=None)
-def _command_name() -> Pattern[str]:
-    """A control word of ASCII letters that no other letter follows."""
-    return re.compile(r"\\[A-Za-z]+(?![^\W\d_])")
+def _command_head() -> Pattern[str]:
+    """Whitespace and comments, then, as group 2, a control word of ASCII
+    letters that no other letter follows: the common command name.  The
+    lookahead and group 1 make ``BLANK`` atomic, so that the name is never
+    found inside a comment."""
+    return re.compile("(?=(" + BLANK.pattern + r"))\1(\\[A-Za-z]+(?![^\W\d_]))")
 
 
 class _Section:

@@ -7,6 +7,8 @@ examples.  This script runs the same test bodies on fresh random
 examples:
 
 - the one match against the section reader, on mutated commands;
+- the one match of a command's name against the reader's ``name``;
+- figure positions, made when read, against the token walk;
 - the section reader against the token walk, on scanned sections;
 - ``section_end``, ``token_at`` and ``split_top`` against the token walk;
 - ``group_end`` and ``strip_group`` against the token walk;
@@ -33,7 +35,8 @@ Run it from the repository root:
 Each property runs its own count of examples, chosen so that the whole
 search takes at most about 110 s on one core of an Intel Xeon (103 s with
 Python 3.11.7, of which the mutated golden dumps take 3.5 s and ``cut``
-6 s); ``SCALE`` multiplies every count (default 1).  It exits non-zero
+6 s, and then the command head 3.5 s and the positions 2.7 s more);
+``SCALE`` multiplies every count (default 1).  It exits non-zero
 at the first disagreement, which Hypothesis prints shrunk.  Its name
 keeps it out of pytest's collection.
 """
@@ -49,6 +52,10 @@ import test_properties as props
 PROPERTIES = [  # each property, and its examples at scale 1
     (given(text=props.mutated_commands())(
         props.test_the_one_match_agrees_with_the_section_reader.hypothesis.inner_test), 3000),
+    (given(atoms=st.lists(st.sampled_from(props.HEAD_ATOMS), max_size=12))(
+        props.test_the_command_head_agrees_with_the_reader.hypothesis.inner_test), 2000),
+    (given(groups=props.POSITION_SOURCES)(
+        props.test_positions_agree_with_the_token_walk.hypothesis.inner_test), 1000),
     (given(atoms=st.lists(st.sampled_from(props.SCAN_ATOMS), max_size=16), lone=st.booleans(),
            closer=st.sampled_from([s for s in props.STOP_SETS if len(s) == 1]))(
         props.test_reader_sections_agree_with_the_token_walk.hypothesis.inner_test), 3000),

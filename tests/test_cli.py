@@ -244,7 +244,19 @@ def test_an_input_that_is_not_utf8_is_an_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main([str(first), str(bad), "-o", str(out) + os.sep]) == 2
     assert (out / "first.svg").is_file() and not (out / "bad.svg").exists()
-    assert capsys.readouterr().err.startswith(f"{bad}:0:0: error: cannot read {bad}: ")
+    assert capsys.readouterr().err.startswith(f"{bad}: error: cannot read {bad}: ")
+
+
+def test_an_unreadable_input_among_readable_ones_is_an_error(tmp_path, capsys):
+    first = _write(tmp_path, "first.dg", GOOD)
+    last = _write(tmp_path, "last.dg", GOOD)
+    absent = tmp_path / "absent.dg"
+    out = tmp_path / "out"
+    assert main([str(first), str(absent), str(last), "-o", str(out) + os.sep]) == 2
+    assert (out / "first.svg").is_file() and (out / "last.svg").is_file()
+    assert not (out / "absent.svg").exists()
+    # the file has no line to name: no fake 0:0
+    assert capsys.readouterr().err.startswith(f"{absent}: error: cannot read {absent}: ")
 
 
 def test_metrics_flag_and_env(tmp_path, monkeypatch):

@@ -352,6 +352,22 @@ def test_positions_live_on_the_figure():
     assert first == second == parse_command(format_command(first))
 
 
+def test_a_position_read_late_is_the_same_pair():
+    # positions hold no reader: read after later figures were parsed, and
+    # after another source's positions were read, they give the pairs of
+    # a parse of the figure alone
+    first = "\\bfig\r\n \\place(0,0)[A]\r\\to\n\\efig"
+    alone, = parse_source(first)
+    figures = parse_source(first + "\n\\bfig \\two\r\n\\efig\r\\three")
+    other = parse_source("\n\n\\to \\bfig\n\\place(0,0)[B]\n\\efig")
+    assert [(f.line, f.col) for f in figures] == [(1, 1), (5, 1), (7, 1)]
+    assert figures[2].positions == [(7, 1)] and figures[1].positions == [(5, 7)]
+    assert [f.positions for f in other] == [[(4, 1)], [(3, 1)]]
+    assert figures[0].positions[1] == (3, 1) and figures[0].positions[-2] == (2, 2)
+    assert figures[0].positions == alone.positions == [(2, 2), (3, 1)]
+    assert figures[0] == alone._replace(positions=[(2, 2), (3, 1)])
+
+
 def test_figure_blocks():
     figs = parse_source("\\bfig \\to \\efig \\bfig \\two \\efig")
     assert [[c.kind for c in f.commands] for f in figs] == [["to"], ["two"]]
@@ -426,7 +442,9 @@ def _square_grid(k):
 
 def test_parse_cost_per_byte_is_bounded():
     # the section reader alone costs about 27 instructions per grid byte and
-    # 37 per corpus byte; one match per command, about 6.9 and 15.0
+    # 37 per corpus byte; one match per command, about 6.9 and 15.0; with
+    # one match per command name too and positions made when read, 12.6 per
+    # corpus byte and 18.3 on one-command figures (23.8 before)
     def per_byte(texts):
         def parse():
             return [parse_source(t) for t in texts]
@@ -437,13 +455,19 @@ def test_parse_cost_per_byte_is_bounded():
     assert large <= 7.5
     assert large <= 1.1 * small
     corpus = sorted(Path(__file__).parent.joinpath("corpus").glob("*.dg"))
-    assert per_byte([p.read_text(encoding="utf-8") for p in corpus]) <= 15.5
+    assert per_byte([p.read_text(encoding="utf-8") for p in corpus]) <= 13.2
+    # front_end's shape: many sources of one figure of one short command each
+    kinds = ("\\place({i},0)[X]", "\\morphism({i},0)[A`B;f]", "\\to^{{f}}",
+             "\\square({i},0)[A`B`C`D;f`g`h`k]")
+    figures = [f"\\bfig\n{kinds[i % 4].format(i=i)}\n\\efig\n" for i in range(400)]
+    assert per_byte(figures) <= 19.0
 
 
 def test_pattern_compile_cost_is_bounded():
     # every process that parses compiles these once, on first use: about
-    # 188000 instructions, most of them the shared section pattern
-    patterns = (parser._sections, parser._command_name, parser._line_break, lexer._cutter)
+    # 197000 instructions, most of them the shared section pattern, 14500
+    # the command head
+    patterns = (parser._sections, parser._command_head, parser._line_break, lexer._cutter)
 
     def compile_all():
         for pattern in patterns:

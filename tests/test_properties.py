@@ -1,6 +1,7 @@
 """Seeded, time-bounded property tests of the shared lexical rule, the
 command table, the one-match reader against the section reader on
-mutated commands, the decimal formatter, the width sum, the two clipping
+mutated commands, the one match of a command's name, figure positions
+made when read, the decimal formatter, the width sum, the two clipping
 paths of layout and its bounding box, and exact scaling of the SVG and
 TikZ printers, and those printers against their per-arrow reference.
 
@@ -55,7 +56,8 @@ from diagc.ir import KIND_POS, KIND_VECTOR
 from diagc.metrics import DEFAULT_CHAR_WIDTH, text_width
 from diagc.lexer import (cut, group_end, kept_field, section_end, split_top, strip_group,
                          token_at)
-from diagc.parser import COMMANDS, _Chain, _command, _Reader, format_command, parse_command
+from diagc.parser import (COMMANDS, _Chain, _command, _command_head, _Reader, format_command,
+                          parse_command)
 from diagc.styles import STYLES
 
 BOUNDED = settings(
@@ -247,6 +249,87 @@ def test_command_names_agree_with_the_token_walk(atoms):
             continue
         assert r.name() == tok
         assert r.pos == len("".join(toks[:after + 1]))
+
+
+HEAD_ATOMS = ["\\bfig", "\\bfigé", "\\a²", "\\{", "\\", "%", "\r", "\n", "\r\n", " ", "a", "é"]
+
+
+@BOUNDED
+@given(atoms=st.lists(st.sampled_from(HEAD_ATOMS), max_size=12))
+@example(atoms=["%", "\\bfig"])  # a name inside a comment, and nothing after it
+@example(atoms=["%", "\\bfig", "\n", "\\{"])  # and a control symbol after its line end
+@example(atoms=["\\a²"])  # a word of ASCII letters that the lexical rule reads on
+def test_the_command_head_agrees_with_the_reader(atoms):
+    # from every token: where the one match finds a name, the reader reads
+    # the same name from the same start to the same end; it finds none
+    # exactly where the reader fails, reaches the end, or reads a name that
+    # is not a whole word of ASCII letters
+    text = "".join(atoms)
+    toks = tokens(text)
+    for k in range(len(toks) + 1):
+        r = _Reader(text)
+        r.pos = len("".join(toks[:k]))
+        m = _command_head().match(text, r.pos)
+        try:
+            name = r.name()
+        except ParseError:
+            assert m is None
+            continue
+        start, end = r.pos - len(name), r.pos
+        if re.fullmatch(r"\\[A-Za-z]+", name) and not re.match(r"[^\W\d_]", text[end:end + 1]):
+            assert m is not None and (m[2], m.start(2), m.end()) == (name, start, end)
+        else:
+            assert m is None
+
+
+# commands, some with a backslash before a line break in a section, and the
+# gaps before them: whitespace, every line end, comments through one
+POSITION_COMMANDS = ["\\to", "\\place(0,0)[X]", "\\to^\\\n", "\\to^\\\r\n", "\\to^\\\r",
+                     "\\morphism[A`B;\\\r\nf]", "\\place(0,0)[a\\\rb]"]
+POSITION_GAPS = [" ", "\t", "\n", "\r\n", "\r", "\n\r\n", "% c\r\n", "% c\r", "%\n"]
+# groups of commands, each in a figure of its own or outside any figure
+POSITION_SOURCES = st.lists(
+    st.tuples(st.booleans(), st.sampled_from(POSITION_GAPS),
+              st.lists(st.tuples(st.sampled_from(POSITION_GAPS),
+                                 st.sampled_from(POSITION_COMMANDS)), min_size=1, max_size=3)),
+    min_size=1, max_size=4)
+
+
+@BOUNDED
+@given(groups=POSITION_SOURCES)
+@example(groups=[(False, " ", [(" ", "\\to")]), (True, "\r\n", [("\r", "\\to^\\\r\n")]),
+                 (False, "\r", [("\n", "\\place(0,0)[X]")])])
+def test_positions_agree_with_the_token_walk(groups):
+    # every figure's line and column, and each of its positions read one by
+    # one, as a list, by its length, by equality and as printed
+    text, expected, top = "", [], []  # (offset of the figure, of its commands)
+    for in_figure, gap, commands in groups:
+        text += gap
+        start = len(text)
+        text += "\\bfig" * in_figure
+        offsets = []
+        for before, command in commands:
+            text += before
+            offsets.append(len(text))
+            text += command
+        if in_figure:
+            text += "\n\\efig"
+            expected.append((start, offsets))
+        else:
+            top += offsets
+    if top:
+        expected.append((top[0], top))
+    toks = tokens(text)
+    index = {len("".join(toks[:k])): k for k in range(len(toks))}
+    figures = parse_source(text)
+    assert len(figures) == len(expected)
+    for figure, (start, offsets) in zip(figures, expected):
+        pairs = [where_by_tokens(toks, index[at]) for at in offsets]
+        assert (figure.line, figure.col) == where_by_tokens(toks, index[start])
+        assert len(figure.positions) == len(pairs)
+        assert [figure.positions[k] for k in range(len(pairs))] == pairs
+        assert list(figure.positions) == pairs
+        assert figure.positions == pairs and repr(figure.positions) == repr(pairs)
 
 
 N4, L4 = "A`B`C`D", "f`g`h`k"
