@@ -1,8 +1,8 @@
 """Command-line front end: compile files, dump IR, run golden checks.
 
 Exit status: 0 on success, 1 when --strict promotes warnings or a
---check comparison fails, 2 on parse, expansion, layout or rendering
-errors.  One output file per figure; multiple figures in one input get
+--check comparison fails, 2 on an unreadable input, an input with no
+figure, and parse, expansion, layout or rendering errors.  One output file per figure; multiple figures in one input get
 a -N suffix.  Commands outside \\bfig blocks form one implicit figure,
 compiled last.
 Diagnostics go to standard error in input order.
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .compiler import FORMATS, compile_source, render_figure
@@ -58,7 +57,8 @@ class _FileResult(NamedTuple):
     status: int
 
 
-def _compile_file(path: str, fmt: str, cfg: ScaleConfig, metrics: FontMetrics) -> _FileResult:
+def _compile_file(path: str, filename: str, fmt: str, cfg: ScaleConfig,
+                  metrics: FontMetrics) -> _FileResult:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -68,12 +68,13 @@ def _compile_file(path: str, fmt: str, cfg: ScaleConfig, metrics: FontMetrics) -
         figures = compile_source(text, path, cfg, metrics)
     except DiagramError as exc:
         return _FileResult(path, [], [exc.diagnostic], 2)
+    if not figures:
+        return _FileResult(path, [], [Diagnostic("error", "no figure to draw", path)], 2)
     outputs: List[Tuple[str, str]] = []
     diagnostics: List[Diagnostic] = []
     status = 0
-    stem = os.path.basename(path)
-    dot = stem.rfind(".")  # the last suffix goes, as pathlib's stem reads it
-    stem = stem[:dot] if 0 < dot < len(stem) - 1 else stem
+    dot = filename.rfind(".")  # the last suffix goes, as pathlib's stem reads it
+    stem = filename[:dot] if 0 < dot < len(filename) - 1 else filename
     ext = FORMATS[fmt]
     for index, figure in enumerate(figures):
         diagnostics.extend(figure.warnings)
@@ -85,21 +86,31 @@ def _compile_file(path: str, fmt: str, cfg: ScaleConfig, metrics: FontMetrics) -
             diagnostics.append(exc.diagnostic)
             status = 2
             continue
-        diagnostics.extend(Diagnostic("warning", note, path, figure.line, figure.col)
-                           for note in render_warnings)
+        if render_warnings:
+            diagnostics.extend(Diagnostic("warning", note, path, figure.line, figure.col)
+                               for note in render_warnings)
         outputs.append((name, rendered))
     return _FileResult(path, outputs, diagnostics, status)
 
 
-def _write_atomic(dest: str, text: str, mode: int) -> None:
-    # no partial files: write to a sibling temp file, then rename over;
-    # mkstemp makes it 0600, so it gets the mode a plain write would give
-    directory, name = os.path.split(dest)
-    fd, tmp = tempfile.mkstemp(dir=directory or ".", prefix=name + ".")
+# mkstemp's flags: a new file, never one that is there or a link
+_CREATE = (os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_NOFOLLOW", 0)
+           | getattr(os, "O_BINARY", 0))
+
+
+def _write_atomic(dest: str, data: bytes) -> None:
+    # no partial files: write a new sibling file, then rename it over; the
+    # umask applies to 0o666 there, as it does for a plain write
+    while True:
+        tmp = f"{dest}.{os.urandom(4).hex()}"  # as long as mkstemp's names
+        try:
+            fd = os.open(tmp, _CREATE, 0o666)
+            break
+        except FileExistsError:  # taken: another name, as mkstemp does
+            pass
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            os.chmod(tmp, mode)
-            fh.write(text)
+        with open(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, dest)
     except BaseException:
         try:
@@ -118,7 +129,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"diagc: {exc}", file=sys.stderr)
         return 2
 
-    results = [_compile_file(path, args.format, cfg, metrics) for path in args.inputs]
+    splits = [os.path.split(path) for path in args.inputs]  # each input's (head, name)
+    results = [_compile_file(path, name, args.format, cfg, metrics)
+               for path, (_, name) in zip(args.inputs, splits)]
 
     out, check = args.output, args.check
     single = out is not None and not out.endswith(os.sep) and not os.path.isdir(out or ".")
@@ -128,32 +141,37 @@ def main(argv: Optional[List[str]] = None) -> int:
               "pass a directory", file=sys.stderr)
         return 2
 
-    # each input's destinations, one per output and none for a failed input:
-    # the golden file, the one -o file or <directory>/<name>, where no two
-    # inputs may write one file and no file written may be an input
-    plan: List[List[str]] = []
+    # each input's output directory and destinations, one per output and
+    # none for a failed input: the golden file, the one -o file or
+    # <directory>/<name>, where no two inputs may write one file and no
+    # file written may be an input
+    plan: List[Tuple[str, List[str]]] = []
     real = Memo(os.path.realpath)  # directory -> its resolved path
     writer: Dict[Tuple[str, str], _FileResult] = {}  # (resolved directory, name) -> input
     sources: Dict[Tuple[str, str], str] = {}  # (resolved directory, name) -> input
-    for path in [] if check is not None else args.inputs:
-        head, name = os.path.split(path)
+    for path, (head, name) in [] if check is not None else zip(args.inputs, splits):
         sources[real[head], name] = path
         if os.path.islink(path):  # the file it links to, by that file's own name, too
             sources[os.path.split(os.path.realpath(path))] = path
-    for result in results:
+    # an output name has no directory, so the golden or -o directory joined
+    # to "" once, and then each name added, is the two joined
+    prefix = os.path.join(check if check is not None else out or "", "")
+    into = os.path.dirname(prefix)  # the directory that -o dir/ names
+    for result, (head, _) in zip(results, splits):
         names = [] if result.status else [name for name, _ in result.outputs]
         if check is not None:
-            plan.append([os.path.join(check, name) for name in names])
+            plan.append(("", [prefix + name for name in names]))
             continue
         if single:
-            base, dests = os.path.dirname(out), [out] * len(names)
+            directory, dests = os.path.dirname(out), [out] * len(names)
             names = [os.path.basename(out)] * len(names)
+        elif out is None:
+            directory, dests = head, [os.path.join(head, name) for name in names]
         else:
-            base = os.path.dirname(result.path) if out is None else out
-            dests = [os.path.join(base, name) for name in names]
-        plan.append(dests)
+            directory, dests = into, [prefix + name for name in names]
+        plan.append((directory, dests))
         for name, dest in zip(names, dests):
-            key = real[base], name
+            key = real[directory], name
             source = sources.get(key)
             if source is not None:
                 print(f"diagc: {result.path} writes {dest} over the input {source}; "
@@ -167,20 +185,18 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     status = 0
     made = {""}  # the output directories made in this run; "" is the current one
-    umask = os.umask(0)  # no call reads the umask without setting it
-    os.umask(umask)
-    mode = 0o666 & ~umask  # what a plain write gives a new file
-    for result, dests in zip(results, plan):
+    for result, (directory, dests) in zip(results, plan):
         for diag in result.diagnostics:
             print(diag.format(), file=sys.stderr)
         status = max(status, result.status)
         if args.strict and any(d.severity == "warning" for d in result.diagnostics):
             status = max(status, 1)
         for (name, text), dest in zip(result.outputs, dests):
+            data = text.encode("utf-8")  # the bytes a write gives and a check compares
             if check is not None:
                 try:
                     with open(dest, "rb") as fh:
-                        same = fh.read() == text.encode("utf-8")  # the bytes a write would give
+                        same = fh.read() == data
                     note = "" if same else f"golden mismatch for {name}"
                 except OSError:
                     note = f"missing golden file {dest}"
@@ -188,12 +204,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                     print(f"diagc: {note}", file=sys.stderr)
                     status = max(status, 1)
                 continue
-            directory = os.path.dirname(dest)
             try:
                 if directory not in made:
                     os.makedirs(directory, exist_ok=True)
                     made.add(directory)
-                _write_atomic(dest, text, mode)
+                _write_atomic(dest, data)
             except OSError as exc:
                 print(f"diagc: cannot write {dest}: {exc}", file=sys.stderr)
                 status = max(status, 2)

@@ -42,14 +42,25 @@ from typing import List, Pattern, Tuple
 _CONTROL = r"\\[^\W\d_]+|\\.|\\"
 LINE_END = r"\r\n?|\n"  # CR LF, a lone CR or LF each end one line
 _COMMENT = r"%[^\r\n]*(?:" + LINE_END + ")?"
-_SOURCE = re.compile(_CONTROL + "|" + _COMMENT + r"|[ \t\r\n]+|.", re.DOTALL)
 _CONTROLS = re.compile(_CONTROL, re.DOTALL)
 _SYMBOL = r"\\[\W\d_]"  # a control symbol; \ and a letter starts a control word
 
 BLANK = re.compile(r"(?:[ \t\r\n]+|" + _COMMENT + ")*")  # whitespace and comments
-# in a section a control sequence stays, a comment goes, a backslash and a
-# line break is a control space and a whitespace run becomes one space
-_TIDY = re.compile(r"(\\(?:" + LINE_END + r"))|(\\.)|(" + _COMMENT + r")|[ \t\r\n]+")
+
+
+@lru_cache(maxsize=None)
+def _source() -> Pattern[str]:
+    """One source token, compiled on first use: only the section reader
+    and the name fallback read a token at a time."""
+    return re.compile(_CONTROL + "|" + _COMMENT + r"|[ \t\r\n]+|.", re.DOTALL)
+
+
+@lru_cache(maxsize=None)
+def _tidy() -> Pattern[str]:
+    """What ``tidy`` rewrites, compiled on first use: in a section a control
+    sequence stays, a comment goes, a backslash and a line break is a
+    control space and a whitespace run becomes one space."""
+    return re.compile(r"(\\(?:" + LINE_END + r"))|(\\.)|(" + _COMMENT + r")|[ \t\r\n]+")
 
 
 def _word_end(tok: str) -> int:
@@ -79,7 +90,7 @@ def _past_word(tok: re.Match) -> str:
 def token_at(text: str, pos: int) -> str:
     """The source token that starts at ``pos``, where a source token
     begins; ``""`` at the end."""
-    tok = _SOURCE.match(text, pos)
+    tok = _source().match(text, pos)
     if tok is None:
         return ""
     tok = tok[0]
@@ -91,7 +102,7 @@ def token_at(text: str, pos: int) -> str:
 def lone_backslash(text: str, pos: int) -> bool:
     """Whether ``text`` ends in a lone backslash, read from ``pos``, where
     a source token begins."""
-    return text[-1:] == "\\" and _SOURCE.findall(text, pos)[-1:] == ["\\"]
+    return text[-1:] == "\\" and _source().findall(text, pos)[-1:] == ["\\"]
 
 
 @lru_cache(maxsize=None)
@@ -125,7 +136,7 @@ def tidy(section: str) -> str:
     """Source text of a section as its fields read it: comments dropped,
     each whitespace run one space, a backslash and a line break ``\\ ``,
     other control sequences as they are."""
-    return _TIDY.sub(_tidied, section)
+    return _tidy().sub(_tidied, section)
 
 
 def _tidied(tok: re.Match) -> str:

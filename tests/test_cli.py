@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from opcode_count import opcodes
 from test_properties import BOUNDED, CORPUS
 
 import diagc
@@ -232,6 +233,30 @@ def test_check_mode_missing_golden(tmp_path, capsys):
     assert "missing golden" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["", "% only a comment\n", " \r\n\t"],
+                         ids=["empty", "comment", "blank"])
+def test_an_input_with_no_figure_is_an_error_and_the_others_are_written(tmp_path, capsys,
+                                                                        text):
+    empty = _write(tmp_path, "empty.dg", text)
+    other = _write(tmp_path, "other.dg", GOOD)
+    out = tmp_path / "out"
+    assert main([str(empty), str(other), "-o", str(out) + os.sep]) == 2
+    # the file as a whole has nothing to draw: no line to name
+    assert capsys.readouterr().err == f"{empty}: error: no figure to draw\n"
+    assert os.listdir(out) == ["other.svg"]
+    assert compile_source(text) == []
+
+
+def test_a_check_of_an_input_with_no_figure_fails(tmp_path, capsys):
+    # a source truncated to nothing does not pass against its golden file
+    src = _write(tmp_path, "ex.dg", GOOD)
+    golden_dir = tmp_path / "golden"
+    assert main([str(src), "--format", "xypic", "-o", str(golden_dir) + os.sep]) == 0
+    src.write_text("", encoding="utf-8")
+    assert main([str(src), "--format", "xypic", "--check", str(golden_dir)]) == 2
+    assert capsys.readouterr().err == f"{src}: error: no figure to draw\n"
+
+
 def test_missing_input_is_an_error(tmp_path, capsys):
     assert main([str(tmp_path / "absent.dg")]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -428,6 +453,47 @@ def test_a_written_file_has_the_mode_a_plain_write_gives(tmp_path, umask):
     assert mode == (tmp_path / "plain").stat().st_mode & 0o777 == 0o666 & ~umask
 
 
+def test_a_link_at_the_destination_is_replaced_and_its_target_left_alone(tmp_path):
+    src = _write(tmp_path, "ex.dg", GOOD)
+    target = _write(tmp_path, "target.txt", "kept\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "ex.svg").symlink_to(target)
+    assert main([str(src), "-o", str(out) + os.sep]) == 0
+    assert not (out / "ex.svg").is_symlink()
+    assert (out / "ex.svg").read_text(encoding="utf-8").startswith("<?xml")
+    assert target.read_text(encoding="utf-8") == "kept\n"
+    assert os.listdir(out) == ["ex.svg"]
+
+
+@pytest.mark.skipif(not hasattr(os, "pathconf"), reason="needs the longest name a directory takes")
+def test_an_output_name_nine_short_of_the_longest_is_written(tmp_path, capsys):
+    # its temp file adds a dot and 8 characters: a name of the longest length
+    out = tmp_path / "out"
+    out.mkdir()
+    stem = "x" * (os.pathconf(out, "PC_NAME_MAX") - 9 - len(".svg"))
+    src = _write(tmp_path, stem + ".dg", GOOD)
+    assert main([str(src), "-o", str(out) + os.sep]) == 0
+    assert capsys.readouterr().err == ""
+    assert os.listdir(out) == [stem + ".svg"]
+
+
+def test_cost_per_output_file_is_bounded(tmp_path):
+    # main over k copies of one square: 8 copies less 4 is what 4 more
+    # files cost to read, compile, plan and write, about 6860 instructions
+    # a file on 3.11 (7620 with mkstemp's random names, a chmod and each
+    # path split twice)
+    square = (CORPUS / "05_square.dg").read_text(encoding="utf-8")
+    srcs = [str(_write(tmp_path, f"in{i}.dg", square)) for i in range(8)]
+
+    def count(k):
+        argv = [*srcs[:k], "-o", str(tmp_path / f"out{k}") + os.sep]
+        return opcodes(lambda: main(argv))
+
+    main([srcs[0], "-o", str(tmp_path / "warm") + os.sep])  # patterns compile on first use
+    assert (count(8) - count(4)) / 4 <= 7100
+
+
 def _same_stem_pair(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
@@ -474,6 +540,28 @@ def test_the_cli_imports_no_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_the_patterns_only_the_section_reader_uses_compile_on_first_use(tmp_path):
+    # the corpus takes the common spelling of every section; a comment in
+    # a script section sends it to the section reader, a token at a time
+    code = "\n".join([
+        "import sys",
+        "from diagc import compile_source, lexer",
+        "from diagc.cli import main",
+        "def compiled():",
+        "    return lexer._tidy.cache_info().currsize, lexer._source.cache_info().currsize",
+        "assert main(sys.argv[1:]) == 0, 'the corpus did not compile'",
+        "print(compiled())",
+        "compile_source('\\\\to^% note\\nf')",
+        "print(compiled())",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(diagc.__file__).parents[1]))
+    argv = [str(path) for path in sorted(CORPUS.glob("*.dg"))] + ["-o", str(tmp_path) + os.sep]
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "(0, 0)\n(1, 1)\n"
+    assert len(os.listdir(tmp_path)) == 29
 
 
 def test_an_output_directory_is_made_once_per_run(tmp_path, monkeypatch):
@@ -606,6 +694,8 @@ def _expected_outputs(text, filename, fmt):
     None where it fails."""
     try:
         figures = compile_source(text, filename)
+        if not figures:  # an input with no figure is an error
+            return None, False
         notes = []
         rendered = [render_figure(figure, fmt, notes) for figure in figures]
     except DiagramError:

@@ -144,6 +144,7 @@ def where_by_tokens(toks, k):
 @example(atoms=["a", "%", "]", "\n", "]"], lone=False, stops="]")
 @example(atoms=["{", "%", "}", "\n", "}", "]"], lone=True, stops="]")
 @example(atoms=["a", "}"], lone=False, stops="}")  # a } with nothing to close
+@example(atoms=["%", "a", "\r", "a", "%", "\r", "\n", "a"], lone=False, stops="]")  # CR, CR LF
 def test_scans_agree_with_the_token_walk(atoms, lone, stops):
     text = "".join(atoms) + "\\" * lone  # a lone backslash only at the very end
     toks = tokens(text)

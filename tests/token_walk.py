@@ -8,9 +8,15 @@ every input.
 import re
 from typing import List, Sequence
 
-from diagc.lexer import _CONTROL, _SOURCE, _word_end
+from diagc.lexer import _word_end
 
+# the token rule, spelled here so that a change to the lexer's patterns
+# shows as a difference: a backslash and a run of letters, a backslash and
+# one other character, or a backslash alone at the end; a comment through
+# its line end (CR LF, CR or LF); a whitespace run; any other character
+_CONTROL = r"\\(?:[^\W\d_]+|.)?"
 _TEXT = re.compile(_CONTROL + r"|[ \t\r\n]+|.", re.DOTALL)
+_SOURCE = re.compile(_CONTROL + r"|%[^\r\n]*(?:\r\n|\r|\n)?|[ \t\r\n]+|.", re.DOTALL)
 
 
 def tokens(text: str, comments: bool = True) -> List[str]:
