@@ -2,9 +2,9 @@
 
 Exit status: 0 on success, 1 when --strict promotes warnings or a
 --check comparison fails, 2 on an unreadable input, an input with no
-figure, and parse, expansion, layout or rendering errors.  One output file per figure; multiple figures in one input get
-a -N suffix.  Commands outside \\bfig blocks form one implicit figure,
-compiled last.
+figure, and parse, expansion, layout or rendering errors.  One output
+file per figure; multiple figures in one input get a -N suffix.
+Commands outside \\bfig blocks form one implicit figure, compiled last.
 Diagnostics go to standard error in input order.
 """
 from __future__ import annotations

@@ -256,9 +256,7 @@ def _knockout(start: IPoint, end: IPoint, center: IPoint, half_w: int,
         (dx, sx - cx, half_w + frame.pad_w),
         (dy, sy - cy, LABEL_HALF_H + frame.pad_h),
     ):
-        if delta == 0:
-            if abs(coord) > half:
-                return ((start, end),)
+        if delta == 0:  # coord is 0: the center is the rounded midpoint
             continue
         if delta < 0:
             delta, coord = -delta, -coord

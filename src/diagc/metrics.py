@@ -30,8 +30,9 @@ class MetricsError(ValueError):
 
 
 class FontMetrics(NamedTuple):
-    """Per-character advance widths in centi-em; immutable after load, so
-    every default-built instance shares the one default table."""
+    """Per-character advance widths in centi-em, each non-negative, as
+    ``load_metrics`` enforces; immutable after load, so every
+    default-built instance shares the one default table."""
 
     widths: Dict[str, int] = _default_table()
 

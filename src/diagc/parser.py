@@ -29,8 +29,10 @@ command ends after its last section, by either path.
 A command's name is one match too, of whitespace, comments and a word of
 ASCII letters; the reader reads any other name, or makes the error.  A
 figure keeps each command's offset, and its ``positions`` make a line
-and column only when a diagnostic reads one, from a table of the
-source's line breaks.  A figure's own line is counted on from the last.
+and column only when a diagnostic reads one.  One rule, ``_where``,
+turns an offset into a line and column, from a table of the source's
+line breaks: for those positions, for a figure's own line and column,
+and for every parse error.
 
 ``%`` comments to end of line (and suppresses the newline, TeX-style);
 other whitespace runs collapse to a single space inside sections.  One
@@ -111,7 +113,7 @@ class Positions(Sequence):
 @lru_cache(maxsize=1)
 def _line_breaks(text: str) -> Tuple[List[int], bool]:
     """Where each line break of ``text`` ends, and whether it has a CR LF;
-    made on the first read of a position, for every figure of the source."""
+    made once per source, at the first line and column asked of it."""
     return list(map(re.Match.end, _line_break().finditer(text))), "\r\n" in text
 
 
@@ -137,37 +139,13 @@ class _Reader:
     ``char()``, the one character at ``pos`` (every opener is a token of
     one character), a section is one scan to its stop, and ``token()``
     reads the one token of a command name or a one-token argument.
-    ``where`` and ``positions`` turn offsets into lines and columns from
-    a table of line breaks, made on first use; ``line_col`` counts on to
-    the start of each figure without it.
+    ``error`` places its diagnostic by ``_where``.
     """
-
-    _counted = (0, 1, 0)  # an offset counted to, its line and that line's start
 
     def __init__(self, text: str, filename: str = "<input>") -> None:
         self.text = text
         self.filename = filename
         self.pos = 0
-
-    def positions(self, offsets: List[int]) -> Positions:
-        """Line and column of each offset, made when read."""
-        return Positions(self.text, offsets)
-
-    def where(self, pos: Optional[int] = None) -> Tuple[int, int]:
-        """Line and column of ``pos``, by default the current token's."""
-        return _where(self.text, self.pos if pos is None else pos)
-
-    def line_col(self, at: int) -> Tuple[int, int]:
-        """Line and column of ``at``, where a command begins, counted on
-        from the offset of the last call: calls in source order read each
-        line break once."""
-        text, (seen, line, start) = self.text, self._counted
-        breaks = text.count("\n", seen, at) + text.count("\r", seen, at)
-        if breaks:  # a CR LF counts as one
-            line += breaks - text.count("\r\n", seen, at)
-            start = max(text.rfind("\n", seen, at), text.rfind("\r", seen, at)) + 1
-        self._counted = at, line, start
-        return line, at - start + 1
 
     def char(self) -> str:
         """The character at ``pos``, ``""`` at the end."""
@@ -193,7 +171,8 @@ class _Reader:
 
     def error(self, message: str, at: Optional[int] = None) -> ParseError:
         """A ParseError at offset ``at``, by default at the current token."""
-        return ParseError(Diagnostic("error", message, self.filename, *self.where(at)))
+        where = _where(self.text, self.pos if at is None else at)
+        return ParseError(Diagnostic("error", message, self.filename, *where))
 
     def skip_ws(self) -> None:
         """Skip whitespace and comments; a comment takes its newline along."""
@@ -264,11 +243,10 @@ def parse_source(text: str, filename: str = "<input>") -> List[Figure]:
     r = _Reader(text, filename)
     head = _command_head().match
     figures: List[Figure] = []
-    # a figure's commands, their offsets and its line and column: those
-    # outside any figure, from the first of them, and those of the open one
-    top: Optional[Tuple[List[Command], List[int], Tuple[int, int]]] = None
-    current: Optional[Tuple[List[Command], List[int], Tuple[int, int]]] = None
-    open_at = 0
+    # a figure's commands, their offsets and its own offset: those outside
+    # any figure, from the first of them, and those of the open one
+    top: Optional[Tuple[List[Command], List[int], int]] = None
+    current: Optional[Tuple[List[Command], List[int], int]] = None
     while True:
         m = head(text, r.pos)
         if m is not None:
@@ -282,24 +260,24 @@ def parse_source(text: str, filename: str = "<input>") -> List[Figure]:
         if name == "\\bfig":
             if current is not None:
                 raise r.error("nested \\bfig", at)
-            open_at, current = at, ([], [], r.line_col(at))
+            current = [], [], at
         elif name == "\\efig":
             if current is None:
                 raise r.error("\\efig without \\bfig", at)
-            commands, offsets, (line, col) = current
-            figures.append(Figure(commands, Positions(text, offsets), line, col))
+            commands, offsets, start = current
+            figures.append(Figure(commands, Positions(text, offsets), *_where(text, start)))
             current = None
         else:
             group = current or top
             if group is None:
-                group = top = ([], [], r.line_col(at))
+                group = top = [], [], at
             group[0].append(_command(r, name, at))
             group[1].append(at)
     if current is not None:
-        raise r.error("\\bfig without matching \\efig", open_at)
+        raise r.error("\\bfig without matching \\efig", current[2])
     if top is not None:
-        commands, offsets, (line, col) = top
-        figures.append(Figure(commands, Positions(text, offsets), line, col))
+        commands, offsets, start = top
+        figures.append(Figure(commands, Positions(text, offsets), *_where(text, start)))
     return figures
 
 

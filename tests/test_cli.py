@@ -233,6 +233,36 @@ def test_check_mode_missing_golden(tmp_path, capsys):
     assert "missing golden" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_the_corpus_with_other_line_ends_passes_every_golden_check(tmp_path, monkeypatch,
+                                                                   capsys, end):
+    # CR LF and a lone CR each end a line as LF does: every corpus file
+    # rewritten with them matches the goldens in every format, with the
+    # stderr of the LF files, and parses to the same lines and columns
+    golden = Path(__file__).with_name("golden")
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.dg"))}
+
+    def check(line_end):
+        folder = tmp_path / repr(line_end)
+        folder.mkdir()
+        for name, text in sources.items():
+            (folder / name).write_bytes(text.replace("\n", line_end).encode("utf-8"))
+        monkeypatch.chdir(folder)
+        statuses = [main([*sources, "--format", fmt, "--check", str(golden / fmt)])
+                    for fmt in FORMATS]
+        return statuses, capsys.readouterr().err
+
+    lf = check("\n")
+    assert lf[0] == [0] * len(FORMATS)
+    assert check(end) == lf
+
+    def places(text):
+        return [(f.line, f.col, list(f.positions)) for f in compile_source(text)]
+
+    for text in sources.values():
+        assert places(text.replace("\n", end)) == places(text)
+
+
 @pytest.mark.parametrize("text", ["", "% only a comment\n", " \r\n\t"],
                          ids=["empty", "comment", "blank"])
 def test_an_input_with_no_figure_is_an_error_and_the_others_are_written(tmp_path, capsys,

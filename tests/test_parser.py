@@ -463,6 +463,21 @@ def test_parse_cost_per_byte_is_bounded():
     assert per_byte(figures) <= 19.0
 
 
+def test_parse_cost_per_figure_is_bounded():
+    # a figure's own line and column come from the table of line breaks that
+    # its commands' positions use: about 495 instructions per one-command
+    # figure, where counting the line breaks again from the last figure cost
+    # 540 (3.10: 468, 3.12: 447, 3.13: 428)
+    figure = "\\bfig\n\\morphism[A`B;f]\n\\efig\n"
+
+    def count(n):
+        text = figure * n
+        parse_source(figure)  # the patterns are compiled on first use
+        return opcodes(lambda: parse_source(text))
+
+    assert (count(200) - count(100)) / 100 <= 509
+
+
 def test_pattern_compile_cost_is_bounded():
     # every process that parses compiles these once, on first use: about
     # 197000 instructions, most of them the shared section pattern, 14500

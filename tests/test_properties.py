@@ -56,8 +56,8 @@ from diagc.ir import KIND_POS, KIND_VECTOR
 from diagc.metrics import DEFAULT_CHAR_WIDTH, text_width
 from diagc.lexer import (cut, group_end, kept_field, section_end, split_top, strip_group,
                          token_at)
-from diagc.parser import (COMMANDS, _Chain, _command, _command_head, _Reader, format_command,
-                          parse_command)
+from diagc.parser import (COMMANDS, Positions, _Chain, _command, _command_head, _Reader,
+                          _where, format_command, parse_command)
 from diagc.styles import STYLES
 
 BOUNDED = settings(
@@ -182,7 +182,7 @@ def test_reader_sections_agree_with_the_token_walk(atoms, lone, closer):
     else:
         assert r.delimited(opener, closer, "a section") == tidy_by_tokens(toks[1:end])
         assert token_at(r.text, r.pos) == "".join(toks[end + 1:end + 2])
-        assert r.where() == where_by_tokens(toks, end + 1)
+        assert _where(text, r.pos) == where_by_tokens(toks, end + 1)
         return
     with pytest.raises(ParseError) as info:
         r.delimited(opener, closer, "a section")
@@ -218,8 +218,8 @@ def test_where_agrees_with_the_token_walk_at_every_token(atoms):
     text = "".join(atoms)
     toks = tokens(text)
     starts = [len("".join(toks[:k])) for k in range(len(toks) + 1)]
-    assert _Reader(text).positions(starts) == [where_by_tokens(toks, k)
-                                               for k in range(len(toks) + 1)]
+    assert Positions(text, starts) == [where_by_tokens(toks, k)
+                                       for k in range(len(toks) + 1)]
 
 
 NAME_ATOMS = ["\\to", "\\bfig", "\\é", "\\a²", "\\{", "\\", " ", "\t", "\r", "\n", "\r\n",
