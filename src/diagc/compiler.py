@@ -3,7 +3,10 @@
 ``compile_source`` parses, expands and merges each figure.
 ``render_figure`` lays a figure out once, with the metrics it was
 expanded with, and hands the layout to the SVG or TikZ printer; the
-Xy-pic token stream and the IR text need no layout.
+Xy-pic token stream and the IR text need no layout.  TikZ places and
+pads its labels itself and has no canvas box, so its layout is ends
+only: the same node centres, clipped ends and errors as SVG's, without
+label centres, knockouts or a bounding box.
 """
 from __future__ import annotations
 
@@ -101,8 +104,9 @@ def render_figure(
         if fmt != "svg" and fmt != "tikz":
             raise ValueError(f"unknown format {fmt!r}")
         # the warning list goes third, by position: perfbench/tracing.py counts args[2]
+        lay = layout_diagram(figure.ir, figure.metrics, ends_only=fmt == "tikz")
         printer = render_svg if fmt == "svg" else render_tikz
-        return printer(layout_diagram(figure.ir, figure.metrics), figure.ir.scale, warnings)
+        return printer(lay, figure.ir.scale, warnings)
     except (LayoutError, RenderError) as exc:
         error = exc
     except ValueError as exc:

@@ -3,6 +3,10 @@
 ``layout_diagram`` lays a figure out in one walk: it places each node,
 clips each arrow and places its labels, and keeps the bounding box as
 running extremes as it goes, with no second walk over what it built.
+Only SVG reads label centres, knockouts and the box: TikZ places and
+pads its labels itself (``node[above]`` midway, ``fill=white``), so its
+walk is ends only, through the same clipping code, to the same ends and
+errors.
 
 Layout coordinates are plain integers in milli-centi-em: QUANTUM of
 them make one centi-em.  Each point is its exact rational position
@@ -37,7 +41,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
-from typing import Dict, List, NamedTuple, Tuple, Type, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Type, Union
 
 from .diagnostics import Diagnostic, DiagramError, LayoutError
 from .geometry import (EX_RATIO, LABEL_SCALE, OBJECT_MARGIN, Memo, Point, ScaleConfig,
@@ -105,37 +109,47 @@ class PlacedNode(NamedTuple):
 
 
 class PlacedLabel(NamedTuple):
+    """A placed label; an ends-only layout makes none on a path it clips
+    inline."""
+
     text: str
     side: LabelSide
     center: IPoint        # the path midpoint, nudged off the line per side
 
 
 class DrawablePath(NamedTuple):
+    """One clipped arrow.  An ends-only layout leaves ``labels`` and
+    ``shaft`` None on a path it clips inline, so its printer reads each
+    label from ``arrow``, and knocks no on-line label out of a shaft."""
+
     start: IPoint
     end: IPoint
     arrow: Arrow
-    labels: Tuple[PlacedLabel, ...]
-    shaft: Tuple[Span, ...]  # visible segments: an on-line label knocks out its box
+    labels: Optional[Tuple[PlacedLabel, ...]]
+    shaft: Optional[Tuple[Span, ...]]  # visible segments: an on-line label knocks out its box
 
 
 class DiagramLayout(NamedTuple):
     nodes: List[PlacedNode]
     paths: List[DrawablePath]
-    bbox: Tuple[int, int, int, int]  # x0, y0, x1, y1 in centi-em
+    bbox: Optional[Tuple[int, int, int, int]]  # x0, y0, x1, y1 in centi-em; None if ends only
 
 
 class _Frame(NamedTuple):
     """What clipping reads of one figure's settings: its em size, the
     knockout padding converted from it once, and the half width of each
-    label text met so far, measured with the figure's metrics."""
+    label text met so far, measured with the figure's metrics.  An
+    ends-only frame measures no label: it knocks none out."""
 
     em_size: Union[int, Fraction]   # points per em
     pad_w: int         # knockout padding around on-line labels
     pad_h: int
-    label_half_w: Memo   # text -> _label_half_w of it, one layout long
+    label_half_w: Optional[Memo]   # text -> _label_half_w of it, one layout long
 
     @classmethod
-    def of(cls, cfg: ScaleConfig, metrics: FontMetrics) -> "_Frame":
+    def of(cls, cfg: ScaleConfig, metrics: FontMetrics, ends_only: bool = False) -> "_Frame":
+        if ends_only:
+            return cls(cfg.em_size, 0, 0, None)
         return cls(
             cfg.em_size,
             QUANTUM * pt_to_centiem(KNOCKOUT_PAD_PT[0], cfg.em_size),
@@ -171,7 +185,8 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame) -> DrawablePath:
     half height with the margin is NODE_REACH_H; free
     endpoints (bare arrows, stubs, inline arrows) stay put.  The
     parallel offset recorded on the arrow and its local render scale
-    are materialized here, then the labels are placed along the result.
+    are materialized here, then the labels are placed along the result;
+    an ends-only ``frame`` knocks no on-line label out of the shaft.
     A diagonal too long for a float unit vector is an OverflowError,
     which layout_diagram names.  Each point is written out inline: v / q
     rounded, ties away from zero, is (2 v + q - (v < 0)) // 2 q.
@@ -223,7 +238,8 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame) -> DrawablePath:
     if label and side is not NONE:
         if side is ON_LINE:
             labels = (_new(PlacedLabel, (label, side, anchor)),)
-            shaft = _knockout(start, end, anchor, frame.label_half_w[label], frame)
+            if frame.label_half_w is not None:
+                shaft = _knockout(start, end, anchor, frame.label_half_w[label], frame)
         else:
             px, py, d = left_perp(ex - sx, ey - sy, QUANTUM)
             gap = GAP if side is ABOVE else -GAP
@@ -280,6 +296,8 @@ def _knockout(start: IPoint, end: IPoint, center: IPoint, half_w: int,
 def layout_diagram(
     ir: DiagramIR,
     metrics: FontMetrics = DEFAULT_METRICS,
+    *,
+    ends_only: bool = False,
 ) -> DiagramLayout:
     """Place every node, clip every arrow against its endpoint nodes and
     place its labels, in one walk that keeps the box as running extremes.
@@ -297,10 +315,16 @@ def layout_diagram(
     the extreme the direction puts it on, and a label's four edges
     where the label is made.  Every other arrow takes clip_general and
     its whole result goes into the box.
+
+    With ``ends_only``, for TikZ, the walk clips every arrow as above,
+    with the same errors, but keeps no box and makes no label centre on
+    a path clipped here; clip_general still makes the unit vector of a
+    side label, whose float can overflow, but measures no label and
+    knocks none out.  The records say what the mode leaves unset.
     """
     if not ir.nodes and not ir.arrows:
         raise LayoutError(Diagnostic("error", "empty diagram: nothing to draw"))
-    frame = _Frame.of(ir.scale, metrics)
+    frame = _Frame.of(ir.scale, metrics, ends_only)
     label_half_w = frame.label_half_w
     # running extremes in layout units
     x0 = y0 = math.inf
@@ -321,6 +345,10 @@ def layout_diagram(
             elif align == "d":
                 cy += NODE_HALF_H
         placed.append(_new(PlacedNode, (node, (cx, cy))))
+        if anchor not in reach:
+            reach[anchor] = hw + MARGIN
+        if ends_only:
+            continue
         if cx - hw < x0:
             x0 = cx - hw
         if cx + hw > x1:
@@ -329,8 +357,6 @@ def layout_diagram(
             y0 = cy - NODE_HALF_H
         if cy + NODE_HALF_H > y1:
             y1 = cy + NODE_HALF_H
-        if anchor not in reach:
-            reach[anchor] = hw + MARGIN
     paths = []
     append = paths.append
     reach_get = reach.get
@@ -344,6 +370,8 @@ def layout_diagram(
             except OverflowError:   # from left_perp: no float unit vector
                 raise too_long(LayoutError, arrow.seq) from None
             append(path)
+            if ends_only:
+                continue
             (sx, sy), (ex, ey), _, labels, _ = path
             for text, _, (cx, cy) in labels:
                 hw = label_half_w[text]
@@ -368,19 +396,21 @@ def layout_diagram(
             if ey > y1:
                 y1 = ey
             continue
+        # each direction's branch clips, then an ends-only walk keeps the
+        # path and goes on before the box and the label: a test in each
+        # branch, so that the full walk pays one per arrow
         c0 = c1 = 0   # how far each end moves in along the axis
         if sx == ex:   # vertical: x is fixed
             if kind == KIND_POS:
                 c0, c1 = NODE_REACH_H * (start in reach), NODE_REACH_H * (end in reach)
             sx = QUANTUM * sx
-            if sx < x0:
-                x0 = sx
-            if sx > x1:
-                x1 = sx
             if sy < ey:
                 sy, ey = QUANTUM * sy + c0, QUANTUM * ey - c1
                 if sy >= ey:
                     raise _swallowed(arrow.seq)
+                if ends_only:
+                    append(_new(DrawablePath, ((sx, sy), (sx, ey), arrow, None, None)))
+                    continue
                 if sy < y0:
                     y0 = sy
                 if ey > y1:
@@ -390,11 +420,18 @@ def layout_diagram(
                 sy, ey = QUANTUM * sy - c0, QUANTUM * ey + c1
                 if sy <= ey:
                     raise _swallowed(arrow.seq)
+                if ends_only:
+                    append(_new(DrawablePath, ((sx, sy), (sx, ey), arrow, None, None)))
+                    continue
                 if ey < y0:
                     y0 = ey
                 if sy > y1:
                     y1 = sy
                 cx = sx + GAP if side is ABOVE else sx - GAP
+            if sx < x0:
+                x0 = sx
+            if sx > x1:
+                x1 = sx
             cy = sy + ey
             cy = (cy + (cy > 0)) // 2   # round_div(cy, 2)
             start, end = (sx, sy), (sx, ey)
@@ -402,14 +439,13 @@ def layout_diagram(
             if kind == KIND_POS:
                 c0, c1 = reach_get(start, 0), reach_get(end, 0)
             sy = QUANTUM * sy
-            if sy < y0:
-                y0 = sy
-            if sy > y1:
-                y1 = sy
             if sx < ex:
                 sx, ex = QUANTUM * sx + c0, QUANTUM * ex - c1
                 if sx >= ex:
                     raise _swallowed(arrow.seq)
+                if ends_only:
+                    append(_new(DrawablePath, ((sx, sy), (ex, sy), arrow, None, None)))
+                    continue
                 if sx < x0:
                     x0 = sx
                 if ex > x1:
@@ -419,11 +455,18 @@ def layout_diagram(
                 sx, ex = QUANTUM * sx - c0, QUANTUM * ex + c1
                 if sx <= ex:
                     raise _swallowed(arrow.seq)
+                if ends_only:
+                    append(_new(DrawablePath, ((sx, sy), (ex, sy), arrow, None, None)))
+                    continue
                 if ex < x0:
                     x0 = ex
                 if sx > x1:
                     x1 = sx
                 cy = sy - GAP if side is ABOVE else sy + GAP
+            if sy < y0:
+                y0 = sy
+            if sy > y1:
+                y1 = sy
             cx = sx + ex
             cx = (cx + (cx > 0)) // 2
             start, end = (sx, sy), (ex, sy)
@@ -440,6 +483,8 @@ def layout_diagram(
             if cy + LABEL_HALF_H > y1:
                 y1 = cy + LABEL_HALF_H
         append(_new(DrawablePath, (start, end, arrow, labels, ((start, end),))))
+    if ends_only:
+        return DiagramLayout(nodes=placed, paths=paths, bbox=None)
     # floor of the least coordinate, ceiling of the greatest, in centi-em
     x0, y0 = x0 // QUANTUM, y0 // QUANTUM
     x1, y1 = -(-x1 // QUANTUM), -(-y1 // QUANTUM)

@@ -3,7 +3,8 @@ command table, the one-match reader against the section reader on
 mutated commands, the one match of a command's name, figure positions
 made when read, the decimal formatter, the width sum, the two clipping
 paths of layout and its bounding box, and exact scaling of the SVG and
-TikZ printers, and those printers against their per-arrow reference.
+TikZ printers, and those printers against their per-arrow reference,
+and TikZ's ends-only layout against the full one.
 
 Each property runs a fixed, derandomized set of examples, so a failure
 repeats on every run and the suite's run time stays bounded.
@@ -989,3 +990,97 @@ def test_printers_agree_with_the_per_arrow_reference_on_the_corpus():
             ir = figure.ir._replace(scale=ScaleConfig(scale, figure.ir.scale.em_size))
             for printed, reference in _printed_both_ways(ir):
                 assert printed == reference
+
+
+def _tikz_of_each_layout(ir):
+    """For the ends-only and then the full layout of ``ir``: its node
+    centres, each path's ends, and the TikZ of it with its warnings, or
+    the type, message and seq of the error that layout or printer raised."""
+    out = []
+    for ends_only in (True, False):
+        try:
+            laid = layout.layout_diagram(ir, ends_only=ends_only)
+            notes = []
+            printed = render_tikz(laid, ir.scale, notes)
+        except DiagramError as exc:
+            out.append((type(exc), str(exc), exc.seq))
+            continue
+        out.append(([node.center for node in laid.nodes],
+                    [(path.start, path.end) for path in laid.paths], printed, notes))
+    return out
+
+
+# every corpus figure at scale 1 and, as --scale 1/3 gives it, at 1/3
+CORPUS_IRS = [figure.ir for scale in (1, Fraction(1, 3)) for path in sorted(CORPUS.glob("*.dg"))
+              for figure in compile_source(path.read_text(encoding="utf-8"), path.name,
+                                           cfg=ScaleConfig(scale))]
+# an arrow end moved onto its start, onto a corpus anchor, or so far out
+# that a diagonal's float direction overflows
+MOVED_ENDS = [Point(0, 0), Point(1000, 0), Point(0, -1000), Point(500, 700),
+              Point(10 ** 400, 1)]
+ARROW_MUTATIONS = {
+    "side": st.sampled_from(list(LabelSide)),
+    "label": short_texts,
+    "label2": st.sampled_from(["", "g", "wwwwww"]),
+    "offset_pt": st.sampled_from([0, 3, Fraction(-5, 2)]),
+    "local_scale": st.sampled_from([1, Fraction(1, 2), Fraction(3, 7)]),
+    "kind": st.sampled_from([KIND_POS, KIND_VECTOR]),
+}
+
+
+@st.composite
+def mutated_corpus_irs(draw):
+    """A corpus figure's IR, at scale 1 or 1/3, with up to three changes
+    to its arrows: a field of ``ARROW_MUTATIONS`` redrawn, or an end
+    moved onto its start or one of ``MOVED_ENDS``."""
+    ir = draw(st.sampled_from(CORPUS_IRS))
+    arrows = list(ir.arrows)
+    for _ in range(draw(st.integers(0, 3)) if arrows else 0):
+        k = draw(st.integers(0, len(arrows) - 1))
+        field = draw(st.sampled_from(sorted(ARROW_MUTATIONS) + ["end"]))
+        value = (draw(st.sampled_from([arrows[k].start] + MOVED_ENDS)) if field == "end"
+                 else draw(ARROW_MUTATIONS[field]))
+        arrows[k] = arrows[k]._replace(**{field: value})
+    return ir._replace(arrows=tuple(arrows))
+
+
+@st.composite
+def generated_irs(draw):
+    """The merged IR of up to four generated commands of any kind, at
+    scale 1 or 1/3, or None where expansion refuses them."""
+    cmds = draw(LAYOUT_COMMANDS)
+    cfg = ScaleConfig(draw(st.sampled_from([1, Fraction(1, 3)])))
+    try:
+        raw_ir, _ = expand_figure(Figure(cmds, [(1, 1)] * len(cmds)), cfg)
+    except DiagramError:
+        return None
+    return merge_duplicate_nodes(raw_ir)
+
+
+TIKZ_IRS = st.one_of(generated_irs(), mutated_corpus_irs())
+
+
+@BOUNDED
+@given(ir=TIKZ_IRS)
+# a labelled diagonal too long for a float direction, and one with no label
+@example(ir=DiagramIR((), (Arrow(Point(0, 0), Point(10 ** 400, 1), ">", "f", LabelSide.ABOVE, 0),),
+                      ScaleConfig()))
+@example(ir=DiagramIR((), (Arrow(Point(0, 0), Point(10 ** 400, 1), ">", "", LabelSide.NONE, 0),),
+                      ScaleConfig(Fraction(1, 3))))
+# an on-line label on an axis and on an offset diagonal, and an arrow
+# swallowed by its nodes
+@example(ir=DiagramIR(
+    (Node(Point(0, 0), "A", 0), Node(Point(400, 0), "B", 1)),
+    (Arrow(Point(0, 0), Point(400, 0), ">", "wwwwww", LabelSide.ON_LINE, 2),
+     Arrow(Point(0, 0), Point(400, 300), ">", "f", LabelSide.ON_LINE, 3, offset_pt=3)),
+    ScaleConfig(Fraction(1, 3))))
+@example(ir=DiagramIR(
+    (Node(Point(0, 0), "A", 0), Node(Point(20, 0), "C", 1)),
+    (Arrow(Point(0, 0), Point(20, 0), ">", "g", LabelSide.ABOVE, 2),), ScaleConfig()))
+def test_the_ends_only_layout_agrees_with_the_full_one(ir):
+    # TikZ's layout skips the label centres, knockouts and box that only
+    # SVG reads: the same node centres, ends, TikZ bytes and warnings, or
+    # the same error with the same seq
+    if ir is not None:
+        ends_only, full = _tikz_of_each_layout(ir)
+        assert ends_only == full

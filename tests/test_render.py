@@ -175,6 +175,10 @@ def test_layout_runs_once_per_render_and_printers_take_warnings_third(monkeypatc
         render_figure(fig, fmt, notes)
         if fmt in ("svg", "tikz"):
             assert [name for name, _, _ in calls] == ["layout_diagram", stage]
+            # TikZ asks for the ends only: it places its labels itself
+            _, args, kwargs = calls[0]
+            assert args == (fig.ir, fig.metrics)
+            assert kwargs.get("ends_only", False) is (fmt == "tikz")
             _, args, kwargs = calls[1]
             assert len(args) == 3 and args[2] is notes and not kwargs
         else:
@@ -421,6 +425,17 @@ def test_svg_costs_at_most_5x_the_token_stream_on_the_corpus():
     svg = opcodes(lambda: [render_svg(lay, scale, []) for lay, scale in laid])
     xypic = opcodes(lambda: [render_xypic(figure.raw_ir) for figure in figures])
     assert len(figures) == 29 and svg <= 5.03 * xypic
+
+
+def test_tikz_costs_at_most_5x_the_token_stream_on_the_corpus():
+    # TikZ's whole render, its layout included, against the Xy-pic token
+    # stream of the same figures: about 6.5x over the full layout, about
+    # 4.70x over the ends-only one (4.39-4.75 on Python 3.10, 3.12, 3.13)
+    figures = [figure for path in sorted(CORPUS.glob("*.dg"))
+               for figure in compile_source(path.read_text(encoding="utf-8"), path.name)]
+    tikz = opcodes(lambda: [render_figure(figure, "tikz", []) for figure in figures])
+    xypic = opcodes(lambda: [render_xypic(figure.raw_ir) for figure in figures])
+    assert len(figures) == 29 and tikz <= 4.9 * xypic
 
 
 def test_xypic_cost_per_arrow_is_bounded():
