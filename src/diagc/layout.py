@@ -135,11 +135,24 @@ class DiagramLayout(NamedTuple):
     bbox: Optional[Tuple[int, int, int, int]]  # x0, y0, x1, y1 in centi-em; None if ends only
 
 
+def _knockout_pads(em_size: Union[int, Fraction]) -> Tuple[int, int]:
+    """The knockout padding around on-line labels, width and height, in
+    layout units, at ``em_size`` points per em."""
+    pad_w, pad_h = KNOCKOUT_PAD_PT
+    return QUANTUM * pt_to_centiem(pad_w, em_size), QUANTUM * pt_to_centiem(pad_h, em_size)
+
+
+# the default em size, and its knockout padding, converted once
+_DEFAULT_EM = ScaleConfig().em_size
+_DEFAULT_PADS = _knockout_pads(_DEFAULT_EM)
+
+
 class _Frame(NamedTuple):
     """What clipping reads of one figure's settings: its em size, the
-    knockout padding converted from it once, and the half width of each
-    label text met so far, measured with the figure's metrics.  An
-    ends-only frame measures no label: it knocks none out."""
+    knockout padding converted from it (at the default em size, the one
+    converted at import), and the half width of each label text met so
+    far, measured with the figure's metrics.  An ends-only frame
+    measures no label: it knocks none out."""
 
     em_size: Union[int, Fraction]   # points per em
     pad_w: int         # knockout padding around on-line labels
@@ -150,12 +163,9 @@ class _Frame(NamedTuple):
     def of(cls, cfg: ScaleConfig, metrics: FontMetrics, ends_only: bool = False) -> "_Frame":
         if ends_only:
             return cls(cfg.em_size, 0, 0, None)
-        return cls(
-            cfg.em_size,
-            QUANTUM * pt_to_centiem(KNOCKOUT_PAD_PT[0], cfg.em_size),
-            QUANTUM * pt_to_centiem(KNOCKOUT_PAD_PT[1], cfg.em_size),
-            Memo(partial(_label_half_w, metrics)),
-        )
+        pad_w, pad_h = (_DEFAULT_PADS if cfg.em_size == _DEFAULT_EM
+                        else _knockout_pads(cfg.em_size))
+        return cls(cfg.em_size, pad_w, pad_h, Memo(partial(_label_half_w, metrics)))
 
 
 def _label_half_w(metrics: FontMetrics, text: str) -> int:

@@ -4,35 +4,40 @@ Nodes become text elements, arrows become marker-terminated lines, the
 y axis is flipped for screen space, and one centi-em maps to
 0.01 x em_size x scale px, a ratio of integers in lowest terms.  Every
 number is an integer layout length times that ratio, written over one
-denominator that a render factors once: exact decimals when it has only
-2 and 5 in it, six rounded places (with a warning) otherwise.  Output
-is byte-identical across runs and every coordinate scales linearly with
-the configured scale.
+denominator that is factored once per ratio: exact decimals when it has
+only 2 and 5 in it, six rounded places (with a warning) otherwise.
+Output is byte-identical across runs and every coordinate scales
+linearly with the configured scale.
 
-A render formats each distinct value once, in a ``Decimals`` memo per
-kind: screen x (``X[x]``) and y (``Y[y]``) of layout coordinates, and
-lengths in centi-em (``L[c]``: the stroke width, font sizes, dash and
-marker lengths, width and height).  The lines of a double shaft, whose
-ends have the denominator of the gap's unit vector, get an x and y memo
-per such denominator.  A miss is one Python call, a hit a dict lookup.
-A render keeps one row per raw style token (the double-shaft flag, the
-shaft, with the dashes of the bodies it draws, and the two marker
-attributes) and escapes each distinct text once, so a common arrow is
-f-strings over dict lookups, with no Python call.  Each memo lives for
-one render.  Text that XML 1.0 cannot carry (most C0 controls, lone
-surrogates, U+FFFE and U+FFFF) is a ``RenderError`` carrying the seq of
-its node or arrow, and so is a double shaft too long for a float unit
-vector.
+What depends only on the ratio is a pen: the factored denominator,
+the stroke, the node and label font attributes, the marker elements,
+and the row of each ``STYLES`` entry (the double-shaft flag, the shaft,
+with the dashes of its body, the two marker attributes, and the markers
+it uses).  The pen of the default scale and em size is made whole once,
+at import; a render at any other ratio makes its own, which writes each
+marker and row the first time the render reads it.  A render formats
+each distinct coordinate once, in a ``Decimals`` memo per axis: screen
+x (``X[x]``) and y (``Y[y]``) of layout coordinates; the width and
+height are the screen x of the right edge and y of the bottom one.  The
+lines of a double shaft, whose ends have the denominator of the gap's
+unit vector, get an x and y memo per such denominator.  A miss is one
+Python call, a hit a dict lookup.  A render keeps the pen's row of each
+raw style token it meets, defines only the markers those rows use, and
+escapes each distinct text once, so a common arrow is f-strings over
+dict lookups, with no Python call.  Each memo lives for one render.
+Text that XML 1.0 cannot carry (most C0 controls, lone surrogates,
+U+FFFE and U+FFFF) is a ``RenderError`` carrying the seq of its node or
+arrow, and so is a double shaft too long for a float unit vector.
 """
 from __future__ import annotations
 
 from math import gcd
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .diagnostics import Diagnostic, RenderError
 from .geometry import LABEL_SCALE, Decimals, Memo, ScaleConfig, decimal_base
 from .layout import QUANTUM, DiagramLayout, IPoint, Span, left_perp, too_long
-from .styles import StyleRows, style_of
+from .styles import STYLES, Style, StyleRows, style_of
 
 STROKE_WIDTH = 5        # centi-em
 DOUBLE_GAP = 5          # half-gap between double shafts, centi-em
@@ -94,19 +99,67 @@ _MARKERS = {
 }
 
 
-def _marker_defs(f: Callable[[int], str], used: Iterable[str]) -> List[str]:
-    """The marker elements named in ``used``, by id; ``f`` formats a
-    length given in centi-em."""
+# what an arrow in one style draws: whether its shaft is double; a single
+# shaft's attributes, its marker-start and marker-end attributes, and all
+# three at once; and the attributes of the tips line of a shaft drawn as
+# two lines or knocked out whole, "" when it has no marker
+Row = Tuple[bool, str, str, str, str, str]
+
+
+def _px_ratio(cfg: ScaleConfig) -> Tuple[int, int]:
+    """px per centi-em, em_size x scale / 100, in lowest terms."""
+    en, ed = cfg.em_size.as_integer_ratio()
+    sn, sd = cfg.scale.as_integer_ratio()
+    un, ud = en * sn, 100 * ed * sd
+    g = gcd(un, ud)
+    return un // g, ud // g
+
+
+def _pen(un: int, ud: int, whole: bool = False) -> tuple:
+    """What a render draws at px ratio ``un/ud``, whatever its figure: the
+    factored denominator, the stroke, the node and label font
+    attributes, a ``Memo`` of each marker element by id, and a ``Memo``
+    of each ``STYLES`` row's ``Row`` and the ids of the markers it uses.
+    Each length in it, given in centi-em, is written once; each marker
+    and row when first read, or here when ``whole``."""
+    # a length of v layout units is v un / (QUANTUM ud) px
+    base = decimal_base(QUANTUM * ud)
+    L = Decimals(base, QUANTUM * un)
+    stroke = f' stroke="black" stroke-width="{L[STROKE_WIDTH]}"'
     lengths = {
-        "h": f(HEAD_LEN), "h2": f(2 * HEAD_LEN), "w": f(HEAD_HALF_WIDTH),
-        "w2": f(2 * HEAD_HALF_WIDTH), "sw": f(STROKE_WIDTH),
+        "h": L[HEAD_LEN], "h2": L[2 * HEAD_LEN], "w": L[HEAD_HALF_WIDTH],
+        "w2": L[2 * HEAD_HALF_WIDTH], "sw": L[STROKE_WIDTH],
     }
-    out = []
-    for name in sorted(used):
+
+    def marker(name: str) -> str:
         width, ref_x, body = _MARKERS[name]
-        out.append(_MARKER.format(name=name, width=f(width), ref_x=f(ref_x),
-                                  body=body.format(**lengths), **lengths))
-    return out
+        return _MARKER.format(name=name, width=L[width], ref_x=L[ref_x],
+                              body=body.format(**lengths), **lengths)
+
+    def row(style: Style) -> Tuple[Row, Tuple[str, ...]]:
+        start, end = style.marker_start, style.marker_end
+        start_attr = f' marker-start="url(#{start})"' if start else ""
+        end_attr = f' marker-end="url(#{end})"' if end else ""
+        tips = ' stroke="none"' + start_attr + end_attr if start or end else ""
+        shaft = stroke   # each of the two lines of a double shaft too
+        if style.body in _DASHES:   # the dash lengths scale with the figure
+            on, off, cap = _DASHES[style.body]
+            shaft += f' stroke-dasharray="{L[on]} {L[off]}"{cap}'
+        return ((style.body == "double", shaft, start_attr, end_attr,
+                 shaft + start_attr + end_attr, tips), tuple(m for m in (start, end) if m))
+
+    markers, rows = Memo(marker), Memo(row)
+    if whole:
+        markers.update((name, marker(name)) for name in _MARKERS)
+        rows.update((style, row(style)) for style in STYLES.values())
+    return (base, stroke, f' font-size="{L[100]}" text-anchor="middle">',
+            f' font-size="{L[LABEL_FONT]}" text-anchor="middle">', markers, rows)
+
+
+# the ratio of the default scale and em size, and its pen, made whole
+# once, so that no render adds to it
+_DEFAULT_RATIO = _px_ratio(ScaleConfig())
+_DEFAULT_PEN = _pen(*_DEFAULT_RATIO, whole=True)
 
 
 def render_svg(
@@ -115,45 +168,25 @@ def render_svg(
     warnings: Optional[List[str]] = None,
 ) -> str:
     """Print a laid-out figure at the scale of ``cfg``, its IR's scale."""
-    # px per centi-em, em_size x scale / 100, in lowest terms
-    en, ed = cfg.em_size.as_integer_ratio()
-    sn, sd = cfg.scale.as_integer_ratio()
-    un, ud = en * sn, 100 * ed * sd
-    g = gcd(un, ud)
-    un, ud = un // g, ud // g
+    un, ud = ratio = _px_ratio(cfg)
+    base, stroke, node_attrs, label_attrs, markers, pen_rows = (
+        _DEFAULT_PEN if ratio == _DEFAULT_RATIO else _pen(un, ud))
     x0, y0, x1, y1 = lay.bbox
     left, top = QUANTUM * x0, QUANTUM * y1
-    # a length of v layout units is v un / (QUANTUM ud) px
-    base = decimal_base(QUANTUM * ud)
     if warnings is not None and not base[1]:
         warnings.append(f"scale {cfg.scale} at em size {cfg.em_size} pt has no exact "
                         "decimal px; coordinates are rounded to six places")
     # each distinct screen x and y of a point in layout units (the y axis
-    # flips), length in centi-em and text of this render, formatted once
+    # flips) and text of this render, formatted once
     X, Y = Decimals(base, un, -left * un), Decimals(base, -un, top * un)
-    L = Decimals(base, QUANTUM * un)
     escaped = Memo(_xml_text)
-    stroke = f' stroke="black" stroke-width="{L[STROKE_WIDTH]}"'
     used_markers: set = set()
 
-    def row_of(raw: str) -> Tuple[bool, str, str, str, str, str]:
-        """What an arrow in style ``raw`` draws: whether its shaft is double;
-        a single shaft's attributes, its marker-start and marker-end
-        attributes, and all three at once; and the attributes of the tips
-        line of a shaft drawn as two lines or knocked out whole, "" when
-        it has no marker.  The dash lengths scale with the figure."""
-        style = style_of(raw, "SVG", warnings)
-        start, end = style.marker_start, style.marker_end
-        used_markers.update(m for m in (start, end) if m)
-        start_attr = f' marker-start="url(#{start})"' if start else ""
-        end_attr = f' marker-end="url(#{end})"' if end else ""
-        tips = ' stroke="none"' + start_attr + end_attr if start or end else ""
-        shaft = stroke   # each of the two lines of a double shaft too
-        if style.body in _DASHES:
-            on, off, cap = _DASHES[style.body]
-            shaft += f' stroke-dasharray="{L[on]} {L[off]}"{cap}'
-        return (style.body == "double", shaft, start_attr, end_attr,
-                shaft + start_attr + end_attr, tips)
+    def row_of(raw: str) -> Row:
+        """The pen's row of style ``raw``, whose markers the render uses."""
+        row, used = pen_rows[style_of(raw, "SVG", warnings)]
+        used_markers.update(used)
+        return row
 
     rows = StyleRows(row_of)
     arrow_elems: List[str] = []
@@ -179,7 +212,6 @@ def render_svg(
                 arrow_elems.append(f'<line x1="{sx[ax + dx]}" y1="{sy[ay + dy]}"'
                                    f' x2="{sx[bx + dx]}" y2="{sy[by + dy]}"{stroke}/>')
 
-    node_attrs = f' font-size="{L[100]}" text-anchor="middle">'
     node_elems: List[str] = []
     for node, (cx, cy) in lay.nodes:
         if node.text:
@@ -193,7 +225,6 @@ def render_svg(
                 f"{text}</text>"
             )
 
-    label_attrs = f' font-size="{L[LABEL_FONT]}" text-anchor="middle">'
     label_elems: List[str] = []
     for start, end, arrow, labels, spans in lay.paths:
         double, shaft, start_attr, end_attr, whole, tips = rows[arrow.style]
@@ -228,7 +259,8 @@ def render_svg(
                 f"{text}</text>"
             )
 
-    width, height = L[x1 - x0], L[y1 - y0]
+    # the figure's extent: the screen x of its right edge and y of its bottom
+    width, height = X[QUANTUM * x1], Y[QUANTUM * y0]
     out: List[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
@@ -238,7 +270,7 @@ def render_svg(
     )
     if used_markers:
         out.append("<defs>")
-        out.extend(_marker_defs(L.__getitem__, used_markers))
+        out.extend(markers[name] for name in sorted(used_markers))
         out.append("</defs>")
     out.append('<g font-family="serif" fill="black">')
     out.extend(node_elems)

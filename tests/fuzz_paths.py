@@ -28,6 +28,8 @@ examples:
   commands;
 - TikZ's ends-only layout against the full one, on generated commands
   of every kind and on mutated corpus figures, at scale 1 and 1/3;
+- the SVG and TikZ printers against the per-arrow reference printers,
+  on generated layouts at three scales and four em sizes;
 - expansion against the edge walk, on figures of every command kind.
 
 Run it from the repository root:
@@ -35,10 +37,12 @@ Run it from the repository root:
     PYTHONPATH=src python tests/fuzz_paths.py [SCALE]
 
 Each property runs its own count of examples, chosen so that the whole
-search takes at most about 115 s on one core of an Intel Xeon (103 s with
+search takes at most about 140 s on one core of an Intel Xeon (103 s with
 Python 3.11.7, of which the mutated golden dumps take 3.5 s and ``cut``
 6 s, and then the command head 3.5 s, the positions 2.7 s and the
-ends-only layout 5 s more); ``SCALE`` multiplies every count (default 1).  It exits non-zero
+ends-only layout 5 s more; with the per-arrow printers, 7-8 s, one run
+on a busier machine took 130 s); ``SCALE`` multiplies every count
+(default 1).  It exits non-zero
 at the first disagreement, which Hypothesis prints shrunk.  Its name
 keeps it out of pytest's collection.
 """
@@ -86,6 +90,8 @@ PROPERTIES = [  # each property, and its examples at scale 1
         props.test_layout_box_agrees_with_the_two_walk_box.hypothesis.inner_test), 1000),
     (given(ir=props.TIKZ_IRS)(
         props.test_the_ends_only_layout_agrees_with_the_full_one.hypothesis.inner_test), 1000),
+    (given(ir=props.printed_irs())(
+        props.test_printers_agree_with_the_per_arrow_reference.hypothesis.inner_test), 1000),
     (given(cmds=st.lists(props.EXPAND_COMMANDS, min_size=1, max_size=3))(
         props.test_expansion_agrees_with_the_edge_walk.hypothesis.inner_test), 3000),
 ]

@@ -5,9 +5,9 @@ These are ``render_svg`` and ``render_tikz`` as they stood before each
 render kept one memo per coordinate axis and one row per style token:
 a ``draw_path`` per arrow, an ``emit_line`` per line, a ``px``/``py`` or
 ``at`` call per coordinate through a cached formatter, and a
-``style_of`` call per arrow.  They share the constants and the marker
-definitions of ``diagc.svg``, which that change left as they were.  On
-every layout whose texts XML can carry, each printer of ``diagc`` must
+``style_of`` call per arrow.  They share the constants of ``diagc.svg``,
+which that change left as they were, and spell its marker elements
+themselves, one f-string each.  On every layout whose texts XML can carry, each printer of ``diagc`` must
 write the same bytes and the same warnings as its namesake here.
 ``decimal_formatter`` is the per-denominator formatter they used, kept
 here as it stood before the printers' memos formatted each number
@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from diagc.geometry import ScaleConfig, format_decimal
 from diagc.ir import LabelSide
 from diagc.layout import QUANTUM, DiagramLayout, DrawablePath, left_perp
 from diagc.styles import Style, style_of
-from diagc.svg import (BASELINE_DROP, DOUBLE_GAP, LABEL_DROP, LABEL_FONT, STROKE_WIDTH,
-                       _marker_defs)
+from diagc.svg import (BASELINE_DROP, DOUBLE_GAP, HEAD_HALF_WIDTH, HEAD_LEN, LABEL_DROP,
+                       LABEL_FONT, STROKE_WIDTH)
 
 
 def decimal_formatter(den: int) -> Tuple[Callable[[int], str], bool]:
@@ -55,6 +55,29 @@ def decimal_formatter(den: int) -> Tuple[Callable[[int], str], bool]:
         return "-" + text if num < 0 else text
 
     return fixed, True
+
+
+def marker_defs(f: Callable[[int], str], used: Set[str]) -> List[str]:
+    """The marker elements named in ``used``, sorted by id; ``f`` writes a
+    length given in centi-em."""
+    h, h2, w, w2 = f(HEAD_LEN), f(2 * HEAD_LEN), f(HEAD_HALF_WIDTH), f(2 * HEAD_HALF_WIDTH)
+    head = f'<path d="M 0 0 L {h} {w} L 0 {w2} Z"/>'
+    rhead = f'<path d="M {h} 0 L 0 {w} L {h} {w2} Z"/>'
+    hook = (f'<path d="M {h} 0 A {w} {w} 0 0 0 {h} {w2}" fill="none" stroke="black"'
+            f' stroke-width="{f(STROKE_WIDTH)}"/>')
+    # id -> markerWidth, refX and body
+    markers = {
+        "dg-head": (h, h, head),
+        "dg-head2": (h2, h2, head + f'<path d="M {h} 0 L {h2} {w} L {h} {w2} Z"/>'),
+        "dg-rhead": (h, f(0), rhead),
+        "dg-rhead2": (h2, f(0), rhead + f'<path d="M {h2} 0 L {h} {w} L {h2} {w2} Z"/>'),
+        "dg-mono": (h, f(0), head),
+        "dg-rmono": (h, h, rhead),
+        "dg-hook": (h, f(0), hook),
+    }
+    return [f'<marker id="{name}" markerUnits="userSpaceOnUse" markerWidth="{width}"'
+            f' markerHeight="{w2}" refX="{ref_x}" refY="{w}" orient="auto">{body}</marker>'
+            for name, (width, ref_x, body) in sorted(markers.items()) if name in used]
 
 
 def _xml_escape(text: str) -> str:
@@ -190,7 +213,7 @@ def render_svg(
     )
     if used_markers:
         out.append("<defs>")
-        out.extend(_marker_defs(f, used_markers))
+        out.extend(marker_defs(f, used_markers))
         out.append("</defs>")
     out.append('<g font-family="serif" fill="black">')
     out.extend(node_elems)

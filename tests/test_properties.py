@@ -927,7 +927,9 @@ PRINTED_TEXTS = ["", "f", "A&B", "<x>", "\\alpha", "wwwwwwwwwwwwwwwwwwww"]
 @st.composite
 def printed_irs(draw):
     """An IR of nodes and arrows between grid anchors, in any style, with
-    any label side, offset and local scale, at scale 1, 1/2 or 1/3."""
+    any label side, offset and local scale, at scale 1, 1/2 or 1/3 and em
+    size 10, 12, 20 or 21/2: scale 1/2 at em 20 has the default px ratio,
+    and em 12 one whose pen each render makes."""
     spots = draw(st.lists(st.sampled_from(SPOTS), min_size=1, max_size=5, unique=True))
     texts = st.sampled_from(PRINTED_TEXTS)
     nodes = tuple(Node(spot, draw(texts), seq) for seq, spot in enumerate(spots))
@@ -942,7 +944,8 @@ def printed_irs(draw):
             label2=draw(st.sampled_from(["", "g"])),
             offset_pt=draw(st.sampled_from([0, Fraction(3, 2), -5])),
             local_scale=draw(st.sampled_from([1, Fraction(1, 2), 2]))))
-    scale = ScaleConfig(draw(st.sampled_from([1, Fraction(1, 2), Fraction(1, 3)])))
+    scale = ScaleConfig(draw(st.sampled_from([1, Fraction(1, 2), Fraction(1, 3)])),
+                        draw(st.sampled_from([10, 12, 20, Fraction(21, 2)])))
     return DiagramIR(nodes, tuple(arrows), scale)
 
 
