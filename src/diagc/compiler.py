@@ -5,8 +5,10 @@
 expanded with, and hands the layout to the SVG or TikZ printer; the
 Xy-pic token stream and the IR text need no layout.  TikZ places and
 pads its labels itself and has no canvas box, so its layout is ends
-only: the same node centres, clipped ends and errors as SVG's, without
-label centres, knockouts or a bounding box.
+only: the same node centres, clipped ends and errors as SVG's, with no
+label record, knockout or bounding box.  Layout is exact integers, so
+an arrow of any length lays out; only SVG's double shaft still takes a
+float direction, which a long enough diagonal overflows.
 """
 from __future__ import annotations
 

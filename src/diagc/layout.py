@@ -6,44 +6,45 @@ running extremes as it goes, with no second walk over what it built.
 Only SVG reads label centres, knockouts and the box: TikZ places and
 pads its labels itself (``node[above]`` midway, ``fill=white``), so its
 walk is ends only, through the same clipping code, to the same ends and
-errors.
+errors, and makes no label record on any path.
 
 Layout coordinates are plain integers in milli-centi-em: QUANTUM of
-them make one centi-em.  Each point is its exact rational position
-rounded once to that grid, to the nearest integer with ties away from
-zero (``round_div``'s rule over the whole exact sum).  The only float is
-the unit vector of a diagonal direction, which enters at its exact
-binary value; an arrow too long for a float direction is a
-``LayoutError`` naming its command.  Nothing here depends on the render
-scale, so rendering at scale s yields coordinates exactly s times the
-scale-1 coordinates.
+them make one centi-em.  Each point is its exact position rounded once
+to that grid, to the nearest integer with ties away from zero
+(``round_div``'s rule over the whole exact sum).  No float enters a
+coordinate: a point moved across a diagonal, by a parallel offset or to
+a label centre, is an integer plus an integer over a square root, and
+``math.isqrt`` rounds it exactly, so an arrow of any length lays out.
+Nothing here depends on the render scale, so rendering at scale s
+yields coordinates exactly s times the scale-1 coordinates.
 
-A horizontal or vertical arrow at local scale 1 with no offset (every
-edge of a square grid) needs no rational at all: each clipped end is
-its endpoint shifted by an integer along the axis, and an above or
-below label centre is the anchor shifted by the label gap across it,
-so the one rounding left is the anchor midpoint.  The walk clips these
-inline, in a branch per axis and direction that updates the box only
-with the extremes it can move; every other arrow takes
-``clip_general``, which gives the same points on these.  It too is
-straight-line code: each end's exit parameter is a pair of integer
-locals, each point is rounded by one floor division written out, the
-unit vector across the path is made once per arrow, and only the
-knockout of an on-line label is a call of its own.  Node and label
-widths come from ``text_width``, a plain table sum for text with no
-``\\``; one layout measures each node text and each distinct label
+A horizontal or vertical arrow at local scale 1 with no offset and no
+second label (every edge of a square grid) needs no rational at all:
+each clipped end is its endpoint shifted by an integer along the axis,
+an above or below label centre is the anchor shifted by the label gap
+across it, and an on-line one is the anchor, so the one rounding left
+is the anchor midpoint.  The walk clips these inline, in a branch per
+axis and direction that updates the box only with the extremes it can
+move, and knocks an on-line label out of the shaft with ``_knockout``;
+every other arrow takes ``clip_general``, which gives the same points
+on these.  It too is straight-line code: each end's exit parameter is a
+pair of integer locals, each point is rounded by one floor division
+written out, the label gap across the path is made once per arrow, and
+only the knockout of an on-line label is a call of its own.  Node and
+label widths come from ``text_width``, a plain table sum for text with
+no ``\\``; one layout measures each node text and each distinct label
 text once, a label at scale 1 and then scaled by LABEL_SCALE, whose
 ratio is read at import.  The records are named tuples, built by
 ``tuple.__new__`` without a named tuple's Python-level ``__new__``.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import partial
-from typing import Dict, List, NamedTuple, Optional, Tuple, Type, Union
+from math import inf, isqrt
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .diagnostics import Diagnostic, DiagramError, LayoutError
+from .diagnostics import Diagnostic, LayoutError
 from .geometry import (EX_RATIO, LABEL_SCALE, OBJECT_MARGIN, Memo, Point, ScaleConfig,
                        pt_to_centiem, round_div)
 from .ir import KIND_POS, Arrow, DiagramIR, LabelSide, Node
@@ -64,6 +65,7 @@ KNOCKOUT_PAD_PT = (1, 4)   # on-line label padding, printer's points
 BASELINE = QUANTUM * round_div(75 * EX_RATIO.numerator, EX_RATIO.denominator)
 MARGIN = QUANTUM * OBJECT_MARGIN
 GAP = QUANTUM * LABEL_GAP
+GAP2_SQ = (2 * GAP) ** 2   # which a label centre across a diagonal reads
 LABEL_HALF_H = int(QUANTUM * NODE_BOX_HEIGHT // 2 * LABEL_SCALE)
 NODE_HALF_H = QUANTUM * NODE_BOX_HEIGHT // 2
 NODE_REACH_H = NODE_HALF_H + MARGIN
@@ -84,33 +86,13 @@ Reach = Dict[Point, int]
 _new = tuple.__new__
 
 
-def left_perp(dx: int, dy: int, den: int) -> Tuple[int, int, int]:
-    """Unit vector (x/d, y/d) to the left of travel along (dx, dy)/den centi-em.
-
-    Exact when axis-aligned.  Otherwise it is the float unit vector of
-    the centi-em direction, at its exact binary value, so d is a power
-    of two.
-    """
-    if dy == 0:
-        return (0, 1 if dx > 0 else -1, 1)
-    if dx == 0:
-        return (-1 if dy > 0 else 1, 0, 1)
-    fx, fy = dx / den, dy / den
-    length = math.hypot(fx, fy)
-    xn, xd = (-fy / length).as_integer_ratio()
-    yn, yd = (fx / length).as_integer_ratio()
-    d = max(xd, yd)
-    return xn * (d // xd), yn * (d // yd), d
-
-
 class PlacedNode(NamedTuple):
     node: Node
     center: IPoint        # drawn box center: anchor + align + baseline shift
 
 
 class PlacedLabel(NamedTuple):
-    """A placed label; an ends-only layout makes none on a path it clips
-    inline."""
+    """A placed label; an ends-only layout makes none."""
 
     text: str
     side: LabelSide
@@ -119,8 +101,8 @@ class PlacedLabel(NamedTuple):
 
 class DrawablePath(NamedTuple):
     """One clipped arrow.  An ends-only layout leaves ``labels`` and
-    ``shaft`` None on a path it clips inline, so its printer reads each
-    label from ``arrow``, and knocks no on-line label out of a shaft."""
+    ``shaft`` None on every path, so its printer reads each label from
+    ``arrow``, and knocks no on-line label out of a shaft."""
 
     start: IPoint
     end: IPoint
@@ -151,8 +133,8 @@ class _Frame(NamedTuple):
     """What clipping reads of one figure's settings: its em size, the
     knockout padding converted from it (at the default em size, the one
     converted at import), and the half width of each label text met so
-    far, measured with the figure's metrics.  An ends-only frame
-    measures no label: it knocks none out."""
+    far, measured with the figure's metrics.  An ends-only frame has
+    none: it places no label."""
 
     em_size: Union[int, Fraction]   # points per em
     pad_w: int         # knockout padding around on-line labels
@@ -182,13 +164,15 @@ def _swallowed(seq: int) -> LayoutError:
     )
 
 
-def too_long(error: Type[DiagramError], seq: int) -> DiagramError:
-    """The error of an arrow whose direction has no float unit vector."""
-    return error(Diagnostic("error", "arrow too long: its direction overflows a float"), seq)
+def _over_root(c: int, n: int) -> int:
+    """The floor of c/√n, for c != 0 and an n > 0 that is not a square: c/√n
+    is then irrational, so the floor of -c/√n is -1 less that of c/√n."""
+    r = isqrt(c * c // n)
+    return r if c > 0 else -1 - r
 
 
 def clip_general(arrow: Arrow, reach: Reach, frame: _Frame) -> DrawablePath:
-    """Clip any arrow in exact rationals, rounded once per point.
+    """Clip any arrow exactly, in integers, rounded once per point.
 
     An attached end retracts to the box of the first node drawn at its
     anchor, whose half width with the margin is in ``reach`` and whose
@@ -196,25 +180,41 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame) -> DrawablePath:
     endpoints (bare arrows, stubs, inline arrows) stay put.  The
     parallel offset recorded on the arrow and its local render scale
     are materialized here, then the labels are placed along the result;
-    an ends-only ``frame`` knocks no on-line label out of the shaft.
-    A diagonal too long for a float unit vector is an OverflowError,
-    which layout_diagram names.  Each point is written out inline: v / q
+    an ends-only ``frame`` returns right after the clip, with ``labels``
+    and ``shaft`` None.  Each point is written out inline: v / q
     rounded, ties away from zero, is (2 v + q - (v < 0)) // 2 q.
+
+    A point moved across a diagonal is exact too.  An end moved by a
+    parallel offset is (p + c/√n)/q for integers p, c, n and q > 0: a
+    rational like any other when √n is whole, and else irrational, never
+    halfway between integers, so it rounds as floor((2p + q + 2c/√n) /
+    2q), which is floor((2p + q + ⌊2c/√n⌋) / 2q).  A label centre is the
+    midpoint m plus w = GAP u/√n: w is irrational, or else a fraction
+    over an odd denominator (the hypotenuse of a primitive Pythagorean
+    triple), so m + w is never halfway either, and rounds to m plus w
+    rounded, ±(⌊2|w|⌋ + 1) // 2.  Each floor is an ``isqrt``.
     """
     start, end, _, label, side, seq, kind, _, _, label2, offset_pt, local_scale, _ = arrow
     # endpoints in layout units over a common denominator den
     p, den = local_scale.as_integer_ratio()
     p *= QUANTUM
     ax, ay, bx, by = start[0] * p, start[1] * p, end[0] * p, end[1] * p
-    if offset_pt:
-        off = QUANTUM * pt_to_centiem(offset_pt, frame.em_size) * den
-        px, py, d = left_perp(bx - ax, by - ay, den * QUANTUM)
-        ax, ay, bx, by = ax * d + px * off, ay * d + py * off, bx * d + px * off, by * d + py * off
-        den *= d
     dx, dy = bx - ax, by - ay
-    # each end moves n/d of the way in: where the ray from its anchor
-    # leaves the box of its node, the margin included, capped at 1; a
-    # free end stays
+    # a parallel offset moves both ends off/den layout units to the left
+    # of travel (down on a path of no length), by (ox, oy)/√n over den.
+    # When √n is whole the ends move here; else n stays, and each clipped
+    # end adds its share below
+    n = 0
+    off = offset_pt and QUANTUM * pt_to_centiem(offset_pt, frame.em_size) * den
+    if off:
+        ox, oy, n = (-dy * off, dx * off, dx * dx + dy * dy) if dx or dy else (0, -off, 1)
+        r = isqrt(n)
+        if r * r == n:
+            ax, ay, bx, by = ax * r + ox, ay * r + oy, bx * r + ox, by * r + oy
+            dx, dy, den, n = dx * r, dy * r, den * r, 0
+    # each end moves n0/d0 and n1/d1 of the way in: where the ray from
+    # its anchor leaves the box of its node, the margin included, capped
+    # at 1; a free end stays
     n0 = n1 = 0
     d0 = d1 = 1
     if kind == KIND_POS:
@@ -235,33 +235,42 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame) -> DrawablePath:
         raise _swallowed(seq)
     q = den * d0
     x, y = ax * d0 + dx * n0, ay * d0 + dy * n0
-    sx, sy = (2 * x + q - (x < 0)) // (2 * q), (2 * y + q - (y < 0)) // (2 * q)
+    if n:   # (x + ox d0/√n) / q
+        sx, sy = ((2 * x + q + _over_root(2 * ox * d0, n)) // (2 * q),
+                  (2 * y + q + _over_root(2 * oy * d0, n)) // (2 * q))
+    else:
+        sx, sy = (2 * x + q - (x < 0)) // (2 * q), (2 * y + q - (y < 0)) // (2 * q)
     q = den * d1
     x, y = bx * d1 - dx * n1, by * d1 - dy * n1
-    ex, ey = (2 * x + q - (x < 0)) // (2 * q), (2 * y + q - (y < 0)) // (2 * q)
+    if n:
+        ex, ey = ((2 * x + q + _over_root(2 * ox * d1, n)) // (2 * q),
+                  (2 * y + q + _over_root(2 * oy * d1, n)) // (2 * q))
+    else:
+        ex, ey = (2 * x + q - (x < 0)) // (2 * q), (2 * y + q - (y < 0)) // (2 * q)
     start, end = (sx, sy), (ex, ey)
+    if frame.label_half_w is None:   # ends only
+        return _new(DrawablePath, (start, end, arrow, None, None))
     x, y = sx + ex, sy + ey
     anchor = mx, my = (x + (x > 0)) // 2, (y + (y > 0)) // 2
     labels: Tuple[PlacedLabel, ...] = ()
     shaft: Tuple[Span, ...] = ((start, end),)
-    d = 0   # the denominator of the unit vector across the path, once made
+    if label2 or label and (side is ABOVE or side is BELOW):
+        # (x, y), GAP along the normal (ux, uy)/√n to the left of travel
+        # (down on a path of no length), rounded: above is the midpoint
+        # plus it, below the midpoint minus it
+        ux, uy = (sy - ey, ex - sx) if start != end else (0, -1)
+        n = ux * ux + uy * uy
+        x, y = (isqrt(GAP2_SQ * ux * ux // n) + 1) // 2, (isqrt(GAP2_SQ * uy * uy // n) + 1) // 2
+        x, y = x if ux >= 0 else -x, y if uy >= 0 else -y
     if label and side is not NONE:
         if side is ON_LINE:
             labels = (_new(PlacedLabel, (label, side, anchor)),)
-            if frame.label_half_w is not None:
-                shaft = _knockout(start, end, anchor, frame.label_half_w[label], frame)
+            shaft = _knockout(start, end, anchor, frame.label_half_w[label], frame)
         else:
-            px, py, d = left_perp(ex - sx, ey - sy, QUANTUM)
-            gap = GAP if side is ABOVE else -GAP
-            x, y = mx * d + px * gap, my * d + py * gap
-            center = (2 * x + d - (x < 0)) // (2 * d), (2 * y + d - (y < 0)) // (2 * d)
+            center = (mx + x, my + y) if side is ABOVE else (mx - x, my - y)
             labels = (_new(PlacedLabel, (label, side, center)),)
     if label2:   # an inline arrow's second label, below
-        if not d:
-            px, py, d = left_perp(ex - sx, ey - sy, QUANTUM)
-        x, y = mx * d - px * GAP, my * d - py * GAP
-        center = (2 * x + d - (x < 0)) // (2 * d), (2 * y + d - (y < 0)) // (2 * d)
-        labels += (_new(PlacedLabel, (label2, BELOW, center)),)
+        labels += (_new(PlacedLabel, (label2, BELOW, (mx - x, my - y))),)
     return _new(DrawablePath, (start, end, arrow, labels, shaft))
 
 
@@ -313,32 +322,31 @@ def layout_diagram(
     place its labels, in one walk that keeps the box as running extremes.
 
     A nonzero horizontal or vertical arrow at local scale 1, with no
-    offset, no second label and no on-line label, is clipped here in
-    integer shifts, in a branch for its axis and direction.  The exit
-    parameter of an end is (half + margin) / |d|, so that end moves
-    half + margin along the axis, and the arrow is swallowed once the
-    moved ends meet or cross, that is once the two moves reach |d|
-    (clip_general caps each parameter at 1, which changes neither that
-    test nor a kept arrow).  A label sits LABEL_GAP across the axis from
-    the anchor, to the left of travel when above.  The branch compares
-    the fixed coordinate with the box once, each moved end only with
-    the extreme the direction puts it on, and a label's four edges
-    where the label is made.  Every other arrow takes clip_general and
-    its whole result goes into the box.
+    offset and no second label, is clipped here in integer shifts, in a
+    branch for its axis and direction.  The exit parameter of an end is
+    (half + margin) / |d|, so that end moves half + margin along the
+    axis, and the arrow is swallowed once the moved ends meet or cross,
+    that is once the two moves reach |d| (clip_general caps each
+    parameter at 1, which changes neither that test nor a kept arrow).
+    A label sits LABEL_GAP across the axis from the anchor, to the left
+    of travel when above, or on the anchor when on the line, knocked out
+    of the shaft.  The branch compares the fixed coordinate with the box
+    once, each moved end only with the extreme the direction puts it on,
+    and a label's four edges where the label is made.  Every other
+    arrow takes clip_general and its whole result goes into the box.
 
     With ``ends_only``, for TikZ, the walk clips every arrow as above,
-    with the same errors, but keeps no box and makes no label centre on
-    a path clipped here; clip_general still makes the unit vector of a
-    side label, whose float can overflow, but measures no label and
-    knocks none out.  The records say what the mode leaves unset.
+    with the same errors, but keeps no box, and neither branch places a
+    label or knocks one out.  The records say what the mode leaves
+    unset.
     """
     if not ir.nodes and not ir.arrows:
         raise LayoutError(Diagnostic("error", "empty diagram: nothing to draw"))
     frame = _Frame.of(ir.scale, metrics, ends_only)
     label_half_w = frame.label_half_w
     # running extremes in layout units
-    x0 = y0 = math.inf
-    x1 = y1 = -math.inf
+    x0 = y0 = inf
+    x1 = y1 = -inf
     placed = []
     reach: Reach = {}
     for node in ir.nodes:
@@ -373,12 +381,8 @@ def layout_diagram(
     for arrow in ir.arrows:
         start, end, _, label, side, _, kind, _, _, label2, offset_pt, local_scale, _ = arrow
         (sx, sy), (ex, ey) = start, end
-        if ((sx == ex) == (sy == ey) or local_scale != 1 or offset_pt or label2
-                or side is ON_LINE):
-            try:
-                path = clip_general(arrow, reach, frame)
-            except OverflowError:   # from left_perp: no float unit vector
-                raise too_long(LayoutError, arrow.seq) from None
+        if (sx == ex) == (sy == ey) or local_scale != 1 or offset_pt or label2:
+            path = clip_general(arrow, reach, frame)
             append(path)
             if ends_only:
                 continue
@@ -480,19 +484,25 @@ def layout_diagram(
             cx = sx + ex
             cx = (cx + (cx > 0)) // 2
             start, end = (sx, sy), (ex, sy)
-        labels = ()
-        if label and side is not NONE:
-            hw = label_half_w[label]
-            labels = (_new(PlacedLabel, (label, side, (cx, cy))),)
-            if cx - hw < x0:
-                x0 = cx - hw
-            if cx + hw > x1:
-                x1 = cx + hw
-            if cy - LABEL_HALF_H < y0:
-                y0 = cy - LABEL_HALF_H
-            if cy + LABEL_HALF_H > y1:
-                y1 = cy + LABEL_HALF_H
-        append(_new(DrawablePath, (start, end, arrow, labels, ((start, end),))))
+        if not label or side is NONE:
+            append(_new(DrawablePath, (start, end, arrow, (), ((start, end),))))
+            continue
+        hw = label_half_w[label]
+        shaft = ((start, end),)
+        if side is ON_LINE:   # on the rounded midpoint, knocked out of the shaft
+            x, y = start[0] + end[0], start[1] + end[1]
+            cx, cy = (x + (x > 0)) // 2, (y + (y > 0)) // 2
+            shaft = _knockout(start, end, (cx, cy), hw, frame)
+        if cx - hw < x0:
+            x0 = cx - hw
+        if cx + hw > x1:
+            x1 = cx + hw
+        if cy - LABEL_HALF_H < y0:
+            y0 = cy - LABEL_HALF_H
+        if cy + LABEL_HALF_H > y1:
+            y1 = cy + LABEL_HALF_H
+        append(_new(DrawablePath, (
+            start, end, arrow, (_new(PlacedLabel, (label, side, (cx, cy))),), shaft)))
     if ends_only:
         return DiagramLayout(nodes=placed, paths=paths, bbox=None)
     # floor of the least coordinate, ceiling of the greatest, in centi-em

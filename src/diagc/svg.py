@@ -20,23 +20,25 @@ each distinct coordinate once, in a ``Decimals`` memo per axis: screen
 x (``X[x]``) and y (``Y[y]``) of layout coordinates; the width and
 height are the screen x of the right edge and y of the bottom one.  The
 lines of a double shaft, whose ends have the denominator of the gap's
-unit vector, get an x and y memo per such denominator.  A miss is one
-Python call, a hit a dict lookup.  A render keeps the pen's row of each
+unit vector (``left_perp``'s float, the only float of the compiler),
+get an x and y memo per such denominator.  A miss is one Python call, a
+hit a dict lookup.  A render keeps the pen's row of each
 raw style token it meets, defines only the markers those rows use, and
 escapes each distinct text once, so a common arrow is f-strings over
 dict lookups, with no Python call.  Each memo lives for one render.
 Text that XML 1.0 cannot carry (most C0 controls, lone surrogates,
 U+FFFE and U+FFFF) is a ``RenderError`` carrying the seq of its node or
-arrow, and so is a double shaft too long for a float unit vector.
+arrow, and so is a double shaft too long for a float unit vector: one
+with a component past the largest float, or whose length is.
 """
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, hypot, inf
 from typing import List, Optional, Tuple
 
 from .diagnostics import Diagnostic, RenderError
 from .geometry import LABEL_SCALE, Decimals, Memo, ScaleConfig, decimal_base
-from .layout import QUANTUM, DiagramLayout, IPoint, Span, left_perp, too_long
+from .layout import QUANTUM, DiagramLayout, IPoint, Span
 from .styles import STYLES, Style, StyleRows, style_of
 
 STROKE_WIDTH = 5        # centi-em
@@ -52,6 +54,34 @@ NODE_DROP = QUANTUM * BASELINE_DROP
 # the dash and gap lengths of a dashed or dotted shaft, centi-em, and
 # what else its line carries
 _DASHES = {"dashed": (20, 12, ""), "dotted": (2, 10, ' stroke-linecap="round"')}
+
+
+def left_perp(dx: int, dy: int, den: int) -> Tuple[int, int, int]:
+    """Unit vector (x/d, y/d) to the left of travel along (dx, dy)/den centi-em.
+
+    Exact when axis-aligned.  Otherwise it is the float unit vector of
+    the centi-em direction, at its exact binary value, so d is a power
+    of two; a direction whose length a float cannot hold, though each
+    component fits, is an OverflowError too.
+    """
+    if dy == 0:
+        return (0, 1 if dx > 0 else -1, 1)
+    if dx == 0:
+        return (-1 if dy > 0 else 1, 0, 1)
+    fx, fy = dx / den, dy / den
+    length = hypot(fx, fy)
+    if length == inf:
+        raise OverflowError("the length of a direction overflows a float")
+    xn, xd = (-fy / length).as_integer_ratio()
+    yn, yd = (fx / length).as_integer_ratio()
+    d = max(xd, yd)
+    return xn * (d // xd), yn * (d // yd), d
+
+
+def too_long(seq: int) -> RenderError:
+    """The error of a double shaft whose direction has no float unit vector."""
+    return RenderError(Diagnostic("error", "arrow too long: its direction overflows a float"),
+                       seq)
 
 
 def _not_xml(char: str) -> bool:
@@ -203,7 +233,7 @@ def render_svg(
         try:
             gx, gy, gd = left_perp(end[0] - start[0], end[1] - start[1], QUANTUM)
         except OverflowError:
-            raise too_long(RenderError, seq) from None
+            raise too_long(seq) from None
         gx, gy = gx * DOUBLE_GAP * QUANTUM, gy * DOUBLE_GAP * QUANTUM
         sx, sy = gapped[gd]
         for (ax, ay), (bx, by) in spans:

@@ -2,20 +2,26 @@
 
 This is ``clip_general`` as it stood before the general path was written
 out inline: an ``_exit_param`` call per end, an ``_along`` call per
-clipped point, a ``_place_labels`` call that unit-vectors the path once
-per label, and a ``_knockout`` that cuts its spans through ``_along``.
-It measures a label at ``LABEL_SCALE`` through ``text_width``.  On every
-arrow, ``diagc.layout.clip_general`` must give the same ``DrawablePath``,
-or the same swallow error with the same seq, as ``clip_general`` here.
+clipped point, a ``_place_labels`` call per path, and a ``_knockout``
+that cuts its spans through ``_along``.  It measures a label at
+``LABEL_SCALE`` through ``text_width``.  A point moved across a
+diagonal, an end by a parallel offset or a label centre, is p + c/√n
+for rationals p and c; ``_rounded`` rounds it exactly, by comparing
+squares in ``Fraction`` from an estimate that ``math.isqrt`` gives, and
+owes nothing to the floor identity the layout uses.  On every arrow,
+``diagc.layout.clip_general`` must give the same ``DrawablePath``, or
+the same swallow error with the same seq, as ``clip_general`` here.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Dict, Tuple
 
 from diagc.geometry import LABEL_SCALE, pt_to_centiem, round_div
 from diagc.ir import KIND_POS, Arrow, LabelSide
 from diagc.layout import (GAP, LABEL_HALF_H, MARGIN, NODE_HALF_H, QUANTUM, DrawablePath, IPoint,
-                          PlacedLabel, Reach, Span, _Frame, _swallowed, left_perp)
+                          PlacedLabel, Reach, Span, _Frame, _swallowed)
 from diagc.metrics import DEFAULT_METRICS, text_width
 
 Ratio = Tuple[int, int]            # num, den with den > 0
@@ -23,10 +29,48 @@ Ratio = Tuple[int, int]            # num, den with den > 0
 _new = tuple.__new__
 
 
-def _along(x: int, y: int, dx: int, dy: int, den: int, t: Ratio) -> IPoint:
-    """(x, y) + t (dx, dy), all over den, rounded to the layout grid."""
+def _sign(p: Fraction, c: Fraction, n: int) -> int:
+    """The sign of p + c/√n, for n > 0."""
+    ps, cs = (p > 0) - (p < 0), (c > 0) - (c < 0)
+    if ps == cs or not ps or not cs:
+        return ps or cs
+    # opposite signs: the greater in size wins, p² n against c²
+    big = p * p * n - c * c
+    return ps if big > 0 else cs if big < 0 else 0
+
+
+def _rounded(p: Fraction, c: Fraction, n: int) -> int:
+    """p + c/√n, for n > 0, rounded to the nearest integer, ties away from
+    zero: when not negative, the greatest k with p + c/√n >= k - 1/2."""
+    if _sign(p, c, n) < 0:
+        return -_rounded(-p, -c, n)
+    # an estimate within 1 of the sum, from √n to more bits than c has,
+    # then a step at a time to the exact answer
+    bits = abs(c.numerator).bit_length() + 2
+    k = math.floor(p + c * (1 << bits) / math.isqrt(n << 2 * bits) + Fraction(1, 2))
+    half = Fraction(1, 2)
+    while _sign(p - k + half, c, n) < 0:
+        k -= 1
+    while _sign(p - k - half, c, n) >= 0:
+        k += 1
+    return k
+
+
+def _along(x: int, y: int, dx: int, dy: int, den: int, t: Ratio,
+           across: Tuple[int, int, int] = (0, 0, 1)) -> IPoint:
+    """(x, y) + t (dx, dy), all over den, moved by (cx, cy)/√n for
+    ``across`` = (cx, cy, n), rounded to the layout grid."""
     tn, td = t
-    return (round_div(x * td + dx * tn, den * td), round_div(y * td + dy * tn, den * td))
+    cx, cy, n = across
+    return (_rounded(Fraction(x * td + dx * tn, den * td), Fraction(cx), n),
+            _rounded(Fraction(y * td + dy * tn, den * td), Fraction(cy), n))
+
+
+def _left(dx: int, dy: int) -> Tuple[int, int, int]:
+    """The normal (x, y)/√n to the left of travel along (dx, dy) as (x, y,
+    n): down on a path of no length."""
+    x, y = (-dy, dx) if (dx, dy) != (0, 0) else (0, -1)
+    return x, y, x * x + y * y
 
 
 def _label_half_w(text: str, widths: Dict[str, int]) -> int:
@@ -65,13 +109,11 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame,
     p *= QUANTUM
     ax, ay = arrow.start.x * p, arrow.start.y * p
     bx, by = arrow.end.x * p, arrow.end.y * p
-    if arrow.offset_pt:
-        off = QUANTUM * pt_to_centiem(arrow.offset_pt, frame.em_size)
-        px, py, d = left_perp(bx - ax, by - ay, den * QUANTUM)
-        ax, ay = ax * d + px * off * den, ay * d + py * off * den
-        bx, by = bx * d + px * off * den, by * d + py * off * den
-        den *= d
     dx, dy = bx - ax, by - ay
+    # a parallel offset moves each end off layout units to the left
+    off = QUANTUM * pt_to_centiem(arrow.offset_pt, frame.em_size) if arrow.offset_pt else 0
+    ux, uy, n = _left(dx, dy)
+    across = (off * ux, off * uy, n)
     t0: Ratio = (0, 1)
     t1: Ratio = (0, 1)
     if arrow.kind == KIND_POS:
@@ -81,8 +123,8 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame,
             t1 = _exit_param(reach[arrow.end], NODE_HALF_H + MARGIN, dx, dy, den)
     if t0[0] * t1[1] + t1[0] * t0[1] >= t0[1] * t1[1]:
         raise _swallowed(arrow.seq)
-    start = _along(ax, ay, dx, dy, den, t0)
-    end = _along(bx, by, -dx, -dy, den, t1)
+    start = _along(ax, ay, dx, dy, den, t0, across)
+    end = _along(bx, by, -dx, -dy, den, t1, across)
     anchor = (round_div(start[0] + end[0], 2), round_div(start[1] + end[1], 2))
     labels = _place_labels(arrow, start, end, anchor, widths)
     shaft: Tuple[Span, ...] = ((start, end),)
@@ -101,15 +143,13 @@ def _place_labels(
     if arrow.label2:
         texts.append((arrow.label2, LabelSide.BELOW))
     labels = []
+    ux, uy, n = _left(end[0] - start[0], end[1] - start[1])
     for text, side in texts:
         center = anchor
         if side is not LabelSide.ON_LINE:
-            px, py, d = left_perp(end[0] - start[0], end[1] - start[1], QUANTUM)
             gap = GAP if side is LabelSide.ABOVE else -GAP
-            center = (
-                round_div(anchor[0] * d + px * gap, d),
-                round_div(anchor[1] * d + py * gap, d),
-            )
+            center = (_rounded(Fraction(anchor[0]), Fraction(gap * ux), n),
+                      _rounded(Fraction(anchor[1]), Fraction(gap * uy), n))
         labels.append(_new(PlacedLabel, (text, side, center)))
     return tuple(labels)
 

@@ -24,6 +24,9 @@ examples:
 - the inline clipping of a horizontal or vertical arrow against
   ``clip_general``, and its box against the two-walk box;
 - ``clip_general`` against the per-call clipping walk, on any arrow;
+- label centres and offset ends across a diagonal against the exact
+  walk, on any, Pythagorean, float-overflowing and zero-length
+  directions with any rational offset;
 - the layout's running box against the two-walk box, on generated
   commands;
 - TikZ's ends-only layout against the full one, on generated commands
@@ -37,12 +40,12 @@ Run it from the repository root:
     PYTHONPATH=src python tests/fuzz_paths.py [SCALE]
 
 Each property runs its own count of examples, chosen so that the whole
-search takes at most about 140 s on one core of an Intel Xeon (103 s with
+search takes at most about 150 s on one core of an Intel Xeon (103 s with
 Python 3.11.7, of which the mutated golden dumps take 3.5 s and ``cut``
 6 s, and then the command head 3.5 s, the positions 2.7 s and the
 ends-only layout 5 s more; with the per-arrow printers, 7-8 s, one run
-on a busier machine took 130 s); ``SCALE`` multiplies every count
-(default 1).  It exits non-zero
+on a busier machine took 130 s; the points across a diagonal add
+8.6 s); ``SCALE`` multiplies every count (default 1).  It exits non-zero
 at the first disagreement, which Hypothesis prints shrunk.  Its name
 keeps it out of pytest's collection.
 """
@@ -86,6 +89,8 @@ PROPERTIES = [  # each property, and its examples at scale 1
         props.test_axis_aligned_clipping_matches_the_general_path.hypothesis.inner_test), 3000),
     (given(**props.GENERAL_CLIP_CASES)(
         props.test_general_clipping_matches_the_per_call_walk.hypothesis.inner_test), 2000),
+    (given(**props.DIAGONAL_CASES)(
+        props.test_points_across_a_diagonal_are_exact.hypothesis.inner_test), 2000),
     (given(cmds=props.LAYOUT_COMMANDS)(
         props.test_layout_box_agrees_with_the_two_walk_box.hypothesis.inner_test), 1000),
     (given(ir=props.TIKZ_IRS)(

@@ -21,10 +21,10 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from diagc.geometry import ScaleConfig, format_decimal
 from diagc.ir import LabelSide
-from diagc.layout import QUANTUM, DiagramLayout, DrawablePath, left_perp
+from diagc.layout import QUANTUM, DiagramLayout, DrawablePath
 from diagc.styles import Style, style_of
 from diagc.svg import (BASELINE_DROP, DOUBLE_GAP, HEAD_HALF_WIDTH, HEAD_LEN, LABEL_DROP,
-                       LABEL_FONT, STROKE_WIDTH)
+                       LABEL_FONT, STROKE_WIDTH, left_perp)
 
 
 def decimal_formatter(den: int) -> Tuple[Callable[[int], str], bool]:

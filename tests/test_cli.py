@@ -15,10 +15,11 @@ from opcode_count import opcodes
 from test_properties import BOUNDED, CORPUS
 
 import diagc
-from diagc import DiagramError, ParseError, compile_source, load_metrics, render_figure
+from diagc import (DiagramError, ParseError, compile_source, layout_diagram, load_metrics,
+                   render_figure)
 from diagc.cli import main
 from diagc.compiler import FORMATS
-from diagc.geometry import MAX_DIGITS
+from diagc.geometry import MAX_DIGITS, round_div
 from diagc.metrics import MetricsError
 
 GOOD = "\\bfig\n\\square[A`B`C`D;f`g`h`k]\n\\efig\n"
@@ -116,9 +117,7 @@ NINES = "9" * 400   # an extent past the largest float
 
 
 @pytest.mark.parametrize("command, fmts, where, message", [
-    # a diagonal arrow whose label or double shaft needs a float unit vector
-    (f"\\morphism(0,0)/>/<{NINES},1>[A`B;f]", ["svg", "tikz"], "2:3",
-     "arrow too long: its direction overflows a float"),
+    # a diagonal arrow whose double shaft needs a float unit vector
     (f"\\morphism(0,0)/=>/<{NINES},1>[A`B;]", ["svg"], "2:3",
      "arrow too long: its direction overflows a float"),
     # an integer that int() does not read
@@ -131,7 +130,7 @@ NINES = "9" * 400   # an extent past the largest float
     # a scale that makes every printed number too long: the figure's
     (f"\\scalefactor{{{'9' * 4300}}}\\morphism[A`B;f]", ["svg", "tikz"], "1:1",
      "number too long to write: more than 4300 digits"),
-], ids=["label", "double", "digits", "sum", "scalefactor"])
+], ids=["double", "digits", "sum", "scalefactor"])
 def test_a_number_too_large_to_draw_exits_2_and_writes_nothing(tmp_path, capsys, command,
                                                               fmts, where, message):
     src = _write(tmp_path, "big.dg", f"\\bfig\n  {command}\n\\efig\n")
@@ -145,6 +144,22 @@ def test_a_number_too_large_to_draw_exits_2_and_writes_nothing(tmp_path, capsys,
         else:   # the formats that print no such number
             assert status == 0 and err == ""
             shutil.rmtree(out)
+
+
+def test_a_labelled_diagonal_past_the_largest_float_is_written(tmp_path, capsys):
+    # its label centre is exact integers, with no float direction to
+    # overflow: GAP to the left of travel along (10^400 - 1, 1) rounds to
+    # straight above the rounded midpoint of the clipped path
+    text = f"\\bfig\n  \\morphism(0,0)/>/<{NINES},1>[A`B;f]\n\\efig\n"
+    src = _write(tmp_path, "big.dg", text)
+    out = tmp_path / "out"
+    for fmt in FORMATS:
+        assert main([str(src), "-f", fmt, "-o", str(out) + os.sep]) == 0
+        assert capsys.readouterr().err == ""
+    (figure,) = compile_source(text)
+    (((sx, sy), (ex, ey), _, (label,), _),) = layout_diagram(figure.ir).paths
+    assert label.center == (round_div(sx + ex, 2), round_div(sy + ey, 2) + 50000)
+    assert (out / "big.svg").read_text(encoding="utf-8") == render_figure(figure, "svg")
 
 
 @pytest.mark.parametrize("fmt, ext, drawn", [

@@ -25,9 +25,10 @@ from diagc import (
 from box_walk import bounding_box
 from diagc.geometry import LABEL_SCALE, round_div
 from diagc.ir import KIND_VECTOR
-from diagc.layout import LABEL_GAP, DrawablePath, PlacedLabel, PlacedNode, _Frame, left_perp
+from diagc.layout import LABEL_GAP, DrawablePath, PlacedLabel, PlacedNode, _Frame
 from diagc.layout import QUANTUM as Q
 from diagc.metrics import DEFAULT_METRICS, FontMetrics, text_width
+from diagc.svg import left_perp
 
 # the full conditional ladder: placement x (sign dx, sign dy) -> side
 LADDER = {
@@ -333,3 +334,23 @@ def test_general_clipping_cost_per_arrow_is_bounded():
                or a.side is LabelSide.ON_LINE]
     assert 2 * len(general) == len(ir.arrows)
     assert opcodes(lambda: layout_diagram(ir)) <= 740 * len(ir.arrows)
+
+
+def _diagonals(k):
+    """k x k pairs of diagonal morphisms, one labelled above and one below."""
+    cmds = []
+    for i in range(k):
+        for j in range(k):
+            x, y = 1000 * i, 1000 * j
+            cmds.append(f"\\morphism({x},{y})|a|<400,600>[P`Q;f]")
+            cmds.append(f"\\morphism({x},{y + 600})|b|<500,-300>[R`S;g]")
+    return compile_source("\n".join(cmds))[0].ir
+
+
+def test_tikz_layout_cost_per_labelled_diagonal_is_bounded():
+    # TikZ reads each label from its arrow, so its ends-only walk returns
+    # from clip_general right after the clip: about 522-548 instructions
+    # per arrow on Python 3.10 to 3.13, where making each label's record
+    # and centre through a float unit vector cost about 677-723
+    ir = _diagonals(8)
+    assert opcodes(lambda: layout_diagram(ir, ends_only=True)) <= 565 * len(ir.arrows)

@@ -724,6 +724,21 @@ AXIS_CASES = dict(
 @example(start=Point(0, 0), length=60, horizontal=False, kind=KIND_VECTOR,
          texts=(None, "x"), aligns=("", ""), label="www", side=LabelSide.BELOW,
          em_size=Fraction(10))  # increasing vertical, its label past both ends
+# an on-line label in each axis and direction, knocked out of the shaft
+@example(start=Point(0, 0), length=600, horizontal=True, kind=KIND_POS, texts=("A", "B"),
+         aligns=("", ""), label="f", side=LabelSide.ON_LINE, em_size=Fraction(10))
+@example(start=Point(-30, 7), length=-501, horizontal=True, kind=KIND_POS, texts=("A", "wB"),
+         aligns=("l", ""), label="g", side=LabelSide.ON_LINE, em_size=Fraction(12))
+@example(start=Point(5, -11), length=701, horizontal=False, kind=KIND_POS, texts=("A", None),
+         aligns=("", ""), label="f", side=LabelSide.ON_LINE, em_size=Fraction(7, 2))
+@example(start=Point(0, 0), length=-600, horizontal=False, kind=KIND_POS, texts=("A", "B"),
+         aligns=("", "u"), label="w", side=LabelSide.ON_LINE, em_size=Fraction(10))
+# an on-line label wider than its arrow knocks the whole shaft out, and
+# an empty one knocks nothing out
+@example(start=Point(0, 0), length=80, horizontal=True, kind=KIND_VECTOR, texts=(None, None),
+         aligns=("", ""), label="wwwwww", side=LabelSide.ON_LINE, em_size=Fraction(10))
+@example(start=Point(0, 0), length=500, horizontal=True, kind=KIND_POS, texts=("A", "B"),
+         aligns=("", ""), label="", side=LabelSide.ON_LINE, em_size=Fraction(10))
 def test_axis_aligned_clipping_matches_the_general_path(
     start, length, horizontal, kind, texts, aligns, label, side, em_size,
 ):
@@ -736,8 +751,8 @@ def test_axis_aligned_clipping_matches_the_general_path(
     arrow = Arrow(start, end, ">", label, side, 2, kind=kind)
     # the general path reads the reach of each node, its half width and
     # the margin, as layout_diagram measures it; the two anchors differ,
-    # so each node is the first at its anchor; an on-line label is knocked
-    # out of the shaft, so layout sends it to the general path too
+    # so each node is the first at its anchor; layout clips an on-line
+    # label's arrow inline too, and knocks the label out of its shaft
     reach = {node.anchor: text_width(node.text, 1, DEFAULT_METRICS) * layout.QUANTUM // 2
              + layout.MARGIN for node in nodes}
     laid = _clip(layout.layout_diagram, DiagramIR(nodes, (arrow,), cfg))
@@ -803,6 +818,14 @@ def test_general_clipping_matches_the_per_call_walk(
 ):
     # the inline general path against the per-call clipping it replaced:
     # the same record, or the same swallow error for the same arrow
+    _clips_agree(start, delta, kind, reach_at, label, side, label2, offset_pt, local_scale,
+                 em_size)
+
+
+def _clips_agree(start, delta, kind, reach_at, label, side, label2, offset_pt, local_scale,
+                 em_size):
+    """``clip_general`` and the per-call walk give the same record, or the
+    same error, for an arrow from ``start`` by ``delta``."""
     end = Point(start.x + delta[0], start.y + delta[1])
     arrow = Arrow(start, end, ">", label, side, 7, kind=kind, label2=label2,
                   offset_pt=offset_pt, local_scale=local_scale)
@@ -815,6 +838,67 @@ def test_general_clipping_matches_the_per_call_walk(
     walk_frame = layout._Frame.of(cfg, DEFAULT_METRICS)
     assert _clipped(layout.clip_general, arrow, reach, frame) == _clipped(
         clip_walk.clip_general, arrow, reach, walk_frame, {})
+
+
+@st.composite
+def pythagorean(draw):
+    """A multiple of a Pythagorean triple's legs, (m² - k², 2mk) j, in any
+    order and signs: a diagonal whose unit normal is rational."""
+    m = draw(st.integers(2, 30))
+    k, j = draw(st.integers(1, m - 1)), draw(st.integers(1, 40))
+    legs = [(m * m - k * k) * j * draw(st.sampled_from([1, -1])),
+            2 * m * k * j * draw(st.sampled_from([1, -1]))]
+    return tuple(draw(st.permutations(legs)))
+
+
+nonzero = st.integers(-900, 900).filter(bool)
+# past the largest float (1.8e308), and within it though the length of
+# two such components is not
+huge = st.one_of(st.integers(2 * 10 ** 308, 10 ** 400), st.integers(-(10 ** 400), -2 * 10 ** 308))
+near_huge = st.integers(127 * 10 ** 306, 179 * 10 ** 306).map(lambda v: v * (-1) ** (v & 1))
+# a diagonal across which a label or a parallel offset moves its points:
+# any, Pythagorean, one too long for a float direction, or none at all
+# (a zero-length path, whose normal points down); the offset is any
+# rational, as parse_ir reads it
+DIAGONAL_CASES = dict(
+    start=st.builds(Point, coordinates, coordinates),
+    delta=st.one_of(st.tuples(nonzero, nonzero), pythagorean(),
+                    st.tuples(huge, st.one_of(huge, nonzero)), st.tuples(nonzero, huge),
+                    st.tuples(near_huge, near_huge), st.just((0, 0))),
+    kind=st.sampled_from([KIND_POS, KIND_VECTOR]),
+    reach_at=st.tuples(*[st.one_of(st.none(), reach_widths)] * 2),
+    side=st.sampled_from(list(LabelSide)),
+    label2=st.sampled_from(["", "u"]),
+    offset_pt=st.one_of(st.fractions(-40, 40, max_denominator=600), st.just(0)),
+    local_scale=st.sampled_from([1, Fraction(3, 7), 2]),
+)
+
+
+@BOUNDED
+@given(**DIAGONAL_CASES)
+@example(start=Point(0, 0), delta=(15 * 10 ** 307, 15 * 10 ** 307), kind=KIND_POS,
+         reach_at=(55000, 55000), side=LabelSide.ABOVE, label2="", offset_pt=0,
+         local_scale=1)  # a length past the largest float
+@example(start=Point(3, -2), delta=(300, -400), kind=KIND_VECTOR, reach_at=(None, None),
+         side=LabelSide.BELOW, label2="u", offset_pt=Fraction(5, 2),
+         local_scale=1)  # a rational normal: 3/5 and 4/5
+@example(start=Point(7, 7), delta=(0, 0), kind=KIND_VECTOR, reach_at=(None, None),
+         side=LabelSide.ABOVE, label2="u", offset_pt=Fraction(-7, 3),
+         local_scale=Fraction(3, 7))  # no length: the normal points down
+@example(start=Point(0, 0), delta=(10 ** 400, 1), kind=KIND_POS, reach_at=(55000, None),
+         side=LabelSide.ABOVE, label2="", offset_pt=3, local_scale=1)  # past a float
+@example(start=Point(0, 0), delta=(300, 200), kind=KIND_VECTOR, reach_at=(None, None),
+         side=LabelSide.NONE, label2="", offset_pt=Fraction(5, 2),
+         local_scale=1)  # an irrational offset, left and up: a floor of each sign
+@example(start=Point(0, -100), delta=(400, 300), kind=KIND_POS, reach_at=(2, None),
+         side=LabelSide.ABOVE, label2="", offset_pt=Fraction(5, 2),
+         local_scale=1)  # a rational offset whose start's y is a tie, -79998.5
+def test_points_across_a_diagonal_are_exact(start, delta, kind, reach_at, side, label2,
+                                            offset_pt, local_scale):
+    # each label centre and offset end across a diagonal, p + c/√n rounded
+    # once, from the layout's floor identity against the exact walk's
+    # comparisons of squares
+    _clips_agree(start, delta, kind, reach_at, "f", side, label2, offset_pt, local_scale, 10)
 
 
 # a \scalefactor with only 2 and 5 in its denominator keeps every px and
@@ -1017,8 +1101,8 @@ def _tikz_of_each_layout(ir):
 CORPUS_IRS = [figure.ir for scale in (1, Fraction(1, 3)) for path in sorted(CORPUS.glob("*.dg"))
               for figure in compile_source(path.read_text(encoding="utf-8"), path.name,
                                            cfg=ScaleConfig(scale))]
-# an arrow end moved onto its start, onto a corpus anchor, or so far out
-# that a diagonal's float direction overflows
+# an arrow end moved onto its start, onto a corpus anchor, or past the
+# largest float
 MOVED_ENDS = [Point(0, 0), Point(1000, 0), Point(0, -1000), Point(500, 700),
               Point(10 ** 400, 1)]
 ARROW_MUTATIONS = {
@@ -1065,7 +1149,7 @@ TIKZ_IRS = st.one_of(generated_irs(), mutated_corpus_irs())
 
 @BOUNDED
 @given(ir=TIKZ_IRS)
-# a labelled diagonal too long for a float direction, and one with no label
+# a labelled diagonal past the largest float, and one with no label
 @example(ir=DiagramIR((), (Arrow(Point(0, 0), Point(10 ** 400, 1), ">", "f", LabelSide.ABOVE, 0),),
                       ScaleConfig()))
 @example(ir=DiagramIR((), (Arrow(Point(0, 0), Point(10 ** 400, 1), ">", "", LabelSide.NONE, 0),),
