@@ -1,8 +1,11 @@
 """Command-line front end: compile files, dump IR, run golden checks.
 
 Exit status: 0 on success, 1 when --strict promotes warnings or a
---check comparison fails, 2 on an unreadable input, an input with no
-figure, and parse, expansion, layout or rendering errors.  One output
+--check comparison fails, 2 on a command line that does not parse, an
+unreadable input or one with no figure, a parse, expansion, layout or
+rendering error, a bad --scale, --em or --metrics, one -o file for
+several outputs, two inputs writing one file, an output over an input,
+or a failed write.  One output
 file per figure; multiple figures in one input get a -N suffix.
 Commands outside \\bfig blocks form one implicit figure, compiled last.
 Diagnostics go to standard error in input order.
@@ -134,7 +137,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                for path, (_, name) in zip(args.inputs, splits)]
 
     out, check = args.output, args.check
-    single = out is not None and not out.endswith(os.sep) and not os.path.isdir(out or ".")
+    single = check is None and bool(out) and not out.endswith(os.sep) and not os.path.isdir(out)
     total_outputs = sum(len(r.outputs) for r in results)
     if single and total_outputs > 1:
         print(f"diagc: --output names a single file but there are {total_outputs} outputs; "

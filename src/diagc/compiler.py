@@ -5,10 +5,10 @@
 expanded with, and hands the layout to the SVG or TikZ printer; the
 Xy-pic token stream and the IR text need no layout.  TikZ places and
 pads its labels itself and has no canvas box, so its layout is ends
-only: the same node centres, clipped ends and errors as SVG's, with no
-label record, knockout or bounding box.  Layout is exact integers, so
-an arrow of any length lays out; only SVG's double shaft still takes a
-float direction, which a long enough diagonal overflows.
+only: a full layout that placed no label and kept no box, with the same
+node centres, clipped ends and errors as SVG's.  Layout is exact
+integers, so an arrow of any length lays out; only SVG's double shaft
+still takes a float direction, which a long enough diagonal overflows.
 """
 from __future__ import annotations
 
@@ -45,6 +45,10 @@ class CompiledFigure(NamedTuple):
     positions: Sequence[Tuple[int, int]] = ()
     starts: Sequence[int] = ()
 
+    def position_of(self, seq: int) -> Tuple[int, int]:
+        """The (line, col) of the command that drew node or arrow ``seq``."""
+        return self.positions[bisect_right(self.starts, seq) - 1]
+
 
 def compile_source(
     text: str,
@@ -66,17 +70,16 @@ def compile_source(
         if not raw_ir.nodes and not raw_ir.arrows:
             raise LayoutError(Diagnostic("error", "empty diagram: nothing to draw",
                                          filename, figure.line, figure.col))
-        # each conflict warning names the command that drew its later node
         merge_notes: List[str] = []
         merge_seqs: List[int] = []
         ir = merge_duplicate_nodes(raw_ir, merge_notes, merge_seqs)
-        warnings = list(warnings) + [
-            Diagnostic("warning", note, filename,
-                       *figure.positions[bisect_right(starts, seq) - 1])
-            for note, seq in zip(merge_notes, merge_seqs)
-        ]
-        out.append(CompiledFigure(ir, raw_ir, warnings, figure.line, figure.col,
-                                  filename, metrics, figure.positions, starts))
+        compiled = CompiledFigure(ir, raw_ir, warnings, figure.line, figure.col,
+                                  filename, metrics, figure.positions, starts)
+        # each conflict warning names the command that drew its later node
+        for note, seq in zip(merge_notes, merge_seqs):
+            compiled.warnings.append(Diagnostic("warning", note, filename,
+                                                *compiled.position_of(seq)))
+        out.append(compiled)
     return out
 
 
@@ -119,6 +122,6 @@ def render_figure(
             _first_too_long(figure.raw_ir))
     line, col = figure.line, figure.col
     if error.seq is not None and figure.starts:
-        line, col = figure.positions[bisect_right(figure.starts, error.seq) - 1]
+        line, col = figure.position_of(error.seq)
     raise type(error)(Diagnostic("error", error.diagnostic.message, figure.filename,
                                  line, col), error.seq) from None

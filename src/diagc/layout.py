@@ -3,10 +3,10 @@
 ``layout_diagram`` lays a figure out in one walk: it places each node,
 clips each arrow and places its labels, and keeps the bounding box as
 running extremes as it goes, with no second walk over what it built.
-Only SVG reads label centres, knockouts and the box: TikZ places and
-pads its labels itself (``node[above]`` midway, ``fill=white``), so its
-walk is ends only, through the same clipping code, to the same ends and
-errors, and makes no label record on any path.
+Only SVG reads label centres, knockouts and the box; TikZ places and pads
+its labels itself (``node[above]`` midway, ``fill=white``).  So TikZ's
+layout is ends only, to the same ends and errors through the same code:
+a full layout that placed no label and kept no box.
 
 Layout coordinates are plain integers in milli-centi-em: QUANTUM of
 them make one centi-em.  Each point is its exact position rounded once
@@ -92,26 +92,27 @@ class PlacedNode(NamedTuple):
 
 
 class PlacedLabel(NamedTuple):
-    """A placed label; an ends-only layout makes none."""
+    """A label the walk placed; its side is its arrow's."""
 
     text: str
-    side: LabelSide
     center: IPoint        # the path midpoint, nudged off the line per side
 
 
 class DrawablePath(NamedTuple):
-    """One clipped arrow.  An ends-only layout leaves ``labels`` and
-    ``shaft`` None on every path, so its printer reads each label from
-    ``arrow``, and knocks no on-line label out of a shaft."""
+    """One clipped arrow: its placed labels, () where none was placed, and
+    its shaft, None unless an on-line label's knockout cuts it, and then
+    the visible spans, () when the cut takes it whole."""
 
     start: IPoint
     end: IPoint
     arrow: Arrow
-    labels: Optional[Tuple[PlacedLabel, ...]]
-    shaft: Optional[Tuple[Span, ...]]  # visible segments: an on-line label knocks out its box
+    labels: Tuple[PlacedLabel, ...]
+    shaft: Optional[Tuple[Span, ...]]
 
 
 class DiagramLayout(NamedTuple):
+    """A laid-out figure; an ends-only one placed no label and kept no box."""
+
     nodes: List[PlacedNode]
     paths: List[DrawablePath]
     bbox: Optional[Tuple[int, int, int, int]]  # x0, y0, x1, y1 in centi-em; None if ends only
@@ -180,9 +181,9 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame) -> DrawablePath:
     endpoints (bare arrows, stubs, inline arrows) stay put.  The
     parallel offset recorded on the arrow and its local render scale
     are materialized here, then the labels are placed along the result;
-    an ends-only ``frame`` returns right after the clip, with ``labels``
-    and ``shaft`` None.  Each point is written out inline: v / q
-    rounded, ties away from zero, is (2 v + q - (v < 0)) // 2 q.
+    an ends-only ``frame`` returns right after the clip, with no label.
+    Each point is written out inline: v / q rounded, ties away from
+    zero, is (2 v + q - (v < 0)) // 2 q.
 
     A point moved across a diagonal is exact too.  An end moved by a
     parallel offset is (p + c/√n)/q for integers p, c, n and q > 0: a
@@ -249,11 +250,11 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame) -> DrawablePath:
         ex, ey = (2 * x + q - (x < 0)) // (2 * q), (2 * y + q - (y < 0)) // (2 * q)
     start, end = (sx, sy), (ex, ey)
     if frame.label_half_w is None:   # ends only
-        return _new(DrawablePath, (start, end, arrow, None, None))
+        return _new(DrawablePath, (start, end, arrow, (), None))
     x, y = sx + ex, sy + ey
     anchor = mx, my = (x + (x > 0)) // 2, (y + (y > 0)) // 2
     labels: Tuple[PlacedLabel, ...] = ()
-    shaft: Tuple[Span, ...] = ((start, end),)
+    shaft: Optional[Tuple[Span, ...]] = None
     if label2 or label and (side is ABOVE or side is BELOW):
         # (x, y), GAP along the normal (ux, uy)/√n to the left of travel
         # (down on a path of no length), rounded: above is the midpoint
@@ -264,24 +265,24 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame) -> DrawablePath:
         x, y = x if ux >= 0 else -x, y if uy >= 0 else -y
     if label and side is not NONE:
         if side is ON_LINE:
-            labels = (_new(PlacedLabel, (label, side, anchor)),)
+            labels = (_new(PlacedLabel, (label, anchor)),)
             shaft = _knockout(start, end, anchor, frame.label_half_w[label], frame)
         else:
             center = (mx + x, my + y) if side is ABOVE else (mx - x, my - y)
-            labels = (_new(PlacedLabel, (label, side, center)),)
+            labels = (_new(PlacedLabel, (label, center)),)
     if label2:   # an inline arrow's second label, below
-        labels += (_new(PlacedLabel, (label2, BELOW, (mx - x, my - y))),)
+        labels += (_new(PlacedLabel, (label2, (mx - x, my - y))),)
     return _new(DrawablePath, (start, end, arrow, labels, shaft))
 
 
 def _knockout(start: IPoint, end: IPoint, center: IPoint, half_w: int,
-              frame: _Frame) -> Tuple[Span, ...]:
+              frame: _Frame) -> Optional[Tuple[Span, ...]]:
     """Split a path around the padded box of an on-line label at
     ``center``, ``half_w`` wide.
 
-    Returns the visible sub-segments: none, one or two.  The path
-    enters the box at n_in/d_in of the way along and leaves it at
-    n_out/d_out; each cut point is rounded once.
+    Returns the visible sub-segments, none, one or two, or None where the
+    box misses the path.  The path enters the box at n_in/d_in of the way
+    along and leaves it at n_out/d_out; each cut point is rounded once.
     """
     (sx, sy), (cx, cy) = start, center
     dx, dy = end[0] - sx, end[1] - sy
@@ -300,7 +301,7 @@ def _knockout(start: IPoint, end: IPoint, center: IPoint, half_w: int,
         if (half - coord) * d_out < n_out * delta:
             n_out, d_out = half - coord, delta
     if n_in * d_out >= n_out * d_in:
-        return ((start, end),)
+        return None
     spans: Tuple[Span, ...] = ()
     if n_in > 0:
         x, y, q = sx * d_in + dx * n_in, sy * d_in + dy * n_in, 2 * d_in
@@ -336,9 +337,8 @@ def layout_diagram(
     arrow takes clip_general and its whole result goes into the box.
 
     With ``ends_only``, for TikZ, the walk clips every arrow as above,
-    with the same errors, but keeps no box, and neither branch places a
-    label or knocks one out.  The records say what the mode leaves
-    unset.
+    with the same errors, and gives a full layout that placed no label
+    and kept no box: ``bbox`` is None.
     """
     if not ir.nodes and not ir.arrows:
         raise LayoutError(Diagnostic("error", "empty diagram: nothing to draw"))
@@ -387,7 +387,7 @@ def layout_diagram(
             if ends_only:
                 continue
             (sx, sy), (ex, ey), _, labels, _ = path
-            for text, _, (cx, cy) in labels:
+            for text, (cx, cy) in labels:
                 hw = label_half_w[text]
                 if cx - hw < x0:
                     x0 = cx - hw
@@ -423,7 +423,7 @@ def layout_diagram(
                 if sy >= ey:
                     raise _swallowed(arrow.seq)
                 if ends_only:
-                    append(_new(DrawablePath, ((sx, sy), (sx, ey), arrow, None, None)))
+                    append(_new(DrawablePath, ((sx, sy), (sx, ey), arrow, (), None)))
                     continue
                 if sy < y0:
                     y0 = sy
@@ -435,7 +435,7 @@ def layout_diagram(
                 if sy <= ey:
                     raise _swallowed(arrow.seq)
                 if ends_only:
-                    append(_new(DrawablePath, ((sx, sy), (sx, ey), arrow, None, None)))
+                    append(_new(DrawablePath, ((sx, sy), (sx, ey), arrow, (), None)))
                     continue
                 if ey < y0:
                     y0 = ey
@@ -458,7 +458,7 @@ def layout_diagram(
                 if sx >= ex:
                     raise _swallowed(arrow.seq)
                 if ends_only:
-                    append(_new(DrawablePath, ((sx, sy), (ex, sy), arrow, None, None)))
+                    append(_new(DrawablePath, ((sx, sy), (ex, sy), arrow, (), None)))
                     continue
                 if sx < x0:
                     x0 = sx
@@ -470,7 +470,7 @@ def layout_diagram(
                 if sx <= ex:
                     raise _swallowed(arrow.seq)
                 if ends_only:
-                    append(_new(DrawablePath, ((sx, sy), (ex, sy), arrow, None, None)))
+                    append(_new(DrawablePath, ((sx, sy), (ex, sy), arrow, (), None)))
                     continue
                 if ex < x0:
                     x0 = ex
@@ -485,10 +485,10 @@ def layout_diagram(
             cx = (cx + (cx > 0)) // 2
             start, end = (sx, sy), (ex, sy)
         if not label or side is NONE:
-            append(_new(DrawablePath, (start, end, arrow, (), ((start, end),))))
+            append(_new(DrawablePath, (start, end, arrow, (), None)))
             continue
         hw = label_half_w[label]
-        shaft = ((start, end),)
+        shaft = None
         if side is ON_LINE:   # on the rounded midpoint, knocked out of the shaft
             x, y = start[0] + end[0], start[1] + end[1]
             cx, cy = (x + (x > 0)) // 2, (y + (y > 0)) // 2
@@ -502,7 +502,7 @@ def layout_diagram(
         if cy + LABEL_HALF_H > y1:
             y1 = cy + LABEL_HALF_H
         append(_new(DrawablePath, (
-            start, end, arrow, (_new(PlacedLabel, (label, side, (cx, cy))),), shaft)))
+            start, end, arrow, (_new(PlacedLabel, (label, (cx, cy))),), shaft)))
     if ends_only:
         return DiagramLayout(nodes=placed, paths=paths, bbox=None)
     # floor of the least coordinate, ceiling of the greatest, in centi-em

@@ -260,9 +260,9 @@ def render_svg(
         double, shaft, start_attr, end_attr, whole, tips = rows[arrow.style]
         # the attributes of one line from start to end, if the arrow draws one
         if double:
-            draw_double(start, end, spans, arrow.seq)
+            draw_double(start, end, ((start, end),) if spans is None else spans, arrow.seq)
             attr = tips
-        elif spans == ((start, end),):  # nothing knocked out
+        elif spans is None:  # nothing knocked out
             attr = whole
         else:
             last = len(spans) - 1
@@ -278,7 +278,7 @@ def render_svg(
         if attr:
             arrow_elems.append(f'<line x1="{X[start[0]]}" y1="{Y[start[1]]}"'
                                f' x2="{X[end[0]]}" y2="{Y[end[1]]}"{attr}/>')
-        for text, _, (cx, cy) in labels:
+        for text, (cx, cy) in labels:
             try:
                 text = escaped[text]
             except RenderError as exc:

@@ -4,21 +4,21 @@ coordinates.
 Node texts become \\node commands, arrows become \\draw commands with
 labels riding midway; arrow tips beyond plain '->' assume the standard
 arrows library.  TikZ places each label (``node[above]`` midway) and pads
-an on-line one (``fill=white``) itself, so the printer reads only the
-node centres, each path's clipped ends, and each label's text and side
-from the path's arrow: it prints an ends-only layout, which has no label
-centres, knockouts or box, and a full one alike.  Styles the backend
-cannot express fall back to a solid arrow with a warning.  Coordinates
-are exact decimals unless the render scale has a prime other than 2 and
-5 in its denominator; then they are rounded to six places, with a
-warning.  What depends only on the scale is a pen: that denominator,
-factored once, and a label's node by side, whose on-line padding scales
-with the figure, as one em of layout written over that denominator.
-The pen of the default scale is made once, at import; a render at any
-other scale makes its own.  A render formats each distinct coordinate
-once, in one ``Decimals`` memo for both axes (``E[v]``), whose miss is
-one Python call, and keeps the ``\\draw`` of each raw style token, read
-from a module table by style, so a common arrow is one f-string over
+an on-line one (``fill=white``) itself, so the printer reads only the node
+centres, each path's clipped ends, and each label's text and side from the
+path's arrow: it prints a full layout and an ends-only one alike.  An
+ends-only layout is a full layout that placed no label and kept no box.
+Styles the backend cannot express fall back to a solid arrow with a
+warning.  Coordinates are exact decimals unless the render scale has a
+prime other than 2 and 5 in its denominator; then they are rounded to six
+places, with a warning.  What depends only on the scale is a pen: that
+denominator, factored once, and a label's node by side, whose on-line
+padding scales with the figure, as one em of layout written over that
+denominator.  The pen of the default scale is made once, at import; a
+render at any other scale makes its own.  A render formats each distinct
+coordinate once, in one ``Decimals`` memo for both axes (``E[v]``), whose
+miss is one Python call, and keeps the ``\\draw`` of each raw style token,
+read from a module table by style, so a common arrow is one f-string over
 dict lookups, with no Python call.  Each memo lives for one render.
 """
 from __future__ import annotations

@@ -53,7 +53,7 @@ def bounding_box(
             y0 = sy
         if ey > y1:
             y1 = ey
-        for text, _, (cx, cy) in labels:
+        for text, (cx, cy) in labels:
             hw = text_width(text, LABEL_SCALE, metrics) * QUANTUM // 2
             if cx - hw < x0:
                 x0 = cx - hw

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from diagc.geometry import LABEL_SCALE, pt_to_centiem, round_div
 from diagc.ir import KIND_POS, Arrow, LabelSide
@@ -127,8 +127,8 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame,
     end = _along(bx, by, -dx, -dy, den, t1, across)
     anchor = (round_div(start[0] + end[0], 2), round_div(start[1] + end[1], 2))
     labels = _place_labels(arrow, start, end, anchor, widths)
-    shaft: Tuple[Span, ...] = ((start, end),)
-    if labels and labels[0].side is LabelSide.ON_LINE:
+    shaft: Optional[Tuple[Span, ...]] = None   # uncut
+    if arrow.label and arrow.side is LabelSide.ON_LINE:
         shaft = _knockout(start, end, labels[0], _label_half_w(labels[0].text, widths), frame)
     return _new(DrawablePath, (start, end, arrow, labels, shaft))
 
@@ -150,15 +150,16 @@ def _place_labels(
             gap = GAP if side is LabelSide.ABOVE else -GAP
             center = (_rounded(Fraction(anchor[0]), Fraction(gap * ux), n),
                       _rounded(Fraction(anchor[1]), Fraction(gap * uy), n))
-        labels.append(_new(PlacedLabel, (text, side, center)))
+        labels.append(_new(PlacedLabel, (text, center)))
     return tuple(labels)
 
 
 def _knockout(start: IPoint, end: IPoint, label: PlacedLabel, half_w: int,
-              frame: _Frame) -> Tuple[Span, ...]:
+              frame: _Frame) -> Optional[Tuple[Span, ...]]:
     """Split a path around the padded box of an on-line label ``half_w`` wide.
 
-    Returns the visible sub-segments: none, one or two.
+    Returns the visible sub-segments, none, one or two, or None where the
+    box misses the path.
     """
     (sx, sy), (cx, cy) = start, label.center
     dx, dy = end[0] - sx, end[1] - sy
@@ -171,7 +172,7 @@ def _knockout(start: IPoint, end: IPoint, label: PlacedLabel, half_w: int,
     ):
         if delta == 0:
             if abs(coord) > half:
-                return ((start, end),)
+                return None
             continue
         sign = 1 if delta > 0 else -1
         lo = (-half - sign * coord, abs(delta))
@@ -181,7 +182,7 @@ def _knockout(start: IPoint, end: IPoint, label: PlacedLabel, half_w: int,
         if hi[0] * t_out[1] < t_out[0] * hi[1]:
             t_out = hi
     if t_in[0] * t_out[1] >= t_out[0] * t_in[1]:
-        return ((start, end),)
+        return None
     spans = []
     if t_in[0] > 0:
         spans.append((start, _along(sx, sy, dx, dy, 1, t_in)))

@@ -7,8 +7,10 @@ a ``draw_path`` per arrow, an ``emit_line`` per line, a ``px``/``py`` or
 ``at`` call per coordinate through a cached formatter, and a
 ``style_of`` call per arrow.  They share the constants of ``diagc.svg``,
 which that change left as they were, and spell its marker elements
-themselves, one f-string each.  On every layout whose texts XML can carry, each printer of ``diagc`` must
-write the same bytes and the same warnings as its namesake here.
+themselves, one f-string each.  The TikZ one reads each label's text and
+side from the path's arrow, as ``render_tikz`` does.  On every layout
+whose texts XML can carry, each printer of ``diagc`` must write the same
+bytes and the same warnings as its namesake here.
 ``decimal_formatter`` is the per-denominator formatter they used, kept
 here as it stood before the printers' memos formatted each number
 themselves.
@@ -148,7 +150,7 @@ def render_svg(
         style = style_of(path.arrow.style, "SVG", warnings)
         start_attr, end_attr = marker_attrs.get(style) or markers_of(style)
         marker_attr = start_attr + end_attr
-        spans = path.shaft
+        spans = ((path.start, path.end),) if path.shaft is None else path.shaft
         if style.body == "double":
             start, end = path.start, path.end
             gx, gy, gd = left_perp(end[0] - start[0], end[1] - start[1], QUANTUM)
@@ -255,11 +257,15 @@ def render_tikz(
         lines.append(f"\\node at {at(placed.center)} {{${placed.node.text}$}};")
     for path in lay.paths:
         options = style_of(path.arrow.style, "TikZ", warnings).tikz
+        # TikZ places each label midway itself: its text and side are the arrow's
+        labels = []
+        if path.arrow.label and path.arrow.side is not LabelSide.NONE:
+            labels.append((path.arrow.label, path.arrow.side))
+        if path.arrow.label2:   # an inline arrow's second label, below
+            labels.append((path.arrow.label2, LabelSide.BELOW))
         label_nodes = ""
-        for label in path.labels:
-            label_nodes += (
-                f" node[{side_option[label.side]}] {{$\\scriptstyle {label.text}$}}"
-            )
+        for text, side in labels:
+            label_nodes += f" node[{side_option[side]}] {{$\\scriptstyle {text}$}}"
         lines.append(
             f"\\draw[{options}] {at(path.start)} --{label_nodes} {at(path.end)};"
         )

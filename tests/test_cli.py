@@ -68,6 +68,12 @@ def test_single_file_output_creates_its_directory(tmp_path, capsys):
     missing = tmp_path / "none" / "ex.svg"
     assert main([str(src), "-o", str(missing), "--check", str(golden_dir)]) == 0
     assert not missing.parent.exists()
+    # --check ignores -o whatever the number of outputs
+    other = _write(tmp_path, "other.dg", GOOD)
+    assert main([str(other), "-o", str(golden_dir / "other.svg")]) == 0
+    assert main([str(src), str(other), "-o", str(missing), "--check", str(golden_dir)]) == 0
+    assert not missing.parent.exists()
+    assert capsys.readouterr().err == ""
 
 
 def test_arity_error_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -480,6 +486,45 @@ def test_a_failed_write_leaves_no_partial_file_and_the_others_are_written(tmp_pa
     assert sorted(p.name for p in out.iterdir()) == ["a.svg", "b.svg"]
     assert (out / "a.svg").is_dir() and not any((out / "a.svg").iterdir())
     assert (out / "b.svg").read_text(encoding="utf-8").startswith("<?xml")
+
+
+def test_a_taken_temp_name_is_passed_over_and_its_file_left_alone(tmp_path, monkeypatch):
+    src = _write(tmp_path, "ex.dg", GOOD)
+    out = tmp_path / "out"
+    out.mkdir()
+    taken = _write(out, "ex.svg.00000001", "kept\n")
+    draws = iter([b"\0\0\0\1", b"\0\0\0\2"])
+    monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+    renames = []
+    replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda a, b: renames.append(a) or replace(a, b))
+    assert main([str(src), "-o", str(out) + os.sep]) == 0
+    assert renames == [str(out / "ex.svg.00000002")]
+    assert taken.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(os.listdir(out)) == ["ex.svg", "ex.svg.00000001"]
+    assert (out / "ex.svg").read_text(encoding="utf-8").startswith("<?xml")
+
+
+def test_a_failed_rename_whose_cleanup_fails_too_exits_2_and_makes_no_file(tmp_path, monkeypatch,
+                                                                           capsys):
+    # the rename's error is the one reported; the unlink's is swallowed,
+    # and the temp file it could not remove stays
+    src = _write(tmp_path, "ex.dg", GOOD)
+    out = tmp_path / "out"
+    out.mkdir()
+
+    def refuse(errno, message):
+        def call(*args):
+            raise OSError(errno, message)
+        return call
+
+    monkeypatch.setattr(os, "replace", refuse(13, "rename refused"))
+    monkeypatch.setattr(os, "unlink", refuse(16, "unlink refused"))
+    assert main([str(src), "-o", str(out) + os.sep]) == 2
+    assert capsys.readouterr().err == (
+        f"diagc: cannot write {out / 'ex.svg'}: [Errno 13] rename refused\n")
+    (left,) = os.listdir(out)
+    assert left.startswith("ex.svg.") and not (out / "ex.svg").exists()
 
 
 @pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")

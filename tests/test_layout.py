@@ -187,7 +187,7 @@ def test_label_widths_follow_the_metrics_of_each_layout():
         lay = layout_diagram(ir, metrics)
         assert sum(len(path.labels) for path in lay.paths) == 5
         assert lay.bbox == bounding_box(lay.nodes, lay.paths, metrics)
-        (online,) = [path for path in lay.paths if path.labels[0].side is LabelSide.ON_LINE]
+        (online,) = [path for path in lay.paths if path.arrow.side is LabelSide.ON_LINE]
         (_, cut_in), (cut_out, _) = online.shaft
         assert cut_out[0] - cut_in[0] == 2 * (half_w + pad_w)
         boxes.append(lay.bbox)
@@ -213,10 +213,20 @@ def test_label_center_sides():
 
 def test_the_layout_records_hold_only_what_the_printers_draw():
     assert PlacedNode._fields == ("node", "center")
-    assert PlacedLabel._fields == ("text", "side", "center")
+    assert PlacedLabel._fields == ("text", "center")
     assert DrawablePath._fields == ("start", "end", "arrow", "labels", "shaft")
     assert not hasattr(DrawablePath, "direction")
     assert left_perp.__defaults__ is None
+    # one meaning per field in both walks: labels a tuple, () where none
+    # was placed, and a shaft None unless an on-line label's knockout cuts it
+    (figure,) = compile_source("\\morphism[A`B;f]\n\\morphism(0,600)|m|<600,0>[C`D;g]\n"
+                               "\\morphism(0,1200)<600,0>[E`F;]")
+    full, ends = (layout_diagram(figure.ir, ends_only=ends_only).paths
+                  for ends_only in (False, True))
+    assert [(len(path.labels), path.shaft is None) for path in full] == [
+        (1, True), (1, False), (0, True)]
+    assert all(path.labels == () and path.shaft is None for path in ends)
+    assert full[2] == ends[2]
 
 
 def test_knockout_splits_horizontal_path():

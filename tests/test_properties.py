@@ -1054,13 +1054,15 @@ def _printed_both_ways(ir):
 
 @BOUNDED
 @given(ir=printed_irs())
-@example(ir=DiagramIR(  # double shafts on a diagonal, one knocked out whole, at 1/3
+@example(ir=DiagramIR(  # double shafts uncut and cut in two on a diagonal, and knocked
+    # out whole on an axis, at 1/3
     (Node(Point(0, 0), "A", 0), Node(Point(600, 1200), "B", 1)),
     (Arrow(Point(0, 0), Point(600, 1200), "=>", "f", LabelSide.ABOVE, 2),
      Arrow(Point(0, 0), Point(600, 1200), " =", "wwwwwwwwwwwwwwwwwwww", LabelSide.ON_LINE, 3,
            offset_pt=Fraction(3, 2)),
      Arrow(Point(0, 0), Point(600, 0), "@{-->}", "A&B", LabelSide.ON_LINE, 4,
-           kind=KIND_VECTOR)),
+           kind=KIND_VECTOR),
+     Arrow(Point(0, 0), Point(600, 0), "=>", "wwwwwwwwwwwwwwwwwwww", LabelSide.ON_LINE, 5)),
     ScaleConfig(Fraction(1, 3))))
 def test_printers_agree_with_the_per_arrow_reference(ir):
     # one memo per axis and one row per style token against a call per
@@ -1079,10 +1081,15 @@ def test_printers_agree_with_the_per_arrow_reference_on_the_corpus():
                 assert printed == reference
 
 
+def _draws_no_label(arrow):
+    return not (arrow.label and arrow.side is not LabelSide.NONE or arrow.label2)
+
+
 def _tikz_of_each_layout(ir):
     """For the ends-only and then the full layout of ``ir``: its node
-    centres, each path's ends, and the TikZ of it with its warnings, or
-    the type, message and seq of the error that layout or printer raised."""
+    centres, each path's ends, or its whole record where its arrow draws
+    no label, and the TikZ of it with its warnings, or the type, message
+    and seq of the error that layout or printer raised."""
     out = []
     for ends_only in (True, False):
         try:
@@ -1092,8 +1099,11 @@ def _tikz_of_each_layout(ir):
         except DiagramError as exc:
             out.append((type(exc), str(exc), exc.seq))
             continue
+        if ends_only:   # a full layout that placed no label
+            assert all(path.labels == () and path.shaft is None for path in laid.paths)
         out.append(([node.center for node in laid.nodes],
-                    [(path.start, path.end) for path in laid.paths], printed, notes))
+                    [path if _draws_no_label(path.arrow) else (path.start, path.end)
+                     for path in laid.paths], printed, notes))
     return out
 
 
@@ -1166,8 +1176,9 @@ TIKZ_IRS = st.one_of(generated_irs(), mutated_corpus_irs())
     (Arrow(Point(0, 0), Point(20, 0), ">", "g", LabelSide.ABOVE, 2),), ScaleConfig()))
 def test_the_ends_only_layout_agrees_with_the_full_one(ir):
     # TikZ's layout skips the label centres, knockouts and box that only
-    # SVG reads: the same node centres, ends, TikZ bytes and warnings, or
-    # the same error with the same seq
+    # SVG reads: the same node centres, ends, TikZ bytes and warnings, and
+    # the same record of a path with no label, or the same error with the
+    # same seq
     if ir is not None:
         ends_only, full = _tikz_of_each_layout(ir)
         assert ends_only == full

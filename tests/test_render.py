@@ -331,6 +331,23 @@ def test_svg_double_shaft_and_knockout():
     assert svg.count('stroke="none"') == 1
 
 
+@pytest.mark.parametrize("source, em, shaft_lines", [
+    # a label wider than the arrow knocks the double shaft out whole
+    ("\\morphism(0,0)|m|/=>/<200,0>[A`B;wwwwwwwwww]", 10, 0),
+    # no label, and an on-line label whose padded box has no width: uncut
+    ("\\morphism(0,0)/=>/<600,0>[A`B;]", 10, 2),
+    ("\\morphism(0,0)|m|/=>/<1000,0>[A`B;{{}}]", 1000, 2),
+])
+def test_a_double_shaft_draws_what_its_label_leaves(source, em, shaft_lines):
+    # an uncut shaft is drawn whole as two lines; one knocked out whole
+    # draws only the line that carries its tips
+    lines = [line for line in render_figure(_one(source, cfg=ScaleConfig(em_size=em)),
+                                            "svg").splitlines() if line.startswith("<line")]
+    assert len(lines) == shaft_lines + 1
+    assert [line for line in lines if 'stroke="none"' in line] == lines[-1:]
+    assert lines[-1].endswith(' marker-end="url(#dg-head)"/>')
+
+
 @pytest.mark.parametrize("source, markers", [
     ("\\square[A`B`C`D;f`g`h`k]", ["dg-head"]),
     ("\\morphism|a|/>->/<500,0>[A`B;f]\n\\morphism(0,600)|a|/(->/<500,0>[C`D;g]\n"
