@@ -1,16 +1,18 @@
 """diagc: compiler for a TeX-flavored commutative-diagram command language.
 
-Pipeline: parse_source -> expand_figure -> merge_duplicate_nodes ->
+Pipeline: parse_source -> expand_figure, which keeps each node once ->
 layout_diagram -> render_svg / render_tikz, or, with no layout,
 render_xypic / emit_ir.  compile_source runs the front half per figure
-and render_figure the back half.
+and render_figure the back half.  merge_duplicate_nodes applies
+expansion's rule to an IR built by hand.
 """
 
 from .compiler import CompiledFigure, compile_source, render_figure
 from .diagnostics import Diagnostic, DiagramError, ExpandError, LayoutError, ParseError
-from .expand import expand_figure, measure_morphism_width, resolve_label_side, two_cell_endpoint
+from .expand import (expand_figure, measure_morphism_width, merge_duplicate_nodes,
+                     resolve_label_side, two_cell_endpoint)
 from .geometry import Point, ScaleConfig, ratchet, tex_div
-from .ir import Arrow, DiagramIR, LabelSide, Node, merge_duplicate_nodes
+from .ir import Arrow, DiagramIR, LabelSide, Node
 from .irtext import emit_ir, parse_ir
 from .layout import layout_diagram
 from .metrics import DEFAULT_METRICS, FontMetrics, load_metrics, text_width

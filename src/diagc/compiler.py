@@ -1,6 +1,7 @@
 """Front-to-back compilation: source text to rendered figures.
 
-``compile_source`` parses, expands and merges each figure.
+``compile_source`` parses and expands each figure; expansion keeps each
+node once, and each ``\\place`` node apart for the token stream.
 ``render_figure`` lays a figure out once, with the metrics it was
 expanded with, and hands the layout to the SVG or TikZ printer; the
 Xy-pic token stream and the IR text need no layout.  TikZ places and
@@ -18,7 +19,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .diagnostics import Diagnostic, LayoutError, RenderError
 from .expand import expand_figure
 from .geometry import MAX_DIGITS, ScaleConfig
-from .ir import DiagramIR, merge_duplicate_nodes
+from .ir import DiagramIR, Node
 from .irtext import emit_ir
 from .layout import layout_diagram
 from .metrics import DEFAULT_METRICS, FontMetrics
@@ -32,8 +33,8 @@ FORMATS = {"svg": ".svg", "tikz": ".tex", "xypic": ".xy", "ir": ".ir"}
 
 
 class CompiledFigure(NamedTuple):
-    ir: DiagramIR        # duplicate corner nodes merged
-    raw_ir: DiagramIR    # as expanded; the token backend wants overdraws
+    ir: DiagramIR        # each node once
+    placed: Sequence[Node]  # every \place node; the token stream prints each
     warnings: List[Diagnostic]
     line: int            # of the figure's \bfig, or of its first command
     col: int
@@ -66,20 +67,13 @@ def compile_source(
     out: List[CompiledFigure] = []
     for figure in figures:
         starts: List[int] = []
-        raw_ir, warnings = expand_figure(figure, cfg, metrics, filename, starts)
-        if not raw_ir.nodes and not raw_ir.arrows:
+        placed: List[Node] = []
+        ir, warnings = expand_figure(figure, cfg, metrics, filename, starts, placed)
+        if not ir.nodes and not ir.arrows:
             raise LayoutError(Diagnostic("error", "empty diagram: nothing to draw",
                                          filename, figure.line, figure.col))
-        merge_notes: List[str] = []
-        merge_seqs: List[int] = []
-        ir = merge_duplicate_nodes(raw_ir, merge_notes, merge_seqs)
-        compiled = CompiledFigure(ir, raw_ir, warnings, figure.line, figure.col,
-                                  filename, metrics, figure.positions, starts)
-        # each conflict warning names the command that drew its later node
-        for note, seq in zip(merge_notes, merge_seqs):
-            compiled.warnings.append(Diagnostic("warning", note, filename,
-                                                *compiled.position_of(seq)))
-        out.append(compiled)
+        out.append(CompiledFigure(ir, tuple(placed), warnings, figure.line, figure.col,
+                                  filename, metrics, figure.positions, starts))
     return out
 
 
@@ -103,7 +97,7 @@ def render_figure(
     drew the node or arrow at fault, or else of the figure."""
     try:
         if fmt == "xypic":
-            return render_xypic(figure.raw_ir)
+            return render_xypic(figure.ir._replace(nodes=figure.placed))
         if fmt == "ir":
             return emit_ir(figure.ir)
         if fmt != "svg" and fmt != "tikz":
@@ -119,7 +113,7 @@ def render_figure(
             raise
         error = RenderError(Diagnostic(
             "error", f"number too long to write: more than {MAX_DIGITS} digits"),
-            _first_too_long(figure.raw_ir))
+            _first_too_long(figure.ir))
     line, col = figure.line, figure.col
     if error.seq is not None and figure.starts:
         line, col = figure.position_of(error.seq)

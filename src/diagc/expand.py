@@ -5,8 +5,8 @@ Each payload node sits at the command's origin plus a multiple (i, j) of
 its extent, and the program lists the shape's edges, each from one node
 to another, in drawing order.  Drawing order is part of the language's
 contract: it is observable in the token-stream output.  Every edge draws
-both of its nodes, so shared corners are drawn repeatedly and
-deduplicated later by merge_duplicate_nodes.
+both of its nodes, so shared corners are drawn repeatedly; each drawing
+takes a seq, but only the first node at each anchor and text is kept.
 
 One writer, ``_draw``, writes every step of a program: an edge as its
 two nodes and its arrow, with the label side looked up in a table, and a
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .diagnostics import Diagnostic, ExpandError
 from .geometry import DEFAULT_MARGIN, LABEL_SCALE, Point, ScaleConfig, exact, ratchet, tex_div
@@ -88,18 +88,27 @@ def measure_morphism_width(
 
 
 class _Builder:
-    """The figure's state while it expands: the nodes and arrows drawn,
-    numbered by ``seq`` in creation order; ``group``, the index of the
-    command being expanded; and ``positions``, where each command is."""
+    """The figure's state while it expands: the arrows drawn and the nodes
+    kept, numbered by ``seq`` in creation order; ``group``, the index of
+    the command being expanded; and ``positions``, where each command is.
+
+    A drawing whose (anchor, text) is already kept takes its seq but
+    makes no record; a writer tests ``kept`` itself and calls ``keep``
+    only for a new key.  ``placed`` gets every ``\\place`` node, kept or
+    not, since the token stream prints each one."""
 
     def __init__(self, metrics: FontMetrics, filename: str,
-                 positions: Sequence[Tuple[int, int]]):
+                 positions: Sequence[Tuple[int, int]], placed: List[Node]):
         self.metrics = metrics
         self.filename = filename
         self.positions = positions
         self.nodes: List[Node] = []
         self.arrows: List[Arrow] = []
+        self.placed = placed
+        self.kept: Set[Tuple[Point, str]] = set()  # the (anchor, text) of each kept node
+        self.texts: Dict[Point, str] = {}          # the first text kept at each anchor
         self.warnings: List[Diagnostic] = []
+        self.conflicts: List[Diagnostic] = []      # reported after the warnings
         self.group = -1
         self.seq = count()  # nodes and arrows number in creation order
 
@@ -110,6 +119,19 @@ class _Builder:
     def warn(self, message: str) -> None:
         self.warnings.append(Diagnostic("warning", message, self.filename,
                                         *self.positions[self.group]))
+
+    def keep(self, node: Node) -> None:
+        """Keep ``node``, the first at its (anchor, text).  A text other
+        than the first at its anchor is kept too, but TeX would overprint
+        it silently: a conflict, at the command that drew it."""
+        at, text = node[0], node[1]
+        self.kept.add((at, text))
+        self.nodes.append(node)
+        first = self.texts.setdefault(at, text)
+        if first != text:
+            self.conflicts.append(Diagnostic(
+                "warning", f"two nodes at ({at.x},{at.y}) with different text: "
+                f"{first!r} and {text!r}", self.filename, *self.positions[self.group]))
 
 
 # -- shapes as data ------------------------------------------------------
@@ -242,7 +264,7 @@ def _draw(b: _Builder, cmd: Command, steps: Sequence[tuple], pts: Sequence[Point
     a label, with a warning.  A grid stub whose mask bit is set draws its
     node, then its arrow to or from a free end at the step's direction
     times the command's stub lengths (an \\iiixii stub has one)."""
-    add_node, add_arrow, seq = b.nodes.append, b.arrows.append, b.seq
+    add_arrow, seq, kept, keep = b.arrows.append, b.seq, b.kept, b.keep
     for slot, i, j, sides in steps:
         if sides is None:  # a grid stub, ``slot`` its _Stub
             if not cmd.mask >> slot.bit & 1:
@@ -252,7 +274,9 @@ def _draw(b: _Builder, cmd: Command, steps: Sequence[tuple], pts: Sequence[Point
                 raise b.error(f"\\{cmd.kind}: degenerate stub (zero extent)")
             at, text = pts[i], texts[i]
             free = _new(Point, (at.x + dx, at.y + dy))
-            add_node(_new(Node, (at, text, next(seq), "", False)))
+            n = next(seq)
+            if (at, text) not in kept:
+                keep(_new(Node, (at, text, n, "", False)))
             start, end, ends = (free, at, ("", text)) if slot.to_node else (at, free, (text, ""))
             add_arrow(_new(Arrow, (start, end, slot.style, "", _NONE, next(seq), KIND_POS, *ends,
                                    "", 0, 1, -1)))
@@ -261,8 +285,12 @@ def _draw(b: _Builder, cmd: Command, steps: Sequence[tuple], pts: Sequence[Point
         if not style:
             continue
         start, end, text_a, text_b, label = pts[i], pts[j], texts[i], texts[j], labels[slot]
-        add_node(_new(Node, (start, text_a, next(seq), "", False)))
-        add_node(_new(Node, (end, text_b, next(seq), "", False)))
+        n = next(seq)
+        if (start, text_a) not in kept:
+            keep(_new(Node, (start, text_a, n, "", False)))
+        n = next(seq)
+        if (end, text_b) not in kept:
+            keep(_new(Node, (end, text_b, n, "", False)))
         side = sides.get(placements[slot])
         if side is None:
             if label:
@@ -392,7 +420,10 @@ def _expand_vector(b: _Builder, cmd: Command) -> None:
 
 
 def _expand_place(b: _Builder, cmd: Command) -> None:
-    b.nodes.append(Node(cmd.origin, cmd.nodes[0], next(b.seq), align=cmd.align, standalone=True))
+    node = Node(cmd.origin, cmd.nodes[0], next(b.seq), align=cmd.align, standalone=True)
+    b.placed.append(node)
+    if (node.anchor, node.text) not in b.kept:
+        b.keep(node)
 
 
 # Inline arrows by command: kind, auto-length floor, and in drawing
@@ -472,19 +503,26 @@ def expand_figure(
     metrics: Optional[FontMetrics] = None,
     filename: str = "<input>",
     starts: Optional[List[int]] = None,
+    placed: Optional[List[Node]] = None,
 ) -> Tuple[DiagramIR, List[Diagnostic]]:
-    """Expand a figure into a DiagramIR.
+    """Expand a figure into a DiagramIR that holds the first node drawn
+    at each anchor and text.
 
     Scale-factor commands multiply the figure's render scale; expansion
     coordinates stay integer regardless.  ``starts``, if given, gets the
-    first seq of each command, the one it draws first if it draws.
+    first seq of each command, the one it draws first if it draws, and
+    ``placed`` every ``\\place`` node in drawing order.  After the
+    warnings come the node-text conflicts, one for each text kept at an
+    anchor whose first node has another.
     """
     cfg = cfg or _DEFAULT_CONFIG
-    b = _Builder(metrics or DEFAULT_METRICS, filename, figure.positions)
+    b = _Builder(metrics or DEFAULT_METRICS, filename, figure.positions,
+                 [] if placed is None else placed)
     starts = [] if starts is None else starts
     scale = None  # the figure's scale once a \scalefactor has multiplied it
     for index, cmd in enumerate(figure.commands):
-        starts.append(len(b.nodes) + len(b.arrows))  # each seq numbers one node or arrow
+        starts.append(next(b.seq))  # a repeated corner takes a seq but makes no record
+        b.seq = count(starts[-1])
         if cmd.kind == "scalefactor":
             scale = (cfg.scale if scale is None else scale) * cmd.factor
             continue
@@ -492,4 +530,21 @@ def expand_figure(
         _EXPANDERS[cmd.kind](b, cmd)
     if scale is not None:
         cfg = ScaleConfig(exact(scale), cfg.em_size)
-    return DiagramIR(tuple(b.nodes), tuple(b.arrows), cfg), b.warnings
+    return DiagramIR(tuple(b.nodes), tuple(b.arrows), cfg), b.warnings + b.conflicts
+
+
+def merge_duplicate_nodes(d: DiagramIR, warnings: Optional[List[str]] = None) -> DiagramIR:
+    """Keep the first node at each (anchor, text) of an IR built by hand,
+    by expansion's rule; ``expand_figure`` keeps its nodes so already.
+
+    A later text at an anchor is kept, and reported by one message in
+    ``warnings``.  Idempotent; arrows are untouched.
+    """
+    b = _Builder(DEFAULT_METRICS, "", ((0, 0),), [])  # no commands: notes go by message
+    kept, keep = b.kept, b.keep
+    for node in d.nodes:
+        if (node.anchor, node.text) not in kept:
+            keep(node)
+    if warnings is not None:
+        warnings.extend(note.message for note in b.conflicts)
+    return DiagramIR(tuple(b.nodes), d.arrows, d.scale)

@@ -8,15 +8,16 @@ defaults are 0 and 1).  Nodes and arrows carry a creation-order seq
 that doubles as a stable id and keeps every backend's output
 deterministic.
 
-``merge_duplicate_nodes`` collapses the corners that shapes draw more
-than once, and records the seq of each node whose text conflicts with
-an earlier one, so the warning can name the command that drew it.
+A compiled figure's IR holds each node once: expansion keeps the first node
+drawn at each anchor and text, so a dump, a layout and every printer
+but the token stream see each corner once.  The token stream prints
+every placed node, and reads those from the compiled figure.
 """
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 from .geometry import Point, ScaleConfig
 
@@ -72,32 +73,3 @@ class DiagramIR(NamedTuple):
     arrows: Tuple[Arrow, ...]
     scale: ScaleConfig = ScaleConfig()
 
-
-def merge_duplicate_nodes(
-    d: DiagramIR, warnings: Optional[List[str]] = None, seqs: Optional[List[int]] = None
-) -> DiagramIR:
-    """Collapse nodes with identical (anchor, text) to their first copy.
-
-    Shapes overprint shared corners, so duplicates are the normal case.
-    Same anchor with different text is kept (both copies) but reported,
-    since TeX would overprint it silently: one message in ``warnings``
-    per later copy, and its seq in ``seqs``.  Idempotent; arrows are
-    untouched.
-    """
-    seen: dict = {}    # (anchor, text) -> the node kept for it, in order
-    first: dict = {}   # anchor -> the first node kept there
-    for node in d.nodes:
-        key = (node.anchor, node.text)
-        if key in seen:
-            continue
-        seen[key] = node
-        # a first node at this anchor that is not this one has other text
-        other = first.setdefault(node.anchor, node)
-        if other is not node and warnings is not None:
-            warnings.append(
-                f"two nodes at ({node.anchor.x},{node.anchor.y}) with "
-                f"different text: {other.text!r} and {node.text!r}"
-            )
-            if seqs is not None:
-                seqs.append(node.seq)
-    return DiagramIR(tuple(seen.values()), d.arrows, d.scale)

@@ -195,7 +195,8 @@ class _Reader:
 
         Comments vanish (with their newline); other whitespace runs
         become one space; braces nest; control sequences stay whole, so
-        an escaped delimiter never closes the section.
+        an escaped delimiter never closes the section.  An input that
+        ends inside it is an error at its end that names the opener.
         """
         if self.char() != opener:
             raise self.error(f"expected {opener!r} to open {what}")
@@ -203,9 +204,9 @@ class _Reader:
         end = section_end(text, start, closer)
         self.pos = end
         if end == len(text):
-            raise self.error(
-                "lone backslash at end of input" if lone_backslash(text, start) else eof
-            )
+            if lone_backslash(text, start):
+                raise self.error("lone backslash at end of input")
+            raise self.error("%s (opened at %d:%d)" % (eof, *_where(text, start - 1)))
         if text[end] != closer:
             raise self.error("unbalanced '}'")
         self.pos = end + 1

@@ -12,8 +12,9 @@ one f-string over the unpacked record, with each raw style token
 wrapped once per figure; vectors and inline arrows go through the
 writer ``_ar``.  Consecutive inline arrows of one command make one
 line: the opening, text between arrows and closing of their kind's row,
-with each arrow's own end.  Duplicate node draws are intentional;
-render from the unmerged IR for full fidelity.
+with each arrow's own end.  Every placed node is printed, one drawn
+over another included: render a compiled figure's IR with its
+``placed`` nodes for full fidelity.
 """
 from __future__ import annotations
 

@@ -10,12 +10,19 @@ keyword builders ``_Builder.node`` and ``_Builder.arrow``.  The shape
 table, ``resolve_label_side``, ``measure_morphism_width`` and
 ``two_cell_endpoint`` come from ``diagc.expand``.  Which routine draws
 each command kind does not: the reference keeps its own dispatch, so a
-wrong entry in ``diagc.expand._EXPANDERS`` shows as a difference.  On
-every figure, ``expand_figure`` must give the same nodes, arrows, scale,
-warnings and errors as ``expand_figure`` here.
+wrong entry in ``diagc.expand._EXPANDERS`` shows as a difference.
+
+The walk draws every shared corner again, as expansion did when a
+second pass merged the copies; ``merge_duplicate_nodes`` here is that
+pass, the oracle of the rule ``diagc.expand`` applies as it draws.  On
+every figure, ``diagc.expand.expand_figure`` must give what
+``expand_kept`` gives here: the same arrows, scale and errors, the
+walk's nodes merged by the oracle, its placed nodes, its command
+starts, and its warnings followed by the oracle's notes.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import count
 from typing import List, Optional, Sequence, Tuple, Union
@@ -333,3 +340,57 @@ def expand_figure(
     if scale is not None:
         cfg = ScaleConfig(exact(scale), cfg.em_size)
     return DiagramIR(tuple(b.nodes), tuple(b.arrows), cfg), b.warnings
+
+
+def merge_duplicate_nodes(
+    d: DiagramIR, warnings: Optional[List[str]] = None, seqs: Optional[List[int]] = None
+) -> DiagramIR:
+    """Collapse nodes with identical (anchor, text) to their first copy.
+
+    Shapes overprint shared corners, so duplicates are the normal case.
+    Same anchor with different text is kept (both copies) but reported,
+    since TeX would overprint it silently: one message in ``warnings``
+    per later copy, and its seq in ``seqs``.  Idempotent; arrows are
+    untouched.
+    """
+    seen: dict = {}    # (anchor, text) -> the node kept for it, in order
+    first: dict = {}   # anchor -> the first node kept there
+    for node in d.nodes:
+        key = (node.anchor, node.text)
+        if key in seen:
+            continue
+        seen[key] = node
+        # a first node at this anchor that is not this one has other text
+        other = first.setdefault(node.anchor, node)
+        if other is not node and warnings is not None:
+            warnings.append(
+                f"two nodes at ({node.anchor.x},{node.anchor.y}) with "
+                f"different text: {other.text!r} and {node.text!r}"
+            )
+            if seqs is not None:
+                seqs.append(node.seq)
+    return DiagramIR(tuple(seen.values()), d.arrows, d.scale)
+
+
+def expand_kept(
+    figure: Figure,
+    cfg: Optional[ScaleConfig] = None,
+    metrics: Optional[FontMetrics] = None,
+    filename: str = "<input>",
+    starts: Optional[List[int]] = None,
+    placed: Optional[List[Node]] = None,
+) -> Tuple[DiagramIR, List[Diagnostic]]:
+    """The walk's expansion with its nodes merged by the oracle: its
+    standalone nodes go to ``placed``, and each conflict note follows the
+    warnings, at the command that drew the later node."""
+    starts = [] if starts is None else starts
+    raw, warnings = expand_figure(figure, cfg, metrics, filename, starts)
+    if placed is not None:
+        placed += [node for node in raw.nodes if node.standalone]
+    notes: List[str] = []
+    seqs: List[int] = []
+    ir = merge_duplicate_nodes(raw, notes, seqs)
+    for note, seq in zip(notes, seqs):
+        where = figure.positions[bisect_right(starts, seq) - 1]
+        warnings.append(Diagnostic("warning", note, filename, *where))
+    return ir, warnings

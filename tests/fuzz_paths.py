@@ -33,19 +33,22 @@ examples:
   of every kind and on mutated corpus figures, at scale 1 and 1/3;
 - the SVG and TikZ printers against the per-arrow reference printers,
   on generated layouts at three scales and four em sizes;
-- expansion against the edge walk, on figures of every command kind.
+- expansion against the edge walk, whose drawn nodes the oracle
+  merges, on figures of every command kind, and on such figures with
+  nodes placed over drawn corners, with their text or another.
 
 Run it from the repository root:
 
     PYTHONPATH=src python tests/fuzz_paths.py [SCALE]
 
 Each property runs its own count of examples, chosen so that the whole
-search takes at most about 150 s on one core of an Intel Xeon (103 s with
+search takes at most about 160 s on one core of an Intel Xeon (103 s with
 Python 3.11.7, of which the mutated golden dumps take 3.5 s and ``cut``
 6 s, and then the command head 3.5 s, the positions 2.7 s and the
 ends-only layout 5 s more; with the per-arrow printers, 7-8 s, one run
 on a busier machine took 130 s; the points across a diagonal add
-8.6 s); ``SCALE`` multiplies every count (default 1).  It exits non-zero
+8.6 s, and the nodes placed over drawn corners 9 s); ``SCALE``
+multiplies every count (default 1).  It exits non-zero
 at the first disagreement, which Hypothesis prints shrunk.  Its name
 keeps it out of pytest's collection.
 """
@@ -99,6 +102,8 @@ PROPERTIES = [  # each property, and its examples at scale 1
         props.test_printers_agree_with_the_per_arrow_reference.hypothesis.inner_test), 1000),
     (given(cmds=st.lists(props.EXPAND_COMMANDS, min_size=1, max_size=3))(
         props.test_expansion_agrees_with_the_edge_walk.hypothesis.inner_test), 3000),
+    (given(cmds=props.placed_over_corners())(
+        props.test_expansion_keeps_each_corner_once.hypothesis.inner_test), 2000),
 ]
 
 

@@ -105,6 +105,30 @@ def test_render_warnings_name_their_figure(tmp_path, capsys, fmt):
     assert "scale 1/3" in err[0] and "not supported" in err[2]
 
 
+PLACED_OVER_A_CORNER = ("\\bfig\n\\square[A`B`C`D;f`g`h`k]\n\\place(0,0)[C]\n\\place(0,0)[C]\n"
+                        "\\place(0,0)[Z]\n\\efig\n")
+
+
+def test_xypic_prints_every_placed_node(tmp_path, capsys):
+    # a node placed over a drawn corner, with its text or another, is one
+    # node of the IR, but the token stream prints each \place
+    (fig,) = compile_source(PLACED_OVER_A_CORNER)
+    xypic = render_figure(fig, "xypic")
+    lines = xypic.splitlines()
+    assert len(lines) == 7 and all("\\ar@{>}" in line for line in lines[:4])
+    assert lines[4:] == [f"\\POS(0,0)*+!!<0ex,.75ex>{{{text}}}" for text in "CCZ"]
+    src = _write(tmp_path, "p.dg", PLACED_OVER_A_CORNER)
+    out = tmp_path / "out"
+    for fmt in ("xypic", "ir"):
+        assert main([str(src), "-f", fmt, "-o", str(out) + os.sep]) == 0
+        assert capsys.readouterr().err == (
+            f"{src}:5:1: warning: two nodes at (0,0) with different text: 'C' and 'Z'\n")
+    assert (out / "p.xy").read_text(encoding="utf-8") == xypic
+    nodes = [line for line in (out / "p.ir").read_text(encoding="utf-8").splitlines()
+             if line.startswith("node ") and " x=0 y=0 " in line]
+    assert [line.split(" text=")[1] for line in nodes] == ["{C}", "{Z}"]
+
+
 @pytest.mark.parametrize("fmt", ["svg", "tikz"])
 def test_layout_errors_name_their_file_and_figure(tmp_path, capsys, fmt):
     # the second arrow is 1 centi-em long, inside the boxes of its nodes:

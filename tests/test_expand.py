@@ -102,11 +102,13 @@ def test_square_empty_labels_keep_arrows():
     assert all(a.label == "" for a in ir.arrows)
 
 
-def test_square_merges_duplicate_corners():
+def test_square_keeps_each_corner_once():
+    # each edge draws its two nodes, then its arrow; a corner drawn again
+    # takes its seq but makes no node
     fig = _expand_one("\\square[A`B`C`D;f`g`h`k]")
-    assert len(fig.raw_ir.nodes) == 8
-    assert len(fig.ir.nodes) == 4
-    assert fig.ir.arrows == fig.raw_ir.arrows
+    assert [(n.text, n.seq) for n in fig.ir.nodes] == [("C", 0), ("D", 1), ("A", 3), ("B", 7)]
+    assert [a.seq for a in fig.ir.arrows] == [2, 5, 8, 11]
+    assert fig.placed == () and fig.starts == [0]
 
 
 def test_merge_place_over_corner_with_same_text():
@@ -149,25 +151,26 @@ def test_incidence_invariant_under_extents():
 
 def test_merge_idempotent_and_warns_on_text_conflict():
     fig = _expand_one("\\square[A`B`C`D;f`g`h`k]\n\\place(0,0)[Z]")
-    notes, seqs = [], []
-    merged = merge_duplicate_nodes(fig.raw_ir, notes, seqs)
-    assert merged == merge_duplicate_nodes(merged)
-    texts_at_origin = {n.text for n in merged.nodes if n.anchor == Point(0, 0)}
+    texts_at_origin = {n.text for n in fig.ir.nodes if n.anchor == Point(0, 0)}
     assert texts_at_origin == {"C", "Z"}
-    assert notes == ["two nodes at (0,0) with different text: 'C' and 'Z'"]
-    assert seqs == [fig.raw_ir.nodes[-1].seq]  # the placed Z, drawn last
+    note = "two nodes at (0,0) with different text: 'C' and 'Z'"
+    # the placed Z, drawn last, by the command that drew it
+    assert [(d.message, d.line, d.col) for d in fig.warnings] == [(note, 2, 1)]
+    assert fig.placed == (fig.ir.nodes[-1],)
+    notes = []
+    assert merge_duplicate_nodes(fig.ir, notes) == fig.ir
+    assert notes == [note]
 
 
 def test_merge_keeps_the_first_node_per_anchor_and_text_in_order():
     a, b, c = Point(0, 0), Point(500, 0), Point(0, 500)
     nodes = [Node(b, "B", 0), Node(a, "A", 1), Node(b, "B", 2), Node(a, "X", 3),
              Node(c, "C", 4), Node(a, "A", 5), Node(a, "X", 6), Node(a, "Y", 7)]
-    notes, seqs = [], []
-    merged = merge_duplicate_nodes(DiagramIR(tuple(nodes), ()), notes, seqs)
+    notes = []
+    merged = merge_duplicate_nodes(DiagramIR(tuple(nodes), ()), notes)
     assert [n.seq for n in merged.nodes] == [0, 1, 3, 4, 7]
     assert notes == ["two nodes at (0,0) with different text: 'A' and 'X'",
                      "two nodes at (0,0) with different text: 'A' and 'Y'"]
-    assert seqs == [3, 7]
 
 
 def test_text_conflict_warning_names_the_command_of_the_later_node():
@@ -459,9 +462,10 @@ def test_empty_style_token_omits_its_edge():
     # the grammar accepts an empty style token: the edge it styles is not
     # drawn, and neither are that edge's two nodes
     fig = _expand_one("\\square/`>`>`>/[A`B`C`D;f`g`h`k]")
-    assert [(a.start_text, a.end_text, a.label) for a in fig.raw_ir.arrows] == [
-        ("C", "D", "k"), ("A", "C", "g"), ("B", "D", "h")]
-    assert len(fig.raw_ir.nodes) == 6 and not fig.warnings
+    assert [(a.start_text, a.end_text, a.label, a.seq) for a in fig.ir.arrows] == [
+        ("C", "D", "k", 2), ("A", "C", "g", 5), ("B", "D", "h", 8)]
+    assert [(n.text, n.seq) for n in fig.ir.nodes] == [("C", 0), ("D", 1), ("A", 3), ("B", 6)]
+    assert not fig.warnings
     # a figure whose only edge is omitted draws nothing
     with pytest.raises(LayoutError, match="empty diagram: nothing to draw") as err:
         compile_source("\\morphism//[A`B;f]")
@@ -539,7 +543,8 @@ def test_a_shape_program_draws_each_placement_once(kind):
 
 
 # a round of the kinds drawn apart from the edges of a shape: grid stubs
-# on every side, a vector, a placed node and each inline group; 98 records
+# on every side, a vector, a placed node and each inline group; 98 seqs,
+# each a node or an arrow drawn
 _STUB_AND_RECORD_ROUND = (
     "\\iiixiii{4095}[A`B`C`D`E`F`G`H`I;a`b`c`d`e`f`g`h`i`j`k`l]\n"
     "\\iiixii{15}[A`B`C`D`E`F;f`g`h`i`j`k`l]\n"
@@ -548,15 +553,16 @@ _STUB_AND_RECORD_ROUND = (
 
 
 def test_stub_and_record_cost_per_record_is_bounded():
-    # expansion alone, per node or arrow record, over ten rounds (980
-    # records): 68.6 instructions with stubs written in the edge writer
-    # and records built by their constructors, 75.7 through the builder's
-    # stub, node and arrow methods (Python 3.11.7; 64.3 and 69.7 on
-    # 3.12.1, 60.6 and 64.0 on 3.13.0)
+    # expansion alone, per node or arrow drawn, over ten rounds (980
+    # drawn): 66.1 instructions on Python 3.11.7 with each node kept once
+    # as it is drawn (62.8 on 3.12.1, 59.0 on 3.13.0); before that, 68.6
+    # with stubs written in the edge writer and records built by their
+    # constructors, 75.7 through the builder's stub, node and arrow
+    # methods (64.3 and 69.7 on 3.12.1, 60.6 and 64.0 on 3.13.0)
     def per_record(rounds):
         (figure,) = parse_source("\\bfig\n" + _STUB_AND_RECORD_ROUND * rounds + "\\efig\n")
-        ir, _ = expand_figure(figure)  # each shape's side tables are made on first use
-        return opcodes(lambda: expand_figure(figure)) / (len(ir.nodes) + len(ir.arrows))
+        expand_figure(figure)  # each shape's side tables are made on first use
+        return opcodes(lambda: expand_figure(figure)) / (98 * rounds)
 
     small, large = per_record(5), per_record(10)
     assert large <= 72

@@ -557,7 +557,8 @@ def test_a_mutated_golden_dump_is_refused_or_reads_back_and_renders(text):
     except IRSyntaxError:
         return
     assert emit_ir(ir) == text
-    figure = CompiledFigure(ir, ir, [], 1, 1, "x.ir", DEFAULT_METRICS)
+    placed = tuple(node for node in ir.nodes if node.standalone)
+    figure = CompiledFigure(ir, placed, [], 1, 1, "x.ir", DEFAULT_METRICS)
     for fmt in FORMATS:
         try:
             render_figure(figure, fmt, [])

@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import expand_walk
 from opcode_count import opcodes
 
 from diagc import (ParseError, Point, compile_source, format_command, merge_duplicate_nodes,
@@ -94,7 +95,7 @@ def test_payload_unbalanced_braces():
         ("[a;b;c]\n ", (1, 18), "payload needs exactly one top-level ';' between nodes and labels"),
         ("[a\\;b]", (1, 17), "payload needs exactly one top-level ';' between nodes and labels"),
         ("[a`b;f] x", (1, 19), "trailing text after command"),
-        ("[a;b", (1, 15), "unexpected end of input inside section"),
+        ("[a;b", (1, 15), "unexpected end of input inside section (opened at 1:11)"),
         ("a;b]", (1, 11), "expected '[' to open a payload"),
     ],
 )
@@ -112,6 +113,10 @@ def test_payload_diagnostics(text, where, message):
         ("\\square/>`>/[A`B`C`D;f`g`h`k]", (1, 13), "expected 4 style token(s), got 2"),
         ("\\scalefactor", (1, 13), "unexpected end of input"),
         ("\\to^", (1, 5), "unexpected end of input"),
+        # an input that ends inside a section or group names where it opened
+        ("\\bfig\n\\square[A`B`C`D;f`g`h`k\n\n\n", (5, 1),
+         "unexpected end of input inside section (opened at 2:8)"),
+        ("\\to^{a\n", (2, 1), "unbalanced '{' (opened at 1:5)"),
     ],
 )
 def test_section_diagnostics(source, where, message):
@@ -495,25 +500,28 @@ def test_pattern_compile_cost_is_bounded():
 
 
 def test_compile_cost_per_arrow_is_bounded():
-    # parse, expand and merge: about 314 instructions per arrow on the 20x20
-    # grid, 170 of them expansion (412 and 265 with five Python calls per
-    # edge, 634 with the section reader alone)
+    # parse and expand, each node kept once as it is drawn: about 267
+    # instructions per arrow on the 20x20 grid, 172 of them expansion
+    # (Python 3.11.7); 295 with a merge pass after expansion (412 and 265
+    # with five Python calls per edge, 634 with the section reader alone)
     def per_arrow(k):
         text = _square_grid(k)
         compile_source(text)  # the scan patterns are compiled on first use
-        arrows = len(compile_source(text)[0].raw_ir.arrows)
+        arrows = len(compile_source(text)[0].ir.arrows)
         return opcodes(lambda: compile_source(text)) / arrows
 
     small, large = per_arrow(10), per_arrow(20)
-    assert large <= 349
+    assert large <= 280
     assert large <= 1.05 * small
 
 
 def test_merge_cost_per_node_is_bounded():
-    # the merge looks at each node once: about 16.7 instructions per node
-    # on the 20x20 grid's 3200 drawn nodes
+    # the public merge looks at each node once: about 17.1 instructions
+    # per node on the 20x20 grid's 3200 drawn nodes (16.7 before it took
+    # expansion's rule)
     def per_node(k):
-        raw = compile_source(_square_grid(k))[0].raw_ir
+        (figure,) = parse_source(_square_grid(k))
+        raw, _ = expand_walk.expand_figure(figure)  # every corner drawn
         return opcodes(lambda: merge_duplicate_nodes(raw, [])) / len(raw.nodes)
 
     small, large = per_node(10), per_node(20)

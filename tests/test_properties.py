@@ -42,7 +42,6 @@ from diagc import (
     compile_source,
     emit_ir,
     expand_figure,
-    merge_duplicate_nodes,
     parse_ir,
     parse_source,
     render_figure,
@@ -177,7 +176,7 @@ def test_reader_sections_agree_with_the_token_walk(atoms, lone, closer):
     r = _Reader(text)
     if end == len(toks):
         message = ("lone backslash at end of input" if toks[-1] == "\\"
-                   else "unexpected end of input inside section")
+                   else "unexpected end of input inside section (opened at 1:1)")
     elif toks[end] != closer:
         message = "unbalanced '}'"
     else:
@@ -519,12 +518,15 @@ _WRITER_COMMANDS = st.one_of(
 @given(cmds=st.lists(_WRITER_COMMANDS, min_size=1, max_size=5))
 def test_xypic_agrees_with_the_group_walk(cmds):
     # the one arrow writer against the per-kind builders it replaced, on
-    # figures of every kind, with inline groups side by side
+    # figures of every kind, with inline groups side by side, each placed
+    # node among them as render_figure prints it
+    placed = []
     try:
-        raw_ir, _ = expand_figure(Figure(cmds, [(1, 1)] * len(cmds)))
+        ir, _ = expand_figure(Figure(cmds, [(1, 1)] * len(cmds)), placed=placed)
     except DiagramError:
         return
-    assert render_xypic(raw_ir) == xypic_walk.render_xypic(raw_ir)
+    ir = ir._replace(nodes=tuple(placed))
+    assert render_xypic(ir) == xypic_walk.render_xypic(ir)
 
 
 def _typed(value):
@@ -535,15 +537,17 @@ def _typed(value):
 
 
 def _expansion(expand, cmds):
-    """What ``expand`` gives on a figure of ``cmds``: typed nodes and
-    arrows, scale, warnings and command starts, or the error."""
-    starts = []
+    """What ``expand`` gives on a figure of ``cmds``: typed nodes, placed
+    nodes and arrows, scale, warnings and command starts, or the
+    error."""
+    starts, placed = [], []
     try:
         ir, warnings = expand(Figure(cmds, [(k + 1, 1) for k in range(len(cmds))]),
-                              filename="e.dg", starts=starts)
+                              filename="e.dg", starts=starts, placed=placed)
     except DiagramError as exc:
         return type(exc), exc.diagnostic, exc.seq
-    return _typed(ir.nodes), _typed(ir.arrows), ir.scale, warnings, starts
+    return (_typed(ir.nodes), _typed(tuple(placed)), _typed(ir.arrows), ir.scale, warnings,
+            starts)
 
 
 # every command kind, \scalefactor included, with coordinates, extents,
@@ -571,9 +575,42 @@ EXPAND_COMMANDS = commands(
                parse_command("\\vector(5,5)/>/<-500,0>"), parse_command("\\place(1,2)[X]")])
 def test_expansion_agrees_with_the_edge_walk(cmds):
     # the one writer and the record constructors against the per-edge and
-    # keyword-builder calls they replaced: the same records, field types
-    # included, scale, warnings, starts and errors
-    assert _expansion(expand_figure, cmds) == _expansion(expand_walk.expand_figure, cmds)
+    # keyword-builder calls they replaced, whose every drawn node the
+    # oracle merges: the same records, field types included, scale,
+    # warnings, starts and errors
+    assert _expansion(expand_figure, cmds) == _expansion(expand_walk.expand_kept, cmds)
+
+
+@st.composite
+def placed_over_corners(draw):
+    """Commands of every kind, then ``\\place`` commands over the nodes
+    they draw: each at a drawn node's anchor, with its text or another."""
+    cmds = draw(st.lists(EXPAND_COMMANDS, min_size=1, max_size=3))
+    try:
+        raw, _ = expand_walk.expand_figure(Figure(cmds, [(1, 1)] * len(cmds)))
+    except DiagramError:
+        return cmds
+    drawn = raw.nodes or (Node(Point(0, 0), "f", 0),)
+    place = parse_command(SOURCES["place"])
+    for _ in range(draw(st.integers(1, 4))):
+        at, text = draw(st.sampled_from(drawn))[:2]
+        text = draw(st.sampled_from([text, "Z", "a", ""]))
+        align = draw(st.sampled_from(["", "l", "d"]))
+        cmds.append(place._replace(origin=at, nodes=(text,), align=align))
+    return cmds
+
+
+@BOUNDED
+@given(cmds=placed_over_corners())
+# a placed node with a drawn corner's text, one with a new text, and the
+# new text placed again
+@example(cmds=[parse_command(f"\\square[{N4};{L4}]"), parse_command("\\place(0,0)[C]"),
+               parse_command("\\place(0,0)[Z]"), parse_command("\\place(0,0)[Z]")])
+def test_expansion_keeps_each_corner_once(cmds):
+    # the first node at each anchor and text is kept, each \place node is
+    # placed, and each later text at an anchor is a conflict at the
+    # command that drew it, as the oracle merge of the walk's nodes gives
+    assert _expansion(expand_figure, cmds) == _expansion(expand_walk.expand_kept, cmds)
 
 
 control_sequences = st.one_of(
@@ -931,10 +968,10 @@ def test_layout_box_agrees_with_the_two_walk_box(cmds):
     # the running extremes of the one layout walk against a second walk
     # over every node box, path and label it built
     try:
-        raw_ir, _ = expand_figure(Figure(cmds, [(1, 1)] * len(cmds)))
+        ir, _ = expand_figure(Figure(cmds, [(1, 1)] * len(cmds)))
     except DiagramError:
         return
-    pair = _box_pair(merge_duplicate_nodes(raw_ir))
+    pair = _box_pair(ir)
     if pair is not None:
         assert pair[0] == pair[1]
 
@@ -1143,15 +1180,14 @@ def mutated_corpus_irs(draw):
 
 @st.composite
 def generated_irs(draw):
-    """The merged IR of up to four generated commands of any kind, at
-    scale 1 or 1/3, or None where expansion refuses them."""
+    """The IR of up to four generated commands of any kind, at scale 1
+    or 1/3, or None where expansion refuses them."""
     cmds = draw(LAYOUT_COMMANDS)
     cfg = ScaleConfig(draw(st.sampled_from([1, Fraction(1, 3)])))
     try:
-        raw_ir, _ = expand_figure(Figure(cmds, [(1, 1)] * len(cmds)), cfg)
+        return expand_figure(Figure(cmds, [(1, 1)] * len(cmds)), cfg)[0]
     except DiagramError:
         return None
-    return merge_duplicate_nodes(raw_ir)
 
 
 TIKZ_IRS = st.one_of(generated_irs(), mutated_corpus_irs())

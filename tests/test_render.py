@@ -20,6 +20,7 @@ from diagc import (
     layout_diagram,
     merge_duplicate_nodes,
     parse_ir,
+    parse_source,
     render_figure,
     render_svg,
     render_tikz,
@@ -30,6 +31,7 @@ from diagc.diagnostics import RenderError
 from diagc.geometry import decimal_base, round_div
 from diagc.styles import STYLES, style_of
 from diagc.svg import LABEL_DROP
+import expand_walk
 from opcode_count import opcodes
 from test_layout import _grid
 from test_properties import CORPUS
@@ -187,7 +189,8 @@ def test_layout_errors_of_an_ir_read_back_name_the_figure():
     # an IR read back holds no command positions: the figure's is named
     fig = _one(f"\\morphism(0,0)[A`B;f]\n{SWALLOWED}\n", filename="ov.dg")
     ir = parse_ir(emit_ir(fig.ir))
-    read_back = CompiledFigure(ir, ir, [], 4, 2, "ov.ir", fig.metrics)
+    placed = tuple(node for node in ir.nodes if node.standalone)
+    read_back = CompiledFigure(ir, placed, [], 4, 2, "ov.ir", fig.metrics)
     with pytest.raises(LayoutError) as caught:
         render_figure(read_back, "svg")
     assert str(caught.value).startswith("ov.ir:4:2: error: overlapping objects")
@@ -526,7 +529,8 @@ def test_svg_costs_at_most_3_85x_the_token_stream_on_the_corpus():
                for figure in compile_source(path.read_text(encoding="utf-8"), path.name)]
     laid = [(layout_diagram(figure.ir), figure.ir.scale) for figure in figures]
     svg = opcodes(lambda: [render_svg(lay, scale, []) for lay, scale in laid])
-    xypic = opcodes(lambda: [render_xypic(figure.raw_ir) for figure in figures])
+    printed = [figure.ir._replace(nodes=figure.placed) for figure in figures]
+    xypic = opcodes(lambda: [render_xypic(ir) for ir in printed])
     assert len(figures) == 29 and svg <= 3.85 * xypic
 
 
@@ -540,7 +544,8 @@ def test_tikz_costs_at_most_4_15x_the_token_stream_on_the_corpus():
     figures = [figure for path in sorted(CORPUS.glob("*.dg"))
                for figure in compile_source(path.read_text(encoding="utf-8"), path.name)]
     tikz = opcodes(lambda: [render_figure(figure, "tikz", []) for figure in figures])
-    xypic = opcodes(lambda: [render_xypic(figure.raw_ir) for figure in figures])
+    printed = [figure.ir._replace(nodes=figure.placed) for figure in figures]
+    xypic = opcodes(lambda: [render_xypic(ir) for ir in printed])
     assert len(figures) == 29 and tikz <= 4.15 * xypic
 
 
@@ -789,12 +794,13 @@ def test_ir_emit_stable_across_recompiles():
     assert first == second
 
 
-def test_ir_merged_vs_unmerged_differ_only_in_nodes():
+def test_ir_holds_the_drawn_nodes_merged():
+    # expansion keeps what the public merge keeps of every corner drawn
     fig = _one("\\square[A`B`C`D;f`g`h`k]")
-    assert fig.ir.arrows == fig.raw_ir.arrows
-    assert len(fig.ir.nodes) < len(fig.raw_ir.nodes)
-    remerged = merge_duplicate_nodes(fig.raw_ir)
-    assert remerged == fig.ir
+    drawn, _ = expand_walk.expand_figure(parse_source("\\square[A`B`C`D;f`g`h`k]")[0])
+    assert fig.ir.arrows == drawn.arrows
+    assert len(fig.ir.nodes) < len(drawn.nodes)
+    assert merge_duplicate_nodes(drawn) == fig.ir
 
 
 def test_cross_backend_consistency_counts():
