@@ -6,10 +6,14 @@ exact; conversion to physical lengths happens only at render time,
 through ScaleConfig, so diagrams expand identically at every scale.
 
 Numbers are written by one exact-decimal rule: ``decimal_base`` factors
-a denominator once, and ``format_decimal`` (one number) and the
-``Decimals`` memo (every number of a render over one denominator) write
-each quotient from it; one with no finite decimal is rounded to six
-places in integers, so its digits are right at any magnitude.
+a denominator once, and ``format_decimal`` (one number) and a memo of
+every number of a render over one denominator write each quotient from
+it; one with no finite decimal is rounded to six places in integers, so
+its digits are right at any magnitude.  The memo's class is chosen once
+per denominator, by ``memo_class`` from what ``decimal_base`` returns:
+over 2^a 5^b a ``Decimals``, whose miss is one multiply and one divmod
+with no test of the denominator, and over any other a
+``RoundedDecimals``, whose miss is a ``format_decimal`` call.
 """
 from __future__ import annotations
 
@@ -157,28 +161,45 @@ class Decimals(dict):
     and kept: a hit is one C-level lookup, a miss one Python call.
 
     ``base`` is ``decimal_base(den)``, so memos over one den share its
-    factoring.  The decimal is exact and minimal when den has only 2 and
-    5 in it, and is format_decimal's otherwise.
+    factoring, and ``memo_class(base)`` is the class of a memo over it.
+    This one is for a den with only 2 and 5 in it: each decimal is exact
+    and minimal, and a miss is one multiply and one divmod, with no test
+    of the den.
     """
 
-    __slots__ = ("mul", "shift", "scale", "pattern", "den")
+    __slots__ = ("mul", "shift", "scale", "pattern")
 
     def __init__(self, base: DecimalBase, mul: int, shift: int = 0) -> None:
-        self.den, self.scale, per, self.pattern = base
-        if self.scale:   # count in units of the last place
-            mul, shift = mul * per, shift * per
-        self.mul, self.shift = mul, shift
+        _, self.scale, per, self.pattern = base
+        # count in units of the last place
+        self.mul, self.shift = mul * per, shift * per
 
     def __missing__(self, v: int) -> str:
         num = v * self.mul + self.shift
-        if not self.scale:
-            text = format_decimal(num, self.den)
-        elif num < 0:
+        if num < 0:
             text = "-" + (self.pattern % divmod(-num, self.scale)).rstrip("0").rstrip(".")
         else:
             text = (self.pattern % divmod(num, self.scale)).rstrip("0").rstrip(".")
         self[v] = text
         return text
+
+
+class RoundedDecimals(dict):
+    """``Decimals`` over any other den: each decimal is format_decimal's."""
+
+    __slots__ = ("mul", "shift", "den")
+
+    def __init__(self, base: DecimalBase, mul: int, shift: int = 0) -> None:
+        self.den, self.mul, self.shift = base[0], mul, shift
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = format_decimal(v * self.mul + self.shift, self.den)
+        return text
+
+
+def memo_class(base: DecimalBase) -> type:
+    """The class of a memo of decimals over ``base``, chosen once per base."""
+    return Decimals if base[1] else RoundedDecimals
 
 
 def format_decimal(num: int, den: int = 1) -> str:

@@ -25,27 +25,30 @@ an above or below label centre is the anchor shifted by the label gap
 across it, and an on-line one is the anchor, so the one rounding left
 is the anchor midpoint.  The walk clips these inline, in a branch per
 axis and direction that updates the box only with the extremes it can
-move, and knocks an on-line label out of the shaft with ``_knockout``;
-every other arrow takes ``clip_general``, which gives the same points
-on these.  It too is straight-line code: each end's exit parameter is a
-pair of integer locals, each point is rounded by one floor division
-written out, the label gap across the path is made once per arrow, and
-only the knockout of an on-line label is a call of its own.  Node and
-label widths come from ``text_width``, a plain table sum for text with
-no ``\\``; one layout measures each node text and each distinct label
-text once, a label at scale 1 and then scaled by LABEL_SCALE, whose
-ratio is read at import.  The records are named tuples, built by
-``tuple.__new__`` without a named tuple's Python-level ``__new__``.
+move, and knocks an on-line label out of the shaft inline too: the
+padded box cuts the shaft at the anchor minus and plus its padded half
+extent along the axis, exact integers, and a box of no width leaves
+the shaft whole.  Every other arrow takes ``clip_general``, which gives
+the same points on these.  It too is straight-line code: each end's
+exit parameter is a pair of integer locals, each point is rounded by
+one floor division written out, the label gap across the path is made
+once per arrow, and its one call of its own is an on-line label's
+knockout, ``_knockout``.  Node and label widths
+come from ``text_width``, a plain table sum for text with no ``\\``;
+one layout measures each node text and each distinct label text once,
+a label at scale 1 and then scaled by LABEL_SCALE, whose ratio is read
+at import, in one ``_HalfWidths`` miss around the ``text_width`` call.
+The records are named tuples, built by ``tuple.__new__`` without a
+named tuple's Python-level ``__new__``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from math import inf, isqrt
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .diagnostics import Diagnostic, LayoutError
-from .geometry import (EX_RATIO, LABEL_SCALE, OBJECT_MARGIN, Memo, Point, ScaleConfig,
+from .geometry import (EX_RATIO, LABEL_SCALE, OBJECT_MARGIN, Point, ScaleConfig,
                        pt_to_centiem, round_div)
 from .ir import KIND_POS, Arrow, DiagramIR, LabelSide, Node
 from .metrics import DEFAULT_METRICS, FontMetrics, text_width
@@ -140,23 +143,32 @@ class _Frame(NamedTuple):
     em_size: Union[int, Fraction]   # points per em
     pad_w: int         # knockout padding around on-line labels
     pad_h: int
-    label_half_w: Optional[Memo]   # text -> _label_half_w of it, one layout long
+    label_half_w: Optional["_HalfWidths"]   # one layout long
 
     @classmethod
     def of(cls, cfg: ScaleConfig, metrics: FontMetrics, ends_only: bool = False) -> "_Frame":
         if ends_only:
-            return cls(cfg.em_size, 0, 0, None)
+            return _new(cls, (cfg.em_size, 0, 0, None))
         pad_w, pad_h = (_DEFAULT_PADS if cfg.em_size == _DEFAULT_EM
                         else _knockout_pads(cfg.em_size))
-        return cls(cfg.em_size, pad_w, pad_h, Memo(partial(_label_half_w, metrics)))
+        return _new(cls, (cfg.em_size, pad_w, pad_h, _HalfWidths(metrics)))
 
 
-def _label_half_w(metrics: FontMetrics, text: str) -> int:
-    """Half the width of a label's text: its width at scale 1 times
-    LABEL_SCALE, rounded once, ties away from zero, as ``text_width``
-    rounds a scaled width."""
-    w = text_width(text, 1, metrics) * LABEL_NUM
-    return (2 * w + LABEL_DEN - (w < 0)) // (2 * LABEL_DEN) * QUANTUM // 2
+class _HalfWidths(dict):
+    """text -> half the width of a label of that text, measured on first
+    use by one miss around a ``text_width`` call with ``metrics``: its
+    width at scale 1 times LABEL_SCALE, rounded once, ties away from
+    zero, as ``text_width`` rounds a scaled width."""
+
+    __slots__ = ("metrics",)
+
+    def __init__(self, metrics: FontMetrics) -> None:
+        self.metrics = metrics
+
+    def __missing__(self, text: str) -> int:
+        w = text_width(text, 1, self.metrics) * LABEL_NUM
+        half = self[text] = (2 * w + LABEL_DEN - (w < 0)) // (2 * LABEL_DEN) * QUANTUM // 2
+        return half
 
 
 def _swallowed(seq: int) -> LayoutError:
@@ -330,11 +342,13 @@ def layout_diagram(
     that is once the two moves reach |d| (clip_general caps each
     parameter at 1, which changes neither that test nor a kept arrow).
     A label sits LABEL_GAP across the axis from the anchor, to the left
-    of travel when above, or on the anchor when on the line, knocked out
-    of the shaft.  The branch compares the fixed coordinate with the box
-    once, each moved end only with the extreme the direction puts it on,
-    and a label's four edges where the label is made.  Every other
-    arrow takes clip_general and its whole result goes into the box.
+    of travel when above, or on the anchor when on the line, where its
+    padded box, the anchor ∓ h along the axis, cuts the shaft at those
+    two integers, with no call; a box of no width leaves it whole.  The
+    branch compares the fixed coordinate with the box once, each moved
+    end only with the extreme the direction puts it on, and a label's
+    four edges where the label is made.  Every other arrow takes
+    clip_general and its whole result goes into the box.
 
     With ``ends_only``, for TikZ, the walk clips every arrow as above,
     with the same errors, and gives a full layout that placed no label
@@ -343,7 +357,7 @@ def layout_diagram(
     if not ir.nodes and not ir.arrows:
         raise LayoutError(Diagnostic("error", "empty diagram: nothing to draw"))
     frame = _Frame.of(ir.scale, metrics, ends_only)
-    label_half_w = frame.label_half_w
+    _, pad_w, pad_h, label_half_w = frame
     # running extremes in layout units
     x0 = y0 = inf
     x1 = y1 = -inf
@@ -489,10 +503,28 @@ def layout_diagram(
             continue
         hw = label_half_w[label]
         shaft = None
-        if side is ON_LINE:   # on the rounded midpoint, knocked out of the shaft
-            x, y = start[0] + end[0], start[1] + end[1]
-            cx, cy = (x + (x > 0)) // 2, (y + (y > 0)) // 2
-            shaft = _knockout(start, end, (cx, cy), hw, frame)
+        if side is ON_LINE:   # on the rounded midpoint, its padded box cut out of the shaft
+            (sx, sy), (ex, ey) = start, end
+            # the box runs from c - h to c + h along the travel, h its padded
+            # half extent signed with the travel: a span is kept before the
+            # box and after it, where the shaft reaches past it
+            if sy == ey:   # horizontal
+                cy, h = sy, hw + pad_w
+                if h > 0:   # else the box has no width, and the shaft stays whole
+                    if sx > ex:
+                        h = -h
+                    a, b = cx - h, cx + h
+                    shaft = ((start, (a, sy)),) if (a - sx) * h > 0 else ()
+                    if (ex - b) * h > 0:
+                        shaft += (((b, sy), end),)
+            else:   # vertical: every label box is LABEL_HALF_H tall
+                cx, h = sx, LABEL_HALF_H + pad_h
+                if sy > ey:
+                    h = -h
+                a, b = cy - h, cy + h
+                shaft = ((start, (sx, a)),) if (a - sy) * h > 0 else ()
+                if (ey - b) * h > 0:
+                    shaft += (((sx, b), end),)
         if cx - hw < x0:
             x0 = cx - hw
         if cx + hw > x1:
@@ -504,9 +536,9 @@ def layout_diagram(
         append(_new(DrawablePath, (
             start, end, arrow, (_new(PlacedLabel, (label, (cx, cy))),), shaft)))
     if ends_only:
-        return DiagramLayout(nodes=placed, paths=paths, bbox=None)
+        return _new(DiagramLayout, (placed, paths, None))
     # floor of the least coordinate, ceiling of the greatest, in centi-em
     x0, y0 = x0 // QUANTUM, y0 // QUANTUM
     x1, y1 = -(-x1 // QUANTUM), -(-y1 // QUANTUM)
     box = (x0 - CANVAS_MARGIN, y0 - CANVAS_MARGIN, x1 + CANVAS_MARGIN, y1 + CANVAS_MARGIN)
-    return DiagramLayout(nodes=placed, paths=paths, bbox=box)
+    return _new(DiagramLayout, (placed, paths, box))

@@ -9,23 +9,29 @@ only 2 and 5 in it, six rounded places (with a warning) otherwise.
 Output is byte-identical across runs and every coordinate scales
 linearly with the configured scale.
 
-What depends only on the ratio is a pen: the factored denominator,
-the stroke, the node and label font attributes, the marker elements,
-and the row of each ``STYLES`` entry (the double-shaft flag, the shaft,
-with the dashes of its body, the two marker attributes, and the markers
-it uses).  The pen of the default scale and em size is made whole once,
-at import; a render at any other ratio makes its own, which writes each
-marker and row the first time the render reads it.  A render formats
-each distinct coordinate once, in a ``Decimals`` memo per axis: screen
-x (``X[x]``) and y (``Y[y]``) of layout coordinates; the width and
-height are the screen x of the right edge and y of the bottom one.  The
-lines of a double shaft, whose ends have the denominator of the gap's
-unit vector (``left_perp``'s float, the only float of the compiler),
-get an x and y memo per such denominator.  A miss is one Python call, a
-hit a dict lookup.  A render keeps the pen's row of each
-raw style token it meets, defines only the markers those rows use, and
-escapes each distinct text once, so a common arrow is f-strings over
-dict lookups, with no Python call.  Each memo lives for one render.
+What depends only on the ratio is a pen: the ratio, the factored
+denominator and the class of a coordinate memo over it, the stroke,
+the node and label font attributes, the marker elements, and the row
+of each ``STYLES`` entry (the double-shaft flag, the shaft, with the
+dashes of its body, the two marker attributes, and the markers it
+uses).  The pen of the default scale and em size is made whole once,
+at import, and a render at that scale and em size reads it with no
+ratio to work out; a render at any other ratio makes its own, which
+writes each marker and row the first time the render reads it.  A
+render formats each distinct coordinate once, in a memo per axis:
+screen x (``X[x]``) and y (``Y[y]``) of layout coordinates; the width
+and height are the screen x of the right edge and y of the bottom one.
+A hit is a dict lookup and a miss one Python call: over a denominator
+with only 2 and 5 in it, a ``Decimals`` miss, one multiply and one
+divmod with no test of the denominator, and over any other a
+``RoundedDecimals`` one.  The lines of a double shaft, whose ends have
+the denominator of the gap's unit vector (``left_perp``'s float, the
+only float of the compiler), get an x and y memo per such denominator,
+made when a shaft first needs it.  A render keeps the pen's row of
+each raw style token it meets, defines only the markers those rows
+use, and escapes each distinct text once, in one C call, so a common
+arrow is f-strings over dict lookups, with no Python call.  Each memo
+lives for one render.
 Text that XML 1.0 cannot carry (most C0 controls, lone surrogates,
 U+FFFE and U+FFFF) is a ``RenderError`` carrying the seq of its node or
 arrow, and so is a double shaft too long for a float unit vector: one
@@ -37,7 +43,7 @@ from math import gcd, hypot, inf
 from typing import List, Optional, Tuple
 
 from .diagnostics import Diagnostic, RenderError
-from .geometry import LABEL_SCALE, Decimals, Memo, ScaleConfig, decimal_base
+from .geometry import LABEL_SCALE, Memo, ScaleConfig, decimal_base, memo_class
 from .layout import QUANTUM, DiagramLayout, IPoint, Span
 from .styles import STYLES, Style, StyleRows, style_of
 
@@ -91,16 +97,25 @@ def _not_xml(char: str) -> bool:
             or char in "\ufffe\uffff")
 
 
-def _xml_text(text: str) -> str:
-    """``text`` escaped for XML character data; a RenderError, with no
-    position yet, when it holds a character XML cannot carry."""
-    if not text.isprintable():  # each such character is a control, a surrogate or unassigned
-        bad = next((char for char in text if _not_xml(char)), None)
-        if bad is not None:
-            raise RenderError(Diagnostic(
-                "error", f"text {text!r} holds U+{ord(bad):04X}, which SVG (XML 1.0) "
-                "cannot carry"))
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
+
+class _XmlTexts(dict):
+    """text -> it escaped for XML character data, in one C call, on first
+    use and kept; a RenderError, with no position yet, when it holds a
+    character XML cannot carry."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> str:
+        if not text.isprintable():  # each such character is a control, a surrogate or unassigned
+            bad = next((char for char in text if _not_xml(char)), None)
+            if bad is not None:
+                raise RenderError(Diagnostic(
+                    "error", f"text {text!r} holds U+{ord(bad):04X}, which SVG (XML 1.0) "
+                    "cannot carry"))
+        escaped = self[text] = text.translate(_XML_ESCAPES)
+        return escaped
 
 
 _HEAD = '<path d="M 0 0 L {h} {w} L 0 {w2} Z"/>'
@@ -147,14 +162,16 @@ def _px_ratio(cfg: ScaleConfig) -> Tuple[int, int]:
 
 def _pen(un: int, ud: int, whole: bool = False) -> tuple:
     """What a render draws at px ratio ``un/ud``, whatever its figure: the
-    factored denominator, the stroke, the node and label font
-    attributes, a ``Memo`` of each marker element by id, and a ``Memo``
-    of each ``STYLES`` row's ``Row`` and the ids of the markers it uses.
-    Each length in it, given in centi-em, is written once; each marker
-    and row when first read, or here when ``whole``."""
+    ratio, the factored denominator and the class of a memo over it, the
+    stroke, the node and label font attributes, a ``Memo`` of each marker
+    element by id, and a ``Memo`` of each ``STYLES`` row's ``Row`` and
+    the ids of the markers it uses.  Each length in it, given in
+    centi-em, is written once; each marker and row when first read, or
+    here when ``whole``."""
     # a length of v layout units is v un / (QUANTUM ud) px
     base = decimal_base(QUANTUM * ud)
-    L = Decimals(base, QUANTUM * un)
+    memo = memo_class(base)
+    L = memo(base, QUANTUM * un)
     stroke = f' stroke="black" stroke-width="{L[STROKE_WIDTH]}"'
     lengths = {
         "h": L[HEAD_LEN], "h2": L[2 * HEAD_LEN], "w": L[HEAD_HALF_WIDTH],
@@ -182,14 +199,14 @@ def _pen(un: int, ud: int, whole: bool = False) -> tuple:
     if whole:
         markers.update((name, marker(name)) for name in _MARKERS)
         rows.update((style, row(style)) for style in STYLES.values())
-    return (base, stroke, f' font-size="{L[100]}" text-anchor="middle">',
+    return (un, ud, base, memo, stroke, f' font-size="{L[100]}" text-anchor="middle">',
             f' font-size="{L[LABEL_FONT]}" text-anchor="middle">', markers, rows)
 
 
-# the ratio of the default scale and em size, and its pen, made whole
-# once, so that no render adds to it
-_DEFAULT_RATIO = _px_ratio(ScaleConfig())
-_DEFAULT_PEN = _pen(*_DEFAULT_RATIO, whole=True)
+# the default scale and em size, and its pen, made whole once, so that no
+# render adds to it
+_DEFAULT_CFG = ScaleConfig()
+_DEFAULT_PEN = _pen(*_px_ratio(_DEFAULT_CFG), whole=True)
 
 
 def render_svg(
@@ -198,9 +215,8 @@ def render_svg(
     warnings: Optional[List[str]] = None,
 ) -> str:
     """Print a laid-out figure at the scale of ``cfg``, its IR's scale."""
-    un, ud = ratio = _px_ratio(cfg)
-    base, stroke, node_attrs, label_attrs, markers, pen_rows = (
-        _DEFAULT_PEN if ratio == _DEFAULT_RATIO else _pen(un, ud))
+    un, ud, base, memo, stroke, node_attrs, label_attrs, markers, pen_rows = (
+        _DEFAULT_PEN if cfg == _DEFAULT_CFG else _pen(*_px_ratio(cfg)))
     x0, y0, x1, y1 = lay.bbox
     left, top = QUANTUM * x0, QUANTUM * y1
     if warnings is not None and not base[1]:
@@ -208,8 +224,8 @@ def render_svg(
                         "decimal px; coordinates are rounded to six places")
     # each distinct screen x and y of a point in layout units (the y axis
     # flips) and text of this render, formatted once
-    X, Y = Decimals(base, un, -left * un), Decimals(base, -un, top * un)
-    escaped = Memo(_xml_text)
+    X, Y = memo(base, un, -left * un), memo(base, -un, top * un)
+    escaped = _XmlTexts()
     used_markers: set = set()
 
     def row_of(raw: str) -> Row:
@@ -221,11 +237,9 @@ def render_svg(
     rows = StyleRows(row_of)
     arrow_elems: List[str] = []
     # by the denominator gd of the unit vector of a double shaft's gap, the
-    # screen x and y memos of x/gd and y/gd layout units: at gd = 1, X and Y
-    gapped = Memo(lambda gd: (
-        Decimals(over := decimal_base(QUANTUM * gd * ud), un, -left * gd * un),
-        Decimals(over, -un, top * gd * un)))
-    gapped[1] = X, Y
+    # screen x and y memos of x/gd and y/gd layout units: at gd = 1, X and
+    # Y; any other is made when a shaft first needs it
+    gapped = {1: (X, Y)}
 
     def draw_double(start: IPoint, end: IPoint, spans: Tuple[Span, ...], seq: int) -> None:
         """Each span as two lines, DOUBLE_GAP to either side; their ends
@@ -235,6 +249,11 @@ def render_svg(
         except OverflowError:
             raise too_long(seq) from None
         gx, gy = gx * DOUBLE_GAP * QUANTUM, gy * DOUBLE_GAP * QUANTUM
+        if gd not in gapped:
+            over = decimal_base(QUANTUM * gd * ud)
+            over_memo = memo_class(over)
+            gapped[gd] = (over_memo(over, un, -left * gd * un),
+                          over_memo(over, -un, top * gd * un))
         sx, sy = gapped[gd]
         for (ax, ay), (bx, by) in spans:
             ax, ay, bx, by = ax * gd, ay * gd, bx * gd, by * gd

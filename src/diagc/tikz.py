@@ -12,20 +12,21 @@ Styles the backend cannot express fall back to a solid arrow with a
 warning.  Coordinates are exact decimals unless the render scale has a
 prime other than 2 and 5 in its denominator; then they are rounded to six
 places, with a warning.  What depends only on the scale is a pen: that
-denominator, factored once, and a label's node by side, whose on-line
-padding scales with the figure, as one em of layout written over that
-denominator.  The pen of the default scale is made once, at import; a
-render at any other scale makes its own.  A render formats each distinct
-coordinate once, in one ``Decimals`` memo for both axes (``E[v]``), whose
-miss is one Python call, and keeps the ``\\draw`` of each raw style token,
-read from a module table by style, so a common arrow is one f-string over
-dict lookups, with no Python call.  Each memo lives for one render.
+denominator, factored once, the class of a memo over it, and a label's
+node by side, whose on-line padding scales with the figure, as one em
+of layout written over that denominator.  The pen of the default scale
+is made once, at import; a render at any other scale makes its own.  A
+render formats each distinct coordinate once, in one memo for both axes
+(``E[v]``), whose miss is one Python call, and keeps the ``\\draw`` of
+each raw style token, read from a module table by style, so a common
+arrow is one f-string over dict lookups, with no Python call.  Each
+memo lives for one render.
 """
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .geometry import DecimalBase, Decimals, ScaleConfig, decimal_base
+from .geometry import DecimalBase, ScaleConfig, decimal_base, memo_class
 from .ir import LabelSide
 from .layout import ABOVE, BELOW, NONE, ON_LINE, QUANTUM, DiagramLayout
 from .styles import STYLES, StyleRows, style_of
@@ -34,17 +35,18 @@ from .styles import STYLES, StyleRows, style_of
 _DRAW = {style: f"\\draw[{style.tikz}] (" for style in STYLES.values()}
 
 
-def _pen(sn: int, sd: int) -> Tuple[DecimalBase, Dict[LabelSide, str]]:
+def _pen(sn: int, sd: int) -> Tuple[DecimalBase, type, Dict[LabelSide, str]]:
     """What a render at scale ``sn/sd`` writes whatever its figure: the
-    factored denominator of a coordinate in em, and a label's node up to
-    its text, by side."""
+    factored denominator of a coordinate in em and the class of a memo
+    over it, and a label's node up to its text, by side."""
     base = decimal_base(100 * QUANTUM * sd)
-    return base, {
+    memo = memo_class(base)
+    return base, memo, {
         ABOVE: " node[above] {$\\scriptstyle ",
         BELOW: " node[below] {$\\scriptstyle ",
         # an on-line label's knockout padding, 1pt times the scale: the
         # scale is what one em of layout (100 QUANTUM units) prints as
-        ON_LINE: f" node[fill=white, inner sep={Decimals(base, sn)[100 * QUANTUM]}pt]"
+        ON_LINE: f" node[fill=white, inner sep={memo(base, sn)[100 * QUANTUM]}pt]"
                  " {$\\scriptstyle ",
     }
 
@@ -60,10 +62,10 @@ def render_tikz(
 ) -> str:
     """Print a laid-out figure at the scale of ``cfg``, its IR's scale."""
     sn, sd = cfg.scale.as_integer_ratio()
-    base, label_node = _DEFAULT_PEN if sn == sd == 1 else _pen(sn, sd)
+    base, memo, label_node = _DEFAULT_PEN if sn == sd == 1 else _pen(sn, sd)
     # each distinct coordinate of this render, v layout units in em,
     # formatted once
-    E = Decimals(base, sn)
+    E = memo(base, sn)
     if warnings is not None and not base[1]:
         warnings.append(f"scale {cfg.scale} has no exact decimal em; coordinates "
                         "are rounded to six places")

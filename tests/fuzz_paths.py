@@ -19,7 +19,7 @@ examples:
   nest groups, or end in a lone backslash;
 - the IR reader and writer, and the four printers, on mutated golden
   dumps;
-- the ``Decimals`` memo and ``format_decimal`` against the exact
+- the decimal memos and ``format_decimal`` against the exact
   decimal oracle, on values past a float's 53 bits;
 - the inline clipping of a horizontal or vertical arrow against
   ``clip_general``, and its box against the two-walk box;

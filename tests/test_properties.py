@@ -51,7 +51,8 @@ from diagc import (
     text_width,
 )
 from diagc import layout
-from diagc.geometry import Decimals, decimal_base, format_decimal
+from diagc.geometry import (Decimals, RoundedDecimals, decimal_base, format_decimal,
+                            memo_class)
 from diagc.ir import KIND_POS, KIND_VECTOR
 from diagc.metrics import DEFAULT_CHAR_WIDTH, text_width
 from diagc.lexer import (cut, group_end, kept_field, section_end, split_top, strip_group,
@@ -670,7 +671,9 @@ def test_decimal_memo_matches_format_decimal(nums, twos, fives, odd, mul, shift)
     den = 2**twos * 5**fives * odd
     base = decimal_base(den)
     assert bool(base[1]) == (odd == 1)   # exact exactly when den is 2^a 5^b
-    plain, scaled = Decimals(base, 1), Decimals(base, mul, shift)
+    memo = memo_class(base)
+    assert memo is (Decimals if odd == 1 else RoundedDecimals)
+    plain, scaled = memo(base, 1), memo(base, mul, shift)
     for num in nums:
         assert plain[num] == format_decimal(num, den) == decimal_oracle(num, den)
         assert scaled[num] == decimal_oracle(num * mul + shift, den)
@@ -728,7 +731,8 @@ def _clip(clip, *args):
         return str(exc)
 
 
-# a horizontal or vertical arrow between two optional nodes
+# a horizontal or vertical arrow between two optional nodes; an em size of
+# 1000 pt rounds the 1 pt knockout padding to 0
 AXIS_CASES = dict(
     start=st.builds(Point, st.integers(-600, 600), st.integers(-600, 600)),
     length=st.integers(-900, 900).filter(bool),
@@ -738,7 +742,8 @@ AXIS_CASES = dict(
     aligns=st.tuples(*[st.sampled_from(["", "l", "r", "u", "d"])] * 2),
     label=st.text("fgw\\{}", max_size=6),
     side=st.sampled_from(list(LabelSide)),
-    em_size=st.sampled_from([Fraction(10), Fraction(12), Fraction(7, 2), Fraction(1, 3)]),
+    em_size=st.sampled_from([Fraction(10), Fraction(12), Fraction(7, 2), Fraction(1, 3),
+                             Fraction(1000)]),
 )
 
 
@@ -776,6 +781,37 @@ AXIS_CASES = dict(
          aligns=("", ""), label="wwwwww", side=LabelSide.ON_LINE, em_size=Fraction(10))
 @example(start=Point(0, 0), length=500, horizontal=True, kind=KIND_POS, texts=("A", "B"),
          aligns=("", ""), label="", side=LabelSide.ON_LINE, em_size=Fraction(10))
+# in each axis and direction, an on-line label whose padded box: has no
+# width ({} measures 0, and at 1000 pt per em the padding rounds to 0),
+# which leaves a horizontal shaft whole and still cuts a vertical one;
+# is exactly as long as the free shaft, which it knocks out whole; and
+# leaves 500 layout units of shaft at each end, the least the grid
+# allows, as every end, anchor and box edge on an axis is a multiple of
+# 500
+@example(start=Point(0, 0), length=500, horizontal=True, kind=KIND_POS, texts=("A", "B"),
+         aligns=("", ""), label="{}", side=LabelSide.ON_LINE, em_size=Fraction(1000))
+@example(start=Point(3, -7), length=55, horizontal=True, kind=KIND_POS, texts=(None, None),
+         aligns=("", ""), label="w", side=LabelSide.ON_LINE, em_size=Fraction(10))
+@example(start=Point(3, -7), length=56, horizontal=True, kind=KIND_POS, texts=(None, None),
+         aligns=("", ""), label="w", side=LabelSide.ON_LINE, em_size=Fraction(10))
+@example(start=Point(0, 0), length=-500, horizontal=True, kind=KIND_POS, texts=("A", "B"),
+         aligns=("", ""), label="{}", side=LabelSide.ON_LINE, em_size=Fraction(1000))
+@example(start=Point(3, -7), length=-55, horizontal=True, kind=KIND_POS, texts=(None, None),
+         aligns=("", ""), label="w", side=LabelSide.ON_LINE, em_size=Fraction(10))
+@example(start=Point(3, -7), length=-56, horizontal=True, kind=KIND_POS, texts=(None, None),
+         aligns=("", ""), label="w", side=LabelSide.ON_LINE, em_size=Fraction(10))
+@example(start=Point(0, 0), length=500, horizontal=False, kind=KIND_POS, texts=("A", "B"),
+         aligns=("", ""), label="{}", side=LabelSide.ON_LINE, em_size=Fraction(1000))
+@example(start=Point(3, -7), length=150, horizontal=False, kind=KIND_POS, texts=(None, None),
+         aligns=("", ""), label="f", side=LabelSide.ON_LINE, em_size=Fraction(10))
+@example(start=Point(3, -7), length=151, horizontal=False, kind=KIND_POS, texts=(None, None),
+         aligns=("", ""), label="f", side=LabelSide.ON_LINE, em_size=Fraction(10))
+@example(start=Point(0, 0), length=-500, horizontal=False, kind=KIND_POS, texts=("A", "B"),
+         aligns=("", ""), label="{}", side=LabelSide.ON_LINE, em_size=Fraction(1000))
+@example(start=Point(3, -7), length=-150, horizontal=False, kind=KIND_POS, texts=(None, None),
+         aligns=("", ""), label="f", side=LabelSide.ON_LINE, em_size=Fraction(10))
+@example(start=Point(3, -7), length=-151, horizontal=False, kind=KIND_POS, texts=(None, None),
+         aligns=("", ""), label="f", side=LabelSide.ON_LINE, em_size=Fraction(10))
 def test_axis_aligned_clipping_matches_the_general_path(
     start, length, horizontal, kind, texts, aligns, label, side, em_size,
 ):

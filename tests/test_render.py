@@ -32,9 +32,9 @@ from diagc.geometry import decimal_base, round_div
 from diagc.styles import STYLES, style_of
 from diagc.svg import LABEL_DROP
 import expand_walk
+import render_ratios
 from opcode_count import opcodes
 from test_layout import _grid
-from test_properties import CORPUS
 
 
 def _one(source, **kw):
@@ -296,7 +296,7 @@ def test_svg_text_check_is_the_xml_char_production():
     for char in map(chr, [*range(0xA0), *range(0xD7F0, 0xE010), *range(0xFFF0, 0x10010),
                           0x10FFFF]):
         try:
-            escaped = diagc.svg._xml_text("a" + char)
+            escaped = diagc.svg._XmlTexts()["a" + char]
         except RenderError:
             assert not is_xml_char(char)
         else:
@@ -490,17 +490,20 @@ def test_printer_cost_per_arrow_is_bounded(render, bound):
 
 
 @pytest.mark.parametrize("render, scale, bound", [
-    (render_svg, 1, 1170), (render_tikz, 1, 510),
-    (render_svg, Fraction(1, 2), 1820), (render_tikz, Fraction(1, 2), 745),
+    (render_svg, 1, 990), (render_tikz, 1, 490),
+    (render_svg, Fraction(1, 2), 1690), (render_tikz, Fraction(1, 2), 715),
 ])
 def test_printer_cost_of_a_one_arrow_figure_is_bounded(render, scale, bound):
     # one \morphism[A`B;f], given the layout its format gets.  At the
     # default scale: about 1662 (SVG) and 666 (TikZ) instructions with the
     # scale's strings written per render, about 1138 and 495 with those of
-    # the pen made at import (1015-1067 and 438-469 on Python 3.10, 3.12
-    # and 3.13).  At scale 1/2 a render makes its own pen: about 1668 and
-    # 672 before pens, about 1765 and 720 with one (1588-1668 and 644-688
-    # on 3.10, 3.12 and 3.13), and about 3135 for SVG with a pen that
+    # the pen made at import, about 959 and 474 with a memo class per
+    # denominator, and for SVG no px ratio, double-shaft memo or per-call
+    # text escaper made for a figure that does not use them (851-902 and
+    # 413-446 on Python 3.10, 3.12 and 3.13).  At scale 1/2 a render
+    # makes its own pen: about 1668 and 672 before pens, about 1765 and
+    # 720 with one, about 1634 and 702 now (1455-1544 and 619-664 on
+    # 3.10, 3.12 and 3.13), and about 3135 for SVG with a pen that
     # writes every marker and row whether used or not
     fig = _one("\\morphism[A`B;f]", cfg=ScaleConfig(scale))
     lay = layout_diagram(fig.ir, fig.metrics, ends_only=render is render_tikz)
@@ -518,35 +521,40 @@ def test_the_default_svg_pen_is_whole_at_import():
                           check=True).stdout == "True True\n"
 
 
-def test_svg_costs_at_most_3_85x_the_token_stream_on_the_corpus():
+def test_svg_costs_at_most_3_40x_the_token_stream_on_the_corpus():
     # the SVG printer over the corpus layouts against the Xy-pic token
     # stream of the same figures: about 5.35x with a formatter call per
     # constant length and a factoring per memo, about 4.35x with one
     # Decimals memo per kind over one factoring per render, about 3.74x
-    # with the strings of the default scale written once, at import
-    # (3.40-3.68 on Python 3.10, 3.12 and 3.13)
-    figures = [figure for path in sorted(CORPUS.glob("*.dg"))
-               for figure in compile_source(path.read_text(encoding="utf-8"), path.name)]
-    laid = [(layout_diagram(figure.ir), figure.ir.scale) for figure in figures]
-    svg = opcodes(lambda: [render_svg(lay, scale, []) for lay, scale in laid])
-    printed = [figure.ir._replace(nodes=figure.placed) for figure in figures]
-    xypic = opcodes(lambda: [render_xypic(ir) for ir in printed])
-    assert len(figures) == 29 and svg <= 3.85 * xypic
+    # with the strings of the default scale written once, at import,
+    # about 3.30x with a memo class per denominator, text escaped in one
+    # C call and no per-render object a figure does not use (2.98-3.28
+    # on Python 3.10, 3.12 and 3.13)
+    figures = render_ratios.corpus_figures()
+    assert len(figures) == 29 and render_ratios.ratio("svg printer", figures) <= 3.40
 
 
-def test_tikz_costs_at_most_4_15x_the_token_stream_on_the_corpus():
+def test_svg_whole_render_costs_at_most_7_65x_the_token_stream_on_the_corpus():
+    # SVG's whole render, its full layout included, against the Xy-pic
+    # token stream of the same figures: about 8.09x with a call per
+    # on-line label's knockout and a call per coordinate's miss that
+    # tests its denominator, about 7.46x with axis knockouts inline, a
+    # memo class per denominator, a label's half width in one miss and
+    # text escaped in one C call (6.99-7.50 on Python 3.10, 3.12 and 3.13)
+    figures = render_ratios.corpus_figures()
+    assert len(figures) == 29 and render_ratios.ratio("svg", figures) <= 7.65
+
+
+def test_tikz_costs_at_most_4_03x_the_token_stream_on_the_corpus():
     # TikZ's whole render, its layout included, against the Xy-pic token
     # stream of the same figures: about 6.5x over the full layout, about
     # 4.70x over the ends-only one, about 4.54x with the strings of the
     # default scale written once, at import, about 4.04x with on-line
-    # labels clipped inline and no label made on the general path
-    # (3.77-4.05 on Python 3.10, 3.12 and 3.13)
-    figures = [figure for path in sorted(CORPUS.glob("*.dg"))
-               for figure in compile_source(path.read_text(encoding="utf-8"), path.name)]
-    tikz = opcodes(lambda: [render_figure(figure, "tikz", []) for figure in figures])
-    printed = [figure.ir._replace(nodes=figure.placed) for figure in figures]
-    xypic = opcodes(lambda: [render_xypic(ir) for ir in printed])
-    assert len(figures) == 29 and tikz <= 4.15 * xypic
+    # labels clipped inline and no label made on the general path, about
+    # 3.98x with a memo class per denominator (3.72-3.99 on Python 3.10,
+    # 3.12 and 3.13)
+    figures = render_ratios.corpus_figures()
+    assert len(figures) == 29 and render_ratios.ratio("tikz", figures) <= 4.03
 
 
 def test_xypic_cost_per_arrow_is_bounded():
