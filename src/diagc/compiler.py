@@ -8,8 +8,8 @@ Xy-pic token stream and the IR text need no layout.  TikZ places and
 pads its labels itself and has no canvas box, so its layout is ends
 only: a full layout that placed no label and kept no box, with the same
 node centres, clipped ends and errors as SVG's.  Layout is exact
-integers, so an arrow of any length lays out; only SVG's double shaft
-still takes a float direction, which a long enough diagonal overflows.
+integers, and so is the gap of SVG's double shaft, so an arrow of any
+length draws.
 """
 from __future__ import annotations
 

@@ -15,8 +15,10 @@ to that grid, to the nearest integer with ties away from zero
 coordinate: a point moved across a diagonal, by a parallel offset or to
 a label centre, is an integer plus an integer over a square root, and
 ``math.isqrt`` rounds it exactly, so an arrow of any length lays out.
-Nothing here depends on the render scale, so rendering at scale s
-yields coordinates exactly s times the scale-1 coordinates.
+``left_normal`` rounds a gap across a path, a label centre's here and
+the gap of SVG's double shaft, by one rule.  Nothing here depends on
+the render scale, so rendering at scale s yields coordinates exactly s
+times the scale-1 coordinates.
 
 A horizontal or vertical arrow at local scale 1 with no offset and no
 second label (every edge of a square grid) needs no rational at all:
@@ -31,9 +33,9 @@ extent along the axis, exact integers, and a box of no width leaves
 the shaft whole.  Every other arrow takes ``clip_general``, which gives
 the same points on these.  It too is straight-line code: each end's
 exit parameter is a pair of integer locals, each point is rounded by
-one floor division written out, the label gap across the path is made
-once per arrow, and its one call of its own is an on-line label's
-knockout, ``_knockout``.  Node and label widths
+one floor division written out, and its calls of its own are
+``left_normal``, once per arrow for the label gap across the path, and
+an on-line label's knockout, ``_knockout``.  Node and label widths
 come from ``text_width``, a plain table sum for text with no ``\\``;
 one layout measures each node text and each distinct label text once,
 a label at scale 1 and then scaled by LABEL_SCALE, whose ratio is read
@@ -68,7 +70,6 @@ KNOCKOUT_PAD_PT = (1, 4)   # on-line label padding, printer's points
 BASELINE = QUANTUM * round_div(75 * EX_RATIO.numerator, EX_RATIO.denominator)
 MARGIN = QUANTUM * OBJECT_MARGIN
 GAP = QUANTUM * LABEL_GAP
-GAP2_SQ = (2 * GAP) ** 2   # which a label centre across a diagonal reads
 LABEL_HALF_H = int(QUANTUM * NODE_BOX_HEIGHT // 2 * LABEL_SCALE)
 NODE_HALF_H = QUANTUM * NODE_BOX_HEIGHT // 2
 NODE_REACH_H = NODE_HALF_H + MARGIN
@@ -184,6 +185,27 @@ def _over_root(c: int, n: int) -> int:
     return r if c > 0 else -1 - r
 
 
+def left_normal(start: IPoint, end: IPoint, length: int) -> IPoint:
+    """The normal ``length`` long to the left of travel from ``start`` to
+    ``end`` (down on a path of no length), each component rounded
+    exactly, ties away from zero.
+
+    A component is w = length u/√n for the normal (ux, uy) = (-dy, dx)
+    and n = ux² + uy², and |w| rounds to (⌊2|w|⌋ + 1) // 2, where
+    ⌊2|w|⌋ = ⌊√(4 length² u² / n)⌋ is an ``isqrt`` of a floor.  For an
+    even ``length``, w is irrational, or else a fraction over an odd
+    denominator (the c of a primitive Pythagorean triple a² + b² = c²),
+    so it is never halfway between integers: an integer point plus or
+    minus w rounds once to that point plus or minus w rounded.
+    """
+    ux, uy = start[1] - end[1], end[0] - start[0]
+    if not (ux or uy):
+        return 0, -length
+    n, sq = ux * ux + uy * uy, 4 * length * length
+    x, y = (isqrt(sq * ux * ux // n) + 1) // 2, (isqrt(sq * uy * uy // n) + 1) // 2
+    return x if ux >= 0 else -x, y if uy >= 0 else -y
+
+
 def clip_general(arrow: Arrow, reach: Reach, frame: _Frame) -> DrawablePath:
     """Clip any arrow exactly, in integers, rounded once per point.
 
@@ -201,11 +223,9 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame) -> DrawablePath:
     parallel offset is (p + c/√n)/q for integers p, c, n and q > 0: a
     rational like any other when √n is whole, and else irrational, never
     halfway between integers, so it rounds as floor((2p + q + 2c/√n) /
-    2q), which is floor((2p + q + ⌊2c/√n⌋) / 2q).  A label centre is the
-    midpoint m plus w = GAP u/√n: w is irrational, or else a fraction
-    over an odd denominator (the hypotenuse of a primitive Pythagorean
-    triple), so m + w is never halfway either, and rounds to m plus w
-    rounded, ±(⌊2|w|⌋ + 1) // 2.  Each floor is an ``isqrt``.
+    2q), which is floor((2p + q + ⌊2c/√n⌋) / 2q), an ``isqrt``.  A label
+    centre is the midpoint plus or minus ``left_normal``'s GAP across
+    the clipped path.
     """
     start, end, _, label, side, seq, kind, _, _, label2, offset_pt, local_scale, _ = arrow
     # endpoints in layout units over a common denominator den
@@ -268,13 +288,9 @@ def clip_general(arrow: Arrow, reach: Reach, frame: _Frame) -> DrawablePath:
     labels: Tuple[PlacedLabel, ...] = ()
     shaft: Optional[Tuple[Span, ...]] = None
     if label2 or label and (side is ABOVE or side is BELOW):
-        # (x, y), GAP along the normal (ux, uy)/√n to the left of travel
-        # (down on a path of no length), rounded: above is the midpoint
-        # plus it, below the midpoint minus it
-        ux, uy = (sy - ey, ex - sx) if start != end else (0, -1)
-        n = ux * ux + uy * uy
-        x, y = (isqrt(GAP2_SQ * ux * ux // n) + 1) // 2, (isqrt(GAP2_SQ * uy * uy // n) + 1) // 2
-        x, y = x if ux >= 0 else -x, y if uy >= 0 else -y
+        # GAP to the left of travel, rounded: above is the midpoint plus
+        # it, below the midpoint minus it
+        x, y = left_normal(start, end, GAP)
     if label and side is not NONE:
         if side is ON_LINE:
             labels = (_new(PlacedLabel, (label, anchor)),)

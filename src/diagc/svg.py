@@ -9,7 +9,7 @@ only 2 and 5 in it, six rounded places (with a warning) otherwise.
 Output is byte-identical across runs and every coordinate scales
 linearly with the configured scale.
 
-What depends only on the ratio is a pen: the ratio, the factored
+What depends only on the ratio is a pen: its numerator, the factored
 denominator and the class of a coordinate memo over it, the stroke,
 the node and label font attributes, the marker elements, and the row
 of each ``STYLES`` entry (the double-shaft flag, the shaft, with the
@@ -24,27 +24,25 @@ and height are the screen x of the right edge and y of the bottom one.
 A hit is a dict lookup and a miss one Python call: over a denominator
 with only 2 and 5 in it, a ``Decimals`` miss, one multiply and one
 divmod with no test of the denominator, and over any other a
-``RoundedDecimals`` one.  The lines of a double shaft, whose ends have
-the denominator of the gap's unit vector (``left_perp``'s float, the
-only float of the compiler), get an x and y memo per such denominator,
-made when a shaft first needs it.  A render keeps the pen's row of
-each raw style token it meets, defines only the markers those rows
-use, and escapes each distinct text once, in one C call, so a common
-arrow is f-strings over dict lookups, with no Python call.  Each memo
-lives for one render.
+``RoundedDecimals`` one.  The two lines of a double shaft lie
+DOUBLE_GAP to either side of it, each end rounded once to the layout
+grid by ``left_normal``, so they go through the same memos.  A render
+keeps the pen's row of each raw style token it meets, defines only the
+markers those rows use, and escapes each distinct text once, in one C
+call, so a common arrow is f-strings over dict lookups, with no Python
+call.  Each memo lives for one render.
 Text that XML 1.0 cannot carry (most C0 controls, lone surrogates,
 U+FFFE and U+FFFF) is a ``RenderError`` carrying the seq of its node or
-arrow, and so is a double shaft too long for a float unit vector: one
-with a component past the largest float, or whose length is.
+arrow.
 """
 from __future__ import annotations
 
-from math import gcd, hypot, inf
+from math import gcd
 from typing import List, Optional, Tuple
 
 from .diagnostics import Diagnostic, RenderError
 from .geometry import LABEL_SCALE, Memo, ScaleConfig, decimal_base, memo_class
-from .layout import QUANTUM, DiagramLayout, IPoint, Span
+from .layout import QUANTUM, DiagramLayout, IPoint, Span, left_normal
 from .styles import STYLES, Style, StyleRows, style_of
 
 STROKE_WIDTH = 5        # centi-em
@@ -60,34 +58,6 @@ NODE_DROP = QUANTUM * BASELINE_DROP
 # the dash and gap lengths of a dashed or dotted shaft, centi-em, and
 # what else its line carries
 _DASHES = {"dashed": (20, 12, ""), "dotted": (2, 10, ' stroke-linecap="round"')}
-
-
-def left_perp(dx: int, dy: int, den: int) -> Tuple[int, int, int]:
-    """Unit vector (x/d, y/d) to the left of travel along (dx, dy)/den centi-em.
-
-    Exact when axis-aligned.  Otherwise it is the float unit vector of
-    the centi-em direction, at its exact binary value, so d is a power
-    of two; a direction whose length a float cannot hold, though each
-    component fits, is an OverflowError too.
-    """
-    if dy == 0:
-        return (0, 1 if dx > 0 else -1, 1)
-    if dx == 0:
-        return (-1 if dy > 0 else 1, 0, 1)
-    fx, fy = dx / den, dy / den
-    length = hypot(fx, fy)
-    if length == inf:
-        raise OverflowError("the length of a direction overflows a float")
-    xn, xd = (-fy / length).as_integer_ratio()
-    yn, yd = (fx / length).as_integer_ratio()
-    d = max(xd, yd)
-    return xn * (d // xd), yn * (d // yd), d
-
-
-def too_long(seq: int) -> RenderError:
-    """The error of a double shaft whose direction has no float unit vector."""
-    return RenderError(Diagnostic("error", "arrow too long: its direction overflows a float"),
-                       seq)
 
 
 def _not_xml(char: str) -> bool:
@@ -161,8 +131,8 @@ def _px_ratio(cfg: ScaleConfig) -> Tuple[int, int]:
 
 
 def _pen(un: int, ud: int, whole: bool = False) -> tuple:
-    """What a render draws at px ratio ``un/ud``, whatever its figure: the
-    ratio, the factored denominator and the class of a memo over it, the
+    """What a render draws at px ratio ``un/ud``, whatever its figure:
+    ``un``, the factored denominator and the class of a memo over it, the
     stroke, the node and label font attributes, a ``Memo`` of each marker
     element by id, and a ``Memo`` of each ``STYLES`` row's ``Row`` and
     the ids of the markers it uses.  Each length in it, given in
@@ -199,7 +169,7 @@ def _pen(un: int, ud: int, whole: bool = False) -> tuple:
     if whole:
         markers.update((name, marker(name)) for name in _MARKERS)
         rows.update((style, row(style)) for style in STYLES.values())
-    return (un, ud, base, memo, stroke, f' font-size="{L[100]}" text-anchor="middle">',
+    return (un, base, memo, stroke, f' font-size="{L[100]}" text-anchor="middle">',
             f' font-size="{L[LABEL_FONT]}" text-anchor="middle">', markers, rows)
 
 
@@ -215,7 +185,7 @@ def render_svg(
     warnings: Optional[List[str]] = None,
 ) -> str:
     """Print a laid-out figure at the scale of ``cfg``, its IR's scale."""
-    un, ud, base, memo, stroke, node_attrs, label_attrs, markers, pen_rows = (
+    un, base, memo, stroke, node_attrs, label_attrs, markers, pen_rows = (
         _DEFAULT_PEN if cfg == _DEFAULT_CFG else _pen(*_px_ratio(cfg)))
     x0, y0, x1, y1 = lay.bbox
     left, top = QUANTUM * x0, QUANTUM * y1
@@ -236,30 +206,14 @@ def render_svg(
 
     rows = StyleRows(row_of)
     arrow_elems: List[str] = []
-    # by the denominator gd of the unit vector of a double shaft's gap, the
-    # screen x and y memos of x/gd and y/gd layout units: at gd = 1, X and
-    # Y; any other is made when a shaft first needs it
-    gapped = {1: (X, Y)}
 
-    def draw_double(start: IPoint, end: IPoint, spans: Tuple[Span, ...], seq: int) -> None:
-        """Each span as two lines, DOUBLE_GAP to either side; their ends
-        have the denominator gd of the gap's unit vector."""
-        try:
-            gx, gy, gd = left_perp(end[0] - start[0], end[1] - start[1], QUANTUM)
-        except OverflowError:
-            raise too_long(seq) from None
-        gx, gy = gx * DOUBLE_GAP * QUANTUM, gy * DOUBLE_GAP * QUANTUM
-        if gd not in gapped:
-            over = decimal_base(QUANTUM * gd * ud)
-            over_memo = memo_class(over)
-            gapped[gd] = (over_memo(over, un, -left * gd * un),
-                          over_memo(over, -un, top * gd * un))
-        sx, sy = gapped[gd]
+    def draw_double(start: IPoint, end: IPoint, spans: Tuple[Span, ...]) -> None:
+        """Each span as two lines, DOUBLE_GAP to either side."""
+        gx, gy = left_normal(start, end, DOUBLE_GAP * QUANTUM)
         for (ax, ay), (bx, by) in spans:
-            ax, ay, bx, by = ax * gd, ay * gd, bx * gd, by * gd
             for dx, dy in ((gx, gy), (-gx, -gy)):
-                arrow_elems.append(f'<line x1="{sx[ax + dx]}" y1="{sy[ay + dy]}"'
-                                   f' x2="{sx[bx + dx]}" y2="{sy[by + dy]}"{stroke}/>')
+                arrow_elems.append(f'<line x1="{X[ax + dx]}" y1="{Y[ay + dy]}"'
+                                   f' x2="{X[bx + dx]}" y2="{Y[by + dy]}"{stroke}/>')
 
     node_elems: List[str] = []
     for node, (cx, cy) in lay.nodes:
@@ -279,7 +233,7 @@ def render_svg(
         double, shaft, start_attr, end_attr, whole, tips = rows[arrow.style]
         # the attributes of one line from start to end, if the arrow draws one
         if double:
-            draw_double(start, end, ((start, end),) if spans is None else spans, arrow.seq)
+            draw_double(start, end, ((start, end),) if spans is None else spans)
             attr = tips
         elif spans is None:  # nothing knocked out
             attr = whole

@@ -25,14 +25,16 @@ examples:
   ``clip_general``, and its box against the two-walk box;
 - ``clip_general`` against the per-call clipping walk, on any arrow;
 - label centres and offset ends across a diagonal against the exact
-  walk, on any, Pythagorean, float-overflowing and zero-length
-  directions with any rational offset;
+  walk, on any and Pythagorean directions, ones with a component or a
+  length past the largest float, and ones of no length, with any
+  rational offset;
 - the layout's running box against the two-walk box, on generated
   commands;
 - TikZ's ends-only layout against the full one, on generated commands
   of every kind and on mutated corpus figures, at scale 1 and 1/3;
 - the SVG and TikZ printers against the per-arrow reference printers,
-  on generated layouts at three scales and four em sizes;
+  whose double shafts round each gap point by the exact walk, on
+  generated layouts at three scales and four em sizes;
 - expansion against the edge walk, whose drawn nodes the oracle
   merges, on figures of every command kind, and on such figures with
   nodes placed over drawn corners, with their text or another.

@@ -7,10 +7,14 @@ a ``draw_path`` per arrow, an ``emit_line`` per line, a ``px``/``py`` or
 ``at`` call per coordinate through a cached formatter, and a
 ``style_of`` call per arrow.  They share the constants of ``diagc.svg``,
 which that change left as they were, and spell its marker elements
-themselves, one f-string each.  The TikZ one reads each label's text and
-side from the path's arrow, as ``render_tikz`` does.  On every layout
-whose texts XML can carry, each printer of ``diagc`` must write the same
-bytes and the same warnings as its namesake here.
+themselves, one f-string each.  The SVG one places each end of a double
+shaft's two lines DOUBLE_GAP across the path with ``clip_walk``'s
+``_left`` and ``_rounded``, which compare squares in ``Fraction`` and
+owe nothing to the floor identity of ``layout.left_normal``.  The TikZ
+one reads each label's text and side from the path's arrow, as
+``render_tikz`` does.  On every layout whose texts XML can carry, each
+printer of ``diagc`` must write the same bytes and the same warnings as
+its namesake here.
 ``decimal_formatter`` is the per-denominator formatter they used, kept
 here as it stood before the printers' memos formatted each number
 themselves.
@@ -21,12 +25,13 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from clip_walk import _left, _rounded
 from diagc.geometry import ScaleConfig, format_decimal
 from diagc.ir import LabelSide
 from diagc.layout import QUANTUM, DiagramLayout, DrawablePath
 from diagc.styles import Style, style_of
 from diagc.svg import (BASELINE_DROP, DOUBLE_GAP, HEAD_HALF_WIDTH, HEAD_LEN, LABEL_DROP,
-                       LABEL_FONT, STROKE_WIDTH, left_perp)
+                       LABEL_FONT, STROKE_WIDTH)
 
 
 def decimal_formatter(den: int) -> Tuple[Callable[[int], str], bool]:
@@ -152,23 +157,15 @@ def render_svg(
         marker_attr = start_attr + end_attr
         spans = ((path.start, path.end),) if path.shaft is None else path.shaft
         if style.body == "double":
-            start, end = path.start, path.end
-            gx, gy, gd = left_perp(end[0] - start[0], end[1] - start[1], QUANTUM)
-            gx, gy = gx * DOUBLE_GAP * QUANTUM, gy * DOUBLE_GAP * QUANTUM
-            den = QUANTUM * gd * ud
-
-            def sx(x: int) -> str:
-                """Screen x of x/gd layout units."""
-                return format_decimal((x - left * gd) * un, den)
-
-            def sy(y: int) -> str:
-                """Screen y of y/gd layout units."""
-                return format_decimal((top * gd - y) * un, den)
-
+            # each end DOUBLE_GAP to either side, along the normal (ux, uy)/√n
+            # to the left of travel, rounded once to the layout grid
+            ux, uy, n = _left(path.end[0] - path.start[0], path.end[1] - path.start[1])
+            gap = DOUBLE_GAP * QUANTUM
             for a, b in spans:
-                a, b = (a[0] * gd, a[1] * gd), (b[0] * gd, b[1] * gd)
-                emit_line((a[0] + gx, a[1] + gy), (b[0] + gx, b[1] + gy), stroke, sx, sy)
-                emit_line((a[0] - gx, a[1] - gy), (b[0] - gx, b[1] - gy), stroke, sx, sy)
+                for g in (gap, -gap):
+                    a2, b2 = ((_rounded(Fraction(p[0]), Fraction(g * ux), n),
+                               _rounded(Fraction(p[1]), Fraction(g * uy), n)) for p in (a, b))
+                    emit_line(a2, b2, stroke)
             if marker_attr:
                 emit_line(path.start, path.end, ' stroke="none"' + marker_attr)
         else:

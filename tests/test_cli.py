@@ -1,11 +1,13 @@
 """Command-line behavior: outputs, exit codes, golden checks, and the CLI
 contract on mutated corpus sources."""
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -147,9 +149,6 @@ NINES = "9" * 400   # an extent past the largest float
 
 
 @pytest.mark.parametrize("command, fmts, where, message", [
-    # a diagonal arrow whose double shaft needs a float unit vector
-    (f"\\morphism(0,0)/=>/<{NINES},1>[A`B;]", ["svg"], "2:3",
-     "arrow too long: its direction overflows a float"),
     # an integer that int() does not read
     (f"\\morphism(0,0)<{'9' * 4301},0>[A`B;f]", ["svg", "tikz", "xypic", "ir"], "2:4322",
      "integer of more than 4300 digits"),
@@ -160,7 +159,7 @@ NINES = "9" * 400   # an extent past the largest float
     # a scale that makes every printed number too long: the figure's
     (f"\\scalefactor{{{'9' * 4300}}}\\morphism[A`B;f]", ["svg", "tikz"], "1:1",
      "number too long to write: more than 4300 digits"),
-], ids=["double", "digits", "sum", "scalefactor"])
+], ids=["digits", "sum", "scalefactor"])
 def test_a_number_too_large_to_draw_exits_2_and_writes_nothing(tmp_path, capsys, command,
                                                               fmts, where, message):
     src = _write(tmp_path, "big.dg", f"\\bfig\n  {command}\n\\efig\n")
@@ -190,6 +189,31 @@ def test_a_labelled_diagonal_past_the_largest_float_is_written(tmp_path, capsys)
     (((sx, sy), (ex, ey), _, (label,), _),) = layout_diagram(figure.ir).paths
     assert label.center == (round_div(sx + ex, 2), round_div(sy + ey, 2) + 50000)
     assert (out / "big.svg").read_text(encoding="utf-8") == render_figure(figure, "svg")
+
+
+def test_a_double_shaft_past_the_largest_float_is_written(tmp_path, capsys):
+    # its gap is exact integers, with no float direction to overflow: 5
+    # centi-em to the left of travel along (10^400 - 1, 1) rounds to
+    # 5000 layout units straight up, so its two lines are the clipped
+    # path moved 0.5 px up and 0.5 px down
+    text = f"\\bfig\n  \\morphism(0,0)/=>/<{NINES},1>[A`B;]\n\\efig\n"
+    src = _write(tmp_path, "big.dg", text)
+    out = tmp_path / "out"
+    for fmt in FORMATS:
+        assert main([str(src), "-f", fmt, "-o", str(out) + os.sep]) == 0
+        assert capsys.readouterr().err == ""
+    (figure,) = compile_source(text)
+    lay = layout_diagram(figure.ir)
+    (((sx, sy), (ex, ey), _, _, _),) = lay.paths
+    x0, _, _, y1 = lay.bbox
+    svg = (out / "big.svg").read_text(encoding="utf-8")
+    assert svg == render_figure(figure, "svg")
+    # 1/10000 px per layout unit from the box's top left
+    lines = [tuple(map(Fraction, line)) for line in re.findall(
+        r'<line x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)" stroke="black"', svg)]
+    assert lines == [(Fraction(sx - 1000 * x0, 10000), Fraction(1000 * y1 - sy - dy, 10000),
+                      Fraction(ex - 1000 * x0, 10000), Fraction(1000 * y1 - ey - dy, 10000))
+                     for dy in (5000, -5000)]
 
 
 @pytest.mark.parametrize("fmt, ext, drawn", [

@@ -28,7 +28,6 @@ from diagc.ir import KIND_VECTOR
 from diagc.layout import LABEL_GAP, DrawablePath, PlacedLabel, PlacedNode, _Frame
 from diagc.layout import QUANTUM as Q
 from diagc.metrics import DEFAULT_METRICS, FontMetrics, text_width
-from diagc.svg import left_perp
 
 # the full conditional ladder: placement x (sign dx, sign dy) -> side
 LADDER = {
@@ -216,7 +215,6 @@ def test_the_layout_records_hold_only_what_the_printers_draw():
     assert PlacedLabel._fields == ("text", "center")
     assert DrawablePath._fields == ("start", "end", "arrow", "labels", "shaft")
     assert not hasattr(DrawablePath, "direction")
-    assert left_perp.__defaults__ is None
     # one meaning per field in both walks: labels a tuple, () where none
     # was placed, and a shaft None unless an on-line label's knockout cuts it
     (figure,) = compile_source("\\morphism[A`B;f]\n\\morphism(0,600)|m|<600,0>[C`D;g]\n"

@@ -930,7 +930,8 @@ nonzero = st.integers(-900, 900).filter(bool)
 huge = st.one_of(st.integers(2 * 10 ** 308, 10 ** 400), st.integers(-(10 ** 400), -2 * 10 ** 308))
 near_huge = st.integers(127 * 10 ** 306, 179 * 10 ** 306).map(lambda v: v * (-1) ** (v & 1))
 # a diagonal across which a label or a parallel offset moves its points:
-# any, Pythagorean, one too long for a float direction, or none at all
+# any, Pythagorean, one with a component or a length past the largest
+# float, or none at all
 # (a zero-length path, whose normal points down); the offset is any
 # rational, as parse_ir reads it
 DIAGONAL_CASES = dict(
@@ -1125,8 +1126,26 @@ def _printed_both_ways(ir):
     return pairs
 
 
+NINES = int("9" * 400)   # centi-em: past the largest float
+
+
+def _double_ir(*arrows, scale=ScaleConfig()):
+    """A figure of no node whose arrows are free double vectors."""
+    return DiagramIR((), tuple(Arrow(start, end, "=>", label, side, seq, kind=KIND_VECTOR)
+                               for seq, (start, end, label, side) in enumerate(arrows)), scale)
+
+
 @BOUNDED
 @given(ir=printed_irs())
+# a double shaft's gap: (-4000, 3000) exactly, across a Pythagorean diagonal
+@example(ir=_double_ir((Point(0, 0), Point(300, 400), "", LabelSide.NONE)))
+# a diagonal double shaft cut in two by an on-line label
+@example(ir=_double_ir((Point(0, 0), Point(-900, 300), "f", LabelSide.ON_LINE)))
+# one whose extent is past the largest float, at 1/3
+@example(ir=_double_ir((Point(0, 0), Point(NINES, 1), "f", LabelSide.ABOVE),
+                       scale=ScaleConfig(Fraction(1, 3))))
+# one of no length, read back from IR text: its lines lie above and below it
+@example(ir=parse_ir(emit_ir(_double_ir((Point(300, 600), Point(300, 600), "", LabelSide.NONE)))))
 @example(ir=DiagramIR(  # double shafts uncut and cut in two on a diagonal, and knocked
     # out whole on an axis, at 1/3
     (Node(Point(0, 0), "A", 0), Node(Point(600, 1200), "B", 1)),

@@ -31,6 +31,7 @@ from diagc.diagnostics import RenderError
 from diagc.geometry import decimal_base, round_div
 from diagc.styles import STYLES, style_of
 from diagc.svg import LABEL_DROP
+import clip_walk
 import expand_walk
 import render_ratios
 from opcode_count import opcodes
@@ -132,29 +133,60 @@ NINES = "9" * 400          # centi-em: past the largest float
 D = "15" + "0" * 307       # centi-em: a float holds it, but not the length of (D, D)
 
 
-@pytest.mark.parametrize("style, label, fmt, error", [
-    ("=>", "", "svg", RenderError),      # the gap between the two lines
-])
-def test_an_arrow_too_long_for_a_float_direction_names_its_command(style, label, fmt, error):
-    source = f"\\morphism(0,0)[A`B;f]\n  \\morphism(0,0)/{style}/<{NINES},1>[C`D;{label}]\n"
-    fig = _one(source, filename="big.dg")
-    with pytest.raises(error) as caught:
-        render_figure(fig, fmt)
-    assert str(caught.value) == (
-        "big.dg:2:3: error: arrow too long: its direction overflows a float")
-    assert caught.value.seq == fig.ir.arrows[1].seq
+def _double_lines(printed):
+    """Each line of a double shaft in an SVG, as (x1, y1, x2, y2) in px."""
+    return [tuple(map(Fraction, line)) for line in re.findall(
+        r'<line x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)" stroke="black"', printed)]
 
 
-def test_a_double_shaft_whose_length_overflows_a_float_names_its_command():
-    # each component of (D, D) fits a float but its length does not, so
-    # hypot is inf: the two lines would coincide, with no gap between them
-    fig = _one(f"\\morphism(0,0)[A`B;f]\n  \\morphism(0,0)/=/<{D},{D}>[C`D;f]\n",
-               filename="big.dg")
-    with pytest.raises(RenderError) as caught:
-        render_figure(fig, "svg")
-    assert str(caught.value) == (
-        "big.dg:2:3: error: arrow too long: its direction overflows a float")
-    assert caught.value.seq == fig.ir.arrows[1].seq
+@pytest.mark.parametrize("extent, across", [
+    # 5 centi-em to the left of travel along (L, 1), L = 10^400 - 1: (-1, L)
+    # 5000 / √(L² + 1), which rounds to (0, 5000); along (D, D): (-1, 1)
+    # 5000 / √2, which is ±3535.53 layout units
+    (f"{NINES},1", (0, 5000)),
+    (f"{D},{D}", (-3536, 3536)),
+], ids=["component", "length"])
+def test_a_double_shaft_past_the_largest_float_draws_at_its_exact_points(extent, across):
+    # each end of its two lines is the exact point 5 centi-em across the
+    # clipped path, rounded once, with no float direction to overflow
+    fig = _one(f"\\morphism(0,0)/=>/<{extent}>[A`B;f]")
+    lay = layout_diagram(fig.ir)
+    (((sx, sy), (ex, ey), _, _, _),) = lay.paths
+    ux, uy, n = clip_walk._left(ex - sx, ey - sy)
+    assert tuple(clip_walk._rounded(Fraction(0), Fraction(5000 * u), n) for u in (ux, uy)) == across
+    x0, _, _, y1 = lay.bbox
+
+    def screen(x, y, g):
+        """(x, y) moved g layout units across the path and rounded once, in
+        px: 1/10 per centi-em from the box's top left."""
+        x, y = (clip_walk._rounded(Fraction(v), Fraction(g * u), n) for v, u in ((x, ux), (y, uy)))
+        return Fraction(x - 1000 * x0, 10000), Fraction(1000 * y1 - y, 10000)
+
+    assert _double_lines(render_figure(fig, "svg")) == [
+        screen(sx, sy, g) + screen(ex, ey, g) for g in (5000, -5000)]
+
+
+def test_a_double_shaft_of_no_length_draws_its_lines_below_and_above_it():
+    # no command draws a vector of no length, but IR text can hold one:
+    # its normal points down, so its lines lie 5 centi-em below and above
+    ir = parse_ir("diagc-ir 1\nscale 1\nem 10\nex-ratio 43/100\nlabel-scale 7/10\n"
+                  "object-margin 30\narrow seq=0 kind=vector x1=300 y1=600 x2=300 y2=600"
+                  " style={=>} label={} side=none label2={} start={} end={} offset=0 lscale=1"
+                  " group=-1\nend\n")
+    assert render_svg(layout_diagram(ir), ir.scale) == (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="10" height="10"'
+        ' viewBox="0 0 10 10">\n'
+        "<defs>\n"
+        '<marker id="dg-head" markerUnits="userSpaceOnUse" markerWidth="3.5" markerHeight="2.8"'
+        ' refX="3.5" refY="1.4" orient="auto"><path d="M 0 0 L 3.5 1.4 L 0 2.8 Z"/></marker>\n'
+        "</defs>\n"
+        '<g font-family="serif" fill="black">\n'
+        '<line x1="5" y1="5.5" x2="5" y2="5.5" stroke="black" stroke-width="0.5"/>\n'
+        '<line x1="5" y1="4.5" x2="5" y2="4.5" stroke="black" stroke-width="0.5"/>\n'
+        '<line x1="5" y1="5" x2="5" y2="5" stroke="none" marker-end="url(#dg-head)"/>\n'
+        "</g>\n"
+        "</svg>\n")
 
 
 @pytest.mark.parametrize("extent, across", [
@@ -403,13 +435,13 @@ def test_render_factors_its_denominators_once(render, cfg, svg_fresh, tikz_fresh
 
 @pytest.mark.parametrize("cfg, fresh", [(ScaleConfig(), 0), (ScaleConfig(em_size=12), 1)],
                          ids=["default", "em-12"])
-def test_a_double_shaft_factors_once_per_gap_denominator(cfg, fresh):
-    # two diagonal double shafts of one direction share the denominator
-    # of their gap's unit vector; an axis-aligned one uses the render's
+def test_a_double_shaft_factors_no_denominator_of_its_own(cfg, fresh):
+    # the ends of a double shaft's lines, diagonal or axis-aligned, are
+    # layout integers, written over the render's one denominator
     fig = _one("\\morphism(0,0)/=>/<600,300>[A`B;]\n\\morphism(0,900)/=>/<600,300>[C`D;]\n"
                "\\morphism(0,1800)/=>/<600,0>[E`F;]", cfg=cfg)
     lay = layout_diagram(fig.ir)
-    assert _factorings(lambda: render_svg(lay, fig.ir.scale)) == 1 + fresh
+    assert _factorings(lambda: render_svg(lay, fig.ir.scale)) == fresh
 
 
 _THIRD_SOURCES = {
@@ -856,3 +888,14 @@ def test_svg_and_tikz_goldens(fmt, inputs, golden, scale):
         "--format", fmt, "--scale", scale, "--check", str(_GOLDEN / golden),
     ]
     assert main(argv) == 0
+
+
+def test_every_number_of_a_default_scale_svg_golden_has_at_most_4_places():
+    # each is an integer layout length times the px ratio, and at em 10
+    # and scale 1 a layout unit is 0.0001 px; the one figure at a scale of
+    # its own, 23_scalefactor at 1/2, draws on lengths that need at most 3
+    goldens = sorted((_GOLDEN / "svg").glob("*.svg"))
+    assert len(goldens) == 29
+    for golden in goldens:
+        places = [len(frac) for frac in re.findall(r"\d\.(\d+)", golden.read_text(encoding="utf-8"))]
+        assert max(places) <= 4, golden.name
