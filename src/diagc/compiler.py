@@ -10,6 +10,13 @@ only: a full layout that placed no label and kept no box, with the same
 node centres, clipped ends and errors as SVG's.  Layout is exact
 integers, and so is the gap of SVG's double shaft, so an arrow of any
 length draws.
+
+The records made for every figure skip a named tuple's Python-level
+``__new__``: ``compile_source`` builds each ``CompiledFigure`` by
+``tuple.__new__``, as the parser builds each ``Figure`` and expansion
+each ``DiagramIR``, ``Node`` and ``Arrow``.  The token stream prints an
+IR of the ``placed`` nodes and the figure's arrows and scale, built the
+same way rather than by ``_replace``.
 """
 from __future__ import annotations
 
@@ -27,6 +34,10 @@ from .parser import parse_source
 from .svg import render_svg
 from .tikz import render_tikz
 from .xypic import render_xypic
+
+# builds a record from its fields without the Python-level __new__ of a
+# named tuple
+_new = tuple.__new__
 
 # each output format and the extension of its files
 FORMATS = {"svg": ".svg", "tikz": ".tex", "xypic": ".xy", "ir": ".ir"}
@@ -72,8 +83,8 @@ def compile_source(
         if not ir.nodes and not ir.arrows:
             raise LayoutError(Diagnostic("error", "empty diagram: nothing to draw",
                                          filename, figure.line, figure.col))
-        out.append(CompiledFigure(ir, tuple(placed), warnings, figure.line, figure.col,
-                                  filename, metrics, figure.positions, starts))
+        out.append(_new(CompiledFigure, (ir, tuple(placed), warnings, figure.line, figure.col,
+                                         filename, metrics, figure.positions, starts)))
     return out
 
 
@@ -97,7 +108,8 @@ def render_figure(
     drew the node or arrow at fault, or else of the figure."""
     try:
         if fmt == "xypic":
-            return render_xypic(figure.ir._replace(nodes=figure.placed))
+            ir = figure.ir  # printed with every placed node
+            return render_xypic(_new(DiagramIR, (figure.placed, ir.arrows, ir.scale)))
         if fmt == "ir":
             return emit_ir(figure.ir)
         if fmt != "svg" and fmt != "tikz":

@@ -17,12 +17,20 @@ first time a command draws it.  A ``\\morphism``, the ``\\cube``
 connectors and the ``\\pullback`` trident join points that no lattice
 places: their edges take the table of their own displacement, and a zero
 one is an error.  ``\\vector``, ``\\place``, the inline arrows and
-``\\twoar`` each build their one record with its own constructor.
+``\\twoar`` each build their one record apart.
+
+Each ``Point``, ``Node``, ``Arrow`` and ``DiagramIR`` that expansion
+makes is built by ``tuple.__new__`` from all its fields, past a named
+tuple's Python-level ``__new__``.  Seqs come from one iterator per
+figure, over ``range(_SEQS)``: the first seq of a command is the number
+taken so far, read from what is left of it, so no counter is made per
+command.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from operator import length_hint
+from sys import maxsize as _SEQS  # more seqs than any figure draws
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .diagnostics import Diagnostic, ExpandError
@@ -46,6 +54,7 @@ from .parser import Command, Figure
 # named tuple
 _new = tuple.__new__
 _NONE, _ON_LINE = LabelSide.NONE, LabelSide.ON_LINE
+_ORIGIN, _TENTH = Point(0, 0), Fraction(1, 10)
 
 
 def resolve_label_side(placement: str, dx: int, dy: int) -> LabelSide:
@@ -97,6 +106,8 @@ class _Builder:
     only for a new key.  ``placed`` gets every ``\\place`` node, kept or
     not, since the token stream prints each one."""
 
+    group = -1  # before the first command
+
     def __init__(self, metrics: FontMetrics, filename: str,
                  positions: Sequence[Tuple[int, int]], placed: List[Node]):
         self.metrics = metrics
@@ -109,8 +120,7 @@ class _Builder:
         self.texts: Dict[Point, str] = {}          # the first text kept at each anchor
         self.warnings: List[Diagnostic] = []
         self.conflicts: List[Diagnostic] = []      # reported after the warnings
-        self.group = -1
-        self.seq = count()  # nodes and arrows number in creation order
+        self.seq = iter(range(_SEQS))  # nodes and arrows number in creation order
 
     def error(self, message: str) -> ExpandError:
         return ExpandError(Diagnostic("error", message, self.filename,
@@ -351,7 +361,7 @@ def _expand_grid3x2(b: _Builder, cmd: Command) -> None:
     """Left stubs shift the whole lattice right by the stub length, drawn
     or not."""
     x, y = cmd.origin
-    _run(b, cmd, _SHAPES[cmd.kind], Point(x + cmd.stub[0], y), cmd.extent)
+    _run(b, cmd, _SHAPES[cmd.kind], _new(Point, (x + cmd.stub[0], y)), cmd.extent)
 
 
 def _expand_auto_square(b: _Builder, cmd: Command) -> None:
@@ -366,7 +376,7 @@ def _expand_hsquares(b: _Builder, cmd: Command) -> None:
     w1 = _width(b, cmd, (0, 1, 0), (3, 4, 5))
     _run(b, cmd, _HSQUARES[0], cmd.origin, (w1, height), texts=n[:2] + n[3:5])
     w2 = _width(b, cmd, (1, 2, 1), (4, 5, 6))
-    _run(b, cmd, _HSQUARES[1], Point(x + w1, y), (w2, height), texts=n[1:3] + n[4:])
+    _run(b, cmd, _HSQUARES[1], _new(Point, (x + w1, y)), (w2, height), texts=n[1:3] + n[4:])
 
 
 def _expand_vsquares(b: _Builder, cmd: Command) -> None:
@@ -376,7 +386,7 @@ def _expand_vsquares(b: _Builder, cmd: Command) -> None:
     (x, y), (bottom, top), n = cmd.origin, cmd.extent, cmd.nodes
     width = _width(b, cmd, (0, 1, 0), (2, 3, 3), (4, 5, 6))
     _run(b, cmd, _VSQUARES_BOTTOM, cmd.origin, (width, bottom), texts=n[2:])
-    _run(b, cmd, _SQUARE, Point(x, y + bottom), (width, top), texts=n[:4])
+    _run(b, cmd, _SQUARE, _new(Point, (x, y + bottom)), (width, top), texts=n[:4])
 
 
 def _expand_cube(b: _Builder, cmd: Command) -> None:
@@ -398,7 +408,7 @@ def _expand_pullback(b: _Builder, cmd: Command) -> None:
     reaching corners B, A and C."""
     (trident,) = cmd.parts
     pts = _run(b, cmd, _SQUARE, cmd.origin, cmd.extent)
-    pts.append(Point(pts[0].x - trident.extent[0], pts[0].y + trident.extent[1]))
+    pts.append(_new(Point, (pts[0].x - trident.extent[0], pts[0].y + trident.extent[1])))
     _draw_free(b, cmd, _TRIDENT, pts, cmd.nodes + trident.nodes, trident.placements,
                trident.styles, trident.labels)
 
@@ -415,12 +425,12 @@ def _expand_vector(b: _Builder, cmd: Command) -> None:
     (x, y), (dx, dy) = cmd.origin, cmd.extent
     if dx == 0 and dy == 0:
         raise b.error("\\vector: degenerate arrow (zero displacement)")
-    b.arrows.append(Arrow(cmd.origin, Point(x + dx, y + dy), cmd.styles[0], "", _NONE,
-                          next(b.seq), kind=KIND_VECTOR))
+    b.arrows.append(_new(Arrow, (cmd.origin, _new(Point, (x + dx, y + dy)), cmd.styles[0], "",
+                                 _NONE, next(b.seq), KIND_VECTOR, "", "", "", 0, 1, -1)))
 
 
 def _expand_place(b: _Builder, cmd: Command) -> None:
-    node = Node(cmd.origin, cmd.nodes[0], next(b.seq), align=cmd.align, standalone=True)
+    node = _new(Node, (cmd.origin, cmd.nodes[0], next(b.seq), cmd.align, True))
     b.placed.append(node)
     if (node.anchor, node.text) not in b.kept:
         b.keep(node)
@@ -450,12 +460,12 @@ def _expand_inline(b: _Builder, cmd: Command) -> None:
     length = cmd.length or ratchet(DEFAULT_MARGIN + max(
         text_width(l, LABEL_SCALE, b.metrics) for l in labels), floor)
     label2 = labels[1] if cmd.kind == "to" else ""
+    end = _new(Point, (length, 0))
     for slot, side, offset in arrows:
         if side is LabelSide.ON_LINE and not labels[slot]:
             side = LabelSide.NONE
-        b.arrows.append(Arrow(Point(0, 0), Point(length, 0), cmd.styles[slot], labels[slot],
-                              side, next(b.seq), kind=kind, label2=label2,
-                              offset_pt=offset, group=b.group))
+        b.arrows.append(_new(Arrow, (_ORIGIN, end, cmd.styles[slot], labels[slot], side,
+                                     next(b.seq), kind, "", "", label2, offset, 1, b.group)))
 
 
 def two_cell_endpoint(i: int, j: int) -> Tuple[int, int]:
@@ -478,9 +488,8 @@ def _expand_twoar(b: _Builder, cmd: Command) -> None:
     i, j = cmd.direction
     if i == 0 and j == 0:
         raise b.error("\\twoar: zero direction")
-    b.arrows.append(Arrow(Point(0, 0), Point(*two_cell_endpoint(i, j)), "=>", "", _NONE,
-                          next(b.seq), kind=KIND_TWOAR, local_scale=Fraction(1, 10),
-                          group=b.group))
+    b.arrows.append(_new(Arrow, (_ORIGIN, _new(Point, two_cell_endpoint(i, j)), "=>", "", _NONE,
+                                 next(b.seq), KIND_TWOAR, "", "", "", 0, _TENTH, b.group)))
 
 
 # what draws each kind; \iiixii, a row of _SHAPES, is drawn shifted, and
@@ -521,8 +530,8 @@ def expand_figure(
     starts = [] if starts is None else starts
     scale = None  # the figure's scale once a \scalefactor has multiplied it
     for index, cmd in enumerate(figure.commands):
-        starts.append(next(b.seq))  # a repeated corner takes a seq but makes no record
-        b.seq = count(starts[-1])
+        # the seqs taken so far; a repeated corner takes one but makes no record
+        starts.append(_SEQS - length_hint(b.seq))
         if cmd.kind == "scalefactor":
             scale = (cfg.scale if scale is None else scale) * cmd.factor
             continue
@@ -530,7 +539,7 @@ def expand_figure(
         _EXPANDERS[cmd.kind](b, cmd)
     if scale is not None:
         cfg = ScaleConfig(exact(scale), cfg.em_size)
-    return DiagramIR(tuple(b.nodes), tuple(b.arrows), cfg), b.warnings + b.conflicts
+    return _new(DiagramIR, (tuple(b.nodes), tuple(b.arrows), cfg)), b.warnings + b.conflicts
 
 
 def merge_duplicate_nodes(d: DiagramIR, warnings: Optional[List[str]] = None) -> DiagramIR:
@@ -547,4 +556,4 @@ def merge_duplicate_nodes(d: DiagramIR, warnings: Optional[List[str]] = None) ->
             keep(node)
     if warnings is not None:
         warnings.extend(note.message for note in b.conflicts)
-    return DiagramIR(tuple(b.nodes), d.arrows, d.scale)
+    return _new(DiagramIR, (tuple(b.nodes), d.arrows, d.scale))

@@ -231,7 +231,8 @@ def emit_ir(d: DiagramIR) -> str:
     return "".join([
         _HEAD % _SCALE_VALUES(d.scale),
         *_NODE.lines(sorted(d.nodes, key=_SEQ)),
-        *_ARROW.lines(sorted(d.arrows, key=_SEQ)),
+        # an arrow spells each word as its value: its lines need no column pass
+        *map(_ARROW.template.__mod__, map(_ARROW.get, sorted(d.arrows, key=_SEQ))),
         _END + "\n",
     ])
 

@@ -58,6 +58,10 @@ from .geometry import INTEGER, MAX_DIGITS, Point, read_positive
 from .lexer import (BLANK, LINE_END, cut, kept_field, lone_backslash, section_end,
                     split_top, strip_group, tidy, token_at)
 
+# builds a record from its fields without the Python-level __new__ of a
+# named tuple
+_new = tuple.__new__
+
 
 class Command(NamedTuple):
     """One parsed command, all absent sections filled with defaults.  Its
@@ -251,8 +255,8 @@ def parse_source(text: str, filename: str = "<input>") -> List[Figure]:
     while True:
         m = head(text, r.pos)
         if m is not None:
-            name, at = m[2], m.start(2)
-            r.pos = m.end()
+            name = m[2]
+            at, r.pos = m.span(2)  # the name ends the match
         elif BLANK.match(text, r.pos).end() == len(text):
             break
         else:  # a name or an error that the reader makes
@@ -266,7 +270,8 @@ def parse_source(text: str, filename: str = "<input>") -> List[Figure]:
             if current is None:
                 raise r.error("\\efig without \\bfig", at)
             commands, offsets, start = current
-            figures.append(Figure(commands, Positions(text, offsets), *_where(text, start)))
+            figures.append(_new(Figure, (commands, Positions(text, offsets),
+                                        *_where(text, start))))
             current = None
         else:
             group = current or top
@@ -278,7 +283,7 @@ def parse_source(text: str, filename: str = "<input>") -> List[Figure]:
         raise r.error("\\bfig without matching \\efig", current[2])
     if top is not None:
         commands, offsets, start = top
-        figures.append(Figure(commands, Positions(text, offsets), *_where(text, start)))
+        figures.append(_new(Figure, (commands, Positions(text, offsets), *_where(text, start))))
     return figures
 
 
@@ -664,7 +669,7 @@ class _Chain:
             elif not r.at(sec.opener):
                 continue
             sec.read(r, values)
-        return tuple.__new__(Command, values)  # in field order, past the Python-level __new__
+        return _new(Command, values)  # in field order
 
     def write(self, obj: Any) -> str:
         return "".join([sec.write(obj) for sec in self.sections])
@@ -676,7 +681,7 @@ def _wrap(value: str, specials: str) -> str:
     return value
 
 
-_POINT = partial(tuple.__new__, Point)  # Point._make in C; fill has counted the values
+_POINT = partial(_new, Point)  # Point._make in C; fill has counted the values
 _ORIGIN = _Ints("origin", "(", 2, Point(0, 0), _POINT)
 _LENGTH = _Ints("length", "<", 1, 0, itemgetter(0))  # 0: measured from the labels
 

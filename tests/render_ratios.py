@@ -10,13 +10,19 @@ nodes the token stream prints, both counted by ``opcode_count``:
 - ``svg printer``: ``render_svg`` alone, given each full layout;
 - ``tikz printer``: ``render_tikz`` alone, given each ends-only layout.
 
+Beside them it counts the front half of a small figure: ``compile_source``
+of a one-command source, then ``render_figure`` of its figure in Xy-pic
+and in IR text, per figure over ``SMALL``, one figure of each of several
+kinds.
+
 The cost bounds of ``test_render.py`` read their ratios from ``ratio``
-here.  Run it from the repository root:
+and the small figure's count from ``front_half``.  Run it from the
+repository root:
 
     PYTHONPATH=src python tests/render_ratios.py
 
-It prints each ratio and the two counts behind it.  Its name keeps it
-out of pytest's collection.
+It prints each ratio and the two counts behind it, then the front half's
+count.  Its name keeps it out of pytest's collection.
 """
 import sys
 from pathlib import Path
@@ -27,6 +33,10 @@ from opcode_count import opcodes
 
 CORPUS = Path(__file__).resolve().parent / "corpus"
 STEPS = ("svg", "tikz", "svg printer", "tikz printer")
+# one-command sources, each a figure of its own
+SMALL = tuple(f"\\bfig\n{command}\n\\efig\n" for command in (
+    "\\vector(0,0)/->/<400,-300>", "\\morphism[A`B;f]", "\\place(0,0)[A]",
+    "\\square[A`B`C`D;f`g`h`k]", "\\to/->/^{f}_{g}", "\\twoar(1,1)"))
 
 
 def corpus_figures() -> list:
@@ -55,12 +65,27 @@ def ratio(step: str, figures: list) -> float:
     return cost / xypic
 
 
+def front_half() -> float:
+    """The instructions of ``compile_source`` and the Xy-pic and IR text
+    renders per figure of ``SMALL``."""
+    def run() -> None:
+        for source in SMALL:
+            for figure in compile_source(source):
+                render_figure(figure, "xypic")
+                render_figure(figure, "ir")
+
+    run()  # the parser's patterns are compiled on first use
+    return opcodes(run) / len(SMALL)
+
+
 def main() -> None:
     figures = corpus_figures()
     print(f"{len(figures)} corpus figures, Python {sys.version.split()[0]}")
     for step in STEPS:
         cost, xypic = counts(step, figures)
         print(f"{step:>12}: {cost / xypic:.2f}x the token stream ({cost} / {xypic})")
+    print(f"  front half: {front_half():.0f} instructions per small figure "
+          f"({len(SMALL)} figures)")
 
 
 if __name__ == "__main__":

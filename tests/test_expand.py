@@ -11,8 +11,11 @@ from opcode_count import opcodes
 from shape_fixtures import FIXTURES
 
 from diagc import (
+    Arrow,
+    CompiledFigure,
     DiagramIR,
     ExpandError,
+    Figure,
     LabelSide,
     LayoutError,
     Node,
@@ -23,8 +26,10 @@ from diagc import (
     measure_morphism_width,
     merge_duplicate_nodes,
     parse_source,
+    render_figure,
     two_cell_endpoint,
 )
+from diagc import compiler
 from diagc.expand import _EXPANDERS, _SHAPES, _Edge
 from diagc.parser import COMMANDS, _Bar, _Payload
 
@@ -567,3 +572,36 @@ def test_stub_and_record_cost_per_record_is_bounded():
     small, large = per_record(5), per_record(10)
     assert large <= 72
     assert large <= 1.05 * small
+
+
+# one figure of each command kind, a scaled figure, and the corpus
+_RECORD_SOURCES = ([fx["source"] for fx in FIXTURES.values()]
+                   + ["\\scalefactor{2}\n\\morphism[A`B;f]"]
+                   + [path.read_text(encoding="utf-8")
+                      for path in sorted((Path(__file__).parent / "corpus").glob("*.dg"))])
+
+
+def test_front_half_records_have_every_field(monkeypatch):
+    # the parser, expansion and the compiler build these records with
+    # tuple.__new__, which skips the arity check of a named tuple's own
+    # constructor: each must still have one value per field, and equal
+    # the record that constructor makes of its values
+    printed = []  # the IR of each token stream, built by render_figure
+    monkeypatch.setattr(compiler, "render_xypic", lambda ir: printed.append(ir) or "")
+    records = []
+    for source in _RECORD_SOURCES:
+        records += parse_source(source)
+        for figure in compile_source(source):
+            records += [figure, figure.ir]
+            render_figure(figure, "xypic")
+    assert len(printed) == sum(type(r) is CompiledFigure for r in records)
+    records += printed
+    records += [item for record in records if type(record) is DiagramIR
+                for item in record.nodes + record.arrows]
+    records += [point for record in records if type(record) in (Node, Arrow)
+                for point in record if type(point) is Point]
+    kinds = {type(record) for record in records}
+    assert kinds == {Figure, CompiledFigure, DiagramIR, Node, Arrow, Point}
+    for record in records:
+        cls = type(record)
+        assert len(record) == len(cls._fields) and cls(*record) == record

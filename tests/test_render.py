@@ -589,6 +589,18 @@ def test_tikz_costs_at_most_4_03x_the_token_stream_on_the_corpus():
     assert len(figures) == 29 and render_ratios.ratio("tikz", figures) <= 4.03
 
 
+def test_front_half_costs_at_most_1424_per_small_figure():
+    # compile_source, then the Xy-pic and IR text renders, of one-command
+    # figures: about 1525 instructions per figure with a named tuple's
+    # Python-level __new__ for each front-half record, an IR rebuilt by
+    # _replace for every token stream, a counter made per command and a
+    # Python call for the arrow lines of an IR dump; about 1417 with those
+    # records built by tuple.__new__, the token stream's IR built
+    # directly, one seq iterator per figure and arrow lines mapped in
+    # emit_ir itself (3.10: 1330, 3.12: 1301, 3.13: 1256)
+    assert render_ratios.front_half() <= 1424
+
+
 def test_xypic_cost_per_arrow_is_bounded():
     # the per-kind builders cost about 158 instructions per arrow here,
     # one arrow writer called per line about 126, one f-string per
