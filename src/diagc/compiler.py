@@ -9,14 +9,18 @@ pads its labels itself and has no canvas box, so its layout is ends
 only: a full layout that placed no label and kept no box, with the same
 node centres, clipped ends and errors as SVG's.  Layout is exact
 integers, and so is the gap of SVG's double shaft, so an arrow of any
-length draws.
+length draws.  A render error is placed by ``position_of`` at the
+command that drew the node or arrow at fault, or else at the figure,
+as it is in a figure built by hand around an IR from ``parse_ir``,
+which has no ``starts``.
 
 The records made for every figure skip a named tuple's Python-level
 ``__new__``: ``compile_source`` builds each ``CompiledFigure`` by
-``tuple.__new__``, as the parser builds each ``Figure`` and expansion
-each ``DiagramIR``, ``Node`` and ``Arrow``.  The token stream prints an
-IR of the ``placed`` nodes and the figure's arrows and scale, built the
-same way rather than by ``_replace``.
+``tuple.__new__`` (``geometry._new``), as the parser builds each
+``Figure``, expansion each ``DiagramIR``, ``Node`` and ``Arrow``, and
+``parse_ir`` the records it reads.  The token stream prints an IR of
+the ``placed`` nodes and the figure's arrows and scale, built the same
+way rather than by ``_replace``.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .diagnostics import Diagnostic, LayoutError, RenderError
 from .expand import expand_figure
-from .geometry import MAX_DIGITS, ScaleConfig
+from .geometry import MAX_DIGITS, ScaleConfig, _new
 from .ir import DiagramIR, Node
 from .irtext import emit_ir
 from .layout import layout_diagram
@@ -34,10 +38,6 @@ from .parser import parse_source
 from .svg import render_svg
 from .tikz import render_tikz
 from .xypic import render_xypic
-
-# builds a record from its fields without the Python-level __new__ of a
-# named tuple
-_new = tuple.__new__
 
 # each output format and the extension of its files
 FORMATS = {"svg": ".svg", "tikz": ".tex", "xypic": ".xy", "ir": ".ir"}
@@ -57,8 +57,11 @@ class CompiledFigure(NamedTuple):
     positions: Sequence[Tuple[int, int]] = ()
     starts: Sequence[int] = ()
 
-    def position_of(self, seq: int) -> Tuple[int, int]:
-        """The (line, col) of the command that drew node or arrow ``seq``."""
+    def position_of(self, seq: Optional[int]) -> Tuple[int, int]:
+        """The (line, col) of the command that drew node or arrow ``seq``;
+        the figure's own where ``seq`` is None or it has no ``starts``."""
+        if seq is None or not self.starts:
+            return self.line, self.col
         return self.positions[bisect_right(self.starts, seq) - 1]
 
 
@@ -126,8 +129,6 @@ def render_figure(
         error = RenderError(Diagnostic(
             "error", f"number too long to write: more than {MAX_DIGITS} digits"),
             _first_too_long(figure.ir))
-    line, col = figure.line, figure.col
-    if error.seq is not None and figure.starts:
-        line, col = figure.position_of(error.seq)
+    line, col = figure.position_of(error.seq)
     raise type(error)(Diagnostic("error", error.diagnostic.message, figure.filename,
                                  line, col), error.seq) from None

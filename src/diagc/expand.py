@@ -34,7 +34,8 @@ from sys import maxsize as _SEQS  # more seqs than any figure draws
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .diagnostics import Diagnostic, ExpandError
-from .geometry import DEFAULT_MARGIN, LABEL_SCALE, Point, ScaleConfig, exact, ratchet, tex_div
+from .geometry import (DEFAULT_MARGIN, LABEL_SCALE, Point, ScaleConfig, _new, exact, ratchet,
+                       tex_div)
 from .ir import (
     KIND_POS,
     KIND_THREE,
@@ -50,9 +51,6 @@ from .ir import (
 from .metrics import DEFAULT_METRICS, FontMetrics, text_width
 from .parser import Command, Figure
 
-# builds a record from its fields without the Python-level __new__ of a
-# named tuple
-_new = tuple.__new__
 _NONE, _ON_LINE = LabelSide.NONE, LabelSide.ON_LINE
 _ORIGIN, _TENTH = Point(0, 0), Fraction(1, 10)
 

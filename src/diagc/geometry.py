@@ -28,6 +28,10 @@ EX_RATIO = Fraction(43, 100)   # ex height per em
 LABEL_SCALE = Fraction(7, 10)  # label text size per node text size
 OBJECT_MARGIN = 30             # centi-em padding node boxes before arrows are clipped
 
+# builds a record from its fields without the Python-level __new__ of a
+# named tuple; each module that makes records imports it from here
+_new = tuple.__new__
+
 
 class Point(NamedTuple):
     """Integer position, y increasing upward."""

@@ -1,13 +1,13 @@
 """Canonical structured-text dump of a DiagramIR, and its strict reader.
 
-A dump is the header line, the two scale lines of ``_RECORDS``, the
-three lines of ``_CONSTANTS``, then a ``node`` line per node and an
-``arrow`` line per arrow (each by seq), then ``end``; every line ends in
-``\\n``.  The constant lines state the language's ex ratio, label scale
-and object margin: they are always written the same, and the reader
-takes no other value.  ``_RECORDS`` states the format once: each row is
-a record's keyword and its fields, and each field gives its key, its
-kind and the attribute it reads.  A kind gives the %-conversion that
+A dump is the header line, the two scale lines of ``_RECORDS``, then a
+``node`` line per node and an ``arrow`` line per arrow (each by seq),
+then ``end``; every line ends in ``\\n``.  The ex ratio, label scale and
+object margin are constants of the language, not lines of the dump; a
+dump whose header names another version is refused at its first line.
+``_RECORDS`` states the format once: each row is a record's keyword and
+its fields, and each field gives its key, its kind and the attribute it
+reads.  A kind gives the %-conversion that
 writes a value, a pattern of the value's canonical spellings and the
 function that reads such a spelling.
 
@@ -48,12 +48,12 @@ from operator import attrgetter, itemgetter, methodcaller
 from typing import (Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
-from .geometry import EX_RATIO, LABEL_SCALE, OBJECT_MARGIN, Memo, Point, ScaleConfig
+from .geometry import Memo, Point, ScaleConfig, _new
 from .ir import (KIND_POS, KIND_THREE, KIND_TO, KIND_TWO, KIND_TWOAR, KIND_VECTOR,
                  Arrow, DiagramIR, LabelSide, Node)
 from .lexer import GROUP_INSIDE, group_end, split_top
 
-_HEADER, _END = "diagc-ir 1", "end"
+_HEADER, _END = "diagc-ir 2", "end"
 
 
 class IRSyntaxError(ValueError):
@@ -178,8 +178,8 @@ class _Record:
             i = next(i for i in range(1, len(seqs)) if seqs[i] < seqs[i - 1])
             raise IRSyntaxError(f"{self.keyword!r} line out of seq order: {lines[i]!r}")
         for i in self.points:
-            columns[i:i + 2] = [map(tuple.__new__, repeat(Point), zip(*columns[i:i + 2]))]
-        return tuple(map(tuple.__new__, repeat(self.cls), zip(*self.order(columns))))
+            columns[i:i + 2] = [map(_new, repeat(Point), zip(*columns[i:i + 2]))]
+        return tuple(map(_new, repeat(self.cls), zip(*self.order(columns))))
 
     def parse(self, line: str) -> Any:
         """The record of one line, or a scale line's value."""
@@ -217,19 +217,16 @@ _RECORDS = (
             ("lscale", _POSITIVE, "local_scale"), ("group", _INT, "group")),
 )
 *_SCALES, _NODE, _ARROW = _RECORDS
-_CONSTANTS = (f"ex-ratio {EX_RATIO}", f"label-scale {LABEL_SCALE}",
-              f"object-margin {OBJECT_MARGIN}")
-# no scale line has a word to spell, so they and the constants are written as one
-_HEAD = "".join([_HEADER, "\n", *(row.template for row in _SCALES),
-                 *(line + "\n" for line in _CONSTANTS)])
-_SCALE_VALUES = attrgetter(*(a for row in _SCALES for a in row.attrs))
+# no scale line has a word to spell, so they are written as one, from
+# the ScaleConfig, whose fields are the scale lines' values in order
+_HEAD = "".join([_HEADER, "\n", *(row.template for row in _SCALES)])
 _SEQ = attrgetter("seq")
 _IS_NODE = methodcaller("startswith", _NODE.keyword + " ")
 
 
 def emit_ir(d: DiagramIR) -> str:
     return "".join([
-        _HEAD % _SCALE_VALUES(d.scale),
+        _HEAD % d.scale,
         *_NODE.lines(sorted(d.nodes, key=_SEQ)),
         # an arrow spells each word as its value: its lines need no column pass
         *map(_ARROW.template.__mod__, map(_ARROW.get, sorted(d.arrows, key=_SEQ))),
@@ -244,19 +241,14 @@ def parse_ir(text: str) -> DiagramIR:
     # may hold other line separators ("\x0c", "\x85", "\u2028")
     lines = text.split("\n")
     if lines[0] != _HEADER:
-        raise IRSyntaxError("missing IR header")
+        raise IRSyntaxError(f"missing IR header: the first line must be {_HEADER!r}")
     if lines[-2:] != [_END, ""]:
         raise IRSyntaxError(f"missing end marker: the last line must be {_END!r}")
-    head, body = len(_SCALES) + len(_CONSTANTS), lines[1:-2]
+    head, body = len(_SCALES), lines[1:-2]
     if len(body) < head:
-        keywords = [row.keyword for row in _SCALES] + [c.split()[0] for c in _CONSTANTS]
-        raise IRSyntaxError(f"missing {keywords[len(body)]!r} line")
+        raise IRSyntaxError(f"missing {_SCALES[len(body)].keyword!r} line")
     # the scale lines are in ScaleConfig's field order
-    cfg = ScaleConfig(*map(_Record.parse, _SCALES, body))
-    if tuple(body[len(_SCALES):head]) != _CONSTANTS:
-        for want, line in zip(_CONSTANTS, body[len(_SCALES):]):
-            if line != want:
-                raise IRSyntaxError(f"{line!r} is not the constant line {want!r}")
+    cfg = _new(ScaleConfig, map(_Record.parse, _SCALES, body))
     records = body[head:]
     nodes = list(takewhile(_IS_NODE, records))
-    return DiagramIR(_NODE.read(nodes), _ARROW.read(records[len(nodes):]), cfg)
+    return _new(DiagramIR, (_NODE.read(nodes), _ARROW.read(records[len(nodes):]), cfg))

@@ -50,7 +50,7 @@ from math import inf, isqrt
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .diagnostics import Diagnostic, LayoutError
-from .geometry import (EX_RATIO, LABEL_SCALE, OBJECT_MARGIN, Point, ScaleConfig,
+from .geometry import (EX_RATIO, LABEL_SCALE, OBJECT_MARGIN, Point, ScaleConfig, _new,
                        pt_to_centiem, round_div)
 from .ir import KIND_POS, Arrow, DiagramIR, LabelSide, Node
 from .metrics import DEFAULT_METRICS, FontMetrics, text_width
@@ -84,10 +84,6 @@ Span = Tuple[IPoint, IPoint]
 # the half width, margin included, of the first node drawn at each
 # anchor; its half height with the margin is NODE_REACH_H
 Reach = Dict[Point, int]
-
-# builds a record from its fields without the Python-level __new__ of a
-# named tuple
-_new = tuple.__new__
 
 
 class PlacedNode(NamedTuple):

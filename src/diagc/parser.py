@@ -54,13 +54,9 @@ from operator import itemgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Pattern, Tuple, Union
 
 from .diagnostics import Diagnostic, ParseError
-from .geometry import INTEGER, MAX_DIGITS, Point, read_positive
+from .geometry import INTEGER, MAX_DIGITS, Point, _new, read_positive
 from .lexer import (BLANK, LINE_END, cut, kept_field, lone_backslash, section_end,
                     split_top, strip_group, tidy, token_at)
-
-# builds a record from its fields without the Python-level __new__ of a
-# named tuple
-_new = tuple.__new__
 
 
 class Command(NamedTuple):

@@ -3,8 +3,9 @@
 It reads a line field by field against a row of ``irtext._RECORDS``:
 the field's prefix, then its value up to the next space, which a reader
 takes only if ``str`` of the value gives the spelling back, or a braced
-text field to where ``lexer.group_end`` says.  Each constant line is a
-keyword and a number that must be the language's constant.  The
+text field to where ``lexer.group_end`` says.  After the header come
+the two scale lines, then the node and arrow lines: the language's
+constants (ex ratio, label scale, object margin) have no line.  The
 patterns that ``parse_ir`` compiles from the table must accept exactly
 the lines it accepts, and read the same records.  The walk reads one
 line at a time, in order, then checks that the seqs of the block it
@@ -13,7 +14,7 @@ the line it rejects as ``line``: the line ``parse_ir``'s error must name.
 """
 from fractions import Fraction
 
-from diagc.geometry import EX_RATIO, LABEL_SCALE, OBJECT_MARGIN, Point, ScaleConfig
+from diagc.geometry import Point, ScaleConfig
 from diagc.ir import Arrow, DiagramIR, Node
 from diagc.irtext import (_ARROW, _END, _FRACTION, _HEADER, _INT, _NODE, _POSITIVE, _SCALES,
                           IRSyntaxError)
@@ -47,9 +48,6 @@ _NUMBERS = {  # by pattern: a kind's pattern is its own
     _FRACTION.pattern: _READ_FRACTION,
     _POSITIVE.pattern: _positive(_READ_FRACTION),
 }
-# the lines after the scale lines: a keyword and the one value it may hold
-_CONSTANTS = (("ex-ratio", EX_RATIO), ("label-scale", LABEL_SCALE),
-              ("object-margin", OBJECT_MARGIN))
 
 
 def _rejected(message, line):
@@ -118,20 +116,12 @@ def parse_ir_by_fields(text):
         raise IRSyntaxError("missing IR header")
     if lines[-2:] != [_END, ""]:
         raise IRSyntaxError(f"missing end marker: the last line must be {_END!r}")
-    head, body = len(_SCALES) + len(_CONSTANTS), lines[1:-2]
+    head, body = len(_SCALES), lines[1:-2]
     if len(body) < head:
-        raise IRSyntaxError("missing scale or constant line")
+        raise IRSyntaxError("missing scale line")
     scale = {}
     for row, line in zip(_SCALES, body):
         scale.update(read_fields(row, line))
-    for (keyword, value), line in zip(_CONSTANTS, body[len(_SCALES):]):
-        word, space, spelling = line.partition(" ")
-        try:
-            read = _READ_FRACTION(spelling) if word == keyword and space else None
-        except (ValueError, ZeroDivisionError):
-            read = None
-        if read != value:
-            raise _rejected(f"{line!r} is not the {keyword} line", line)
     cfg = ScaleConfig(**scale)
     split = head
     while split < len(body) and body[split].startswith(_NODE.keyword + " "):

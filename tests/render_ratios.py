@@ -13,22 +13,24 @@ nodes the token stream prints, both counted by ``opcode_count``:
 Beside them it counts the front half of a small figure: ``compile_source``
 of a one-command source, then ``render_figure`` of its figure in Xy-pic
 and in IR text, per figure over ``SMALL``, one figure of each of several
-kinds.
+kinds.  Then it counts ``emit_ir`` and ``parse_ir`` per line of the
+corpus figures' dumps.
 
 The cost bounds of ``test_render.py`` read their ratios from ``ratio``
-and the small figure's count from ``front_half``.  Run it from the
-repository root:
+and the small figure's count from ``front_half``; those of
+``test_irtext.py`` read the IR text's counts from ``emit_per_line`` and
+``parse_per_line``.  Run it from the repository root:
 
     PYTHONPATH=src python tests/render_ratios.py
 
-It prints each ratio and the two counts behind it, then the front half's
-count.  Its name keeps it out of pytest's collection.
+It prints each ratio and the two counts behind it, the front half's
+count, then the IR text's.  Its name keeps it out of pytest's collection.
 """
 import sys
 from pathlib import Path
 
-from diagc import (compile_source, layout_diagram, render_figure, render_svg, render_tikz,
-                   render_xypic)
+from diagc import (compile_source, emit_ir, layout_diagram, parse_ir, render_figure, render_svg,
+                   render_tikz, render_xypic)
 from opcode_count import opcodes
 
 CORPUS = Path(__file__).resolve().parent / "corpus"
@@ -78,6 +80,23 @@ def front_half() -> float:
     return opcodes(run) / len(SMALL)
 
 
+def emit_per_line(irs: list) -> float:
+    """The instructions of ``emit_ir`` per line it writes for ``irs``,
+    counted after one run."""
+    lines = sum(emit_ir(ir).count("\n") for ir in irs)
+    return opcodes(lambda: [emit_ir(ir) for ir in irs]) / lines
+
+
+def parse_per_line(dumps: list) -> float:
+    """The instructions of ``parse_ir`` per line of ``dumps``, counted once
+    the reader's patterns are compiled, so that the count does not depend
+    on what read IR first."""
+    for dump in dumps:
+        parse_ir(dump)
+    return opcodes(lambda: [parse_ir(dump) for dump in dumps]) / sum(
+        dump.count("\n") for dump in dumps)
+
+
 def main() -> None:
     figures = corpus_figures()
     print(f"{len(figures)} corpus figures, Python {sys.version.split()[0]}")
@@ -86,6 +105,10 @@ def main() -> None:
         print(f"{step:>12}: {cost / xypic:.2f}x the token stream ({cost} / {xypic})")
     print(f"  front half: {front_half():.0f} instructions per small figure "
           f"({len(SMALL)} figures)")
+    irs = [figure.ir for figure in figures]
+    dumps = [emit_ir(ir) for ir in irs]
+    print(f"     emit_ir: {emit_per_line(irs):.2f} instructions per corpus line")
+    print(f"    parse_ir: {parse_per_line(dumps):.2f} instructions per corpus line")
 
 
 if __name__ == "__main__":

@@ -2,18 +2,19 @@
 the reader agrees with the field walk of ``ir_walk``."""
 import re
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import render_ratios
 from ir_walk import parse_by_fields, parse_ir_by_fields
-from opcode_count import opcodes
 from test_properties import BOUNDED, SOURCES
 
-from diagc import (DEFAULT_METRICS, CompiledFigure, DiagramError, compile_source, emit_ir,
-                   parse_ir, render_figure)
+from diagc import (DEFAULT_METRICS, CompiledFigure, DiagramError, ScaleConfig, compile_source,
+                   emit_ir, parse_ir, render_figure)
 from diagc.compiler import FORMATS
 from diagc.irtext import (_ARROW, _FRACTION, _INT, _NODE, _POSITIVE, _RECORDS, IRSyntaxError,
                           _Record)
@@ -45,7 +46,7 @@ MALFORMED = [
     (_with(NODE, NODE.replace(" text=", " bogus=1 text=")), NODE.replace(" text=", " bogus=1 text=")),
     (_with(NODE, NODE.replace("seq=1", "seq=0 seq=1")), NODE.replace("seq=1", "seq=0 seq=1")),
     (_with(NODE, NODE.replace("x=0 y=0", "y=0 x=0")), NODE.replace("x=0 y=0", "y=0 x=0")),
-    (_with("em 10\nex-ratio 43/100\n", "ex-ratio 43/100\nem 10\n"), "ex-ratio 43/100"),
+    (_with("scale 1\nem 10\n", "em 10\nscale 1\n"), "em 10"),
     (_with(NODE, NODE + "\n"), repr("")),
     (_with(NODE + "\n" + ARROW, ARROW + "\n" + NODE), NODE),
     (_with(NODE, NODE.replace(" x=0", "  x=0")), NODE.replace(" x=0", "  x=0")),
@@ -53,8 +54,6 @@ MALFORMED = [
     (_with(ARROW, ARROW.replace("kind=to", "kind=bogus")), ARROW.replace("kind=to", "kind=bogus")),
     (_with(NODE, NODE.replace("x=0", "x=00")), NODE.replace("x=0", "x=00")),
     (_with(ARROW, ARROW.replace("lscale=1", "lscale=2/2")), ARROW.replace("lscale=1", "lscale=2/2")),
-    (_with("ex-ratio 43/100\n", "ex-ratio -5\n"), "ex-ratio -5"),
-    (_with("object-margin 30\n", "object-margin -400\n"), "object-margin -400"),
     (_with(ARROW, ARROW.replace("lscale=1", "lscale=-1")), ARROW.replace("lscale=1", "lscale=-1")),
     (_with(ARROW, ARROW.replace("lscale=1", "lscale=0")), ARROW.replace("lscale=1", "lscale=0")),
     (_with("em 10\n", "em 0\n"), "em 0"),
@@ -62,8 +61,8 @@ MALFORMED = [
     # a dump without its frame: the error says what is missing
     ("x\n", "missing IR header"),
     (GOOD[:-len("end\n")], "missing end marker: the last line must be 'end'"),
-    ("diagc-ir 1\nend\n", "missing 'scale' line"),
-    ("diagc-ir 1\nscale 1\nend\n", "missing 'em' line"),
+    ("diagc-ir 2\nend\n", "missing 'scale' line"),
+    ("diagc-ir 2\nscale 1\nend\n", "missing 'em' line"),
 ]
 MALFORMED_IDS = [
     "missing field", "non-integer", "unknown side", "zero denominator", "bad fraction",
@@ -71,8 +70,8 @@ MALFORMED_IDS = [
     "field without value", "unknown key", "repeated key", "swapped fields",
     "reordered scale lines", "blank line", "node after arrow", "double space",
     "unknown align", "unknown kind", "non-canonical integer", "non-canonical fraction",
-    "negative ex-ratio", "negative object-margin", "negative lscale", "zero lscale",
-    "zero em", "negative em", "no header", "no end marker", "no scale line", "no em line",
+    "negative lscale", "zero lscale", "zero em", "negative em", "no header", "no end marker",
+    "no scale line", "no em line",
 ]
 
 
@@ -83,13 +82,28 @@ def test_malformed_ir_raises_ir_syntax_error_naming_the_line(text, line):
     assert line in str(info.value) or repr(line) in str(info.value)
 
 
-@pytest.mark.parametrize("line", ["ex-ratio 0", "label-scale 1/3", "object-margin 0"])
-def test_the_constant_lines_take_no_other_value(line):
-    keyword = line.split()[0]
-    text = re.sub(f"^{keyword} .*$", line, GOOD, count=1, flags=re.M)
+def test_a_version_1_dump_is_refused_at_its_header():
+    # version 1 wrote the language's constants as three lines after the scale
+    old = GOOD.replace("diagc-ir 2\nscale 1\nem 10\n", "diagc-ir 1\nscale 1\nem 10\n"
+                       "ex-ratio 43/100\nlabel-scale 7/10\nobject-margin 30\n", 1)
+    assert old != GOOD
+    with pytest.raises(IRSyntaxError) as info:
+        parse_ir(old)
+    assert str(info.value) == "missing IR header: the first line must be 'diagc-ir 2'"
+
+
+@pytest.mark.parametrize("line", ["ex-ratio 43/100", "label-scale 7/10", "object-margin 30"])
+def test_a_version_1_constant_line_is_refused_in_a_version_2_dump(line):
+    # a dump given the new header but not stripped of an old line
+    text = GOOD.replace("em 10\n", f"em 10\n{line}\n", 1)
     assert text != GOOD
     with pytest.raises(IRSyntaxError, match=re.escape(repr(line))):
         parse_ir(text)
+
+
+def test_a_dump_begins_with_its_header_and_its_two_scale_lines():
+    figure = compile_source("\\morphism[A`B;f]", cfg=ScaleConfig(Fraction(1, 3)))[0]
+    assert emit_ir(figure.ir).startswith("diagc-ir 2\nscale 1/3\nem 10\nnode seq=0 ")
 
 
 @pytest.mark.parametrize("source", [
@@ -137,25 +151,13 @@ def test_line_separators_in_text_round_trip(separator):
     assert emit_ir(back) == dump
 
 
-def _read_cost_per_line(dumps):
-    """Instructions ``parse_ir`` runs per line of the dumps, counted once
-    the reader's patterns are compiled, so that the count does not depend
-    on which test read IR first."""
-    for dump in dumps:
-        parse_ir(dump)
-    return opcodes(lambda: [parse_ir(dump) for dump in dumps]) / sum(
-        dump.count("\n") for dump in dumps)
-
-
 def test_parse_ir_cost_per_line_is_bounded():
     # the lines of a record kind are read as one block, with no Python
-    # code per line or field: about 28.6 instructions per corpus line, the
-    # cost of a block spread over the figure's lines; with one match and a
-    # Python call per line and per field it cost about 134
-    corpus = sorted(Path(__file__).with_name("corpus").glob("*.dg"))
-    dumps = [emit_ir(figure.ir) for path in corpus
-             for figure in compile_source(path.read_text(encoding="utf-8"))]
-    assert _read_cost_per_line(dumps) <= 33
+    # code per line or field: about 32.3 instructions per corpus line on
+    # 3.11, the cost of a block spread over the figure's lines; with one
+    # match and a Python call per line and per field it cost about 134
+    dumps = [emit_ir(figure.ir) for figure in render_ratios.corpus_figures()]
+    assert render_ratios.parse_per_line(dumps) <= 33
 
 
 def _subscripted_grid(k):
@@ -171,19 +173,16 @@ def test_reading_back_subscripted_text_costs_no_more_per_line_than_the_corpus():
     # so the 1320 lines of this grid cost about 0.5 instructions a line:
     # the blocks' cost, with no Python code per line; when every arrow
     # line fell back from the one match it cost about 704
-    assert _read_cost_per_line([emit_ir(_subscripted_grid(16))]) <= 1
+    assert render_ratios.parse_per_line([emit_ir(_subscripted_grid(16))]) <= 1
 
 
 def test_emit_ir_cost_per_line_is_bounded():
     # counted after one warm-up render; the lines of a record kind are one
     # map of its %-template over the records' attributes, with the node's
-    # align spelled per column: about 5.4 instructions per corpus line;
+    # align spelled per column: about 5.5 instructions per corpus line;
     # with a Python call per record line it cost about 21
-    corpus = sorted(Path(__file__).with_name("corpus").glob("*.dg"))
-    irs = [figure.ir for path in corpus
-           for figure in compile_source(path.read_text(encoding="utf-8"))]
-    lines = sum(emit_ir(ir).count("\n") for ir in irs)
-    assert opcodes(lambda: [emit_ir(ir) for ir in irs]) <= 6.2 * lines
+    irs = [figure.ir for figure in render_ratios.corpus_figures()]
+    assert render_ratios.emit_per_line(irs) <= 6.2
 
 
 GOLDEN_IR = sorted(Path(__file__).parent.joinpath("golden", "ir").glob("*.ir"))
@@ -216,10 +215,9 @@ ATOMS = ["\\{", "\\}", "{", "}", "\\", " ", "  ", "\t", "="]
 
 @st.composite
 def mutated_dumps(draw):
-    """A dump with one or two of its record lines changed (a scale,
-    constant, node or arrow line): fields edited to other spellings,
-    swapped, repeated or dropped, spaces changed, and braces or escaped
-    braces put in."""
+    """A dump with one or two of its record lines changed (a scale, node
+    or arrow line): fields edited to other spellings, swapped, repeated
+    or dropped, spaces changed, and braces or escaped braces put in."""
     lines = draw(st.sampled_from(DUMPS)).split("\n")
     for k in sorted(draw(st.sets(st.integers(1, len(lines) - 3), min_size=1, max_size=2))):
         lines[k] = _mutated(draw, lines[k])

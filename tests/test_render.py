@@ -169,8 +169,8 @@ def test_a_double_shaft_past_the_largest_float_draws_at_its_exact_points(extent,
 def test_a_double_shaft_of_no_length_draws_its_lines_below_and_above_it():
     # no command draws a vector of no length, but IR text can hold one:
     # its normal points down, so its lines lie 5 centi-em below and above
-    ir = parse_ir("diagc-ir 1\nscale 1\nem 10\nex-ratio 43/100\nlabel-scale 7/10\n"
-                  "object-margin 30\narrow seq=0 kind=vector x1=300 y1=600 x2=300 y2=600"
+    ir = parse_ir("diagc-ir 2\nscale 1\nem 10\n"
+                  "arrow seq=0 kind=vector x1=300 y1=600 x2=300 y2=600"
                   " style={=>} label={} side=none label2={} start={} end={} offset=0 lscale=1"
                   " group=-1\nend\n")
     assert render_svg(layout_diagram(ir), ir.scale) == (
@@ -226,6 +226,15 @@ def test_layout_errors_of_an_ir_read_back_name_the_figure():
     with pytest.raises(LayoutError) as caught:
         render_figure(read_back, "svg")
     assert str(caught.value).startswith("ov.ir:4:2: error: overlapping objects")
+
+
+def test_a_figure_built_by_hand_places_every_seq_at_its_own_position():
+    # it has no starts to find a command by, so each seq is the figure's
+    fig = _one("\\morphism(0,0)[A`B;f]\n")
+    ir = parse_ir(emit_ir(fig.ir))
+    built = CompiledFigure(ir, (), [], 3, 4, "x.ir", fig.metrics)
+    assert [built.position_of(seq) for seq in (None, 0, 2)] == [(3, 4)] * 3
+    assert fig.position_of(None) == (fig.line, fig.col)
 
 
 def test_layout_runs_once_per_render_and_printers_take_warnings_third(monkeypatch):
