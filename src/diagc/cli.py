@@ -12,45 +12,86 @@ Diagnostics go to standard error in input order.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from .compiler import FORMATS, compile_source, render_figure
 from .diagnostics import Diagnostic, DiagramError
 from .geometry import Memo, ScaleConfig, read_positive
 from .metrics import DEFAULT_METRICS, FontMetrics, load_metrics
 
+if TYPE_CHECKING:
+    import argparse
+
+
+# every flag in the order --help lists them: its spellings, then what
+# argparse is told of it.  Its longest spelling names its field, and
+# only --strict, which stores True, takes no value.  --metrics, when not
+# given, falls back on $DIAGC_METRICS in main.
+_FLAGS = (
+    (("--format", "-f"), {"choices": FORMATS, "default": "svg",
+                          "help": "output format (default: svg)"}),
+    (("-o", "--output"), {"default": None, "help": "output file (single result) or directory"}),
+    (("--scale",), {"default": "1", "help": "render scale (default: 1)"}),
+    (("--em",), {"default": "10", "help": "em size in points (default: 10)"}),
+    (("--metrics",), {"default": None, "help": "character width table (default: $DIAGC_METRICS)"}),
+    (("--strict",), {"action": "store_true", "default": False,
+                     "help": "treat warnings as errors"}),
+    (("--check",), {"metavar": "GOLDEN_DIR", "default": None,
+                    "help": "compare output against golden files instead of writing"}),
+)
+# each flag's field, named by its longest spelling, and its value when not given
+_DEFAULTS = {max(spellings, key=len)[2:]: keywords["default"] for spellings, keywords in _FLAGS}
+# each spelling -> its flag's field, whether the flag takes no value, and
+# the values it may take (None for any)
+_SPELLINGS = {spelling: (field, "action" in keywords, keywords.get("choices"))
+              for field, (spellings, keywords) in zip(_DEFAULTS, _FLAGS) for spelling in spellings}
+
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    import argparse  # loaded only for the command lines read_args leaves to it
+
     parser = argparse.ArgumentParser(
         prog="diagc",
         description="Compile commutative-diagram source files.",
     )
     parser.add_argument("inputs", nargs="+", help="diagram source files")
-    parser.add_argument(
-        "--format", "-f", choices=FORMATS, default="svg",
-        help="output format (default: svg)",
-    )
-    parser.add_argument(
-        "-o", "--output", default=None,
-        help="output file (single result) or directory",
-    )
-    parser.add_argument("--scale", default="1", help="render scale (default: 1)")
-    parser.add_argument("--em", default="10", help="em size in points (default: 10)")
-    parser.add_argument(
-        "--metrics", default=os.environ.get("DIAGC_METRICS"),
-        help="character width table (default: $DIAGC_METRICS)",
-    )
-    parser.add_argument(
-        "--strict", action="store_true", help="treat warnings as errors"
-    )
-    parser.add_argument(
-        "--check", metavar="GOLDEN_DIR", default=None,
-        help="compare output against golden files instead of writing",
-    )
+    for spellings, keywords in _FLAGS:
+        parser.add_argument(*spellings, **keywords)
     return parser
+
+
+def read_args(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse makes of a common command line: one run of
+    inputs, each flag spelled in full, each value a token of its own that
+    does not begin with "-", and each --format naming a format.  None
+    for any other command line, which argparse then reads: --help,
+    abbreviations, "=" and attached values, "--", "-" and errors."""
+    fields = dict(_DEFAULTS)
+    inputs: List[str] = []
+    ended = False  # a flag has come after the run of inputs
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] != "-":
+            if ended:
+                return None
+            inputs.append(token)
+            continue
+        ended = bool(inputs)
+        field, switch, choices = _SPELLINGS.get(token, (None, False, None))
+        if field is None:
+            return None
+        if switch:
+            fields[field] = True
+            continue
+        value = next(tokens, "-")  # a flag with no value left is argparse's error
+        # argparse checks each value against its choices as it reads it
+        if value[:1] == "-" or choices is not None and value not in choices:
+            return None
+        fields[field] = value
+    return SimpleNamespace(inputs=inputs, **fields) if inputs else None
 
 
 class _FileResult(NamedTuple):
@@ -124,10 +165,13 @@ def _write_atomic(dest: str, data: bytes) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_args(argv) or build_arg_parser().parse_args(argv)
+    table = os.environ.get("DIAGC_METRICS") if args.metrics is None else args.metrics
     try:
         cfg = ScaleConfig(read_positive(args.scale, "--scale"), read_positive(args.em, "--em"))
-        metrics = load_metrics(args.metrics) if args.metrics else DEFAULT_METRICS
+        metrics = load_metrics(table) if table else DEFAULT_METRICS
     except ValueError as exc:  # a MetricsError is a ValueError
         print(f"diagc: {exc}", file=sys.stderr)
         return 2

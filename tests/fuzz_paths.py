@@ -1,6 +1,6 @@
 """Random search of the path-agreement properties of the parser, the
-lexer's scans, the IR reader, the decimal printer, the layout and
-expansion.
+lexer's scans, the IR reader, the decimal printer, the layout,
+expansion and the CLI's command-line reader.
 
 The suite runs each property on a fixed, derandomized set of 100
 examples.  This script runs the same test bodies on fresh random
@@ -37,7 +37,9 @@ examples:
   generated layouts at three scales and four em sizes;
 - expansion against the edge walk, whose drawn nodes the oracle
   merges, on figures of every command kind, and on such figures with
-  nodes placed over drawn corners, with their text or another.
+  nodes placed over drawn corners, with their text or another;
+- the CLI's command-line reader against argparse, on command lines of
+  every spelling of every flag.
 
 Run it from the repository root:
 
@@ -49,7 +51,8 @@ Python 3.11.7, of which the mutated golden dumps take 3.5 s and ``cut``
 6 s, and then the command head 3.5 s, the positions 2.7 s and the
 ends-only layout 5 s more; with the per-arrow printers, 7-8 s, one run
 on a busier machine took 130 s; the points across a diagonal add
-8.6 s, and the nodes placed over drawn corners 9 s); ``SCALE``
+8.6 s, the nodes placed over drawn corners 9 s, and the command-line
+reader 13 s); ``SCALE``
 multiplies every count (default 1).  It exits non-zero
 at the first disagreement, which Hypothesis prints shrunk.  Its name
 keeps it out of pytest's collection.
@@ -60,6 +63,7 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import test_cli as cli
 import test_irtext as ir
 import test_properties as props
 
@@ -106,6 +110,8 @@ PROPERTIES = [  # each property, and its examples at scale 1
         props.test_expansion_agrees_with_the_edge_walk.hypothesis.inner_test), 3000),
     (given(cmds=props.placed_over_corners())(
         props.test_expansion_keeps_each_corner_once.hypothesis.inner_test), 2000),
+    (given(argv=cli.CLI_ARGVS)(cli.test_the_reader_agrees_with_argparse.hypothesis.inner_test),
+     5000),
 ]
 
 

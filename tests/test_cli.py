@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, golden checks, and the CLI
 contract on mutated corpus sources."""
+import io
 import os
 import re
 import shutil
@@ -7,10 +8,12 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import render_ratios
 from hypothesis import example, given
 from hypothesis import strategies as st
 from opcode_count import opcodes
@@ -19,7 +22,7 @@ from test_properties import BOUNDED, CORPUS
 import diagc
 from diagc import (DiagramError, ParseError, compile_source, layout_diagram, load_metrics,
                    render_figure)
-from diagc.cli import main
+from diagc.cli import _SPELLINGS, build_arg_parser, main, read_args
 from diagc.compiler import FORMATS
 from diagc.geometry import MAX_DIGITS, round_div
 from diagc.metrics import MetricsError
@@ -632,6 +635,33 @@ def test_cost_per_output_file_is_bounded(tmp_path):
     assert (count(8) - count(4)) / 4 <= 7100
 
 
+def test_cost_per_file_is_linear_in_files_per_run(tmp_path):
+    # the command line's reader and the output plan look at each input
+    # once: about 2700 instructions a file over 32 files and 2656 over 128
+    # (0.98x), where a reader that copies its inputs for each one reads
+    # 1.09x
+    square = (CORPUS / "05_square.dg").read_text(encoding="utf-8")
+    srcs = [str(_write(tmp_path, f"in{i}.dg", square)) for i in range(128)]
+
+    def per_file(k):
+        argv = [*srcs[:k], "--format", "xypic", "-o", str(tmp_path / f"out{k}") + os.sep]
+        return opcodes(lambda: main(argv)) / k
+
+    main([srcs[0], "-o", str(tmp_path / "warm") + os.sep])  # patterns compile on first use
+    assert per_file(128) <= 1.05 * per_file(32)
+
+
+def test_the_cli_start_is_bounded():
+    # import diagc.cli and main on one small Xy-pic --check input, in a
+    # fresh process that reads bytecode caches: 549343 instructions on
+    # 3.11 with argparse imported, its parser built and the command line
+    # read by it; 443459 with the command line read by read_args (3.10:
+    # 517910, 3.12: 574262, 3.13: 601074).  An argparse imported at the
+    # top of the module again adds about 60000.
+    bounds = {(3, 10): 534_000, (3, 11): 458_000, (3, 12): 592_000, (3, 13): 620_000}
+    assert render_ratios.cli_start() <= bounds.get(sys.version_info[:2], max(bounds.values()))
+
+
 def _same_stem_pair(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
@@ -880,3 +910,93 @@ def test_the_cli_keeps_its_contract_on_mutated_sources(text, fmt, strict, into_d
                 assert fh.read() == rendered
             if fmt == "svg":
                 ET.fromstring(rendered.encode("utf-8"))
+
+
+# the command lines only argparse reads: every spelling abbreviated, with
+# "=" and, for a short flag, with its value attached; "--", a lone "-"
+# and help.  Half the flags drawn are spelled in full.  A drawn value or
+# input may begin with "-", hold a space, be empty or name no format, and
+# a drawn input may start a second run.
+SPELLINGS = sorted(_SPELLINGS)
+FLAG_ATOMS = sorted({*SPELLINGS, "--", "-", "-h", "--help",
+                     *(flag[:k] for flag in SPELLINGS if flag[1] == "-"
+                       for k in range(3, len(flag))),
+                     *(flag + "=ir" for flag in SPELLINGS),
+                     *(flag + "svg" for flag in SPELLINGS if flag[1] != "-")})
+VALUE_ATOMS = ["a.dg", "b.dg", "svg", "xypic", "ir", "pdf", "SVG", "1/3", "-5", "-1.5", "-x y",
+               "", "b c"]
+_FLAG = st.sampled_from(SPELLINGS) | st.sampled_from(FLAG_ATOMS)
+_VALUE = st.sampled_from(VALUE_ATOMS)
+CLI_ARGVS = st.lists(st.tuples(_FLAG) | st.tuples(_FLAG, _VALUE) | st.tuples(_VALUE),
+                     max_size=6).map(lambda pieces: [token for piece in pieces for token in piece])
+# the command lines a batch run gives: read_args reads each of them
+COMMON_ARGVS = [
+    ["a.dg"],
+    ["a.dg", "b.dg", "--format", "svg"],
+    ["a.dg", "b.dg", "--format", "xypic", "--check", "golden/xypic"],
+    ["--strict", "-f", "tikz", "a.dg", "-o", "out/", "--scale", "1/3", "--em", "12"],
+    ["-o", "pic.svg", "a.dg", "--metrics", "widths.txt", "--strict", "--output", "b c"],
+    ["", "--scale", ""],
+]
+
+
+def _argparse_reads(argv):
+    """The namespace argparse makes of ``argv``, or None where it exits."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return build_arg_parser().parse_args(argv)
+    except SystemExit:
+        return None
+
+
+@pytest.mark.parametrize("argv", COMMON_ARGVS)
+def test_the_reader_reads_a_common_command_line_as_argparse_does(argv):
+    read = read_args(argv)
+    assert read is not None and vars(read) == vars(_argparse_reads(argv))
+
+
+@BOUNDED
+@given(argv=CLI_ARGVS)
+@example(argv=["a.dg", "-f", "pdf", "-f", "svg"])  # argparse refuses the first format
+def test_the_reader_agrees_with_argparse(argv):
+    read, parsed = read_args(argv), _argparse_reads(argv)
+    if parsed is None:  # argparse helps or refuses: the reader leaves it to argparse
+        assert read is None
+    elif read is not None:
+        assert vars(read) == vars(parsed)
+
+
+MAIN = "import sys; from diagc.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _fresh(code, *argv):
+    """``code`` run with ``argv`` in a new process, its help 80 columns wide."""
+    env = dict(os.environ, PYTHONPATH=str(Path(diagc.__file__).parents[1]), COLUMNS="80")
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True)
+
+
+def test_a_run_loads_neither_argparse_nor_gettext(tmp_path):
+    code = ("import sys; from diagc.cli import main; status = main(sys.argv[1:]); "
+            "print(status, sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    srcs = [str(_write(tmp_path, f"{name}.dg", GOOD)) for name in "ab"]
+    run = _fresh(code, *srcs, "--format", "xypic", "-o", str(tmp_path / "out") + os.sep)
+    assert (run.stdout, run.stderr) == ("0 []\n", "")
+    assert sorted(os.listdir(tmp_path / "out")) == ["a.xy", "b.xy"]
+
+
+def test_help_is_argparse_s_help(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    run = _fresh(MAIN, "--help")
+    assert (run.returncode, run.stdout, run.stderr) == (0, build_arg_parser().format_help(), "")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--formt", "svg", "x.dg"], "unrecognized arguments: --formt"),
+    (["a.dg", "--strict", "b.dg"], "unrecognized arguments: b.dg"),
+])
+def test_a_command_line_argparse_refuses_exits_2_with_its_usage(monkeypatch, argv, error):
+    monkeypatch.setenv("COLUMNS", "80")
+    run = _fresh(MAIN, *argv)
+    usage = build_arg_parser().format_usage()
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", f"{usage}diagc: error: {error}\n")
