@@ -5,59 +5,44 @@ layout_diagram -> render_svg / render_tikz, or, with no layout,
 render_xypic / emit_ir.  compile_source runs the front half per figure
 and render_figure the back half.  merge_duplicate_nodes applies
 expansion's rule to an IR built by hand.
-"""
 
-from .compiler import CompiledFigure, compile_source, render_figure
-from .diagnostics import Diagnostic, DiagramError, ExpandError, LayoutError, ParseError
-from .expand import (expand_figure, measure_morphism_width, merge_duplicate_nodes,
-                     resolve_label_side, two_cell_endpoint)
-from .geometry import Point, ScaleConfig, ratchet, tex_div
-from .ir import Arrow, DiagramIR, LabelSide, Node
-from .irtext import emit_ir, parse_ir
-from .layout import layout_diagram
-from .metrics import DEFAULT_METRICS, FontMetrics, load_metrics, text_width
-from .parser import Command, Figure, format_command, parse_command, parse_source
-from .svg import render_svg
-from .tikz import render_tikz
-from .xypic import render_xypic
+Each public name and submodule loads on first use: ``import diagc`` runs
+no stage module, and reading ``diagc.render_svg`` imports ``diagc.svg``,
+with the layout and styles it prints, then keeps the function here.
+"""
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arrow",
-    "Command",
-    "CompiledFigure",
-    "DEFAULT_METRICS",
-    "DiagramError",
-    "DiagramIR",
-    "Diagnostic",
-    "ExpandError",
-    "Figure",
-    "FontMetrics",
-    "LabelSide",
-    "LayoutError",
-    "Node",
-    "ParseError",
-    "Point",
-    "ScaleConfig",
-    "compile_source",
-    "emit_ir",
-    "expand_figure",
-    "format_command",
-    "layout_diagram",
-    "load_metrics",
-    "measure_morphism_width",
-    "merge_duplicate_nodes",
-    "parse_command",
-    "parse_ir",
-    "parse_source",
-    "ratchet",
-    "render_figure",
-    "render_svg",
-    "render_tikz",
-    "render_xypic",
-    "resolve_label_side",
-    "tex_div",
-    "text_width",
-    "two_cell_endpoint",
-]
+# each public name, in the order of __all__, and the module it lives in
+_HOMES = {
+    "Arrow": "ir", "Command": "parser", "CompiledFigure": "compiler",
+    "DEFAULT_METRICS": "metrics", "DiagramError": "diagnostics", "DiagramIR": "ir",
+    "Diagnostic": "diagnostics", "ExpandError": "diagnostics", "Figure": "parser",
+    "FontMetrics": "metrics", "LabelSide": "ir", "LayoutError": "diagnostics",
+    "Node": "ir", "ParseError": "diagnostics", "Point": "geometry",
+    "ScaleConfig": "geometry", "compile_source": "compiler", "emit_ir": "irtext",
+    "expand_figure": "expand", "format_command": "parser", "layout_diagram": "layout",
+    "load_metrics": "metrics", "measure_morphism_width": "expand",
+    "merge_duplicate_nodes": "expand", "parse_command": "parser", "parse_ir": "irtext",
+    "parse_source": "parser", "ratchet": "geometry", "render_figure": "compiler",
+    "render_svg": "svg", "render_tikz": "tikz", "render_xypic": "xypic",
+    "resolve_label_side": "expand", "tex_div": "geometry", "text_width": "metrics",
+    "two_cell_endpoint": "expand",
+}
+__all__ = list(_HOMES)
+# every submodule, each a name of the package once loaded
+_MODULES = {*_HOMES.values(), "cli", "lexer", "styles"}
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_MODULES})

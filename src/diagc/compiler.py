@@ -14,6 +14,11 @@ command that drew the node or arrow at fault, or else at the figure,
 as it is in a figure built by hand around an IR from ``parse_ir``,
 which has no ``starts``.
 
+Layout, the printers and the IR text load on first use: each is a
+stand-in here until its first call imports its module and puts the stage
+in its place, so an Xy-pic run loads no layout, styles, SVG, TikZ or IR
+text, and an SVG run no TikZ, Xy-pic or IR text.
+
 The records made for every figure skip a named tuple's Python-level
 ``__new__``: ``compile_source`` builds each ``CompiledFigure`` by
 ``tuple.__new__`` (``geometry._new``), as the parser builds each
@@ -25,22 +30,41 @@ way rather than by ``_replace``.
 from __future__ import annotations
 
 from bisect import bisect_right
+from importlib import import_module
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .diagnostics import Diagnostic, LayoutError, RenderError
 from .expand import expand_figure
 from .geometry import MAX_DIGITS, ScaleConfig, _new
 from .ir import DiagramIR, Node
-from .irtext import emit_ir
-from .layout import layout_diagram
 from .metrics import DEFAULT_METRICS, FontMetrics
 from .parser import parse_source
-from .svg import render_svg
-from .tikz import render_tikz
-from .xypic import render_xypic
 
 # each output format and the extension of its files
 FORMATS = {"svg": ".svg", "tikz": ".tex", "xypic": ".xy", "ir": ".ir"}
+
+
+def _on_first_use(home: str, name: str):
+    """A stand-in for stage ``name`` of module ``home``: its first call
+    puts the stage in its place, unless a patch has taken that place or
+    the module's own attribute is a patch (a tracer's wrapper, say)."""
+    module = f"{__package__}.{home}"
+
+    def load(*args, **kwargs):
+        stage = getattr(import_module(module), name)
+        if globals()[name] is load and stage.__module__ == module:
+            globals()[name] = stage
+        return stage(*args, **kwargs)
+
+    return load
+
+
+# the stages that only some formats run, each imported when first called
+emit_ir = _on_first_use("irtext", "emit_ir")
+layout_diagram = _on_first_use("layout", "layout_diagram")
+render_svg = _on_first_use("svg", "render_svg")
+render_tikz = _on_first_use("tikz", "render_tikz")
+render_xypic = _on_first_use("xypic", "render_xypic")
 
 
 class CompiledFigure(NamedTuple):

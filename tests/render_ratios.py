@@ -14,20 +14,22 @@ Beside them it counts the front half of a small figure: ``compile_source``
 of a one-command source, then ``render_figure`` of its figure in Xy-pic
 and in IR text, per figure over ``SMALL``, one figure of each of several
 kinds.  Then it counts ``emit_ir`` and ``parse_ir`` per line of the
-corpus figures' dumps, and last the CLI's start: ``import diagc.cli``
-and ``main`` on one small Xy-pic ``--check`` input, in a fresh process.
+corpus figures' dumps, then the CLI's start: ``import diagc.cli`` and
+``main`` on one small Xy-pic ``--check`` input, in a fresh process, and
+last the library's: a bare ``import diagc``, in a fresh process.
 
 The cost bounds of ``test_render.py`` read their ratios from ``ratio``
 and the small figure's count from ``front_half``; those of
 ``test_irtext.py`` read the IR text's counts from ``emit_per_line`` and
-``parse_per_line``, and that of ``test_cli.py`` the CLI's from
-``cli_start``.  Run it from the repository root:
+``parse_per_line``, and those of ``test_cli.py`` the CLI's from
+``cli_start`` and the library's from ``library_start``.  Run it from
+the repository root:
 
     PYTHONPATH=src python tests/render_ratios.py
 
 It prints each ratio and the two counts behind it, the front half's
-count, the IR text's, then the CLI's start.  Its name keeps it out of
-pytest's collection.
+count, the IR text's, then the CLI's start and the library's.  Its name
+keeps it out of pytest's collection.
 """
 import os
 import subprocess
@@ -104,22 +106,12 @@ def parse_per_line(dumps: list) -> float:
         dump.count("\n") for dump in dumps)
 
 
-def cli_start() -> int:
-    """The instructions of ``import diagc.cli`` and of ``main`` on one
-    small Xy-pic ``--check`` input, counted in a fresh process, so that
-    the count holds every module the CLI loads and every pattern it
-    compiles.  Its bytecode caches go to a directory of their own: the
-    first child writes them and the counted one, like a ``diagc`` run of
-    an installed package, reads them, whether or not the checkout holds
-    caches or may be written."""
-    code = ("import importlib, sys\n"
-            "from opcode_count import opcodes\n"
-            "status = []\n"
-            "count = opcodes(lambda: status.append("
-            "importlib.import_module('diagc.cli').main(sys.argv[1:])))\n"
-            "print(status[0], count)\n")
-    argv = [str(CORPUS / "05_square.dg"), "--format", "xypic",
-            "--check", str(TESTS / "golden" / "xypic")]
+def _in_fresh_process(code: str, *argv: str) -> str:
+    """What ``code``, run with ``argv``, prints in a fresh process.  Its
+    bytecode caches go to a directory of their own: the first child
+    writes them and the counted one, like a ``diagc`` run of an installed
+    package, reads them, whether or not the checkout holds caches or may
+    be written."""
     src = str(TESTS.parent / "src")
     with tempfile.TemporaryDirectory() as caches:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(TESTS)]),
@@ -128,7 +120,31 @@ def cli_start() -> int:
         for _ in range(2):
             out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                                  capture_output=True, text=True, check=True).stdout
-    status, count = map(int, out.split())
+    return out
+
+
+def library_start() -> int:
+    """The instructions of a bare ``import diagc``, counted in a fresh
+    process that reads bytecode caches."""
+    return int(_in_fresh_process("import importlib\n"
+                            "from opcode_count import opcodes\n"
+                            "print(opcodes(lambda: importlib.import_module('diagc')))\n"))
+
+
+def cli_start() -> int:
+    """The instructions of ``import diagc.cli`` and of ``main`` on one
+    small Xy-pic ``--check`` input, counted in a fresh process that reads
+    bytecode caches, so that the count holds every module the CLI loads
+    and every pattern it compiles."""
+    code = ("import importlib, sys\n"
+            "from opcode_count import opcodes\n"
+            "status = []\n"
+            "count = opcodes(lambda: status.append("
+            "importlib.import_module('diagc.cli').main(sys.argv[1:])))\n"
+            "print(status[0], count)\n")
+    status, count = map(int, _in_fresh_process(
+        code, str(CORPUS / "05_square.dg"), "--format", "xypic",
+        "--check", str(TESTS / "golden" / "xypic")).split())
     if status:
         raise RuntimeError(f"the CLI's --check run exited {status}")
     return count
@@ -148,6 +164,7 @@ def main() -> None:
     print(f"    parse_ir: {parse_per_line(dumps):.2f} instructions per corpus line")
     print(f"   CLI start: {cli_start()} instructions to import diagc.cli and check "
           "one small Xy-pic figure")
+    print(f"library start: {library_start()} instructions to import diagc")
 
 
 if __name__ == "__main__":

@@ -655,11 +655,21 @@ def test_the_cli_start_is_bounded():
     # import diagc.cli and main on one small Xy-pic --check input, in a
     # fresh process that reads bytecode caches: 549343 instructions on
     # 3.11 with argparse imported, its parser built and the command line
-    # read by it; 443459 with the command line read by read_args (3.10:
-    # 517910, 3.12: 574262, 3.13: 601074).  An argparse imported at the
-    # top of the module again adds about 60000.
-    bounds = {(3, 10): 534_000, (3, 11): 458_000, (3, 12): 592_000, (3, 13): 620_000}
+    # read by it; 443459 with the command line read by read_args; 410522
+    # with layout, styles, the SVG and TikZ printers and the IR reader
+    # left unloaded (3.10: 487034, 3.12: 543811, 3.13: 569701).  An
+    # argparse imported at the top of the module again adds about 60000,
+    # and the stages an Xy-pic run does not use about 33000.
+    bounds = {(3, 10): 502_000, (3, 11): 423_000, (3, 12): 560_000, (3, 13): 587_000}
     assert render_ratios.cli_start() <= bounds.get(sys.version_info[:2], max(bounds.values()))
+
+
+def test_the_library_start_is_bounded():
+    # a bare import diagc, in a fresh process that reads bytecode caches,
+    # runs no stage module: 2890 instructions on 3.11 (3.10: 2769, 3.12:
+    # 2632, 3.13: 2623), against 237726 when it imported every module
+    bounds = {(3, 10): 2_850, (3, 11): 2_980, (3, 12): 2_720, (3, 13): 2_700}
+    assert render_ratios.library_start() <= bounds.get(sys.version_info[:2], max(bounds.values()))
 
 
 def _same_stem_pair(tmp_path):
@@ -983,6 +993,111 @@ def test_a_run_loads_neither_argparse_nor_gettext(tmp_path):
     run = _fresh(code, *srcs, "--format", "xypic", "-o", str(tmp_path / "out") + os.sep)
     assert (run.stdout, run.stderr) == ("0 []\n", "")
     assert sorted(os.listdir(tmp_path / "out")) == ["a.xy", "b.xy"]
+
+
+# what every run of the CLI loads of diagc, whatever it prints
+FRONT = ["cli", "compiler", "diagnostics", "expand", "geometry", "ir", "lexer", "metrics",
+         "parser"]
+LOADED = "sorted(m[6:] for m in sys.modules if m.startswith('diagc.'))"
+
+
+def test_import_diagc_loads_no_submodule():
+    run = _fresh(f"import sys, diagc; print({LOADED})")
+    assert (run.stdout, run.stderr) == ("[]\n", "")
+
+
+@pytest.mark.parametrize("fmt, stages", [
+    ("xypic", ["xypic"]), ("ir", ["irtext"]),
+    ("svg", ["layout", "styles", "svg"]), ("tikz", ["layout", "styles", "tikz"]),
+])
+def test_a_run_loads_only_the_stages_of_its_format(fmt, stages):
+    code = ("import sys; from diagc.cli import main; status = main(sys.argv[1:]); "
+            f"print(status, {LOADED})")
+    golden = Path(__file__).parent / "golden" / fmt
+    run = _fresh(code, str(CORPUS / "05_square.dg"), "--format", fmt, "--check", str(golden))
+    assert (run.stdout, run.stderr) == (f"0 {sorted(FRONT + stages)}\n", "")
+
+
+# the public names of diagc, in the order of its __all__
+PUBLIC = (
+    "Arrow Command CompiledFigure DEFAULT_METRICS DiagramError DiagramIR Diagnostic ExpandError "
+    "Figure FontMetrics LabelSide LayoutError Node ParseError Point ScaleConfig compile_source "
+    "emit_ir expand_figure format_command layout_diagram load_metrics measure_morphism_width "
+    "merge_duplicate_nodes parse_command parse_ir parse_source ratchet render_figure render_svg "
+    "render_tikz render_xypic resolve_label_side tex_div text_width two_cell_endpoint").split()
+
+
+def test_all_keeps_its_names_and_their_order():
+    assert diagc.__all__ == PUBLIC
+
+
+def test_each_public_name_read_first_is_its_home_module_s():
+    # each name is read first from a package imported afresh, then the
+    # rest in a shuffled order; each is the object its home module holds
+    code = ("import random, sys\n"
+            f"names = {PUBLIC!r}\n"
+            "wrong = []\n"
+            "for first in names:\n"
+            "    for m in [m for m in sys.modules if m.split('.')[0] == 'diagc']:\n"
+            "        del sys.modules[m]\n"
+            "    import diagc\n"
+            "    for name in [first] + random.Random(first).sample(names, len(names)):\n"
+            "        value = getattr(diagc, name)\n"
+            "        if getattr(sys.modules[value.__module__], name) is not value:\n"
+            "            wrong.append(name)\n"
+            "print(wrong)\n")
+    run = _fresh(code)
+    assert (run.stdout, run.stderr) == ("[]\n", "")
+
+
+def test_a_star_import_binds_the_public_names_and_dir_lists_them():
+    code = ("import diagc; names = {}; exec('from diagc import *', names); "
+            "print(sorted(set(names) - {'__builtins__'}) == sorted(diagc.__all__), "
+            "set(diagc.__all__) <= set(dir(diagc)))")
+    run = _fresh(code)
+    assert (run.stdout, run.stderr) == ("True True\n", "")
+
+
+def test_every_submodule_resolves_as_a_name_of_the_package():
+    modules = sorted(path.stem for path in Path(diagc.__file__).parent.glob("*.py")
+                     if path.stem != "__init__")
+    code = (f"import sys, diagc; print([m for m in {modules!r} "
+            "if getattr(diagc, m) is not sys.modules['diagc.' + m]])")
+    run = _fresh(code)
+    assert (run.stdout, run.stderr) == ("[]\n", "")
+    assert set(modules) <= set(dir(diagc))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'diagc' has no attribute 'no_such_name'$"):
+        diagc.no_such_name
+
+
+def test_the_stage_loader_keeps_a_patch():
+    # before a figure's first SVG render, a stage patched in the compiler
+    # stays patched though the patch calls the loader, and one patched in
+    # its home module is called but not kept; unpatched, the first render
+    # puts the stage in its place
+    code = ("import sys, diagc.compiler as c, diagc.layout as home\n"
+            "loader, real, calls = c.layout_diagram, home.layout_diagram, []\n"
+            "def wrap(*args, **kwargs):\n"
+            "    calls.append(1)\n"
+            "    return loader(*args, **kwargs)\n"
+            "def spy(*args, **kwargs):\n"
+            "    calls.append(1)\n"
+            "    return real(*args, **kwargs)\n"
+            "fig = c.compile_source(sys.argv[1])[0]\n"
+            "c.layout_diagram = wrap\n"
+            "c.render_figure(fig, 'svg'); c.render_figure(fig, 'svg')\n"
+            "print(c.layout_diagram is wrap, len(calls))\n"
+            "c.layout_diagram, home.layout_diagram = loader, spy\n"
+            "c.render_figure(fig, 'svg')\n"
+            "print(c.layout_diagram is loader, len(calls))\n"
+            "home.layout_diagram = real\n"
+            "c.render_figure(fig, 'svg')\n"
+            "print(c.layout_diagram is real, len(calls))\n")
+    run = _fresh(code, GOOD)
+    assert (run.stdout, run.stderr) == ("True 2\nTrue 3\nTrue 3\n", "")
 
 
 def test_help_is_argparse_s_help(monkeypatch):
