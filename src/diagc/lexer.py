@@ -29,9 +29,15 @@ holds a line break.
 
 The common spelling of a field is text that ``tidy`` leaves as it is,
 with braces at most two deep: ``kept_field`` is its pattern, for a
-reader that takes a whole command in one match, and ``cut`` splits and
-strips such fields in C; ``cut`` and the IR reader share the pattern of
-a group's inside, ``GROUP_INSIDE``.
+reader that takes a whole command in one match.  ``GROUP_INSIDE`` is
+the pattern of a group's inside, which the parser's ``cut`` and the IR
+reader share.
+
+Only the parser's section reader and name fallback, ``format_command``
+and the IR reader's fallback read a token at a time, tidy a section or
+scan to a stop, so the patterns of ``token_at``, ``tidy`` and
+``section_end`` are compiled on first use: a run over the committed
+corpus compiles none of them.
 """
 from __future__ import annotations
 
@@ -57,9 +63,10 @@ def _source() -> Pattern[str]:
 
 @lru_cache(maxsize=None)
 def _tidy() -> Pattern[str]:
-    """What ``tidy`` rewrites, compiled on first use: in a section a control
-    sequence stays, a comment goes, a backslash and a line break is a
-    control space and a whitespace run becomes one space."""
+    """What ``tidy`` rewrites, compiled on first use: only the section
+    reader tidies.  In a section a control sequence stays, a comment goes,
+    a backslash and a line break is a control space and a whitespace run
+    becomes one space."""
     return re.compile(r"(\\(?:" + LINE_END + r"))|(\\.)|(" + _COMMENT + r")|[ \t\r\n]+")
 
 
@@ -108,7 +115,8 @@ def lone_backslash(text: str, pos: int) -> bool:
 @lru_cache(maxsize=None)
 def _scanner(stops: str, comments: bool) -> Pattern[str]:
     """The tokens a scan to ``stops`` must see: the braces and stops, and
-    the control symbols and comments that can hide one."""
+    the control symbols and comments that can hide one; compiled on first
+    use, as only the readers' fallbacks scan."""
     hiding = _SYMBOL + "|" + _COMMENT if comments else _SYMBOL
     return re.compile(hiding + "|[{}" + re.escape(stops) + "]")
 
@@ -189,22 +197,6 @@ def kept_field(stops: str, depth: int = 2) -> str:
 # the inside of a group whose own groups nest at most one level: a character
 # but a brace or a backslash, a backslash and the next character, or a group of those
 GROUP_INSIDE = r"(?:[^{}\\]|\\.|\{(?:[^{}\\]|\\.)*\})*"
-
-
-@lru_cache(maxsize=None)
-def _cutter() -> Pattern[str]:
-    """A backtick and the field after it: the inside of a field that is one
-    group, else the whole field."""
-    return re.compile(r"`(?:\{(" + GROUP_INSIDE + r")\}(?=`|\Z)|((?:[^`{}\\]|\\.|\{"
-                      + GROUP_INSIDE + r"\})*))", re.DOTALL)
-
-
-def cut(text: str) -> Tuple[str, ...]:
-    """``text`` split at top-level backticks, each field stripped of one
-    outer group: ``strip_group`` over ``split_top(text, "`")`` in one
-    ``re`` call, for text that ``kept_field("")`` matches whole, which
-    is comment-free and nests braces at most two deep."""
-    return tuple(map("".join, _cutter().findall("`" + text)))
 
 
 def strip_group(text: str) -> str:

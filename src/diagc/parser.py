@@ -11,20 +11,19 @@ section groups that follow the payload of ``\\cube`` (its inner square
 and its connectors) and of ``\\pullback`` (its trident) are chains of
 their own, each read into a ``Command`` of the group's kind in ``parts``.
 
-A command is read in one match where it can be.  One shared pattern,
-compiled on first use, takes the common spelling of every section in
-table order: no whitespace between sections, and fields that ``tidy``
-leaves as they are, with braces at most two deep.  Each section's rules
-live in one ``fill``, which both readers call: the match hands it the
-section's groups and ``lexer.cut``, which splits and strips fields in
-C, and the section reader hands it the section's text and the token
-scan.  Where the pattern does not take a section's spelling, takes a
-section the command lacks, or stops where the section reader would read
-on, or where a ``fill`` refuses, the section reader reads the command
-again from its start, so every diagnostic comes from the section
-reader.  A chain's parts are read
-after the match by their own chains, each again by a match first.  A
-command ends after its last section, by either path.
+A command is read in one match where it can be.  One shared pattern
+takes the common spelling of every section in table order: no whitespace
+between sections, and fields that ``tidy`` leaves as they are, with
+braces at most two deep.  Each section's rules live in one ``fill``,
+which both readers call: the match hands it the section's groups and
+``cut``, which splits and strips fields in C, and the section reader
+hands it the section's text and the token scan.  Where the pattern does
+not take a section's spelling, takes a section the command lacks, or
+stops where the section reader would read on, or where a ``fill``
+refuses, the section reader reads the command again from its start, so
+every diagnostic comes from the section reader.  A chain's parts are
+read after the match by their own chains, each again by a match first.
+A command ends after its last section, by either path.
 
 A command's name is one match too, of whitespace, comments and a word of
 ASCII letters; the reader reads any other name, or makes the error.  A
@@ -42,6 +41,11 @@ one implicit figure.
 
 The two-height section of ``\\vSquares`` is ``<bottom,top>``, in that
 order, as the arithmetic dictates.
+
+Every parse uses the section pattern, the command head, ``cut``'s
+pattern and the line breaks' pattern, so they are compiled as the
+module loads.  Only the pattern of ``arity`` integers, ``_integers``,
+is compiled on first use, as a figure may have no coordinates.
 """
 from __future__ import annotations
 
@@ -55,7 +59,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Pattern, Tup
 
 from .diagnostics import Diagnostic, ParseError
 from .geometry import INTEGER, MAX_DIGITS, Point, _new, read_positive
-from .lexer import (BLANK, LINE_END, cut, kept_field, lone_backslash, section_end,
+from .lexer import (BLANK, GROUP_INSIDE, LINE_END, kept_field, lone_backslash, section_end,
                     split_top, strip_group, tidy, token_at)
 
 
@@ -114,7 +118,7 @@ class Positions(Sequence):
 def _line_breaks(text: str) -> Tuple[List[int], bool]:
     """Where each line break of ``text`` ends, and whether it has a CR LF;
     made once per source, at the first line and column asked of it."""
-    return list(map(re.Match.end, _line_break().finditer(text))), "\r\n" in text
+    return list(map(re.Match.end, _LINE_BREAK.finditer(text))), "\r\n" in text
 
 
 def _where(text: str, pos: int) -> Tuple[int, int]:
@@ -242,7 +246,7 @@ def _command(r: _Reader, name: str, at: int) -> Command:
 def parse_source(text: str, filename: str = "<input>") -> List[Figure]:
     """Parse a whole source file into figures."""
     r = _Reader(text, filename)
-    head = _command_head().match
+    head = _COMMAND_HEAD.match
     figures: List[Figure] = []
     # a figure's commands, their offsets and its own offset: those outside
     # any figure, from the first of them, and those of the open one
@@ -313,49 +317,50 @@ _SCRIPT_GROUPS = {"^": 10, "|": 12, "_": 14}
 _OPENERS = ("[", "(", "|", "/", "<", "{", "^", "_")
 
 
-@lru_cache(maxsize=None)
-def _sections() -> Pattern[str]:
-    """The common spelling of the sections of every chain before its parts,
-    in table order, each optional, compiled on first use.
+# The common spelling of the sections of every chain before its parts, in
+# table order, each optional.  Its groups: 1 an alignment, 2 coordinates,
+# 3 placements, 4 styles, 5 an extent or a length, 6 a mask or scale factor
+# in braces, 7 a stub, 8-9 the halves of a payload and, where no payload
+# is, 10-15 the ``^``, ``|`` and ``_`` scripts, each the inside of a group
+# or one character.  Sections follow each other with nothing between
+# them, and each field is text that ``tidy`` leaves as it is.
+_NUMBERS = "([0-9+,-]*)"
+_TOKEN = r"[^{}\\% \t\r\n]"
+_HALF = "(" + kept_field(";]") + ")"
+_SCRIPT = r"(?:\{(" + kept_field("", 1) + r")\}|(" + _TOKEN + "))"
+_SECTIONS = re.compile(
+    r"(?:\[([lrud])\])?(?:\(" + _NUMBERS + r"\))?"
+    r"(?:\|([^|{}\\% \t\r\n]*)\|)?(?:/(" + kept_field("/") + ")/)?"
+    "(?:<" + _NUMBERS + r">)?(?:\{(" + _TOKEN + r"*)\}(?:<" + _NUMBERS + ">)?)?"
+    r"(?:\[" + _HALF + "(?:;" + _HALF + r")?\]"
+    r"|(?:\^" + _SCRIPT + r")?(?:\|" + _SCRIPT + ")?(?:_" + _SCRIPT + ")?)")
 
-    Its groups: 1 an alignment, 2 coordinates, 3 placements, 4 styles,
-    5 an extent or a length, 6 a mask or scale factor in braces, 7 a
-    stub, 8-9 the halves of a payload and, where no payload is, 10-15
-    the ``^``, ``|`` and ``_`` scripts, each the inside of a group or one
-    character.  Sections follow each other with nothing between them, and
-    each field is text that ``tidy`` leaves as it is.
-    """
-    numbers = "([0-9+,-]*)"
-    token = r"[^{}\\% \t\r\n]"
-    half = "(" + kept_field(";]") + ")"
-    script = r"(?:\{(" + kept_field("", 1) + r")\}|(" + token + "))"
-    return re.compile(
-        r"(?:\[([lrud])\])?(?:\(" + numbers + r"\))?"
-        r"(?:\|([^|{}\\% \t\r\n]*)\|)?(?:/(" + kept_field("/") + ")/)?"
-        "(?:<" + numbers + r">)?(?:\{(" + token + r"*)\}(?:<" + numbers + ">)?)?"
-        r"(?:\[" + half + "(?:;" + half + r")?\]"
-        r"|(?:\^" + script + r")?(?:\|" + script + ")?(?:_" + script + ")?)")
+# A backtick and the field after it: the inside of a field that is one
+# group, else the whole field.
+_CUTTER = re.compile(r"`(?:\{(" + GROUP_INSIDE + r")\}(?=`|\Z)|((?:[^`{}\\]|\\.|\{"
+                     + GROUP_INSIDE + r"\})*))", re.DOTALL)
+
+# Whitespace and comments, then, as group 2, a control word of ASCII
+# letters that no other letter follows: the common command name.  The
+# lookahead and group 1 make ``BLANK`` atomic, so that the name is never
+# found inside a comment.
+_COMMAND_HEAD = re.compile("(?=(" + BLANK.pattern + r"))\1(\\[A-Za-z]+(?![^\W\d_]))")
+_LINE_BREAK = re.compile(LINE_END)
+
+
+def cut(text: str) -> Tuple[str, ...]:
+    """``text`` split at top-level backticks, each field stripped of one
+    outer group: ``strip_group`` over ``split_top(text, "`")`` in one
+    ``re`` call, for text that ``kept_field("")`` matches whole, which
+    is comment-free and nests braces at most two deep."""
+    return tuple(map("".join, _CUTTER.findall("`" + text)))
 
 
 @lru_cache(maxsize=None)
 def _integers(arity: int) -> Pattern[str]:
     """``arity`` integers of at most MAX_DIGITS digits, between commas,
-    compiled on first use."""
+    compiled on first use: a figure may have no coordinates."""
     return re.compile(",".join([r"\s*[+-]?[0-9]{1,%d}\s*" % MAX_DIGITS] * arity))
-
-
-@lru_cache(maxsize=None)
-def _line_break() -> Pattern[str]:
-    return re.compile(LINE_END)
-
-
-@lru_cache(maxsize=None)
-def _command_head() -> Pattern[str]:
-    """Whitespace and comments, then, as group 2, a control word of ASCII
-    letters that no other letter follows: the common command name.  The
-    lookahead and group 1 make ``BLANK`` atomic, so that the name is never
-    found inside a comment."""
-    return re.compile("(?=(" + BLANK.pattern + r"))\1(\\[A-Za-z]+(?![^\W\d_]))")
 
 
 class _Section:
@@ -368,8 +373,8 @@ class _Section:
     it.  ``read(r, into)``, the section reader, cuts the text from
     ``opener`` to ``closer``, or one token or group where there is no
     closer, and fills with ``_fields``.  ``_Chain.take`` cuts the text
-    from ``groups`` of a match of ``_sections()``, a tuple of them for
-    the payload and the scripts, and fills with ``lexer.cut``.
+    from ``groups`` of a match of ``_SECTIONS``, a tuple of them for
+    the payload and the scripts, and fills with ``cut``.
     ``write(obj)`` writes the section back from a Command.
 
     A section fills the attribute ``field``, at index ``slot``, with
@@ -629,7 +634,7 @@ class _Chain:
 
     def take(self, m: re.Match, kind: str) -> Optional[List[Any]]:
         """The field values of the command ``kind`` with those of its head
-        filled from ``m``, a match of ``_sections()`` where its sections
+        filled from ``m``, a match of ``_SECTIONS`` where its sections
         begin; None where the section reader must read the command."""
         if self.unread(m) != self.nones or None in self.needed(m):
             return None  # a section the command lacks, or a required one not taken
@@ -650,7 +655,7 @@ class _Chain:
         """The command ``kind`` from its sections at ``r.pos``: the head by
         one match where ``take`` accepts it, and every other section by
         the section reader; ``r.pos`` ends after the last section."""
-        m = _sections().match(r.text, r.pos)
+        m = _SECTIONS.match(r.text, r.pos)
         values = self.take(m, kind)
         if values is None:
             values = self.template.copy()

@@ -264,21 +264,11 @@ def render_svg(
 
     # the figure's extent: the screen x of its right edge and y of its bottom
     width, height = X[QUANTUM * x1], Y[QUANTUM * y0]
-    out: List[str] = []
-    out.append('<?xml version="1.0" encoding="UTF-8"?>')
-    out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1"'
-        f' width="{width}" height="{height}"'
-        f' viewBox="0 0 {width} {height}">'
-    )
-    if used_markers:
-        out.append("<defs>")
-        out.extend(markers[name] for name in sorted(used_markers))
-        out.append("</defs>")
-    out.append('<g font-family="serif" fill="black">')
-    out.extend(node_elems)
-    out.extend(arrow_elems)
-    out.extend(label_elems)
-    out.append("</g>")
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return "\n".join([
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}"'
+        f' height="{height}" viewBox="0 0 {width} {height}">',
+        *(["<defs>", *[markers[name] for name in sorted(used_markers)], "</defs>"]
+          if used_markers else ()),
+        '<g font-family="serif" fill="black">', *node_elems, *arrow_elems, *label_elems,
+        "</g>", "</svg>", ""])

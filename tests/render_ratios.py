@@ -1,5 +1,6 @@
 """Instruction ratios of the SVG and TikZ renders to the Xy-pic token
-stream, over the 29 figures of the corpus.
+stream, over the 29 figures of the corpus, and their instructions per
+corpus figure.
 
 Each ratio divides the bytecode instructions of one step over every
 figure by those of ``render_xypic`` over the same figures, with the
@@ -14,31 +15,35 @@ Beside them it counts the front half of a small figure: ``compile_source``
 of a one-command source, then ``render_figure`` of its figure in Xy-pic
 and in IR text, per figure over ``SMALL``, one figure of each of several
 kinds.  Then it counts ``emit_ir`` and ``parse_ir`` per line of the
-corpus figures' dumps, then the CLI's start: ``import diagc.cli`` and
-``main`` on one small Xy-pic ``--check`` input, in a fresh process, and
-last the library's: a bare ``import diagc``, in a fresh process.
+corpus figures' dumps, the compiling of the patterns the parser compiles
+as it loads, then the CLI's start: ``import diagc.cli`` and ``main`` on
+one small Xy-pic ``--check`` input, in a fresh process, and last the
+library's: a bare ``import diagc``, in a fresh process.
 
-The cost bounds of ``test_render.py`` read their ratios from ``ratio``
-and the small figure's count from ``front_half``; those of
-``test_irtext.py`` read the IR text's counts from ``emit_per_line`` and
-``parse_per_line``, and those of ``test_cli.py`` the CLI's from
+The cost bounds of ``test_render.py`` read a step's count from ``cost``
+and the small figure's from ``front_half``; those of ``test_irtext.py``
+read the IR text's counts from ``emit_per_line`` and
+``parse_per_line``, that of ``test_parser.py`` the patterns' from
+``pattern_compile``, and those of ``test_cli.py`` the CLI's from
 ``cli_start`` and the library's from ``library_start``.  Run it from
 the repository root:
 
     PYTHONPATH=src python tests/render_ratios.py
 
-It prints each ratio and the two counts behind it, the front half's
-count, the IR text's, then the CLI's start and the library's.  Its name
-keeps it out of pytest's collection.
+It prints each ratio, the two counts behind it and the step's count per
+figure, the front half's count, the IR text's, the patterns', then the
+CLI's start and the library's.  Its name keeps it out of pytest's
+collection.
 """
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from diagc import (compile_source, emit_ir, layout_diagram, parse_ir, render_figure, render_svg,
-                   render_tikz, render_xypic)
+from diagc import (compile_source, emit_ir, layout_diagram, parse_ir, parser, render_figure,
+                   render_svg, render_tikz, render_xypic)
 from opcode_count import opcodes
 
 TESTS = Path(__file__).resolve().parent
@@ -56,24 +61,20 @@ def corpus_figures() -> list:
             for figure in compile_source(path.read_text(encoding="utf-8"), path.name)]
 
 
-def counts(step: str, figures: list) -> tuple:
-    """The instructions of ``step`` over ``figures``, and of the token
-    stream over the same figures."""
+def cost(step: str, figures: list) -> int:
+    """The instructions of ``step`` over ``figures``."""
     if step in ("svg", "tikz"):
-        cost = opcodes(lambda: [render_figure(figure, step, []) for figure in figures])
-    else:
-        printer = render_svg if step == "svg printer" else render_tikz
-        laid = [(layout_diagram(figure.ir, figure.metrics, ends_only=printer is render_tikz),
-                 figure.ir.scale) for figure in figures]
-        cost = opcodes(lambda: [printer(lay, scale, []) for lay, scale in laid])
+        return opcodes(lambda: [render_figure(figure, step, []) for figure in figures])
+    printer = render_svg if step == "svg printer" else render_tikz
+    laid = [(layout_diagram(figure.ir, figure.metrics, ends_only=printer is render_tikz),
+             figure.ir.scale) for figure in figures]
+    return opcodes(lambda: [printer(lay, scale, []) for lay, scale in laid])
+
+
+def token_stream(figures: list) -> int:
+    """The instructions of ``render_xypic`` over ``figures``."""
     printed = [figure.ir._replace(nodes=figure.placed) for figure in figures]
-    return cost, opcodes(lambda: [render_xypic(ir) for ir in printed])
-
-
-def ratio(step: str, figures: list) -> float:
-    """``step``'s instructions per instruction of the token stream."""
-    cost, xypic = counts(step, figures)
-    return cost / xypic
+    return opcodes(lambda: [render_xypic(ir) for ir in printed])
 
 
 def front_half() -> float:
@@ -85,7 +86,7 @@ def front_half() -> float:
                 render_figure(figure, "xypic")
                 render_figure(figure, "ir")
 
-    run()  # the parser's patterns are compiled on first use
+    run()  # the coordinates' pattern is compiled on first use
     return opcodes(run) / len(SMALL)
 
 
@@ -104,6 +105,15 @@ def parse_per_line(dumps: list) -> float:
         parse_ir(dump)
     return opcodes(lambda: [parse_ir(dump) for dump in dumps]) / sum(
         dump.count("\n") for dump in dumps)
+
+
+def pattern_compile() -> int:
+    """The instructions to compile the patterns the parser compiles as it
+    loads, from their pattern text and flags, with ``re``'s cache emptied."""
+    patterns = [(p.pattern, p.flags) for p in (parser._SECTIONS, parser._COMMAND_HEAD,
+                                               parser._LINE_BREAK, parser._CUTTER)]
+    re.purge()
+    return opcodes(lambda: [re.compile(*p) for p in patterns])
 
 
 def _in_fresh_process(code: str, *argv: str) -> str:
@@ -153,15 +163,18 @@ def cli_start() -> int:
 def main() -> None:
     figures = corpus_figures()
     print(f"{len(figures)} corpus figures, Python {sys.version.split()[0]}")
+    xypic = token_stream(figures)
     for step in STEPS:
-        cost, xypic = counts(step, figures)
-        print(f"{step:>12}: {cost / xypic:.2f}x the token stream ({cost} / {xypic})")
+        count = cost(step, figures)
+        print(f"{step:>12}: {count / xypic:.2f}x the token stream ({count} / {xypic}), "
+              f"{count / len(figures):.0f} per figure")
     print(f"  front half: {front_half():.0f} instructions per small figure "
           f"({len(SMALL)} figures)")
     irs = [figure.ir for figure in figures]
     dumps = [emit_ir(ir) for ir in irs]
     print(f"     emit_ir: {emit_per_line(irs):.2f} instructions per corpus line")
     print(f"    parse_ir: {parse_per_line(dumps):.2f} instructions per corpus line")
+    print(f"    patterns: {pattern_compile()} instructions to compile the parser's patterns")
     print(f"   CLI start: {cli_start()} instructions to import diagc.cli and check "
           "one small Xy-pic figure")
     print(f"library start: {library_start()} instructions to import diagc")

@@ -1,15 +1,18 @@
 """Grammar: optional sections, payload splitting, round-trips, arity."""
-import re
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import expand_walk
+import render_ratios
 from opcode_count import opcodes
 
 from diagc import (ParseError, Point, compile_source, format_command, merge_duplicate_nodes,
                    parse_command, parse_source, render_figure)
-from diagc import lexer, parser
+from diagc import parser
 
 
 def test_square_defaults():
@@ -477,26 +480,35 @@ def test_parse_cost_per_figure_is_bounded():
 
     def count(n):
         text = figure * n
-        parse_source(figure)  # the patterns are compiled on first use
+        parse_source(figure)  # a pattern compiled on first use is compiled before the counts
         return opcodes(lambda: parse_source(text))
 
     assert (count(200) - count(100)) / 100 <= 509
 
 
 def test_pattern_compile_cost_is_bounded():
-    # every process that parses compiles these once, on first use: about
-    # 197000 instructions, most of them the shared section pattern, 14500
-    # the command head
-    patterns = (parser._sections, parser._command_head, parser._line_break, lexer._cutter)
+    # every process that parses compiles these once, as the parser loads:
+    # about 197000 instructions, most of them the shared section pattern,
+    # 14500 the command head
+    assert render_ratios.pattern_compile() <= 230_000
 
-    def compile_all():
-        for pattern in patterns:
-            pattern()
 
-    for pattern in patterns:
-        pattern.cache_clear()
-    re.purge()
-    assert opcodes(compile_all) <= 230_000
+def _fresh(code):
+    """What ``code`` prints in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(parser.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+def test_the_parser_compiles_only_the_patterns_every_parse_needs_as_it_loads():
+    # the coordinates' pattern and the section reader's compile on first
+    # use, and IR text alone loads no parser
+    code = ("import diagc.compiler\n"
+            "from diagc import lexer, parser\n"
+            "print([f.cache_info().currsize for f in (parser._integers, lexer._source,"
+            " lexer._tidy)])\n")
+    assert _fresh(code) == "[0, 0, 0]\n"
+    assert _fresh("import sys, diagc.irtext\nprint('diagc.parser' in sys.modules)\n") == "False\n"
 
 
 def test_compile_cost_per_arrow_is_bounded():
@@ -506,7 +518,7 @@ def test_compile_cost_per_arrow_is_bounded():
     # with five Python calls per edge, 634 with the section reader alone)
     def per_arrow(k):
         text = _square_grid(k)
-        compile_source(text)  # the scan patterns are compiled on first use
+        compile_source(text)  # the coordinates' pattern is compiled on first use
         arrows = len(compile_source(text)[0].ir.arrows)
         return opcodes(lambda: compile_source(text)) / arrows
 

@@ -55,10 +55,9 @@ from diagc.geometry import (Decimals, RoundedDecimals, decimal_base, format_deci
                             memo_class)
 from diagc.ir import KIND_POS, KIND_VECTOR
 from diagc.metrics import DEFAULT_CHAR_WIDTH, text_width
-from diagc.lexer import (cut, group_end, kept_field, section_end, split_top, strip_group,
-                         token_at)
-from diagc.parser import (COMMANDS, Positions, _Chain, _command, _command_head, _Reader,
-                          _where, format_command, parse_command)
+from diagc.lexer import group_end, kept_field, section_end, split_top, strip_group, token_at
+from diagc.parser import (_COMMAND_HEAD, COMMANDS, Positions, _Chain, _command, _Reader, _where,
+                          cut, format_command, parse_command)
 from diagc.styles import STYLES
 
 BOUNDED = settings(
@@ -271,7 +270,7 @@ def test_the_command_head_agrees_with_the_reader(atoms):
     for k in range(len(toks) + 1):
         r = _Reader(text)
         r.pos = len("".join(toks[:k]))
-        m = _command_head().match(text, r.pos)
+        m = _COMMAND_HEAD.match(text, r.pos)
         try:
             name = r.name()
         except ParseError:
